@@ -23,6 +23,10 @@ go test . -run '^$' -bench 'BenchmarkLiveWrite$|BenchmarkLiveRead$' \
 	-benchmem -benchtime 2000x | tee "$out"
 go test ./internal/wire -run '^$' -bench 'BenchmarkWireEncodeBatch$|BenchmarkWireDecodeBatch$' \
 	-benchmem -benchtime 2000x | tee -a "$out"
+# The TCP receive path in steady state: the per-frame header scratch that
+# used to escape to the heap in the frame reader must not come back.
+go test ./internal/transport -run '^$' -bench 'BenchmarkTCPRecvFrames$' \
+	-benchmem -benchtime 20000x | tee -a "$out"
 
 fail=0
 while read -r name base; do

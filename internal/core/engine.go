@@ -77,6 +77,11 @@ type Engine struct {
 	hist   map[lockKey]float64
 	active map[lockKey]bool
 	stats  Stats
+
+	// armed, when set, runs right after a section has registered its
+	// interrupt hook and before the re-check under it — a test-only seam
+	// that lets a foreign grant be landed in exactly that window.
+	armed func()
 }
 
 // NewEngine builds an engine over a GWC node.
@@ -292,6 +297,9 @@ func (e *Engine) optimistic(ctx context.Context, k lockKey, body func(tx *Tx) er
 	// update). Nothing has been sent yet, so detach the hook (its
 	// suspend action must not fire inside a regular section) and take
 	// the regular path instead.
+	if e.armed != nil {
+		e.armed()
+	}
 	val, err := e.node.LockValue(gid, l)
 	if err != nil {
 		return err
@@ -301,7 +309,9 @@ func (e *Engine) optimistic(ctx context.Context, k lockKey, body func(tx *Tx) er
 		return err
 	}
 	if (val != gwc.Free && val != grant) || si.Holders > 0 {
-		unregister()
+		if err := e.disarm(gid, unregister, &rolled); err != nil {
+			return err
+		}
 		e.bumpHistory(k)
 		e.mu.Lock()
 		e.stats.Regular++
@@ -391,6 +401,22 @@ func (e *Engine) optimistic(ctx context.Context, k lockKey, body func(tx *Tx) er
 		return err
 	}
 	return bodyErr
+}
+
+// disarm detaches a section's interrupt hook before the section falls
+// back to the regular path. The foreign grant that sends it there may
+// have landed after the hook was armed, in which case the hook has
+// already suspended insharing and nothing further down the regular path
+// would ever resume it: the section, and every later one, would read
+// copies that no longer receive updates and write stale-plus-one over
+// newer values. Once unregister has returned the hook can no longer
+// fire, so rolled is final.
+func (e *Engine) disarm(gid gwc.GroupID, unregister func(), rolled *atomic.Bool) error {
+	unregister()
+	if rolled.Load() {
+		return e.node.ResumeInsharing(gid)
+	}
+	return nil
 }
 
 // DoSession runs body inside the lock's given session — concurrently
@@ -514,6 +540,9 @@ func (e *Engine) optimisticSession(ctx context.Context, k lockKey, session uint3
 	// registration above fired no hook and never will, so speculating
 	// now could commit a section whose writes the root suppressed.
 	// Nothing has been sent yet — detach the hook and enter regularly.
+	if e.armed != nil {
+		e.armed()
+	}
 	val, err := e.node.LockValue(gid, l)
 	if err != nil {
 		return err
@@ -526,7 +555,9 @@ func (e *Engine) optimisticSession(ctx context.Context, k lockKey, session uint3
 	conflicted := (val != gwc.Free && val != gwc.GrantValue(self)) ||
 		(si.Holders > 0 && si.Session != session)
 	if !stillOpenJoin && conflicted {
-		unregister()
+		if err := e.disarm(gid, unregister, &rolled); err != nil {
+			return err
+		}
 		e.bumpHistory(k)
 		e.mu.Lock()
 		e.stats.Regular++

@@ -444,3 +444,103 @@ func TestConditionalBodyNeverLosesPops(t *testing.T) {
 		}
 	}
 }
+
+// TestFallbackAfterArmedHookResumesInsharing pins the lost-update bug of
+// the re-check fallback: a foreign entry that lands after the interrupt
+// hook is armed but before the re-check makes the hook suspend
+// insharing, and the section then takes the regular path — which must
+// resume insharing first. Otherwise the holder's write, parked behind
+// the suspension, is invisible to the regular section, which increments
+// a stale copy and overwrites the newer value everywhere.
+func TestFallbackAfterArmedHookResumesInsharing(t *testing.T) {
+	inc := func(tx *Tx) error {
+		cur, err := tx.Read(tVar)
+		if err != nil {
+			return err
+		}
+		return tx.Write(tVar, cur+1)
+	}
+	for _, tc := range []struct {
+		name string
+		// enter takes the lock at node 1 in a way incompatible with the
+		// section under test; leave gives it back.
+		enter, leave func(n *gwc.Node) error
+		// seen reports whether node 2 has applied node 1's entry.
+		seen func(n *gwc.Node) bool
+		do   func(e *Engine) error
+	}{
+		{
+			name:  "mutex",
+			enter: func(n *gwc.Node) error { return n.Acquire(tGroup, tLock) },
+			leave: func(n *gwc.Node) error { return n.Release(tGroup, tLock) },
+			seen: func(n *gwc.Node) bool {
+				v, _ := n.LockValue(tGroup, tLock)
+				return v == gwc.GrantValue(1)
+			},
+			do: func(e *Engine) error { return e.Do(tGroup, tLock, inc) },
+		},
+		{
+			name:  "session",
+			enter: func(n *gwc.Node) error { return n.EnterSession(tGroup, tLock, 9) },
+			leave: func(n *gwc.Node) error { return n.LeaveSession(tGroup, tLock) },
+			seen: func(n *gwc.Node) bool {
+				si, _ := n.SessionState(tGroup, tLock)
+				return si.Holders > 0 && si.Session == 9
+			},
+			do: func(e *Engine) error { return e.DoSession(tGroup, tLock, 7, inc) },
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, 3)
+			holder, e2 := r.nodes[1], r.engines[2]
+			entered := make(chan error, 1)
+			e2.armed = func() {
+				// The hook is armed and node 2 still sees the lock free:
+				// land node 1's entry now, and return only once node 2
+				// has applied it (so its hook has fired).
+				err := tc.enter(holder)
+				for deadline := time.Now().Add(5 * time.Second); err == nil && !tc.seen(r.nodes[2]); {
+					if time.Now().After(deadline) {
+						err = errors.New("node 2 never saw node 1's entry")
+					}
+					time.Sleep(100 * time.Microsecond)
+				}
+				entered <- err
+			}
+			done := make(chan error, 1)
+			go func() { done <- tc.do(e2) }()
+			if err := <-entered; err != nil {
+				t.Fatal(err)
+			}
+			// Once the re-check has sent node 2 down the regular path, the
+			// holder writes and leaves: the write is sequenced before the
+			// release, so node 2's section must see it.
+			for deadline := time.Now().Add(5 * time.Second); e2.Stats().Regular == 0; {
+				if time.Now().After(deadline) {
+					t.Fatalf("stats = %+v, want the re-check's regular fallback", e2.Stats())
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+			if err := holder.Write(tGroup, tVar, 1000); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.leave(holder); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("section never finished")
+			}
+			if s := e2.Stats(); s.Regular != 1 || s.Optimistic != 0 {
+				t.Errorf("stats = %+v, want the re-check's regular fallback", s)
+			}
+			for _, n := range r.nodes {
+				waitVal(t, n, tVar, 1001)
+			}
+		})
+	}
+}

@@ -359,7 +359,7 @@ func (n *Node) ingestFwd(g *memberGroup, m wire.Message, forward bool) {
 		}
 	}
 	// Sequenced traffic from the current root is proof of life; the
-	// dispatch timestamp (stamped once per handle/tick lock hold) stands
+	// dispatch timestamp (stamped once per dispatch/tick lock hold) stands
 	// in for a per-message clock read. The root applying its own
 	// multicast locally skips the stamp — it never failure-detects
 	// itself, and that apply can run outside a dispatch (a write API

@@ -35,6 +35,9 @@ func soloNode(t *testing.T, history int) *Node {
 	return n
 }
 
+// handle injects one message the way recvLoop would: a backlog of one.
+func (n *Node) handle(m wire.Message) { n.dispatch([]wire.Message{m}) }
+
 // seqUpdate builds a sequenced update message.
 func seqUpdate(seq uint64, v VarID, val int64) wire.Message {
 	return wire.Message{

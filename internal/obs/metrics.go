@@ -15,12 +15,19 @@ const (
 	// so the high-water mark proves concurrent entering actually
 	// happened.
 	GaugeSessHolders GaugeID = iota
+	// GaugeRecvBacklog is how many messages the node's receive loop
+	// found queued on its last wake-up and took in one drain. A level
+	// of 1 means the node keeps up with its inbox; the high-water mark
+	// is the deepest the recv mailbox has been, and anything above 1
+	// is the drain-dispatch loop amortizing a backlog.
+	GaugeRecvBacklog
 
 	NumGauges // sentinel; always last
 )
 
 var gaugeNames = [NumGauges]string{
 	GaugeSessHolders: "sess_holders",
+	GaugeRecvBacklog: "recv_backlog",
 }
 
 func (id GaugeID) String() string {

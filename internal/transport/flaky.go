@@ -400,4 +400,8 @@ func (e *flakyEndpoint) corrupt(to int, m wire.Message) error {
 
 func (e *flakyEndpoint) Recv() (wire.Message, bool) { return e.inner.Recv() }
 
+func (e *flakyEndpoint) recvBatch(spare []wire.Message) ([]wire.Message, bool) {
+	return RecvBatch(e.inner, spare)
+}
+
 func (e *flakyEndpoint) Close() error { return e.inner.Close() }

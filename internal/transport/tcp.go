@@ -253,15 +253,23 @@ func (ep *tcpEndpoint) readLoop(conn net.Conn) {
 
 // frameLoop decodes frames off a connection — inbound or dialed (a
 // dialed connection carries the peer's traffic back once the remote
-// adopts it) — until it dies or the framing desynchronizes.
+// adopts it) — until it dies or the framing desynchronizes. It decodes
+// every whole frame the last socket read left in r, straight out of r's
+// buffer, and hands the run to the inbox in one putAll; a run is always
+// delivered before a read that could block, so no frame waits for bytes
+// that have not arrived and a lone frame is delivered as promptly as it
+// ever was.
 func (ep *tcpEndpoint) frameLoop(r *bufio.Reader, conn net.Conn) {
+	fr := frameReader{ep: ep, r: r}
 	for {
-		m, err := wire.ReadFrom(r)
-		if err != nil {
-			if errors.Is(err, wire.ErrCorruptFrame) {
-				ep.stats.decodeErrors.Add(1)
-				continue
-			}
+		m, err := fr.next()
+		switch {
+		case err == nil:
+			fr.run = append(fr.run, m)
+		case errors.Is(err, wire.ErrCorruptFrame):
+			// Frame-local: exactly the damaged frame was consumed.
+			ep.stats.decodeErrors.Add(1)
+		default:
 			if !isConnError(err) {
 				// Desync-class decode failure on a live connection:
 				// count it and reset the link (the deferred close in our
@@ -270,22 +278,83 @@ func (ep *tcpEndpoint) frameLoop(r *bufio.Reader, conn net.Conn) {
 				ep.stats.decodeErrors.Add(1)
 				ep.stats.connResets.Add(1)
 			}
+			// What decoded cleanly ahead of the failure still counts.
+			_ = fr.deliver()
 			return
-		}
-		ep.stats.framesRecv.Add(1)
-		if err := ep.inbox.put(m); err != nil {
-			return // endpoint closed
 		}
 	}
 }
 
+// frameReader is frameLoop's state: the stream, and the frames decoded
+// from it that have not been delivered yet.
+type frameReader struct {
+	ep  *tcpEndpoint
+	r   *bufio.Reader
+	run []wire.Message
+}
+
+// next decodes the next frame of the stream. Whenever the bytes it needs
+// are not all buffered — the one case in which it can block — it first
+// delivers the run. An error wrapping wire.ErrCorruptFrame has consumed
+// exactly the damaged frame; any other ends the connection.
+func (fr *frameReader) next() (wire.Message, error) {
+	hdr, err := fr.peek(wire.EncodedSize)
+	if err != nil {
+		return wire.Message{}, err
+	}
+	need, err := wire.FrameLen(hdr)
+	if err != nil {
+		return wire.Message{}, err
+	}
+	if need <= fr.r.Size() {
+		frame, err := fr.peek(need)
+		if err != nil {
+			return wire.Message{}, err
+		}
+		// Decode aliases nothing in frame, so its bytes can go at once.
+		m, err := wire.Decode(frame)
+		_, _ = fr.r.Discard(need) // cannot fail: need bytes are buffered
+		return m, err
+	}
+	// A batch frame longer than r's buffer cannot be peeked whole; nothing
+	// of it has been consumed yet, so wire.ReadFrom takes it from the top.
+	if err := fr.deliver(); err != nil {
+		return wire.Message{}, err
+	}
+	return wire.ReadFrom(fr.r)
+}
+
+// peek returns the stream's next n bytes (n <= r.Size()) without
+// consuming them, delivering the run first if they are not all buffered.
+func (fr *frameReader) peek(n int) ([]byte, error) {
+	if fr.r.Buffered() < n {
+		if err := fr.deliver(); err != nil {
+			return nil, err
+		}
+	}
+	return fr.r.Peek(n)
+}
+
+// deliver hands the run to the inbox in one operation and empties it
+// (zeroed, so the scratch pins no batch payload).
+func (fr *frameReader) deliver() error {
+	if len(fr.run) == 0 {
+		return nil
+	}
+	fr.ep.stats.framesRecv.Add(uint64(len(fr.run)))
+	err := fr.ep.inbox.putAll(fr.run)
+	clear(fr.run)
+	fr.run = fr.run[:0]
+	return err
+}
+
 // isConnError reports whether err is connection death (remote close,
-// torn frame on a dying socket, local shutdown) rather than a decode
-// failure on a live stream.
+// torn frame on a dying socket, local shutdown — of the socket or of the
+// inbox the frames go to) rather than a decode failure on a live stream.
 func isConnError(err error) bool {
 	var ne net.Error
 	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
-		errors.Is(err, net.ErrClosed) || errors.As(err, &ne)
+		errors.Is(err, net.ErrClosed) || errors.Is(err, ErrClosed) || errors.As(err, &ne)
 }
 
 // adopt offers an identified inbound connection to the peer's writer as
@@ -367,6 +436,10 @@ func (ep *tcpEndpoint) TransportStats() obs.TransportStats { return ep.stats.sna
 
 // Recv implements Endpoint.
 func (ep *tcpEndpoint) Recv() (wire.Message, bool) { return ep.inbox.get() }
+
+func (ep *tcpEndpoint) recvBatch(spare []wire.Message) ([]wire.Message, bool) {
+	return ep.inbox.drain(spare)
+}
 
 // Close implements Endpoint: stops the listener, peer writers, and inbox,
 // then waits for all endpoint goroutines to exit.

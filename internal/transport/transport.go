@@ -40,6 +40,34 @@ type Endpoint interface {
 	Close() error
 }
 
+// batchReceiver is the optional capability behind RecvBatch: an endpoint
+// whose inbox can hand over everything queued in one swap.
+type batchReceiver interface {
+	recvBatch(spare []wire.Message) (batch []wire.Message, ok bool)
+}
+
+// RecvBatch blocks until at least one message has arrived, then returns
+// everything the endpoint has queued, in arrival order; ok is false once
+// the endpoint is closed and emptied. spare is the previous batch handed
+// back for recycling — the endpoint may keep it as its next queue, so
+// the caller must not touch it afterwards — and is zeroed first, so a
+// consumed batch frame's inner slice is not pinned until the slot is
+// overwritten a lap later. An endpoint without the capability (detsim's,
+// a decorator written against Endpoint alone) yields one-message batches
+// from Recv, so Endpoint keeps its three methods and this is the only
+// place that asks.
+func RecvBatch(ep Endpoint, spare []wire.Message) (batch []wire.Message, ok bool) {
+	clear(spare)
+	if br, can := ep.(batchReceiver); can {
+		return br.recvBatch(spare)
+	}
+	m, ok := ep.Recv()
+	if !ok {
+		return nil, false
+	}
+	return append(spare[:0], m), true
+}
+
 // Network hands out the endpoints of an n-node cluster.
 type Network interface {
 	// Size is the number of nodes.
@@ -102,6 +130,34 @@ func (mb *mailbox[T]) put(m T) error {
 	if mb.closed {
 		return ErrClosed
 	}
+	mb.push(m)
+	mb.cond.Signal()
+	return nil
+}
+
+// putAll enqueues ms in order under one lock acquisition and one
+// wake-up — what a producer that already holds a run of messages (a TCP
+// reader after one socket read) pays instead of a lock, a signal and a
+// consumer wake per message. The bound applies exactly as in put.
+func (mb *mailbox[T]) putAll(ms []T) error {
+	if len(ms) == 0 {
+		return nil
+	}
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	if mb.closed {
+		return ErrClosed
+	}
+	for _, m := range ms {
+		mb.push(m)
+	}
+	mb.cond.Signal()
+	return nil
+}
+
+// push appends one entry, shedding the oldest first when the mailbox is
+// at its bound. Caller holds mb.mu.
+func (mb *mailbox[T]) push(m T) {
 	if live := len(mb.queue) - mb.head; mb.bound > 0 && live >= mb.bound {
 		// Shed an eighth of the queue at once so the eviction cost
 		// amortizes to O(1) per put even when the queue stays saturated.
@@ -124,8 +180,6 @@ func (mb *mailbox[T]) put(m T) error {
 		mb.head = 0
 	}
 	mb.queue = append(mb.queue, m)
-	mb.cond.Signal()
-	return nil
 }
 
 func (mb *mailbox[T]) get() (T, bool) {
@@ -228,6 +282,10 @@ func (e *inProcEndpoint) Send(to int, m wire.Message) error {
 
 func (e *inProcEndpoint) Recv() (wire.Message, bool) {
 	return e.net.boxes[e.id].get()
+}
+
+func (e *inProcEndpoint) recvBatch(spare []wire.Message) ([]wire.Message, bool) {
+	return e.net.boxes[e.id].drain(spare)
 }
 
 func (e *inProcEndpoint) Close() error {

@@ -436,6 +436,35 @@ func WriteTo(w io.Writer, m Message) error {
 	return nil
 }
 
+// FrameLen reports the full wire length of the frame that starts with
+// hdr, its first EncodedSize bytes: EncodedSize for a scalar frame, or a
+// batch header's extent once its checksum and count have been verified.
+// It is how a byte-stream reader delimits a frame before the rest of it
+// has arrived. An error is desync-class: a corrupted length prefix
+// means the frame boundary cannot be trusted. A scalar header's own
+// checksum is left to Decode.
+func FrameLen(hdr []byte) (int, error) {
+	if len(hdr) < EncodedSize {
+		return 0, fmt.Errorf("wire: short message: %d bytes, want %d", len(hdr), EncodedSize)
+	}
+	if Type(hdr[0]) != TBatch {
+		// A checksum failure in Decode is desync-class here too: the
+		// corrupted type byte could have hidden a batch header, in which
+		// case only the header of a longer frame gets consumed.
+		return EncodedSize, nil
+	}
+	// Verify the header checksum before trusting the count: a corrupted
+	// length prefix would otherwise desynchronize the stream framing.
+	if got, want := binary.BigEndian.Uint32(hdr[payloadSize:]), crc32.Checksum(hdr[:payloadSize], crcTable); got != want {
+		return 0, fmt.Errorf("wire: checksum mismatch: batch header carries %08x, payload sums to %08x", got, want)
+	}
+	count := int64(binary.BigEndian.Uint64(hdr[30:]))
+	if count < 1 || count > MaxBatch {
+		return 0, fmt.Errorf("wire: batch of %d messages outside [1,%d]", count, MaxBatch)
+	}
+	return int(count+1) * EncodedSize, nil
+}
+
 // ReadFrom reads one message (or one whole batch frame) from r in wire
 // form. Decode failures that wrap ErrCorruptFrame consumed the frame's
 // exact wire length — the caller may skip the frame and keep reading;
@@ -446,22 +475,13 @@ func ReadFrom(r io.Reader) (Message, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Message{}, err
 	}
-	if Type(hdr[0]) != TBatch {
-		// A checksum failure here is desync-class: the corrupted type
-		// byte could have hidden a batch header, in which case only the
-		// header of a longer frame was consumed.
+	need, err := FrameLen(hdr[:])
+	if err != nil {
+		return Message{}, err
+	}
+	if need == EncodedSize {
 		return Decode(hdr[:])
 	}
-	// Verify the header checksum before trusting the count: a corrupted
-	// length prefix would otherwise desynchronize the stream framing.
-	if got, want := binary.BigEndian.Uint32(hdr[payloadSize:]), crc32.Checksum(hdr[:payloadSize], crcTable); got != want {
-		return Message{}, fmt.Errorf("wire: checksum mismatch: batch header carries %08x, payload sums to %08x", got, want)
-	}
-	count := int64(binary.BigEndian.Uint64(hdr[30:]))
-	if count < 1 || count > MaxBatch {
-		return Message{}, fmt.Errorf("wire: batch of %d messages outside [1,%d]", count, MaxBatch)
-	}
-	need := int(count+1) * EncodedSize
 	bp := bufPool.Get().(*[]byte)
 	buf := *bp
 	if cap(buf) < need {
@@ -470,7 +490,7 @@ func ReadFrom(r io.Reader) (Message, error) {
 		buf = buf[:need]
 	}
 	copy(buf, hdr[:])
-	_, err := io.ReadFull(r, buf[EncodedSize:])
+	_, err = io.ReadFull(r, buf[EncodedSize:])
 	var m Message
 	if err == nil {
 		// Decode fills the frame's message array straight from the read

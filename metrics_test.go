@@ -115,6 +115,11 @@ func TestMetricsUnderContendedLoad(t *testing.T) {
 		t.Error("tracing implied by WithMetricsAddr, but no grant events counted")
 	}
 
+	// Every message above went through a receive loop's drain.
+	if g := s.Gauges[obs.GaugeRecvBacklog]; g.Max < 1 {
+		t.Errorf("recv_backlog = %+v after load, want a high-water mark >= 1", g)
+	}
+
 	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +133,7 @@ func TestMetricsUnderContendedLoad(t *testing.T) {
 		t.Fatalf("GET /metrics = %d, want 200", resp.StatusCode)
 	}
 	text := string(body)
-	for _, want := range []string{"lock_acquire", "rollback", "spec_section"} {
+	for _, want := range []string{"lock_acquire", "rollback", "spec_section", "recv_backlog"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics output missing %q:\n%s", want, text)
 		}
