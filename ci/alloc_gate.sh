@@ -5,10 +5,10 @@
 # one's allocs/op against the committed baseline in
 # ci/alloc_baseline.txt. The gate fails if any benchmark exceeds its
 # baseline by more than 5% — and since the committed baselines are zero,
-# in practice any allocation on the write or read fast path fails CI.
-# TestWriteFastPathAllocs enforces the same bound in-process on every
-# plain `go test` run; this script is the belt to that suspender, pinned
-# to the numbers a reviewer signed off on.
+# in practice any allocation on the write, read or lock-wait fast path
+# fails CI. TestWriteFastPathAllocs and TestLockWaitAllocs enforce the
+# same bound in-process on every plain `go test` run; this script is the
+# belt to that suspender, pinned to the numbers a reviewer signed off on.
 #
 # To re-baseline after an intentional change, edit ci/alloc_baseline.txt
 # in the same commit and say why in the commit message.
@@ -19,7 +19,7 @@ baseline=ci/alloc_baseline.txt
 out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 
-go test . -run '^$' -bench 'BenchmarkLiveWrite$|BenchmarkLiveRead$' \
+go test . -run '^$' -bench 'BenchmarkLiveWrite$|BenchmarkLiveRead$|BenchmarkLiveLock$' \
 	-benchmem -benchtime 2000x | tee "$out"
 go test ./internal/wire -run '^$' -bench 'BenchmarkWireEncodeBatch$|BenchmarkWireDecodeBatch$' \
 	-benchmem -benchtime 2000x | tee -a "$out"

@@ -81,18 +81,14 @@ func (n *Node) SetBatching(maxDelay time.Duration, maxMsgs int) {
 // already-queued write to the same variable when both carry the same
 // guard state (writes straddling a grant epoch must stay distinct so the
 // root can judge each against its own epoch tag). Caller holds n.mu.
-func (n *Node) enqueueWrite(gid GroupID, g *memberGroup, msg wire.Message) {
-	v := VarID(msg.Var)
-	if i, ok := g.batchIdx[v]; ok {
-		q := &g.batchQ[i]
+func (n *Node) enqueueWrite(gid GroupID, g *memberGroup, mv *memberVar, msg wire.Message) {
+	if mv.batchSlot > 0 {
+		q := &g.batchQ[mv.batchSlot-1]
 		if q.Guarded == msg.Guarded && q.Seq == msg.Seq {
 			q.Val = msg.Val
 			n.stats.Coalesced++
 			return
 		}
-	}
-	if g.batchIdx == nil {
-		g.batchIdx = make(map[VarID]int)
 	}
 	if g.batchQ == nil {
 		// One right-sized allocation per window; the flush hands the slice
@@ -100,7 +96,7 @@ func (n *Node) enqueueWrite(gid GroupID, g *memberGroup, msg wire.Message) {
 		g.batchQ = make([]wire.Message, 0, n.batchMax)
 	}
 	g.batchQ = append(g.batchQ, msg)
-	g.batchIdx[v] = len(g.batchQ) - 1
+	mv.batchSlot = len(g.batchQ)
 	if len(g.batchQ) >= n.batchMax {
 		n.flushWrites(g, flushSize)
 		return
@@ -143,7 +139,6 @@ func (n *Node) flushWrites(g *memberGroup, why flushReason) {
 		return
 	}
 	g.batchQ = nil
-	clear(g.batchIdx)
 	if !g.batchFirst.IsZero() {
 		n.metrics.Hist(obs.HistBatchFlush).Record(n.clock.Now().Sub(g.batchFirst))
 		g.batchFirst = time.Time{}
@@ -161,6 +156,7 @@ func (n *Node) flushWrites(g *memberGroup, why flushReason) {
 	}
 	for i := range q {
 		q[i].Epoch = g.epoch
+		g.vars.recs[q[i].Var].batchSlot = 0
 	}
 	if len(q) == 1 {
 		n.send(g.rootID, q[0])
@@ -181,10 +177,16 @@ func (n *Node) flushWrites(g *memberGroup, why flushReason) {
 // sequence range, one outgoing frame per member; down-plane batches are
 // relayed down the spanning tree as a single frame and then ingested
 // message by message; snapshot/report batches feed the failover
-// machinery. Caller holds n.mu.
-func (n *Node) handleBatch(frame wire.Message) {
+// machinery. A frame naming an ID past the table bound anywhere inside
+// is dropped whole. Caller holds n.mu.
+func (n *Node) handleBatch(frame *wire.Message) {
 	if len(frame.Batch) == 0 {
 		return
+	}
+	for i := range frame.Batch {
+		if !n.idsOK(&frame.Batch[i]) {
+			return
+		}
 	}
 	gid := GroupID(frame.Group)
 	switch frame.Batch[0].Type {
@@ -209,8 +211,8 @@ func (n *Node) handleBatch(frame wire.Message) {
 			return
 		}
 		r.collecting = true
-		for _, m := range frame.Batch {
-			n.rootHandle(r, m)
+		for i := range frame.Batch {
+			n.rootHandle(r, &frame.Batch[i])
 		}
 		n.rootEndBatch(r)
 	case wire.TSeqUpdate, wire.TSeqLock:
@@ -223,7 +225,8 @@ func (n *Node) handleBatch(frame wire.Message) {
 		// new (children drop the duplicates), then ingest with the
 		// per-message relay suppressed.
 		if len(g.children) > 0 {
-			for _, m := range frame.Batch {
+			for i := range frame.Batch {
+				m := &frame.Batch[i]
 				if m.Epoch >= g.epoch && m.Seq >= g.nextSeq {
 					if _, dup := g.pending[m.Seq]; !dup {
 						n.forwardDown(g, frame)
@@ -232,8 +235,8 @@ func (n *Node) handleBatch(frame wire.Message) {
 				}
 			}
 		}
-		for _, m := range frame.Batch {
-			n.ingestFwd(g, m, false)
+		for i := range frame.Batch {
+			n.ingestFwd(g, &frame.Batch[i], false)
 		}
 		n.maybeSendAck(g)
 	case wire.TSnapVar, wire.TSnapLock, wire.TSnapDone:
@@ -242,8 +245,8 @@ func (n *Node) handleBatch(frame wire.Message) {
 			n.protoErr("gwc: node %d got snapshot batch for unknown group %d", n.id, frame.Group)
 			return
 		}
-		for _, m := range frame.Batch {
-			n.handleSnap(g, m)
+		for i := range frame.Batch {
+			n.handleSnap(g, &frame.Batch[i])
 		}
 	default:
 		n.protoErr("gwc: node %d got batch of unexpected type %v", n.id, frame.Batch[0].Type)
@@ -275,9 +278,7 @@ func (n *Node) rootEndBatch(r *rootGroup) {
 		}
 	}
 	if r.cfg.TreeFanout {
-		if g, ok := n.groups[r.cfg.ID]; ok {
-			n.forwardDown(g, frame)
-		}
+		n.forwardDown(r.member, &frame)
 		return
 	}
 	for _, member := range r.cfg.Members {

@@ -79,7 +79,7 @@ func (n *Node) ReadStale(gid GroupID, v VarID, maxStale time.Duration) (int64, t
 		n.stats.DegradedReads++
 		n.emit(obs.EvDegradedRead, gid, int64(v), int64(stale))
 	}
-	return g.mem[v], stale, nil
+	return g.varValue(v), stale, nil
 }
 
 // Health is a point-in-time summary of the node's ability to serve,

@@ -60,7 +60,7 @@ type lockSnap struct {
 }
 
 // absorb folds one TSnapLock frame into the accumulated state.
-func (s *lockSnap) absorb(m wire.Message) {
+func (s *lockSnap) absorb(m *wire.Message) {
 	if m.Var > s.epoch {
 		s.epoch = m.Var
 	}
@@ -116,7 +116,7 @@ func (n *Node) heartbeat(gid GroupID, r *rootGroup) {
 
 // handleHeartbeat processes a root's liveness announcement (Val carries
 // the claimed root ID). Caller holds n.mu.
-func (n *Node) handleHeartbeat(g *memberGroup, m wire.Message) {
+func (n *Node) handleHeartbeat(g *memberGroup, m *wire.Message) {
 	claimed := int(m.Val)
 	switch {
 	case m.Epoch > g.epoch || (m.Epoch == g.epoch && claimed < g.rootID):
@@ -312,28 +312,37 @@ func (n *Node) sendReport(g *memberGroup, to int) {
 		Seq:   g.nextSeq - 1,
 		Epoch: g.electEpoch,
 	}
-	msgs := make([]wire.Message, 0, len(g.mem)+len(g.lockVal)+1)
-	for _, v := range sortedKeys(g.mem) {
+	msgs := make([]wire.Message, 0, len(g.vars.recs)+len(g.locks.recs)+1)
+	for i := range g.vars.recs {
+		v, mv := VarID(i), &g.vars.recs[i]
+		if !mv.written {
+			continue
+		}
 		m := base
 		m.Type = wire.TSnapVar
 		m.Var = uint32(v)
-		m.Val = g.mem[v]
+		m.Val = mv.val
 		msgs = append(msgs, m)
 	}
-	for _, l := range sortedKeys(g.lockVal) {
+	for i := range g.locks.recs {
+		l, lk := LockID(i), &g.locks.recs[i]
+		if !lk.known {
+			continue
+		}
 		m := base
 		m.Type = wire.TSnapLock
 		m.Lock = uint32(l)
-		m.Var = g.grantEpoch[l]
-		m.Val = g.lockVal[l]
+		m.Var = lk.grantEpoch
+		m.Val = lk.val
 		msgs = append(msgs, m)
 	}
 	// Session state rides as extra frames: one per observed holder, plus
 	// a request marker when this node waits to enter a session (exclusive
-	// waits already show as RequestValue in the lockVal loop above).
-	for _, l := range sortedKeys(g.sess) {
-		sv := g.sess[l]
-		if len(sv.holders) == 0 {
+	// waits already show as RequestValue in the lock-value loop above).
+	for i := range g.locks.recs {
+		l, lk := LockID(i), &g.locks.recs[i]
+		sv := lk.sess
+		if sv == nil || len(sv.holders) == 0 {
 			continue
 		}
 		for _, h := range sortedKeys(sv.holders) {
@@ -346,20 +355,17 @@ func (n *Node) sendReport(g *memberGroup, to int) {
 			msgs = append(msgs, m)
 		}
 	}
-	for _, l := range sortedKeys(g.reqSession) {
-		sess := g.reqSession[l]
-		if sess == 0 || !g.want[l] {
-			continue
-		}
-		if sv := g.sess[l]; sv != nil && sv.mine {
+	for i := range g.locks.recs {
+		l, lk := LockID(i), &g.locks.recs[i]
+		if !lk.sessionWaiter() {
 			continue
 		}
 		m := base
 		m.Type = wire.TSnapLock
 		m.Lock = uint32(l)
-		m.Var = g.grantEpoch[l]
+		m.Var = lk.grantEpoch
 		m.Val = RequestValue(n.id)
-		m.Session = sess
+		m.Session = lk.reqSession
 		msgs = append(msgs, m)
 	}
 	done := base
@@ -377,37 +383,34 @@ func (n *Node) promote(gid GroupID, g *memberGroup) {
 	n.dropLeases(g)
 	epoch := g.electEpoch
 	own := newSnapReport(g.nextSeq - 1)
-	for v, val := range g.mem {
-		own.vars[v] = val
-	}
-	for l, val := range g.lockVal {
-		own.locks[l] = lockSnap{val: val, epoch: g.grantEpoch[l]}
-	}
-	for l, sv := range g.sess {
-		if len(sv.holders) == 0 {
-			continue
+	for i := range g.vars.recs {
+		v, mv := VarID(i), &g.vars.recs[i]
+		if mv.written {
+			own.vars[v] = mv.val
 		}
-		s := own.locks[l]
-		s.session = sv.session
-		s.holders = make(map[int]uint32, len(sv.holders))
-		for h, ee := range sv.holders {
-			s.holders[h] = ee
-			if ee > s.epoch {
-				s.epoch = ee
+	}
+	for i := range g.locks.recs {
+		l, lk := LockID(i), &g.locks.recs[i]
+		if lk.known {
+			own.locks[l] = lockSnap{val: lk.val, epoch: lk.grantEpoch}
+		}
+		if sv := lk.sess; sv != nil && len(sv.holders) > 0 {
+			s := own.locks[l]
+			s.session = sv.session
+			s.holders = make(map[int]uint32, len(sv.holders))
+			for h, ee := range sv.holders {
+				s.holders[h] = ee
+				if ee > s.epoch {
+					s.epoch = ee
+				}
 			}
+			own.locks[l] = s
 		}
-		own.locks[l] = s
-	}
-	for l, sess := range g.reqSession {
-		if sess == 0 || !g.want[l] {
-			continue
+		if lk.sessionWaiter() {
+			s := own.locks[l]
+			s.reqSession = lk.reqSession
+			own.locks[l] = s
 		}
-		if sv := g.sess[l]; sv != nil && sv.mine {
-			continue
-		}
-		s := own.locks[l]
-		s.reqSession = sess
-		own.locks[l] = s
 	}
 	own.done = true
 	reps := map[int]*snapReport{n.id: own}
@@ -424,18 +427,15 @@ func (n *Node) promote(gid GroupID, g *memberGroup) {
 	cfg := g.cfg
 	cfg.Root = n.id
 	cfg.TreeFanout = false
-	guards := make(map[VarID]LockID, len(g.cfg.Guards))
-	for v, l := range g.cfg.Guards {
-		guards[v] = l
-	}
-	cfg.Guards = guards
-	r := newRootGroup(cfg, n.clock.Now())
+	r := newRootGroup(cfg, g, n.clock.Now())
 	r.epoch = epoch
 	for v, val := range auth {
-		r.auth[v] = val
+		rv := r.vars.at(v)
+		rv.auth, rv.written = val, true
 	}
-	r.locks = locks
-	for _, ls := range locks {
+	for l, ls := range locks {
+		ls.used = true
+		*r.locks.at(l) = *ls
 		// Reconstructed holders enter the gauge so their eventual leaves
 		// balance it.
 		if !ls.free() {
@@ -472,8 +472,11 @@ func (n *Node) promote(gid GroupID, g *memberGroup) {
 	for _, v := range sortedKeys(auth) {
 		n.applyVarValue(g, v, auth[v])
 	}
-	for _, l := range sortedKeys(locks) {
-		ls := locks[l]
+	for i := range r.locks.recs {
+		l, ls := LockID(i), &r.locks.recs[i]
+		if !ls.used {
+			continue
+		}
 		if !ls.free() && ls.session != 0 {
 			n.installSessionView(g, l, ls.session, ls.entryEpochs, ls.epoch)
 			continue
@@ -486,9 +489,9 @@ func (n *Node) promote(gid GroupID, g *memberGroup) {
 	}
 	// Free locks with survivors queued move on immediately; everyone
 	// else learns the holder from the grant multicast or the snapshot.
-	for _, l := range sortedKeys(r.locks) {
-		ls := r.locks[l]
-		if ls.free() {
+	for i := range r.locks.recs {
+		l, ls := LockID(i), &r.locks.recs[i]
+		if ls.used && ls.free() {
 			if next, ok := n.popWaiter(ls); ok {
 				n.grant(r, l, ls, next)
 				n.admitSession(r, l, ls)
@@ -698,7 +701,7 @@ func holderOf(val int64) int {
 // handleSnap routes a state stream message: a catch-up snapshot from the
 // current root, or an election report from a peer for a future epoch.
 // Caller holds n.mu.
-func (n *Node) handleSnap(g *memberGroup, m wire.Message) {
+func (n *Node) handleSnap(g *memberGroup, m *wire.Message) {
 	switch {
 	case m.Epoch == g.epoch && int(m.Src) == g.rootID:
 		if !g.snapWanted {
@@ -717,7 +720,7 @@ func (n *Node) handleSnap(g *memberGroup, m wire.Message) {
 // root's sequence m.Seq; it is discarded as stale if this member has
 // already applied past that point (the periodic re-request fetches a
 // fresher one). Caller holds n.mu.
-func (n *Node) snapApply(g *memberGroup, m wire.Message) {
+func (n *Node) snapApply(g *memberGroup, m *wire.Message) {
 	g.lastRoot = n.clock.Now()
 	if g.snapBuf == nil || g.snapBufSeq != m.Seq {
 		g.snapBuf = newSnapReport(m.Seq)
@@ -760,15 +763,7 @@ func (n *Node) snapApply(g *memberGroup, m wire.Message) {
 				delete(g.pending, s)
 			}
 		}
-		for {
-			next, ok := g.pending[g.nextSeq]
-			if !ok {
-				break
-			}
-			delete(g.pending, g.nextSeq)
-			n.applySeq(g, next)
-			g.nextSeq++
-		}
+		n.drainPending(g)
 		g.snapWanted = false
 		n.emit(obs.EvSnapApplied, g.cfg.ID, int64(m.Seq), int64(g.epoch))
 		// The snapshot may have advanced the applied prefix by a lot;
@@ -779,7 +774,7 @@ func (n *Node) snapApply(g *memberGroup, m wire.Message) {
 
 // reportPiece buffers one piece of a peer's election report while this
 // node is (or is about to learn it is) the candidate. Caller holds n.mu.
-func (n *Node) reportPiece(g *memberGroup, m wire.Message) {
+func (n *Node) reportPiece(g *memberGroup, m *wire.Message) {
 	if m.Epoch > g.reportEpoch {
 		g.reportEpoch = m.Epoch
 		g.reports = make(map[int]*snapReport)
@@ -826,7 +821,7 @@ func (n *Node) applyVarValue(g *memberGroup, v VarID, val int64) {
 		g.suspendQ = append(g.suspendQ, m)
 		return
 	}
-	n.applyData(g, m)
+	n.applyData(g, &m)
 }
 
 // rootSnapSend streams the authoritative state to one member, tagged
@@ -840,16 +835,23 @@ func (n *Node) rootSnapSend(r *rootGroup, to int) {
 		Seq:   r.ring.seq(),
 		Epoch: r.epoch,
 	}
-	msgs := make([]wire.Message, 0, len(r.auth)+len(r.locks)+1)
-	for _, v := range sortedKeys(r.auth) {
+	msgs := make([]wire.Message, 0, len(r.vars.recs)+len(r.locks.recs)+1)
+	for i := range r.vars.recs {
+		v, rv := VarID(i), &r.vars.recs[i]
+		if !rv.written {
+			continue
+		}
 		m := base
 		m.Type = wire.TSnapVar
 		m.Var = uint32(v)
-		m.Val = r.auth[v]
+		m.Val = rv.auth
 		msgs = append(msgs, m)
 	}
-	for _, l := range sortedKeys(r.locks) {
-		ls := r.locks[l]
+	for i := range r.locks.recs {
+		l, ls := LockID(i), &r.locks.recs[i]
+		if !ls.used {
+			continue
+		}
 		if !ls.free() && ls.session != 0 {
 			// One frame per holder of the open session.
 			for _, h := range sortedKeys(ls.holders) {

@@ -113,8 +113,9 @@ func (n *Node) checkFence(r *rootGroup, now time.Time) {
 			// stay — the demand loop (tickRootLeases re-sends while
 			// fenced) must keep running, and only a validated return,
 			// release, or the holder's rejoin retires a lease.
-			for _, l := range sortedKeys(r.locks) {
-				if ls := r.locks[l]; ls.leaseTo >= 0 {
+			for i := range r.locks.recs {
+				l, ls := LockID(i), &r.locks.recs[i]
+				if ls.used && ls.leaseTo >= 0 {
 					n.sendLeaseRevoke(r, l, ls, now)
 				}
 			}
@@ -130,8 +131,8 @@ func (n *Node) checkFence(r *rootGroup, now time.Time) {
 	q := r.fencedQ
 	r.fencedQ = nil
 	n.emit(obs.EvUnfence, r.cfg.ID, int64(len(q)), int64(r.epoch))
-	for _, m := range q {
-		n.rootHandle(r, m)
+	for i := range q {
+		n.rootHandle(r, &q[i])
 	}
 	// Lock handoffs deferred for quorum acks may be grantable again.
 	n.serviceQuorum(r)
@@ -203,9 +204,9 @@ func (n *Node) serviceQuorum(r *rootGroup) {
 	if r.fenced {
 		return
 	}
-	for _, l := range sortedKeys(r.locks) {
-		ls := r.locks[l]
-		if r.commit < ls.needSeq {
+	for i := range r.locks.recs {
+		l, ls := LockID(i), &r.locks.recs[i]
+		if !ls.used || r.commit < ls.needSeq {
 			continue
 		}
 		if len(ls.pending) > 0 {
@@ -236,7 +237,7 @@ func (n *Node) serviceQuorum(r *rootGroup) {
 // FIFO link already guarantees the member's earlier writes were
 // sequenced first — and with it the answer waits for the quorum
 // watermark. Caller holds n.mu.
-func (n *Node) rootSyncReq(r *rootGroup, m wire.Message) {
+func (n *Node) rootSyncReq(r *rootGroup, m *wire.Message) {
 	src, tok := int(m.Src), m.Seq
 	for _, b := range r.waitSyncs {
 		if b.src == src && b.token == tok {

@@ -83,15 +83,18 @@ type GroupConfig struct {
 	TreeFanout bool
 }
 
-// memberOf reports whether node id belongs to the group.
-func (c GroupConfig) memberOf(id int) bool {
-	for _, m := range c.Members {
+// indexOf is node id's position in the member list, or -1.
+func (c *GroupConfig) indexOf(id int) int {
+	for i, m := range c.Members {
 		if m == id {
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
 }
+
+// memberOf reports whether node id belongs to the group.
+func (c *GroupConfig) memberOf(id int) bool { return c.indexOf(id) >= 0 }
 
 // Stats counts protocol events at one node.
 type Stats struct {
@@ -111,6 +114,7 @@ type Stats struct {
 	Failovers          int // member: promotions of this node to group root
 	Demotions          int // root: reigns ended by a newer epoch
 	DroppedErrors      int // protocol errors discarded past the retention cap
+	IDRangeDrops       int // messages dropped for naming a lock or variable past the table bound
 
 	// Partition safety and crash recovery (failover.go, rejoin.go).
 	Elections      int // member: root-failure elections this node entered
@@ -170,15 +174,18 @@ type Node struct {
 	// messages land within one dispatch, so one timestamp is exactly as
 	// informative — and the clock read was the dominant per-message cost
 	// once encoding went flat. Guarded by n.mu.
-	msgNow  time.Time
-	groups  map[GroupID]*memberGroup
-	roots   map[GroupID]*rootGroup
-	stats   Stats
-	errs    []error
-	closed  bool
-	stop    chan struct{}
-	wg      sync.WaitGroup
-	retryIn time.Duration // retry/heartbeat/maintenance interval
+	msgNow time.Time
+	groups map[GroupID]*memberGroup
+	roots  map[GroupID]*rootGroup
+	stats  Stats
+	errs   []error
+	closed bool
+	// freeWaits is the free list lock waits draw their wake channel and
+	// retry timer from (lockWait, member.go).
+	freeWaits []*lockWait
+	stop      chan struct{}
+	wg        sync.WaitGroup
+	retryIn   time.Duration // retry/heartbeat/maintenance interval
 
 	// Crash-fault tolerance timing: a member that has not heard from its
 	// group root for failAfter starts an election, and a candidate waits
@@ -351,8 +358,10 @@ func (n *Node) Join(cfg GroupConfig) error {
 	if cfg.HistorySize <= 0 {
 		cfg.HistorySize = 4096
 	}
-	if cfg.Guards == nil {
-		cfg.Guards = make(map[VarID]LockID)
+	for v, l := range cfg.Guards {
+		if id := max(uint32(v), uint32(l)); id >= maxRecords {
+			return idErr(cfg.ID, "guarded variable or guarding lock", id)
+		}
 	}
 	if cfg.TreeFanout {
 		for i, m := range cfg.Members {
@@ -370,9 +379,10 @@ func (n *Node) Join(cfg GroupConfig) error {
 		return fmt.Errorf("gwc: node %d already joined group %d", n.id, cfg.ID)
 	}
 	now := n.clock.Now()
-	n.groups[cfg.ID] = newMemberGroup(n.id, cfg, now)
+	g := newMemberGroup(n.id, cfg, now)
+	n.groups[cfg.ID] = g
 	if cfg.Root == n.id {
-		n.roots[cfg.ID] = newRootGroup(cfg, now)
+		n.roots[cfg.ID] = newRootGroup(cfg, g, now)
 	}
 	return nil
 }
@@ -522,7 +532,7 @@ func (n *Node) dispatch(ms []wire.Message) {
 	defer n.mu.Unlock()
 	n.msgNow = n.clock.Now()
 	for i := range ms {
-		n.route(ms[i])
+		n.route(&ms[i])
 	}
 }
 
@@ -567,6 +577,7 @@ func (n *Node) tick() {
 	n.msgNow = now
 	for _, gid := range sortedKeys(n.groups) {
 		g := n.groups[gid]
+		g.sweepBusy()
 		if g.rootID == n.id {
 			continue // the root's member state is fed directly
 		}
@@ -649,13 +660,13 @@ func (n *Node) tick() {
 			// Lease clocks and handoff notices (lease.go) first: a lease
 			// return or renewal should beat this tick's failure detector.
 			n.tickLeases(gid, g, now)
-			for _, v := range sortedKeys(g.eagerMsg) {
-				b := g.eagerB[v]
-				if b == nil || !b.ready(now) {
+			for _, v := range g.busyVars {
+				mv := &g.vars.recs[v]
+				if !mv.eagerOut || !mv.eagerB.ready(now) {
 					continue
 				}
-				n.arm(b, now, n.boBase(), n.boCap())
-				m := g.eagerMsg[v]
+				n.arm(&mv.eagerB, now, n.boBase(), n.boCap())
+				m := mv.eagerMsg
 				m.Epoch = g.epoch
 				n.stats.EagerResends++
 				n.send(g.rootID, m)
@@ -688,9 +699,13 @@ func (n *Node) tick() {
 	}
 }
 
-// route hands one message to its handler. Caller holds n.mu and has
-// stamped msgNow.
-func (n *Node) route(m wire.Message) {
+// route hands one message to its handler, reading it in place: m points
+// into the drained receive batch, and handlers copy only what must
+// outlive the dispatch. Caller holds n.mu and has stamped msgNow.
+func (n *Node) route(m *wire.Message) {
+	if !n.idsOK(m) {
+		return
+	}
 	switch m.Type {
 	case wire.TUpdate, wire.TLockReq, wire.TLockRel, wire.TNack, wire.TLockCancel, wire.TSnapReq,
 		wire.TAck, wire.TSyncReq, wire.TDigestAck, wire.TLeaseRet:

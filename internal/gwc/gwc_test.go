@@ -86,7 +86,8 @@ func waitValue(t *testing.T, n *Node, v VarID, want int64) {
 		n.mu.Unlock()
 		t.Fatal(err)
 	}
-	ch := g.data.register()
+	ch := make(chan struct{}, 1)
+	g.data.register(ch)
 	n.mu.Unlock()
 	defer func() {
 		n.mu.Lock()
@@ -300,8 +301,8 @@ func TestOwnEchoRestoredAfterSnapshotRebase(t *testing.T) {
 	defer n.mu.Unlock()
 	g := n.groups[tGroup]
 
-	echo := func(val int64) wire.Message {
-		m := wire.Message{
+	echo := func(val int64) *wire.Message {
+		m := &wire.Message{
 			Type:    wire.TSeqUpdate,
 			Group:   uint32(tGroup),
 			Src:     int32(g.rootID),
@@ -316,17 +317,21 @@ func TestOwnEchoRestoredAfterSnapshotRebase(t *testing.T) {
 	}
 
 	// An eager guarded store whose echo is still in flight...
-	g.mem[tVar] = 7
-	g.eager[tVar] = 7
+	mv := g.vars.at(tVar)
+	store := func(val int64) { // what Write leaves behind for a guarded store
+		mv.val, mv.written = val, true
+		mv.eagerOut, mv.eagerMsg.Val = true, val
+	}
+	store(7)
 	// ...rolled back by a failover snapshot cut before the write was
 	// sequenced (applyVarValue is the snapshot's apply path).
 	n.applyVarValue(g, tVar, 3)
-	if got := g.mem[tVar]; got != 3 {
+	if got := mv.val; got != 3 {
 		t.Fatalf("after re-base: mem = %d, want 3", got)
 	}
 	// The echo must repair the copy.
 	n.ingestFwd(g, echo(7), false)
-	if got := g.mem[tVar]; got != 7 {
+	if got := mv.val; got != 7 {
 		t.Errorf("after own echo: mem = %d, want 7 (restored)", got)
 	}
 	if n.stats.EchoRestored != 1 {
@@ -342,12 +347,11 @@ func TestOwnEchoRestoredAfterSnapshotRebase(t *testing.T) {
 
 	// An echo of an older store never lands: the newer local store wins
 	// even when a re-base intervened.
-	g.mem[tVar] = 9
-	g.eager[tVar] = 9
+	store(9)
 	n.applyVarValue(g, tVar, 3)
 	dropped := n.stats.EchoDropped
 	n.ingestFwd(g, echo(5), false) // echo of a superseded store
-	if got := g.mem[tVar]; got != 3 {
+	if got := mv.val; got != 3 {
 		t.Errorf("superseded echo applied: mem = %d, want 3", got)
 	}
 	if n.stats.EchoDropped != dropped+1 {
@@ -355,7 +359,7 @@ func TestOwnEchoRestoredAfterSnapshotRebase(t *testing.T) {
 	}
 	// The newest store's echo still repairs.
 	n.ingestFwd(g, echo(9), false)
-	if got := g.mem[tVar]; got != 9 {
+	if got := mv.val; got != 9 {
 		t.Errorf("newest echo after superseded one: mem = %d, want 9", got)
 	}
 }
@@ -582,7 +586,7 @@ func TestDuplicateReleaseIgnoredByEpoch(t *testing.T) {
 	// the epoch of n1's current grant, release properly, let n2 acquire,
 	// then replay the stale release. n2's grant must survive.
 	n1.mu.Lock()
-	staleEpoch := n1.groups[tGroup].grantEpoch[tLock]
+	staleEpoch := n1.groups[tGroup].locks.at(tLock).grantEpoch
 	n1.mu.Unlock()
 	if err := n1.Release(tGroup, tLock); err != nil {
 		t.Fatal(err)

@@ -94,7 +94,7 @@ func (n *Node) markDiverged(g *memberGroup, watermark uint64) {
 // directive, self-check when exactly at the root's watermark, and
 // report the local digest so the root can check laggards against its
 // checkpoint ring. Caller holds n.mu.
-func (n *Node) handleDigestReq(g *memberGroup, m wire.Message) {
+func (n *Node) handleDigestReq(g *memberGroup, m *wire.Message) {
 	if m.Epoch != g.epoch || int(m.Src) != g.rootID {
 		if m.Epoch > g.epoch {
 			// A reign we have not adopted yet; its heartbeat semantics
@@ -140,7 +140,7 @@ func (n *Node) handleDigestReq(g *memberGroup, m wire.Message) {
 // checkpoint ring at the member's own applied watermark. On mismatch
 // the root emits the divergence, sends a repair directive, and
 // re-drives the member through the snapshot path. Caller holds n.mu.
-func (n *Node) rootDigestAck(r *rootGroup, m wire.Message) {
+func (n *Node) rootDigestAck(r *rootGroup, m *wire.Message) {
 	src := int(m.Src)
 	if src == n.id || !r.cfg.memberOf(src) {
 		return
@@ -151,11 +151,11 @@ func (n *Node) rootDigestAck(r *rootGroup, m wire.Message) {
 	}
 	var want uint64
 	if seq != 0 { // the empty state digests to zero
-		var ok bool
-		want, ok = r.ring.digestAt(seq)
-		if !ok {
+		s := r.ring.slot(seq)
+		if s == nil {
 			return // watermark fell out of the checkpoint window; next sweep
 		}
+		want = s.digest
 	}
 	if uint64(m.Val) == want {
 		return

@@ -81,6 +81,7 @@ type memberLease struct {
 type handoffHint struct {
 	node  int
 	token uint32
+	set   bool
 }
 
 // handoffNotice is the root-bound half of a handoff in flight: re-sent
@@ -105,11 +106,15 @@ func (n *Node) TryLeaseEnter(gid GroupID, l LockID) bool {
 	if !ok {
 		return false
 	}
-	le := g.lease[l]
+	lk := g.locks.peek(l)
+	if lk == nil {
+		return false
+	}
+	le := lk.lease
 	if le == nil || le.held || le.revoked {
 		return false
 	}
-	if g.lockVal[l] != GrantValue(n.id) {
+	if lk.value() != GrantValue(n.id) {
 		return false
 	}
 	if !n.clock.Now().Before(le.expiry) {
@@ -138,20 +143,19 @@ func (n *Node) sendLeaseRet(g *memberGroup, l LockID, epoch uint32) {
 
 // returnIdleLease frees a cached-but-unheld lock locally and returns
 // the lease to the root. Caller holds n.mu.
-func (n *Node) returnIdleLease(g *memberGroup, l LockID, le *memberLease) {
-	delete(g.lease, l)
-	g.lockVal[l] = Free
-	if le.epoch > g.lockDone[l] {
-		g.lockDone[l] = le.epoch
-	}
-	n.sendLeaseRet(g, l, le.epoch)
+func (n *Node) returnIdleLease(g *memberGroup, l LockID, lk *memberLock) {
+	epoch := lk.lease.epoch
+	lk.lease = nil
+	lk.set(Free)
+	lk.lockDone = max(lk.lockDone, epoch)
+	n.sendLeaseRet(g, l, epoch)
 	g.lock.notifyAll()
 }
 
 // handleLeaseGrant processes a root's lease frame at the member: a
 // grant/extension when Deadline carries the TTL, a revoke demand when
 // Deadline is zero. Caller holds n.mu.
-func (n *Node) handleLeaseGrant(g *memberGroup, m wire.Message) {
+func (n *Node) handleLeaseGrant(g *memberGroup, m *wire.Message) {
 	if m.Epoch != g.epoch {
 		if m.Epoch < g.epoch {
 			n.stats.StaleEpochRejected++
@@ -163,15 +167,16 @@ func (n *Node) handleLeaseGrant(g *memberGroup, m wire.Message) {
 		return // not re-based into the reign; leases target live state only
 	}
 	l := LockID(m.Lock)
-	le := g.lease[l]
+	lk := g.locks.at(LockID(m.Lock))
+	le := lk.lease
 	if m.Deadline == 0 {
 		// Revoke demand: Var names the grant epoch the root wants back.
-		if le == nil || le.epoch != m.Var || g.lockVal[l] != GrantValue(n.id) {
+		if le == nil || le.epoch != m.Var || lk.value() != GrantValue(n.id) {
 			// No such lease here. If this node already finished with that
 			// grant, the root's record is stale because the original
 			// return (or release) was lost — repeat it so the demand loop
 			// can end. Anything else is a stray demand to ignore.
-			if g.lockDone[l] >= m.Var {
+			if lk.lockDone >= m.Var {
 				n.sendLeaseRet(g, l, m.Var)
 			}
 			return
@@ -180,20 +185,21 @@ func (n *Node) handleLeaseGrant(g *memberGroup, m wire.Message) {
 			le.revoked = true // the Release in progress doubles as the return
 			return
 		}
-		n.returnIdleLease(g, l, le)
+		n.returnIdleLease(g, l, lk)
 		return
 	}
 	// Grant or extension. Valid only against the entry it was issued
 	// for: the grant multicast may still be in flight, in which case the
 	// lease is simply dropped (the root's next extension re-offers it).
-	if g.lockVal[l] != GrantValue(n.id) || g.grantEpoch[l] != m.Var {
+	if lk.value() != GrantValue(n.id) || lk.grantEpoch != m.Var {
 		return
 	}
 	if le == nil {
 		// Holding the grant value without a lease means this node is
 		// inside the section (between grant and Release).
 		le = &memberLease{held: true}
-		g.lease[l] = le
+		lk.lease = le
+		markBusy(&g.busyLocks, &lk.busy, l)
 	}
 	ttl := time.Duration(m.Deadline)
 	le.expiry = n.clock.Now().Add(ttl)
@@ -210,8 +216,9 @@ func (n *Node) handleLeaseGrant(g *memberGroup, m wire.Message) {
 // a direct handoff, since the new holder's entry gate is a sequence
 // watermark that must cover the section's data. Caller holds n.mu.
 func (g *memberGroup) sectionConfirmed(l LockID) bool {
-	for v := range g.eagerMsg {
-		if gl, ok := g.cfg.Guards[v]; ok && gl == l {
+	for _, v := range g.busyVars {
+		mv := &g.vars.recs[v]
+		if mv.eagerOut && mv.guarded && mv.guard == l {
 			return false
 		}
 	}
@@ -223,17 +230,20 @@ func (g *memberGroup) sectionConfirmed(l LockID) bool {
 // revoked or expired lease rides the release back to the root. Returns
 // handled=false (n.mu still held) when the classic release path should
 // run. When handled, n.mu has been released.
-func (n *Node) leaseRelease(gid GroupID, g *memberGroup, l LockID) (bool, error) {
+func (n *Node) leaseRelease(gid GroupID, g *memberGroup, l LockID, lk *memberLock) (bool, error) {
+	if !lk.hint.set && lk.lease == nil {
+		return false, nil // the common case pays no clock read
+	}
 	now := n.clock.Now()
-	if h, ok := g.hint[l]; ok {
-		delete(g.hint, l)
+	if h := lk.hint; h.set {
+		lk.hint = handoffHint{}
 		if n.leasing() && h.node != n.id && g.cfg.memberOf(h.node) && g.sectionConfirmed(l) {
-			return true, n.handoffRelease(gid, g, l, h, now)
+			return true, n.handoffRelease(gid, g, l, lk, h, now)
 		}
 		// Unconfirmed section data (or a stale hint): fall back to the
 		// root path, which sequences the grant behind the data itself.
 	}
-	le := g.lease[l]
+	le := lk.lease
 	if le == nil {
 		return false, nil
 	}
@@ -241,22 +251,16 @@ func (n *Node) leaseRelease(gid GroupID, g *memberGroup, l LockID) (bool, error)
 		// Retain: the lock value stays GrantValue(self) and the next
 		// acquisition is a local decision. Zero wire messages.
 		le.held = false
-		delete(g.want, l)
-		delete(g.reqSince, l)
-		delete(g.reqSession, l)
+		lk.endRequest()
 		n.mu.Unlock()
 		return true, nil
 	}
 	// Revoked or expired: this release doubles as the lease return.
 	epoch := le.epoch
-	delete(g.lease, l)
-	g.lockVal[l] = Free
-	if epoch > g.lockDone[l] {
-		g.lockDone[l] = epoch
-	}
-	delete(g.want, l)
-	delete(g.reqSince, l)
-	delete(g.reqSession, l)
+	lk.lease = nil
+	lk.set(Free)
+	lk.lockDone = max(lk.lockDone, epoch)
+	lk.endRequest()
 	g.lock.notifyAll()
 	root := g.rootID
 	msg := wire.Message{
@@ -278,16 +282,14 @@ func (n *Node) leaseRelease(gid GroupID, g *memberGroup, l LockID) (bool, error)
 // next grant would mint (our entry epoch + 1), which is what lets the
 // root recognise the transfer in whatever frame reaches it first.
 // Caller holds n.mu; released before the sends.
-func (n *Node) handoffRelease(gid GroupID, g *memberGroup, l LockID, h handoffHint, now time.Time) error {
-	epoch := g.grantEpoch[l] // our entry epoch
-	next := epoch + 1        // the epoch this transfer reserves
-	g.lockVal[l] = GrantValue(h.node)
-	g.grantEpoch[l] = next
-	g.lockDone[l] = epoch
-	delete(g.lease, l)
-	delete(g.want, l)
-	delete(g.reqSince, l)
-	delete(g.reqSession, l)
+func (n *Node) handoffRelease(gid GroupID, g *memberGroup, l LockID, lk *memberLock, h handoffHint, now time.Time) error {
+	epoch := lk.grantEpoch // our entry epoch
+	next := epoch + 1      // the epoch this transfer reserves
+	lk.set(GrantValue(h.node))
+	lk.grantEpoch = next
+	lk.lockDone = epoch
+	lk.lease = nil
+	lk.endRequest()
 	n.stats.Handoffs++
 	n.emit(obs.EvHandoff, gid, int64(l), int64(h.node))
 	// The direct grant carries this node's applied watermark (Seq): the
@@ -319,7 +321,8 @@ func (n *Node) handoffRelease(gid GroupID, g *memberGroup, l LockID, h handoffHi
 	}
 	ph := &handoffNotice{msg: notice, doneEpoch: next}
 	n.arm(&ph.bo, now, n.boBase(), n.boCap())
-	g.pendingHandoff[l] = ph
+	lk.pendingHandoff = ph
+	markBusy(&g.busyLocks, &lk.busy, l)
 	g.lock.notifyAll()
 	root := g.rootID
 	n.mu.Unlock()
@@ -333,7 +336,7 @@ func (n *Node) handoffRelease(gid GroupID, g *memberGroup, l LockID, h handoffHi
 // root-bound notice that strays here (a deposed ex-root the sender
 // still follows) fails the Val check and is dropped; the sender's
 // notice retries converge on the live root. Caller holds n.mu.
-func (n *Node) handleHandoff(g *memberGroup, m wire.Message) {
+func (n *Node) handleHandoff(g *memberGroup, m *wire.Message) {
 	if m.Epoch != g.epoch {
 		if m.Epoch < g.epoch {
 			n.stats.StaleEpochRejected++
@@ -349,36 +352,60 @@ func (n *Node) handleHandoff(g *memberGroup, m wire.Message) {
 		return // not re-based; the request retry re-queues at the root
 	}
 	l := LockID(m.Lock)
+	lk := g.locks.at(LockID(m.Lock))
 	if g.nextSeq <= m.Seq {
 		// Data-before-lock: the handing-off holder's section writes are
 		// sequenced at or below its watermark (Seq). Entering before the
 		// stream covers it would read stale guarded state, so the grant
 		// parks until reassembly catches up (deliverHandoffs).
-		g.handoffIn[l] = m
+		g.parkHandoff(l, lk, m)
 		n.maybeNack(g)
 		return
 	}
-	delete(g.handoffIn, l)
+	g.unparkHandoff(lk)
 	n.applyLockValue(g, l, m.Val, m.Var, uint32(m.Origin), 0)
+}
+
+// parkHandoff holds a direct grant (a copy of m) until the stream covers
+// its watermark; unparkHandoff forgets one. Both keep parkedHandoffs,
+// the count deliverHandoffs' fast path reads.
+func (g *memberGroup) parkHandoff(l LockID, lk *memberLock, m *wire.Message) {
+	if lk.handoffIn == nil {
+		lk.handoffIn = new(wire.Message)
+		g.parkedHandoffs++
+		markBusy(&g.busyLocks, &lk.busy, l)
+	}
+	*lk.handoffIn = *m
+}
+
+func (g *memberGroup) unparkHandoff(lk *memberLock) {
+	if lk.handoffIn != nil {
+		lk.handoffIn = nil
+		g.parkedHandoffs--
+	}
 }
 
 // deliverHandoffs installs parked direct grants whose sequence
 // watermark the stream now covers. Caller holds n.mu.
 func (n *Node) deliverHandoffs(g *memberGroup) {
-	if len(g.handoffIn) == 0 {
+	if g.parkedHandoffs == 0 {
 		return
 	}
-	for _, l := range sortedKeys(g.handoffIn) {
-		m := g.handoffIn[l]
+	for _, l := range g.busyLocks {
+		lk := &g.locks.recs[l]
+		m := lk.handoffIn
+		if m == nil {
+			continue
+		}
 		if m.Epoch != g.epoch {
-			delete(g.handoffIn, l)
+			g.unparkHandoff(lk)
 			continue
 		}
 		if g.nextSeq <= m.Seq {
 			continue
 		}
-		delete(g.handoffIn, l)
-		if g.grantEpoch[l] >= m.Var {
+		g.unparkHandoff(lk)
+		if lk.grantEpoch >= m.Var {
 			continue // the sequenced confirm (or a later grant) superseded it
 		}
 		n.applyLockValue(g, l, m.Val, m.Var, uint32(m.Origin), 0)
@@ -390,10 +417,14 @@ func (n *Node) deliverHandoffs(g *memberGroup) {
 // life, and unacknowledged handoff notices re-send. Caller holds n.mu.
 func (n *Node) tickLeases(gid GroupID, g *memberGroup, now time.Time) {
 	n.deliverHandoffs(g)
-	for _, l := range sortedKeys(g.lease) {
-		le := g.lease[l]
+	for _, l := range g.busyLocks {
+		lk := &g.locks.recs[l]
+		le := lk.lease
+		if le == nil {
+			continue
+		}
 		if !le.held && (le.revoked || !now.Before(le.expiry)) {
-			n.returnIdleLease(g, l, le)
+			n.returnIdleLease(g, l, lk)
 			continue
 		}
 		if le.used && le.expiry.Sub(now) < le.ttl/2 && le.renewB.ready(now) {
@@ -416,9 +447,10 @@ func (n *Node) tickLeases(gid GroupID, g *memberGroup, now time.Time) {
 			})
 		}
 	}
-	for _, l := range sortedKeys(g.pendingHandoff) {
-		ph := g.pendingHandoff[l]
-		if !ph.bo.ready(now) {
+	for _, l := range g.busyLocks {
+		lk := &g.locks.recs[l]
+		ph := lk.pendingHandoff
+		if ph == nil || !ph.bo.ready(now) {
 			continue
 		}
 		n.arm(&ph.bo, now, n.boBase(), n.boCap())
@@ -436,23 +468,25 @@ func (n *Node) tickLeases(gid GroupID, g *memberGroup, now time.Time) {
 // never releases. A lease held mid-section survives as a plain hold —
 // its Release takes the wire path. Caller holds n.mu.
 func (n *Node) dropLeases(g *memberGroup) {
-	if len(g.lease) == 0 && len(g.hint) == 0 && len(g.pendingHandoff) == 0 && len(g.handoffIn) == 0 {
-		return
-	}
-	for _, l := range sortedKeys(g.lease) {
-		le := g.lease[l]
-		if !le.held {
-			g.lockVal[l] = Free
-			if le.epoch > g.lockDone[l] {
-				g.lockDone[l] = le.epoch
-			}
+	dropped := false
+	for _, l := range g.busyLocks {
+		lk := &g.locks.recs[l]
+		if lk.lease == nil && !lk.hint.set && lk.pendingHandoff == nil && lk.handoffIn == nil {
+			continue
 		}
-		delete(g.lease, l)
+		dropped = true
+		if le := lk.lease; le != nil && !le.held {
+			lk.set(Free)
+			lk.lockDone = max(lk.lockDone, le.epoch)
+		}
+		lk.lease = nil
+		lk.hint = handoffHint{}
+		lk.pendingHandoff = nil
+		g.unparkHandoff(lk)
 	}
-	clear(g.hint)
-	clear(g.pendingHandoff)
-	clear(g.handoffIn)
-	g.lock.notifyAll()
+	if dropped {
+		g.lock.notifyAll()
+	}
 }
 
 // --- Root side ---
@@ -527,9 +561,9 @@ func (n *Node) sendLeaseRevoke(r *rootGroup, l LockID, ls *lockState, now time.T
 // the demand frame is unacknowledged until the TLeaseRet (or release)
 // lands. Caller holds n.mu.
 func (n *Node) tickRootLeases(r *rootGroup, now time.Time) {
-	for _, l := range sortedKeys(r.locks) {
-		ls := r.locks[l]
-		if ls.leaseTo < 0 {
+	for i := range r.locks.recs {
+		l, ls := LockID(i), &r.locks.recs[i]
+		if !ls.used || ls.leaseTo < 0 {
 			continue
 		}
 		if len(ls.queue) == 0 && !r.fenced {
@@ -546,7 +580,7 @@ func (n *Node) tickRootLeases(r *rootGroup, now time.Time) {
 // like a release: the quoted entry epoch must match the holder record,
 // so a duplicated return can never free a later entry. Caller holds
 // n.mu.
-func (n *Node) rootLeaseRet(r *rootGroup, m wire.Message) {
+func (n *Node) rootLeaseRet(r *rootGroup, m *wire.Message) {
 	l := LockID(m.Lock)
 	ls := r.lock(l)
 	origin := int(m.Origin)
@@ -563,7 +597,7 @@ func (n *Node) rootLeaseRet(r *rootGroup, m wire.Message) {
 // it, and the frame's own fields — the holder record, the entry epoch,
 // and the reserved next epoch — carry everything arbitration needs.
 // Caller holds n.mu.
-func (n *Node) rootHandoff(r *rootGroup, m wire.Message) {
+func (n *Node) rootHandoff(r *rootGroup, m *wire.Message) {
 	l := LockID(m.Lock)
 	ls := r.lock(l)
 	from := int(m.Origin)

@@ -99,8 +99,8 @@ func rootLeaseTo(root *Node, l LockID) int {
 	if !ok {
 		return -1
 	}
-	ls, ok := r.locks[l]
-	if !ok {
+	ls := r.locks.peek(l)
+	if ls == nil || !ls.used {
 		return -1
 	}
 	return ls.leaseTo
@@ -170,8 +170,8 @@ func TestHandoffDirectTransfer(t *testing.T) {
 			root.mu.Lock()
 			defer root.mu.Unlock()
 			r := root.roots[tGroup]
-			ls, ok := r.locks[tLock]
-			return ok && len(ls.queue) >= want
+			ls := r.locks.peek(tLock)
+			return ls != nil && len(ls.queue) >= want
 		}
 	}
 	var wg sync.WaitGroup

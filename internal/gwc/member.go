@@ -3,6 +3,7 @@ package gwc
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"optsync/internal/integrity"
@@ -17,32 +18,29 @@ import (
 // (waiters re-check their predicate), which keeps notifiers non-blocking
 // even from the receive loop.
 type notifyList struct {
-	waiters map[chan struct{}]struct{}
+	waiters []chan struct{}
 	closed  bool
 }
 
-func newNotifyList() *notifyList {
-	return &notifyList{waiters: make(map[chan struct{}]struct{})}
-}
-
-// register adds a waiter channel. The caller must unregister it.
-func (nl *notifyList) register() chan struct{} {
-	ch := make(chan struct{}, 1)
+// register adds a waiter channel (buffered, capacity 1); a closed list
+// closes it at once. The caller must unregister it.
+func (nl *notifyList) register(ch chan struct{}) {
 	if nl.closed {
 		close(ch)
-		return ch
+		return
 	}
-	nl.waiters[ch] = struct{}{}
-	return ch
+	nl.waiters = append(nl.waiters, ch)
 }
 
 func (nl *notifyList) unregister(ch chan struct{}) {
-	delete(nl.waiters, ch)
+	if i := slices.Index(nl.waiters, ch); i >= 0 {
+		nl.waiters = slices.Delete(nl.waiters, i, i+1)
+	}
 }
 
 // notifyAll pokes every waiter without blocking.
 func (nl *notifyList) notifyAll() {
-	for ch := range nl.waiters {
+	for _, ch := range nl.waiters {
 		select {
 		case ch <- struct{}{}:
 		default:
@@ -57,52 +55,163 @@ func (nl *notifyList) closeAll() {
 		return
 	}
 	nl.closed = true
-	for ch := range nl.waiters {
+	for _, ch := range nl.waiters {
 		close(ch)
-		delete(nl.waiters, ch)
 	}
+	nl.waiters = nil
 }
 
-// memberGroup is one node's member-side state for a sharing group.
-type memberGroup struct {
-	cfg GroupConfig
-
-	mem     map[VarID]int64
-	lockVal map[LockID]int64
-	// eager records the newest guarded local store per variable whose
-	// root echo has not come back yet. Hardware blocking normally drops
-	// own echoes outright, but a failover snapshot can re-base the local
-	// copy to a cut taken before the write was sequenced — rolling the
-	// eager store back. The echo is then the only message that carries
-	// the write, so applyData consults this map and lets the newest own
-	// echo through instead of suppressing it (see applyData).
-	eager map[VarID]int64
-	// eagerMsg keeps the original carrier frame of each pending eager
-	// store and eagerB its re-send schedule. The member-to-root update
+// memberVar is everything a member keeps about one shared variable. The
+// fields every applied write touches come first, so the common case
+// stays within the record's first cache line.
+type memberVar struct {
+	// val is the local copy; written is false until something stored to
+	// it (an unwritten variable reads as zero, and election reports and
+	// promotions carry only written ones).
+	val     int64
+	written bool
+	// guard is the lock guarding the variable when guarded is set (a
+	// mutex data group): the root discards writes to it from non-holders,
+	// and origins drop their echoes (hardware blocking).
+	guarded bool
+	// eagerOut marks a guarded local store whose root echo has not come
+	// back yet; eagerMsg is its carrier frame (eagerMsg.Val the stored
+	// value). Hardware blocking normally drops own echoes outright, but a
+	// failover snapshot can re-base the local copy to a cut taken before
+	// the write was sequenced — rolling the eager store back. The echo is
+	// then the only message that carries the write, so applyData lets the
+	// newest own echo through instead of suppressing it.
+	eagerOut bool
+	// busy: listed in the group's busyVars (see memberGroup).
+	busy  bool
+	guard LockID
+	// hooks observe applied data updates (Watch).
+	hooks []hook[func(int64)]
+	// batchSlot is the variable's slot in the write-coalescing queue plus
+	// one (batch.go), zero when it has no write queued: an in-window
+	// rewrite combines into the slot instead of appending.
+	batchSlot int
+	// The eager store's frame is kept because the member-to-root update
 	// hop is the protocol's one unacknowledged send: every other loss is
-	// repaired by NACKs, probes, or per-request retries, but a dropped
-	// (or checksum-discarded) update frame would lose the write silently.
-	// The maintenance tick re-ships due frames until the echo lands,
-	// which deletes all three entries. Duplicate sequencing is harmless —
-	// the value is identical and hardware blocking drops the extra echo —
-	// and the root's grant-epoch gate still judges a late re-send exactly
-	// as it would have judged the original.
-	eagerMsg map[VarID]wire.Message
-	eagerB   map[VarID]*backoff
-	// storeSeq stamps every guarded update with a per-group nonce
-	// (carried in the frame's otherwise-unused Deadline field) so the
-	// root can tell a loss-recovery re-send from a fresh store and
-	// disposition each store exactly once (see rootUpdate).
-	storeSeq uint64
-	// grantEpoch counts grants observed for each lock; releases quote it
-	// so the root can discard stale duplicates.
-	grantEpoch map[LockID]uint32
+	// repaired by NACKs, probes, or per-request retries, but a dropped (or
+	// checksum-discarded) update frame would lose the write silently. The
+	// maintenance tick re-ships it on eagerB's schedule until the echo
+	// lands. Duplicate sequencing is harmless — the value is identical and
+	// hardware blocking drops the extra echo — and the root's grant-epoch
+	// gate still judges a late re-send exactly as it would have judged
+	// the original.
+	eagerB   backoff
+	eagerMsg wire.Message
+}
+
+// memberLock is everything a member keeps about one lock.
+type memberLock struct {
+	// val is the local copy of the lock variable; known is false until a
+	// frame or a request first set it. An unknown lock reads as Free, and
+	// election reports carry only known ones.
+	val   int64
+	known bool
+	// grantEpoch counts grants observed for the lock; releases quote it so
+	// the root can discard stale duplicates.
+	grantEpoch uint32
 	// lockDone is the highest grant epoch this node has finished with
 	// (released or handed back). A self-grant at or below it is a stale
 	// duplicate — e.g. the root's re-announce of a grant whose original
 	// multicast this node already consumed and released — and must not
 	// be mistaken for the grant of a later acquisition.
-	lockDone map[LockID]uint32
+	lockDone uint32
+
+	// want marks a lock this node has requested and not yet released or
+	// cancelled. A grant arriving for an unwanted lock is auto-released,
+	// so a lost cancel message cannot strand the lock.
+	want bool
+	// reqToken numbers this node's logical acquisitions of the lock. A
+	// fresh token is minted when a request goes out with none
+	// outstanding; retries of the same acquisition reuse it. The root
+	// echoes the winner's token in the grant multicast, and a self-grant
+	// is consumed only when that echo matches the outstanding request:
+	// a grant minted for a since-cancelled request (which the root's
+	// cancel handling auto-releases) can therefore never be mistaken for
+	// the answer to a newer acquisition — consuming one would leave this
+	// node inside a section the root already handed to someone else.
+	reqToken uint32
+	// reqSession is the session the outstanding acquisition wants to enter
+	// (0 = exclusive), reused by request retries.
+	reqSession uint32
+	// reqSince stamps when the in-flight acquisition minted its token, for
+	// the stuck-operation watchdog (watchdog.go); zero when none is.
+	reqSince time.Time
+	// busy: listed in the group's busyLocks (see memberGroup).
+	busy bool
+
+	// sess is the locally observed holder set while a non-zero session is
+	// open (session.go).
+	sess *sessView
+
+	// Lock leasing and peer handoff (lease.go): lease is this node's
+	// cached claim; hint the handoff target the root designated on the
+	// newest grant; pendingHandoff the unacknowledged root-bound notice;
+	// handoffIn a direct grant parked on its sequence watermark.
+	lease          *memberLease
+	hint           handoffHint
+	pendingHandoff *handoffNotice
+	handoffIn      *wire.Message
+
+	// lockHooks run (under the node lock) on every lock-value change;
+	// the optimistic engine uses them as the paper's interrupt. A hook
+	// returning HookSuspend parks insharing atomically with the interrupt.
+	// sessHooks observe session transitions (session.go); the optimistic
+	// engine's session path uses them as its interrupt.
+	lockHooks []hook[LockHook]
+	sessHooks []hook[SessionHook]
+}
+
+// value is the local lock value: Free until something set it.
+func (lk *memberLock) value() int64 {
+	if lk.known {
+		return lk.val
+	}
+	return Free
+}
+
+func (lk *memberLock) set(val int64) { lk.val, lk.known = val, true }
+
+// endRequest closes the outstanding acquisition's bookkeeping: released,
+// cancelled, or handed on.
+func (lk *memberLock) endRequest() {
+	lk.want = false
+	lk.reqSince = time.Time{}
+	lk.reqSession = 0
+}
+
+// memberGroup is one node's member-side state for a sharing group.
+type memberGroup struct {
+	// cfg is the joined configuration. Its Guards map is consumed at Join:
+	// each variable's guard lives in its record.
+	cfg GroupConfig
+
+	// vars and locks hold the one record per variable and per lock,
+	// indexed by ID (table.go). parkedHandoffs counts lock records with a
+	// handoffIn, so the per-message check for deliverable direct grants is
+	// a comparison, not a scan.
+	vars           table[VarID, memberVar]
+	locks          table[LockID, memberLock]
+	parkedHandoffs int
+	// busyLocks and busyVars list, ascending, the records that carry state
+	// the maintenance tick and the lease paths visit: a lock with an
+	// acquisition stamp or any lease/handoff state, a variable with an
+	// unconfirmed eager store. They walk these lists, not the tables, so
+	// their cost follows what is in flight and not the highest ID seen.
+	// Setting such state marks the record; clearing it does nothing, and
+	// the tick's sweepBusy unlists what went idle.
+	busyLocks []LockID
+	busyVars  []VarID
+
+	// storeSeq stamps every guarded update with a per-group nonce
+	// (carried in the frame's otherwise-unused Deadline field) so the
+	// root can tell a loss-recovery re-send from a fresh store and
+	// disposition each store exactly once (see rootUpdate).
+	storeSeq uint64
 
 	// Sequenced-stream reassembly.
 	nextSeq  uint64
@@ -152,10 +261,6 @@ type memberGroup struct {
 	probeB   backoff
 	probeSeq uint64
 
-	// reqSince stamps when each in-flight lock acquisition minted its
-	// token, for the stuck-operation watchdog (watchdog.go).
-	reqSince map[LockID]time.Time
-
 	// Quorum-ack plumbing (fence.go): acked is the highest sequence
 	// number this member has explicitly acknowledged to the root this
 	// reign; syncPending holds outstanding Sync barriers by token and
@@ -164,63 +269,21 @@ type memberGroup struct {
 	syncToken   uint64
 	syncPending map[uint64]*syncWaiter
 
-	// want tracks locks this node has requested and not yet released or
-	// cancelled. A grant arriving for an unwanted lock is auto-released,
-	// so a lost cancel message cannot strand the lock.
-	want map[LockID]bool
-
-	// Session locks (session.go): sess is the locally observed holder set
-	// per lock while a non-zero session is open; reqSession is the session
-	// the outstanding acquisition wants to enter (0 = exclusive), reused
-	// by request retries.
-	sess       map[LockID]*sessView
-	reqSession map[LockID]uint32
-
-	// reqToken numbers this node's logical acquisitions of each lock. A
-	// fresh token is minted when a request goes out with none
-	// outstanding; retries of the same acquisition reuse it. The root
-	// echoes the winner's token in the grant multicast, and a self-grant
-	// is consumed only when that echo matches the outstanding request:
-	// a grant minted for a since-cancelled request (which the root's
-	// cancel handling auto-releases) can therefore never be mistaken for
-	// the answer to a newer acquisition — consuming one would leave this
-	// node inside a section the root already handed to someone else.
-	reqToken map[LockID]uint32
-
-	// Lock leasing and peer handoff (lease.go): lease holds this node's
-	// cached lock claims; hint the handoff target the root designated on
-	// each grant; pendingHandoff the unacknowledged root-bound notices;
-	// handoffIn direct grants parked on their sequence watermark.
-	lease          map[LockID]*memberLease
-	hint           map[LockID]handoffHint
-	pendingHandoff map[LockID]*handoffNotice
-	handoffIn      map[LockID]wire.Message
-
 	// Insharing suspension (optimistic rollback window): data updates are
 	// parked, lock updates still flow.
 	suspended bool
 	suspendQ  []wire.Message
 
-	// lockHooks run (under the node lock) on every lock-value change;
-	// the optimistic engine uses them as the paper's interrupt. A hook
-	// returning HookSuspend parks insharing atomically with the interrupt.
-	lockHooks map[LockID]map[uint64]LockHook
-	// sessHooks observe session transitions (session.go); the optimistic
-	// engine's session path uses them as its interrupt.
-	sessHooks map[LockID]map[uint64]SessionHook
-	// varHooks observe applied data updates (Watch).
-	varHooks map[VarID]map[uint64]func(int64)
-	hookSeq  uint64
+	// hookSeq mints the tokens hooks are registered under.
+	hookSeq uint64
 
 	// children are this node's spanning-tree children when the group
 	// uses tree fanout.
 	children []int
 
 	// Write-coalescing queue (batch.go): outgoing updates awaiting a
-	// size/delay/release-boundary flush. batchIdx maps a variable to its
-	// queue slot so an in-window rewrite combines instead of appending.
+	// size/delay/release-boundary flush.
 	batchQ     []wire.Message
-	batchIdx   map[VarID]int
 	batchTimer vclock.Timer
 	// batchFirst is when the oldest write in batchQ was enqueued; the
 	// flush latency histogram measures from here, so it captures the
@@ -238,8 +301,8 @@ type memberGroup struct {
 	// serve from it.
 	diverged bool
 
-	data *notifyList
-	lock *notifyList
+	data notifyList
+	lock notifyList
 }
 
 func newMemberGroup(id int, cfg GroupConfig, now time.Time) *memberGroup {
@@ -254,37 +317,66 @@ func newMemberGroup(id int, cfg GroupConfig, now time.Time) *memberGroup {
 		}
 		children = tree.Children[id]
 	}
-	return &memberGroup{
-		children:       children,
-		cfg:            cfg,
-		mem:            make(map[VarID]int64),
-		lockVal:        make(map[LockID]int64),
-		eager:          make(map[VarID]int64),
-		eagerMsg:       make(map[VarID]wire.Message),
-		eagerB:         make(map[VarID]*backoff),
-		grantEpoch:     make(map[LockID]uint32),
-		lockDone:       make(map[LockID]uint32),
-		nextSeq:        1,
-		pending:        make(map[uint64]wire.Message),
-		rootID:         cfg.Root,
-		lastRoot:       now,
-		suspected:      make(map[int]bool),
-		want:           make(map[LockID]bool),
-		sess:           make(map[LockID]*sessView),
-		reqSession:     make(map[LockID]uint32),
-		reqToken:       make(map[LockID]uint32),
-		reqSince:       make(map[LockID]time.Time),
-		lease:          make(map[LockID]*memberLease),
-		hint:           make(map[LockID]handoffHint),
-		pendingHandoff: make(map[LockID]*handoffNotice),
-		handoffIn:      make(map[LockID]wire.Message),
-		lockHooks:      make(map[LockID]map[uint64]LockHook),
-		sessHooks:      make(map[LockID]map[uint64]SessionHook),
-		varHooks:       make(map[VarID]map[uint64]func(int64)),
-		syncPending:    make(map[uint64]*syncWaiter),
-		data:           newNotifyList(),
-		lock:           newNotifyList(),
+	g := &memberGroup{
+		children:    children,
+		cfg:         cfg,
+		nextSeq:     1,
+		pending:     make(map[uint64]wire.Message),
+		rootID:      cfg.Root,
+		lastRoot:    now,
+		suspected:   make(map[int]bool),
+		syncPending: make(map[uint64]*syncWaiter),
 	}
+	for v, l := range cfg.Guards {
+		mv := g.vars.at(v)
+		mv.guarded, mv.guard = true, l
+	}
+	g.cfg.Guards = nil
+	return g
+}
+
+// forgetState drops every record's volatile state: what a restarted
+// process has lost (rejoin.go). Guards are configuration and hooks
+// belong to callers that are still there, so both stay; reqToken keeps
+// counting, so a grant minted for a pre-crash request can never match a
+// later one.
+func (g *memberGroup) forgetState() {
+	for i := range g.vars.recs {
+		mv := &g.vars.recs[i]
+		*mv = memberVar{guarded: mv.guarded, guard: mv.guard, hooks: mv.hooks}
+	}
+	for i := range g.locks.recs {
+		lk := &g.locks.recs[i]
+		*lk = memberLock{reqToken: lk.reqToken, lockHooks: lk.lockHooks, sessHooks: lk.sessHooks}
+	}
+	g.parkedHandoffs = 0
+	g.busyLocks, g.busyVars = g.busyLocks[:0], g.busyVars[:0]
+}
+
+// markBusy lists record id (whose busy flag is *busy) unless it already
+// is, keeping the list in ID order: the order the tick visited map keys
+// in, and table order.
+func markBusy[K ~uint32](list *[]K, busy *bool, id K) {
+	if !*busy {
+		*busy = true
+		i, _ := slices.BinarySearch(*list, id)
+		*list = slices.Insert(*list, i, id)
+	}
+}
+
+// sweepBusy unlists the records whose tick-driven state is gone.
+func (g *memberGroup) sweepBusy() {
+	g.busyLocks = slices.DeleteFunc(g.busyLocks, func(l LockID) bool {
+		lk := &g.locks.recs[l]
+		lk.busy = !lk.reqSince.IsZero() || lk.lease != nil || lk.hint.set ||
+			lk.pendingHandoff != nil || lk.handoffIn != nil
+		return !lk.busy
+	})
+	g.busyVars = slices.DeleteFunc(g.busyVars, func(v VarID) bool {
+		mv := &g.vars.recs[v]
+		mv.busy = mv.eagerOut
+		return !mv.busy
+	})
 }
 
 // resetRetrySchedules forgets every adaptive-retry schedule in the
@@ -300,33 +392,66 @@ func (g *memberGroup) resetRetrySchedules() {
 	for _, sw := range g.syncPending {
 		sw.bo.reset()
 	}
-	for _, le := range g.lease {
-		le.renewB.reset()
-	}
-	for _, ph := range g.pendingHandoff {
-		ph.bo.reset()
+	for _, l := range g.busyLocks {
+		lk := &g.locks.recs[l]
+		if lk.lease != nil {
+			lk.lease.renewB.reset()
+		}
+		if lk.pendingHandoff != nil {
+			lk.pendingHandoff.bo.reset()
+		}
 	}
 }
 
+// lockValue is the local copy of lock l, Free for one never seen. It
+// never grows the table.
 func (g *memberGroup) lockValue(l LockID) int64 {
-	if v, ok := g.lockVal[l]; ok {
-		return v
+	if lk := g.locks.peek(l); lk != nil {
+		return lk.value()
 	}
 	return Free
 }
 
-// guardOf returns the lock guarding v, or false.
-func (g *memberGroup) guardOf(v VarID) (LockID, bool) {
-	l, ok := g.cfg.Guards[v]
-	return l, ok
+// varValue is the local copy of v, zero for one never written. It never
+// grows the table.
+func (g *memberGroup) varValue(v VarID) int64 {
+	if mv := g.vars.peek(v); mv != nil {
+		return mv.val
+	}
+	return 0
+}
+
+// lockOf resolves an API call's group and lock record, growing the lock
+// table to hold it. Caller holds n.mu.
+func (n *Node) lockOf(gid GroupID, l LockID) (*memberGroup, *memberLock, error) {
+	g, err := n.group(gid)
+	if err != nil {
+		return nil, nil, err
+	}
+	if l >= maxRecords {
+		return nil, nil, idErr(gid, "lock", uint32(l))
+	}
+	return g, g.locks.at(l), nil
+}
+
+// varOf is lockOf for a variable. Caller holds n.mu.
+func (n *Node) varOf(gid GroupID, v VarID) (*memberGroup, *memberVar, error) {
+	g, err := n.group(gid)
+	if err != nil {
+		return nil, nil, err
+	}
+	if v >= maxRecords {
+		return nil, nil, idErr(gid, "variable", uint32(v))
+	}
+	return g, g.vars.at(v), nil
 }
 
 // forwardDown relays a fresh sequenced message to this node's tree
 // children. Caller holds n.mu.
-func (n *Node) forwardDown(g *memberGroup, m wire.Message) {
+func (n *Node) forwardDown(g *memberGroup, m *wire.Message) {
 	for _, child := range g.children {
 		n.stats.Forwarded++
-		n.send(child, m)
+		n.send(child, *m)
 	}
 }
 
@@ -336,14 +461,16 @@ func (n *Node) forwardDown(g *memberGroup, m wire.Message) {
 // uses tree fanout; duplicates (including retransmissions of messages the
 // subtree already has) are not re-forwarded — descendants that are still
 // missing them NACK the root directly.
-func (n *Node) ingest(g *memberGroup, m wire.Message) {
+func (n *Node) ingest(g *memberGroup, m *wire.Message) {
 	n.ingestFwd(g, m, true)
 }
 
 // ingestFwd is ingest with the tree relay controllable: batch frames are
 // forwarded whole (handleBatch), so their inner messages ingest with
-// forward=false instead of being re-sent one by one. Caller holds n.mu.
-func (n *Node) ingestFwd(g *memberGroup, m wire.Message, forward bool) {
+// forward=false instead of being re-sent one by one. m is read in place
+// (it usually points into the drained receive batch) and copied only
+// where it must outlive the call. Caller holds n.mu.
+func (n *Node) ingestFwd(g *memberGroup, m *wire.Message, forward bool) {
 	if m.Epoch != g.epoch {
 		if m.Epoch < g.epoch {
 			// A deposed root (or a retransmission from its reign) is still
@@ -380,7 +507,7 @@ func (n *Node) ingestFwd(g *memberGroup, m wire.Message, forward bool) {
 		// pre-merge data. Park everything; snapApply discards what the
 		// snapshot's cut covers and replays the rest in order.
 		if _, dup := g.pending[m.Seq]; !dup {
-			g.pending[m.Seq] = m
+			g.pending[m.Seq] = *m
 			if forward {
 				n.forwardDown(g, m)
 			}
@@ -388,7 +515,7 @@ func (n *Node) ingestFwd(g *memberGroup, m wire.Message, forward bool) {
 		return
 	case m.Seq > g.nextSeq:
 		if _, dup := g.pending[m.Seq]; !dup {
-			g.pending[m.Seq] = m
+			g.pending[m.Seq] = *m
 			n.stats.Gaps++
 			if forward {
 				n.forwardDown(g, m)
@@ -402,18 +529,24 @@ func (n *Node) ingestFwd(g *memberGroup, m wire.Message, forward bool) {
 	}
 	n.applySeq(g, m)
 	g.nextSeq++
-	for {
-		next, ok := g.pending[g.nextSeq]
-		if !ok {
-			break
-		}
-		delete(g.pending, g.nextSeq)
-		n.applySeq(g, next)
-		g.nextSeq++
-	}
+	n.drainPending(g)
 	// The prefix advanced: direct handoff grants parked on a sequence
 	// watermark may be deliverable now.
 	n.deliverHandoffs(g)
+}
+
+// drainPending applies the buffered messages that now continue the
+// prefix. Caller holds n.mu.
+func (n *Node) drainPending(g *memberGroup) {
+	for len(g.pending) > 0 {
+		next, ok := g.pending[g.nextSeq]
+		if !ok {
+			return
+		}
+		delete(g.pending, g.nextSeq)
+		n.applySeq(g, &next)
+		g.nextSeq++
+	}
 }
 
 // maybeNack asks the root to retransmit the missing range, rate-limited
@@ -472,26 +605,25 @@ func (n *Node) maybeSendAck(g *memberGroup) {
 }
 
 // applySeq applies one in-order sequenced message. Caller holds n.mu.
-func (n *Node) applySeq(g *memberGroup, m wire.Message) {
+func (n *Node) applySeq(g *memberGroup, m *wire.Message) {
 	switch m.Type {
 	case wire.TSeqUpdate:
 		if n.misapply != nil {
 			// Test-only corruption past the wire checksum: whatever the
 			// hook mutates is what this member folds and applies, so the
 			// digest faithfully reflects the (corrupted) local state and
-			// the root's sweep must catch the mismatch. The copy dance
-			// keeps &m out of the common path: taking m's address directly
-			// would heap-allocate every message this hot path applies even
-			// with the hook unset.
-			mm := m
+			// the root's sweep must catch the mismatch. The hook gets a
+			// copy: handing it m would make every caller's message escape
+			// to the heap even with the hook unset.
+			mm := *m
 			n.misapply(&mm)
-			m = mm
+			m = &mm
 		}
 		g.digest.Fold(m.Var, m.Seq, m.Val)
 		if g.suspended {
 			// Insharing suspension: hold data back until the rollback
 			// finishes so restored values are not clobbered.
-			g.suspendQ = append(g.suspendQ, m)
+			g.suspendQ = append(g.suspendQ, *m)
 			return
 		}
 		n.applyData(g, m)
@@ -508,6 +640,33 @@ func (n *Node) applySeq(g *memberGroup, m wire.Message) {
 	}
 }
 
+// sendRelease hands a grant (or a session entry) back to the root,
+// quoting the entry epoch it closes. Caller holds n.mu.
+func (n *Node) sendRelease(g *memberGroup, l LockID, entryEpoch, session uint32) {
+	n.send(g.rootID, wire.Message{
+		Type:    wire.TLockRel,
+		Group:   uint32(g.cfg.ID),
+		Src:     int32(n.id),
+		Origin:  int32(n.id),
+		Lock:    uint32(l),
+		Var:     entryEpoch,
+		Epoch:   g.epoch,
+		Session: session,
+	})
+}
+
+// runLockHooks fires the lock's value hooks with val. Caller holds n.mu.
+func (g *memberGroup) runLockHooks(lk *memberLock, val int64) {
+	for _, h := range lk.lockHooks {
+		if h.fn(val) == HookSuspend {
+			// The paper's atomic interrupt-and-sharing-suspension: no data
+			// update can slip in between the lock change that triggers the
+			// rollback and the suspension.
+			g.suspended = true
+		}
+	}
+}
+
 // applyLockValue installs a new lock value (from the sequenced stream or
 // a failover snapshot), running hooks and waking waiters. A self-grant
 // is consumed only when its echoed token matches this node's current
@@ -519,13 +678,14 @@ func (n *Node) applySeq(g *memberGroup, m wire.Message) {
 // wins, it names the queued waiter the root designated as the direct
 // handoff target (lease.go). Caller holds n.mu.
 func (n *Node) applyLockValue(g *memberGroup, l LockID, val int64, grantEpoch uint32, token uint32, hint int64) {
-	if ph, ok := g.pendingHandoff[l]; ok && grantEpoch >= ph.doneEpoch {
+	lk := g.locks.at(l)
+	if ph := lk.pendingHandoff; ph != nil && grantEpoch >= ph.doneEpoch {
 		// The root's lock epoch caught up with (or passed) this node's
 		// handoff: the transfer is committed and the notice can stop.
-		delete(g.pendingHandoff, l)
+		lk.pendingHandoff = nil
 	}
 	sessNotified := false
-	if sv, ok := g.sess[l]; ok && len(sv.holders) > 0 {
+	if sv := lk.sess; sv != nil && len(sv.holders) > 0 {
 		// An exclusive-protocol frame for this lock is sequenced after the
 		// open session closed at the root; the local view is stale. An
 		// exclusive grant to another node doubles as the conflict signal
@@ -537,11 +697,12 @@ func (n *Node) applyLockValue(g *memberGroup, l LockID, val int64, grantEpoch ui
 		if h := holderOf(val); h >= 0 {
 			ev = SessEvent{Kind: SessEnter, Session: 0, Node: h}
 		}
-		n.runSessHooks(g, l, ev)
+		g.runSessHooks(lk, ev)
 		sessNotified = true
 	}
-	if val == GrantValue(n.id) {
-		if grantEpoch <= g.lockDone[l] {
+	mine := GrantValue(n.id)
+	if val == mine {
+		if grantEpoch <= lk.lockDone {
 			// Stale duplicate of a grant this node already finished with
 			// (a re-announce the root minted for a racing request retry).
 			// Taking it would let a later acquisition run unlocked, so it
@@ -553,18 +714,10 @@ func (n *Node) applyLockValue(g *memberGroup, l LockID, val int64, grantEpoch ui
 			// partition) and would otherwise re-announce forever while we
 			// ignore it forever — the reply breaks that livelock, and a
 			// root that has moved on discards it as stale.
-			n.send(g.rootID, wire.Message{
-				Type:   wire.TLockRel,
-				Group:  uint32(g.cfg.ID),
-				Src:    int32(n.id),
-				Origin: int32(n.id),
-				Lock:   uint32(l),
-				Var:    grantEpoch,
-				Epoch:  g.epoch,
-			})
+			n.sendRelease(g, l, grantEpoch, 0)
 			return
 		}
-		if g.lockVal[l] != GrantValue(n.id) && (!g.want[l] || token != g.reqToken[l]) {
+		if lk.value() != mine && (!lk.want || token != lk.reqToken) {
 			// Unwanted, or minted for a different acquisition than the one
 			// outstanding (a cancel in flight, or a token-less failover
 			// re-queue): hand it straight back. When a live request is
@@ -575,64 +728,47 @@ func (n *Node) applyLockValue(g *memberGroup, l LockID, val int64, grantEpoch ui
 			// is only ever the root's re-announce of that same grant, so
 			// it falls through regardless of token. Record the observed
 			// grant epoch either way: the next speculation tags its writes
-			// with grantEpoch[l], and leaving it stale would make the root
+			// with grantEpoch, and leaving it stale would make the root
 			// suppress a *committed* section's writes as StaleGrant —
 			// silent data loss.
-			if !g.want[l] {
-				g.lockVal[l] = Free
+			if !lk.want {
+				lk.set(Free)
 			}
-			g.lockDone[l] = grantEpoch
-			g.grantEpoch[l] = grantEpoch
-			n.send(g.rootID, wire.Message{
-				Type:   wire.TLockRel,
-				Group:  uint32(g.cfg.ID),
-				Src:    int32(n.id),
-				Origin: int32(n.id),
-				Lock:   uint32(l),
-				Var:    grantEpoch,
-				Epoch:  g.epoch,
-			})
+			lk.lockDone = grantEpoch
+			lk.grantEpoch = grantEpoch
+			n.sendRelease(g, l, grantEpoch, 0)
 			g.lock.notifyAll()
 			return
 		}
 	}
-	g.lockVal[l] = val
+	lk.set(val)
 	if val != Free {
-		g.grantEpoch[l] = grantEpoch
+		lk.grantEpoch = grantEpoch
 	}
-	if val == GrantValue(n.id) {
+	// Capture (or clear) the handoff target the root designated for this
+	// grant. A re-announce without a hint clears a stale one: the queue
+	// the old hint peeked no longer exists.
+	lk.hint = handoffHint{}
+	if val == mine {
 		// Acquisition complete: stop the watchdog's clock on it.
-		delete(g.reqSince, l)
-		// Capture (or clear) the handoff target the root designated for
-		// this grant. A re-announce without a hint clears a stale one:
-		// the queue the old hint peeked no longer exists.
-		delete(g.hint, l)
+		lk.reqSince = time.Time{}
 		if hint != 0 && n.leasing() {
 			if wn := int(uint32(hint)) - 1; wn >= 0 && wn != n.id {
-				g.hint[l] = handoffHint{node: wn, token: uint32(hint >> 32)}
+				lk.hint = handoffHint{node: wn, token: uint32(hint >> 32), set: true}
+				markBusy(&g.busyLocks, &lk.busy, l)
 			}
 		}
-	} else {
-		delete(g.hint, l)
-		if le := g.lease[l]; le != nil {
-			// The sequenced stream says someone else holds (or the lock is
-			// free): any cached claim is dead. Mid-section the Release in
-			// progress returns it; idle it just evaporates.
-			if le.held {
-				le.revoked = true
-			} else {
-				delete(g.lease, l)
-			}
+	} else if le := lk.lease; le != nil {
+		// The sequenced stream says someone else holds (or the lock is
+		// free): any cached claim is dead. Mid-section the Release in
+		// progress returns it; idle it just evaporates.
+		if le.held {
+			le.revoked = true
+		} else {
+			lk.lease = nil
 		}
 	}
-	for _, hook := range g.lockHooks[l] {
-		if hook(val) == HookSuspend {
-			// The paper's atomic interrupt-and-sharing-suspension: no data
-			// update can slip in between the lock change that triggers the
-			// rollback and the suspension.
-			g.suspended = true
-		}
-	}
+	g.runLockHooks(lk, val)
 	if !sessNotified {
 		// Session observers see exclusive transitions too — session 0 is
 		// the one-holder session, so a grant is its entry and a free its
@@ -643,13 +779,14 @@ func (n *Node) applyLockValue(g *memberGroup, l LockID, val int64, grantEpoch ui
 		if h := holderOf(val); h >= 0 {
 			ev = SessEvent{Kind: SessEnter, Session: 0, Node: h}
 		}
-		n.runSessHooks(g, l, ev)
+		g.runSessHooks(lk, ev)
 	}
 	g.lock.notifyAll()
 }
 
 // applyData installs a data update, honouring hardware blocking.
-func (n *Node) applyData(g *memberGroup, m wire.Message) {
+func (n *Node) applyData(g *memberGroup, m *wire.Message) {
+	mv := g.vars.at(VarID(m.Var))
 	if m.Guarded && int(m.Origin) == n.id {
 		// Hardware blocking (Figure 6): drop root-echoed copies of our own
 		// mutex-group writes. The local store already happened at write
@@ -663,28 +800,22 @@ func (n *Node) applyData(g *memberGroup, m wire.Message) {
 		// still superseded locally) is then the only message carrying the
 		// write, so it must land. When no re-base happened the re-apply
 		// is a no-op and counts as dropped like before.
-		v := VarID(m.Var)
-		want, ok := g.eager[v]
-		if ok && want == m.Val {
-			delete(g.eager, v)
-			delete(g.eagerMsg, v) // confirmed: stop re-shipping (the backoff struct is reused)
-			if g.mem[v] != m.Val {
-				n.stats.EchoRestored++
-				n.emit(obs.EvEchoRestored, g.cfg.ID, int64(v), 0)
-			} else {
-				n.stats.EchoDropped++
-				n.emit(obs.EvEchoDropped, g.cfg.ID, int64(v), 0)
-				return
-			}
-		} else {
+		restore := mv.eagerOut && mv.eagerMsg.Val == m.Val
+		if restore {
+			mv.eagerOut = false // confirmed: stop re-shipping
+			restore = mv.val != m.Val
+		}
+		if !restore {
 			n.stats.EchoDropped++
-			n.emit(obs.EvEchoDropped, g.cfg.ID, int64(v), 0)
+			n.emit(obs.EvEchoDropped, g.cfg.ID, int64(m.Var), 0)
 			return
 		}
+		n.stats.EchoRestored++
+		n.emit(obs.EvEchoRestored, g.cfg.ID, int64(m.Var), 0)
 	}
-	g.mem[VarID(m.Var)] = m.Val
-	for _, hook := range g.varHooks[VarID(m.Var)] {
-		hook(m.Val)
+	mv.val, mv.written = m.Val, true
+	for _, h := range mv.hooks {
+		h.fn(m.Val)
 	}
 	g.data.notifyAll()
 }
@@ -703,13 +834,12 @@ func (n *Node) group(id GroupID) (*memberGroup, error) {
 // root for sequencing.
 func (n *Node) Write(gid GroupID, v VarID, val int64) error {
 	n.mu.Lock()
-	g, err := n.group(gid)
+	g, mv, err := n.varOf(gid, v)
 	if err != nil {
 		n.mu.Unlock()
 		return err
 	}
-	g.mem[v] = val
-	guard, guarded := g.guardOf(v)
+	mv.val, mv.written = val, true
 	g.data.notifyAll()
 	root := g.rootID
 	msg := wire.Message{
@@ -719,17 +849,17 @@ func (n *Node) Write(gid GroupID, v VarID, val int64) error {
 		Origin:  int32(n.id),
 		Var:     uint32(v),
 		Val:     val,
-		Guarded: guarded,
+		Guarded: mv.guarded,
 		Epoch:   g.epoch,
 	}
-	if guarded {
+	if mv.guarded {
 		// Epoch tag: the root accepts this write only if it is post-grant
 		// (tag == current epoch) or a clean speculation (tag+1 == current
 		// epoch). A clean speculation provably never rolls back, so a
 		// rolled-back section's stale writes can never slip in behind its
 		// queued grant — a hole the paper's unconditional critical
 		// sections never exposed.
-		msg.Seq = uint64(g.grantEpoch[guard])
+		msg.Seq = uint64(g.locks.at(mv.guard).grantEpoch)
 		// Per-store nonce (in the Deadline field, unused by updates):
 		// lets the root disposition this store exactly once even when
 		// the up-path loss recovery re-ships its frame.
@@ -738,27 +868,19 @@ func (n *Node) Write(gid GroupID, v VarID, val int64) error {
 		// Remember the newest eager store so applyData can tell this
 		// write's echo apart from echoes of older, superseded stores —
 		// and restore it if a failover snapshot rolled the copy back.
-		// The frame itself is kept too, with a re-send schedule: if this
-		// one unacknowledged hop loses the frame, the maintenance tick
+		// The frame itself is kept, with a re-send schedule: if this one
+		// unacknowledged hop loses the frame, the maintenance tick
 		// re-ships it until the echo confirms sequencing.
-		g.eager[v] = val
-		g.eagerMsg[v] = msg
-		// The backoff struct is allocated once per var and reused for
-		// every later store (the write path must stay allocation-free);
-		// only an eagerMsg entry marks a frame as pending re-send.
-		b := g.eagerB[v]
-		if b == nil {
-			b = &backoff{}
-			g.eagerB[v] = b
-		} else {
-			b.reset()
-		}
-		n.arm(b, n.clock.Now(), n.boBase(), n.boCap())
+		mv.eagerOut = true
+		markBusy(&g.busyVars, &mv.busy, v)
+		mv.eagerMsg = msg
+		mv.eagerB.reset()
+		n.arm(&mv.eagerB, n.clock.Now(), n.boBase(), n.boCap())
 	}
 	if n.batchMax >= 2 {
 		// Batched plane: queue for a size/delay/release flush instead of
 		// shipping now. Flush-time transport errors surface via Errors().
-		n.enqueueWrite(gid, g, msg)
+		n.enqueueWrite(gid, g, mv, msg)
 		n.mu.Unlock()
 		return nil
 	}
@@ -775,7 +897,7 @@ func (n *Node) Read(gid GroupID, v VarID) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return g.mem[v], nil
+	return g.varValue(v), nil
 }
 
 // LockValue returns the local copy of the lock variable.
@@ -804,7 +926,8 @@ func (n *Node) WaitGEContext(ctx context.Context, gid GroupID, v VarID, min int6
 		n.mu.Unlock()
 		return false, err
 	}
-	ch := g.data.register()
+	ch := make(chan struct{}, 1)
+	g.data.register(ch)
 	defer func() {
 		n.mu.Lock()
 		g.data.unregister(ch)
@@ -820,7 +943,7 @@ func (n *Node) WaitGEContext(ctx context.Context, gid GroupID, v VarID, min int6
 		}
 	}()
 	for {
-		if g.mem[v] >= min {
+		if g.varValue(v) >= min {
 			n.mu.Unlock()
 			return true, nil
 		}
@@ -858,15 +981,7 @@ func (n *Node) WaitGEContext(ctx context.Context, gid GroupID, v VarID, min int6
 // writes the negated ID into the local lock copy and ships the request.
 // The optimistic engine pairs it with WaitLockGrant.
 func (n *Node) SendLockRequest(gid GroupID, l LockID) error {
-	return n.sendLockRequest(gid, l, 0)
-}
-
-// sendLockRequest is SendLockRequest with the caller's context deadline
-// (Unix nanoseconds, 0 = none) propagated onto the wire, so the root
-// can drop the request outright once the caller has given up instead of
-// granting into the void.
-func (n *Node) sendLockRequest(gid GroupID, l LockID, deadline int64) error {
-	return n.sendLockRequestS(gid, l, 0, deadline)
+	return n.sendLockRequestS(gid, l, 0, 0, n.clock.Now())
 }
 
 // sendLockRequestS is the session-aware request sender: session names
@@ -874,30 +989,34 @@ func (n *Node) sendLockRequest(gid GroupID, l LockID, deadline int64) error {
 // acquisition records its session; retries while the request is
 // outstanding reuse the recorded one regardless of the argument, so a
 // generic retry path (waitLock's resend, the watchdog) never changes
-// what an acquisition asks for.
-func (n *Node) sendLockRequestS(gid GroupID, l LockID, session uint32, deadline int64) error {
+// what an acquisition asks for. deadline is the caller's context
+// deadline (Unix nanoseconds, 0 = none), propagated onto the wire so
+// the root can drop the request outright once the caller has given up
+// instead of granting into the void; now is the caller's clock reading.
+func (n *Node) sendLockRequestS(gid GroupID, l LockID, session uint32, deadline int64, now time.Time) error {
 	n.mu.Lock()
-	g, err := n.group(gid)
+	g, lk, err := n.lockOf(gid, l)
 	if err != nil {
 		n.mu.Unlock()
 		return err
 	}
-	if !g.want[l] {
+	if !lk.want {
 		// A new logical acquisition: mint its token. Retries while the
 		// request is outstanding reuse it, so the root can tell a retry
 		// from a new request that overtook a lost cancel. The mint also
 		// starts the watchdog's clock on the acquisition.
-		g.reqToken[l]++
-		g.reqSince[l] = n.clock.Now()
-		g.reqSession[l] = session
+		lk.reqToken++
+		lk.reqSince = now
+		markBusy(&g.busyLocks, &lk.busy, l)
+		lk.reqSession = session
 	}
-	sess := g.reqSession[l]
-	if sess == 0 && g.lockValue(l) != GrantValue(n.id) {
+	sess := lk.reqSession
+	if sess == 0 && lk.value() != GrantValue(n.id) {
 		// The request marker in the local copy belongs to the exclusive
 		// protocol; session entries leave the lock value alone.
-		g.lockVal[l] = RequestValue(n.id)
+		lk.set(RequestValue(n.id))
 	}
-	g.want[l] = true
+	lk.want = true
 	n.stats.LockRequests++
 	root := g.rootID
 	msg := wire.Message{
@@ -905,7 +1024,7 @@ func (n *Node) sendLockRequestS(gid GroupID, l LockID, session uint32, deadline 
 		Group:    uint32(gid),
 		Src:      int32(n.id),
 		Origin:   int32(n.id),
-		Seq:      uint64(g.reqToken[l]),
+		Seq:      uint64(lk.reqToken),
 		Lock:     uint32(l),
 		Epoch:    g.epoch,
 		Deadline: deadline,
@@ -924,6 +1043,44 @@ func ctxDeadline(ctx context.Context) int64 {
 	return 0
 }
 
+// lockWait is what one blocked lock waiter needs: the channel lock
+// changes poke and the timer its request retries run on. Waiters come
+// from the node's free list and go back when the wait ends, so a lock
+// wait in steady state allocates nothing. The timer is minted from the
+// node's own clock (virtual under detsim) the first time a wait needs
+// one, and only ever touched by the goroutine that holds the waiter.
+type lockWait struct {
+	ch    chan struct{}
+	timer vclock.Timer
+}
+
+// getWait takes a waiter off the free list, or makes one on a miss.
+// Caller holds n.mu.
+func (n *Node) getWait() *lockWait {
+	if k := len(n.freeWaits) - 1; k >= 0 {
+		w := n.freeWaits[k]
+		n.freeWaits[k] = nil
+		n.freeWaits = n.freeWaits[:k]
+		return w
+	}
+	return &lockWait{ch: make(chan struct{}, 1)}
+}
+
+// putWait returns a waiter whose timer is stopped. A closing node keeps
+// none: shutdown closes the channels of registered waiters, and a closed
+// channel must never be handed to a later wait. n.closed is set before
+// any channel closes, so it covers every such waiter. Caller holds n.mu.
+func (n *Node) putWait(w *lockWait) {
+	if n.closed {
+		return
+	}
+	select {
+	case <-w.ch: // a poke that raced the unregister
+	default:
+	}
+	n.freeWaits = append(n.freeWaits, w)
+}
+
 // waitLock blocks until cond is satisfied by the local lock value
 // (checked immediately and after every change). It returns (false,
 // ctx.Err()) if the context ends first and (false, nil) if the node
@@ -934,50 +1091,54 @@ func ctxDeadline(ctx context.Context) int64 {
 // re-base wakes waiters, so the reset takes effect without waiting out
 // the cap).
 func (n *Node) waitLock(ctx context.Context, gid GroupID, l LockID, cond func(val int64) bool, resend bool) (bool, error) {
-	return n.waitLockF(ctx, gid, l, func(g *memberGroup) bool { return cond(g.lockValue(l)) }, resend)
+	return n.waitLockF(ctx, gid, l, time.Time{}, func(g *memberGroup) bool { return cond(g.lockValue(l)) }, resend)
 }
 
 // waitLockF is waitLock generalized over the whole member view, so
 // session waits can watch the holder set rather than the lock value.
-// cond runs under n.mu.
-func (n *Node) waitLockF(ctx context.Context, gid GroupID, l LockID, cond func(g *memberGroup) bool, resend bool) (bool, error) {
+// cond runs under n.mu. now is the caller's clock reading from just
+// before it sent the request, which the first resend is scheduled
+// against; a zero now reads the clock.
+func (n *Node) waitLockF(ctx context.Context, gid GroupID, l LockID, now time.Time, cond func(g *memberGroup) bool, resend bool) (bool, error) {
 	deadline := ctxDeadline(ctx)
 	n.mu.Lock()
-	g, err := n.group(gid)
+	g, lk, err := n.lockOf(gid, l)
 	if err != nil {
 		n.mu.Unlock()
 		return false, err
 	}
-	ch := g.lock.register()
+	w := n.getWait()
+	g.lock.register(w.ch)
+	locked := true
+	defer func() {
+		if !locked {
+			n.mu.Lock()
+		}
+		g.lock.unregister(w.ch)
+		n.putWait(w)
+		n.mu.Unlock()
+	}()
 	// The session of the acquisition this wait serves, so a resend after
 	// a cancel race re-mints the same kind of request.
-	sess := g.reqSession[l]
+	sess := lk.reqSession
 	// Per-wait retry schedule. The caller just sent the request, so the
 	// first resend waits out a full base delay.
 	var bo backoff
 	lastEpoch := g.epoch
-	lastGrant := g.grantEpoch[l]
+	lastGrant := lk.grantEpoch
 	if resend {
-		n.arm(&bo, n.clock.Now(), n.boBase(), n.boCap())
-	}
-	defer func() {
-		n.mu.Lock()
-		g.lock.unregister(ch)
-		n.mu.Unlock()
-	}()
-	// One retry timer for the whole wait, re-armed per round.
-	var timer vclock.Timer
-	defer func() {
-		if timer != nil {
-			timer.Stop()
+		if now.IsZero() {
+			now = n.clock.Now()
 		}
-	}()
-	for {
+		n.arm(&bo, now, n.boBase(), n.boCap())
+	}
+	for first := true; ; first = false {
 		if cond(g) {
-			n.mu.Unlock()
 			return true, nil
 		}
-		closed := n.closed
+		if n.closed {
+			return false, nil
+		}
 		resendNow := false
 		var wait time.Duration
 		if resend {
@@ -985,7 +1146,7 @@ func (n *Node) waitLockF(ctx context.Context, gid GroupID, l LockID, cond func(g
 				lastEpoch = g.epoch
 				bo.reset()
 			}
-			if ge := g.grantEpoch[l]; ge != lastGrant {
+			if ge := g.locks.at(l).grantEpoch; ge != lastGrant {
 				// The lock moved — a grant, handoff, or lease-backed
 				// re-announce landed since the schedule was armed. The delay
 				// was sized against a world that no longer exists (e.g. a
@@ -995,7 +1156,9 @@ func (n *Node) waitLockF(ctx context.Context, gid GroupID, l LockID, cond func(g
 				lastGrant = ge
 				bo.reset()
 			}
-			now := n.clock.Now()
+			if !first {
+				now = n.clock.Now()
+			}
 			if bo.ready(now) {
 				resendNow = true
 				n.arm(&bo, now, n.boBase(), n.boCap())
@@ -1003,11 +1166,9 @@ func (n *Node) waitLockF(ctx context.Context, gid GroupID, l LockID, cond func(g
 			wait = bo.due.Sub(now)
 		}
 		n.mu.Unlock()
-		if closed {
-			return false, nil
-		}
+		locked = false
 		if resendNow {
-			if err := n.sendLockRequestS(gid, l, sess, deadline); err != nil {
+			if err := n.sendLockRequestS(gid, l, sess, deadline, now); err != nil {
 				return false, err
 			}
 		}
@@ -1015,33 +1176,37 @@ func (n *Node) waitLockF(ctx context.Context, gid GroupID, l LockID, cond func(g
 			if wait < time.Millisecond {
 				wait = time.Millisecond
 			}
-			if timer == nil {
-				timer = n.clock.NewTimer(wait)
+			// One retry timer for the waiter's whole life, re-armed per
+			// round; every way out of the select leaves it stopped.
+			if w.timer == nil {
+				w.timer = n.clock.NewTimer(wait)
 			} else {
-				timer.Reset(wait)
+				w.timer.Reset(wait)
 			}
 			select {
 			case <-ctx.Done():
+				w.timer.Stop()
 				return false, ctx.Err()
-			case _, ok := <-ch:
-				timer.Stop()
+			case _, ok := <-w.ch:
+				w.timer.Stop()
 				if !ok {
 					return false, nil
 				}
-			case <-timer.C():
+			case <-w.timer.C():
 				// Schedule due: the next round re-checks and re-sends.
 			}
 		} else {
 			select {
 			case <-ctx.Done():
 				return false, ctx.Err()
-			case _, ok := <-ch:
+			case _, ok := <-w.ch:
 				if !ok {
 					return false, nil
 				}
 			}
 		}
 		n.mu.Lock()
+		locked = true
 	}
 }
 
@@ -1095,11 +1260,13 @@ func (n *Node) AcquireContext(ctx context.Context, gid GroupID, l LockID) error 
 		// hold, so re-entry is a local decision — zero wire messages.
 		return nil
 	}
+	// One clock reading serves the request's watchdog stamp, the first
+	// resend's schedule and the latency histogram's origin.
 	start := n.clock.Now()
-	if err := n.sendLockRequest(gid, l, ctxDeadline(ctx)); err != nil {
+	if err := n.sendLockRequestS(gid, l, 0, ctxDeadline(ctx), start); err != nil {
 		return err
 	}
-	ok, err := n.WaitLockGrantContext(ctx, gid, l)
+	ok, err := n.waitLockF(ctx, gid, l, start, func(g *memberGroup) bool { return n.grantCond(g.lockValue(l)) }, true)
 	if err != nil {
 		if cerr := n.CancelLockRequest(gid, l); cerr != nil {
 			n.mu.Lock()
@@ -1123,16 +1290,16 @@ func (n *Node) AcquireContext(ctx context.Context, gid GroupID, l LockID) error 
 // in applyLockValue hands it back when it lands.
 func (n *Node) CancelLockRequest(gid GroupID, l LockID) error {
 	n.mu.Lock()
-	g, err := n.group(gid)
+	g, lk, err := n.lockOf(gid, l)
 	if err != nil {
 		n.mu.Unlock()
 		return err
 	}
-	if g.lockValue(l) == GrantValue(n.id) {
+	if lk.value() == GrantValue(n.id) {
 		n.mu.Unlock()
 		return n.Release(gid, l)
 	}
-	if sv := g.sess[l]; sv != nil && sv.mine {
+	if sv := lk.sess; sv != nil && sv.mine {
 		// The session entry raced the cancellation; leave it instead.
 		n.mu.Unlock()
 		return n.LeaveSession(gid, l)
@@ -1140,11 +1307,9 @@ func (n *Node) CancelLockRequest(gid GroupID, l LockID) error {
 	// The grant answering this request may already be in flight; its
 	// echoed token no longer matches any outstanding acquisition (a new
 	// request mints a fresh token), so applyLockValue declines it.
-	delete(g.want, l)
-	delete(g.reqSince, l)
-	delete(g.reqSession, l)
-	if g.lockValue(l) == RequestValue(n.id) {
-		g.lockVal[l] = Free
+	lk.endRequest()
+	if lk.value() == RequestValue(n.id) {
+		lk.set(Free)
 		g.lock.notifyAll()
 	}
 	root := g.rootID
@@ -1165,12 +1330,12 @@ func (n *Node) CancelLockRequest(gid GroupID, l LockID) error {
 // sees the data before the lock changes.
 func (n *Node) Release(gid GroupID, l LockID) error {
 	n.mu.Lock()
-	g, err := n.group(gid)
+	g, lk, err := n.lockOf(gid, l)
 	if err != nil {
 		n.mu.Unlock()
 		return err
 	}
-	if g.lockValue(l) != GrantValue(n.id) {
+	if lk.value() != GrantValue(n.id) {
 		n.mu.Unlock()
 		return fmt.Errorf("gwc: node %d releasing lock %d it does not hold", n.id, l)
 	}
@@ -1181,15 +1346,13 @@ func (n *Node) Release(gid GroupID, l LockID) error {
 	// Lease/handoff fast paths (lease.go): a hinted waiter may take the
 	// lock directly, and a live lease keeps it cached here instead of
 	// going back to the root.
-	if handled, err := n.leaseRelease(gid, g, l); handled {
+	if handled, err := n.leaseRelease(gid, g, l, lk); handled {
 		return err
 	}
-	epoch := g.grantEpoch[l]
-	g.lockVal[l] = Free
-	g.lockDone[l] = epoch
-	delete(g.want, l)
-	delete(g.reqSince, l)
-	delete(g.reqSession, l)
+	epoch := lk.grantEpoch
+	lk.set(Free)
+	lk.lockDone = epoch
+	lk.endRequest()
 	root := g.rootID
 	msg := wire.Message{
 		Type:   wire.TLockRel,
@@ -1222,23 +1385,21 @@ type LockHook func(val int64) HookAction
 
 // OnLockChange registers a hook invoked whenever the lock's value
 // changes. The returned function unregisters it.
-func (n *Node) OnLockChange(gid GroupID, l LockID, hook LockHook) (func(), error) {
+func (n *Node) OnLockChange(gid GroupID, l LockID, fn LockHook) (func(), error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	g, err := n.group(gid)
+	g, lk, err := n.lockOf(gid, l)
 	if err != nil {
 		return nil, err
 	}
 	g.hookSeq++
 	token := g.hookSeq
-	if g.lockHooks[l] == nil {
-		g.lockHooks[l] = make(map[uint64]LockHook)
-	}
-	g.lockHooks[l][token] = hook
+	lk.lockHooks = append(lk.lockHooks, hook[LockHook]{token, fn})
 	return func() {
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		delete(g.lockHooks[l], token)
+		lk := g.locks.at(l)
+		lk.lockHooks = dropHook(lk.lockHooks, token)
 	}, nil
 }
 
@@ -1266,8 +1427,8 @@ func (n *Node) ResumeInsharing(gid GroupID) error {
 	g.suspended = false
 	q := g.suspendQ
 	g.suspendQ = nil
-	for _, m := range q {
-		n.applyData(g, m)
+	for i := range q {
+		n.applyData(g, &q[i])
 	}
 	return nil
 }
@@ -1282,14 +1443,17 @@ func (n *Node) RestoreLocal(gid GroupID, saved map[VarID]int64) error {
 		return err
 	}
 	for v, val := range saved {
-		g.mem[v] = val
+		mv := g.vars.at(v)
+		if mv == nil {
+			continue // Write refuses such a variable, so it holds nothing to restore
+		}
+		mv.val, mv.written = val, true
 		// The rolled-back section's stores are withdrawn: the root
 		// suppresses them (or already has), so their echoes will never
 		// come and their carrier frames must stop re-shipping — a
 		// re-send would just be re-suppressed, and the eager entry
 		// must not let a later same-value echo through as our own.
-		delete(g.eager, v)
-		delete(g.eagerMsg, v)
+		mv.eagerOut = false
 	}
 	g.data.notifyAll()
 	return nil
@@ -1300,23 +1464,21 @@ func (n *Node) RestoreLocal(gid GroupID, saved map[VarID]int64) error {
 // origin's own writes trigger it when their (unguarded) echoes apply;
 // guarded echoes are hardware-blocked and do not. The returned function
 // unregisters the hook.
-func (n *Node) OnVarChange(gid GroupID, v VarID, hook func(val int64)) (func(), error) {
+func (n *Node) OnVarChange(gid GroupID, v VarID, fn func(val int64)) (func(), error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	g, err := n.group(gid)
+	g, mv, err := n.varOf(gid, v)
 	if err != nil {
 		return nil, err
 	}
 	g.hookSeq++
 	token := g.hookSeq
-	if g.varHooks[v] == nil {
-		g.varHooks[v] = make(map[uint64]func(int64))
-	}
-	g.varHooks[v][token] = hook
+	mv.hooks = append(mv.hooks, hook[func(int64)]{token, fn})
 	return func() {
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		delete(g.varHooks[v], token)
+		mv := g.vars.at(v)
+		mv.hooks = dropHook(mv.hooks, token)
 	}, nil
 }
 
@@ -1326,13 +1488,13 @@ func (n *Node) OnVarChange(gid GroupID, v VarID, hook func(val int64)) (func(), 
 func (n *Node) SetGuard(gid GroupID, v VarID, l LockID) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	g, err := n.group(gid)
+	_, mv, err := n.varOf(gid, v)
 	if err != nil {
 		return err
 	}
-	g.cfg.Guards[v] = l
-	if r, ok := n.roots[gid]; ok {
-		r.cfg.Guards[v] = l
+	if l >= maxRecords {
+		return idErr(gid, "lock", uint32(l))
 	}
+	mv.guarded, mv.guard = true, l
 	return nil
 }

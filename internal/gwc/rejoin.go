@@ -67,23 +67,10 @@ func (n *Node) Rejoin(gid GroupID) error {
 	if _, isRoot := n.roots[gid]; isRoot {
 		return fmt.Errorf("gwc: node %d roots group %d and cannot rejoin its own reign", n.id, gid)
 	}
-	g.mem = make(map[VarID]int64)
-	g.eager = make(map[VarID]int64)
-	g.eagerMsg = make(map[VarID]wire.Message)
-	g.eagerB = make(map[VarID]*backoff)
-	g.lockVal = make(map[LockID]int64)
-	g.grantEpoch = make(map[LockID]uint32)
-	g.lockDone = make(map[LockID]uint32)
+	g.forgetState()
 	g.nextSeq = 1
 	g.pending = make(map[uint64]wire.Message)
 	g.suspected = make(map[int]bool)
-	g.want = make(map[LockID]bool)
-	g.sess = make(map[LockID]*sessView)
-	g.reqSession = make(map[LockID]uint32)
-	g.lease = make(map[LockID]*memberLease)
-	g.hint = make(map[LockID]handoffHint)
-	g.pendingHandoff = make(map[LockID]*handoffNotice)
-	g.handoffIn = make(map[LockID]wire.Message)
 	g.electing = false
 	g.snapWanted = false
 	g.snapBuf = nil
@@ -92,7 +79,6 @@ func (n *Node) Rejoin(gid GroupID) error {
 	g.suspendQ = nil
 	g.acked = 0
 	g.batchQ = nil
-	clear(g.batchIdx)
 	if g.batchTimer != nil {
 		g.batchTimer.Stop()
 	}
@@ -111,7 +97,6 @@ func (n *Node) Rejoin(gid GroupID) error {
 	// out a full base delay.
 	g.joinToken++
 	g.rejoinBegan = n.clock.Now()
-	clear(g.reqSince)
 	g.resetRetrySchedules()
 	n.arm(&g.joinB, g.rejoinBegan, n.boBase(), n.boCap())
 	n.send(g.rootID, wire.Message{
@@ -128,7 +113,7 @@ func (n *Node) Rejoin(gid GroupID) error {
 // reaches: the reigning root re-admits, anyone else redirects. The
 // request is epoch-agnostic — a rejoiner by definition does not know the
 // current epoch. Caller holds n.mu.
-func (n *Node) handleJoinReq(m wire.Message) {
+func (n *Node) handleJoinReq(m *wire.Message) {
 	gid := GroupID(m.Group)
 	src := int(m.Src)
 	if r, ok := n.roots[gid]; ok {
@@ -151,18 +136,21 @@ func (n *Node) handleJoinReq(m wire.Message) {
 			// queue and release anything it held. The release goes through
 			// rootHandle so a fenced reign parks it like any other release
 			// instead of multicasting a grant while fenced.
-			for _, l := range sortedKeys(r.locks) {
-				ls := r.locks[l]
-				for i, q := range ls.queue {
+			for i := range r.locks.recs {
+				l, ls := LockID(i), &r.locks.recs[i]
+				if !ls.used {
+					continue
+				}
+				for j, q := range ls.queue {
 					if q.node == src {
-						ls.queue = append(ls.queue[:i], ls.queue[i+1:]...)
+						ls.queue = append(ls.queue[:j], ls.queue[j+1:]...)
 						break
 					}
 				}
 				if ls.holds(src) {
 					// Free only the rejoiner's own entry — under a session
 					// other holders' sections are live and must keep running.
-					n.rootHandle(r, wire.Message{
+					n.rootHandle(r, &wire.Message{
 						Type:    wire.TLockRel,
 						Group:   uint32(gid),
 						Src:     int32(src),
@@ -204,7 +192,7 @@ func (n *Node) handleJoinReq(m wire.Message) {
 // handleJoinAck completes the rejoin handshake on the member: adopt the
 // answering root's epoch and wait for the snapshot stream that follows.
 // Caller holds n.mu.
-func (n *Node) handleJoinAck(g *memberGroup, m wire.Message) {
+func (n *Node) handleJoinAck(g *memberGroup, m *wire.Message) {
 	if !g.rejoining {
 		return // duplicate answer, or adoption already superseded the rejoin
 	}
@@ -299,7 +287,7 @@ func (n *Node) SyncContext(ctx context.Context, gid GroupID) error {
 
 // handleSyncAck wakes the Sync caller whose token the root echoed.
 // Caller holds n.mu.
-func (n *Node) handleSyncAck(g *memberGroup, m wire.Message) {
+func (n *Node) handleSyncAck(g *memberGroup, m *wire.Message) {
 	sw, ok := g.syncPending[m.Seq]
 	if !ok {
 		return // cancelled, or a duplicate answer

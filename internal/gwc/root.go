@@ -18,16 +18,22 @@ type rootGroup struct {
 	// reigns in epoch 0, each failover promotion starts a higher one.
 	epoch uint32
 
-	auth map[VarID]int64
+	// member is this node's member-side state for the group: the root
+	// applies its own multicasts there, and reads variable guards from
+	// its records (a root is always a member).
+	member *memberGroup
 
-	// ring is the reign's sequencer and retransmission window: the
-	// sequence counter is an atomic logical clock and the last
-	// HistorySize sequenced messages (with digest checkpoints) live in
-	// stamped ring slots — see seqring.go for the single-writer
-	// protocol. r.ring.seq() is the watermark the old r.seq field held.
+	// vars and locks hold the reign's one record per variable and per
+	// lock, indexed by ID (table.go). A lockState is live once lock()
+	// has touched it (used); snapshots and the maintenance passes skip
+	// the rest.
+	vars  table[VarID, rootVar]
+	locks table[LockID, lockState]
+
+	// ring is the reign's sequencer and retransmission window: the last
+	// HistorySize sequenced messages, with digest checkpoints (see
+	// seqring.go). r.ring.seq() is the sequence watermark.
 	ring *seqRing
-
-	locks map[LockID]*lockState
 
 	// Batch collection window (batch.go): while an incoming batch frame is
 	// being sequenced — one node-lock hold for the whole frame — multicast
@@ -69,16 +75,25 @@ type rootGroup struct {
 	// the sweep.
 	digest    integrity.Digest
 	lastSweep time.Time
+}
 
-	// storeSeen is the highest guarded-store nonce dispositioned per
-	// (origin, var). Members stamp every guarded update with a
-	// monotonically increasing per-group nonce so the up-path
+// rootVar is the reign's record of one shared variable.
+type rootVar struct {
+	// auth is the authoritative value; written is false until something
+	// was sequenced (or merged at promotion) into it, and snapshots carry
+	// only written variables.
+	auth    int64
+	written bool
+	// seen is the highest guarded-store nonce dispositioned per origin,
+	// indexed by the origin's position in cfg.Members (allocated on the
+	// variable's first guarded store). Members stamp every guarded update
+	// with a monotonically increasing per-group nonce so the up-path
 	// loss-recovery re-sends (the eager re-ship in tick) are idempotent
 	// here: a nonce at or below the recorded one is a duplicate — or a
 	// superseded older store that a delay fault reordered — of a frame
 	// this reign already sequenced or suppressed, and is dropped without
 	// sequencing the same value twice or double-counting a suppression.
-	storeSeen map[[2]uint32]uint64
+	seen []uint64
 }
 
 // syncBarrier is a deferred TSyncReq: answered once the commit watermark
@@ -136,6 +151,8 @@ func (n *Node) popWaiter(ls *lockState) (lockWaiter, bool) {
 // number of concurrent holders of that same session while excluding
 // every other session (group mutual exclusion).
 type lockState struct {
+	// used marks a record lock() has initialized.
+	used bool
 	// holders maps each current critical-section holder to the
 	// acquisition token of its request, echoed in its entry multicast so
 	// the requester can tell a grant answering its live request from one
@@ -228,19 +245,18 @@ func (ls *lockState) parked(node int) bool {
 	return false
 }
 
-func newRootGroup(cfg GroupConfig, now time.Time) *rootGroup {
+func newRootGroup(cfg GroupConfig, member *memberGroup, now time.Time) *rootGroup {
 	r := &rootGroup{
 		cfg:       cfg,
-		auth:      make(map[VarID]int64),
+		member:    member,
 		ring:      newSeqRing(cfg.HistorySize),
-		locks:     make(map[LockID]*lockState),
 		quorum:    len(cfg.Members)/2 + 1,
 		lastHeard: make(map[int]time.Time),
 		acks:      make(map[int]uint64),
 		joinSeen:  make(map[int]uint64),
 		lastSweep: now,
-		storeSeen: make(map[[2]uint32]uint64),
 	}
+	r.cfg.Guards = nil
 	// Every member starts "recently heard": the lease must observe a full
 	// failAfter of silence before fencing a fresh reign. (The acting root
 	// is skipped by checkFence, so its own entry is inert.)
@@ -250,17 +266,18 @@ func newRootGroup(cfg GroupConfig, now time.Time) *rootGroup {
 	return r
 }
 
+// lock returns l's record, initializing it on first use.
 func (r *rootGroup) lock(l LockID) *lockState {
-	ls, ok := r.locks[l]
-	if !ok {
-		ls = &lockState{
+	ls := r.locks.at(l)
+	if !ls.used {
+		*ls = lockState{
+			used:        true,
 			holders:     make(map[int]uint32),
 			entryEpochs: make(map[int]uint32),
 			lastWinner:  -1,
 			leaseTo:     -1,
 			hintNode:    -1,
 		}
-		r.locks[l] = ls
 	}
 	return ls
 }
@@ -277,7 +294,7 @@ func (ls *lockState) queued(id int) bool {
 
 // rootHandle processes an up-message at the group root. Caller holds
 // n.mu.
-func (n *Node) rootHandle(r *rootGroup, m wire.Message) {
+func (n *Node) rootHandle(r *rootGroup, m *wire.Message) {
 	if src := int(m.Src); src != n.id && r.cfg.memberOf(src) {
 		// Any up-traffic from a configured member proves connectivity for
 		// the fencing lease, whatever epoch the sender believes in. The
@@ -313,7 +330,7 @@ func (n *Node) rootHandle(r *rootGroup, m wire.Message) {
 			// reign is deposed, which drops the queue — nothing in it was
 			// ever acknowledged). Retransmits, snapshots, and acks below
 			// still flow: they only serve already-sequenced state.
-			n.fenceQueue(r, m)
+			n.fenceQueue(r, *m)
 			return
 		}
 	}
@@ -355,7 +372,8 @@ func (n *Node) rootHandle(r *rootGroup, m wire.Message) {
 // guarded variables from nodes that do not hold the lock — the root "is
 // both the lock owner and the sequencing arbiter for all data changes
 // within the group", so improper changes never enter the group.
-func (n *Node) rootUpdate(r *rootGroup, m wire.Message) {
+func (n *Node) rootUpdate(r *rootGroup, m *wire.Message) {
+	rv := r.vars.at(VarID(m.Var))
 	if m.Guarded {
 		// Idempotence against the origin's loss-recovery re-sends: a
 		// nonce at or below the highest dispositioned one for this
@@ -364,20 +382,23 @@ func (n *Node) rootUpdate(r *rootGroup, m wire.Message) {
 		// already sequenced or suppressed. Re-sequencing it would let an
 		// old value overtake a newer one, and re-suppressing it would
 		// double-count one rollback.
-		if m.Deadline != 0 {
-			k := [2]uint32{uint32(m.Origin), m.Var}
+		if i := r.cfg.indexOf(int(m.Origin)); m.Deadline != 0 && i >= 0 {
+			if rv.seen == nil {
+				rv.seen = make([]uint64, len(r.cfg.Members))
+			}
 			nonce := uint64(m.Deadline)
-			if nonce <= r.storeSeen[k] {
+			if nonce <= rv.seen[i] {
 				return
 			}
-			r.storeSeen[k] = nonce
+			rv.seen[i] = nonce
 		}
-		guard, ok := r.cfg.Guards[VarID(m.Var)]
-		if !ok {
+		mv := r.member.vars.peek(VarID(m.Var))
+		if mv == nil || !mv.guarded {
 			n.stats.Suppressed++
 			n.emit(obs.EvSuppressed, r.cfg.ID, int64(m.Var), obs.ReasonNotHolder)
 			return
 		}
+		guard := mv.guard
 		ls := r.lock(guard)
 		// Accept only from a holder, and only when the sender had
 		// observed every foreign entry before speculating (its epoch tag
@@ -407,7 +428,7 @@ func (n *Node) rootUpdate(r *rootGroup, m wire.Message) {
 			return
 		}
 	}
-	r.auth[VarID(m.Var)] = m.Val
+	rv.auth, rv.written = m.Val, true
 	n.multicast(r, wire.Message{
 		Type:    wire.TSeqUpdate,
 		Group:   m.Group,
@@ -426,7 +447,7 @@ func (n *Node) rootUpdate(r *rootGroup, m wire.Message) {
 // concurrently — but only while nobody else waits, so a queued foreign
 // session is never starved by a stream of same-session joins (the
 // fairness rule of group mutual exclusion).
-func (n *Node) rootLockReq(r *rootGroup, m wire.Message) {
+func (n *Node) rootLockReq(r *rootGroup, m *wire.Message) {
 	l := LockID(m.Lock)
 	ls := r.lock(l)
 	origin := int(m.Origin)
@@ -532,7 +553,7 @@ func (n *Node) rootLockReq(r *rootGroup, m wire.Message) {
 // entry epoch so a duplicated release cannot free a later entry by the
 // same node, and — when the section closes — immediately appends the
 // next grant behind the closing section's (already sequenced) data.
-func (n *Node) rootLockRel(r *rootGroup, m wire.Message) {
+func (n *Node) rootLockRel(r *rootGroup, m *wire.Message) {
 	l := LockID(m.Lock)
 	ls := r.lock(l)
 	origin := int(m.Origin)
@@ -554,7 +575,7 @@ func (n *Node) rootLockRel(r *rootGroup, m wire.Message) {
 // rootLockCancel withdraws origin's request from the queue. If the grant
 // raced the cancellation, origin's entry is released on its behalf
 // instead, so an aborted acquisition can never strand the queue.
-func (n *Node) rootLockCancel(r *rootGroup, m wire.Message) {
+func (n *Node) rootLockCancel(r *rootGroup, m *wire.Message) {
 	l := LockID(m.Lock)
 	ls := r.lock(l)
 	origin := int(m.Origin)
@@ -788,21 +809,21 @@ func (n *Node) sendGrant(r *rootGroup, l LockID, ls *lockState, winner int) {
 
 // rootNack retransmits the sequenced range [m.Seq, m.Val] to the
 // requester, as far back as the ring's retained window still reaches.
-func (n *Node) rootNack(r *rootGroup, m wire.Message) {
+func (n *Node) rootNack(r *rootGroup, m *wire.Message) {
 	from, to := m.Seq, uint64(m.Val)
 	if to > r.ring.seq() {
 		to = r.ring.seq()
 	}
 	var out []wire.Message
 	for s := from; s <= to; s++ {
-		h, ok := r.ring.lookup(s)
-		if !ok {
+		h := r.ring.slot(s)
+		if h == nil {
 			// Overwritten — older than the retained window.
 			n.stats.LostHistory++
 			continue
 		}
 		n.stats.Retransmits++
-		out = append(out, h)
+		out = append(out, h.msg)
 	}
 	// Packed into batch frames when batching is on, so the repair of a
 	// dropped batch costs as few frames as the original.
@@ -824,15 +845,13 @@ func (n *Node) multicast(r *rootGroup, m wire.Message) {
 	if m.Type == wire.TSeqUpdate {
 		r.digest.Fold(m.Var, m.Seq, m.Val)
 	}
-	r.ring.publish(m, r.digest.Sum())
+	r.ring.publish(&m, r.digest.Sum())
 	if r.collecting {
 		// Batch collection window: park the stamped message for the single
 		// fan-out frame and advance the root's own member state now (tree
 		// relay suppressed — rootEndBatch forwards the whole frame).
 		r.outBatch = append(r.outBatch, m)
-		if g, ok := n.groups[r.cfg.ID]; ok {
-			n.ingestFwd(g, m, false)
-		}
+		n.ingestFwd(r.member, &m, false)
 		if len(r.outBatch) >= wire.MaxBatch {
 			// Keep frames within the codec bound; reopen the window for the
 			// rest of the incoming batch.
@@ -849,8 +868,6 @@ func (n *Node) multicast(r *rootGroup, m wire.Message) {
 			n.send(member, m)
 		}
 	}
-	if g, ok := n.groups[r.cfg.ID]; ok {
-		// Tree mode: ingest forwards to the root's children.
-		n.ingest(g, m)
-	}
+	// Tree mode: ingest forwards to the root's children.
+	n.ingest(r.member, &m)
 }

@@ -1,50 +1,31 @@
 package gwc
 
-import (
-	"sync/atomic"
-
-	"optsync/internal/wire"
-)
-
-// seqClock is the sequencer's logical clock: a bare atomic counter in
-// the classic LogicalClock shape — Tick advances and returns the new
-// value, Tock observes without advancing, Leap rebases. The root is the
-// clock's single writer (Tick/Leap run only under its dispatch), but
-// because every access is atomic, any goroutine may Tock a consistent
-// watermark without the node lock.
-type seqClock struct{ v atomic.Uint64 }
-
-func (c *seqClock) Tick() uint64   { return c.v.Add(1) }
-func (c *seqClock) Tock() uint64   { return c.v.Load() }
-func (c *seqClock) Leap(to uint64) { c.v.Store(to) }
+import "optsync/internal/wire"
 
 // seqRing is the root's sequencer and retransmission window in one
-// structure: a power-of-two ring of the most recently sequenced
-// messages, each slot stamped with the sequence number it holds, plus
-// the reign's cumulative digest checkpoint at that sequence.
+// structure: the reign's sequence counter plus a power-of-two ring of
+// the most recently sequenced messages, each slot recording the
+// sequence number it holds and the reign's cumulative digest checkpoint
+// at that sequence.
 //
-// Single-writer invariant: exactly one goroutine — the root's message
-// dispatch — calls tick and publish, so slots need no lock and the
-// stamp order (invalidate, fill, stamp) is a plain release protocol.
-// Readers (NACK retransmission, digest comparison, heartbeat watermarks)
-// validate a slot by reloading its stamp around the copy, so they never
-// act on a half-overwritten entry even if they someday run outside the
-// node lock. A batch frame's messages are stamped by consecutive ticks
-// inside one collection window, so each frame occupies one contiguous
-// sequence range with no lock hold backing that contiguity — the atomic
-// counter alone orders the reign.
+// Everything here runs under the node lock: the root's dispatch ticks
+// and publishes, and the readers (NACK retransmission, digest
+// comparison, heartbeat watermarks) are handlers on the same node. So
+// the slots are plain memory and a lookup validates only that the slot
+// still holds the sequence number asked for. A batch frame's messages
+// are stamped by consecutive ticks inside one collection window, so each
+// frame occupies one contiguous sequence range.
 type seqRing struct {
-	clk   seqClock
+	last  uint64 // the last sequence number handed out
 	mask  uint64
 	slots []seqSlot
 }
 
 // seqSlot holds one sequenced message and the reign digest checkpoint
-// as of that message. stamp is the publication word: it carries the
-// sequence number the slot currently holds, and is zero while the slot
-// is being rewritten.
+// as of that message; seq is the sequence number it holds, zero before
+// the slot's first use.
 type seqSlot struct {
-	stamp  atomic.Uint64
+	seq    uint64
 	msg    wire.Message
 	digest uint64
 }
@@ -61,56 +42,31 @@ func newSeqRing(size int) *seqRing {
 }
 
 // seq is the current sequence watermark (the last stamped number).
-func (r *seqRing) seq() uint64 { return r.clk.Tock() }
+func (r *seqRing) seq() uint64 { return r.last }
 
-// tick reserves and returns the next sequence number. Single writer
-// only.
-func (r *seqRing) tick() uint64 { return r.clk.Tick() }
+// tick reserves and returns the next sequence number.
+func (r *seqRing) tick() uint64 {
+	r.last++
+	return r.last
+}
 
 // publish records a stamped message (m.Seq must come from tick) and the
 // cumulative digest at that sequence into the ring, overwriting the
-// slot that held m.Seq-len(slots). Single writer only.
-func (r *seqRing) publish(m wire.Message, digest uint64) {
+// slot that held m.Seq-len(slots).
+func (r *seqRing) publish(m *wire.Message, digest uint64) {
 	s := &r.slots[(m.Seq-1)&r.mask]
-	s.stamp.Store(0) // invalidate: readers must not trust a torn slot
-	s.msg = m
-	s.digest = digest
-	s.stamp.Store(m.Seq)
+	s.seq, s.msg, s.digest = m.Seq, *m, digest
 }
 
-// lookup returns the retained message for sequence number q, or ok =
-// false when q has been overwritten (fell out of the window), was never
-// stamped, or is mid-rewrite.
-func (r *seqRing) lookup(q uint64) (wire.Message, bool) {
-	if q == 0 || q > r.seq() {
-		return wire.Message{}, false
+// slot returns the slot retaining sequence number q — its message and
+// the digest checkpoint as of q — or nil when q was never stamped or has
+// been overwritten (fell out of the window).
+func (r *seqRing) slot(q uint64) *seqSlot {
+	if q == 0 || q > r.last {
+		return nil
 	}
-	s := &r.slots[(q-1)&r.mask]
-	if s.stamp.Load() != q {
-		return wire.Message{}, false
+	if s := &r.slots[(q-1)&r.mask]; s.seq == q {
+		return s
 	}
-	m := s.msg
-	// Re-validate after the copy: if the writer lapped us mid-read, the
-	// stamp has changed (or is zero) and the copy is torn.
-	if s.stamp.Load() != q {
-		return wire.Message{}, false
-	}
-	return m, true
-}
-
-// digestAt returns the reign's cumulative digest checkpoint as of
-// sequence q, with the same retention and tearing rules as lookup.
-func (r *seqRing) digestAt(q uint64) (uint64, bool) {
-	if q == 0 || q > r.seq() {
-		return 0, false
-	}
-	s := &r.slots[(q-1)&r.mask]
-	if s.stamp.Load() != q {
-		return 0, false
-	}
-	d := s.digest
-	if s.stamp.Load() != q {
-		return 0, false
-	}
-	return d, true
+	return nil
 }

@@ -3,6 +3,7 @@ package gwc
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"optsync/internal/obs"
 	"optsync/internal/wire"
@@ -68,12 +69,19 @@ type SessionInfo struct {
 }
 
 // runSessHooks fires the lock's session hooks. Caller holds n.mu.
-func (n *Node) runSessHooks(g *memberGroup, l LockID, ev SessEvent) {
-	for _, hook := range g.sessHooks[l] {
-		if hook(ev) == HookSuspend {
+func (g *memberGroup) runSessHooks(lk *memberLock, ev SessEvent) {
+	for _, h := range lk.sessHooks {
+		if h.fn(ev) == HookSuspend {
 			g.suspended = true
 		}
 	}
+}
+
+// sessionWaiter reports whether this node has asked to enter a session
+// of the lock and is not in it yet — what an election report carries as
+// a session request marker.
+func (lk *memberLock) sessionWaiter() bool {
+	return lk.reqSession != 0 && lk.want && (lk.sess == nil || !lk.sess.mine)
 }
 
 // applySessionLock installs one sequenced session-protocol lock frame:
@@ -83,123 +91,94 @@ func (n *Node) runSessHooks(g *memberGroup, l LockID, ev SessEvent) {
 // matches the outstanding acquisition, handed back otherwise — so a
 // stale or unwanted entry can never let a later acquisition run
 // unlocked. Caller holds n.mu.
-func (n *Node) applySessionLock(g *memberGroup, m wire.Message) {
-	l := LockID(m.Lock)
+func (n *Node) applySessionLock(g *memberGroup, m *wire.Message) {
+	lk := g.locks.at(LockID(m.Lock))
 	s := m.Session
 	switch {
 	case m.Val == Free:
-		sv := g.sess[l]
+		sv := lk.sess
 		if sv != nil && len(sv.holders) > 0 {
 			clear(sv.holders)
 			sv.mine = false
 		}
-		if _, ok := g.lockVal[l]; !ok {
-			// Materialize the lock-value entry so election reports keep
-			// carrying this lock's grant epoch across a failover.
-			g.lockVal[l] = Free
+		if !lk.known {
+			// Materialize the lock value so election reports keep carrying
+			// this lock's grant epoch across a failover.
+			lk.set(Free)
 		}
-		for _, hook := range g.lockHooks[l] {
-			if hook(Free) == HookSuspend {
-				g.suspended = true
-			}
-		}
-		n.runSessHooks(g, l, SessEvent{Kind: SessClose, Session: s})
+		g.runLockHooks(lk, Free)
+		g.runSessHooks(lk, SessEvent{Kind: SessClose, Session: s})
 		g.lock.notifyAll()
 	case m.Val > 0:
-		n.applySessionEntry(g, m)
+		n.applySessionEntry(g, lk, m)
 	default:
 		// A holder left; the session stays open.
 		node := holderOf(-m.Val)
-		sv := g.sess[l]
+		sv := lk.sess
 		if sv != nil && sv.session == s {
 			delete(sv.holders, node)
 			if node == n.id {
 				sv.mine = false
 			}
 		}
-		n.runSessHooks(g, l, SessEvent{Kind: SessLeave, Session: s, Node: node})
+		g.runSessHooks(lk, SessEvent{Kind: SessLeave, Session: s, Node: node})
 		g.lock.notifyAll()
 	}
 }
 
 // applySessionEntry handles the entry half of applySessionLock. Caller
 // holds n.mu.
-func (n *Node) applySessionEntry(g *memberGroup, m wire.Message) {
+func (n *Node) applySessionEntry(g *memberGroup, lk *memberLock, m *wire.Message) {
 	l := LockID(m.Lock)
 	s := m.Session
 	node := holderOf(m.Val)
 	entryEpoch := m.Var
 	token := uint32(m.Origin)
-	sv := g.sess[l]
+	sv := lk.sess
 	if sv == nil || len(sv.holders) == 0 || sv.session != s {
 		// The section (re)opens here. The lock value stays (or becomes)
-		// Free — the session protocol does not use it — but the entry
-		// must exist so election reports keep carrying the lock's epoch.
+		// Free — the session protocol does not use it — but it must be
+		// known so election reports keep carrying the lock's epoch.
 		sv = &sessView{session: s, holders: make(map[int]uint32)}
-		g.sess[l] = sv
-		if _, ok := g.lockVal[l]; !ok {
-			g.lockVal[l] = Free
+		lk.sess = sv
+		if !lk.known {
+			lk.set(Free)
 		}
 	}
 	if node == n.id {
-		if entryEpoch <= g.lockDone[l] {
+		if entryEpoch <= lk.lockDone {
 			// Stale duplicate of an entry this node already finished with;
 			// answer with a release so a root that lost our leave does not
 			// re-announce forever (see the exclusive twin in
 			// applyLockValue).
-			n.sessionRelease(g, l, entryEpoch, s)
+			n.sendRelease(g, l, entryEpoch, s)
 			return
 		}
-		if !sv.mine && (!g.want[l] || token != g.reqToken[l]) {
+		if !sv.mine && (!lk.want || token != lk.reqToken) {
 			// Unwanted, or minted for a different acquisition (a cancel in
 			// flight, or a token-less failover re-queue): hand it straight
 			// back, recording the observed epoch so later speculation tags
 			// stay clean.
-			if entryEpoch > g.lockDone[l] {
-				g.lockDone[l] = entryEpoch
-			}
-			if entryEpoch > g.grantEpoch[l] {
-				g.grantEpoch[l] = entryEpoch
-			}
-			n.sessionRelease(g, l, entryEpoch, s)
+			lk.lockDone = max(lk.lockDone, entryEpoch)
+			lk.grantEpoch = max(lk.grantEpoch, entryEpoch)
+			n.sendRelease(g, l, entryEpoch, s)
 			g.lock.notifyAll()
 			return
 		}
 		sv.mine = true
 		sv.holders[n.id] = entryEpoch
 		// Acquisition complete: stop the watchdog's clock on it.
-		delete(g.reqSince, l)
+		lk.reqSince = time.Time{}
 	} else {
 		sv.holders[node] = entryEpoch
 	}
-	if entryEpoch > g.grantEpoch[l] {
-		g.grantEpoch[l] = entryEpoch
-	}
+	lk.grantEpoch = max(lk.grantEpoch, entryEpoch)
 	// An open session is a busy lock for exclusive observers: run the
 	// classic hooks with the entrant's grant value so an exclusive
 	// speculator's interrupt fires exactly as on an exclusive grant.
-	for _, hook := range g.lockHooks[l] {
-		if hook(GrantValue(node)) == HookSuspend {
-			g.suspended = true
-		}
-	}
-	n.runSessHooks(g, l, SessEvent{Kind: SessEnter, Session: s, Node: node})
+	g.runLockHooks(lk, GrantValue(node))
+	g.runSessHooks(lk, SessEvent{Kind: SessEnter, Session: s, Node: node})
 	g.lock.notifyAll()
-}
-
-// sessionRelease sends a release for one session entry. Caller holds
-// n.mu.
-func (n *Node) sessionRelease(g *memberGroup, l LockID, entryEpoch uint32, session uint32) {
-	n.send(g.rootID, wire.Message{
-		Type:    wire.TLockRel,
-		Group:   uint32(g.cfg.ID),
-		Src:     int32(n.id),
-		Origin:  int32(n.id),
-		Lock:    uint32(l),
-		Var:     entryEpoch,
-		Epoch:   g.epoch,
-		Session: session,
-	})
 }
 
 // installSessionView re-bases a lock's session state from a failover
@@ -211,43 +190,31 @@ func (n *Node) sessionRelease(g *memberGroup, l LockID, entryEpoch uint32, sessi
 // shows); otherwise it is handed back like a declined grant. Caller
 // holds n.mu.
 func (n *Node) installSessionView(g *memberGroup, l LockID, session uint32, holders map[int]uint32, epoch uint32) {
-	prior := g.sess[l]
-	priorMine := prior != nil && prior.mine
+	lk := g.locks.at(l)
+	priorMine := lk.sess != nil && lk.sess.mine
 	nv := &sessView{session: session, holders: make(map[int]uint32, len(holders))}
 	for _, h := range sortedKeys(holders) {
 		ee := holders[h]
 		if h == n.id && !priorMine {
-			if ee > g.lockDone[l] {
-				g.lockDone[l] = ee
-			}
-			n.sessionRelease(g, l, ee, session)
+			lk.lockDone = max(lk.lockDone, ee)
+			n.sendRelease(g, l, ee, session)
 			continue
 		}
 		nv.holders[h] = ee
 		if h == n.id {
 			nv.mine = true
-			delete(g.reqSince, l)
+			lk.reqSince = time.Time{}
 		}
 	}
-	g.sess[l] = nv
-	if _, ok := g.lockVal[l]; !ok {
-		g.lockVal[l] = Free
+	lk.sess = nv
+	if !lk.known {
+		lk.set(Free)
 	}
-	if epoch > g.grantEpoch[l] {
-		g.grantEpoch[l] = epoch
-	}
+	lk.grantEpoch = max(lk.grantEpoch, epoch)
 	if len(nv.holders) > 0 {
-		low := -1
-		for _, h := range sortedKeys(nv.holders) {
-			low = h
-			break
-		}
-		for _, hook := range g.lockHooks[l] {
-			if hook(GrantValue(low)) == HookSuspend {
-				g.suspended = true
-			}
-		}
-		n.runSessHooks(g, l, SessEvent{Kind: SessEnter, Session: session, Node: low})
+		low := sortedKeys(nv.holders)[0]
+		g.runLockHooks(lk, GrantValue(low))
+		g.runSessHooks(lk, SessEvent{Kind: SessEnter, Session: session, Node: low})
 	}
 	g.lock.notifyAll()
 }
@@ -255,10 +222,11 @@ func (n *Node) installSessionView(g *memberGroup, l LockID, session uint32, hold
 // sessionInfo assembles the lock's observed session state. Caller holds
 // n.mu.
 func (g *memberGroup) sessionInfo(l LockID) SessionInfo {
-	sv := g.sess[l]
-	if sv == nil || len(sv.holders) == 0 {
+	lk := g.locks.peek(l)
+	if lk == nil || lk.sess == nil || len(lk.sess.holders) == 0 {
 		return SessionInfo{}
 	}
+	sv := lk.sess
 	return SessionInfo{Session: sv.session, Holders: len(sv.holders), Mine: sv.mine}
 }
 
@@ -281,7 +249,7 @@ func (n *Node) SessionState(gid GroupID, l LockID) (SessionInfo, error) {
 // SendLockRequest) and return. Pair with WaitSessionCond or poll
 // SessionState; the optimistic engine pairs it with its own waits.
 func (n *Node) SendSessionRequest(gid GroupID, l LockID, session uint32) error {
-	return n.sendLockRequestS(gid, l, session, 0)
+	return n.sendLockRequestS(gid, l, session, 0, n.clock.Now())
 }
 
 // WaitSessionCond blocks until cond is satisfied by the lock's observed
@@ -296,7 +264,7 @@ func (n *Node) WaitSessionCond(gid GroupID, l LockID, cond func(SessionInfo) boo
 // failover use so a request that died with the old root is re-issued to
 // the new one.
 func (n *Node) WaitSessionCondContext(ctx context.Context, gid GroupID, l LockID, cond func(SessionInfo) bool, resend bool) (bool, error) {
-	return n.waitLockF(ctx, gid, l, func(g *memberGroup) bool { return cond(g.sessionInfo(l)) }, resend)
+	return n.waitLockF(ctx, gid, l, time.Time{}, func(g *memberGroup) bool { return cond(g.sessionInfo(l)) }, resend)
 }
 
 // EnterSession blocks until this node holds an entry in the lock's
@@ -319,14 +287,14 @@ func (n *Node) EnterSessionContext(ctx context.Context, gid GroupID, l LockID, s
 		return err
 	}
 	start := n.clock.Now()
-	if err := n.sendLockRequestS(gid, l, session, ctxDeadline(ctx)); err != nil {
+	if err := n.sendLockRequestS(gid, l, session, ctxDeadline(ctx), start); err != nil {
 		return err
 	}
 	cond := func(g *memberGroup) bool {
-		sv := g.sess[l]
-		return sv != nil && sv.mine && sv.session == session
+		lk := g.locks.peek(l)
+		return lk != nil && lk.sess != nil && lk.sess.mine && lk.sess.session == session
 	}
-	ok, err := n.waitLockF(ctx, gid, l, cond, true)
+	ok, err := n.waitLockF(ctx, gid, l, start, cond, true)
 	if err != nil {
 		if cerr := n.CancelLockRequest(gid, l); cerr != nil {
 			n.mu.Lock()
@@ -349,14 +317,14 @@ func (n *Node) EnterSessionContext(ctx context.Context, gid GroupID, l LockID, s
 // delegates to Release, so Enter/Leave pair for session 0 too.
 func (n *Node) LeaveSession(gid GroupID, l LockID) error {
 	n.mu.Lock()
-	g, err := n.group(gid)
+	g, lk, err := n.lockOf(gid, l)
 	if err != nil {
 		n.mu.Unlock()
 		return err
 	}
-	sv := g.sess[l]
+	sv := lk.sess
 	if sv == nil || !sv.mine {
-		if g.lockValue(l) == GrantValue(n.id) {
+		if lk.value() == GrantValue(n.id) {
 			n.mu.Unlock()
 			return n.Release(gid, l)
 		}
@@ -368,12 +336,8 @@ func (n *Node) LeaveSession(gid GroupID, l LockID) error {
 	session := sv.session
 	delete(sv.holders, n.id)
 	sv.mine = false
-	if my > g.lockDone[l] {
-		g.lockDone[l] = my
-	}
-	delete(g.want, l)
-	delete(g.reqSince, l)
-	delete(g.reqSession, l)
+	lk.lockDone = max(lk.lockDone, my)
+	lk.endRequest()
 	root := g.rootID
 	g.lock.notifyAll()
 	msg := wire.Message{
@@ -394,22 +358,20 @@ func (n *Node) LeaveSession(gid GroupID, l LockID) error {
 // transition of the lock (entries, leaves, closes — and, with Session
 // 0, an exclusive grant displacing an open session). The returned
 // function unregisters it.
-func (n *Node) OnSessionChange(gid GroupID, l LockID, hook SessionHook) (func(), error) {
+func (n *Node) OnSessionChange(gid GroupID, l LockID, fn SessionHook) (func(), error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	g, err := n.group(gid)
+	g, lk, err := n.lockOf(gid, l)
 	if err != nil {
 		return nil, err
 	}
 	g.hookSeq++
 	token := g.hookSeq
-	if g.sessHooks[l] == nil {
-		g.sessHooks[l] = make(map[uint64]SessionHook)
-	}
-	g.sessHooks[l][token] = hook
+	lk.sessHooks = append(lk.sessHooks, hook[SessionHook]{token, fn})
 	return func() {
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		delete(g.sessHooks[l], token)
+		lk := g.locks.at(l)
+		lk.sessHooks = dropHook(lk.sessHooks, token)
 	}, nil
 }

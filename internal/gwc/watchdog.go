@@ -52,17 +52,18 @@ func (n *Node) SetWatchdog(budget time.Duration) {
 // n.mu.
 func (n *Node) watchMember(gid GroupID, g *memberGroup, now time.Time) {
 	budget := n.watchBudget()
-	for _, l := range sortedKeys(g.reqSince) {
-		if now.Sub(g.reqSince[l]) < budget {
+	for _, l := range g.busyLocks {
+		lk := &g.locks.recs[l]
+		if lk.reqSince.IsZero() || now.Sub(lk.reqSince) < budget {
 			continue
 		}
-		if !g.want[l] {
+		if !lk.want {
 			// The acquisition was cancelled or satisfied without the stamp
 			// being cleared; nothing to watch.
-			delete(g.reqSince, l)
+			lk.reqSince = time.Time{}
 			continue
 		}
-		g.reqSince[l] = now
+		lk.reqSince = now
 		n.stats.WatchdogStuck++
 		n.stats.WatchdogReissues++
 		n.emit(obs.EvWatchdogStuck, gid, obs.WatchAcquire, int64(l))
@@ -75,10 +76,10 @@ func (n *Node) watchMember(gid GroupID, g *memberGroup, now time.Time) {
 			Group:   uint32(gid),
 			Src:     int32(n.id),
 			Origin:  int32(n.id),
-			Seq:     uint64(g.reqToken[l]),
+			Seq:     uint64(lk.reqToken),
 			Lock:    uint32(l),
 			Epoch:   g.epoch,
-			Session: g.reqSession[l],
+			Session: lk.reqSession,
 		})
 	}
 	if g.rejoining && !g.rejoinBegan.IsZero() && now.Sub(g.rejoinBegan) >= budget {
@@ -124,8 +125,11 @@ func (n *Node) watchRoot(gid GroupID, r *rootGroup, now time.Time) {
 		// the fence itself.
 	}
 	service := false
-	for _, l := range sortedKeys(r.locks) {
-		ls := r.locks[l]
+	for i := range r.locks.recs {
+		l, ls := LockID(i), &r.locks.recs[i]
+		if !ls.used {
+			continue
+		}
 		leased := ls.leaseTo >= 0 && len(ls.queue) > 0
 		stuck := len(ls.pending) > 0 || (ls.free() && len(ls.queue) > 0) || leased
 		if !stuck {

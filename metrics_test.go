@@ -45,6 +45,30 @@ func TestWriteFastPathAllocs(t *testing.T) {
 	}
 }
 
+// TestLockWaitAllocs pins the lock plane's steady state: a blocking
+// Acquire/Release round trip over InProc — request, root grant, wait,
+// release — allocates nothing anywhere in the process. The waiter's
+// wake channel and retry timer come from the node's free list
+// (gwc's lockWait); this fails if a wait builds either afresh.
+func TestLockWaitAllocs(t *testing.T) {
+	c, _, m, _ := newTestCluster(t, 3)
+	h := c.MustHandle(1)
+	round := func() {
+		if err := h.Acquire(m); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Release(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ { // fill the free list, size the mailboxes
+		round()
+	}
+	if avg := testing.AllocsPerRun(2000, round); avg > 0.05 {
+		t.Errorf("Acquire/Release round trip allocates %.2f/op, want 0", avg)
+	}
+}
+
 // TestMetricsUnderContendedLoad is the acceptance check for the
 // observability layer: after chaos-style contended load, the cluster-wide
 // snapshot must hold real acquire-latency and rollback-cost
