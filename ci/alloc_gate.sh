@@ -23,9 +23,11 @@ go test . -run '^$' -bench 'BenchmarkLiveWrite$|BenchmarkLiveRead$|BenchmarkLive
 	-benchmem -benchtime 2000x | tee "$out"
 go test ./internal/wire -run '^$' -bench 'BenchmarkWireEncodeBatch$|BenchmarkWireDecodeBatch$' \
 	-benchmem -benchtime 2000x | tee -a "$out"
-# The TCP receive path in steady state: the per-frame header scratch that
-# used to escape to the heap in the frame reader must not come back.
-go test ./internal/transport -run '^$' -bench 'BenchmarkTCPRecvFrames$' \
+# The TCP paths in steady state. Receive: the per-frame header scratch
+# that used to escape to the heap in the frame reader must not come back.
+# Send: one op is one write syscall, so the heap object per write that
+# building a net.Buffers cost would read as 1.
+go test ./internal/transport -run '^$' -bench 'BenchmarkTCPRecvFrames$|BenchmarkTCPSendFrames$' \
 	-benchmem -benchtime 20000x | tee -a "$out"
 
 fail=0

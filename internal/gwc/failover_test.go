@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"optsync/internal/obs"
 	"optsync/internal/transport"
+	"optsync/internal/wire"
 )
 
 // newChaosCluster builds a cluster over a fault-injectable network with
@@ -20,6 +22,11 @@ func newChaosCluster(t *testing.T, n int, guarded bool) (*cluster, *transport.Fl
 	if err != nil {
 		t.Fatal(err)
 	}
+	return newChaosClusterOver(t, inner, guarded)
+}
+
+func newChaosClusterOver(t *testing.T, inner transport.Network, guarded bool) (*cluster, *transport.Flaky) {
+	t.Helper()
 	fl := transport.NewFlaky(inner, transport.FaultPlan{})
 	c := newCluster(t, fl, guarded)
 	for _, nd := range c.nodes {
@@ -147,8 +154,49 @@ func TestFailoverPreservesLockHolderAndQueue(t *testing.T) {
 	}
 }
 
+// firstWordNet goes under the fault injector. Once armed for a node it
+// drops every frame addressed to that node — held back as a one-way
+// partition would — until the node has sent a frame of its own: whatever
+// the node still believes, it gets to say it before anyone corrects it.
+type firstWordNet struct {
+	transport.Network
+	held atomic.Int32 // the node whose inbound traffic is held back, or -1
+}
+
+func (f *firstWordNet) Endpoint(id int) (transport.Endpoint, error) {
+	ep, err := f.Network.Endpoint(id)
+	if err != nil {
+		return nil, err
+	}
+	return &firstWordEndpoint{Endpoint: ep, net: f, id: id}, nil
+}
+
+type firstWordEndpoint struct {
+	transport.Endpoint
+	net *firstWordNet
+	id  int
+}
+
+func (e *firstWordEndpoint) Send(to int, m wire.Message) error {
+	held := int(e.net.held.Load())
+	if to == held && e.id != held {
+		return nil
+	}
+	err := e.Endpoint.Send(to, m)
+	if e.id == held && to != held {
+		e.net.held.Store(-1) // its frame is in the peer's mailbox by now
+	}
+	return err
+}
+
 func TestRevivedOldRootIsDemoted(t *testing.T) {
-	c, fl := newChaosCluster(t, 3, false)
+	inner, err := transport.NewInProc(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstWord := &firstWordNet{Network: inner}
+	firstWord.held.Store(-1)
+	c, fl := newChaosClusterOver(t, firstWord, false)
 	if err := c.nodes[0].Write(tGroup, tVar, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -166,6 +214,13 @@ func TestRevivedOldRootIsDemoted(t *testing.T) {
 	}
 	waitValue(t, c.nodes[1], tVar, 99)
 
+	// The last wait below needs the revival itself to put an old-reign
+	// frame in front of a new-reign node. Left to the scheduler, the new
+	// root's heartbeat can reach node 0 and demote it before its own next
+	// tick has sent anything, and then nothing stale ever flows. So node 0
+	// speaks first: its own heartbeat, from the reign it still believes
+	// in — real traffic, which the new reign must reject by itself.
+	firstWord.held.Store(0)
 	fl.Revive(0)
 	waitFor(t, c, 5*time.Second, "the revived root to stand down", func() bool {
 		return c.nodes[0].Stats().Demotions == 1

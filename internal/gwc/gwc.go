@@ -273,6 +273,10 @@ func NewNodeClock(id int, ep transport.Endpoint, clock vclock.Clock) *Node {
 	// node construction fully determines timer creation order — a
 	// deterministic scheduler breaks firing ties by it.
 	maint := clock.NewTimer(n.retryIn)
+	// A TCP endpoint's link readers call deliver themselves; recvLoop is
+	// then left with the node's self-sends. Any other endpoint ignores the
+	// request and recvLoop sees everything.
+	transport.DeliverTo(ep, n.deliver)
 	n.wg.Add(2)
 	go n.recvLoop()
 	go n.resyncLoop(maint)
@@ -389,6 +393,8 @@ func (n *Node) Join(cfg GroupConfig) error {
 
 // Close shuts the node down: the endpoint closes and the receive loop
 // exits. Blocked waiters are woken with their operations unsatisfied.
+// The endpoint is closed with n.mu released: its Close waits for link
+// readers, and one of them may be inside deliver, waiting for n.mu.
 func (n *Node) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -491,37 +497,43 @@ func (n *Node) protoErr(format string, args ...any) {
 	n.stats.DroppedErrors++
 }
 
-// dispatchChunk bounds how many messages recvLoop dispatches under one
+// dispatchChunk bounds how many messages deliver dispatches under one
 // hold of the node lock, and so how long a Read or Write caller can wait
 // behind a backlog. It is not a tuning knob: the per-hold costs (lock,
 // clock read) are already amortized well below the per-message work at
 // this size.
 const dispatchChunk = 64
 
-// recvLoop is the sharing interface proper. Each pass takes everything
-// the endpoint has queued and applies it under the node lock a chunk at
-// a time, so the fixed costs of a wake-up — the mailbox lock, the node
-// lock, the dispatch timestamp — are paid per backlog, not per message.
-// A lone message is a backlog of one.
+// recvLoop takes what the endpoint queues for Recv — everything, on an
+// endpoint whose links do not deliver for themselves (InProc, detsim, a
+// decorator); the node's self-sends alone on TCP. Each pass drains the
+// whole queue, so the fixed costs of a wake-up are paid per backlog, not
+// per message. A lone message is a backlog of one.
 func (n *Node) recvLoop() {
 	defer n.wg.Done()
-	backlog := n.metrics.Gauge(obs.GaugeRecvBacklog)
-	var (
-		batch []wire.Message
-		level int64
-	)
+	var batch []wire.Message
 	for {
 		var ok bool
 		if batch, ok = transport.RecvBatch(n.ep, batch); !ok {
 			return
 		}
-		backlog.Add(int64(len(batch)) - level)
-		level = int64(len(batch))
-		for rest := batch; len(rest) > 0; {
-			k := min(len(rest), dispatchChunk)
-			n.dispatch(rest[:k])
-			rest = rest[k:]
-		}
+		n.deliver(batch)
+	}
+}
+
+// deliver is the sharing interface proper: it applies one arrival — a
+// drained receive queue, or the run a TCP link reader decoded from one
+// socket read, on that reader's goroutine — under the node lock a chunk
+// at a time. Several goroutines may be in it at once (one per inbound
+// link, plus recvLoop); n.mu serializes them chunk by chunk, each keeps
+// its own arrival in order, and nothing above depends on the order
+// between links. ms is read in place and not kept.
+func (n *Node) deliver(ms []wire.Message) {
+	n.metrics.Gauge(obs.GaugeRecvBacklog).Set(int64(len(ms)))
+	for rest := ms; len(rest) > 0; {
+		k := min(len(rest), dispatchChunk)
+		n.dispatch(rest[:k])
+		rest = rest[k:]
 	}
 }
 
@@ -797,7 +809,7 @@ func (n *Node) route(m *wire.Message) {
 }
 
 // send ships a message, recording (not returning) transport errors: the
-// caller is often the recvLoop, and the sequence/NACK machinery recovers
+// caller is often a dispatch, and the sequence/NACK machinery recovers
 // from losses.
 func (n *Node) send(to int, m wire.Message) {
 	if err := n.ep.Send(to, m); err != nil {

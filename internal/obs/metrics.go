@@ -15,11 +15,13 @@ const (
 	// so the high-water mark proves concurrent entering actually
 	// happened.
 	GaugeSessHolders GaugeID = iota
-	// GaugeRecvBacklog is how many messages the node's receive loop
-	// found queued on its last wake-up and took in one drain. A level
-	// of 1 means the node keeps up with its inbox; the high-water mark
-	// is the deepest the recv mailbox has been, and anything above 1
-	// is the drain-dispatch loop amortizing a backlog.
+	// GaugeRecvBacklog is how many messages the node's last receive
+	// wake-up brought in: the batch its receive loop drained from the
+	// inbox, or the run a TCP link reader decoded from one socket read
+	// and dispatched itself. A level of 1 means the node keeps up with
+	// its arrivals; the high-water mark is the largest single arrival,
+	// and anything above 1 is one lock hold and one wake-up amortized
+	// over a backlog.
 	GaugeRecvBacklog
 
 	NumGauges // sentinel; always last
@@ -46,8 +48,17 @@ type Gauge struct {
 }
 
 // Add moves the gauge by d and updates the high-water mark.
-func (g *Gauge) Add(d int64) {
-	v := g.cur.Add(d)
+func (g *Gauge) Add(d int64) { g.raise(g.cur.Add(d)) }
+
+// Set puts the gauge at v and updates the high-water mark — for a level
+// that several goroutines each measure whole (the last one to report
+// wins) rather than move by deltas.
+func (g *Gauge) Set(v int64) {
+	g.cur.Store(v)
+	g.raise(v)
+}
+
+func (g *Gauge) raise(v int64) {
 	for {
 		m := g.max.Load()
 		if v <= m || g.max.CompareAndSwap(m, v) {
@@ -163,9 +174,11 @@ type TransportStats struct {
 	// and encoded bytes shipped to remote peers.
 	FramesSent uint64
 	BytesSent  uint64
-	// Writevs counts vectored write batches: each is one drained outbox
-	// shipped by a single writev, so FramesSent/Writevs is the
-	// frames-per-syscall amortization of the send path.
+	// Writevs counts write syscalls issued on peer links, so
+	// FramesSent/Writevs is the frames-per-syscall amortization of the
+	// send path. A drained outbox is normally one of them (one write of
+	// one pooled chunk; the name dates from when it was a writev of a
+	// chunk list), a drain larger than a chunk one per chunk.
 	Writevs uint64
 	// FramesRecv counts wire frames decoded off inbound connections.
 	FramesRecv uint64

@@ -1,7 +1,11 @@
 package transport
 
 import (
+	"errors"
+	"io"
 	"net"
+	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -155,10 +159,69 @@ func TestRecvBatchFallsBackToRecv(t *testing.T) {
 	}
 }
 
+// intake collects what a TCP endpoint receives, either way the endpoint
+// can hand frames over: batch by batch through recvBatch ("inbox"), or
+// run by run through a DeliverTo handler on the link reader's own
+// goroutine ("handler"). The frame reader's contract — one delivery per
+// socket read, nothing held back behind bytes that have not arrived,
+// corruption handling — is the same on both, so its tests run on both.
+type intake struct {
+	runs chan []wire.Message
+}
+
+// newIntake must be called after the cleanup that closes ep was
+// registered: its own cleanup releases a handler blocked on runs, which
+// the endpoint's Close waits for.
+func newIntake(t *testing.T, ep *tcpEndpoint, mode string) *intake {
+	t.Helper()
+	in := &intake{runs: make(chan []wire.Message)}
+	done := make(chan struct{})
+	t.Cleanup(func() { close(done) })
+	pass := func(run []wire.Message) {
+		select {
+		case in.runs <- run:
+		case <-done:
+		}
+	}
+	if mode == "handler" {
+		if !DeliverTo(ep, func(run []wire.Message) { pass(slices.Clone(run)) }) {
+			t.Fatal("the TCP endpoint refused DeliverTo")
+		}
+		return in
+	}
+	go func() {
+		for {
+			batch, ok := ep.recvBatch(nil)
+			if !ok {
+				return
+			}
+			pass(batch)
+		}
+	}()
+	return in
+}
+
+// take collects n messages delivery by delivery and reports the delivery
+// sizes, failing if they do not all arrive in time.
+func (in *intake) take(t *testing.T, n int) (msgs []wire.Message, sizes []int) {
+	t.Helper()
+	timeout := time.After(5 * time.Second)
+	for len(msgs) < n {
+		select {
+		case run := <-in.runs:
+			msgs = append(msgs, run...)
+			sizes = append(sizes, len(run))
+		case <-timeout:
+			t.Fatalf("%d of %d messages arrived in 5s", len(msgs), n)
+		}
+	}
+	return msgs, sizes
+}
+
 // rawPeer dials ep's listener as node `from` would and returns the
 // socket after the hello and one primed frame have gone through, so a
 // test decides exactly which bytes share a segment.
-func rawPeer(t *testing.T, ep *tcpEndpoint, from int) net.Conn {
+func rawPeer(t *testing.T, ep *tcpEndpoint, in *intake, from int) net.Conn {
 	t.Helper()
 	conn, err := net.Dial("tcp", ep.ln.Addr().String())
 	if err != nil {
@@ -171,81 +234,69 @@ func rawPeer(t *testing.T, ep *tcpEndpoint, from int) net.Conn {
 	if _, err := conn.Write(prime); err != nil {
 		t.Fatal(err)
 	}
-	if m, ok := ep.Recv(); !ok || m.Val != -1 {
-		t.Fatalf("priming delivery failed: %+v ok=%v", m, ok)
+	if msgs, _ := in.take(t, 1); msgs[0].Val != -1 {
+		t.Fatalf("priming delivery failed: %+v", msgs[0])
 	}
 	return conn
 }
 
-// recvN collects n messages from ep batch by batch and reports the batch
-// sizes, failing if they do not all arrive in time.
-func recvN(t *testing.T, ep *tcpEndpoint, n int) (msgs []wire.Message, sizes []int) {
+// newTCPMesh builds an n-node loopback mesh that closes with the test.
+func newTCPMesh(t *testing.T, n int) *TCPNet {
 	t.Helper()
-	type result struct {
-		msgs  []wire.Message
-		sizes []int
+	addrs := make([]string, n)
+	for i := range addrs {
+		addrs[i] = "127.0.0.1:0"
 	}
-	done := make(chan result, 1)
-	go func() {
-		var r result
-		for len(r.msgs) < n {
-			batch, ok := ep.recvBatch(nil)
-			if !ok {
-				break
-			}
-			r.msgs = append(r.msgs, batch...)
-			r.sizes = append(r.sizes, len(batch))
-		}
-		done <- r
-	}()
-	select {
-	case r := <-done:
-		if len(r.msgs) < n {
-			t.Fatalf("endpoint closed after %d of %d messages", len(r.msgs), n)
-		}
-		return r.msgs, r.sizes
-	case <-time.After(5 * time.Second):
-		t.Fatalf("fewer than %d messages arrived in 5s", n)
-		return nil, nil
-	}
-}
-
-func newTestTCP(t *testing.T) *TCPNet {
-	t.Helper()
-	n, err := NewTCP([]string{"127.0.0.1:0", "127.0.0.1:0"})
+	nw, err := NewTCP(addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = n.Close() })
-	return n
+	t.Cleanup(func() { _ = nw.Close() })
+	return nw
+}
+
+// rawLink is the frame-reader tests' fixture: a two-node mesh, node 1's
+// intake in the given mode, and a raw socket into node 1 posing as node 0.
+func rawLink(t *testing.T, mode string) (*TCPNet, *intake, net.Conn) {
+	t.Helper()
+	n := newTCPMesh(t, 2)
+	in := newIntake(t, n.eps[1], mode)
+	return n, in, rawPeer(t, n.eps[1], in, 0)
+}
+
+// eachIntake runs f once per way a TCP endpoint hands frames over.
+func eachIntake(t *testing.T, f func(t *testing.T, mode string)) {
+	for _, mode := range []string{"inbox", "handler"} {
+		t.Run(mode, func(t *testing.T) { f(t, mode) })
+	}
 }
 
 // TestTCPOneSegmentOneBatch: every whole frame one socket read brought
 // in is decoded and handed over together, in order.
 func TestTCPOneSegmentOneBatch(t *testing.T) {
-	n := newTestTCP(t)
-	b := n.eps[1]
-	conn := rawPeer(t, b, 0)
-	const N = 32 // 32 frames fit one read of the default bufio buffer
-	var seg []byte
-	for i := 0; i < N; i++ {
-		seg = wire.Encode(seg, wire.Message{Type: wire.TUpdate, Group: 1, Val: int64(i)})
-	}
-	if _, err := conn.Write(seg); err != nil {
-		t.Fatal(err)
-	}
-	msgs, sizes := recvN(t, b, N)
-	if len(sizes) != 1 {
-		t.Errorf("%d frames of one segment arrived as batches %v, want one batch", N, sizes)
-	}
-	for i, m := range msgs {
-		if m.Val != int64(i) {
-			t.Fatalf("message %d has value %d: reordered within the run", i, m.Val)
+	eachIntake(t, func(t *testing.T, mode string) {
+		n, in, conn := rawLink(t, mode)
+		const N = 32 // 32 frames fit one read of the default bufio buffer
+		var seg []byte
+		for i := 0; i < N; i++ {
+			seg = wire.Encode(seg, wire.Message{Type: wire.TUpdate, Group: 1, Val: int64(i)})
 		}
-	}
-	if got := n.TransportStats().FramesRecv; got != N+1 {
-		t.Errorf("FramesRecv = %d, want %d", got, N+1)
-	}
+		if _, err := conn.Write(seg); err != nil {
+			t.Fatal(err)
+		}
+		msgs, sizes := in.take(t, N)
+		if len(sizes) != 1 {
+			t.Errorf("%d frames of one segment arrived as batches %v, want one batch", N, sizes)
+		}
+		for i, m := range msgs {
+			if m.Val != int64(i) {
+				t.Fatalf("message %d has value %d: reordered within the run", i, m.Val)
+			}
+		}
+		if got := n.TransportStats().FramesRecv; got != N+1 {
+			t.Errorf("FramesRecv = %d, want %d", got, N+1)
+		}
+	})
 }
 
 // TestTCPSplitBatchDoesNotHoldBackSingles: frames decoded ahead of a
@@ -253,41 +304,41 @@ func TestTCPOneSegmentOneBatch(t *testing.T) {
 // reader blocks for the rest — for a batch that fits the reader's buffer
 // and for one that does not (and goes through wire.ReadFrom).
 func TestTCPSplitBatchDoesNotHoldBackSingles(t *testing.T) {
-	for _, inner := range []int{8, 200} {
-		n := newTestTCP(t)
-		b := n.eps[1]
-		conn := rawPeer(t, b, 0)
-		// Val is the inner count, as the decoder reports it.
-		batch := wire.Message{Type: wire.TBatch, Group: 1, Val: int64(inner), Batch: make([]wire.Message, inner)}
-		for i := range batch.Batch {
-			batch.Batch[i] = wire.Message{Type: wire.TSeqUpdate, Group: 1, Seq: uint64(i + 1), Val: int64(i)}
+	eachIntake(t, func(t *testing.T, mode string) {
+		for _, inner := range []int{8, 200} {
+			_, in, conn := rawLink(t, mode)
+			// Val is the inner count, as the decoder reports it.
+			batch := wire.Message{Type: wire.TBatch, Group: 1, Val: int64(inner), Batch: make([]wire.Message, inner)}
+			for i := range batch.Batch {
+				batch.Batch[i] = wire.Message{Type: wire.TSeqUpdate, Group: 1, Seq: uint64(i + 1), Val: int64(i)}
+			}
+			seg := wire.Encode(nil, wire.Message{Type: wire.TUpdate, Group: 1, Val: 100})
+			seg = wire.Encode(seg, wire.Message{Type: wire.TUpdate, Group: 1, Val: 101})
+			singles := len(seg)
+			seg = wire.Encode(seg, batch)
+			cut := singles + wire.EncodedSize + wire.EncodedSize/2 // header and half an element
+			if _, err := conn.Write(seg[:cut]); err != nil {
+				t.Fatal(err)
+			}
+			msgs, _ := in.take(t, 2) // must not wait for the batch's tail
+			if msgs[0].Val != 100 || msgs[1].Val != 101 {
+				t.Fatalf("inner=%d: singles arrived as %d, %d", inner, msgs[0].Val, msgs[1].Val)
+			}
+			if _, err := conn.Write(seg[cut:]); err != nil {
+				t.Fatal(err)
+			}
+			msgs, _ = in.take(t, 1)
+			if !wire.Equal(msgs[0], batch) {
+				t.Fatalf("inner=%d: batch frame arrived damaged", inner)
+			}
 		}
-		seg := wire.Encode(nil, wire.Message{Type: wire.TUpdate, Group: 1, Val: 100})
-		seg = wire.Encode(seg, wire.Message{Type: wire.TUpdate, Group: 1, Val: 101})
-		singles := len(seg)
-		seg = wire.Encode(seg, batch)
-		cut := singles + wire.EncodedSize + wire.EncodedSize/2 // header and half an element
-		if _, err := conn.Write(seg[:cut]); err != nil {
-			t.Fatal(err)
-		}
-		msgs, _ := recvN(t, b, 2) // must not wait for the batch's tail
-		if msgs[0].Val != 100 || msgs[1].Val != 101 {
-			t.Fatalf("inner=%d: singles arrived as %d, %d", inner, msgs[0].Val, msgs[1].Val)
-		}
-		if _, err := conn.Write(seg[cut:]); err != nil {
-			t.Fatal(err)
-		}
-		msgs, _ = recvN(t, b, 1)
-		if !wire.Equal(msgs[0], batch) {
-			t.Fatalf("inner=%d: batch frame arrived damaged", inner)
-		}
-	}
+	})
 }
 
 // TestTCPCorruptFrameMidRun puts a damaged frame in the middle of a run
 // of frames that share one segment. Frame-local damage costs that frame
 // alone; desync-class damage resets the link, but what decoded cleanly
-// ahead of it is still delivered.
+// ahead of it is still delivered — to the handler, when one is set.
 func TestTCPCorruptFrameMidRun(t *testing.T) {
 	good := func(seg []byte, from, to int) []byte {
 		for i := from; i < to; i++ {
@@ -295,60 +346,58 @@ func TestTCPCorruptFrameMidRun(t *testing.T) {
 		}
 		return seg
 	}
-	t.Run("frame-local", func(t *testing.T) {
-		n := newTestTCP(t)
-		b := n.eps[1]
-		conn := rawPeer(t, b, 0)
-		seg := good(nil, 0, 5)
-		at := len(seg)
-		seg = wire.Encode(seg, wire.Message{Type: wire.TBatch, Group: 1, Batch: []wire.Message{
-			{Type: wire.TSeqUpdate, Group: 1, Seq: 1, Val: 10},
-			{Type: wire.TSeqUpdate, Group: 1, Seq: 2, Val: 11},
-		}})
-		seg[at+wire.EncodedSize+30] ^= 0xff // first inner element's value field
-		seg = good(seg, 5, 10)
-		if _, err := conn.Write(seg); err != nil {
-			t.Fatal(err)
-		}
-		msgs, _ := recvN(t, b, 10)
-		for i, m := range msgs {
-			if m.Val != int64(i) {
-				t.Fatalf("message %d has value %d: lost or reordered around the corrupt frame", i, m.Val)
+	eachIntake(t, func(t *testing.T, mode string) {
+		t.Run("frame-local", func(t *testing.T) {
+			n, in, conn := rawLink(t, mode)
+			seg := good(nil, 0, 5)
+			at := len(seg)
+			seg = wire.Encode(seg, wire.Message{Type: wire.TBatch, Group: 1, Batch: []wire.Message{
+				{Type: wire.TSeqUpdate, Group: 1, Seq: 1, Val: 10},
+				{Type: wire.TSeqUpdate, Group: 1, Seq: 2, Val: 11},
+			}})
+			seg[at+wire.EncodedSize+30] ^= 0xff // first inner element's value field
+			seg = good(seg, 5, 10)
+			if _, err := conn.Write(seg); err != nil {
+				t.Fatal(err)
 			}
-		}
-		if s := n.TransportStats(); s.DecodeErrors != 1 || s.ConnResets != 0 {
-			t.Errorf("DecodeErrors = %d, ConnResets = %d, want 1 and 0", s.DecodeErrors, s.ConnResets)
-		}
-	})
-	t.Run("desync", func(t *testing.T) {
-		n := newTestTCP(t)
-		b := n.eps[1]
-		conn := rawPeer(t, b, 0)
-		seg := good(nil, 0, 5)
-		seg[len(seg)-wire.EncodedSize+30] ^= 0xff // frame 4 no longer matches its checksum
-		seg = good(seg, 5, 10)
-		if _, err := conn.Write(seg); err != nil {
-			t.Fatal(err)
-		}
-		msgs, _ := recvN(t, b, 4)
-		for i, m := range msgs {
-			if m.Val != int64(i) {
-				t.Fatalf("message %d has value %d", i, m.Val)
+			msgs, _ := in.take(t, 10)
+			for i, m := range msgs {
+				if m.Val != int64(i) {
+					t.Fatalf("message %d has value %d: lost or reordered around the corrupt frame", i, m.Val)
+				}
 			}
-		}
-		waitFor(t, 5*time.Second, func() bool {
-			return n.TransportStats().ConnResets == 1
-		}, "reader to reset the desynchronized connection")
-		// The reset closes the socket: the peer sees EOF, not silence.
-		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if _, err := conn.Read(make([]byte, 1)); err == nil {
-			t.Error("read on the reset connection returned data")
-		} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
-			t.Error("reader never closed the desynchronized connection")
-		}
-		if got := n.TransportStats().FramesRecv; got != 5 {
-			t.Errorf("FramesRecv = %d, want 5 (the primed frame and the four ahead of the damage)", got)
-		}
+			if s := n.TransportStats(); s.DecodeErrors != 1 || s.ConnResets != 0 {
+				t.Errorf("DecodeErrors = %d, ConnResets = %d, want 1 and 0", s.DecodeErrors, s.ConnResets)
+			}
+		})
+		t.Run("desync", func(t *testing.T) {
+			n, in, conn := rawLink(t, mode)
+			seg := good(nil, 0, 5)
+			seg[len(seg)-wire.EncodedSize+30] ^= 0xff // frame 4 no longer matches its checksum
+			seg = good(seg, 5, 10)
+			if _, err := conn.Write(seg); err != nil {
+				t.Fatal(err)
+			}
+			msgs, _ := in.take(t, 4)
+			for i, m := range msgs {
+				if m.Val != int64(i) {
+					t.Fatalf("message %d has value %d", i, m.Val)
+				}
+			}
+			waitFor(t, 5*time.Second, func() bool {
+				return n.TransportStats().ConnResets == 1
+			}, "reader to reset the desynchronized connection")
+			// The reset closes the socket: the peer sees EOF, not silence.
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := conn.Read(make([]byte, 1)); err == nil {
+				t.Error("read on the reset connection returned data")
+			} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				t.Error("reader never closed the desynchronized connection")
+			}
+			if got := n.TransportStats().FramesRecv; got != 5 {
+				t.Errorf("FramesRecv = %d, want 5 (the primed frame and the four ahead of the damage)", got)
+			}
+		})
 	})
 }
 
@@ -392,5 +441,81 @@ func BenchmarkTCPRecvFrames(b *testing.B) {
 		}
 		recv(k)
 		left -= k
+	}
+}
+
+// TestTCPSendAfterCloseReturnsErrClosed: Send finds its peer without the
+// endpoint lock, so it is the peer's closed outbox — or, for a peer never
+// contacted, the slow path's closed check — that must say ErrClosed.
+func TestTCPSendAfterCloseReturnsErrClosed(t *testing.T) {
+	n, err := NewTCP([]string{"127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = n.Close() }()
+	a := n.eps[0]
+	m := wire.Message{Type: wire.TUpdate, Group: 1}
+	if err := a.Send(1, m); err != nil { // creates peer 1; peer 2 stays unknown
+		t.Fatal(err)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for to, which := range map[int]string{0: "itself", 1: "a known peer", 2: "a peer never contacted"} {
+		if err := a.Send(to, m); !errors.Is(err, ErrClosed) {
+			t.Errorf("Send to %s after Close = %v, want ErrClosed", which, err)
+		}
+		if err := a.SendEncoded(to, wire.Encode(nil, m)); !errors.Is(err, ErrClosed) {
+			t.Errorf("SendEncoded to %s after Close = %v, want ErrClosed", which, err)
+		}
+	}
+	if err := a.Send(3, m); err == nil || errors.Is(err, ErrClosed) {
+		t.Errorf("Send out of range after Close = %v, want a range error", err)
+	}
+}
+
+// BenchmarkTCPSendFrames is the send half in steady state, one frame per
+// wake-up: Send, the peer's writer draining its outbox, one write of the
+// pooled chunk. The far end is a bare socket that discards what it reads,
+// so nothing of the receive path is counted. ci/alloc_gate.sh pins it at
+// 0 allocs/op — one op is one write syscall here, so a heap object per
+// write (what building a net.Buffers cost) reads as 1.
+func BenchmarkTCPSendFrames(b *testing.B) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sink, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = sink.Close() }()
+	go func() {
+		conn, err := sink.Accept()
+		if err != nil {
+			return
+		}
+		_, _ = io.Copy(io.Discard, conn) // until the endpoint closes its link
+		_ = conn.Close()
+	}()
+	stats := &tcpStats{}
+	src := newTCPEndpoint(0, ln, []string{ln.Addr().String(), sink.Addr().String()}, stats)
+	defer func() { _ = src.Close() }()
+	m := wire.Message{Type: wire.TSeqUpdate, Group: 1, Seq: 1, Var: 2, Val: 3}
+	var sent uint64
+	send := func() {
+		_ = src.Send(1, m)
+		sent++
+		for stats.framesSent.Load() < sent {
+			runtime.Gosched()
+		}
+	}
+	for i := 0; i < 64; i++ { // dial, grow the outbox's two queues
+		send()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		send()
 	}
 }

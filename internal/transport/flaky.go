@@ -404,4 +404,8 @@ func (e *flakyEndpoint) recvBatch(spare []wire.Message) ([]wire.Message, bool) {
 	return RecvBatch(e.inner, spare)
 }
 
+func (e *flakyEndpoint) deliverTo(h func([]wire.Message)) bool {
+	return DeliverTo(e.inner, h)
+}
+
 func (e *flakyEndpoint) Close() error { return e.inner.Close() }

@@ -179,8 +179,16 @@ type tcpEndpoint struct {
 	stats    *tcpStats
 	outBound int // outbox cap for newly created peers (tests shrink it)
 
+	// handler, once DeliverTo has set it, takes every run the frame
+	// readers decode; until then (and for self-sends always) frames go to
+	// the inbox.
+	handler atomic.Pointer[func([]wire.Message)]
+
+	// peers is indexed by node id. A slot is filled once, under mu, and
+	// never cleared, so Send finds its peer with one atomic load.
+	peers []atomic.Pointer[tcpPeer]
+
 	mu      sync.Mutex
-	peers   map[int]*tcpPeer
 	inbound []net.Conn
 	closed  bool
 	wg      sync.WaitGroup
@@ -194,15 +202,15 @@ func newTCPEndpoint(id int, ln net.Listener, addrs []string, stats *tcpStats) *t
 		inbox:    newMailbox[wire.Message](),
 		stats:    stats,
 		outBound: defaultOutboxBound,
-		peers:    make(map[int]*tcpPeer),
+		peers:    make([]atomic.Pointer[tcpPeer], len(addrs)),
 	}
 	ep.wg.Add(1)
 	go ep.acceptLoop()
 	return ep
 }
 
-// acceptLoop turns every inbound connection into a frame reader feeding
-// the inbox. The dialer's hello preamble names the remote node, so the
+// acceptLoop turns every inbound connection into a frame reader. The
+// dialer's hello preamble names the remote node, so the
 // connection can double as the outgoing link to that peer (adoption).
 func (ep *tcpEndpoint) acceptLoop() {
 	defer ep.wg.Done()
@@ -255,10 +263,10 @@ func (ep *tcpEndpoint) readLoop(conn net.Conn) {
 // dialed connection carries the peer's traffic back once the remote
 // adopts it) — until it dies or the framing desynchronizes. It decodes
 // every whole frame the last socket read left in r, straight out of r's
-// buffer, and hands the run to the inbox in one putAll; a run is always
-// delivered before a read that could block, so no frame waits for bytes
-// that have not arrived and a lone frame is delivered as promptly as it
-// ever was.
+// buffer, and delivers the run in one call (frameReader.deliver); a run
+// is always delivered before a read that could block, so no frame waits
+// for bytes that have not arrived and a lone frame is delivered as
+// promptly as it ever was.
 func (ep *tcpEndpoint) frameLoop(r *bufio.Reader, conn net.Conn) {
 	fr := frameReader{ep: ep, r: r}
 	for {
@@ -335,14 +343,23 @@ func (fr *frameReader) peek(n int) ([]byte, error) {
 	return fr.r.Peek(n)
 }
 
-// deliver hands the run to the inbox in one operation and empties it
-// (zeroed, so the scratch pins no batch payload).
+// deliver hands the run over in one operation — to the registered
+// handler on this goroutine, else to the inbox — and empties it (zeroed,
+// so the scratch pins no batch payload). While the handler runs nothing
+// is read from the socket: a consumer that cannot keep up fills the
+// kernel's buffers and stalls the remote writer, whose bounded outbox
+// sheds, instead of growing a queue here.
 func (fr *frameReader) deliver() error {
 	if len(fr.run) == 0 {
 		return nil
 	}
 	fr.ep.stats.framesRecv.Add(uint64(len(fr.run)))
-	err := fr.ep.inbox.putAll(fr.run)
+	var err error
+	if h := fr.ep.handler.Load(); h != nil {
+		(*h)(fr.run)
+	} else {
+		err = fr.ep.inbox.putAll(fr.run)
+	}
 	clear(fr.run)
 	fr.run = fr.run[:0]
 	return err
@@ -369,17 +386,22 @@ func (ep *tcpEndpoint) adopt(from int, conn net.Conn) {
 	}
 }
 
-// peer returns the writer for node `to`, creating it on first use.
+// peer returns the writer for node `to` (in range), creating it on first
+// use. A peer outlives Close — its closed outbox is what tells a late
+// Send ErrClosed — so the fast path needs no closed check.
 func (ep *tcpEndpoint) peer(to int) (*tcpPeer, error) {
+	if p := ep.peers[to].Load(); p != nil {
+		return p, nil
+	}
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	if ep.closed {
 		return nil, ErrClosed
 	}
-	p, ok := ep.peers[to]
-	if !ok {
+	p := ep.peers[to].Load()
+	if p == nil {
 		p = newTCPPeer(ep, to)
-		ep.peers[to] = p
+		ep.peers[to].Store(p)
 		ep.wg.Add(1)
 		go func() {
 			defer ep.wg.Done()
@@ -441,8 +463,15 @@ func (ep *tcpEndpoint) recvBatch(spare []wire.Message) ([]wire.Message, bool) {
 	return ep.inbox.drain(spare)
 }
 
+func (ep *tcpEndpoint) deliverTo(h func([]wire.Message)) bool {
+	ep.handler.Store(&h)
+	return true
+}
+
 // Close implements Endpoint: stops the listener, peer writers, and inbox,
-// then waits for all endpoint goroutines to exit.
+// then waits for all endpoint goroutines to exit — a frame reader that
+// is inside the DeliverTo handler included, so the caller must not hold
+// anything the handler takes.
 func (ep *tcpEndpoint) Close() error {
 	ep.mu.Lock()
 	if ep.closed {
@@ -450,9 +479,11 @@ func (ep *tcpEndpoint) Close() error {
 		return nil
 	}
 	ep.closed = true
-	peers := make([]*tcpPeer, 0, len(ep.peers))
-	for _, p := range ep.peers {
-		peers = append(peers, p)
+	var peers []*tcpPeer
+	for i := range ep.peers {
+		if p := ep.peers[i].Load(); p != nil {
+			peers = append(peers, p)
+		}
 	}
 	inbound := ep.inbound
 	ep.inbound = nil
@@ -480,19 +511,21 @@ const (
 	dialBackoffMax  = 2 * time.Second
 )
 
-// chunkSize bounds one pooled writev chunk. A drained outbox encodes
-// into as few chunks as fit — frames laid flat, contiguous end-to-end —
-// and the chunk list ships as one vectored write.
+// chunkSize bounds one pooled write chunk. A drained outbox encodes flat
+// into one chunk — frames contiguous end-to-end — and ships with one
+// conn.Write; a drain that outgrows the chunk ships it and refills it.
 const chunkSize = 64 << 10
 
-// chunkPool recycles writev chunk buffers across peers.
+// chunkPool recycles write chunk buffers across peers: a link holds one
+// only while it has a drained batch in hand, so an idle mesh pins none
+// and creating a link allocates none.
 var chunkPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, chunkSize)
 	return &b
 }}
 
 // tcpPeer is one outgoing link: a bounded outbox drained whole by a
-// writer goroutine into vectored writes.
+// writer goroutine, one write per drain.
 type tcpPeer struct {
 	ep   *tcpEndpoint
 	to   int
@@ -532,18 +565,14 @@ func newTCPPeer(ep *tcpEndpoint, to int) *tcpPeer {
 	}
 }
 
-// writeLoop drains the whole outbox per wakeup, encodes the drained
-// frames flat into pooled chunks, and ships the chunk list as one
-// vectored write (writev) — no per-message syscalls, no lingering
-// userspace buffer to hide a dead connection behind: a write error
-// surfaces on the very batch that hit it and resets the link. Messages
-// drained while the link is down and still backing off are dropped; the
-// GWC layer's retry timers and sequence numbers detect and repair the
-// loss.
+// writeLoop drains the whole outbox per wakeup and ships it (ship) — no
+// per-message syscalls, no lingering userspace buffer to hide a dead
+// connection behind: a write error surfaces on the very batch that hit it
+// and resets the link. Messages drained while the link is down and still
+// backing off are dropped; the GWC layer's retry timers and sequence
+// numbers detect and repair the loss.
 func (p *tcpPeer) writeLoop() {
 	var spare []outMsg
-	var owned []*[]byte  // pooled chunk buffers of the current batch
-	var bufs net.Buffers // writev view of owned (consumed by WriteTo)
 	for {
 		batch, ok := p.out.drain(spare)
 		if !ok {
@@ -562,56 +591,62 @@ func (p *tcpPeer) writeLoop() {
 				continue // drop the batch; retry/NACK recovery handles it
 			}
 		}
-
-		// Lay the batch out flat: frames contiguous end-to-end within
-		// each chunk, a new chunk only when the current one is full.
-		var frames, nbytes uint64
-		cur := chunkPool.Get().(*[]byte)
-		for i := range batch {
-			om := &batch[i]
-			need := len(om.raw)
-			if om.raw == nil {
-				need = wire.EncodedLen(om.m)
-			}
-			if len(*cur)+need > cap(*cur) && len(*cur) > 0 {
-				owned = append(owned, cur)
-				cur = chunkPool.Get().(*[]byte)
-			}
-			if om.raw != nil {
-				*cur = append(*cur, om.raw...)
-				om.raw = nil // recycled via spare; release the bytes
-			} else {
-				*cur = wire.Encode(*cur, om.m)
-			}
-			frames++
-			nbytes += uint64(need)
-		}
-		owned = append(owned, cur)
-
-		bufs = bufs[:0]
-		for _, c := range owned {
-			if len(*c) > 0 {
-				bufs = append(bufs, *c)
-			}
-		}
-		var err error
-		if len(bufs) > 0 {
-			_, err = bufs.WriteTo(conn)
-		}
-		for i, c := range owned {
-			*c = (*c)[:0]
-			chunkPool.Put(c)
-			owned[i] = nil
-		}
-		owned = owned[:0]
-		if err != nil {
+		if err := p.ship(conn, batch); err != nil {
 			p.resetConn()
-			continue
 		}
-		p.ep.stats.writevs.Add(1)
-		p.ep.stats.framesSent.Add(frames)
-		p.ep.stats.bytesSent.Add(nbytes)
 	}
+}
+
+// ship lays batch out flat in a pooled chunk and writes it to conn: one
+// write syscall for the whole drain unless it outgrows the chunk (a
+// plain conn.Write of the chunk — building a net.Buffers for writev cost
+// a heap object per call and the list was one chunk long anyway). A
+// frame larger than a chunk grows the chunk it starts. On error the rest
+// of the batch is dropped with it.
+func (p *tcpPeer) ship(conn net.Conn, batch []outMsg) error {
+	chunk := chunkPool.Get().(*[]byte)
+	buf := (*chunk)[:0]
+	var frames uint64
+	var err error
+	for i := range batch {
+		om := &batch[i]
+		need := len(om.raw)
+		if om.raw == nil {
+			need = wire.EncodedLen(om.m)
+		}
+		if len(buf)+need > cap(buf) && len(buf) > 0 {
+			if err = p.write(conn, buf, frames); err != nil {
+				clear(batch[i:]) // recycled via spare; release the raw bytes
+				break
+			}
+			buf, frames = buf[:0], 0
+		}
+		if om.raw != nil {
+			buf = append(buf, om.raw...)
+			om.raw = nil // recycled via spare; release the bytes
+		} else {
+			buf = wire.Encode(buf, om.m)
+		}
+		frames++
+	}
+	if err == nil && len(buf) > 0 {
+		err = p.write(conn, buf, frames)
+	}
+	*chunk = buf[:0]
+	chunkPool.Put(chunk)
+	return err
+}
+
+// write issues one write syscall for buf, which holds `frames` whole
+// frames, and counts it if it went through.
+func (p *tcpPeer) write(conn net.Conn, buf []byte, frames uint64) error {
+	if _, err := conn.Write(buf); err != nil {
+		return err
+	}
+	p.ep.stats.writevs.Add(1)
+	p.ep.stats.framesSent.Add(frames)
+	p.ep.stats.bytesSent.Add(uint64(len(buf)))
+	return nil
 }
 
 func (p *tcpPeer) connLocked() net.Conn {
@@ -709,7 +744,7 @@ func (p *tcpPeer) close() {
 	p.closed = true
 	if p.conn != nil {
 		// Unblock a writer stalled mid-write against a wedged peer; its
-		// WriteTo fails immediately and writeLoop exits via the closed
+		// Write fails immediately and writeLoop exits via the closed
 		// outbox. (writeLoop's own exit path tolerates the double close.)
 		_ = p.conn.Close()
 	}

@@ -68,6 +68,40 @@ func RecvBatch(ep Endpoint, spare []wire.Message) (batch []wire.Message, ok bool
 	return append(spare[:0], m), true
 }
 
+// runDeliverer is the optional capability behind DeliverTo: an endpoint
+// whose link readers can call the consumer themselves instead of queueing
+// for Recv.
+type runDeliverer interface {
+	deliverTo(h func(run []wire.Message)) bool
+}
+
+// DeliverTo asks ep to hand what its links receive straight to h, on the
+// goroutine that read it off the link, and reports whether it will. Each
+// call carries one link's next frames in link order — everything one
+// socket read brought in — and the slice is the reader's own: h may read
+// it in place but must keep nothing of it past its return. Links call h
+// concurrently; the order across links is not defined (it never was: two
+// readers raced into one inbox). A reader that is inside h is not reading
+// its socket, so an h that blocks pushes back on that link alone, through
+// TCP, into the sender's bounded outbox. Close returns only after every
+// reader has left h.
+//
+// What no link carries still goes through Recv: a self-send (the caller
+// may hold whatever h takes, so it must queue) and anything that arrived
+// before the call; the consumer keeps its receive loop for those.
+// Register once, before traffic. Only the TCP endpoint has the capability
+// (and Flaky forwards it): an InProc send would run h on the *sender's*
+// stack, under the sender's locks, and detsim's endpoint and decorators
+// written against Endpoint alone are left exactly as they were — false
+// means nothing changed and Recv/RecvBatch see every message. This is the
+// only place that asks.
+func DeliverTo(ep Endpoint, h func(run []wire.Message)) bool {
+	if rd, can := ep.(runDeliverer); can {
+		return rd.deliverTo(h)
+	}
+	return false
+}
+
 // Network hands out the endpoints of an n-node cluster.
 type Network interface {
 	// Size is the number of nodes.
