@@ -291,6 +291,34 @@ func BenchmarkLiveLock(b *testing.B) {
 	}
 }
 
+// BenchmarkLiveWaitGE measures a write until it is readable at the
+// farthest member: Write at member 1, WaitGE at member 3. Its one
+// allocation per op is WaitGE's wake channel (ci/alloc_baseline.txt says
+// why that one stays).
+func BenchmarkLiveWaitGE(b *testing.B) {
+	c, err := NewCluster(4, WithIntegrity(50*time.Millisecond))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = c.Close() })
+	g, err := c.NewGroup("bench", 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	v := g.Int("v")
+	writer, reader := c.MustHandle(1), c.MustHandle(3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		if err := writer.Write(v, int64(i)); err != nil {
+			b.Fatal(err)
+		}
+		if err := reader.WaitGE(v, int64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkLeasedReacquire measures the leased fast path: once the root
 // has leased the lock to this member, an uncontended Acquire/Release
 // pair is a purely local decision — zero wire messages, zero

@@ -341,7 +341,7 @@ func (e *Engine) optimistic(ctx context.Context, k lockKey, body func(tx *Tx) er
 	// wait deliberately ignores ctx (see DoContext).
 	ok, err := e.node.WaitLockCondContext(context.Background(), gid, l, func(v int64) bool {
 		return v == grant || rolled.Load()
-	}, true)
+	})
 	if err != nil {
 		return err
 	}
@@ -592,7 +592,7 @@ func (e *Engine) optimisticSession(ctx context.Context, k lockKey, session uint3
 	// wait, this deliberately ignores ctx.
 	ok, err := e.node.WaitSessionCondContext(context.Background(), gid, l, func(si gwc.SessionInfo) bool {
 		return (si.Mine && si.Session == session) || rolled.Load()
-	}, true)
+	})
 	if err != nil {
 		return err
 	}
@@ -634,7 +634,7 @@ func (e *Engine) optimisticSession(ctx context.Context, k lockKey, session uint3
 	e.node.Metrics().Hist(obs.HistRollback).Record(e.node.Now().Sub(restoreStart))
 	okEntry, err := e.node.WaitSessionCondContext(ctx, gid, l, func(si gwc.SessionInfo) bool {
 		return si.Mine && si.Session == session
-	}, true)
+	})
 	if err != nil {
 		if cerr := e.node.CancelLockRequest(gid, l); cerr != nil {
 			return cerr

@@ -57,13 +57,10 @@ func reportFailures(t *testing.T, failures []Result) {
 	}
 }
 
-// TestExplore sweeps every invariant scenario across the seed range.
-// Each seed is a complete schedule of the live gwc stack — every
-// delivery, drop, duplication, and timer firing chosen by the seeded
-// scheduler — and every failure replays bit-identically from its seed.
-func TestExplore(t *testing.T) {
-	n := explorationSeeds(t)
-	for _, sc := range []Scenario{
+// invariantScenarios lists the scenarios every seed must pass: what
+// TestExplore sweeps and TestTraceHashes pins.
+func invariantScenarios() []Scenario {
+	return []Scenario{
 		RootCrashMidBatch(),
 		PartitionDuringElection(),
 		RejoinUnderLoad(),
@@ -77,7 +74,16 @@ func TestExplore(t *testing.T) {
 		DivergenceRepair(),
 		LeaseExpiryVsFailover(),
 		HandoffChainConvoy(),
-	} {
+	}
+}
+
+// TestExplore sweeps every invariant scenario across the seed range.
+// Each seed is a complete schedule of the live gwc stack — every
+// delivery, drop, duplication, and timer firing chosen by the seeded
+// scheduler — and every failure replays bit-identically from its seed.
+func TestExplore(t *testing.T) {
+	n := explorationSeeds(t)
+	for _, sc := range invariantScenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()

@@ -52,8 +52,11 @@ func (r Result) DumpTail(n int) string {
 
 // Env is the scenario's handle on a running simulation: the nodes, the
 // stepping controls, and the fault injectors. All methods must be
-// called from the scenario goroutine; Step and Until leave the world
-// quiesced, so node state read between calls is stable.
+// called from the scenario goroutine. Step and Until run their events
+// from a quiesced world, and the fault injectors wait for the world to
+// come to rest before they touch it: an event's aftermath (a tick still
+// sending, say) always completes before the fault lands, so where a
+// fault falls in the schedule never depends on goroutine timing.
 type Env struct {
 	Seed  int64
 	w     *World
@@ -130,7 +133,7 @@ func (e *Env) Until(max int, what string, pred func() bool) error {
 // goroutines keep running blind — the same semantics as the wall-clock
 // chaos harness, and the model for a machine that lost its network.
 func (e *Env) Crash(i int) {
-	e.w.mu.Lock()
+	e.w.lockAtRest()
 	defer e.w.mu.Unlock()
 	e.w.crashed[i] = true
 	e.w.record(Event{Kind: EFault, From: i, To: -1, Note: fmt.Sprintf("crash node %d", i)})
@@ -140,7 +143,7 @@ func (e *Env) Crash(i int) {
 // drifted to while isolated; scenarios model a true restart by calling
 // Rejoin on it afterwards.
 func (e *Env) Revive(i int) {
-	e.w.mu.Lock()
+	e.w.lockAtRest()
 	defer e.w.mu.Unlock()
 	e.w.crashed[i] = false
 	e.w.record(Event{Kind: EFault, From: i, To: -1, Note: fmt.Sprintf("revive node %d", i)})
@@ -149,7 +152,7 @@ func (e *Env) Revive(i int) {
 // Partition severs every link between side a and side b, both
 // directions. Links within each side stay up.
 func (e *Env) Partition(a, b []int) {
-	e.w.mu.Lock()
+	e.w.lockAtRest()
 	defer e.w.mu.Unlock()
 	for _, x := range a {
 		for _, y := range b {
@@ -162,7 +165,7 @@ func (e *Env) Partition(a, b []int) {
 
 // Heal removes every partition cut (crashed nodes stay crashed).
 func (e *Env) Heal() {
-	e.w.mu.Lock()
+	e.w.lockAtRest()
 	defer e.w.mu.Unlock()
 	clear(e.w.cuts)
 	e.w.record(Event{Kind: EFault, From: -1, To: -1, Note: "heal"})
@@ -171,7 +174,7 @@ func (e *Env) Heal() {
 // SetLoss changes the drop/duplicate probabilities mid-run (bounded by
 // the run's MaxDrops/MaxDups regardless).
 func (e *Env) SetLoss(drop, dup float64) {
-	e.w.mu.Lock()
+	e.w.lockAtRest()
 	defer e.w.mu.Unlock()
 	e.w.drop, e.w.dup = drop, dup
 	e.w.record(Event{Kind: EFault, From: -1, To: -1, Note: fmt.Sprintf("loss drop=%.2f dup=%.2f", drop, dup)})
@@ -182,7 +185,7 @@ func (e *Env) SetLoss(drop, dup float64) {
 // (a corrupted grant, a replayed frame) that prove the harness and the
 // checkers actually catch protocol violations.
 func (e *Env) Inject(from, to int, m wire.Message) {
-	e.w.mu.Lock()
+	e.w.lockAtRest()
 	defer e.w.mu.Unlock()
 	e.w.links[from*e.w.n+to] = append(e.w.links[from*e.w.n+to], m)
 	e.w.record(Event{Kind: EInject, From: from, To: to, Type: m.Type, Seq: m.Seq,
@@ -193,7 +196,7 @@ func (e *Env) Inject(from, to int, m wire.Message) {
 // from->to link; f mutates in place and reports whether it changed the
 // message. Returns how many it changed.
 func (e *Env) ReplaceInFlight(from, to int, f func(m *wire.Message) bool) int {
-	e.w.mu.Lock()
+	e.w.lockAtRest()
 	defer e.w.mu.Unlock()
 	q := e.w.links[from*e.w.n+to]
 	changed := 0

@@ -121,10 +121,6 @@ func (w *leaseWorker) poll() {
 	case wWaiting:
 		v, _ := n.LockValue(simGroup, simLock)
 		if v != gwc.GrantValue(w.node) {
-			w.polls++
-			if w.polls%resendEvery == 0 {
-				n.SendLockRequest(simGroup, simLock)
-			}
 			return
 		}
 		w.enter()

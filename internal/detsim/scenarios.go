@@ -143,10 +143,7 @@ const (
 	wDone
 )
 
-const (
-	resendEvery = 400  // waiting polls between request re-sends
-	observeFor  = 6000 // observing polls before abandoning the op
-)
+const observeFor = 6000 // observing polls before abandoning the op
 
 // stop makes the worker wind down: no new sections; a pending request
 // is cancelled; a pending observation runs to ack or abandonment.
@@ -180,13 +177,9 @@ func (w *worker) poll() {
 	case wWaiting:
 		v, _ := n.LockValue(simGroup, simLock)
 		if v != gwc.GrantValue(w.node) {
-			w.polls++
-			if w.polls%resendEvery == 0 {
-				// The request (or its grant) may be sitting in a dead
-				// root's mailbox; re-register with whatever root the
-				// member currently follows.
-				n.SendLockRequest(simGroup, simLock)
-			}
+			// The request (or its grant) may be sitting in a dead root's
+			// mailbox; the node's maintenance tick re-registers it with
+			// whatever root the member currently follows.
 			return
 		}
 		// Critical section, executed in one quiescent instant: the eager

@@ -69,10 +69,6 @@ func (r *reader) poll() {
 	case rWaiting:
 		si, _ := n.SessionState(simGroup, simLock)
 		if !si.Mine || si.Session != simReadSession {
-			r.polls++
-			if r.polls%resendEvery == 0 {
-				n.SendSessionRequest(simGroup, simLock, simReadSession)
-			}
 			return
 		}
 		r.entries++

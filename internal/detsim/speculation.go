@@ -113,10 +113,6 @@ func (w *specWorker) poll() error {
 		}
 		v, _ := n.LockValue(simGroup, simLock)
 		if v != grant {
-			w.polls++
-			if w.polls%resendEvery == 0 {
-				n.SendLockRequest(simGroup, simLock)
-			}
 			return nil
 		}
 		// Commit: the grant reached this node with no other holder in

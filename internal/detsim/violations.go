@@ -165,14 +165,9 @@ func FenceRegression() Scenario {
 			// replays its queue — including the release — so node 2's
 			// acquisition must go through.
 			e.Node(2).SendLockRequest(simGroup, simLock)
-			resend := 0
 			err := drive(e, nil, 60000, "node 2 lock grant after the fence lifts", func() bool {
 				if raced() {
 					return true // deposed mid-probe; inconclusive
-				}
-				resend++
-				if resend%resendEvery == 0 {
-					e.Node(2).SendLockRequest(simGroup, simLock)
 				}
 				v, _ := e.Node(2).LockValue(simGroup, simLock)
 				return v == gwc.GrantValue(2)

@@ -215,13 +215,19 @@ func (w *World) quiescedLocked() bool {
 	return w.pendingFires == 0
 }
 
-// waitQuiesce blocks until the cluster is at rest.
-func (w *World) waitQuiesce() {
+// lockAtRest blocks until the cluster is at rest and returns with w.mu
+// held, so the caller changes the world between events, never under one.
+func (w *World) lockAtRest() {
 	w.mu.Lock()
-	defer w.mu.Unlock()
 	for !w.quiescedLocked() {
 		w.cond.Wait()
 	}
+}
+
+// waitQuiesce blocks until the cluster is at rest.
+func (w *World) waitQuiesce() {
+	w.lockAtRest()
+	w.mu.Unlock()
 }
 
 // ---- virtual clock ----

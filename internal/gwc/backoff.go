@@ -20,7 +20,10 @@ import (
 // schedule is due.
 
 // backoff is one request's retry schedule. The zero value is "due
-// immediately"; arm schedules the next attempt.
+// immediately"; arm schedules the next attempt. A backoff lives in the
+// record of the thing being retried — a lock, a variable, a barrier, the
+// group — where the maintenance tick finds it; a blocked caller keeps
+// none.
 type backoff struct {
 	attempt int
 	due     time.Time

@@ -32,7 +32,7 @@ import (
 //     traffic can no longer enter the group);
 //   - queues are rebuilt from reporters whose local copy still shows
 //     their own pending request; anyone missed re-queues via the request
-//     retry timer.
+//     retry (the maintenance tick re-sends it).
 //
 // The new root restarts sequence numbering at 1 for its epoch and members
 // re-base through a snapshot (TSnapVar/TSnapLock/TSnapDone) requested on
@@ -434,7 +434,6 @@ func (n *Node) promote(gid GroupID, g *memberGroup) {
 		rv.auth, rv.written = val, true
 	}
 	for l, ls := range locks {
-		ls.used = true
 		*r.locks.at(l) = *ls
 		// Reconstructed holders enter the gauge so their eventual leaves
 		// balance it.
@@ -566,11 +565,8 @@ func rebuildLocks(reps map[int]*snapReport, suspected map[int]bool) map[LockID]*
 	}
 	out := make(map[LockID]*lockState, len(ids))
 	for l := range ids {
-		ls := &lockState{
-			holders:     make(map[int]uint32),
-			entryEpochs: make(map[int]uint32),
-			lastWinner:  -1,
-		}
+		st := newLockState()
+		ls := &st
 		for _, rep := range reps {
 			if s, ok := rep.locks[l]; ok && s.epoch > ls.epoch {
 				ls.epoch = s.epoch
@@ -662,7 +658,7 @@ func rebuildLocks(reps map[int]*snapReport, suspected map[int]bool) map[LockID]*
 		}
 		// Reporters whose local copy still shows their own pending
 		// request re-queue in ID order (the old order died with the old
-		// root); anyone missed re-queues via the request retry timer. The
+		// root); anyone missed re-queues via the tick's request retry. The
 		// acquisition tokens died with the old root, so re-queued entries
 		// carry token 0: the grant is declined and the member's retry
 		// re-registers the request with its live token (one extra round

@@ -180,9 +180,9 @@ type Node struct {
 	stats  Stats
 	errs   []error
 	closed bool
-	// freeWaits is the free list lock waits draw their wake channel and
-	// retry timer from (lockWait, member.go).
-	freeWaits []*lockWait
+	// freeWaits is the free list lock waits draw their wake channel from
+	// (getWait, member.go).
+	freeWaits []chan struct{}
 	stop      chan struct{}
 	wg        sync.WaitGroup
 	retryIn   time.Duration // retry/heartbeat/maintenance interval
@@ -579,9 +579,11 @@ func (n *Node) resyncLoop(timer vclock.Timer) {
 // retransmission paths inside it are gated by per-request backoff
 // schedules (backoff.go): a request is re-sent only when its schedule
 // is due, so recovery from a long outage costs O(log downtime) frames
-// per request instead of O(downtime / tick). The stuck-operation
-// watchdog (watchdog.go) runs first, so a budget trip's schedule reset
-// takes effect within the same tick.
+// per request instead of O(downtime / tick). The tick is the node's one
+// retry engine: blocked callers park on a channel and keep no timer or
+// schedule of their own. The stuck-operation watchdog (watchdog.go) runs
+// first, so a budget trip's schedule reset takes effect within the same
+// tick.
 func (n *Node) tick() {
 	now := n.clock.Now()
 	n.mu.Lock()
@@ -590,10 +592,14 @@ func (n *Node) tick() {
 	for _, gid := range sortedKeys(n.groups) {
 		g := n.groups[gid]
 		g.sweepBusy()
-		if g.rootID == n.id {
-			continue // the root's member state is fed directly
+		onRoot := g.rootID == n.id
+		if !onRoot {
+			n.watchMember(gid, g, now)
 		}
-		n.watchMember(gid, g, now)
+		n.retryLocks(g, now)
+		if onRoot {
+			continue // the rest of the root's member state is fed directly
+		}
 		switch {
 		case g.rejoining:
 			// A restarted member asks for re-admission instead of probing:

@@ -286,7 +286,7 @@ func (n *Node) handoffRelease(gid GroupID, g *memberGroup, l LockID, lk *memberL
 	epoch := lk.grantEpoch // our entry epoch
 	next := epoch + 1      // the epoch this transfer reserves
 	lk.set(GrantValue(h.node))
-	lk.grantEpoch = next
+	lk.sawGrant(next)
 	lk.lockDone = epoch
 	lk.lease = nil
 	lk.endRequest()
@@ -435,16 +435,9 @@ func (n *Node) tickLeases(gid GroupID, g *memberGroup, now time.Time) {
 			// zero, which is how the root tells a renewal from a holder
 			// re-announcing a lost grant. It must not touch the want/token
 			// machinery: no acquisition is outstanding.
-			n.send(g.rootID, wire.Message{
-				Type:   wire.TLockReq,
-				Group:  uint32(gid),
-				Src:    int32(n.id),
-				Origin: int32(n.id),
-				Seq:    uint64(le.token),
-				Var:    le.epoch,
-				Lock:   uint32(l),
-				Epoch:  g.epoch,
-			})
+			m := n.lockReqFrame(g, l, le.token)
+			m.Var = le.epoch
+			n.send(g.rootID, m)
 		}
 	}
 	for _, l := range g.busyLocks {

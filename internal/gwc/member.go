@@ -141,6 +141,22 @@ type memberLock struct {
 	// reqSince stamps when the in-flight acquisition minted its token, for
 	// the stuck-operation watchdog (watchdog.go); zero when none is.
 	reqSince time.Time
+	// reqDeadline is the caller's give-up time for the outstanding
+	// acquisition (Unix nanoseconds, 0 = none); every request frame quotes
+	// it, so the root can drop the request instead of granting into the
+	// void.
+	reqDeadline int64
+	// reqB schedules the request's next re-send; the maintenance tick
+	// drives it (retryLocks). Armed by every request frame, reset when the
+	// reign changes and when the lock's grant epoch moves: the delay was
+	// sized against a world that no longer exists.
+	reqB backoff
+	// parked counts the callers blocked in waitLockF on behalf of an
+	// acquisition of this lock. While it is non-zero and the lock is not
+	// entered, the tick keeps a request alive — minting a fresh one if a
+	// rejoin or a re-base wiped the record under the waiter — and
+	// forgetState keeps the count: the callers are still there.
+	parked int
 	// busy: listed in the group's busyLocks (see memberGroup).
 	busy bool
 
@@ -176,12 +192,30 @@ func (lk *memberLock) value() int64 {
 
 func (lk *memberLock) set(val int64) { lk.val, lk.known = val, true }
 
+// sawGrant records a newly observed grant epoch. The lock moved, so an
+// outstanding request's retry restarts at base cadence (e.g. a lease
+// granted mid-retry means the next change is the revoke answer, which
+// deserves a prompt re-register).
+func (lk *memberLock) sawGrant(epoch uint32) {
+	if epoch != lk.grantEpoch {
+		lk.grantEpoch = epoch
+		lk.reqB.reset()
+	}
+}
+
+// entered reports whether node self is inside the lock: it holds the
+// exclusive grant or an entry in the open session.
+func (lk *memberLock) entered(self int) bool {
+	return lk.value() == GrantValue(self) || (lk.sess != nil && lk.sess.mine)
+}
+
 // endRequest closes the outstanding acquisition's bookkeeping: released,
 // cancelled, or handed on.
 func (lk *memberLock) endRequest() {
 	lk.want = false
 	lk.reqSince = time.Time{}
 	lk.reqSession = 0
+	lk.reqDeadline = 0
 }
 
 // memberGroup is one node's member-side state for a sharing group.
@@ -339,18 +373,26 @@ func newMemberGroup(id int, cfg GroupConfig, now time.Time) *memberGroup {
 // process has lost (rejoin.go). Guards are configuration and hooks
 // belong to callers that are still there, so both stay; reqToken keeps
 // counting, so a grant minted for a pre-crash request can never match a
-// later one.
+// later one. Callers parked in a lock wait are still there too: their
+// lock stays listed with what they asked for, and the tick mints them a
+// fresh request (retryLocks).
 func (g *memberGroup) forgetState() {
 	for i := range g.vars.recs {
 		mv := &g.vars.recs[i]
 		*mv = memberVar{guarded: mv.guarded, guard: mv.guard, hooks: mv.hooks}
 	}
-	for i := range g.locks.recs {
-		lk := &g.locks.recs[i]
-		*lk = memberLock{reqToken: lk.reqToken, lockHooks: lk.lockHooks, sessHooks: lk.sessHooks}
-	}
 	g.parkedHandoffs = 0
 	g.busyLocks, g.busyVars = g.busyLocks[:0], g.busyVars[:0]
+	for i := range g.locks.recs {
+		lk := &g.locks.recs[i]
+		kept := memberLock{reqToken: lk.reqToken, lockHooks: lk.lockHooks, sessHooks: lk.sessHooks}
+		if lk.parked > 0 {
+			kept.parked, kept.reqSession, kept.reqDeadline = lk.parked, lk.reqSession, lk.reqDeadline
+			kept.busy = true
+			g.busyLocks = append(g.busyLocks, LockID(i))
+		}
+		*lk = kept
+	}
 }
 
 // markBusy lists record id (whose busy flag is *busy) unless it already
@@ -368,7 +410,7 @@ func markBusy[K ~uint32](list *[]K, busy *bool, id K) {
 func (g *memberGroup) sweepBusy() {
 	g.busyLocks = slices.DeleteFunc(g.busyLocks, func(l LockID) bool {
 		lk := &g.locks.recs[l]
-		lk.busy = !lk.reqSince.IsZero() || lk.lease != nil || lk.hint.set ||
+		lk.busy = !lk.reqSince.IsZero() || lk.parked > 0 || lk.lease != nil || lk.hint.set ||
 			lk.pendingHandoff != nil || lk.handoffIn != nil
 		return !lk.busy
 	})
@@ -394,6 +436,7 @@ func (g *memberGroup) resetRetrySchedules() {
 	}
 	for _, l := range g.busyLocks {
 		lk := &g.locks.recs[l]
+		lk.reqB.reset()
 		if lk.lease != nil {
 			lk.lease.renewB.reset()
 		}
@@ -735,7 +778,7 @@ func (n *Node) applyLockValue(g *memberGroup, l LockID, val int64, grantEpoch ui
 				lk.set(Free)
 			}
 			lk.lockDone = grantEpoch
-			lk.grantEpoch = grantEpoch
+			lk.sawGrant(grantEpoch)
 			n.sendRelease(g, l, grantEpoch, 0)
 			g.lock.notifyAll()
 			return
@@ -743,7 +786,7 @@ func (n *Node) applyLockValue(g *memberGroup, l LockID, val int64, grantEpoch ui
 	}
 	lk.set(val)
 	if val != Free {
-		lk.grantEpoch = grantEpoch
+		lk.sawGrant(grantEpoch)
 	}
 	// Capture (or clear) the handoff target the root designated for this
 	// grant. A re-announce without a hint clears a stale one: the queue
@@ -870,12 +913,15 @@ func (n *Node) Write(gid GroupID, v VarID, val int64) error {
 		// and restore it if a failover snapshot rolled the copy back.
 		// The frame itself is kept, with a re-send schedule: if this one
 		// unacknowledged hop loses the frame, the maintenance tick
-		// re-ships it until the echo confirms sequencing.
+		// re-ships it until the echo confirms sequencing. The schedule is
+		// armed from the dispatch timestamp, not a clock read: that is at
+		// most one tick stale, so a re-send can only come early, and the
+		// root dedupes it by nonce.
 		mv.eagerOut = true
 		markBusy(&g.busyVars, &mv.busy, v)
 		mv.eagerMsg = msg
 		mv.eagerB.reset()
-		n.arm(&mv.eagerB, n.clock.Now(), n.boBase(), n.boCap())
+		n.arm(&mv.eagerB, n.msgNow, n.boBase(), n.boCap())
 	}
 	if n.batchMax >= 2 {
 		// Batched plane: queue for a size/delay/release flush instead of
@@ -918,7 +964,11 @@ func (n *Node) WaitGE(gid GroupID, v VarID, min int64) (bool, error) {
 }
 
 // WaitGEContext is WaitGE with cancellation: it additionally returns
-// ctx's error if the context ends before the condition is met.
+// ctx's error if the context ends before the condition is met. The
+// caller parks on one channel and nothing else. A sequence gap stalling
+// the value is the maintenance tick's to repair — its probe re-requests
+// everything from the next expected sequence number while a gap is open
+// — so the wait keeps no timer of its own.
 func (n *Node) WaitGEContext(ctx context.Context, gid GroupID, v VarID, min int64) (bool, error) {
 	n.mu.Lock()
 	g, err := n.group(gid)
@@ -926,52 +976,41 @@ func (n *Node) WaitGEContext(ctx context.Context, gid GroupID, v VarID, min int6
 		n.mu.Unlock()
 		return false, err
 	}
+	// One channel per call, deliberately not pooled: see the note on
+	// BenchmarkLiveWaitGE in ci/alloc_baseline.txt.
 	ch := make(chan struct{}, 1)
 	g.data.register(ch)
-	defer func() {
-		n.mu.Lock()
-		g.data.unregister(ch)
-		n.mu.Unlock()
-	}()
-	// One timer for the whole wait, re-armed per round (the drain-on-Reset
-	// clock wrapper makes that safe even when a fire raced the other
-	// cases).
-	var timer vclock.Timer
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
+	ok, err := n.park(ctx, ch, func() bool { return g.varValue(v) >= min })
+	g.data.unregister(ch)
+	n.mu.Unlock()
+	return ok, err
+}
+
+// park blocks until cond holds, the node closes (false, nil), or ctx
+// ends (false, ctx.Err()). ch must be registered on the notify list that
+// is poked whenever cond may have changed; cond runs under n.mu. The
+// caller holds n.mu, and holds it again on return; while blocked the
+// goroutine holds ch and nothing else. A context that cannot end costs a
+// bare channel receive.
+func (n *Node) park(ctx context.Context, ch chan struct{}, cond func() bool) (bool, error) {
+	done := ctx.Done()
 	for {
-		if g.varValue(v) >= min {
-			n.mu.Unlock()
+		if cond() {
 			return true, nil
 		}
-		closed := n.closed
-		n.mu.Unlock()
-		if closed {
+		if n.closed {
 			return false, nil
 		}
-		if timer == nil {
-			timer = n.clock.NewTimer(n.interval())
+		n.mu.Unlock()
+		if done == nil {
+			<-ch // a poke, or shutdown closing the channel
 		} else {
-			timer.Reset(n.interval())
-		}
-		select {
-		case <-ctx.Done():
-			return false, ctx.Err()
-		case _, ok := <-ch:
-			timer.Stop()
-			if !ok {
-				return false, nil
+			select {
+			case <-done:
+				n.mu.Lock()
+				return false, ctx.Err()
+			case <-ch:
 			}
-		case <-timer.C():
-			// Periodic wake: if a sequence gap is stalling us and the
-			// NACK was lost, ask again.
-			n.mu.Lock()
-			g.lastNack = time.Time{}
-			n.maybeNack(g)
-			n.mu.Unlock()
 		}
 		n.mu.Lock()
 	}
@@ -979,20 +1018,19 @@ func (n *Node) WaitGEContext(ctx context.Context, gid GroupID, v VarID, min int6
 
 // SendLockRequest issues the non-blocking half of an acquisition: it
 // writes the negated ID into the local lock copy and ships the request.
-// The optimistic engine pairs it with WaitLockGrant.
+// The maintenance tick re-sends it until the grant lands or the caller
+// cancels. The optimistic engine pairs it with WaitLockCondContext.
 func (n *Node) SendLockRequest(gid GroupID, l LockID) error {
 	return n.sendLockRequestS(gid, l, 0, 0, n.clock.Now())
 }
 
 // sendLockRequestS is the session-aware request sender: session names
-// the session the acquisition wants to enter (0 = exclusive). A fresh
-// acquisition records its session; retries while the request is
-// outstanding reuse the recorded one regardless of the argument, so a
-// generic retry path (waitLock's resend, the watchdog) never changes
-// what an acquisition asks for. deadline is the caller's context
-// deadline (Unix nanoseconds, 0 = none), propagated onto the wire so
-// the root can drop the request outright once the caller has given up
-// instead of granting into the void; now is the caller's clock reading.
+// the session the acquisition wants to enter (0 = exclusive) and
+// deadline the caller's context deadline (Unix nanoseconds, 0 = none).
+// A fresh acquisition records both; a call while one is outstanding
+// re-sends that one's request unchanged, so a duplicate call never
+// changes what an acquisition asks for. now is the caller's clock
+// reading.
 func (n *Node) sendLockRequestS(gid GroupID, l LockID, session uint32, deadline int64, now time.Time) error {
 	n.mu.Lock()
 	g, lk, err := n.lockOf(gid, l)
@@ -1001,37 +1039,79 @@ func (n *Node) sendLockRequestS(gid GroupID, l LockID, session uint32, deadline 
 		return err
 	}
 	if !lk.want {
-		// A new logical acquisition: mint its token. Retries while the
-		// request is outstanding reuse it, so the root can tell a retry
-		// from a new request that overtook a lost cancel. The mint also
-		// starts the watchdog's clock on the acquisition.
+		lk.reqSession, lk.reqDeadline = session, deadline
+	}
+	msg := n.lockRequest(g, l, lk, now)
+	root := g.rootID
+	n.mu.Unlock()
+	return n.ep.Send(root, msg)
+}
+
+// lockRequest builds lock l's request frame from its record and arms the
+// next re-send: the one builder behind the caller's first send and every
+// retry the maintenance tick makes (retryLocks). With no acquisition
+// outstanding — a first request, or a record a rejoin wiped under a
+// parked caller — it mints the acquisition's token, which retries then
+// reuse so the root can tell a retry from a new request that overtook a
+// lost cancel; the mint also starts the watchdog's clock. The frame
+// quotes the recorded deadline, so the root can drop the request
+// outright once the caller has given up instead of granting into the
+// void. Caller holds n.mu and sends the frame to g.rootID.
+func (n *Node) lockRequest(g *memberGroup, l LockID, lk *memberLock, now time.Time) wire.Message {
+	if !lk.want {
+		lk.want = true
 		lk.reqToken++
 		lk.reqSince = now
+		lk.reqB.reset()
 		markBusy(&g.busyLocks, &lk.busy, l)
-		lk.reqSession = session
 	}
-	sess := lk.reqSession
-	if sess == 0 && lk.value() != GrantValue(n.id) {
+	if lk.reqSession == 0 && lk.value() != GrantValue(n.id) {
 		// The request marker in the local copy belongs to the exclusive
 		// protocol; session entries leave the lock value alone.
 		lk.set(RequestValue(n.id))
 	}
-	lk.want = true
+	n.arm(&lk.reqB, now, n.boBase(), n.boCap())
 	n.stats.LockRequests++
-	root := g.rootID
-	msg := wire.Message{
-		Type:     wire.TLockReq,
-		Group:    uint32(gid),
-		Src:      int32(n.id),
-		Origin:   int32(n.id),
-		Seq:      uint64(lk.reqToken),
-		Lock:     uint32(l),
-		Epoch:    g.epoch,
-		Deadline: deadline,
-		Session:  sess,
+	m := n.lockReqFrame(g, l, lk.reqToken)
+	m.Deadline, m.Session = lk.reqDeadline, lk.reqSession
+	return m
+}
+
+// lockReqFrame is the bare TLockReq for lock l carrying token: what an
+// acquisition request (lockRequest) and a lease renewal (tickLeases)
+// share. Caller holds n.mu.
+func (n *Node) lockReqFrame(g *memberGroup, l LockID, token uint32) wire.Message {
+	return wire.Message{
+		Type:   wire.TLockReq,
+		Group:  uint32(g.cfg.ID),
+		Src:    int32(n.id),
+		Origin: int32(n.id),
+		Seq:    uint64(token),
+		Lock:   uint32(l),
+		Epoch:  g.epoch,
 	}
-	n.mu.Unlock()
-	return n.ep.Send(root, msg)
+}
+
+// retryLocks is the lock plane's loss recovery, run by the maintenance
+// tick: it re-sends every lock request that is due — in flight and
+// unanswered, or wanted by a caller still parked in waitLockF — through
+// lockRequest, which mints a fresh request when a rejoin or a failover
+// re-base wiped the old one. The root ignores duplicates. It runs on the
+// node that roots the group too: a waiter there sends its request to
+// itself, and a reign that began under it (promotion re-queues survivors
+// token-less, and the grant is declined) knows its token only from the
+// retry. Caller holds n.mu.
+func (n *Node) retryLocks(g *memberGroup, now time.Time) {
+	for _, l := range g.busyLocks {
+		lk := &g.locks.recs[l]
+		if lk.parked == 0 && lk.reqSince.IsZero() {
+			continue
+		}
+		if lk.entered(n.id) || !lk.reqB.ready(now) {
+			continue
+		}
+		n.send(g.rootID, n.lockRequest(g, l, lk, now))
+	}
 }
 
 // ctxDeadline extracts a context's deadline as Unix nanoseconds for the
@@ -1043,203 +1123,97 @@ func ctxDeadline(ctx context.Context) int64 {
 	return 0
 }
 
-// lockWait is what one blocked lock waiter needs: the channel lock
-// changes poke and the timer its request retries run on. Waiters come
-// from the node's free list and go back when the wait ends, so a lock
-// wait in steady state allocates nothing. The timer is minted from the
-// node's own clock (virtual under detsim) the first time a wait needs
-// one, and only ever touched by the goroutine that holds the waiter.
-type lockWait struct {
-	ch    chan struct{}
-	timer vclock.Timer
-}
-
-// getWait takes a waiter off the free list, or makes one on a miss.
-// Caller holds n.mu.
-func (n *Node) getWait() *lockWait {
+// getWait takes a lock waiter's wake channel off the node's free list,
+// or makes one on a miss, so a lock wait in steady state allocates
+// nothing. Caller holds n.mu.
+func (n *Node) getWait() chan struct{} {
 	if k := len(n.freeWaits) - 1; k >= 0 {
-		w := n.freeWaits[k]
+		ch := n.freeWaits[k]
 		n.freeWaits[k] = nil
 		n.freeWaits = n.freeWaits[:k]
-		return w
+		return ch
 	}
-	return &lockWait{ch: make(chan struct{}, 1)}
+	return make(chan struct{}, 1)
 }
 
-// putWait returns a waiter whose timer is stopped. A closing node keeps
-// none: shutdown closes the channels of registered waiters, and a closed
-// channel must never be handed to a later wait. n.closed is set before
-// any channel closes, so it covers every such waiter. Caller holds n.mu.
-func (n *Node) putWait(w *lockWait) {
+// putWait returns a wake channel. A closing node keeps none: shutdown
+// closes the channels of registered waiters, and a closed channel must
+// never be handed to a later wait. n.closed is set before any channel
+// closes, so it covers every such waiter. Caller holds n.mu.
+func (n *Node) putWait(ch chan struct{}) {
 	if n.closed {
 		return
 	}
 	select {
-	case <-w.ch: // a poke that raced the unregister
+	case <-ch: // a poke that raced the unregister
 	default:
 	}
-	n.freeWaits = append(n.freeWaits, w)
+	n.freeWaits = append(n.freeWaits, ch)
 }
 
-// waitLock blocks until cond is satisfied by the local lock value
-// (checked immediately and after every change). It returns (false,
-// ctx.Err()) if the context ends first and (false, nil) if the node
-// closes. With resend, the pending request is re-sent on a jittered
-// exponential backoff (backoff.go) in case it was lost — the root
-// ignores duplicates — with the schedule reset on a reign change so the
-// request re-registers with the new root promptly (the failover's lock
-// re-base wakes waiters, so the reset takes effect without waiting out
-// the cap).
-func (n *Node) waitLock(ctx context.Context, gid GroupID, l LockID, cond func(val int64) bool, resend bool) (bool, error) {
-	return n.waitLockF(ctx, gid, l, time.Time{}, func(g *memberGroup) bool { return cond(g.lockValue(l)) }, resend)
+// waitLock blocks until cond is satisfied by the local lock value; see
+// waitLockF.
+func (n *Node) waitLock(ctx context.Context, gid GroupID, l LockID, cond func(val int64) bool) (bool, error) {
+	return n.waitLockF(ctx, gid, l, func(g *memberGroup) bool { return cond(g.lockValue(l)) })
 }
 
-// waitLockF is waitLock generalized over the whole member view, so
-// session waits can watch the holder set rather than the lock value.
-// cond runs under n.mu. now is the caller's clock reading from just
-// before it sent the request, which the first resend is scheduled
-// against; a zero now reads the clock.
-func (n *Node) waitLockF(ctx context.Context, gid GroupID, l LockID, now time.Time, cond func(g *memberGroup) bool, resend bool) (bool, error) {
-	deadline := ctxDeadline(ctx)
+// waitLockF blocks on behalf of this node's acquisition of l until cond
+// is satisfied by the member view (checked immediately and after every
+// lock change; cond runs under n.mu). It returns (false, ctx.Err()) if
+// the context ends first and (false, nil) if the node closes. The
+// caller parks on one channel and nothing else: while it is parked the
+// maintenance tick owns the request's loss recovery (retryLocks) —
+// re-sends on the record's backoff schedule, a prompt re-register with a
+// new root after a reign change, a fresh request if a rejoin wiped the
+// old one.
+func (n *Node) waitLockF(ctx context.Context, gid GroupID, l LockID, cond func(g *memberGroup) bool) (bool, error) {
 	n.mu.Lock()
 	g, lk, err := n.lockOf(gid, l)
 	if err != nil {
 		n.mu.Unlock()
 		return false, err
 	}
-	w := n.getWait()
-	g.lock.register(w.ch)
-	locked := true
-	defer func() {
-		if !locked {
-			n.mu.Lock()
-		}
-		g.lock.unregister(w.ch)
-		n.putWait(w)
-		n.mu.Unlock()
-	}()
-	// The session of the acquisition this wait serves, so a resend after
-	// a cancel race re-mints the same kind of request.
-	sess := lk.reqSession
-	// Per-wait retry schedule. The caller just sent the request, so the
-	// first resend waits out a full base delay.
-	var bo backoff
-	lastEpoch := g.epoch
-	lastGrant := lk.grantEpoch
-	if resend {
-		if now.IsZero() {
-			now = n.clock.Now()
-		}
-		n.arm(&bo, now, n.boBase(), n.boCap())
+	ch := n.getWait()
+	g.lock.register(ch)
+	lk.parked++
+	markBusy(&g.busyLocks, &lk.busy, l)
+	if d := ctxDeadline(ctx); d != 0 {
+		// The freshest word on when the caller gives up.
+		lk.reqDeadline = d
 	}
-	for first := true; ; first = false {
-		if cond(g) {
-			return true, nil
-		}
-		if n.closed {
-			return false, nil
-		}
-		resendNow := false
-		var wait time.Duration
-		if resend {
-			if g.epoch != lastEpoch {
-				lastEpoch = g.epoch
-				bo.reset()
-			}
-			if ge := g.locks.at(l).grantEpoch; ge != lastGrant {
-				// The lock moved — a grant, handoff, or lease-backed
-				// re-announce landed since the schedule was armed. The delay
-				// was sized against a world that no longer exists (e.g. a
-				// lease granted mid-retry means the next change is the revoke
-				// answer, which deserves a prompt re-register), so the next
-				// retry fires at base cadence again.
-				lastGrant = ge
-				bo.reset()
-			}
-			if !first {
-				now = n.clock.Now()
-			}
-			if bo.ready(now) {
-				resendNow = true
-				n.arm(&bo, now, n.boBase(), n.boCap())
-			}
-			wait = bo.due.Sub(now)
-		}
-		n.mu.Unlock()
-		locked = false
-		if resendNow {
-			if err := n.sendLockRequestS(gid, l, sess, deadline, now); err != nil {
-				return false, err
-			}
-		}
-		if resend {
-			if wait < time.Millisecond {
-				wait = time.Millisecond
-			}
-			// One retry timer for the waiter's whole life, re-armed per
-			// round; every way out of the select leaves it stopped.
-			if w.timer == nil {
-				w.timer = n.clock.NewTimer(wait)
-			} else {
-				w.timer.Reset(wait)
-			}
-			select {
-			case <-ctx.Done():
-				w.timer.Stop()
-				return false, ctx.Err()
-			case _, ok := <-w.ch:
-				w.timer.Stop()
-				if !ok {
-					return false, nil
-				}
-			case <-w.timer.C():
-				// Schedule due: the next round re-checks and re-sends.
-			}
-		} else {
-			select {
-			case <-ctx.Done():
-				return false, ctx.Err()
-			case _, ok := <-w.ch:
-				if !ok {
-					return false, nil
-				}
-			}
-		}
-		n.mu.Lock()
-		locked = true
-	}
+	ok, err := n.park(ctx, ch, func() bool { return cond(g) })
+	g.locks.at(l).parked-- // re-resolved: the table may have grown under the wait
+	g.lock.unregister(ch)
+	n.putWait(ch)
+	n.mu.Unlock()
+	return ok, err
 }
 
 // grantCond reports whether this node holds the lock.
 func (n *Node) grantCond(val int64) bool { return val == GrantValue(n.id) }
 
 // WaitLockGrant blocks until this node's positive ID arrives in the local
-// lock copy, re-sending the request periodically in case it was lost (the
-// root ignores duplicates). It returns false if the node closes first.
+// lock copy; the maintenance tick re-sends the request meanwhile in case
+// it was lost (the root ignores duplicates). It returns false if the
+// node closes first.
 func (n *Node) WaitLockGrant(gid GroupID, l LockID) (bool, error) {
-	return n.waitLock(context.Background(), gid, l, n.grantCond, true)
+	return n.waitLock(context.Background(), gid, l, n.grantCond)
 }
 
 // WaitLockGrantContext is WaitLockGrant with cancellation. On context
 // expiry it returns ctx's error without withdrawing the queued request;
 // use CancelLockRequest (or AcquireContext, which pairs them) for that.
 func (n *Node) WaitLockGrantContext(ctx context.Context, gid GroupID, l LockID) (bool, error) {
-	return n.waitLock(ctx, gid, l, n.grantCond, true)
+	return n.waitLock(ctx, gid, l, n.grantCond)
 }
 
-// WaitLockCond blocks until cond is satisfied by the local lock value
-// (checked immediately and after every change). It returns false if the
-// node closes first. Unlike WaitLockGrant it never re-sends requests.
-func (n *Node) WaitLockCond(gid GroupID, l LockID, cond func(val int64) bool) (bool, error) {
-	return n.waitLock(context.Background(), gid, l, cond, false)
-}
-
-// WaitLockCondContext is WaitLockCond with cancellation and an optional
-// periodic request retry (resend), which callers racing a root failover
-// use so a request that died with the old root is re-issued to the new
-// one.
-func (n *Node) WaitLockCondContext(ctx context.Context, gid GroupID, l LockID, cond func(val int64) bool, resend bool) (bool, error) {
-	return n.waitLock(ctx, gid, l, cond, resend)
+// WaitLockCondContext blocks, on behalf of the acquisition the caller
+// issued with SendLockRequest, until cond is satisfied by the local lock
+// value (checked immediately and after every change) or ctx ends. While
+// it waits the maintenance tick keeps the request alive, so one that
+// died with a crashed root is re-issued to its successor.
+func (n *Node) WaitLockCondContext(ctx context.Context, gid GroupID, l LockID, cond func(val int64) bool) (bool, error) {
+	return n.waitLock(ctx, gid, l, cond)
 }
 
 // Acquire blocks until this node holds the lock.
@@ -1261,12 +1235,12 @@ func (n *Node) AcquireContext(ctx context.Context, gid GroupID, l LockID) error 
 		return nil
 	}
 	// One clock reading serves the request's watchdog stamp, the first
-	// resend's schedule and the latency histogram's origin.
+	// re-send's schedule and the latency histogram's origin.
 	start := n.clock.Now()
 	if err := n.sendLockRequestS(gid, l, 0, ctxDeadline(ctx), start); err != nil {
 		return err
 	}
-	ok, err := n.waitLockF(ctx, gid, l, start, func(g *memberGroup) bool { return n.grantCond(g.lockValue(l)) }, true)
+	ok, err := n.waitLock(ctx, gid, l, n.grantCond)
 	if err != nil {
 		if cerr := n.CancelLockRequest(gid, l); cerr != nil {
 			n.mu.Lock()

@@ -266,18 +266,25 @@ func newRootGroup(cfg GroupConfig, member *memberGroup, now time.Time) *rootGrou
 	return r
 }
 
+// newLockState is a live lock record with nobody in it: no holder, no
+// past winner, no lease out, no handoff target. Node 0 is a member, so
+// the node-valued fields' zero value would name it.
+func newLockState() lockState {
+	return lockState{
+		used:        true,
+		holders:     make(map[int]uint32),
+		entryEpochs: make(map[int]uint32),
+		lastWinner:  -1,
+		leaseTo:     -1,
+		hintNode:    -1,
+	}
+}
+
 // lock returns l's record, initializing it on first use.
 func (r *rootGroup) lock(l LockID) *lockState {
 	ls := r.locks.at(l)
 	if !ls.used {
-		*ls = lockState{
-			used:        true,
-			holders:     make(map[int]uint32),
-			entryEpochs: make(map[int]uint32),
-			lastWinner:  -1,
-			leaseTo:     -1,
-			hintNode:    -1,
-		}
+		*ls = newLockState()
 	}
 	return ls
 }

@@ -160,7 +160,7 @@ func (n *Node) applySessionEntry(g *memberGroup, lk *memberLock, m *wire.Message
 			// back, recording the observed epoch so later speculation tags
 			// stay clean.
 			lk.lockDone = max(lk.lockDone, entryEpoch)
-			lk.grantEpoch = max(lk.grantEpoch, entryEpoch)
+			lk.sawGrant(max(lk.grantEpoch, entryEpoch))
 			n.sendRelease(g, l, entryEpoch, s)
 			g.lock.notifyAll()
 			return
@@ -172,7 +172,7 @@ func (n *Node) applySessionEntry(g *memberGroup, lk *memberLock, m *wire.Message
 	} else {
 		sv.holders[node] = entryEpoch
 	}
-	lk.grantEpoch = max(lk.grantEpoch, entryEpoch)
+	lk.sawGrant(max(lk.grantEpoch, entryEpoch))
 	// An open session is a busy lock for exclusive observers: run the
 	// classic hooks with the entrant's grant value so an exclusive
 	// speculator's interrupt fires exactly as on an exclusive grant.
@@ -210,7 +210,7 @@ func (n *Node) installSessionView(g *memberGroup, l LockID, session uint32, hold
 	if !lk.known {
 		lk.set(Free)
 	}
-	lk.grantEpoch = max(lk.grantEpoch, epoch)
+	lk.sawGrant(max(lk.grantEpoch, epoch))
 	if len(nv.holders) > 0 {
 		low := sortedKeys(nv.holders)[0]
 		g.runLockHooks(lk, GrantValue(low))
@@ -246,25 +246,19 @@ func (n *Node) SessionState(gid GroupID, l LockID) (SessionInfo, error) {
 
 // SendSessionRequest issues the non-blocking half of a session entry:
 // ship the request for the given session (0 = exclusive, identical to
-// SendLockRequest) and return. Pair with WaitSessionCond or poll
-// SessionState; the optimistic engine pairs it with its own waits.
+// SendLockRequest) and return. Pair with WaitSessionCondContext or poll
+// SessionState.
 func (n *Node) SendSessionRequest(gid GroupID, l LockID, session uint32) error {
 	return n.sendLockRequestS(gid, l, session, 0, n.clock.Now())
 }
 
-// WaitSessionCond blocks until cond is satisfied by the lock's observed
-// session state (checked immediately and after every lock change). It
-// returns false if the node closes first.
-func (n *Node) WaitSessionCond(gid GroupID, l LockID, cond func(SessionInfo) bool) (bool, error) {
-	return n.WaitSessionCondContext(context.Background(), gid, l, cond, false)
-}
-
-// WaitSessionCondContext is WaitSessionCond with cancellation and an
-// optional periodic request retry (resend), which callers racing a root
-// failover use so a request that died with the old root is re-issued to
-// the new one.
-func (n *Node) WaitSessionCondContext(ctx context.Context, gid GroupID, l LockID, cond func(SessionInfo) bool, resend bool) (bool, error) {
-	return n.waitLockF(ctx, gid, l, time.Time{}, func(g *memberGroup) bool { return cond(g.sessionInfo(l)) }, resend)
+// WaitSessionCondContext is WaitLockCondContext over the lock's observed
+// session state: it blocks, on behalf of the entry the caller issued
+// with SendSessionRequest, until cond is satisfied (checked immediately
+// and after every lock change) or ctx ends, while the maintenance tick
+// keeps the request alive.
+func (n *Node) WaitSessionCondContext(ctx context.Context, gid GroupID, l LockID, cond func(SessionInfo) bool) (bool, error) {
+	return n.waitLockF(ctx, gid, l, func(g *memberGroup) bool { return cond(g.sessionInfo(l)) })
 }
 
 // EnterSession blocks until this node holds an entry in the lock's
@@ -294,7 +288,7 @@ func (n *Node) EnterSessionContext(ctx context.Context, gid GroupID, l LockID, s
 		lk := g.locks.peek(l)
 		return lk != nil && lk.sess != nil && lk.sess.mine && lk.sess.session == session
 	}
-	ok, err := n.waitLockF(ctx, gid, l, start, cond, true)
+	ok, err := n.waitLockF(ctx, gid, l, cond)
 	if err != nil {
 		if cerr := n.CancelLockRequest(gid, l); cerr != nil {
 			n.mu.Lock()

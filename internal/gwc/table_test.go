@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"optsync/internal/vclock"
 	"optsync/internal/wire"
 )
 
@@ -196,15 +195,11 @@ func TestIDsPastTheBoundAreDropped(t *testing.T) {
 }
 
 // TestLockWaitsReuseOneWaiter pins the free list: back-to-back lock waits
-// on a node draw the same waiter, timer included, instead of building a
-// channel and a timer each.
+// on a node draw the same wake channel instead of making one each.
 func TestLockWaitsReuseOneWaiter(t *testing.T) {
 	c := newInProcCluster(t, 2, true)
 	n := c.nodes[1]
-	var (
-		first *lockWait
-		timer vclock.Timer
-	)
+	var first chan struct{}
 	for i := 0; i < 20; i++ {
 		if err := n.Acquire(tGroup, tLock); err != nil {
 			t.Fatal(err)
@@ -216,18 +211,13 @@ func TestLockWaitsReuseOneWaiter(t *testing.T) {
 		if len(n.freeWaits) != 1 {
 			t.Fatalf("round %d: %d waiters on the free list, want 1", i, len(n.freeWaits))
 		}
-		w := n.freeWaits[0]
+		ch := n.freeWaits[0]
 		n.mu.Unlock()
 		if first == nil {
-			first = w
+			first = ch
 		}
-		// A grant that beats the waiter to the node lock needs no timer, so
-		// the timer appears on the first wait that blocks — once.
-		if timer == nil {
-			timer = w.timer
-		}
-		if w != first || w.timer != timer {
-			t.Fatalf("round %d: waiter %p timer %v, want waiter %p timer %v", i, w, w.timer, first, timer)
+		if ch != first {
+			t.Fatalf("round %d: wake channel %p, want %p", i, ch, first)
 		}
 	}
 }
@@ -283,7 +273,7 @@ func busyListsOK(t *testing.T, n *Node, g *memberGroup) {
 	for i := range g.locks.recs {
 		lk := &g.locks.recs[i]
 		_, listed := slices.BinarySearch(g.busyLocks, LockID(i))
-		active := !lk.reqSince.IsZero() || lk.lease != nil || lk.hint.set || lk.pendingHandoff != nil || lk.handoffIn != nil
+		active := !lk.reqSince.IsZero() || lk.parked > 0 || lk.lease != nil || lk.hint.set || lk.pendingHandoff != nil || lk.handoffIn != nil
 		if listed != lk.busy || (active && !listed) {
 			t.Errorf("node %d lock %d: listed=%v busy=%v active=%v", n.id, i, listed, lk.busy, active)
 		}

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"optsync/internal/obs"
-	"optsync/internal/wire"
 )
 
 // Stuck-operation watchdog.
@@ -67,20 +66,10 @@ func (n *Node) watchMember(gid GroupID, g *memberGroup, now time.Time) {
 		n.stats.WatchdogStuck++
 		n.stats.WatchdogReissues++
 		n.emit(obs.EvWatchdogStuck, gid, obs.WatchAcquire, int64(l))
-		// Re-issue with the live token. Blocking waiters have their own
-		// backoff loop (waitLock), but a non-blocking SendLockRequest user
-		// has no retry at all — this frame is its safety net, and for a
-		// waiter it is at worst one duplicate the root dedupes.
-		n.send(g.rootID, wire.Message{
-			Type:    wire.TLockReq,
-			Group:   uint32(gid),
-			Src:     int32(n.id),
-			Origin:  int32(n.id),
-			Seq:     uint64(lk.reqToken),
-			Lock:    uint32(l),
-			Epoch:   g.epoch,
-			Session: lk.reqSession,
-		})
+		// Restart the request's schedule; this tick's retryLocks re-issues
+		// it with the live token and the caller's deadline — at worst one
+		// duplicate the root dedupes.
+		lk.reqB.reset()
 	}
 	if g.rejoining && !g.rejoinBegan.IsZero() && now.Sub(g.rejoinBegan) >= budget {
 		g.rejoinBegan = now

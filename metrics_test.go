@@ -48,8 +48,8 @@ func TestWriteFastPathAllocs(t *testing.T) {
 // TestLockWaitAllocs pins the lock plane's steady state: a blocking
 // Acquire/Release round trip over InProc — request, root grant, wait,
 // release — allocates nothing anywhere in the process. The waiter's
-// wake channel and retry timer come from the node's free list
-// (gwc's lockWait); this fails if a wait builds either afresh.
+// wake channel comes from the node's free list (gwc's getWait) and it
+// keeps no timer; this fails if a wait builds either afresh.
 func TestLockWaitAllocs(t *testing.T) {
 	c, _, m, _ := newTestCluster(t, 3)
 	h := c.MustHandle(1)
