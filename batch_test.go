@@ -145,10 +145,6 @@ func TestHandleErrAndPanic(t *testing.T) {
 	if _, err := c.Handle(-1); !errors.Is(err, ErrNotMember) {
 		t.Errorf("Handle(-1): %v, want ErrNotMember", err)
 	}
-	// The deprecated synonym keeps working during the transition.
-	if h, err := c.HandleErr(1); err != nil || h == nil {
-		t.Fatalf("HandleErr(1) = %v, %v", h, err)
-	}
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -171,14 +167,12 @@ func TestGroupAccessors(t *testing.T) {
 	}
 }
 
-// The deprecated alias must keep configuring the retransmission buffer.
+// A small retransmission buffer still configures a working cluster.
 func TestRetransmitBufferAlias(t *testing.T) {
-	for _, opt := range []Option{WithHistoryBuffer(64), WithRetransmitBuffer(64)} {
-		c, g, _, _ := newTestCluster(t, 2, opt)
-		free := g.Int("free")
-		if err := c.MustHandle(1).Write(free, 1); err != nil {
-			t.Fatal(err)
-		}
-		waitRead(t, c.MustHandle(0), free, 1)
+	c, g, _, _ := newTestCluster(t, 2, WithRetransmitBuffer(64))
+	free := g.Int("free")
+	if err := c.MustHandle(1).Write(free, 1); err != nil {
+		t.Fatal(err)
 	}
+	waitRead(t, c.MustHandle(0), free, 1)
 }

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"optsync/internal/obs"
 )
 
 // TestChaosRootCrashMidWorkload kills the group root while workers on the
@@ -595,5 +597,59 @@ func TestChaosAcquireExpiredDeadline(t *testing.T) {
 	}
 	if ok {
 		_ = c.MustHandle(2).Release(m)
+	}
+}
+
+// TestChaosDeposedRootSettlesHolderGauge pins the sess_holders leak of a
+// deposed root: the holders on a reign's books when it is deposed release
+// to its successor, so the dropped reign must take them out of the gauge
+// itself — otherwise the ex-root reports a holder forever, Cluster.Metrics
+// sums it cluster-wide, and a later re-promotion adds on top.
+func TestChaosDeposedRootSettlesHolderGauge(t *testing.T) {
+	c, err := NewCluster(3, WithChaos(),
+		WithTiming(Timing{Retry: 15 * time.Millisecond, FailAfter: 90 * time.Millisecond, ElectWait: 40 * time.Millisecond}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	g, err := c.NewGroup("gauge", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := g.Mutex("lock")
+	until := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(2 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	holders := func(node int) int64 {
+		nm, err := c.NodeMetrics(node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nm.Gauge(obs.GaugeSessHolders).Value()
+	}
+
+	h2 := c.MustHandle(2)
+	if err := h2.Acquire(m); err != nil {
+		t.Fatal(err)
+	}
+	if got := holders(0); got != 1 {
+		t.Fatalf("root holder gauge = %d with node 2 inside, want 1", got)
+	}
+	c.Chaos().Crash(0)
+	until("node 1's promotion", func() bool { return c.MustHandle(1).Stats().GWC.Failovers == 1 })
+	until("node 2 to follow the new reign", func() bool { return holders(1) == 1 })
+	if err := h2.Release(m); err != nil {
+		t.Fatal(err)
+	}
+	until("the new root to see the release", func() bool { return holders(1) == 0 })
+	c.Chaos().Revive(0)
+	until("node 0's demotion", func() bool { return c.MustHandle(0).Stats().GWC.Demotions == 1 })
+	if got := holders(0); got != 0 {
+		t.Errorf("deposed root's holder gauge = %d, want 0: it still counts a holder that released to its successor", got)
 	}
 }

@@ -152,30 +152,145 @@ func (tx *Tx) Write(v gwc.VarID, val int64) error {
 	return tx.eng.node.Write(tx.gid, v, val)
 }
 
-// sample updates the usage-frequency history from the current local lock
-// value and reports the (sampled value, updated history).
-func (e *Engine) sample(k lockKey, self int) (int64, float64, error) {
-	val, err := e.node.LockValue(k.g, k.l)
-	if err != nil {
-		return 0, 0, err
-	}
-	inUse := 0.0
-	if val != gwc.Free && val != gwc.GrantValue(self) {
-		inUse = 1.0
-	}
+// sample folds one observation into the lock's usage-frequency history
+// (inUse: an incompatible section was seen — at entry, under the armed
+// hook, or by the interrupt, the P9 update) and returns the new estimate.
+// It is the one history update.
+func (e *Engine) sample(k lockKey, inUse bool) float64 {
 	e.mu.Lock()
-	h := e.cfg.HistoryDecay*e.hist[k] + (1-e.cfg.HistoryDecay)*inUse
+	defer e.mu.Unlock()
+	h := e.cfg.HistoryDecay * e.hist[k]
+	if inUse {
+		h += 1 - e.cfg.HistoryDecay
+	}
 	e.hist[k] = h
-	e.mu.Unlock()
-	return val, h, nil
+	return h
 }
 
-// bumpHistory records "lock held by another CPU" — the P9 interrupt-path
-// history update.
-func (e *Engine) bumpHistory(k lockKey) {
+// section is one critical section's target: a lock and the session the
+// section runs in. Every critical section carries a session; the mutex
+// is the one-session case — session 0 excludes everything, itself
+// included. look, arm, await and leave are the only places the two kinds
+// differ (regular differs inside EnterSessionContext, which hands
+// session 0 to AcquireContext).
+type section struct {
+	e       *Engine
+	k       lockKey
+	session uint32
+}
+
+// fate is a speculating section's verdict, shared with its interrupt
+// hook: rolled once an incompatible section was sequenced ahead of it,
+// decided once the engine has acted on the answer and the hook must stay
+// quiet. One object passed by pointer — the hook and both waits read it
+// without a closure of their own.
+type fate struct{ rolled, decided atomic.Bool }
+
+// look reads the local lock copy and session view. foreign: an
+// incompatible section is visible — another node's exclusive grant or
+// request marker, or a session other than s's open here; an exclusive
+// section also counts this node's own grant still in the copy (a lease
+// it could not enter, about to be returned), which a blocking acquire
+// sorts out with the root. joinable: s's own session is open here, so
+// the root admits the join without closing the section.
+func (s section) look() (foreign, joinable bool, err error) {
+	n := s.e.node
+	val, err := n.LockValue(s.k.g, s.k.l)
+	if err != nil {
+		return false, false, err
+	}
+	si, err := n.SessionState(s.k.g, s.k.l)
+	if err != nil {
+		return false, false, err
+	}
+	foreign = (val != gwc.Free && (s.session == 0 || val != gwc.GrantValue(n.ID()))) ||
+		(si.Holders > 0 && si.Session != s.session)
+	return foreign, si.Holders > 0 && si.Session == s.session, nil
+}
+
+// arm registers the interrupt (Figure 5): when an incompatible section
+// is sequenced ahead of s — for an exclusive section any other node's
+// grant, for a session section any entry into a different session
+// (session 0, an exclusive grant, included) — s's speculative writes
+// were suppressed at the root, so suspend insharing atomically with the
+// observation.
+func (s section) arm(f *fate) (func(), error) {
+	n := s.e.node
+	if s.session == 0 {
+		grant := gwc.GrantValue(n.ID())
+		return n.OnLockChange(s.k.g, s.k.l, func(v int64) gwc.HookAction {
+			if v == gwc.Free || v == grant || f.decided.Load() || f.rolled.Load() {
+				return gwc.HookNone
+			}
+			f.rolled.Store(true)
+			return gwc.HookSuspend
+		})
+	}
+	session := s.session
+	return n.OnSessionChange(s.k.g, s.k.l, func(ev gwc.SessEvent) gwc.HookAction {
+		if ev.Kind != gwc.SessEnter || ev.Session == session || f.decided.Load() || f.rolled.Load() {
+			return gwc.HookNone
+		}
+		f.rolled.Store(true)
+		return gwc.HookSuspend
+	})
+}
+
+// await blocks until this node is inside s — the exclusive grant, or an
+// entry in s's session — or, given a fate, until the interrupt rolled
+// the section back; the maintenance tick keeps the request alive
+// meanwhile, so one that died with a crashed root reaches its successor.
+func (s section) await(ctx context.Context, f *fate) error {
+	n := s.e.node
+	var ok bool
+	var err error
+	if s.session == 0 {
+		grant := gwc.GrantValue(n.ID())
+		ok, err = n.WaitLockCondContext(ctx, s.k.g, s.k.l, func(v int64) bool {
+			return v == grant || (f != nil && f.rolled.Load())
+		})
+	} else {
+		session := s.session
+		ok, err = n.WaitSessionCondContext(ctx, s.k.g, s.k.l, func(si gwc.SessionInfo) bool {
+			return (si.Mine && si.Session == session) || (f != nil && f.rolled.Load())
+		})
+	}
+	if err == nil && !ok {
+		err = fmt.Errorf("core: node %d closed while awaiting session %d of lock %d: %w", n.ID(), s.session, s.k.l, gwc.ErrClosed)
+	}
+	return err
+}
+
+// leave gives the section's hold back.
+func (s section) leave() error {
+	if s.session == 0 {
+		return s.e.node.Release(s.k.g, s.k.l)
+	}
+	return s.e.node.LeaveSession(s.k.g, s.k.l)
+}
+
+// run executes body inside a hold this node has — nothing to save, every
+// write is final — and leaves.
+func (s section) run(body func(tx *Tx) error) error {
+	bodyErr := body(&Tx{eng: s.e, gid: s.k.g})
+	if err := s.leave(); err != nil {
+		return err
+	}
+	return bodyErr
+}
+
+// regular is the conventional blocking enter/run/leave (Figure 4 lines
+// 08-12): the local copies or the history indicate usage.
+func (s section) regular(ctx context.Context, body func(tx *Tx) error) error {
+	e := s.e
 	e.mu.Lock()
-	e.hist[k] = e.cfg.HistoryDecay*e.hist[k] + (1 - e.cfg.HistoryDecay)
+	e.stats.Regular++
 	e.mu.Unlock()
+	e.node.Emit(obs.EvRegular, s.k.g, int64(s.k.l), int64(s.session))
+	if err := e.node.EnterSessionContext(ctx, s.k.g, s.k.l, s.session); err != nil {
+		return err
+	}
+	return s.run(body)
 }
 
 // Do runs body under the group lock, optimistically when the local lock
@@ -183,37 +298,56 @@ func (e *Engine) bumpHistory(k lockKey) {
 // twice (speculatively, then again after a rollback); it must confine its
 // shared-state effects to the transaction.
 func (e *Engine) Do(gid gwc.GroupID, l gwc.LockID, body func(tx *Tx) error) error {
-	return e.DoContext(context.Background(), gid, l, body)
+	return e.DoSessionContext(context.Background(), gid, l, 0, body)
 }
 
-// DoContext is Do with cancellation. The regular path aborts cleanly
-// whenever ctx ends, withdrawing any queued request. On the optimistic
-// path cancellation is honoured at entry and during the post-rollback
-// wait; once a section is speculating, the engine must first learn
-// whether its writes were accepted (grant) or suppressed (another
-// holder) before it can stop — aborting earlier would leave the local
-// copies unreconcilable with the group. That decision arrives within a
-// round trip of the root (or of its successor after a failover), so the
-// non-cancellable window is short and bounded by the failover deadline.
+// DoContext is Do with cancellation; see DoSessionContext.
 func (e *Engine) DoContext(ctx context.Context, gid gwc.GroupID, l gwc.LockID, body func(tx *Tx) error) error {
+	return e.DoSessionContext(ctx, gid, l, 0, body)
+}
+
+// DoSession runs body inside the lock's given session — concurrently
+// with any number of same-session sections, excluded from every other
+// session. Session 0 is exactly Do.
+func (e *Engine) DoSession(gid gwc.GroupID, l gwc.LockID, session uint32, body func(tx *Tx) error) error {
+	return e.DoSessionContext(context.Background(), gid, l, session, body)
+}
+
+// DoSessionContext is DoSession with cancellation. The regular path
+// aborts cleanly whenever ctx ends, withdrawing any queued request. On
+// the optimistic path cancellation is honoured at entry and during the
+// post-rollback wait; once a section is speculating, the engine must
+// first learn whether its writes were accepted (grant or admission) or
+// suppressed (an incompatible section ahead) before it can stop —
+// aborting earlier would leave the local copies unreconcilable with the
+// group. That decision arrives within a round trip of the root (or of
+// its successor after a failover), so the non-cancellable window is
+// short and bounded by the failover deadline.
+//
+// A session section speculates in one case an exclusive one cannot: when
+// its session is already open locally, entry is near-free — the root
+// admits a same-session join without closing the section — so the engine
+// speculates regardless of the usage history and the join costs no
+// blocking round trip at all.
+func (e *Engine) DoSessionContext(ctx context.Context, gid gwc.GroupID, l gwc.LockID, session uint32, body func(tx *Tx) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	k := lockKey{gid, l}
+	s := section{e: e, k: lockKey{gid, l}, session: session}
 	e.mu.Lock()
-	if e.active[k] {
+	if e.active[s.k] {
 		e.mu.Unlock()
 		return ErrNested
 	}
-	e.active[k] = true
+	e.active[s.k] = true
 	e.mu.Unlock()
 	defer func() {
 		e.mu.Lock()
-		delete(e.active, k)
+		delete(e.active, s.k)
 		e.mu.Unlock()
 	}()
 
-	if e.node.TryLeaseEnter(gid, l) {
+	if session == 0 && e.node.TryLeaseEnter(gid, l) {
 		// Leased fast path: the lock is cached here from a previous hold,
 		// so entry is immediate and exclusive — no request, no
 		// speculation, no rollback risk. Beats even the optimistic path:
@@ -221,112 +355,75 @@ func (e *Engine) DoContext(ctx context.Context, gid gwc.GroupID, l gwc.LockID, b
 		e.mu.Lock()
 		e.stats.Leased++
 		e.mu.Unlock()
-		tx := &Tx{eng: e, gid: gid}
-		bodyErr := body(tx)
-		if err := e.node.Release(gid, l); err != nil {
-			return err
-		}
-		return bodyErr
+		return s.run(body)
 	}
 
-	self := e.node.ID()
-	val, hist, err := e.sample(k, self)
+	foreign, joinable, err := s.look()
 	if err != nil {
 		return err
 	}
-	if val != gwc.Free || hist > e.cfg.HistoryThreshold {
-		// Regular path (Figure 4 lines 08-12): the local copy or the
-		// history indicate usage.
-		e.mu.Lock()
-		e.stats.Regular++
-		e.mu.Unlock()
-		e.node.Emit(obs.EvRegular, gid, int64(l), 0)
-		return e.regular(ctx, gid, l, body)
+	if hist := e.sample(s.k, foreign); !joinable && (foreign || hist > e.cfg.HistoryThreshold) {
+		return s.regular(ctx, body)
 	}
-	return e.optimistic(ctx, k, body)
+	return s.speculate(ctx, body)
 }
 
-// regular is the conventional blocking acquire/run/release.
-func (e *Engine) regular(ctx context.Context, gid gwc.GroupID, l gwc.LockID, body func(tx *Tx) error) error {
-	if err := e.node.AcquireContext(ctx, gid, l); err != nil {
-		return err
-	}
-	tx := &Tx{eng: e, gid: gid}
-	bodyErr := body(tx)
-	if err := e.node.Release(gid, l); err != nil {
-		return err
-	}
-	return bodyErr
-}
+// speculate sends a non-blocking request and runs body while it
+// propagates (Figure 4 lines 13-26).
+func (s section) speculate(ctx context.Context, body func(tx *Tx) error) error {
+	e, gid, l := s.e, s.k.g, s.k.l
 
-// optimistic sends a non-blocking request and speculates.
-func (e *Engine) optimistic(ctx context.Context, k lockKey, body func(tx *Tx) error) error {
-	gid, l := k.g, k.l
-	self := e.node.ID()
-	grant := gwc.GrantValue(self)
-
-	// Arm the interrupt before speculating: if the lock goes to another
-	// CPU, suspend insharing atomically with the observation.
-	var rolled, decided atomic.Bool
-	unregister, err := e.node.OnLockChange(gid, l, func(v int64) gwc.HookAction {
-		if decided.Load() || rolled.Load() {
-			return gwc.HookNone
-		}
-		if v != gwc.Free && v != grant {
-			rolled.Store(true)
-			return gwc.HookSuspend
-		}
-		return gwc.HookNone
-	})
+	// Arm the interrupt before speculating.
+	f := new(fate)
+	unregister, err := s.arm(f)
 	if err != nil {
 		return err
 	}
 	defer unregister()
 
-	// Re-check under the armed hook: a foreign grant applied between
-	// DoContext's sample and the registration above fired no hook and
-	// never will — and once that holder leaves, the root can hand the
-	// lock straight to us, so the next transition the hook sees may be
-	// our own grant. An open session is the sneakier shape of the same
-	// hazard: session entries leave the lock *value* Free, only a fresh
-	// SessEnter fires the classic hooks, and a session that is already
-	// open can drain without ever showing this hook a foreign grant —
-	// the close reports Free and the next value it sees is our own
+	// Re-check under the armed hook: an incompatible entry applied between
+	// the caller's look and the registration above fired no hook and never
+	// will — and once that holder leaves, the root can hand the lock
+	// straight to us, so the next transition the hook sees may be our own
+	// grant. An open session is the sneakier shape of the same hazard for
+	// an exclusive section: session entries leave the lock *value* Free,
+	// only a fresh SessEnter fires the classic hooks, and a session that
+	// is already open can drain without ever showing the hook a foreign
 	// grant. Speculating through either window would "commit" a section
 	// whose writes the root already suppressed as not-holder (a lost
-	// update). Nothing has been sent yet, so detach the hook (its
-	// suspend action must not fire inside a regular section) and take
-	// the regular path instead.
+	// update). Nothing has been sent yet, so take the regular path — after
+	// detaching the hook, whose suspend action must not fire inside a
+	// regular section. The entry that sends us there may have landed after
+	// the hook was armed, in which case it has already suspended insharing
+	// and nothing down the regular path would resume it: the section, and
+	// every later one, would read copies that no longer receive updates
+	// and write stale-plus-one over newer values. Once unregister has
+	// returned the hook can no longer fire, so rolled is final.
 	if e.armed != nil {
 		e.armed()
 	}
-	val, err := e.node.LockValue(gid, l)
+	foreign, joinable, err := s.look()
 	if err != nil {
 		return err
 	}
-	si, err := e.node.SessionState(gid, l)
-	if err != nil {
-		return err
-	}
-	if (val != gwc.Free && val != grant) || si.Holders > 0 {
-		if err := e.disarm(gid, unregister, &rolled); err != nil {
-			return err
+	if foreign && !joinable {
+		unregister()
+		if f.rolled.Load() {
+			if err := e.node.ResumeInsharing(gid); err != nil {
+				return err
+			}
 		}
-		e.bumpHistory(k)
-		e.mu.Lock()
-		e.stats.Regular++
-		e.mu.Unlock()
-		e.node.Emit(obs.EvRegular, gid, int64(l), 0)
-		return e.regular(ctx, gid, l, body)
+		e.sample(s.k, true)
+		return s.regular(ctx, body)
 	}
 
 	e.mu.Lock()
 	e.stats.Optimistic++
 	e.mu.Unlock()
-	e.node.Emit(obs.EvSpecStart, gid, int64(l), 0)
+	e.node.Emit(obs.EvSpecStart, gid, int64(l), int64(s.session))
 	specStart := e.node.Now()
 
-	if err := e.node.SendLockRequest(gid, l); err != nil {
+	if err := e.node.SendSessionRequest(gid, l, s.session); err != nil {
 		return err
 	}
 
@@ -334,32 +431,26 @@ func (e *Engine) optimistic(ctx context.Context, k lockKey, body func(tx *Tx) er
 	tx := &Tx{eng: e, gid: gid, speculative: true, saved: make(map[gwc.VarID]int64)}
 	bodyErr := body(tx)
 
-	// Line 19: wait until the lock answer decides our fate. A positive
-	// lock value is either our grant (commit) or another CPU's (the hook
-	// has already rolled us back). The request is re-sent periodically so
-	// a copy that died with a crashed root reaches its successor; this
-	// wait deliberately ignores ctx (see DoContext).
-	ok, err := e.node.WaitLockCondContext(context.Background(), gid, l, func(v int64) bool {
-		return v == grant || rolled.Load()
-	})
-	if err != nil {
+	// Line 19: wait until the answer decides our fate — our own grant or
+	// admission (commit), or an incompatible entry (the hook has already
+	// rolled us back). This wait deliberately ignores ctx (see
+	// DoSessionContext).
+	if err := s.await(context.Background(), f); err != nil {
 		return err
 	}
-	if !ok {
-		return fmt.Errorf("core: node %d closed while awaiting lock %d: %w", self, l, gwc.ErrClosed)
-	}
+	e.node.Metrics().Hist(obs.HistSpecSection).Record(e.node.Now().Sub(specStart))
 
-	if !rolled.Load() {
-		// Success: the root granted us the lock; every speculative write
-		// reached it after our request on the same FIFO path, so all of
-		// them were accepted. Release and go.
-		decided.Store(true)
+	if !f.rolled.Load() {
+		// Success: the root let us in with no incompatible section in
+		// between; every speculative write reached it after our request
+		// on the same FIFO path, so all of them were accepted. Leave and
+		// go.
+		f.decided.Store(true)
 		e.mu.Lock()
 		e.stats.Commits++
 		e.mu.Unlock()
-		e.node.Metrics().Hist(obs.HistSpecSection).Record(e.node.Now().Sub(specStart))
-		e.node.Emit(obs.EvSpecCommit, gid, int64(l), 0)
-		if err := e.node.Release(gid, l); err != nil {
+		e.node.Emit(obs.EvSpecCommit, gid, int64(l), int64(s.session))
+		if err := s.leave(); err != nil {
 			return err
 		}
 		return bodyErr
@@ -371,9 +462,8 @@ func (e *Engine) optimistic(ctx context.Context, k lockKey, body func(tx *Tx) er
 	e.mu.Lock()
 	e.stats.Rollbacks++
 	e.mu.Unlock()
-	e.node.Metrics().Hist(obs.HistSpecSection).Record(e.node.Now().Sub(specStart))
 	e.node.Emit(obs.EvSpecAbort, gid, int64(l), obs.ReasonLockHeld)
-	e.bumpHistory(k)
+	e.sample(s.k, true)
 	restoreStart := e.node.Now()
 	if err := e.node.RestoreLocal(gid, tx.saved); err != nil {
 		return err
@@ -382,8 +472,10 @@ func (e *Engine) optimistic(ctx context.Context, k lockKey, body func(tx *Tx) er
 		return err
 	}
 	e.node.Metrics().Hist(obs.HistRollback).Record(e.node.Now().Sub(restoreStart))
-	okGrant, err := e.node.WaitLockGrantContext(ctx, gid, l)
-	if err != nil {
+	if err := s.await(ctx, nil); err != nil {
+		if errors.Is(err, gwc.ErrClosed) {
+			return err
+		}
 		// The rollback already restored local state, so a cancelled
 		// re-execution only needs to withdraw the queued request.
 		if cerr := e.node.CancelLockRequest(gid, l); cerr != nil {
@@ -391,264 +483,6 @@ func (e *Engine) optimistic(ctx context.Context, k lockKey, body func(tx *Tx) er
 		}
 		return err
 	}
-	if !okGrant {
-		return fmt.Errorf("core: node %d closed while awaiting lock %d after rollback: %w", self, l, gwc.ErrClosed)
-	}
-	decided.Store(true)
-	tx2 := &Tx{eng: e, gid: gid}
-	bodyErr = body(tx2)
-	if err := e.node.Release(gid, l); err != nil {
-		return err
-	}
-	return bodyErr
-}
-
-// disarm detaches a section's interrupt hook before the section falls
-// back to the regular path. The foreign grant that sends it there may
-// have landed after the hook was armed, in which case the hook has
-// already suspended insharing and nothing further down the regular path
-// would ever resume it: the section, and every later one, would read
-// copies that no longer receive updates and write stale-plus-one over
-// newer values. Once unregister has returned the hook can no longer
-// fire, so rolled is final.
-func (e *Engine) disarm(gid gwc.GroupID, unregister func(), rolled *atomic.Bool) error {
-	unregister()
-	if rolled.Load() {
-		return e.node.ResumeInsharing(gid)
-	}
-	return nil
-}
-
-// DoSession runs body inside the lock's given session — concurrently
-// with any number of same-session sections, excluded from every other
-// session. Session 0 is exactly Do.
-func (e *Engine) DoSession(gid gwc.GroupID, l gwc.LockID, session uint32, body func(tx *Tx) error) error {
-	return e.DoSessionContext(context.Background(), gid, l, session, body)
-}
-
-// DoSessionContext is DoSession with cancellation. The speculative
-// window mirrors DoContext's: once a section is speculating, the engine
-// must learn whether it was admitted before it can stop.
-//
-// The session path speculates in one extra case the exclusive path
-// cannot: when the target session is already open locally, entry is
-// near-free — the root admits a same-session join without closing the
-// section — so the engine speculates regardless of the usage history
-// and the join costs no blocking round trip at all.
-func (e *Engine) DoSessionContext(ctx context.Context, gid gwc.GroupID, l gwc.LockID, session uint32, body func(tx *Tx) error) error {
-	if session == 0 {
-		return e.DoContext(ctx, gid, l, body)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	k := lockKey{gid, l}
-	e.mu.Lock()
-	if e.active[k] {
-		e.mu.Unlock()
-		return ErrNested
-	}
-	e.active[k] = true
-	e.mu.Unlock()
-	defer func() {
-		e.mu.Lock()
-		delete(e.active, k)
-		e.mu.Unlock()
-	}()
-
-	si, err := e.node.SessionState(gid, l)
-	if err != nil {
-		return err
-	}
-	openJoin := si.Holders > 0 && si.Session == session
-	conflicted, hist, err := e.sampleSession(k, session)
-	if err != nil {
-		return err
-	}
-	if !openJoin && (conflicted || hist > e.cfg.HistoryThreshold) {
-		// Regular path: the local view or the history say another
-		// session is (often) in the way.
-		e.mu.Lock()
-		e.stats.Regular++
-		e.mu.Unlock()
-		e.node.Emit(obs.EvRegular, gid, int64(l), int64(session))
-		if err := e.node.EnterSessionContext(ctx, gid, l, session); err != nil {
-			return err
-		}
-		tx := &Tx{eng: e, gid: gid}
-		bodyErr := body(tx)
-		if err := e.node.LeaveSession(gid, l); err != nil {
-			return err
-		}
-		return bodyErr
-	}
-	return e.optimisticSession(ctx, k, session, body)
-}
-
-// sampleSession updates the usage-frequency history for a session-lock
-// acquisition: the lock counts as in use when an incompatible section —
-// an exclusive holder or a different open session — is observed locally.
-func (e *Engine) sampleSession(k lockKey, session uint32) (bool, float64, error) {
-	val, err := e.node.LockValue(k.g, k.l)
-	if err != nil {
-		return false, 0, err
-	}
-	si, err := e.node.SessionState(k.g, k.l)
-	if err != nil {
-		return false, 0, err
-	}
-	conflicted := (val != gwc.Free && val != gwc.GrantValue(e.node.ID())) ||
-		(si.Holders > 0 && si.Session != session)
-	inUse := 0.0
-	if conflicted {
-		inUse = 1.0
-	}
-	e.mu.Lock()
-	h := e.cfg.HistoryDecay*e.hist[k] + (1-e.cfg.HistoryDecay)*inUse
-	e.hist[k] = h
-	e.mu.Unlock()
-	return conflicted, h, nil
-}
-
-// optimisticSession sends a non-blocking session request and speculates.
-func (e *Engine) optimisticSession(ctx context.Context, k lockKey, session uint32, body func(tx *Tx) error) error {
-	gid, l := k.g, k.l
-	self := e.node.ID()
-
-	// Arm the interrupt before speculating: any entry into a different
-	// session (session 0 — an exclusive grant — included) means an
-	// incompatible section was sequenced ahead of our join, so our
-	// speculative writes were suppressed at the root.
-	var rolled, decided atomic.Bool
-	unregister, err := e.node.OnSessionChange(gid, l, func(ev gwc.SessEvent) gwc.HookAction {
-		if decided.Load() || rolled.Load() {
-			return gwc.HookNone
-		}
-		if ev.Kind == gwc.SessEnter && ev.Session != session {
-			rolled.Store(true)
-			return gwc.HookSuspend
-		}
-		return gwc.HookNone
-	})
-	if err != nil {
-		return err
-	}
-	defer unregister()
-
-	// Re-check under the armed hook (see optimistic): an incompatible
-	// entry applied between DoSessionContext's sample and the
-	// registration above fired no hook and never will, so speculating
-	// now could commit a section whose writes the root suppressed.
-	// Nothing has been sent yet — detach the hook and enter regularly.
-	if e.armed != nil {
-		e.armed()
-	}
-	val, err := e.node.LockValue(gid, l)
-	if err != nil {
-		return err
-	}
-	si, err := e.node.SessionState(gid, l)
-	if err != nil {
-		return err
-	}
-	stillOpenJoin := si.Holders > 0 && si.Session == session
-	conflicted := (val != gwc.Free && val != gwc.GrantValue(self)) ||
-		(si.Holders > 0 && si.Session != session)
-	if !stillOpenJoin && conflicted {
-		if err := e.disarm(gid, unregister, &rolled); err != nil {
-			return err
-		}
-		e.bumpHistory(k)
-		e.mu.Lock()
-		e.stats.Regular++
-		e.mu.Unlock()
-		e.node.Emit(obs.EvRegular, gid, int64(l), int64(session))
-		if err := e.node.EnterSessionContext(ctx, gid, l, session); err != nil {
-			return err
-		}
-		tx := &Tx{eng: e, gid: gid}
-		bodyErr := body(tx)
-		if err := e.node.LeaveSession(gid, l); err != nil {
-			return err
-		}
-		return bodyErr
-	}
-
-	e.mu.Lock()
-	e.stats.Optimistic++
-	e.mu.Unlock()
-	e.node.Emit(obs.EvSpecStart, gid, int64(l), int64(session))
-	specStart := e.node.Now()
-
-	if err := e.node.SendSessionRequest(gid, l, session); err != nil {
-		return err
-	}
-
-	// Speculative execution while the join propagates.
-	tx := &Tx{eng: e, gid: gid, speculative: true, saved: make(map[gwc.VarID]int64)}
-	bodyErr := body(tx)
-
-	// Wait until the session answer decides our fate; like DoContext's
-	// wait, this deliberately ignores ctx.
-	ok, err := e.node.WaitSessionCondContext(context.Background(), gid, l, func(si gwc.SessionInfo) bool {
-		return (si.Mine && si.Session == session) || rolled.Load()
-	})
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("core: node %d closed while awaiting session %d of lock %d: %w", self, session, l, gwc.ErrClosed)
-	}
-
-	if !rolled.Load() {
-		// Admitted: the root accepted our entry without an incompatible
-		// section in between, so every speculative write was sequenced
-		// inside the session.
-		decided.Store(true)
-		e.mu.Lock()
-		e.stats.Commits++
-		e.mu.Unlock()
-		e.node.Metrics().Hist(obs.HistSpecSection).Record(e.node.Now().Sub(specStart))
-		e.node.Emit(obs.EvSpecCommit, gid, int64(l), int64(session))
-		if err := e.node.LeaveSession(gid, l); err != nil {
-			return err
-		}
-		return bodyErr
-	}
-
-	// Rollback: restore saved values, resume insharing, wait for the
-	// queued join to be granted, re-execute inside the real entry.
-	e.mu.Lock()
-	e.stats.Rollbacks++
-	e.mu.Unlock()
-	e.node.Metrics().Hist(obs.HistSpecSection).Record(e.node.Now().Sub(specStart))
-	e.node.Emit(obs.EvSpecAbort, gid, int64(l), obs.ReasonLockHeld)
-	e.bumpHistory(k)
-	restoreStart := e.node.Now()
-	if err := e.node.RestoreLocal(gid, tx.saved); err != nil {
-		return err
-	}
-	if err := e.node.ResumeInsharing(gid); err != nil {
-		return err
-	}
-	e.node.Metrics().Hist(obs.HistRollback).Record(e.node.Now().Sub(restoreStart))
-	okEntry, err := e.node.WaitSessionCondContext(ctx, gid, l, func(si gwc.SessionInfo) bool {
-		return si.Mine && si.Session == session
-	})
-	if err != nil {
-		if cerr := e.node.CancelLockRequest(gid, l); cerr != nil {
-			return cerr
-		}
-		return err
-	}
-	if !okEntry {
-		return fmt.Errorf("core: node %d closed while awaiting session %d of lock %d after rollback: %w", self, session, l, gwc.ErrClosed)
-	}
-	decided.Store(true)
-	tx2 := &Tx{eng: e, gid: gid}
-	bodyErr = body(tx2)
-	if err := e.node.LeaveSession(gid, l); err != nil {
-		return err
-	}
-	return bodyErr
+	f.decided.Store(true)
+	return s.run(body)
 }

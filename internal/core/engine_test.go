@@ -74,6 +74,45 @@ func waitVal(t *testing.T, n *gwc.Node, v gwc.VarID, want int64) {
 	t.Fatalf("node %d: var %d = %d, want %d", n.ID(), v, got, want)
 }
 
+// kind is one of the two section kinds the engine runs. The pinned
+// regressions below run once per kind: the speculation routine is
+// written once, and this is what keeps a fix from landing for one kind
+// only.
+type kind struct {
+	name    string
+	session uint32 // the section under test
+	rival   uint32 // an incompatible section for another node to hold
+}
+
+var kinds = []kind{
+	{name: "mutex", session: 0, rival: 0},
+	{name: "session", session: 7, rival: 9},
+}
+
+func (k kind) do(e *Engine, body func(tx *Tx) error) error {
+	return e.DoSession(tGroup, tLock, k.session, body)
+}
+
+func (k kind) enter(n *gwc.Node) error { return n.EnterSession(tGroup, tLock, k.rival) }
+func (k kind) leave(n *gwc.Node) error { return n.LeaveSession(tGroup, tLock) }
+
+// seen reports whether n has applied a rival entry.
+func (k kind) seen(n *gwc.Node) bool {
+	if k.rival == 0 {
+		v, _ := n.LockValue(tGroup, tLock)
+		return v != gwc.Free && v != gwc.GrantValue(n.ID())
+	}
+	si, _ := n.SessionState(tGroup, tLock)
+	return si.Holders > 0 && si.Session == k.rival
+}
+
+// eachKind runs f as one subtest per section kind.
+func eachKind(t *testing.T, f func(t *testing.T, k kind)) {
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) { f(t, k) })
+	}
+}
+
 func TestOptimisticCommitNoContention(t *testing.T) {
 	r := newRig(t, 3)
 	err := r.engines[1].Do(tGroup, tLock, func(tx *Tx) error {
@@ -161,78 +200,80 @@ func (e *delayEndpoint) Send(to int, m wire.Message) error {
 func TestRollbackOnContention(t *testing.T) {
 	// The Figure 7 interaction, forced deterministically: node 2's view
 	// of the lock lags 30ms behind, so it speculates while node 1
-	// actually holds the lock. Its speculative write must be suppressed
-	// at the root, rolled back locally, and re-executed after its queued
-	// request is granted.
-	inner, err := transport.NewInProc(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := &delayToNode{Network: inner, target: 2, delay: 30 * time.Millisecond}
-	members := []int{0, 1, 2}
-	nodes := make([]*gwc.Node, 3)
-	for i := 0; i < 3; i++ {
-		ep, err := net.Endpoint(i)
+	// actually holds an incompatible section. Its speculative write must
+	// be suppressed at the root, rolled back locally, and re-executed
+	// after its queued request is granted.
+	eachKind(t, func(t *testing.T, k kind) {
+		inner, err := transport.NewInProc(3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes[i] = gwc.NewNode(i, ep)
-		if err := nodes[i].Join(gwc.GroupConfig{
-			ID:      tGroup,
-			Root:    0,
-			Members: members,
-			Guards:  map[gwc.VarID]gwc.LockID{tVar: tLock},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	t.Cleanup(func() {
-		for _, nd := range nodes {
-			_ = nd.Close()
-		}
-		_ = inner.Close()
-	})
-	e2 := NewEngine(nodes[2], DefaultConfig())
-
-	if err := nodes[1].Acquire(tGroup, tLock); err != nil {
-		t.Fatal(err)
-	}
-	if err := nodes[1].Write(tGroup, tVar, 1000); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		done <- e2.Do(tGroup, tLock, func(tx *Tx) error {
-			cur, err := tx.Read(tVar)
+		net := &delayToNode{Network: inner, target: 2, delay: 30 * time.Millisecond}
+		members := []int{0, 1, 2}
+		nodes := make([]*gwc.Node, 3)
+		for i := 0; i < 3; i++ {
+			ep, err := net.Endpoint(i)
 			if err != nil {
-				return err
+				t.Fatal(err)
 			}
-			return tx.Write(tVar, cur+1)
+			nodes[i] = gwc.NewNode(i, ep)
+			if err := nodes[i].Join(gwc.GroupConfig{
+				ID:      tGroup,
+				Root:    0,
+				Members: members,
+				Guards:  map[gwc.VarID]gwc.LockID{tVar: tLock},
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		t.Cleanup(func() {
+			for _, nd := range nodes {
+				_ = nd.Close()
+			}
+			_ = inner.Close()
 		})
-	}()
-	time.Sleep(100 * time.Millisecond) // let node 2 speculate and get interrupted
-	if err := nodes[1].Release(tGroup, tLock); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
+		e2 := NewEngine(nodes[2], DefaultConfig())
+
+		if err := k.enter(nodes[1]); err != nil {
 			t.Fatal(err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("optimistic section never finished")
-	}
-	s := e2.Stats()
-	if s.Optimistic != 1 || s.Rollbacks != 1 {
-		t.Fatalf("stats = %+v, want one speculation ending in one rollback", s)
-	}
-	if sup := nodes[0].Stats().Suppressed; sup == 0 {
-		t.Error("root never suppressed the speculative write")
-	}
-	// After the rollback, node 2 re-read 1000 and wrote 1001 everywhere.
-	for _, n := range nodes {
-		waitVal(t, n, tVar, 1001)
-	}
+		if err := nodes[1].Write(tGroup, tVar, 1000); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			done <- k.do(e2, func(tx *Tx) error {
+				cur, err := tx.Read(tVar)
+				if err != nil {
+					return err
+				}
+				return tx.Write(tVar, cur+1)
+			})
+		}()
+		time.Sleep(100 * time.Millisecond) // let node 2 speculate and get interrupted
+		if err := k.leave(nodes[1]); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("optimistic section never finished")
+		}
+		s := e2.Stats()
+		if s.Optimistic != 1 || s.Rollbacks != 1 {
+			t.Fatalf("stats = %+v, want one speculation ending in one rollback", s)
+		}
+		if sup := nodes[0].Stats().Suppressed; sup == 0 {
+			t.Error("root never suppressed the speculative write")
+		}
+		// After the rollback, node 2 re-read 1000 and wrote 1001 everywhere.
+		for _, n := range nodes {
+			waitVal(t, n, tVar, 1001)
+		}
+	})
 }
 
 func TestCounterUnderContentionAllEngines(t *testing.T) {
@@ -279,21 +320,29 @@ func TestHistoryRisesUnderContentionAndDecays(t *testing.T) {
 	e := NewEngine(nil, Config{HistoryDecay: 0.5, HistoryThreshold: 0.3})
 	k := lockKey{tGroup, tLock}
 	for i := 0; i < 5; i++ {
-		e.bumpHistory(k)
+		e.sample(k, true)
 	}
 	if h := e.History(tGroup, tLock); h < 0.9 {
 		t.Errorf("history after 5 busy samples = %.3f, want > 0.9", h)
 	}
+	for i := 0; i < 5; i++ {
+		e.sample(k, false)
+	}
+	if h := e.History(tGroup, tLock); h > 0.05 {
+		t.Errorf("history after 5 idle samples = %.3f, want < 0.05", h)
+	}
 }
 
 func TestNestedDoFails(t *testing.T) {
-	r := newRig(t, 2)
-	err := r.engines[1].Do(tGroup, tLock, func(tx *Tx) error {
-		return r.engines[1].Do(tGroup, tLock, func(*Tx) error { return nil })
+	eachKind(t, func(t *testing.T, k kind) {
+		r := newRig(t, 2)
+		err := k.do(r.engines[1], func(tx *Tx) error {
+			return k.do(r.engines[1], func(*Tx) error { return nil })
+		})
+		if !errors.Is(err, ErrNested) {
+			t.Errorf("nested section returned %v, want ErrNested", err)
+		}
 	})
-	if !errors.Is(err, ErrNested) {
-		t.Errorf("nested Do returned %v, want ErrNested", err)
-	}
 }
 
 func TestBodyErrorPropagates(t *testing.T) {
@@ -322,61 +371,63 @@ func TestDefaultConfigSanitisesBadValues(t *testing.T) {
 }
 
 func TestSpeculativeWritesInvisibleOnLoss(t *testing.T) {
-	// While node 1 holds the lock, node 2's speculative write must never
-	// become visible at a third node, even transiently.
-	r := newRig(t, 3)
-	if err := r.nodes[1].Acquire(tGroup, tLock); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.nodes[1].Write(tGroup, tVarB, 7); err != nil {
-		t.Fatal(err)
-	}
-	waitVal(t, r.nodes[0], tVarB, 7)
-
-	stop := make(chan struct{})
-	var saw999 bool
-	var watcher sync.WaitGroup
-	watcher.Add(1)
-	go func() {
-		defer watcher.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if v, _ := r.nodes[0].Read(tGroup, tVarB); v == 999 {
-				saw999 = true
-			}
-			time.Sleep(100 * time.Microsecond)
+	eachKind(t, func(t *testing.T, k kind) {
+		// While node 1 holds an incompatible section, node 2's speculative write must never
+		// become visible at a third node, even transiently.
+		r := newRig(t, 3)
+		if err := k.enter(r.nodes[1]); err != nil {
+			t.Fatal(err)
 		}
-	}()
+		if err := r.nodes[1].Write(tGroup, tVarB, 7); err != nil {
+			t.Fatal(err)
+		}
+		waitVal(t, r.nodes[0], tVarB, 7)
 
-	done := make(chan error, 1)
-	go func() {
-		done <- r.engines[2].Do(tGroup, tLock, func(tx *Tx) error {
-			return tx.Write(tVarB, 999)
-		})
-	}()
-	time.Sleep(50 * time.Millisecond)
-	if err := r.nodes[1].Release(tGroup, tLock); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	close(stop)
-	watcher.Wait()
-	// Node 2 eventually commits 999 legitimately (after grant); what must
-	// never happen is 999 appearing while node 1 still held the lock. We
-	// can't distinguish those phases from the watcher alone, so instead
-	// assert the root suppressed at least one speculative write when the
-	// section was forced to wait.
-	if r.engines[2].Stats().Rollbacks > 0 && r.nodes[0].Stats().Suppressed == 0 {
-		t.Error("rollback happened but no speculative write was suppressed at the root")
-	}
-	_ = saw999 // visibility of the committed value is fine
-	waitVal(t, r.nodes[0], tVarB, 999)
+		stop := make(chan struct{})
+		var saw999 bool
+		var watcher sync.WaitGroup
+		watcher.Add(1)
+		go func() {
+			defer watcher.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if v, _ := r.nodes[0].Read(tGroup, tVarB); v == 999 {
+					saw999 = true
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+		}()
+
+		done := make(chan error, 1)
+		go func() {
+			done <- k.do(r.engines[2], func(tx *Tx) error {
+				return tx.Write(tVarB, 999)
+			})
+		}()
+		time.Sleep(50 * time.Millisecond)
+		if err := k.leave(r.nodes[1]); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		close(stop)
+		watcher.Wait()
+		// Node 2 eventually commits 999 legitimately (after grant); what must
+		// never happen is 999 appearing while node 1 still held the lock. We
+		// can't distinguish those phases from the watcher alone, so instead
+		// assert the root suppressed at least one speculative write when the
+		// section was forced to wait.
+		if r.engines[2].Stats().Rollbacks > 0 && r.nodes[0].Stats().Suppressed == 0 {
+			t.Error("rollback happened but no speculative write was suppressed at the root")
+		}
+		_ = saw999 // visibility of the committed value is fine
+		waitVal(t, r.nodes[0], tVarB, 999)
+	})
 }
 
 // TestConditionalBodyNeverLosesPops is the live-runtime analogue of the
@@ -460,87 +511,56 @@ func TestFallbackAfterArmedHookResumesInsharing(t *testing.T) {
 		}
 		return tx.Write(tVar, cur+1)
 	}
-	for _, tc := range []struct {
-		name string
-		// enter takes the lock at node 1 in a way incompatible with the
-		// section under test; leave gives it back.
-		enter, leave func(n *gwc.Node) error
-		// seen reports whether node 2 has applied node 1's entry.
-		seen func(n *gwc.Node) bool
-		do   func(e *Engine) error
-	}{
-		{
-			name:  "mutex",
-			enter: func(n *gwc.Node) error { return n.Acquire(tGroup, tLock) },
-			leave: func(n *gwc.Node) error { return n.Release(tGroup, tLock) },
-			seen: func(n *gwc.Node) bool {
-				v, _ := n.LockValue(tGroup, tLock)
-				return v == gwc.GrantValue(1)
-			},
-			do: func(e *Engine) error { return e.Do(tGroup, tLock, inc) },
-		},
-		{
-			name:  "session",
-			enter: func(n *gwc.Node) error { return n.EnterSession(tGroup, tLock, 9) },
-			leave: func(n *gwc.Node) error { return n.LeaveSession(tGroup, tLock) },
-			seen: func(n *gwc.Node) bool {
-				si, _ := n.SessionState(tGroup, tLock)
-				return si.Holders > 0 && si.Session == 9
-			},
-			do: func(e *Engine) error { return e.DoSession(tGroup, tLock, 7, inc) },
-		},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			r := newRig(t, 3)
-			holder, e2 := r.nodes[1], r.engines[2]
-			entered := make(chan error, 1)
-			e2.armed = func() {
-				// The hook is armed and node 2 still sees the lock free:
-				// land node 1's entry now, and return only once node 2
-				// has applied it (so its hook has fired).
-				err := tc.enter(holder)
-				for deadline := time.Now().Add(5 * time.Second); err == nil && !tc.seen(r.nodes[2]); {
-					if time.Now().After(deadline) {
-						err = errors.New("node 2 never saw node 1's entry")
-					}
-					time.Sleep(100 * time.Microsecond)
-				}
-				entered <- err
-			}
-			done := make(chan error, 1)
-			go func() { done <- tc.do(e2) }()
-			if err := <-entered; err != nil {
-				t.Fatal(err)
-			}
-			// Once the re-check has sent node 2 down the regular path, the
-			// holder writes and leaves: the write is sequenced before the
-			// release, so node 2's section must see it.
-			for deadline := time.Now().Add(5 * time.Second); e2.Stats().Regular == 0; {
+	eachKind(t, func(t *testing.T, k kind) {
+		r := newRig(t, 3)
+		holder, e2 := r.nodes[1], r.engines[2]
+		entered := make(chan error, 1)
+		e2.armed = func() {
+			// The hook is armed and node 2 still sees the lock free: land
+			// node 1's entry now, and return only once node 2 has applied
+			// it (so its hook has fired).
+			err := k.enter(holder)
+			for deadline := time.Now().Add(5 * time.Second); err == nil && !k.seen(r.nodes[2]); {
 				if time.Now().After(deadline) {
-					t.Fatalf("stats = %+v, want the re-check's regular fallback", e2.Stats())
+					err = errors.New("node 2 never saw node 1's entry")
 				}
 				time.Sleep(100 * time.Microsecond)
 			}
-			if err := holder.Write(tGroup, tVar, 1000); err != nil {
+			entered <- err
+		}
+		done := make(chan error, 1)
+		go func() { done <- k.do(e2, inc) }()
+		if err := <-entered; err != nil {
+			t.Fatal(err)
+		}
+		// Once the re-check has sent node 2 down the regular path, the
+		// holder writes and leaves: the write is sequenced before the
+		// release, so node 2's section must see it.
+		for deadline := time.Now().Add(5 * time.Second); e2.Stats().Regular == 0; {
+			if time.Now().After(deadline) {
+				t.Fatalf("stats = %+v, want the re-check's regular fallback", e2.Stats())
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		if err := holder.Write(tGroup, tVar, 1000); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.leave(holder); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-done:
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tc.leave(holder); err != nil {
-				t.Fatal(err)
-			}
-			select {
-			case err := <-done:
-				if err != nil {
-					t.Fatal(err)
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("section never finished")
-			}
-			if s := e2.Stats(); s.Regular != 1 || s.Optimistic != 0 {
-				t.Errorf("stats = %+v, want the re-check's regular fallback", s)
-			}
-			for _, n := range r.nodes {
-				waitVal(t, n, tVar, 1001)
-			}
-		})
-	}
+		case <-time.After(10 * time.Second):
+			t.Fatal("section never finished")
+		}
+		if s := e2.Stats(); s.Regular != 1 || s.Optimistic != 0 {
+			t.Errorf("stats = %+v, want the re-check's regular fallback", s)
+		}
+		for _, n := range r.nodes {
+			waitVal(t, n, tVar, 1001)
+		}
+	})
 }

@@ -61,6 +61,9 @@ type Env struct {
 	Seed  int64
 	w     *World
 	nodes []*gwc.Node
+	// inv, when a scenario sets it, is checked at every quiescent point
+	// drive visits.
+	inv func() error
 }
 
 // Node returns node i's live gwc handle.

@@ -119,11 +119,21 @@ func guardedCfg(nodes int) map[gwc.VarID]gwc.LockID {
 // every failover the scenario can cause. An increment that is never
 // observed in time is abandoned, about which the checker claims
 // nothing.
+//
+// Before shipping a lock request the worker probes TryLeaseEnter — the
+// exact sequence AcquireContext runs — so a live lease turns the acquire
+// into a local decision with zero frames (without a lease the probe is a
+// no-op). Under leasing the probe is mandatory, not an optimisation: a
+// leased idle holder's lock copy still reads as self-granted, so a
+// worker that only polled LockValue would walk into the section without
+// pinning the lease, and a concurrent revoke could pull the lock out
+// from under it mid-section.
 type worker struct {
 	env     *Env
 	node    int
 	obs     []int // stable observer nodes (never this worker)
 	minObs  int
+	hold    int // how long the section stays open; see the hold values
 	checker *model.CounterChecker
 
 	state   wState
@@ -134,6 +144,19 @@ type worker struct {
 	aborted int
 }
 
+// A worker's hold is how long its section stays open past the poll that
+// found the lock. holdNone (the zero value): not at all — the eager
+// writes and the release all hit the wire in one quiescent instant,
+// before the scheduler runs another event. holdPoll: until the next
+// poll. n > 0: a confirmed section — until the root has applied this
+// worker's stamp, then n more polls so the sequenced echoes drain back,
+// the precondition for a direct peer handoff; it reads the root's copy
+// directly, so it is only valid in runs that never crash node 0.
+const (
+	holdNone = 0
+	holdPoll = -1
+)
+
 type wState int
 
 const (
@@ -141,6 +164,7 @@ const (
 	wWaiting
 	wObserving
 	wDone
+	wHolding // between grant and release
 )
 
 const observeFor = 6000 // observing polls before abandoning the op
@@ -160,6 +184,32 @@ func (w *worker) stop() {
 
 func (w *worker) done() bool { return w.state == wDone }
 
+// enter runs the critical-section writes; the caller already holds the
+// lock (granted or leased).
+func (w *worker) enter() {
+	n := w.env.Node(w.node)
+	t, _ := n.Read(simGroup, simCounter)
+	n.Write(simGroup, simCounter, t+1)
+	n.Write(simGroup, stampVar(w.node), t+1)
+	w.from = t
+	w.state = wHolding
+	w.polls = 0
+	if w.hold == holdNone {
+		w.leave()
+	}
+}
+
+// leave releases the lock and starts watching for the stamp.
+func (w *worker) leave() {
+	if err := w.env.Node(w.node).Release(simGroup, simLock); err != nil {
+		w.aborted++
+		w.state = wIdle
+		return
+	}
+	w.state = wObserving
+	w.polls = 0
+}
+
 // poll advances the state machine one notch. Called only at quiescence,
 // so every read is a stable protocol state and every send lands in a
 // deterministic order.
@@ -169,6 +219,10 @@ func (w *worker) poll() {
 	case wIdle:
 		if w.stopped {
 			w.state = wDone
+			return
+		}
+		if n.TryLeaseEnter(simGroup, simLock) {
+			w.enter() // leased: straight into the section, zero frames
 			return
 		}
 		n.SendLockRequest(simGroup, simLock)
@@ -182,20 +236,18 @@ func (w *worker) poll() {
 			// whatever root the member currently follows.
 			return
 		}
-		// Critical section, executed in one quiescent instant: the eager
-		// writes and the release all hit the wire before the scheduler
-		// runs another event.
-		t, _ := n.Read(simGroup, simCounter)
-		n.Write(simGroup, simCounter, t+1)
-		n.Write(simGroup, stampVar(w.node), t+1)
-		if err := n.Release(simGroup, simLock); err != nil {
-			w.aborted++
-			w.state = wIdle
-			return
+		w.enter()
+	case wHolding:
+		if w.hold > 0 {
+			if v, _ := w.env.Node(0).Read(simGroup, stampVar(w.node)); v < w.from+1 {
+				return
+			}
+			w.polls++
+			if w.polls < w.hold {
+				return
+			}
 		}
-		w.from = t
-		w.state = wObserving
-		w.polls = 0
+		w.leave()
 	case wObserving:
 		seen := 0
 		for _, o := range w.obs {
@@ -227,28 +279,30 @@ func (w *worker) poll() {
 }
 
 // drive steps the world until pred holds, polling the workers once per
-// event so the workload advances with the schedule.
+// event so the workload advances with the schedule, and checking the
+// scenario's invariant (Env.inv), if it set one, at every quiescent
+// point before the predicate.
 func drive(e *Env, ws []*worker, budget int, what string, pred func() bool) error {
-	for i := 0; i < budget; i++ {
+	for i := 0; ; i++ {
 		e.w.waitQuiesce()
 		for _, w := range ws {
 			w.poll()
 		}
+		if e.inv != nil {
+			if err := e.inv(); err != nil {
+				return err
+			}
+		}
 		if pred() {
 			return nil
+		}
+		if i == budget {
+			return fmt.Errorf("%s not reached within %d events", what, budget)
 		}
 		if err := e.Step(); err != nil {
 			return fmt.Errorf("waiting for %s: %w", what, err)
 		}
 	}
-	e.w.waitQuiesce()
-	for _, w := range ws {
-		w.poll()
-	}
-	if pred() {
-		return nil
-	}
-	return fmt.Errorf("%s not reached within %d events", what, budget)
 }
 
 // windDown stops the workers, lets pending observations resolve, and
@@ -259,7 +313,7 @@ func windDown(e *Env, ws []*worker, alive []int) (int64, error) {
 		w.stop()
 	}
 	var final int64
-	err := drive(e, ws, 80000, "cluster convergence", func() bool {
+	err := drive(e, ws, 160000, "cluster convergence", func() bool {
 		for _, w := range ws {
 			if !w.done() {
 				return false
@@ -280,8 +334,11 @@ func windDown(e *Env, ws []*worker, alive []int) (int64, error) {
 		for _, i := range alive {
 			v, _ := e.Node(i).Read(simGroup, simCounter)
 			s := e.Node(i).Stats()
-			state = append(state, fmt.Sprintf("node %d: ctr=%d failovers=%d elections=%d rejoins=%d fenced=%d",
-				i, v, s.Failovers, s.Elections, s.Rejoins, s.Fenced))
+			state = append(state, fmt.Sprintf(
+				"node %d: ctr=%d failovers=%d elections=%d rejoins=%d fenced=%d leases=%d/%d/%d local=%d handoffs=%d/%d",
+				i, v, s.Failovers, s.Elections, s.Rejoins, s.Fenced,
+				s.LeaseGrants, s.LeaseReturns, s.LeaseRevokes,
+				s.LeaseLocal, s.Handoffs, s.HandoffCommits))
 		}
 		for _, w := range ws {
 			state = append(state, fmt.Sprintf("worker %d: state=%d acked=%d aborted=%d", w.node, w.state, w.acked, w.aborted))

@@ -61,7 +61,7 @@ func (w *specWorker) poll() error {
 			return nil
 		}
 		// Arm the interrupt before the first speculative write, exactly
-		// as core.optimistic does: if the lock goes to another node, the
+		// as core.speculate does: if the lock goes to another node, the
 		// hook suspends insharing atomically with the observation.
 		rolled := new(atomic.Bool)
 		unreg, err := n.OnLockChange(simGroup, simLock, func(v int64) gwc.HookAction {

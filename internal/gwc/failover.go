@@ -59,7 +59,7 @@ type lockSnap struct {
 	reqSession uint32
 }
 
-// absorb folds one TSnapLock frame into the accumulated state.
+// absorb folds one TSnapLock frame into the lock's accumulated state.
 func (s *lockSnap) absorb(m *wire.Message) {
 	if m.Var > s.epoch {
 		s.epoch = m.Var
@@ -93,6 +93,26 @@ func newSnapReport(seq uint64) *snapReport {
 		seq:   seq,
 		vars:  make(map[VarID]int64),
 		locks: make(map[LockID]lockSnap),
+	}
+}
+
+// absorb folds one frame of the sender's stream into the report: the one
+// reader of TSnapVar/TSnapLock/TSnapDone, whoever sent them — the root's
+// catch-up snapshot, a peer's election report, or the candidate's own
+// report (promote), so its copy is judged by the code a peer's is. Every
+// frame quotes the stream position the sender had applied.
+func (rep *snapReport) absorb(m *wire.Message) {
+	rep.seq = m.Seq
+	switch m.Type {
+	case wire.TSnapVar:
+		rep.vars[VarID(m.Var)] = m.Val
+	case wire.TSnapLock:
+		l := LockID(m.Lock)
+		s := rep.locks[l]
+		s.absorb(m)
+		rep.locks[l] = s
+	case wire.TSnapDone:
+		rep.done = true
 	}
 }
 
@@ -161,10 +181,62 @@ func (n *Node) maybeNotice(g *memberGroup, to int) {
 	})
 }
 
+// rebase moves the member onto a reign: a newer one it adopts, the one
+// its own promotion starts, the blank slate a rejoin begins from, or the
+// reign a rejoin is admitted to. It owns every reign-scoped member field
+// — written here and nowhere else — so what a reign change revokes is
+// this list: the reign's identity and proof of life; the sequenced
+// stream's position, reassembly buffer and ack watermark (numbering
+// restarts at 1); snapshot and election buffers and the rejoin/election
+// flags (wantSnap: the new root's snapshot does the catching up); the
+// spanning tree (rooted at the old root; failover reigns fan out
+// directly); every retry schedule (outstanding operations re-register
+// with the new root at full cadence); leases, handoff hints and parked
+// direct grants (claims against the old reign's lock manager); and the
+// digest with any divergence verdict (the snapshot's TSnapDone re-anchors
+// it to the new root's sum). Copy-scoped state — values, lock copies,
+// tokens — is forgetState's, and only a rejoin drops it. Caller holds
+// n.mu.
+func (n *Node) rebase(g *memberGroup, epoch uint32, root int, wantSnap bool) {
+	g.epoch, g.rootID = epoch, root
+	g.lastRoot = n.clock.Now()
+	delete(g.suspected, root)
+	g.electing, g.rejoining = false, false
+	g.reports = nil
+	g.snapWanted, g.snapBuf = wantSnap, nil
+	g.nextSeq = 1
+	g.pending = make(map[uint64]wire.Message)
+	g.acked = 0
+	g.children = nil
+	g.resetRetrySchedules()
+	n.dropLeases(g)
+	g.digest.Reset()
+	g.diverged = false
+}
+
+// demote stands this node down as the group's root, if it is one, and
+// settles what the dropped rootGroup still owed: the holders on its books
+// leave the gauge with it (their releases go to the new reign, which
+// counts the holders it reconstructed itself). Caller holds n.mu.
+func (n *Node) demote(g *memberGroup, epoch uint32, root int) {
+	r, wasRoot := n.roots[g.cfg.ID]
+	if !wasRoot {
+		return
+	}
+	delete(n.roots, g.cfg.ID)
+	owed := 0
+	for i := range r.locks.recs {
+		owed += len(r.locks.recs[i].holders)
+	}
+	n.metrics.Gauge(obs.GaugeSessHolders).Add(-int64(owed))
+	n.stats.Demotions++
+	n.emit(obs.EvDemoted, g.cfg.ID, int64(root), int64(epoch))
+}
+
 // adoptEpoch switches the member to a newer reign (or the lower-ID
-// winner of a same-epoch split): sequence reassembly restarts at 1 and a
-// state snapshot is requested from the new root. If this node was itself
-// a root for the group, it stands down. Caller holds n.mu.
+// winner of a same-epoch split) and requests a state snapshot from the
+// new root. If this node was itself a root for the group, it stands
+// down. Caller holds n.mu.
 func (n *Node) adoptEpoch(g *memberGroup, epoch uint32, root int) {
 	if epoch < g.epoch || (epoch == g.epoch && root >= g.rootID) {
 		return
@@ -175,39 +247,11 @@ func (n *Node) adoptEpoch(g *memberGroup, epoch uint32, root int) {
 		// snapshot from ourselves would deadlock.
 		return
 	}
-	if _, wasRoot := n.roots[g.cfg.ID]; wasRoot {
-		delete(n.roots, g.cfg.ID)
-		n.stats.Demotions++
-		n.emit(obs.EvDemoted, g.cfg.ID, int64(root), int64(epoch))
-	}
+	n.demote(g, epoch, root)
 	n.emit(obs.EvReignChange, g.cfg.ID, int64(root), int64(epoch))
-	g.epoch = epoch
-	g.rootID = root
-	g.lastRoot = n.clock.Now()
-	g.electing = false
-	g.snapWanted = true
-	g.snapBuf = nil
-	g.reports = nil
-	g.nextSeq = 1
-	g.pending = make(map[uint64]wire.Message)
-	// Adoption supersedes an in-flight rejoin (the snapshot path now does
-	// the catching up), and acks restart with the reign's numbering. The
-	// new reign also resets every retry backoff: outstanding requests
-	// re-register with the new root at full cadence.
-	g.rejoining = false
-	g.acked = 0
-	g.resetRetrySchedules()
-	// Leases and handoff hints were claims against the deposed reign's
-	// lock manager; none survive a reign change (lease.go).
-	n.dropLeases(g)
-	// The digest restarts with the reign; the snapshot's TSnapDone
-	// re-anchors it to the new root's sum, which also clears any
-	// divergence conviction from the old reign.
-	g.digest.Reset()
-	g.diverged = false
-	// The old spanning tree was rooted at the old root; failover reigns
-	// use direct fanout.
-	g.children = nil
+	// Adoption supersedes an in-flight rejoin: the snapshot path now does
+	// the catching up.
+	n.rebase(g, epoch, root, true)
 	// Everyone the electorate skipped over to reach this root must have
 	// been suspected; remember that so a follow-up election agrees.
 	for _, member := range g.cfg.Members {
@@ -215,7 +259,6 @@ func (n *Node) adoptEpoch(g *memberGroup, epoch uint32, root int) {
 			g.suspected[member] = true
 		}
 	}
-	delete(g.suspected, root)
 	n.send(root, wire.Message{
 		Type:  wire.TSnapReq,
 		Group: uint32(g.cfg.ID),
@@ -302,6 +345,13 @@ func (n *Node) reportQuorum(g *memberGroup) bool {
 // candidate. It is re-sent every tick while the election runs, so a lost
 // report only delays, never prevents, reconstruction. Caller holds n.mu.
 func (n *Node) sendReport(g *memberGroup, to int) {
+	n.sendStream(to, g.cfg.ID, g.electEpoch, n.reportFrames(g))
+}
+
+// reportFrames is this member's election report for the running
+// election, as the frames a peer sends the candidate and the candidate
+// reads of itself (promote). Caller holds n.mu.
+func (n *Node) reportFrames(g *memberGroup) []wire.Message {
 	// Reporting state to a would-be reign forfeits every lease first
 	// (idempotent): an idle cached lock reports as free, so the rebuilt
 	// manager cannot resurrect a holder that would never release.
@@ -370,49 +420,22 @@ func (n *Node) sendReport(g *memberGroup, to int) {
 	}
 	done := base
 	done.Type = wire.TSnapDone
-	msgs = append(msgs, done)
-	n.sendStream(to, g.cfg.ID, g.electEpoch, msgs)
+	return append(msgs, done)
 }
 
 // promote makes this node the group's root for the election epoch,
 // reconstructing the authoritative state from its own copy and the peer
 // reports collected during the grace period. Caller holds n.mu.
 func (n *Node) promote(gid GroupID, g *memberGroup) {
-	// The new reign starts with a clean lease slate; our own idle cached
-	// locks free themselves before the merge below reads lockVal.
-	n.dropLeases(g)
+	// The candidate's own state enters the merge as the report it would
+	// have sent a peer, read by the code that reads a peer's. Building it
+	// starts the reign with a clean lease slate: our own idle cached locks
+	// free themselves before the merge reads their values.
 	epoch := g.electEpoch
 	own := newSnapReport(g.nextSeq - 1)
-	for i := range g.vars.recs {
-		v, mv := VarID(i), &g.vars.recs[i]
-		if mv.written {
-			own.vars[v] = mv.val
-		}
+	for _, m := range n.reportFrames(g) {
+		own.absorb(&m)
 	}
-	for i := range g.locks.recs {
-		l, lk := LockID(i), &g.locks.recs[i]
-		if lk.known {
-			own.locks[l] = lockSnap{val: lk.val, epoch: lk.grantEpoch}
-		}
-		if sv := lk.sess; sv != nil && len(sv.holders) > 0 {
-			s := own.locks[l]
-			s.session = sv.session
-			s.holders = make(map[int]uint32, len(sv.holders))
-			for h, ee := range sv.holders {
-				s.holders[h] = ee
-				if ee > s.epoch {
-					s.epoch = ee
-				}
-			}
-			own.locks[l] = s
-		}
-		if lk.sessionWaiter() {
-			s := own.locks[l]
-			s.reqSession = lk.reqSession
-			own.locks[l] = s
-		}
-	}
-	own.done = true
 	reps := map[int]*snapReport{n.id: own}
 	if g.reportEpoch == epoch {
 		for src, rep := range g.reports {
@@ -448,26 +471,11 @@ func (n *Node) promote(gid GroupID, g *memberGroup) {
 	n.metrics.Hist(obs.HistFailover).Record(n.clock.Now().Sub(g.electBegan))
 	n.emit(obs.EvReignChange, gid, int64(n.id), int64(epoch))
 
-	// Re-base the member side onto the new reign: sequence numbering
-	// restarts at 1 and the merged state becomes the local copy.
-	g.epoch = epoch
-	g.rootID = n.id
-	g.lastRoot = n.clock.Now()
-	g.electing = false
-	g.snapWanted = false
-	g.snapBuf = nil
-	g.reports = nil
-	g.nextSeq = 1
-	g.pending = make(map[uint64]wire.Message)
-	g.rejoining = false
-	g.acked = 0
-	g.children = nil
-	g.resetRetrySchedules()
-	// The reign's digest starts empty (the merged base state is not
-	// folded, on either side), so the member copy restarts in agreement
-	// with the fresh rootGroup digest.
-	g.digest.Reset()
-	g.diverged = false
+	// Re-base the member side onto the new reign; the merged state becomes
+	// the local copy. The reign's digest starts empty on both sides (the
+	// merged base state is not folded), so the member copy restarts in
+	// agreement with the fresh rootGroup digest.
+	n.rebase(g, epoch, n.id, false)
 	for _, v := range sortedKeys(auth) {
 		n.applyVarValue(g, v, auth[v])
 	}
@@ -722,15 +730,8 @@ func (n *Node) snapApply(g *memberGroup, m *wire.Message) {
 		g.snapBuf = newSnapReport(m.Seq)
 		g.snapBufSeq = m.Seq
 	}
-	switch m.Type {
-	case wire.TSnapVar:
-		g.snapBuf.vars[VarID(m.Var)] = m.Val
-	case wire.TSnapLock:
-		l := LockID(m.Lock)
-		s := g.snapBuf.locks[l]
-		s.absorb(m)
-		g.snapBuf.locks[l] = s
-	case wire.TSnapDone:
+	g.snapBuf.absorb(m)
+	if m.Type == wire.TSnapDone {
 		snap := g.snapBuf
 		g.snapBuf = nil
 		if m.Seq+1 < g.nextSeq {
@@ -788,18 +789,7 @@ func (n *Node) reportPiece(g *memberGroup, m *wire.Message) {
 		rep = newSnapReport(m.Seq)
 		g.reports[src] = rep
 	}
-	rep.seq = m.Seq
-	switch m.Type {
-	case wire.TSnapVar:
-		rep.vars[VarID(m.Var)] = m.Val
-	case wire.TSnapLock:
-		l := LockID(m.Lock)
-		s := rep.locks[l]
-		s.absorb(m)
-		rep.locks[l] = s
-	case wire.TSnapDone:
-		rep.done = true
-	}
+	rep.absorb(m)
 }
 
 // applyVarValue installs a reconstructed or snapshotted variable value

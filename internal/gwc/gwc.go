@@ -746,67 +746,41 @@ func (n *Node) route(m *wire.Message) {
 		n.rootHandle(r, m)
 	case wire.TJoinReq:
 		n.handleJoinReq(m)
-	case wire.TJoinAck, wire.TSyncAck:
+	case wire.TJoinAck, wire.TSyncAck, wire.TSeqUpdate, wire.TSeqLock, wire.THeartbeat,
+		wire.TSnapVar, wire.TSnapLock, wire.TSnapDone, wire.TDigestReq, wire.TLeaseGrant, wire.THandoff:
+		if m.Type == wire.THandoff {
+			// Dual-purpose frame: the direct grant lands at a member, the
+			// asynchronous notice at the root. A deposed ex-root routes it to
+			// its member half, where the grant-value check rejects notices.
+			if r, ok := n.roots[GroupID(m.Group)]; ok {
+				n.rootHandle(r, m)
+				return
+			}
+		}
 		g, ok := n.groups[GroupID(m.Group)]
 		if !ok {
 			n.protoErr("gwc: node %d got %v for unknown group %d", n.id, m.Type, m.Group)
 			return
 		}
-		if m.Type == wire.TJoinAck {
+		switch m.Type {
+		case wire.TJoinAck:
 			n.handleJoinAck(g, m)
-		} else {
+		case wire.TSyncAck:
 			n.handleSyncAck(g, m)
+		case wire.TSeqUpdate, wire.TSeqLock:
+			n.ingest(g, m)
+			n.maybeSendAck(g)
+		case wire.THeartbeat:
+			n.handleHeartbeat(g, m)
+		case wire.TSnapVar, wire.TSnapLock, wire.TSnapDone:
+			n.handleSnap(g, m)
+		case wire.TDigestReq:
+			n.handleDigestReq(g, m)
+		case wire.TLeaseGrant:
+			n.handleLeaseGrant(g, m)
+		case wire.THandoff:
+			n.handleHandoff(g, m)
 		}
-	case wire.TSeqUpdate, wire.TSeqLock:
-		g, ok := n.groups[GroupID(m.Group)]
-		if !ok {
-			n.protoErr("gwc: node %d got %v for unknown group %d", n.id, m.Type, m.Group)
-			return
-		}
-		n.ingest(g, m)
-		n.maybeSendAck(g)
-	case wire.THeartbeat:
-		g, ok := n.groups[GroupID(m.Group)]
-		if !ok {
-			n.protoErr("gwc: node %d got heartbeat for unknown group %d", n.id, m.Group)
-			return
-		}
-		n.handleHeartbeat(g, m)
-	case wire.TSnapVar, wire.TSnapLock, wire.TSnapDone:
-		g, ok := n.groups[GroupID(m.Group)]
-		if !ok {
-			n.protoErr("gwc: node %d got %v for unknown group %d", n.id, m.Type, m.Group)
-			return
-		}
-		n.handleSnap(g, m)
-	case wire.TDigestReq:
-		g, ok := n.groups[GroupID(m.Group)]
-		if !ok {
-			n.protoErr("gwc: node %d got %v for unknown group %d", n.id, m.Type, m.Group)
-			return
-		}
-		n.handleDigestReq(g, m)
-	case wire.TLeaseGrant:
-		g, ok := n.groups[GroupID(m.Group)]
-		if !ok {
-			n.protoErr("gwc: node %d got %v for unknown group %d", n.id, m.Type, m.Group)
-			return
-		}
-		n.handleLeaseGrant(g, m)
-	case wire.THandoff:
-		// Dual-purpose frame: the direct grant lands at a member, the
-		// asynchronous notice at the root. A deposed ex-root routes it to
-		// its member half, where the grant-value check rejects notices.
-		if r, ok := n.roots[GroupID(m.Group)]; ok {
-			n.rootHandle(r, m)
-			return
-		}
-		g, ok := n.groups[GroupID(m.Group)]
-		if !ok {
-			n.protoErr("gwc: node %d got %v for unknown group %d", n.id, m.Type, m.Group)
-			return
-		}
-		n.handleHandoff(g, m)
 	case wire.TBatch:
 		n.handleBatch(m)
 	default:

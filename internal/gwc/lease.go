@@ -454,9 +454,9 @@ func (n *Node) tickLeases(gid GroupID, g *memberGroup, now time.Time) {
 }
 
 // dropLeases forgets every lease, hint, parked direct grant, and
-// pending notice — called on any wholesale re-base (reign change,
-// promotion, report, rejoin), because all of them are claims against
-// the old reign's lock manager. An idle cached lock is, for the new
+// pending notice — called by rebase and before an election report is
+// built (reportFrames), because all of them are claims against the old
+// reign's lock manager. An idle cached lock is, for the new
 // reign, simply free: reporting it held would resurrect a holder that
 // never releases. A lease held mid-section survives as a plain hold —
 // its Release takes the wire path. Caller holds n.mu.

@@ -422,10 +422,10 @@ func (g *memberGroup) sweepBusy() {
 }
 
 // resetRetrySchedules forgets every adaptive-retry schedule in the
-// group. Called when the world changes wholesale — a new reign adopted,
-// the rejoin handshake completed, this node promoted — so the first
-// retry of every outstanding operation fires on the next maintenance
-// tick instead of waiting out a backoff armed against the old regime.
+// group. It is rebase's: when the member comes to follow a reign, the
+// first retry of every outstanding operation fires on the next
+// maintenance tick instead of waiting out a backoff armed against the
+// old regime.
 func (g *memberGroup) resetRetrySchedules() {
 	g.joinB.reset()
 	g.snapB.reset()

@@ -68,36 +68,26 @@ func (n *Node) Rejoin(gid GroupID) error {
 		return fmt.Errorf("gwc: node %d roots group %d and cannot rejoin its own reign", n.id, gid)
 	}
 	g.forgetState()
-	g.nextSeq = 1
-	g.pending = make(map[uint64]wire.Message)
 	g.suspected = make(map[int]bool)
-	g.electing = false
-	g.snapWanted = false
-	g.snapBuf = nil
-	g.reports = nil
 	g.suspended = false
 	g.suspendQ = nil
-	g.acked = 0
 	g.batchQ = nil
 	if g.batchTimer != nil {
 		g.batchTimer.Stop()
 	}
-	g.children = nil
-	g.lastRoot = n.clock.Now()
-	// The discarded copy takes its digest (and any divergence verdict)
-	// with it; the admission snapshot re-anchors both.
-	g.digest.Reset()
-	g.diverged = false
+	// A blank slate under the reign this node last followed: the discarded
+	// copy takes its stream position, digest and any divergence verdict
+	// with it, and the admission snapshot re-anchors them.
+	n.rebase(g, g.epoch, g.rootID, false)
 	g.rejoining = true
 	// Each attempt mints a fresh rejoin token, carried in Seq: the root
 	// remembers the last token it served and answers duplicates of the
 	// same attempt idempotently (see handleJoinReq). The stamp starts the
-	// watchdog's clock; every retry schedule restarts from its base, and
-	// joinB is armed past the send below so the first tick retry waits
-	// out a full base delay.
+	// watchdog's clock; the re-base restarted every retry schedule from
+	// its base, and joinB is armed past the send below so the first tick
+	// retry waits out a full base delay.
 	g.joinToken++
 	g.rejoinBegan = n.clock.Now()
-	g.resetRetrySchedules()
 	n.arm(&g.joinB, g.rejoinBegan, n.boBase(), n.boCap())
 	n.send(g.rootID, wire.Message{
 		Type:  wire.TJoinReq,
@@ -196,20 +186,7 @@ func (n *Node) handleJoinAck(g *memberGroup, m *wire.Message) {
 	if !g.rejoining {
 		return // duplicate answer, or adoption already superseded the rejoin
 	}
-	g.rejoining = false
-	g.epoch = m.Epoch
-	g.rootID = int(m.Src)
-	g.lastRoot = n.clock.Now()
-	g.electing = false
-	g.resetRetrySchedules()
-	g.snapWanted = true
-	g.snapBuf = nil
-	g.nextSeq = 1
-	g.pending = make(map[uint64]wire.Message)
-	g.acked = 0
-	g.digest.Reset()
-	g.diverged = false
-	delete(g.suspected, g.rootID)
+	n.rebase(g, m.Epoch, int(m.Src), true)
 	if g.cfg.TreeFanout && g.rootID == g.cfg.Root {
 		// Still the founding reign: resume this node's relay duties in the
 		// spanning tree. Failover reigns use direct fanout.

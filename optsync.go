@@ -145,15 +145,6 @@ func WithRetransmitBuffer(n int) Option {
 	return optionFunc(func(o *options) { o.histSize = n })
 }
 
-// WithHistoryBuffer sets the root's retransmission buffer size.
-//
-// Deprecated: the name collided with WithHistory, which tunes an
-// unrelated mechanism. Use WithRetransmitBuffer. This shim will be
-// removed in the next major version (see README "Deprecations").
-func WithHistoryBuffer(n int) Option {
-	return WithRetransmitBuffer(n)
-}
-
 // WithBatching enables the batched update plane (default off): each node
 // coalesces its shared writes into batch frames, flushed when maxMsgs
 // writes are queued, when maxDelay has elapsed since the first queued
@@ -297,16 +288,6 @@ func WithTiming(t Timing) Option {
 		o.failAfter = t.FailAfter
 		o.electWait = t.ElectWait
 	})
-}
-
-// WithTimers tunes the maintenance interval, the root-failure detection
-// deadline, and the election grace period. Zero values keep the
-// defaults (50ms, 2s, 200ms).
-//
-// Deprecated: the positional form is easy to mis-order. Use WithTiming,
-// which names each clock.
-func WithTimers(retry, failAfter, electWait time.Duration) Option {
-	return WithTiming(Timing{Retry: retry, FailAfter: failAfter, ElectWait: electWait})
 }
 
 // Cluster is a set of DSM nodes sharing groups of variables.
@@ -746,16 +727,6 @@ func (c *Cluster) MustHandle(i int) *Handle {
 		panic(fmt.Sprintf("optsync: MustHandle(%d): %v", i, err))
 	}
 	return h
-}
-
-// HandleErr returns node i's programming interface, or an error if i is
-// out of range.
-//
-// Deprecated: Handle itself now returns an error (it used to panic);
-// HandleErr is a synonym kept for transition. Use Handle, or MustHandle
-// where panicking was the point.
-func (c *Cluster) HandleErr(i int) (*Handle, error) {
-	return c.Handle(i)
 }
 
 // NodeID reports which node this handle operates on.

@@ -1,7 +1,5 @@
 package optsync
 
-import "context"
-
 // Watch returns a channel that receives values of v as sequenced updates
 // apply on this node. Delivery coalesces: if the consumer lags, it skips
 // to the latest value rather than buffering history (eagersharing keeps
@@ -40,68 +38,4 @@ func (h *Handle) Watch(v *Var) (values <-chan int64, cancel func(), err error) {
 		close(ch)
 	}
 	return ch, cancel, nil
-}
-
-// AcquireCtx is Acquire that gives up when ctx is cancelled. On
-// cancellation the pending request is disowned: if the root grants it
-// later, a background release hands the lock straight back, so the lock
-// never wedges.
-//
-// Deprecated: use AcquireContext, the standard-library spelling.
-func (h *Handle) AcquireCtx(ctx context.Context, m *Mutex) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	done := make(chan error, 1)
-	go func() {
-		done <- h.Acquire(m)
-	}()
-	select {
-	case err := <-done:
-		return err
-	case <-ctx.Done():
-		// The request may still be queued at the root. Absorb the
-		// eventual grant and release it immediately.
-		go func() {
-			if err := <-done; err == nil {
-				_ = h.Release(m)
-			}
-		}()
-		return ctx.Err()
-	}
-}
-
-// WaitGECtx is WaitGE that gives up when ctx is cancelled.
-//
-// Deprecated: use WaitGEContext, the standard-library spelling.
-func (h *Handle) WaitGECtx(ctx context.Context, v *Var, min int64) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	done := make(chan error, 1)
-	go func() {
-		done <- h.WaitGE(v, min)
-	}()
-	select {
-	case err := <-done:
-		return err
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// DoCtx is Do with a cancellable acquisition. Once the lock is held the
-// body runs to completion regardless of ctx (a half-applied critical
-// section would corrupt the shared data).
-//
-// Deprecated: use DoContext, the standard-library spelling.
-func (h *Handle) DoCtx(ctx context.Context, m *Mutex, body func() error) error {
-	if err := h.AcquireCtx(ctx, m); err != nil {
-		return err
-	}
-	bodyErr := body()
-	if err := h.Release(m); err != nil {
-		return err
-	}
-	return bodyErr
 }

@@ -90,13 +90,14 @@ func TestAcquireCtxCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	err := c.MustHandle(2).AcquireCtx(ctx, m)
+	err := c.MustHandle(2).AcquireContext(ctx, m)
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("AcquireCtx = %v, want deadline exceeded", err)
+		t.Fatalf("AcquireContext = %v, want deadline exceeded", err)
 	}
-	// The abandoned request must not wedge the lock: after the holder
-	// releases, a fresh acquire succeeds even though node 2's stale
-	// request is ahead in the queue (it is absorbed and re-released).
+	// A cancelled waiter ahead in the queue must not wedge the lock:
+	// node 2 withdrew its request at the root (or hands back a grant that
+	// raced the withdrawal), so after the holder releases a fresh acquire
+	// from behind it succeeds.
 	if err := holder.Release(m); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestAcquireCtxCancelled(t *testing.T) {
 func TestAcquireCtxImmediateWhenFree(t *testing.T) {
 	c, _, m, _ := newTestCluster(t, 2)
 	ctx := context.Background()
-	if err := c.MustHandle(1).AcquireCtx(ctx, m); err != nil {
+	if err := c.MustHandle(1).AcquireContext(ctx, m); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.MustHandle(1).Release(m); err != nil {
@@ -128,8 +129,8 @@ func TestAcquireCtxPreCancelled(t *testing.T) {
 	c, _, m, _ := newTestCluster(t, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := c.MustHandle(1).AcquireCtx(ctx, m); !errors.Is(err, context.Canceled) {
-		t.Errorf("pre-cancelled AcquireCtx = %v", err)
+	if err := c.MustHandle(1).AcquireContext(ctx, m); !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-cancelled AcquireContext = %v", err)
 	}
 }
 
@@ -138,14 +139,14 @@ func TestWaitGECtx(t *testing.T) {
 	v := g.Int("wv")
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if err := c.MustHandle(1).WaitGECtx(ctx, v, 100); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("WaitGECtx on unsatisfied condition = %v, want deadline", err)
+	if err := c.MustHandle(1).WaitGEContext(ctx, v, 100); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("WaitGEContext on unsatisfied condition = %v, want deadline", err)
 	}
 	// Satisfied case.
 	if err := c.MustHandle(0).Write(v, 100); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.MustHandle(1).WaitGECtx(context.Background(), v, 100); err != nil {
+	if err := c.MustHandle(1).WaitGEContext(context.Background(), v, 100); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -153,7 +154,7 @@ func TestWaitGECtx(t *testing.T) {
 func TestDoCtx(t *testing.T) {
 	c, _, m, v := newTestCluster(t, 2)
 	h := c.MustHandle(1)
-	if err := h.DoCtx(context.Background(), m, func() error {
+	if err := h.DoContext(context.Background(), m, func() error {
 		return h.Write(v, 3)
 	}); err != nil {
 		t.Fatal(err)
@@ -168,9 +169,9 @@ func TestDoCtx(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	ran := false
-	err := h.DoCtx(ctx, m, func() error { ran = true; return nil })
+	err := h.DoContext(ctx, m, func() error { ran = true; return nil })
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("DoCtx = %v, want deadline exceeded", err)
+		t.Errorf("DoContext = %v, want deadline exceeded", err)
 	}
 	if ran {
 		t.Error("body ran despite cancelled acquisition")
