@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -26,10 +27,14 @@ import (
 	"optsync/internal/obs"
 )
 
-// ErrNested is returned when a section tries to re-enter a lock it is
-// already speculating on or holding (the paper's line 28: "ERROR(Cannot
-// safely nest mutex lock requests)").
-var ErrNested = errors.New("core: cannot safely nest mutex lock requests")
+// ErrNested is returned when a section tries to enter a lock its node is
+// already speculating on, acquiring or holding (the paper's line 28:
+// "ERROR(Cannot safely nest mutex lock requests)").
+var ErrNested = gwc.ErrNested
+
+// errStaleTx is what a Tx answers once the body run it was handed to has
+// returned.
+var errStaleTx = errors.New("core: transaction used after its section returned (a Tx dies with the body run it was passed to)")
 
 // Config tunes the optimistic engine.
 type Config struct {
@@ -45,7 +50,8 @@ func DefaultConfig() Config {
 	return Config{HistoryDecay: 0.95, HistoryThreshold: 0.30}
 }
 
-// Stats counts engine outcomes.
+// Stats counts engine outcomes. A section's counts appear when it
+// returns.
 type Stats struct {
 	// Optimistic counts sections that started speculatively.
 	Optimistic int
@@ -73,15 +79,9 @@ type Engine struct {
 	node *gwc.Node
 	cfg  Config
 
-	mu     sync.Mutex
-	hist   map[lockKey]float64
-	active map[lockKey]bool
-	stats  Stats
-
-	// armed, when set, runs right after a section has registered its
-	// interrupt hook and before the re-check under it — a test-only seam
-	// that lets a foreign grant be landed in exactly that window.
-	armed func()
+	mu    sync.Mutex
+	recs  map[lockKey]*lockRec
+	stats Stats
 }
 
 // NewEngine builds an engine over a GWC node.
@@ -92,12 +92,7 @@ func NewEngine(node *gwc.Node, cfg Config) *Engine {
 	if cfg.HistoryThreshold <= 0 {
 		cfg.HistoryThreshold = 0.30
 	}
-	return &Engine{
-		node:   node,
-		cfg:    cfg,
-		hist:   make(map[lockKey]float64),
-		active: make(map[lockKey]bool),
-	}
+	return &Engine{node: node, cfg: cfg, recs: make(map[lockKey]*lockRec)}
 }
 
 // Stats returns a snapshot of the engine's counters.
@@ -112,167 +107,200 @@ func (e *Engine) Stats() Stats {
 func (e *Engine) History(g gwc.GroupID, l gwc.LockID) float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.hist[lockKey{g, l}]
+	if r := e.recs[lockKey{g, l}]; r != nil {
+		return r.history
+	}
+	return 0
+}
+
+// lockRec is everything the engine keeps about one lock, made on the
+// lock's first section and reused by every later one: the paper's
+// compiler lays the same things out statically (the interrupt's flag of
+// Figure 5). It is also the section's interrupt — the node calls Fire.
+// The one thing a section does not share is its Tx (runBody).
+type lockRec struct {
+	e *Engine
+	k lockKey
+
+	// Guarded by e.mu: the published usage-frequency history, and whether
+	// a section is running. busy is the ownership of everything below,
+	// from enter to exit.
+	history float64
+	busy    bool
+
+	// h is the running section's working copy of history and out its
+	// outcome; exit publishes both.
+	h   float64
+	out Stats
+	// The speculation's verdict, shared with Fire: rolled once an
+	// incompatible section was sequenced ahead of it, decided once the
+	// engine has acted on the answer and the interrupt must stay quiet.
+	rolled, decided atomic.Bool
+}
+
+// enter claims the lock's record for one section, making it on first use.
+func (e *Engine) enter(k lockKey) (*lockRec, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	r := e.recs[k]
+	if r == nil {
+		r = &lockRec{e: e, k: k}
+		e.recs[k] = r
+	}
+	if r.busy {
+		return nil, ErrNested
+	}
+	r.busy = true
+	r.h, r.out = r.history, Stats{}
+	return r, nil
+}
+
+// exit gives the record back and publishes what the section learned.
+func (e *Engine) exit(r *lockRec) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	r.busy = false
+	r.history = r.h
+	e.stats.Optimistic += r.out.Optimistic
+	e.stats.Commits += r.out.Commits
+	e.stats.Rollbacks += r.out.Rollbacks
+	e.stats.Regular += r.out.Regular
+	e.stats.Leased += r.out.Leased
+}
+
+// sample folds one observation into the lock's usage-frequency history
+// (inUse: an incompatible section was seen — at entry, by Speculate, or
+// by the interrupt, the P9 update) and returns the new estimate. It is
+// the one history update.
+func (r *lockRec) sample(inUse bool) float64 {
+	r.h *= r.e.cfg.HistoryDecay
+	if inUse {
+		r.h += 1 - r.e.cfg.HistoryDecay
+	}
+	return r.h
+}
+
+// Fire implements gwc.Interrupt (Figure 5): an incompatible section was
+// sequenced ahead of the speculation, so its writes were suppressed at
+// the root; suspend insharing atomically with the observation.
+func (r *lockRec) Fire() gwc.HookAction {
+	if r.decided.Load() || r.rolled.Load() {
+		return gwc.HookNone
+	}
+	r.rolled.Store(true)
+	return gwc.HookSuspend
+}
+
+// runBody hands body a Tx of its own for one run — speculative with an
+// empty save-set, or inside a hold, where nothing is saved and every write
+// is final — and returns what the run saved. The Tx dies with the run; it
+// is the one object the engine allocates per run, so that a body which
+// leaks it can reach no later section's save-set.
+func (r *lockRec) runBody(body func(tx *Tx) error, speculative bool) ([]gwc.Saved, error) {
+	tx := &Tx{rec: r, speculative: speculative}
+	tx.saved = tx.inline[:0]
+	err := body(tx)
+	tx.done = true
+	return tx.saved, err
 }
 
 // Tx is the engine's view of one critical section. Writes through the
 // transaction are tracked so a rollback can restore the prior values.
 // Sections run through Do may execute more than once (speculative run
 // plus a re-execution after rollback), so bodies must confine their side
-// effects to the transaction.
+// effects to the transaction. A Tx is valid only during the body run it
+// was passed to: Read and Write fail once that run has returned.
 type Tx struct {
-	eng         *Engine
-	gid         gwc.GroupID
+	rec         *lockRec
 	speculative bool
-	saved       map[gwc.VarID]int64
-	order       []gwc.VarID
+	done        bool // the run returned
+	// saved is the save-set: each variable the speculative run changed,
+	// with its prior value, in first-write order (the paper's saved_
+	// copies). Sections write a handful of variables, so it is searched
+	// linearly and starts out in inline, inside the Tx's own allocation.
+	saved  []gwc.Saved
+	inline [4]gwc.Saved
 }
 
 // Read returns the local copy of a shared variable. During speculation
 // the value may prove invalid, in which case the section is rolled back
 // and re-executed with valid data.
 func (tx *Tx) Read(v gwc.VarID) (int64, error) {
-	return tx.eng.node.Read(tx.gid, v)
+	if tx.done {
+		return 0, errStaleTx
+	}
+	return tx.rec.e.node.Read(tx.rec.k.g, v)
 }
 
 // Write stores a shared value. On the speculative path the first write to
 // each variable saves its prior value for rollback before anything is
 // altered (Figure 4 lines 14-16).
 func (tx *Tx) Write(v gwc.VarID, val int64) error {
-	if tx.speculative {
-		if _, ok := tx.saved[v]; !ok {
-			old, err := tx.eng.node.Read(tx.gid, v)
-			if err != nil {
-				return err
-			}
-			tx.saved[v] = old
-			tx.order = append(tx.order, v)
+	if tx.done {
+		return errStaleTx
+	}
+	node, gid := tx.rec.e.node, tx.rec.k.g
+	if tx.speculative && !slices.ContainsFunc(tx.saved, func(sv gwc.Saved) bool { return sv.Var == v }) {
+		old, err := node.Read(gid, v)
+		if err != nil {
+			return err
 		}
+		tx.saved = append(tx.saved, gwc.Saved{Var: v, Old: old})
 	}
-	return tx.eng.node.Write(tx.gid, v, val)
+	return node.Write(gid, v, val)
 }
 
-// sample folds one observation into the lock's usage-frequency history
-// (inUse: an incompatible section was seen — at entry, under the armed
-// hook, or by the interrupt, the P9 update) and returns the new estimate.
-// It is the one history update.
-func (e *Engine) sample(k lockKey, inUse bool) float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	h := e.cfg.HistoryDecay * e.hist[k]
-	if inUse {
-		h += 1 - e.cfg.HistoryDecay
-	}
-	e.hist[k] = h
-	return h
-}
-
-// section is one critical section's target: a lock and the session the
-// section runs in. Every critical section carries a session; the mutex
-// is the one-session case — session 0 excludes everything, itself
-// included. look, arm, await and leave are the only places the two kinds
-// differ (regular differs inside EnterSessionContext, which hands
-// session 0 to AcquireContext).
+// section is one critical section's target: a lock's record and the
+// session the section runs in. Every critical section carries a session;
+// the mutex is the one-session case — session 0 excludes everything,
+// itself included. await and leave are the only places the two kinds
+// differ here (Look, Speculate and EnterSessionContext tell them apart
+// inside the node).
 type section struct {
-	e       *Engine
-	k       lockKey
+	r       *lockRec
 	session uint32
 }
 
-// fate is a speculating section's verdict, shared with its interrupt
-// hook: rolled once an incompatible section was sequenced ahead of it,
-// decided once the engine has acted on the answer and the hook must stay
-// quiet. One object passed by pointer — the hook and both waits read it
-// without a closure of their own.
-type fate struct{ rolled, decided atomic.Bool }
-
-// look reads the local lock copy and session view. foreign: an
-// incompatible section is visible — another node's exclusive grant or
-// request marker, or a session other than s's open here; an exclusive
-// section also counts this node's own grant still in the copy (a lease
-// it could not enter, about to be returned), which a blocking acquire
-// sorts out with the root. joinable: s's own session is open here, so
-// the root admits the join without closing the section.
-func (s section) look() (foreign, joinable bool, err error) {
-	n := s.e.node
-	val, err := n.LockValue(s.k.g, s.k.l)
-	if err != nil {
-		return false, false, err
-	}
-	si, err := n.SessionState(s.k.g, s.k.l)
-	if err != nil {
-		return false, false, err
-	}
-	foreign = (val != gwc.Free && (s.session == 0 || val != gwc.GrantValue(n.ID()))) ||
-		(si.Holders > 0 && si.Session != s.session)
-	return foreign, si.Holders > 0 && si.Session == s.session, nil
-}
-
-// arm registers the interrupt (Figure 5): when an incompatible section
-// is sequenced ahead of s — for an exclusive section any other node's
-// grant, for a session section any entry into a different session
-// (session 0, an exclusive grant, included) — s's speculative writes
-// were suppressed at the root, so suspend insharing atomically with the
-// observation.
-func (s section) arm(f *fate) (func(), error) {
-	n := s.e.node
-	if s.session == 0 {
-		grant := gwc.GrantValue(n.ID())
-		return n.OnLockChange(s.k.g, s.k.l, func(v int64) gwc.HookAction {
-			if v == gwc.Free || v == grant || f.decided.Load() || f.rolled.Load() {
-				return gwc.HookNone
-			}
-			f.rolled.Store(true)
-			return gwc.HookSuspend
-		})
-	}
-	session := s.session
-	return n.OnSessionChange(s.k.g, s.k.l, func(ev gwc.SessEvent) gwc.HookAction {
-		if ev.Kind != gwc.SessEnter || ev.Session == session || f.decided.Load() || f.rolled.Load() {
-			return gwc.HookNone
-		}
-		f.rolled.Store(true)
-		return gwc.HookSuspend
-	})
-}
-
 // await blocks until this node is inside s — the exclusive grant, or an
-// entry in s's session — or, given a fate, until the interrupt rolled
-// the section back; the maintenance tick keeps the request alive
+// entry in s's session — or, while s speculates, until the interrupt
+// rolled the section back; the maintenance tick keeps the request alive
 // meanwhile, so one that died with a crashed root reaches its successor.
-func (s section) await(ctx context.Context, f *fate) error {
-	n := s.e.node
+func (s section) await(ctx context.Context, speculating bool) error {
+	r := s.r
+	n, gid, l := r.e.node, r.k.g, r.k.l
 	var ok bool
 	var err error
 	if s.session == 0 {
 		grant := gwc.GrantValue(n.ID())
-		ok, err = n.WaitLockCondContext(ctx, s.k.g, s.k.l, func(v int64) bool {
-			return v == grant || (f != nil && f.rolled.Load())
+		ok, err = n.WaitLockCondContext(ctx, gid, l, func(v int64) bool {
+			return v == grant || (speculating && r.rolled.Load())
 		})
 	} else {
 		session := s.session
-		ok, err = n.WaitSessionCondContext(ctx, s.k.g, s.k.l, func(si gwc.SessionInfo) bool {
-			return (si.Mine && si.Session == session) || (f != nil && f.rolled.Load())
+		ok, err = n.WaitSessionCondContext(ctx, gid, l, func(si gwc.SessionInfo) bool {
+			return (si.Mine && si.Session == session) || (speculating && r.rolled.Load())
 		})
 	}
 	if err == nil && !ok {
-		err = fmt.Errorf("core: node %d closed while awaiting session %d of lock %d: %w", n.ID(), s.session, s.k.l, gwc.ErrClosed)
+		err = fmt.Errorf("core: node %d closed while awaiting session %d of lock %d: %w", n.ID(), s.session, l, gwc.ErrClosed)
 	}
 	return err
 }
 
-// leave gives the section's hold back.
+// leave gives the section's hold back; the node drops the interrupt in
+// the same hold.
 func (s section) leave() error {
+	n, k := s.r.e.node, s.r.k
 	if s.session == 0 {
-		return s.e.node.Release(s.k.g, s.k.l)
+		return n.Release(k.g, k.l)
 	}
-	return s.e.node.LeaveSession(s.k.g, s.k.l)
+	return n.LeaveSession(k.g, k.l)
 }
 
 // run executes body inside a hold this node has — nothing to save, every
 // write is final — and leaves.
 func (s section) run(body func(tx *Tx) error) error {
-	bodyErr := body(&Tx{eng: s.e, gid: s.k.g})
+	_, bodyErr := s.r.runBody(body, false)
 	if err := s.leave(); err != nil {
 		return err
 	}
@@ -282,12 +310,11 @@ func (s section) run(body func(tx *Tx) error) error {
 // regular is the conventional blocking enter/run/leave (Figure 4 lines
 // 08-12): the local copies or the history indicate usage.
 func (s section) regular(ctx context.Context, body func(tx *Tx) error) error {
-	e := s.e
-	e.mu.Lock()
-	e.stats.Regular++
-	e.mu.Unlock()
-	e.node.Emit(obs.EvRegular, s.k.g, int64(s.k.l), int64(s.session))
-	if err := e.node.EnterSessionContext(ctx, s.k.g, s.k.l, s.session); err != nil {
+	r := s.r
+	n, k := r.e.node, r.k
+	r.out.Regular++
+	n.Emit(obs.EvRegular, k.g, int64(k.l), int64(s.session))
+	if err := n.EnterSessionContext(ctx, k.g, k.l, s.session); err != nil {
 		return err
 	}
 	return s.run(body)
@@ -333,36 +360,26 @@ func (e *Engine) DoSessionContext(ctx context.Context, gid gwc.GroupID, l gwc.Lo
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	s := section{e: e, k: lockKey{gid, l}, session: session}
-	e.mu.Lock()
-	if e.active[s.k] {
-		e.mu.Unlock()
-		return ErrNested
+	r, err := e.enter(lockKey{gid, l})
+	if err != nil {
+		return err
 	}
-	e.active[s.k] = true
-	e.mu.Unlock()
-	defer func() {
-		e.mu.Lock()
-		delete(e.active, s.k)
-		e.mu.Unlock()
-	}()
+	defer e.exit(r)
+	s := section{r: r, session: session}
 
-	if session == 0 && e.node.TryLeaseEnter(gid, l) {
+	look, err := e.node.Look(gid, l, session)
+	if err != nil {
+		return err
+	}
+	if look.Leased {
 		// Leased fast path: the lock is cached here from a previous hold,
 		// so entry is immediate and exclusive — no request, no
 		// speculation, no rollback risk. Beats even the optimistic path:
 		// that one still pays the request round trip before release.
-		e.mu.Lock()
-		e.stats.Leased++
-		e.mu.Unlock()
+		r.out.Leased++
 		return s.run(body)
 	}
-
-	foreign, joinable, err := s.look()
-	if err != nil {
-		return err
-	}
-	if hist := e.sample(s.k, foreign); !joinable && (foreign || hist > e.cfg.HistoryThreshold) {
+	if hist := r.sample(look.Foreign); !look.Joinable && (look.Foreign || hist > e.cfg.HistoryThreshold) {
 		return s.regular(ctx, body)
 	}
 	return s.speculate(ctx, body)
@@ -371,84 +388,47 @@ func (e *Engine) DoSessionContext(ctx context.Context, gid gwc.GroupID, l gwc.Lo
 // speculate sends a non-blocking request and runs body while it
 // propagates (Figure 4 lines 13-26).
 func (s section) speculate(ctx context.Context, body func(tx *Tx) error) error {
-	e, gid, l := s.e, s.k.g, s.k.l
+	r := s.r
+	e, gid, l := r.e, r.k.g, r.k.l
 
-	// Arm the interrupt before speculating.
-	f := new(fate)
-	unregister, err := s.arm(f)
+	// Arm the interrupt and send the request in one hold of the node lock
+	// that also looks again: an incompatible entry applied since the
+	// caller's look fired no interrupt and never will, so Speculate
+	// refuses, with nothing armed and nothing sent, and the section takes
+	// the regular path. One applied after it fires the interrupt.
+	r.rolled.Store(false)
+	r.decided.Store(false)
+	specStart := e.node.Now()
+	sent, err := e.node.Speculate(gid, l, s.session, r)
 	if err != nil {
 		return err
 	}
-	defer unregister()
-
-	// Re-check under the armed hook: an incompatible entry applied between
-	// the caller's look and the registration above fired no hook and never
-	// will — and once that holder leaves, the root can hand the lock
-	// straight to us, so the next transition the hook sees may be our own
-	// grant. An open session is the sneakier shape of the same hazard for
-	// an exclusive section: session entries leave the lock *value* Free,
-	// only a fresh SessEnter fires the classic hooks, and a session that
-	// is already open can drain without ever showing the hook a foreign
-	// grant. Speculating through either window would "commit" a section
-	// whose writes the root already suppressed as not-holder (a lost
-	// update). Nothing has been sent yet, so take the regular path — after
-	// detaching the hook, whose suspend action must not fire inside a
-	// regular section. The entry that sends us there may have landed after
-	// the hook was armed, in which case it has already suspended insharing
-	// and nothing down the regular path would resume it: the section, and
-	// every later one, would read copies that no longer receive updates
-	// and write stale-plus-one over newer values. Once unregister has
-	// returned the hook can no longer fire, so rolled is final.
-	if e.armed != nil {
-		e.armed()
-	}
-	foreign, joinable, err := s.look()
-	if err != nil {
-		return err
-	}
-	if foreign && !joinable {
-		unregister()
-		if f.rolled.Load() {
-			if err := e.node.ResumeInsharing(gid); err != nil {
-				return err
-			}
-		}
-		e.sample(s.k, true)
+	if !sent {
+		r.sample(true)
 		return s.regular(ctx, body)
 	}
-
-	e.mu.Lock()
-	e.stats.Optimistic++
-	e.mu.Unlock()
+	r.out.Optimistic++
 	e.node.Emit(obs.EvSpecStart, gid, int64(l), int64(s.session))
-	specStart := e.node.Now()
-
-	if err := e.node.SendSessionRequest(gid, l, s.session); err != nil {
-		return err
-	}
 
 	// Speculative execution while the request propagates (lines 14-18).
-	tx := &Tx{eng: e, gid: gid, speculative: true, saved: make(map[gwc.VarID]int64)}
-	bodyErr := body(tx)
+	saved, bodyErr := r.runBody(body, true)
 
 	// Line 19: wait until the answer decides our fate — our own grant or
-	// admission (commit), or an incompatible entry (the hook has already
-	// rolled us back). This wait deliberately ignores ctx (see
+	// admission (commit), or an incompatible entry (the interrupt has
+	// already rolled us back). This wait deliberately ignores ctx (see
 	// DoSessionContext).
-	if err := s.await(context.Background(), f); err != nil {
+	if err := s.await(context.Background(), true); err != nil {
 		return err
 	}
 	e.node.Metrics().Hist(obs.HistSpecSection).Record(e.node.Now().Sub(specStart))
 
-	if !f.rolled.Load() {
+	if !r.rolled.Load() {
 		// Success: the root let us in with no incompatible section in
 		// between; every speculative write reached it after our request
 		// on the same FIFO path, so all of them were accepted. Leave and
 		// go.
-		f.decided.Store(true)
-		e.mu.Lock()
-		e.stats.Commits++
-		e.mu.Unlock()
+		r.decided.Store(true)
+		r.out.Commits++
 		e.node.Emit(obs.EvSpecCommit, gid, int64(l), int64(s.session))
 		if err := s.leave(); err != nil {
 			return err
@@ -459,20 +439,18 @@ func (s section) speculate(ctx context.Context, body func(tx *Tx) error) error {
 	// Rollback (lines 22-26): restore saved values locally, resume
 	// insharing (replaying the valid data that arrived meanwhile), then
 	// wait for our queued request to be granted and re-execute.
-	e.mu.Lock()
-	e.stats.Rollbacks++
-	e.mu.Unlock()
+	r.out.Rollbacks++
 	e.node.Emit(obs.EvSpecAbort, gid, int64(l), obs.ReasonLockHeld)
-	e.sample(s.k, true)
+	r.sample(true)
 	restoreStart := e.node.Now()
-	if err := e.node.RestoreLocal(gid, tx.saved); err != nil {
+	if err := e.node.RestoreLocal(gid, saved); err != nil {
 		return err
 	}
 	if err := e.node.ResumeInsharing(gid); err != nil {
 		return err
 	}
 	e.node.Metrics().Hist(obs.HistRollback).Record(e.node.Now().Sub(restoreStart))
-	if err := s.await(ctx, nil); err != nil {
+	if err := s.await(ctx, false); err != nil {
 		if errors.Is(err, gwc.ErrClosed) {
 			return err
 		}
@@ -483,6 +461,6 @@ func (s section) speculate(ctx context.Context, body func(tx *Tx) error) error {
 		}
 		return err
 	}
-	f.decided.Store(true)
+	r.decided.Store(true)
 	return s.run(body)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -30,6 +31,14 @@ func newRig(t *testing.T, n int) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return newRigOn(t, net)
+}
+
+// newRigOn is newRig over a network the caller built (and may have
+// wrapped); the rig closes it.
+func newRigOn(t *testing.T, net transport.Network) *rig {
+	t.Helper()
+	n := net.Size()
 	members := make([]int, n)
 	for i := range members {
 		members[i] = i
@@ -208,31 +217,8 @@ func TestRollbackOnContention(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		net := &delayToNode{Network: inner, target: 2, delay: 30 * time.Millisecond}
-		members := []int{0, 1, 2}
-		nodes := make([]*gwc.Node, 3)
-		for i := 0; i < 3; i++ {
-			ep, err := net.Endpoint(i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			nodes[i] = gwc.NewNode(i, ep)
-			if err := nodes[i].Join(gwc.GroupConfig{
-				ID:      tGroup,
-				Root:    0,
-				Members: members,
-				Guards:  map[gwc.VarID]gwc.LockID{tVar: tLock},
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		t.Cleanup(func() {
-			for _, nd := range nodes {
-				_ = nd.Close()
-			}
-			_ = inner.Close()
-		})
-		e2 := NewEngine(nodes[2], DefaultConfig())
+		r := newRigOn(t, &delayToNode{Network: inner, target: 2, delay: 30 * time.Millisecond})
+		nodes, e2 := r.nodes, r.engines[2]
 
 		if err := k.enter(nodes[1]); err != nil {
 			t.Fatal(err)
@@ -242,13 +228,7 @@ func TestRollbackOnContention(t *testing.T) {
 		}
 		done := make(chan error, 1)
 		go func() {
-			done <- k.do(e2, func(tx *Tx) error {
-				cur, err := tx.Read(tVar)
-				if err != nil {
-					return err
-				}
-				return tx.Write(tVar, cur+1)
-			})
+			done <- k.do(e2, inc)
 		}()
 		time.Sleep(100 * time.Millisecond) // let node 2 speculate and get interrupted
 		if err := k.leave(nodes[1]); err != nil {
@@ -318,16 +298,22 @@ func TestCounterUnderContentionAllEngines(t *testing.T) {
 
 func TestHistoryRisesUnderContentionAndDecays(t *testing.T) {
 	e := NewEngine(nil, Config{HistoryDecay: 0.5, HistoryThreshold: 0.3})
-	k := lockKey{tGroup, tLock}
-	for i := 0; i < 5; i++ {
-		e.sample(k, true)
+	// sections folds one observation each of n sections into the history.
+	sections := func(n int, inUse bool) {
+		for i := 0; i < n; i++ {
+			r, err := e.enter(lockKey{tGroup, tLock})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.sample(inUse)
+			e.exit(r)
+		}
 	}
+	sections(5, true)
 	if h := e.History(tGroup, tLock); h < 0.9 {
 		t.Errorf("history after 5 busy samples = %.3f, want > 0.9", h)
 	}
-	for i := 0; i < 5; i++ {
-		e.sample(k, false)
-	}
+	sections(5, false)
 	if h := e.History(tGroup, tLock); h > 0.05 {
 		t.Errorf("history after 5 idle samples = %.3f, want < 0.05", h)
 	}
@@ -496,71 +482,206 @@ func TestConditionalBodyNeverLosesPops(t *testing.T) {
 	}
 }
 
-// TestFallbackAfterArmedHookResumesInsharing pins the lost-update bug of
-// the re-check fallback: a foreign entry that lands after the interrupt
-// hook is armed but before the re-check makes the hook suspend
-// insharing, and the section then takes the regular path — which must
-// resume insharing first. Otherwise the holder's write, parked behind
-// the suspension, is invisible to the regular section, which increments
-// a stale copy and overwrites the newer value everywhere.
-func TestFallbackAfterArmedHookResumesInsharing(t *testing.T) {
-	inc := func(tx *Tx) error {
-		cur, err := tx.Read(tVar)
-		if err != nil {
-			return err
-		}
-		return tx.Write(tVar, cur+1)
+// inc is the read-modify-write section the regressions below run.
+func inc(tx *Tx) error {
+	cur, err := tx.Read(tVar)
+	if err != nil {
+		return err
 	}
+	return tx.Write(tVar, cur+1)
+}
+
+// waitSeen blocks until n has applied the rival's entry.
+func (k kind) waitSeen(t *testing.T, n *gwc.Node) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !k.seen(n); {
+		if time.Now().After(deadline) {
+			t.Fatalf("node %d never saw the rival's entry", n.ID())
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestFallbackAfterArmedHookResumesInsharing pinned a lost update of the
+// re-check fallback when arming the interrupt and looking again were
+// separate steps: an entry landing between them suspended insharing and
+// then sent the section down the regular path, which never resumed it.
+// Speculate does both in one hold of the node lock, so the window is
+// gone, and this pins the two sides of that hold: a foreign entry applied
+// before it sends the section down the regular path with nothing armed —
+// insharing is never suspended — and one applied after it rolls the
+// section back, and neither loses an update.
+func TestFallbackAfterArmedHookResumesInsharing(t *testing.T) {
 	eachKind(t, func(t *testing.T, k kind) {
-		r := newRig(t, 3)
-		holder, e2 := r.nodes[1], r.engines[2]
-		entered := make(chan error, 1)
-		e2.armed = func() {
-			// The hook is armed and node 2 still sees the lock free: land
-			// node 1's entry now, and return only once node 2 has applied
-			// it (so its hook has fired).
-			err := k.enter(holder)
-			for deadline := time.Now().Add(5 * time.Second); err == nil && !k.seen(r.nodes[2]); {
-				if time.Now().After(deadline) {
-					err = errors.New("node 2 never saw node 1's entry")
-				}
-				time.Sleep(100 * time.Microsecond)
+		t.Run("before", func(t *testing.T) {
+			r := newRig(t, 3)
+			holder, n2, e2 := r.nodes[1], r.nodes[2], r.engines[2]
+			if err := k.enter(holder); err != nil {
+				t.Fatal(err)
 			}
-			entered <- err
-		}
-		done := make(chan error, 1)
-		go func() { done <- k.do(e2, inc) }()
-		if err := <-entered; err != nil {
-			t.Fatal(err)
-		}
-		// Once the re-check has sent node 2 down the regular path, the
-		// holder writes and leaves: the write is sequenced before the
-		// release, so node 2's section must see it.
-		for deadline := time.Now().Add(5 * time.Second); e2.Stats().Regular == 0; {
-			if time.Now().After(deadline) {
-				t.Fatalf("stats = %+v, want the re-check's regular fallback", e2.Stats())
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-		if err := holder.Write(tGroup, tVar, 1000); err != nil {
-			t.Fatal(err)
-		}
-		if err := k.leave(holder); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case err := <-done:
+			k.waitSeen(t, n2)
+			// Past the engine's look, straight into the speculation: the
+			// section whose look still saw the lock free.
+			rec, err := e2.enter(lockKey{tGroup, tLock})
 			if err != nil {
 				t.Fatal(err)
 			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("section never finished")
-		}
-		if s := e2.Stats(); s.Regular != 1 || s.Optimistic != 0 {
-			t.Errorf("stats = %+v, want the re-check's regular fallback", s)
-		}
-		for _, n := range r.nodes {
-			waitVal(t, n, tVar, 1001)
-		}
+			done := make(chan error, 1)
+			go func() {
+				err := section{r: rec, session: k.session}.speculate(context.Background(), inc)
+				e2.exit(rec)
+				done <- err
+			}()
+			// Once node 2 has a request out it is on the regular path. The
+			// holder's write must reach it while the holder is still
+			// inside: insharing was never suspended.
+			for deadline := time.Now().Add(5 * time.Second); n2.Stats().LockRequests == 0; {
+				if time.Now().After(deadline) {
+					t.Fatal("node 2 never requested the lock")
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+			if err := holder.Write(tGroup, tVar, 1000); err != nil {
+				t.Fatal(err)
+			}
+			waitVal(t, n2, tVar, 1000)
+			if err := k.leave(holder); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("section never finished")
+			}
+			if s := e2.Stats(); s.Regular != 1 || s.Optimistic != 0 {
+				t.Errorf("stats = %+v, want Speculate's refusal to take the regular path", s)
+			}
+			for _, n := range r.nodes {
+				waitVal(t, n, tVar, 1001)
+			}
+		})
+		t.Run("after", func(t *testing.T) {
+			// Node 2's view lags, so the holder's entry — sequenced first —
+			// is applied there only after the speculation began.
+			inner, err := transport.NewInProc(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := newRigOn(t, &delayToNode{Network: inner, target: 2, delay: 30 * time.Millisecond})
+			holder, n2, e2 := r.nodes[1], r.nodes[2], r.engines[2]
+			if err := k.enter(holder); err != nil {
+				t.Fatal(err)
+			}
+			if err := holder.Write(tGroup, tVar, 1000); err != nil {
+				t.Fatal(err)
+			}
+			runs := 0
+			done := make(chan error, 1)
+			go func() {
+				done <- k.do(e2, func(tx *Tx) error {
+					if runs++; runs == 1 {
+						// Speculating: hold the body until the interrupt has
+						// fired, then increment a copy that cannot see the
+						// holder's write, parked behind the suspension.
+						k.waitSeen(t, n2)
+					}
+					return inc(tx)
+				})
+			}()
+			time.Sleep(100 * time.Millisecond) // the holder's write reaches node 2's parked queue
+			if err := k.leave(holder); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("section never finished")
+			}
+			if s := e2.Stats(); s.Optimistic != 1 || s.Rollbacks != 1 || runs != 2 {
+				t.Errorf("stats = %+v after %d body runs, want one speculation rolled back and re-executed", s, runs)
+			}
+			for _, n := range r.nodes {
+				waitVal(t, n, tVar, 1001)
+			}
+		})
 	})
+}
+
+// TestTxDiesWithItsSection: a view a body leaked must reach neither the
+// node nor a later section's save-set — not between sections, and not
+// from inside a later section's body, which is when a save-set exists.
+func TestTxDiesWithItsSection(t *testing.T) {
+	r := newRig(t, 2)
+	e := r.engines[1]
+	var leaked *Tx
+	if err := e.Do(tGroup, tLock, func(tx *Tx) error {
+		leaked = tx
+		return tx.Write(tVar, 1)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	dead := func(when string) {
+		t.Helper()
+		if _, err := leaked.Read(tVar); !errors.Is(err, errStaleTx) {
+			t.Errorf("%s: Read through a leaked Tx returned %v, want errStaleTx", when, err)
+		}
+		if err := leaked.Write(tVar, 99); !errors.Is(err, errStaleTx) {
+			t.Errorf("%s: Write through a leaked Tx returned %v, want errStaleTx", when, err)
+		}
+	}
+	dead("after its section")
+	if err := e.Do(tGroup, tLock, func(tx *Tx) error {
+		dead("inside a later section")
+		if err := inc(tx); err != nil {
+			return err
+		}
+		if len(tx.saved) > 1 {
+			t.Errorf("the later section's save-set is %v, want at most its own one write", tx.saved)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range r.nodes {
+		waitVal(t, n, tVar, 2)
+	}
+}
+
+// TestOptimisticIncrementSoak races two engines over one lock for long
+// enough that every interleaving of look, arm, request, interrupt and
+// grant turns up: no increment may be lost, and every speculation ends in
+// exactly one verdict.
+func TestOptimisticIncrementSoak(t *testing.T) {
+	const each = 20000
+	r := newRig(t, 3)
+	var wg sync.WaitGroup
+	for _, id := range []int{1, 2} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := r.engines[id].Do(tGroup, tLock, inc); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, n := range r.nodes {
+		waitVal(t, n, tVar, 2*each)
+	}
+	for _, id := range []int{1, 2} {
+		s := r.engines[id].Stats()
+		t.Logf("engine %d: %+v", id, s)
+		if s.Optimistic != s.Commits+s.Rollbacks || s.Optimistic+s.Regular+s.Leased != each {
+			t.Errorf("engine %d: stats = %+v, want every speculation decided and %d sections in all", id, s, each)
+		}
+	}
 }

@@ -33,7 +33,7 @@ type specWorker struct {
 	state   wState
 	stopped bool
 	from    int64 // counter value read at speculation entry
-	saved   map[gwc.VarID]int64
+	saved   []gwc.Saved
 	rolled  *atomic.Bool
 	unreg   func()
 	polls   int
@@ -83,7 +83,7 @@ func (w *specWorker) poll() error {
 		}
 		t, _ := n.Read(simGroup, simCounter)
 		st, _ := n.Read(simGroup, stampVar(w.node))
-		w.saved = map[gwc.VarID]int64{simCounter: t, stampVar(w.node): st}
+		w.saved = []gwc.Saved{{Var: simCounter, Old: t}, {Var: stampVar(w.node), Old: st}}
 		n.Write(simGroup, simCounter, t+1)
 		n.Write(simGroup, stampVar(w.node), t+1)
 		w.from = t

@@ -38,6 +38,12 @@ var (
 	ErrNotMember = errors.New("not a group member")
 	// ErrUnknownGroup marks operations on groups the node never joined.
 	ErrUnknownGroup = errors.New("unknown group")
+	// ErrNested marks an attempt to enter a lock this node is already
+	// inside or acquiring (the paper's line 28: "ERROR(Cannot safely nest
+	// mutex lock requests)"). A lock has one holder per node: a second
+	// caller would share the first one's request, and both would wake on
+	// the one grant.
+	ErrNested = errors.New("cannot safely nest mutex lock requests")
 )
 
 // GroupID names a sharing group.

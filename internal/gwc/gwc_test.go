@@ -1,8 +1,10 @@
 package gwc
 
 import (
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -460,6 +462,79 @@ func TestLockChangeHooks(t *testing.T) {
 	unreg()
 }
 
+// countIntr is an Interrupt that counts its firings and asks for the
+// suspension every time.
+type countIntr struct{ fired atomic.Int32 }
+
+func (ci *countIntr) Fire() HookAction { ci.fired.Add(1); return HookSuspend }
+
+// TestSpeculateArmsOrRefusesInOneHold walks one lock through the cases
+// Speculate tells apart, and the interrupt's life: refused while a rival
+// is visible, with nothing registered and nothing sent; armed otherwise,
+// and then a second entry from this node is nested; fired by a rival's
+// grant only while the section lasts — the release that frees the lock
+// drops it.
+func TestSpeculateArmsOrRefusesInOneHold(t *testing.T) {
+	c := newInProcCluster(t, 3, true)
+	rival, n := c.nodes[1], c.nodes[2]
+	intr := new(countIntr)
+	armed := func() bool {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return n.groups[tGroup].locks.at(tLock).spec != nil
+	}
+	sees := func(want int64) func() bool {
+		return func() bool { v, _ := n.LockValue(tGroup, tLock); return v == want }
+	}
+
+	if err := rival.Acquire(tGroup, tLock); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, c, 2*time.Second, "node 2 to see the rival's grant", sees(GrantValue(1)))
+	if look, err := n.Look(tGroup, tLock, 0); err != nil || !look.Foreign || look.Leased {
+		t.Fatalf("Look under a rival's grant = %+v, %v; want Foreign", look, err)
+	}
+	if ok, err := n.Speculate(tGroup, tLock, 0, intr); ok || err != nil {
+		t.Fatalf("Speculate under a rival's grant = %v, %v; want a refusal", ok, err)
+	}
+	if armed() || n.Stats().LockRequests != 0 {
+		t.Fatalf("a refused Speculate left an interrupt (%v) or sent a request (%d)", armed(), n.Stats().LockRequests)
+	}
+
+	if err := rival.Release(tGroup, tLock); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, c, 2*time.Second, "node 2 to see the lock free", sees(Free))
+	if ok, err := n.Speculate(tGroup, tLock, 0, intr); !ok || err != nil {
+		t.Fatalf("Speculate on a free lock = %v, %v; want it armed", ok, err)
+	}
+	if _, err := n.Speculate(tGroup, tLock, 0, intr); !errors.Is(err, ErrNested) {
+		t.Errorf("a second Speculate returned %v, want ErrNested", err)
+	}
+	if err := n.Acquire(tGroup, tLock); !errors.Is(err, ErrNested) {
+		t.Errorf("Acquire during the speculation returned %v, want ErrNested", err)
+	}
+	if ok, err := n.WaitLockGrant(tGroup, tLock); !ok || err != nil {
+		t.Fatalf("WaitLockGrant = %v, %v", ok, err)
+	}
+	if !armed() || intr.fired.Load() != 0 {
+		t.Fatalf("own grant: armed %v, fired %d; want the interrupt in place and quiet", armed(), intr.fired.Load())
+	}
+	if err := n.Release(tGroup, tLock); err != nil {
+		t.Fatal(err)
+	}
+	if armed() {
+		t.Fatal("Release left the interrupt armed")
+	}
+	if err := rival.Acquire(tGroup, tLock); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, c, 2*time.Second, "node 2 to see the rival's second grant", sees(GrantValue(1)))
+	if got := intr.fired.Load(); got != 0 {
+		t.Errorf("a grant after the section fired its interrupt %d times", got)
+	}
+}
+
 func TestSuspendInsharingBuffersData(t *testing.T) {
 	c := newInProcCluster(t, 3, false)
 	n2 := c.nodes[2]
@@ -487,7 +562,7 @@ func TestRestoreLocalDoesNotPropagate(t *testing.T) {
 	for _, n := range c.nodes {
 		waitValue(t, n, tVar, 5)
 	}
-	if err := c.nodes[1].RestoreLocal(tGroup, map[VarID]int64{tVar: 3}); err != nil {
+	if err := c.nodes[1].RestoreLocal(tGroup, []Saved{{Var: tVar, Old: 3}}); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := c.nodes[1].Read(tGroup, tVar); got != 3 {

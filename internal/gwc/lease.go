@@ -99,11 +99,13 @@ type handoffNotice struct {
 func (n *Node) TryLeaseEnter(gid GroupID, l LockID) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.closed {
-		return false
-	}
 	g, ok := n.groups[gid]
-	if !ok {
+	return ok && n.leaseEnter(gid, g, l)
+}
+
+// leaseEnter is TryLeaseEnter under the caller's hold of n.mu.
+func (n *Node) leaseEnter(gid GroupID, g *memberGroup, l LockID) bool {
+	if n.closed {
 		return false
 	}
 	lk := g.locks.peek(l)

@@ -176,10 +176,14 @@ type memberLock struct {
 	// lockHooks run (under the node lock) on every lock-value change;
 	// the optimistic engine uses them as the paper's interrupt. A hook
 	// returning HookSuspend parks insharing atomically with the interrupt.
-	// sessHooks observe session transitions (session.go); the optimistic
-	// engine's session path uses them as its interrupt.
 	lockHooks []hook[LockHook]
-	sessHooks []hook[SessionHook]
+	// spec is the interrupt of the section speculating on the lock and
+	// specSession the session it wants (speculate.go); nil when none is.
+	// It lives here beside the hooks so that arming it is a store in the
+	// hold that sends the request, and dropping it one in the hold that
+	// frees the lock.
+	spec        Interrupt
+	specSession uint32
 }
 
 // value is the local lock value: Free until something set it.
@@ -207,6 +211,13 @@ func (lk *memberLock) sawGrant(epoch uint32) {
 // exclusive grant or an entry in the open session.
 func (lk *memberLock) entered(self int) bool {
 	return lk.value() == GrantValue(self) || (lk.sess != nil && lk.sess.mine)
+}
+
+// inUse reports whether this node is inside the lock or acquiring it:
+// an acquisition outstanding or held (want stays set until the release),
+// a caller parked for one, a leased re-entry, or a session entry.
+func (lk *memberLock) inUse() bool {
+	return lk.want || lk.parked > 0 || (lk.lease != nil && lk.lease.held) || (lk.sess != nil && lk.sess.mine)
 }
 
 // endRequest closes the outstanding acquisition's bookkeeping: released,
@@ -385,7 +396,7 @@ func (g *memberGroup) forgetState() {
 	g.busyLocks, g.busyVars = g.busyLocks[:0], g.busyVars[:0]
 	for i := range g.locks.recs {
 		lk := &g.locks.recs[i]
-		kept := memberLock{reqToken: lk.reqToken, lockHooks: lk.lockHooks, sessHooks: lk.sessHooks}
+		kept := memberLock{reqToken: lk.reqToken, lockHooks: lk.lockHooks, spec: lk.spec, specSession: lk.specSession}
 		if lk.parked > 0 {
 			kept.parked, kept.reqSession, kept.reqDeadline = lk.parked, lk.reqSession, lk.reqDeadline
 			kept.busy = true
@@ -698,8 +709,10 @@ func (n *Node) sendRelease(g *memberGroup, l LockID, entryEpoch, session uint32)
 	})
 }
 
-// runLockHooks fires the lock's value hooks with val. Caller holds n.mu.
-func (g *memberGroup) runLockHooks(lk *memberLock, val int64) {
+// runLockHooks fires the lock's value hooks with val, and the interrupt
+// of an exclusive section speculating on it when val is a value node
+// self does not own. Caller holds n.mu.
+func (g *memberGroup) runLockHooks(lk *memberLock, val int64, self int) {
 	for _, h := range lk.lockHooks {
 		if h.fn(val) == HookSuspend {
 			// The paper's atomic interrupt-and-sharing-suspension: no data
@@ -707,6 +720,9 @@ func (g *memberGroup) runLockHooks(lk *memberLock, val int64) {
 			// rollback and the suspension.
 			g.suspended = true
 		}
+	}
+	if lk.spec != nil && lk.specSession == 0 && val != Free && val != GrantValue(self) {
+		g.interrupt(lk)
 	}
 }
 
@@ -733,14 +749,11 @@ func (n *Node) applyLockValue(g *memberGroup, l LockID, val int64, grantEpoch ui
 		// open session closed at the root; the local view is stale. An
 		// exclusive grant to another node doubles as the conflict signal
 		// for speculators targeting the old session.
-		old := sv.session
 		clear(sv.holders)
 		sv.mine = false
-		ev := SessEvent{Kind: SessClose, Session: old}
-		if h := holderOf(val); h >= 0 {
-			ev = SessEvent{Kind: SessEnter, Session: 0, Node: h}
+		if holderOf(val) >= 0 {
+			g.sessionEntered(lk, 0)
 		}
-		g.runSessHooks(lk, ev)
 		sessNotified = true
 	}
 	mine := GrantValue(n.id)
@@ -811,18 +824,13 @@ func (n *Node) applyLockValue(g *memberGroup, l LockID, val int64, grantEpoch ui
 			lk.lease = nil
 		}
 	}
-	g.runLockHooks(lk, val)
-	if !sessNotified {
-		// Session observers see exclusive transitions too — session 0 is
-		// the one-holder session, so a grant is its entry and a free its
-		// close. Without this, a speculator joining session s could miss a
-		// conflicting exclusive grant that lands while no session view is
-		// open locally.
-		ev := SessEvent{Kind: SessClose, Session: 0}
-		if h := holderOf(val); h >= 0 {
-			ev = SessEvent{Kind: SessEnter, Session: 0, Node: h}
-		}
-		g.runSessHooks(lk, ev)
+	g.runLockHooks(lk, val, n.id)
+	if !sessNotified && holderOf(val) >= 0 {
+		// Session speculators see exclusive grants too — session 0 is the
+		// one-holder session, so a grant is its entry. Without this, a
+		// speculator joining session s could miss a conflicting exclusive
+		// grant that lands while no session view is open locally.
+		g.sessionEntered(lk, 0)
 	}
 	g.lock.notifyAll()
 }
@@ -1038,13 +1046,61 @@ func (n *Node) sendLockRequestS(gid GroupID, l LockID, session uint32, deadline 
 		n.mu.Unlock()
 		return err
 	}
-	if !lk.want {
-		lk.reqSession, lk.reqDeadline = session, deadline
-	}
-	msg := n.lockRequest(g, l, lk, now)
+	msg := n.newRequest(g, l, lk, session, deadline, now)
 	root := g.rootID
 	n.mu.Unlock()
 	return n.ep.Send(root, msg)
+}
+
+// ownLockRequest is sendLockRequestS for a caller that will wait for an
+// acquisition of its own (AcquireContext, EnterSessionContext). It cannot
+// share one — both callers would wake on the one grant and run their
+// sections together — so it is refused with ErrNested, in the hold that
+// would have recorded the request, while this node is inside the lock or
+// acquiring it.
+func (n *Node) ownLockRequest(gid GroupID, l LockID, session uint32, deadline int64, now time.Time) error {
+	n.mu.Lock()
+	g, lk, err := n.ownLock(gid, l)
+	if err != nil {
+		n.mu.Unlock()
+		return err
+	}
+	msg := n.newRequest(g, l, lk, session, deadline, now)
+	root := g.rootID
+	n.mu.Unlock()
+	return n.sendOwn(gid, l, root, msg)
+}
+
+// ownLock is lockOf for a caller about to start an acquisition of its
+// own: ErrNested while this node is inside the lock or acquiring it.
+// Caller holds n.mu.
+func (n *Node) ownLock(gid GroupID, l LockID) (*memberGroup, *memberLock, error) {
+	g, lk, err := n.lockOf(gid, l)
+	if err == nil && lk.inUse() {
+		err = fmt.Errorf("gwc: node %d is already inside or acquiring lock %d: %w", n.id, l, ErrNested)
+	}
+	return g, lk, err
+}
+
+// newRequest records what a fresh acquisition asks for (an outstanding
+// one keeps its own) and builds the request frame. Caller holds n.mu.
+func (n *Node) newRequest(g *memberGroup, l LockID, lk *memberLock, session uint32, deadline int64, now time.Time) wire.Message {
+	if !lk.want {
+		lk.reqSession, lk.reqDeadline = session, deadline
+	}
+	return n.lockRequest(g, l, lk, now)
+}
+
+// sendOwn ships the request of an acquisition its caller will wait for.
+// The caller will not wait for a request it could not send, so that one
+// (and its interrupt) must not stay on the record: the next acquisition
+// would be refused as nested.
+func (n *Node) sendOwn(gid GroupID, l LockID, root int, msg wire.Message) error {
+	err := n.ep.Send(root, msg)
+	if err != nil {
+		_ = n.CancelLockRequest(gid, l) // its frame is as lost as the request's
+	}
+	return err
 }
 
 // lockRequest builds lock l's request frame from its record and arms the
@@ -1237,7 +1293,7 @@ func (n *Node) AcquireContext(ctx context.Context, gid GroupID, l LockID) error 
 	// One clock reading serves the request's watchdog stamp, the first
 	// re-send's schedule and the latency histogram's origin.
 	start := n.clock.Now()
-	if err := n.sendLockRequestS(gid, l, 0, ctxDeadline(ctx), start); err != nil {
+	if err := n.ownLockRequest(gid, l, 0, ctxDeadline(ctx), start); err != nil {
 		return err
 	}
 	ok, err := n.waitLock(ctx, gid, l, n.grantCond)
@@ -1269,6 +1325,7 @@ func (n *Node) CancelLockRequest(gid GroupID, l LockID) error {
 		n.mu.Unlock()
 		return err
 	}
+	lk.spec = nil
 	if lk.value() == GrantValue(n.id) {
 		n.mu.Unlock()
 		return n.Release(gid, l)
@@ -1309,6 +1366,9 @@ func (n *Node) Release(gid GroupID, l LockID) error {
 		n.mu.Unlock()
 		return err
 	}
+	// The section is over, so its interrupt goes in the hold that frees
+	// the lock: the next holder's grant must find nothing to fire.
+	lk.spec = nil
 	if lk.value() != GrantValue(n.id) {
 		n.mu.Unlock()
 		return fmt.Errorf("gwc: node %d releasing lock %d it does not hold", n.id, l)
@@ -1407,21 +1467,29 @@ func (n *Node) ResumeInsharing(gid GroupID) error {
 	return nil
 }
 
+// Saved is one entry of a speculative section's save-set: a variable and
+// the value it held before the section first wrote it (the paper's
+// compiler-generated saved_ copy).
+type Saved struct {
+	Var VarID
+	Old int64
+}
+
 // RestoreLocal writes saved values back into local memory without
 // propagating them — the rollback of Figure 4 lines 22-23.
-func (n *Node) RestoreLocal(gid GroupID, saved map[VarID]int64) error {
+func (n *Node) RestoreLocal(gid GroupID, saved []Saved) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	g, err := n.group(gid)
 	if err != nil {
 		return err
 	}
-	for v, val := range saved {
-		mv := g.vars.at(v)
+	for _, sv := range saved {
+		mv := g.vars.at(sv.Var)
 		if mv == nil {
 			continue // Write refuses such a variable, so it holds nothing to restore
 		}
-		mv.val, mv.written = val, true
+		mv.val, mv.written = sv.Old, true
 		// The rolled-back section's stores are withdrawn: the root
 		// suppresses them (or already has), so their echoes will never
 		// come and their carrier frames must stop re-shipping — a

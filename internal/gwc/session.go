@@ -22,8 +22,8 @@ import (
 // fairness; this file keeps the member's mirror of it. Member-side lock
 // frames with a non-zero Session route here (applySessionLock) instead
 // of the single-holder path; each entry, leave, and close updates the
-// per-lock sessView, fires session hooks (the optimistic engine's
-// interrupt), and wakes lock waiters.
+// per-lock sessView and wakes lock waiters, and an entry fires the
+// interrupt of a section speculating on another session (speculate.go).
 
 // sessView is a member's mirror of one lock's open session: who holds
 // entries (node -> entry grant epoch) and whether this node is one of
@@ -35,32 +35,6 @@ type sessView struct {
 	mine    bool
 }
 
-// SessKind classifies one observed session transition.
-type SessKind int
-
-const (
-	// SessEnter is a node entering the open session (Session names it;
-	// 0 means an exclusive grant displaced the session view).
-	SessEnter SessKind = iota
-	// SessLeave is a holder leaving while the session stays open.
-	SessLeave
-	// SessClose is the open session's last holder leaving.
-	SessClose
-)
-
-// SessEvent is one observed session transition on a lock.
-type SessEvent struct {
-	Kind    SessKind
-	Session uint32 // the session entered/left/closed (0: exclusive entry)
-	Node    int    // the entering/leaving node (unset for SessClose)
-}
-
-// SessionHook observes session transitions on a lock. It runs under the
-// node's internal lock and must not block or call back into the node;
-// returning HookSuspend parks insharing atomically with the event, the
-// same interrupt-and-suspension contract as LockHook.
-type SessionHook func(ev SessEvent) HookAction
-
 // SessionInfo is a lock's locally observed session state.
 type SessionInfo struct {
 	Session uint32 // the open session, 0 when none is open locally
@@ -68,12 +42,12 @@ type SessionInfo struct {
 	Mine    bool   // whether this node holds an entry
 }
 
-// runSessHooks fires the lock's session hooks. Caller holds n.mu.
-func (g *memberGroup) runSessHooks(lk *memberLock, ev SessEvent) {
-	for _, h := range lk.sessHooks {
-		if h.fn(ev) == HookSuspend {
-			g.suspended = true
-		}
+// sessionEntered fires the interrupt of a session section speculating on
+// the lock when a node was seen entering any other session (session 0, an
+// exclusive grant, included). Caller holds n.mu.
+func (g *memberGroup) sessionEntered(lk *memberLock, session uint32) {
+	if lk.spec != nil && lk.specSession != 0 && session != lk.specSession {
+		g.interrupt(lk)
 	}
 }
 
@@ -106,8 +80,7 @@ func (n *Node) applySessionLock(g *memberGroup, m *wire.Message) {
 			// this lock's grant epoch across a failover.
 			lk.set(Free)
 		}
-		g.runLockHooks(lk, Free)
-		g.runSessHooks(lk, SessEvent{Kind: SessClose, Session: s})
+		g.runLockHooks(lk, Free, n.id)
 		g.lock.notifyAll()
 	case m.Val > 0:
 		n.applySessionEntry(g, lk, m)
@@ -121,7 +94,6 @@ func (n *Node) applySessionLock(g *memberGroup, m *wire.Message) {
 				sv.mine = false
 			}
 		}
-		g.runSessHooks(lk, SessEvent{Kind: SessLeave, Session: s, Node: node})
 		g.lock.notifyAll()
 	}
 }
@@ -176,8 +148,8 @@ func (n *Node) applySessionEntry(g *memberGroup, lk *memberLock, m *wire.Message
 	// An open session is a busy lock for exclusive observers: run the
 	// classic hooks with the entrant's grant value so an exclusive
 	// speculator's interrupt fires exactly as on an exclusive grant.
-	g.runLockHooks(lk, GrantValue(node))
-	g.runSessHooks(lk, SessEvent{Kind: SessEnter, Session: s, Node: node})
+	g.runLockHooks(lk, GrantValue(node), n.id)
+	g.sessionEntered(lk, s)
 	g.lock.notifyAll()
 }
 
@@ -213,8 +185,8 @@ func (n *Node) installSessionView(g *memberGroup, l LockID, session uint32, hold
 	lk.sawGrant(max(lk.grantEpoch, epoch))
 	if len(nv.holders) > 0 {
 		low := sortedKeys(nv.holders)[0]
-		g.runLockHooks(lk, GrantValue(low))
-		g.runSessHooks(lk, SessEvent{Kind: SessEnter, Session: session, Node: low})
+		g.runLockHooks(lk, GrantValue(low), n.id)
+		g.sessionEntered(lk, session)
 	}
 	g.lock.notifyAll()
 }
@@ -281,7 +253,7 @@ func (n *Node) EnterSessionContext(ctx context.Context, gid GroupID, l LockID, s
 		return err
 	}
 	start := n.clock.Now()
-	if err := n.sendLockRequestS(gid, l, session, ctxDeadline(ctx), start); err != nil {
+	if err := n.ownLockRequest(gid, l, session, ctxDeadline(ctx), start); err != nil {
 		return err
 	}
 	cond := func(g *memberGroup) bool {
@@ -316,6 +288,7 @@ func (n *Node) LeaveSession(gid GroupID, l LockID) error {
 		n.mu.Unlock()
 		return err
 	}
+	lk.spec = nil // as in Release
 	sv := lk.sess
 	if sv == nil || !sv.mine {
 		if lk.value() == GrantValue(n.id) {
@@ -346,26 +319,4 @@ func (n *Node) LeaveSession(gid GroupID, l LockID) error {
 	}
 	n.mu.Unlock()
 	return n.ep.Send(root, msg)
-}
-
-// OnSessionChange registers a hook invoked on every observed session
-// transition of the lock (entries, leaves, closes — and, with Session
-// 0, an exclusive grant displacing an open session). The returned
-// function unregisters it.
-func (n *Node) OnSessionChange(gid GroupID, l LockID, fn SessionHook) (func(), error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	g, lk, err := n.lockOf(gid, l)
-	if err != nil {
-		return nil, err
-	}
-	g.hookSeq++
-	token := g.hookSeq
-	lk.sessHooks = append(lk.sessHooks, hook[SessionHook]{token, fn})
-	return func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		lk := g.locks.at(l)
-		lk.sessHooks = dropHook(lk.sessHooks, token)
-	}, nil
 }

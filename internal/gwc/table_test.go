@@ -228,13 +228,15 @@ func TestLockWaitsReuseOneWaiter(t *testing.T) {
 func TestCloseWhileWaitingKeepsNoWaiter(t *testing.T) {
 	c := newInProcCluster(t, 3, true)
 	holder, n := c.nodes[1], c.nodes[2]
-	if err := holder.Acquire(tGroup, tLock); err != nil {
-		t.Fatal(err)
-	}
+	// One waiter per lock: a node has one acquisition of a lock at a time.
 	const waiters = 3
 	errs := make(chan error, waiters)
 	for i := 0; i < waiters; i++ {
-		go func() { errs <- n.Acquire(tGroup, tLock) }()
+		l := tLock + LockID(i)
+		if err := holder.Acquire(tGroup, l); err != nil {
+			t.Fatal(err)
+		}
+		go func() { errs <- n.Acquire(tGroup, l) }()
 	}
 	waitFor(t, c, 5*time.Second, "all waiters registered", func() bool {
 		n.mu.Lock()

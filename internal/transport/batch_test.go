@@ -241,7 +241,7 @@ func rawPeer(t *testing.T, ep *tcpEndpoint, in *intake, from int) net.Conn {
 }
 
 // newTCPMesh builds an n-node loopback mesh that closes with the test.
-func newTCPMesh(t *testing.T, n int) *TCPNet {
+func newTCPMesh(t testing.TB, n int) *TCPNet {
 	t.Helper()
 	addrs := make([]string, n)
 	for i := range addrs {

@@ -158,13 +158,18 @@ func newBoundedMailbox[T any](bound int, drops *atomic.Uint64) *mailbox[T] {
 	return mb
 }
 
+// put enqueues m and wakes the consumer. The wake-up comes after the
+// unlock, so the woken consumer does not collide with the producer on the
+// lock it was just handed; none is lost, because a consumer registers on
+// the condition's notify list before it releases mb.mu.
 func (mb *mailbox[T]) put(m T) error {
 	mb.mu.Lock()
-	defer mb.mu.Unlock()
 	if mb.closed {
+		mb.mu.Unlock()
 		return ErrClosed
 	}
 	mb.push(m)
+	mb.mu.Unlock()
 	mb.cond.Signal()
 	return nil
 }
@@ -178,13 +183,14 @@ func (mb *mailbox[T]) putAll(ms []T) error {
 		return nil
 	}
 	mb.mu.Lock()
-	defer mb.mu.Unlock()
 	if mb.closed {
+		mb.mu.Unlock()
 		return ErrClosed
 	}
 	for _, m := range ms {
 		mb.push(m)
 	}
+	mb.mu.Unlock()
 	mb.cond.Signal()
 	return nil
 }

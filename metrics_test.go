@@ -69,6 +69,40 @@ func TestLockWaitAllocs(t *testing.T) {
 	}
 }
 
+// TestOptimisticSectionAllocs pins what the paper's mechanism costs when
+// it has nothing to roll back: a committed, uncontended OptimisticDo —
+// look, arm, request, save-set, verdict, release — allocates the two
+// halves of the Tx it hands the body (this package's and core's, which
+// carries the save-set inline) and nothing else. The interrupt and the
+// verdict live in the engine's per-lock record (core's lockRec); this
+// fails if a section builds either afresh or grows a save-set on the heap.
+func TestOptimisticSectionAllocs(t *testing.T) {
+	c, _, m, v := newTestCluster(t, 3)
+	h := c.MustHandle(1)
+	section := func() {
+		if err := h.OptimisticDo(m, func(tx *Tx) error {
+			cur, err := tx.Read(v)
+			if err != nil {
+				return err
+			}
+			return tx.Write(v, cur+1)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ { // make the record, size the save-set and the mailboxes
+		section()
+	}
+	before := h.Stats().Optimistic
+	if avg := testing.AllocsPerRun(2000, section); avg > 2 {
+		t.Errorf("committed optimistic section allocates %.2f/op, want <= 2", avg)
+	}
+	after := h.Stats().Optimistic
+	if got := after.Commits - before.Commits; got < 2000 {
+		t.Errorf("%d of the measured sections committed optimistically, want all of them (stats %+v)", got, after)
+	}
+}
+
 // TestMetricsUnderContendedLoad is the acceptance check for the
 // observability layer: after chaos-style contended load, the cluster-wide
 // snapshot must hold real acquire-latency and rollback-cost

@@ -51,7 +51,11 @@ import (
 )
 
 // ErrNested is returned when a critical section re-enters its own lock
-// (the paper's "Cannot safely nest mutex lock requests").
+// (the paper's "Cannot safely nest mutex lock requests"), and when a
+// second goroutine enters a lock its node is already inside or acquiring,
+// on the regular path (Acquire, Do, SessionLock entries) as on the
+// optimistic one: a lock has one holder per node, and sections of one
+// node on one lock are the caller's to put in order.
 var ErrNested = core.ErrNested
 
 // Sentinel errors. Everything the package returns wraps one of these
@@ -702,7 +706,11 @@ type NodeStats struct {
 
 // Handle is the programming interface for code running "on" one node.
 // Handles are cheap; methods are safe for concurrent use by multiple
-// goroutines on the same node.
+// goroutines on the same node, with one rule: the node, not the
+// goroutine, is what holds a lock, so while one goroutine is inside a
+// mutex or session lock or acquiring it, another that tries to enter the
+// same lock from the same node gets an error wrapping ErrNested — the
+// node does not queue its own sections.
 type Handle struct {
 	c      *Cluster
 	node   *gwc.Node
@@ -881,7 +889,9 @@ func (h *Handle) DoContext(ctx context.Context, m *Mutex, body func() error) err
 }
 
 // Tx is the transactional view of an optimistic critical section. Writes
-// are tracked so a rollback can restore this node's prior values.
+// are tracked so a rollback can restore this node's prior values. A Tx
+// dies with the body run it was passed to: Read and Write return an error
+// once that run has returned.
 type Tx struct {
 	inner *core.Tx
 	g     *Group
