@@ -252,35 +252,25 @@ func (tx *Tx) Write(v gwc.VarID, val int64) error {
 
 // section is one critical section's target: a lock's record and the
 // session the section runs in. Every critical section carries a session;
-// the mutex is the one-session case — session 0 excludes everything,
-// itself included. await and leave are the only places the two kinds
-// differ here (Look, Speculate and EnterSessionContext tell them apart
-// inside the node).
+// the mutex is session 0, which excludes everything, itself included —
+// a fact only the node knows.
 type section struct {
 	r       *lockRec
 	session uint32
 }
 
-// await blocks until this node is inside s — the exclusive grant, or an
-// entry in s's session — or, while s speculates, until the interrupt
-// rolled the section back; the maintenance tick keeps the request alive
-// meanwhile, so one that died with a crashed root reaches its successor.
+// await blocks until this node is inside s or, while s speculates, until
+// the interrupt rolled the section back; the maintenance tick keeps the
+// request alive meanwhile, so one that died with a crashed root reaches
+// its successor.
 func (s section) await(ctx context.Context, speculating bool) error {
 	r := s.r
 	n, gid, l := r.e.node, r.k.g, r.k.l
-	var ok bool
-	var err error
-	if s.session == 0 {
-		grant := gwc.GrantValue(n.ID())
-		ok, err = n.WaitLockCondContext(ctx, gid, l, func(v int64) bool {
-			return v == grant || (speculating && r.rolled.Load())
-		})
-	} else {
-		session := s.session
-		ok, err = n.WaitSessionCondContext(ctx, gid, l, func(si gwc.SessionInfo) bool {
-			return (si.Mine && si.Session == session) || (speculating && r.rolled.Load())
-		})
+	var rolled *atomic.Bool
+	if speculating {
+		rolled = &r.rolled
 	}
+	ok, err := n.WaitEnteredContext(ctx, gid, l, s.session, rolled)
 	if err == nil && !ok {
 		err = fmt.Errorf("core: node %d closed while awaiting session %d of lock %d: %w", n.ID(), s.session, l, gwc.ErrClosed)
 	}
@@ -290,11 +280,7 @@ func (s section) await(ctx context.Context, speculating bool) error {
 // leave gives the section's hold back; the node drops the interrupt in
 // the same hold.
 func (s section) leave() error {
-	n, k := s.r.e.node, s.r.k
-	if s.session == 0 {
-		return n.Release(k.g, k.l)
-	}
-	return n.LeaveSession(k.g, k.l)
+	return s.r.e.node.Release(s.r.k.g, s.r.k.l)
 }
 
 // run executes body inside a hold this node has — nothing to save, every

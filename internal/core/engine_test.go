@@ -103,7 +103,7 @@ func (k kind) do(e *Engine, body func(tx *Tx) error) error {
 }
 
 func (k kind) enter(n *gwc.Node) error { return n.EnterSession(tGroup, tLock, k.rival) }
-func (k kind) leave(n *gwc.Node) error { return n.LeaveSession(tGroup, tLock) }
+func (k kind) leave(n *gwc.Node) error { return n.Release(tGroup, tLock) }
 
 // seen reports whether n has applied a rival entry.
 func (k kind) seen(n *gwc.Node) bool {

@@ -128,9 +128,17 @@ func guardedCfg(nodes int) map[gwc.VarID]gwc.LockID {
 // worker that only polled LockValue would walk into the section without
 // pinning the lease, and a concurrent revoke could pull the lock out
 // from under it mid-section.
+//
+// A worker with a non-zero session is a reader instead: it churns
+// through that shared session — request an entry, hold it
+// readerHoldPolls, leave, repeat — writes nothing, and so has nothing to
+// observe: its obligations are liveness (each cycle completes) and
+// honesty (it never touches the guarded counter). acked counts its
+// entries.
 type worker struct {
 	env     *Env
 	node    int
+	session uint32
 	obs     []int // stable observer nodes (never this worker)
 	minObs  int
 	hold    int // how long the section stays open; see the hold values
@@ -167,7 +175,10 @@ const (
 	wHolding // between grant and release
 )
 
-const observeFor = 6000 // observing polls before abandoning the op
+const (
+	observeFor      = 6000 // observing polls before abandoning the op
+	readerHoldPolls = 40   // polls a reader holds its entry before leaving
+)
 
 // stop makes the worker wind down: no new sections; a pending request
 // is cancelled; a pending observation runs to ack or abandonment.
@@ -187,13 +198,17 @@ func (w *worker) done() bool { return w.state == wDone }
 // enter runs the critical-section writes; the caller already holds the
 // lock (granted or leased).
 func (w *worker) enter() {
+	w.state = wHolding
+	w.polls = 0
+	if w.session != 0 {
+		w.acked++
+		return
+	}
 	n := w.env.Node(w.node)
 	t, _ := n.Read(simGroup, simCounter)
 	n.Write(simGroup, simCounter, t+1)
 	n.Write(simGroup, stampVar(w.node), t+1)
 	w.from = t
-	w.state = wHolding
-	w.polls = 0
 	if w.hold == holdNone {
 		w.leave()
 	}
@@ -206,8 +221,27 @@ func (w *worker) leave() {
 		w.state = wIdle
 		return
 	}
+	if w.session != 0 { // a reader wrote nothing to observe
+		w.state = wIdle
+		if w.stopped {
+			w.state = wDone
+		}
+		return
+	}
 	w.state = wObserving
 	w.polls = 0
+}
+
+// inside reports whether the worker's node is in the lock, in the
+// worker's session.
+func (w *worker) inside() bool {
+	n := w.env.Node(w.node)
+	if w.session == 0 {
+		v, _ := n.LockValue(simGroup, simLock)
+		return v == gwc.GrantValue(w.node)
+	}
+	si, _ := n.SessionState(simGroup, simLock)
+	return si.Mine && si.Session == w.session
 }
 
 // poll advances the state machine one notch. Called only at quiescence,
@@ -225,12 +259,11 @@ func (w *worker) poll() {
 			w.enter() // leased: straight into the section, zero frames
 			return
 		}
-		n.SendLockRequest(simGroup, simLock)
+		n.SendSessionRequest(simGroup, simLock, w.session)
 		w.state = wWaiting
 		w.polls = 0
 	case wWaiting:
-		v, _ := n.LockValue(simGroup, simLock)
-		if v != gwc.GrantValue(w.node) {
+		if !w.inside() {
 			// The request (or its grant) may be sitting in a dead root's
 			// mailbox; the node's maintenance tick re-registers it with
 			// whatever root the member currently follows.
@@ -238,7 +271,12 @@ func (w *worker) poll() {
 		}
 		w.enter()
 	case wHolding:
-		if w.hold > 0 {
+		if w.session != 0 {
+			w.polls++
+			if w.polls < readerHoldPolls && !w.stopped {
+				return
+			}
+		} else if w.hold > 0 {
 			if v, _ := w.env.Node(0).Read(simGroup, stampVar(w.node)); v < w.from+1 {
 				return
 			}

@@ -10,82 +10,12 @@ import (
 // Session-lock scenarios: group mutual exclusion under the
 // deterministic scheduler. Like the counter workers, the session
 // workloads use only the non-blocking half of the gwc API
-// (SendSessionRequest / SessionState / LeaveSession) as polled state
-// machines.
+// (SendSessionRequest / SessionState / Release) as polled state
+// machines; a reader is a worker with a session (scenarios.go).
 
 // simReadSession is the shared session the scenario readers churn
 // through; the writers use session 0 (exclusive).
 const simReadSession uint32 = 1
-
-// reader is a polled state machine that churns one node through the
-// shared session: request an entry, hold it for a few polls, leave,
-// repeat. Its only obligations are liveness (each cycle completes) and
-// honesty (it never touches the guarded counter).
-type reader struct {
-	env  *Env
-	node int
-
-	state   rState
-	stopped bool
-	polls   int
-	entries int
-}
-
-type rState int
-
-const (
-	rIdle rState = iota
-	rWaiting
-	rHolding
-	rDone
-)
-
-const readerHoldPolls = 40 // polls an entry is held before leaving
-
-func (r *reader) stop() {
-	r.stopped = true
-	if r.state == rWaiting {
-		r.env.Node(r.node).CancelLockRequest(simGroup, simLock)
-		r.state = rDone
-	}
-	if r.state == rIdle {
-		r.state = rDone
-	}
-}
-
-func (r *reader) done() bool { return r.state == rDone }
-
-func (r *reader) poll() {
-	n := r.env.Node(r.node)
-	switch r.state {
-	case rIdle:
-		if r.stopped {
-			r.state = rDone
-			return
-		}
-		n.SendSessionRequest(simGroup, simLock, simReadSession)
-		r.state = rWaiting
-		r.polls = 0
-	case rWaiting:
-		si, _ := n.SessionState(simGroup, simLock)
-		if !si.Mine || si.Session != simReadSession {
-			return
-		}
-		r.entries++
-		r.state = rHolding
-		r.polls = 0
-	case rHolding:
-		r.polls++
-		if r.polls >= readerHoldPolls || r.stopped {
-			if err := n.LeaveSession(simGroup, simLock); err == nil {
-				r.state = rIdle
-			}
-			if r.stopped {
-				r.state = rDone
-			}
-		}
-	}
-}
 
 // SessionFairnessChurn: 4 nodes; two readers churn overlapping entries
 // in the shared session — a stream that would hold the session open
@@ -108,9 +38,9 @@ func SessionFairnessChurn() Scenario {
 			}
 			checker := model.NewCounterChecker()
 			w := &worker{env: e, node: 3, obs: []int{0, 1}, minObs: 2, checker: checker}
-			rs := []*reader{
-				{env: e, node: 1},
-				{env: e, node: 2},
+			rs := []*worker{
+				{env: e, node: 1, session: simReadSession},
+				{env: e, node: 2, session: simReadSession},
 			}
 			ws := []*worker{w}
 			pollAll := func() {
@@ -135,7 +65,7 @@ func SessionFairnessChurn() Scenario {
 			// Let the reader churn establish itself before the writer
 			// contends, a seed-chosen head start.
 			if err := run(400+e.Rand().Intn(400), "reader churn to start", func() bool {
-				return rs[0].entries >= 1 && rs[1].entries >= 1
+				return rs[0].acked >= 1 && rs[1].acked >= 1
 			}); err != nil {
 				return err
 			}
@@ -242,7 +172,7 @@ func SessionFailoverMultiHolder() Scenario {
 			// root; the holders then finish, and the writer must enter.
 			w.poll() // sends the exclusive request (wIdle -> wWaiting)
 			for _, id := range []int{1, 2} {
-				if err := e.Node(id).LeaveSession(simGroup, simLock); err != nil {
+				if err := e.Node(id).Release(simGroup, simLock); err != nil {
 					return fmt.Errorf("holder %d could not leave after failover: %w", id, err)
 				}
 			}

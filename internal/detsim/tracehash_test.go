@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"optsync/internal/wire"
 )
 
 // The detsim traces are the refactor oracle for internal/gwc: a change
@@ -22,7 +24,10 @@ import (
 // the first -seeds seeds of each (10 by default, 3 under -short; CI
 // passes -seeds=180 and so checks the whole file). Rewrite it with
 //
-//	go test ./internal/detsim -run TestTraceHashes -update
+//	go test ./internal/detsim -run TestTraceHashes -update -v
+//
+// (-v shows, per scenario, how many traces moved and how many of those
+// carry a state stream).
 
 const (
 	pinnedSeeds    = 180
@@ -99,11 +104,31 @@ func readTraceHashes(t *testing.T) map[string]string {
 	return pinned
 }
 
+// carriesStream reports whether a state stream or a batch frame crossed
+// the wire during the run: the only frames a change to the stream
+// encoding can move.
+func carriesStream(r Result) bool {
+	for _, e := range r.Trace {
+		if e.Type == wire.TSnapLock || e.Type == wire.TBatch {
+			return true
+		}
+	}
+	return false
+}
+
 // writeTraceHashes runs the whole pinned corpus, one scenario per
 // processor at a time, and rewrites the file in scenario-then-seed order.
+// It logs, scenario by scenario, how many traces moved against the file
+// it replaces and how many of those carry a TSnapLock or TBatch event:
+// the report the file's header asks of a re-pinning change.
 func writeTraceHashes(t *testing.T, scs []Scenario) {
 	t.Helper()
+	old := map[string]string{}
+	if _, err := os.Stat(traceHashesTxt); err == nil {
+		old = readTraceHashes(t)
+	}
 	lines := make([][]string, len(scs))
+	moved, streamed := make([]int, len(scs)), make([]int, len(scs))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0)) // one slot per scenario in flight
 	for i, sc := range scs {
@@ -117,11 +142,21 @@ func writeTraceHashes(t *testing.T, scs []Scenario) {
 				if r.Err != nil {
 					t.Errorf("scenario %s seed %d failed: %v", sc.Name, seed, r.Err)
 				}
-				lines[i] = append(lines[i], hashKey(sc.Name, seed)+" "+traceHash(r))
+				key, hash := hashKey(sc.Name, seed), traceHash(r)
+				lines[i] = append(lines[i], key+" "+hash)
+				if old[key] != hash {
+					moved[i]++
+					if carriesStream(r) {
+						streamed[i]++
+					}
+				}
 			}
 		}()
 	}
 	wg.Wait()
+	for i, sc := range scs {
+		t.Logf("%-34s moved %3d/%d, %3d of them carrying TSnapLock or TBatch", sc.Name, moved[i], pinnedSeeds, streamed[i])
+	}
 	var b strings.Builder
 	b.WriteString("# detsim trace hashes: <scenario> <seed> <fnv64a of the event trace and verdict>.\n")
 	b.WriteString("# Checked by TestTraceHashes; rewrite with: go test ./internal/detsim -run TestTraceHashes -update\n")

@@ -1,7 +1,7 @@
 package gwc
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"optsync/internal/obs"
@@ -26,13 +26,16 @@ import (
 //   - variables come from the reports with the highest applied sequence
 //     number; a lone dissenting value among them is an eager local write
 //     whose up-message died with the old root and is adopted;
-//   - a lock's holder is believed only if the holder's own report still
-//     shows the grant (a holder that reported a free value has released;
-//     a suspected holder is freed, which is safe because its stale-epoch
-//     traffic can no longer enter the group);
-//   - queues are rebuilt from reporters whose local copy still shows
-//     their own pending request; anyone missed re-queues via the request
-//     retry (the maintenance tick re-sends it).
+//   - a lock's holders are those the reports that saw its newest epoch
+//     show inside, each believed only if its own report still shows it
+//     there (one that reports otherwise has left, and only the release
+//     died with the root; a suspected one that did not report is freed,
+//     which is safe because its stale-epoch traffic can no longer enter
+//     the group; a live one that merely failed to report is kept —
+//     safety over liveness);
+//   - queues are rebuilt from the reporters that say they wait, in node
+//     order; anyone missed re-queues via the request retry (the
+//     maintenance tick re-sends it).
 //
 // The new root restarts sequence numbering at 1 for its epoch and members
 // re-base through a snapshot (TSnapVar/TSnapLock/TSnapDone) requested on
@@ -46,37 +49,50 @@ import (
 // rejoins (rejoin.go) to restore a quorum. That is the standard CP
 // trade.
 
-// lockSnap is one lock's accumulated state in a report or snapshot.
-// Exclusive protocol frames (Session 0) fill val; session frames add
-// one holder (Val > 0, holders[node] = entry epoch) or a pending
-// session request (Val < 0, reqSession) each. epoch is the highest
-// grant epoch seen on any frame for the lock.
+// lockSnap is one lock's piece of a state stream, as read back: the open
+// section as the sender saw it, the newest epoch it knew for the lock,
+// and whether the sender itself waits to enter (and which session).
 type lockSnap struct {
-	val        int64
-	epoch      uint32
-	session    uint32
-	holders    map[int]uint32
-	reqSession uint32
+	epoch   uint32
+	held    holderSet
+	waits   bool
+	session uint32
 }
 
-// absorb folds one TSnapLock frame into the lock's accumulated state.
+// snapLock appends lock l's piece of a state stream (an election report
+// or a catch-up snapshot; base addresses it): one frame per holder of the
+// open section, carrying its entry epoch, then the sender's own word on
+// the lock — word is its request marker if it waits to enter session, or
+// Free — carrying the newest epoch it knows for it.
+func snapLock(msgs []wire.Message, base wire.Message, l LockID, held *holderSet, epoch uint32, word int64, session uint32) []wire.Message {
+	base.Type = wire.TSnapLock
+	base.Lock = uint32(l)
+	for _, h := range held.in {
+		m := base
+		m.Var = h.epoch
+		m.Val = GrantValue(h.node)
+		m.Session = held.session
+		msgs = append(msgs, m)
+	}
+	base.Var = epoch
+	base.Val = word
+	base.Session = session
+	return append(msgs, base)
+}
+
+// absorb folds one TSnapLock frame into the lock's piece: snapLock's
+// reader.
 func (s *lockSnap) absorb(m *wire.Message) {
-	if m.Var > s.epoch {
-		s.epoch = m.Var
-	}
-	if m.Session == 0 {
-		s.val = m.Val
-		return
-	}
-	if m.Val > 0 {
-		if s.holders == nil {
-			s.holders = make(map[int]uint32)
+	s.epoch = max(s.epoch, m.Var)
+	switch {
+	case m.Val > 0:
+		if m.Session != s.held.session {
+			s.held.open(m.Session)
 		}
-		s.holders[holderOf(m.Val)] = m.Var
-		s.session = m.Session
-		return
+		s.held.put(holder{node: holderOf(m.Val), epoch: m.Var})
+	case m.Val != Free:
+		s.waits, s.session = true, m.Session
 	}
-	s.reqSession = m.Session
 }
 
 // snapReport accumulates one sender's state stream: an election report
@@ -226,7 +242,7 @@ func (n *Node) demote(g *memberGroup, epoch uint32, root int) {
 	delete(n.roots, g.cfg.ID)
 	owed := 0
 	for i := range r.locks.recs {
-		owed += len(r.locks.recs[i].holders)
+		owed += len(r.locks.recs[i].held.in)
 	}
 	n.metrics.Gauge(obs.GaugeSessHolders).Add(-int64(owed))
 	n.stats.Demotions++
@@ -375,48 +391,14 @@ func (n *Node) reportFrames(g *memberGroup) []wire.Message {
 		msgs = append(msgs, m)
 	}
 	for i := range g.locks.recs {
-		l, lk := LockID(i), &g.locks.recs[i]
-		if !lk.known {
-			continue
+		lk := &g.locks.recs[i]
+		word, session := Free, uint32(0)
+		if lk.want && !lk.held.has(n.id) {
+			word, session = RequestValue(n.id), lk.reqSession
+		} else if len(lk.held.in) == 0 && lk.grantEpoch == 0 {
+			continue // never seen in use: nothing to report
 		}
-		m := base
-		m.Type = wire.TSnapLock
-		m.Lock = uint32(l)
-		m.Var = lk.grantEpoch
-		m.Val = lk.val
-		msgs = append(msgs, m)
-	}
-	// Session state rides as extra frames: one per observed holder, plus
-	// a request marker when this node waits to enter a session (exclusive
-	// waits already show as RequestValue in the lock-value loop above).
-	for i := range g.locks.recs {
-		l, lk := LockID(i), &g.locks.recs[i]
-		sv := lk.sess
-		if sv == nil || len(sv.holders) == 0 {
-			continue
-		}
-		for _, h := range sortedKeys(sv.holders) {
-			m := base
-			m.Type = wire.TSnapLock
-			m.Lock = uint32(l)
-			m.Var = sv.holders[h]
-			m.Val = GrantValue(h)
-			m.Session = sv.session
-			msgs = append(msgs, m)
-		}
-	}
-	for i := range g.locks.recs {
-		l, lk := LockID(i), &g.locks.recs[i]
-		if !lk.sessionWaiter() {
-			continue
-		}
-		m := base
-		m.Type = wire.TSnapLock
-		m.Lock = uint32(l)
-		m.Var = lk.grantEpoch
-		m.Val = RequestValue(n.id)
-		m.Session = lk.reqSession
-		msgs = append(msgs, m)
+		msgs = snapLock(msgs, base, LockID(i), &lk.held, lk.grantEpoch, word, session)
 	}
 	done := base
 	done.Type = wire.TSnapDone
@@ -460,9 +442,7 @@ func (n *Node) promote(gid GroupID, g *memberGroup) {
 		*r.locks.at(l) = *ls
 		// Reconstructed holders enter the gauge so their eventual leaves
 		// balance it.
-		if !ls.free() {
-			n.metrics.Gauge(obs.GaugeSessHolders).Add(int64(len(ls.holders)))
-		}
+		n.metrics.Gauge(obs.GaugeSessHolders).Add(int64(len(ls.held.in)))
 	}
 	n.roots[gid] = r
 	n.stats.Failovers++
@@ -484,15 +464,7 @@ func (n *Node) promote(gid GroupID, g *memberGroup) {
 		if !ls.used {
 			continue
 		}
-		if !ls.free() && ls.session != 0 {
-			n.installSessionView(g, l, ls.session, ls.entryEpochs, ls.epoch)
-			continue
-		}
-		val := Free
-		if h := ls.soleHolder(); h != -1 {
-			val = GrantValue(h)
-		}
-		n.applyLockValue(g, l, val, ls.epoch, 0, 0)
+		n.install(g, l, &ls.held, ls.epoch)
 	}
 	// Free locks with survivors queued move on immediately; everyone
 	// else learns the holder from the grant multicast or the snapshot.
@@ -571,91 +543,54 @@ func rebuildLocks(reps map[int]*snapReport, suspected map[int]bool) map[LockID]*
 			ids[l] = true
 		}
 	}
+	srcs := sortedKeys(reps)
 	out := make(map[LockID]*lockState, len(ids))
 	for l := range ids {
 		st := newLockState()
 		ls := &st
 		for _, rep := range reps {
-			if s, ok := rep.locks[l]; ok && s.epoch > ls.epoch {
-				ls.epoch = s.epoch
-			}
+			ls.epoch = max(ls.epoch, rep.locks[l].epoch)
 		}
-		// Who was last seen holding it? Only claims from the reports with
-		// the newest grant epoch count; older ones saw already-finished
-		// sections. An exclusive claim (a positive lock value) and a
-		// session claim (holder frames) never coexist in one up-to-date
-		// report: a member's session view is reset by any exclusive frame
-		// and its lock value shows Free while a session is open.
-		claimed := -1
-		var sessClaim uint32
-		sessHolders := make(map[int]uint32)
-		srcs := sortedKeys(reps)
+		// Who was last seen inside? Only the reports that saw the lock's
+		// newest epoch count; older ones saw already-finished sections. They
+		// all saw the entry that epoch announced, so they name one session.
 		for _, src := range srcs {
 			s, ok := reps[src].locks[l]
-			if !ok || s.epoch != ls.epoch {
+			if !ok || s.epoch != ls.epoch || len(s.held.in) == 0 {
 				continue
 			}
-			if h := holderOf(s.val); h >= 0 {
-				claimed = h
+			if len(ls.held.in) == 0 {
+				ls.held.session = s.held.session
 			}
-			if len(s.holders) > 0 {
-				sessClaim = s.session
-				for h, ee := range s.holders {
-					if ee > sessHolders[h] {
-						sessHolders[h] = ee
-					}
+			if s.held.session != ls.held.session {
+				continue
+			}
+			for _, h := range s.held.in {
+				if cur := ls.held.find(h.node); cur == nil || h.epoch > cur.epoch {
+					ls.held.put(h)
 				}
 			}
 		}
-		if claimed >= 0 {
-			// An exclusive claim at the newest epoch supersedes any session
-			// evidence (it must be older).
-			sessClaim, sessHolders = 0, nil
-			if own, ok := reps[claimed]; ok {
-				if s, ok := own.locks[l]; !ok || s.val != GrantValue(claimed) {
-					// The holder's own copy shows no grant: it released,
-					// and only the release message died with the root.
-					claimed = -1
-				}
-			} else if suspected[claimed] {
-				// The holder died with the old root. Freeing is safe: its
-				// stale-epoch traffic can no longer enter the group.
-				claimed = -1
+		// Each claimed holder's own report is the final word on whether it
+		// is still inside: one that shows otherwise has left, and only the
+		// release died with the root. A holder that did not report is freed
+		// if it is suspected — it died with the old root, and its
+		// stale-epoch traffic can no longer enter the group — and kept if it
+		// is not: safety (no double grant) over liveness; its retries or its
+		// release resolve the lock.
+		ls.held.in = slices.DeleteFunc(ls.held.in, func(h holder) bool {
+			own, ok := reps[h.node]
+			if !ok {
+				return suspected[h.node]
 			}
-			// A live holder that merely failed to report stays holder —
-			// safety (no double grant) over liveness; its retries or its
-			// release resolve the lock.
+			s := own.locks[l]
+			return s.held.session != ls.held.session || !s.held.has(h.node)
+		})
+		if !ls.free() {
+			ls.lastSession = ls.held.session
 		}
-		// Validate each claimed session holder by the same rules as an
-		// exclusive holder: its own report is the final word on whether it
-		// still holds, a suspected non-reporter is freed, a live
-		// non-reporter is kept for safety.
-		for h := range sessHolders {
-			if own, ok := reps[h]; ok {
-				s, ok := own.locks[l]
-				if !ok || s.session != sessClaim {
-					delete(sessHolders, h)
-					continue
-				}
-				if _, holds := s.holders[h]; !holds {
-					delete(sessHolders, h)
-				}
-			} else if suspected[h] {
-				delete(sessHolders, h)
-			}
-		}
-		switch {
-		case claimed >= 0:
-			ls.holders[claimed] = 0
-			ls.entryEpochs[claimed] = ls.epoch
-			ls.lastWinner = claimed
-		case len(sessHolders) > 0:
-			for h, ee := range sessHolders {
-				ls.holders[h] = 0
-				ls.entryEpochs[h] = ee
-			}
-			ls.session = sessClaim
-			ls.lastSession = sessClaim
+		if h := ls.sole(); h != nil {
+			ls.lastWinner = h.node
 		}
 		if ls.epoch > 0 {
 			// Who won the grants leading up to the reconstructed epoch died
@@ -664,31 +599,17 @@ func rebuildLocks(reps map[int]*snapReport, suspected map[int]bool) map[LockID]*
 			// tag+1) without ever widening it.
 			ls.foreignEpoch = ls.epoch - 1
 		}
-		// Reporters whose local copy still shows their own pending
-		// request re-queue in ID order (the old order died with the old
-		// root); anyone missed re-queues via the tick's request retry. The
-		// acquisition tokens died with the old root, so re-queued entries
-		// carry token 0: the grant is declined and the member's retry
-		// re-registers the request with its live token (one extra round
-		// trip, never a wrong consumption). Session requests re-queue
-		// with their session, from the reqSession markers.
-		var waiters []lockWaiter
-		for src, rep := range reps {
-			if ls.holds(src) {
-				continue
-			}
-			s, ok := rep.locks[l]
-			if !ok {
-				continue
-			}
-			if s.val == RequestValue(src) {
-				waiters = append(waiters, lockWaiter{node: src})
-			} else if s.reqSession != 0 {
-				waiters = append(waiters, lockWaiter{node: src, session: s.reqSession})
+		// Reporters that say they wait re-queue in ID order (the old order
+		// died with the old root); anyone missed re-queues via the tick's
+		// request retry. The acquisition tokens died with the old root, so
+		// re-queued entries carry token 0: the grant is declined and the
+		// member's retry re-registers the request with its live token (one
+		// extra round trip, never a wrong consumption).
+		for _, src := range srcs {
+			if s := reps[src].locks[l]; s.waits && !ls.holds(src) {
+				ls.queue = append(ls.queue, lockWaiter{node: src, session: s.session})
 			}
 		}
-		sort.Slice(waiters, func(i, j int) bool { return waiters[i].node < waiters[j].node })
-		ls.queue = append(ls.queue, waiters...)
 		out[l] = ls
 	}
 	return out
@@ -742,11 +663,7 @@ func (n *Node) snapApply(g *memberGroup, m *wire.Message) {
 		}
 		for _, l := range sortedKeys(snap.locks) {
 			s := snap.locks[l]
-			if len(s.holders) > 0 {
-				n.installSessionView(g, l, s.session, s.holders, s.epoch)
-				continue
-			}
-			n.applyLockValue(g, l, s.val, s.epoch, 0, 0)
+			n.install(g, l, &s.held, s.epoch)
 		}
 		g.nextSeq = m.Seq + 1
 		// Re-anchor the integrity digest to the root's sum at the
@@ -834,32 +751,9 @@ func (n *Node) rootSnapSend(r *rootGroup, to int) {
 		msgs = append(msgs, m)
 	}
 	for i := range r.locks.recs {
-		l, ls := LockID(i), &r.locks.recs[i]
-		if !ls.used {
-			continue
+		if ls := &r.locks.recs[i]; ls.used {
+			msgs = snapLock(msgs, base, LockID(i), &ls.held, ls.epoch, Free, 0)
 		}
-		if !ls.free() && ls.session != 0 {
-			// One frame per holder of the open session.
-			for _, h := range sortedKeys(ls.holders) {
-				m := base
-				m.Type = wire.TSnapLock
-				m.Lock = uint32(l)
-				m.Var = ls.entryEpochs[h]
-				m.Val = GrantValue(h)
-				m.Session = ls.session
-				msgs = append(msgs, m)
-			}
-			continue
-		}
-		m := base
-		m.Type = wire.TSnapLock
-		m.Lock = uint32(l)
-		m.Var = ls.epoch
-		m.Val = Free
-		if h := ls.soleHolder(); h != -1 {
-			m.Val = GrantValue(h)
-		}
-		msgs = append(msgs, m)
 	}
 	done := base
 	done.Type = wire.TSnapDone

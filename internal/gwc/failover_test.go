@@ -133,7 +133,7 @@ func TestFailoverPreservesLockHolderAndQueue(t *testing.T) {
 	})
 	// The new root must see node 2 as holder (no double grant).
 	c.nodes[1].mu.Lock()
-	holder := c.nodes[1].roots[tGroup].lock(tLock).soleHolder()
+	holder := soleNode(c.nodes[1].roots[tGroup].lock(tLock))
 	c.nodes[1].mu.Unlock()
 	if holder != 2 {
 		t.Fatalf("reconstructed holder = %d, want 2", holder)
@@ -145,7 +145,7 @@ func TestFailoverPreservesLockHolderAndQueue(t *testing.T) {
 	if err := c.nodes[2].Release(tGroup, tLock); err != nil {
 		t.Fatal(err)
 	}
-	ok, err := c.nodes[3].WaitLockGrant(tGroup, tLock)
+	ok, err := waitGrant(c.nodes[3])
 	if err != nil || !ok {
 		t.Fatalf("queued waiter never granted after failover: ok=%v err=%v", ok, err)
 	}
@@ -252,55 +252,59 @@ func TestAcquireContextExpiredReturnsPromptly(t *testing.T) {
 }
 
 func TestCancelWhileQueuedLeavesNoPhantom(t *testing.T) {
-	c := newInProcCluster(t, 3, true)
-	if err := c.nodes[2].Acquire(tGroup, tLock); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	if err := c.nodes[1].AcquireContext(ctx, tGroup, tLock); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("AcquireContext = %v, want context.DeadlineExceeded", err)
-	}
-	if err := c.nodes[2].Release(tGroup, tLock); err != nil {
-		t.Fatal(err)
-	}
-	// The cancelled waiter must not inherit the lock: the root's queue
-	// entry was withdrawn, so the release frees the lock outright.
-	waitFor(t, c, 5*time.Second, "the lock to come to rest free", func() bool {
-		c.nodes[0].mu.Lock()
-		ls := c.nodes[0].roots[tGroup].lock(tLock)
-		free, qlen := ls.free(), len(ls.queue)
-		c.nodes[0].mu.Unlock()
-		return free && qlen == 0
-	})
-	// And the waiter's local copy agrees.
-	waitFor(t, c, 5*time.Second, "node 1's local lock copy to read free", func() bool {
-		v, err := c.nodes[1].LockValue(tGroup, tLock)
-		return err == nil && v == Free
+	eachKind(t, func(t *testing.T, k lockKind) {
+		c := newInProcCluster(t, 3, true)
+		if err := c.nodes[2].EnterSession(tGroup, tLock, k.rival); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+		defer cancel()
+		if err := c.nodes[1].EnterSessionContext(ctx, tGroup, tLock, k.session); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("AcquireContext = %v, want context.DeadlineExceeded", err)
+		}
+		if err := c.nodes[2].Release(tGroup, tLock); err != nil {
+			t.Fatal(err)
+		}
+		// The cancelled waiter must not inherit the lock: the root's queue
+		// entry was withdrawn, so the release frees the lock outright.
+		waitFor(t, c, 5*time.Second, "the lock to come to rest free", func() bool {
+			c.nodes[0].mu.Lock()
+			ls := c.nodes[0].roots[tGroup].lock(tLock)
+			free, qlen := ls.free(), len(ls.queue)
+			c.nodes[0].mu.Unlock()
+			return free && qlen == 0
+		})
+		// And the waiter's local copy agrees.
+		waitFor(t, c, 5*time.Second, "node 1's local lock copy to read free", func() bool {
+			v, err := c.nodes[1].LockValue(tGroup, tLock)
+			return err == nil && v == Free
+		})
 	})
 }
 
 func TestAcquireContextGrantRaceReleases(t *testing.T) {
-	// A cancellation that loses the race with the grant must hand the
-	// lock back rather than keep it; later acquirers proceed normally.
-	c := newInProcCluster(t, 3, true)
-	for i := 0; i < 20; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i)*time.Millisecond)
-		err := c.nodes[1].AcquireContext(ctx, tGroup, tLock)
-		cancel()
-		if err == nil {
-			if err := c.nodes[1].Release(tGroup, tLock); err != nil {
-				t.Fatal(err)
+	eachKind(t, func(t *testing.T, k lockKind) {
+		// A cancellation that loses the race with the grant must hand the
+		// lock back rather than keep it; later acquirers proceed normally.
+		c := newInProcCluster(t, 3, true)
+		for i := 0; i < 20; i++ {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i)*time.Millisecond)
+			err := c.nodes[1].EnterSessionContext(ctx, tGroup, tLock, k.session)
+			cancel()
+			if err == nil {
+				if err := c.nodes[1].Release(tGroup, tLock); err != nil {
+					t.Fatal(err)
+				}
+			} else if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("AcquireContext = %v", err)
 			}
-		} else if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("AcquireContext = %v", err)
 		}
-	}
-	// Whatever the races did, the lock must still be acquirable.
-	if err := c.nodes[2].Acquire(tGroup, tLock); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.nodes[2].Release(tGroup, tLock); err != nil {
-		t.Fatal(err)
-	}
+		// Whatever the races did, the lock must still be acquirable.
+		if err := c.nodes[2].EnterSession(tGroup, tLock, k.rival); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.nodes[2].Release(tGroup, tLock); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

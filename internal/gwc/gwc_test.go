@@ -1,6 +1,7 @@
 package gwc
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -74,6 +75,49 @@ func newInProcCluster(t *testing.T, n int, guarded bool) *cluster {
 		t.Fatal(err)
 	}
 	return newCluster(t, net, guarded)
+}
+
+// lockKind is one row of the table the lock plane's regression tests run
+// over: the session the test's subject enters and the one its rival
+// does. The mutex is the row in which both are session 0.
+type lockKind struct {
+	name           string
+	session, rival uint32
+}
+
+var lockKinds = []lockKind{
+	{name: "mutex", session: 0, rival: 0},
+	{name: "session", session: 7, rival: 9},
+}
+
+// eachKind runs f as one subtest per lock kind.
+func eachKind(t *testing.T, f func(t *testing.T, k lockKind)) {
+	for _, k := range lockKinds {
+		t.Run(k.name, func(t *testing.T) { f(t, k) })
+	}
+}
+
+// booked reports whether the root's books show node alone in tLock, in
+// the given session.
+func booked(root *Node, node int, session uint32) bool {
+	root.mu.Lock()
+	defer root.mu.Unlock()
+	ls := root.roots[tGroup].lock(tLock)
+	return len(ls.held.in) == 1 && ls.held.in[0].node == node && ls.held.session == session
+}
+
+// soleNode is the holder of the books' open exclusive section, or -1.
+func soleNode(ls *lockState) int {
+	if h := ls.sole(); h != nil {
+		return h.node
+	}
+	return -1
+}
+
+// waitGrant blocks until n holds tLock exclusively: the wait half of an
+// acquisition the test issued with SendLockRequest.
+func waitGrant(n *Node) (bool, error) {
+	return n.WaitEnteredContext(context.Background(), tGroup, tLock, 0, nil)
 }
 
 // waitValue blocks until node's copy of v equals want, or fails. It
@@ -392,10 +436,28 @@ func TestRootSuppressesNonHolderGuardedWrite(t *testing.T) {
 }
 
 func TestReleaseWithoutHoldingFails(t *testing.T) {
-	c := newInProcCluster(t, 2, true)
-	if err := c.nodes[1].Release(tGroup, tLock); err == nil {
-		t.Error("release of unheld lock succeeded, want error")
-	}
+	eachKind(t, func(t *testing.T, k lockKind) {
+		c := newInProcCluster(t, 3, true)
+		if err := c.nodes[1].Release(tGroup, tLock); err == nil {
+			t.Error("release of unheld lock succeeded, want error")
+		}
+		// Nor does a section somebody else is in give this node anything
+		// to release.
+		if err := c.nodes[2].EnterSession(tGroup, tLock, k.rival); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, c, 5*time.Second, "node 1 to see the rival inside", func() bool {
+			c.nodes[1].mu.Lock()
+			defer c.nodes[1].mu.Unlock()
+			return c.nodes[1].groups[tGroup].locks.at(tLock).held.has(2)
+		})
+		if err := c.nodes[1].Release(tGroup, tLock); err == nil {
+			t.Error("release of a lock a rival holds succeeded, want error")
+		}
+		if !booked(c.nodes[0], 2, k.rival) {
+			t.Error("the rival's entry did not survive the refused release")
+		}
+	})
 }
 
 func TestUnknownGroupErrors(t *testing.T) {
@@ -514,8 +576,8 @@ func TestSpeculateArmsOrRefusesInOneHold(t *testing.T) {
 	if err := n.Acquire(tGroup, tLock); !errors.Is(err, ErrNested) {
 		t.Errorf("Acquire during the speculation returned %v, want ErrNested", err)
 	}
-	if ok, err := n.WaitLockGrant(tGroup, tLock); !ok || err != nil {
-		t.Fatalf("WaitLockGrant = %v, %v", ok, err)
+	if ok, err := waitGrant(n); !ok || err != nil {
+		t.Fatalf("waitGrant = %v, %v", ok, err)
 	}
 	if !armed() || intr.fired.Load() != 0 {
 		t.Fatalf("own grant: armed %v, fired %d; want the interrupt in place and quiet", armed(), intr.fired.Load())
@@ -652,54 +714,85 @@ func TestMutualExclusionUnderLossyLockPlane(t *testing.T) {
 }
 
 func TestDuplicateReleaseIgnoredByEpoch(t *testing.T) {
-	c := newInProcCluster(t, 3, true)
-	n1, n2 := c.nodes[1], c.nodes[2]
-	if err := n1.Acquire(tGroup, tLock); err != nil {
-		t.Fatal(err)
-	}
-	// Forge the duplicate release a lost-ack retry could produce: quote
-	// the epoch of n1's current grant, release properly, let n2 acquire,
-	// then replay the stale release. n2's grant must survive.
-	n1.mu.Lock()
-	staleEpoch := n1.groups[tGroup].locks.at(tLock).grantEpoch
-	n1.mu.Unlock()
-	if err := n1.Release(tGroup, tLock); err != nil {
-		t.Fatal(err)
-	}
-	if err := n2.Acquire(tGroup, tLock); err != nil {
-		t.Fatal(err)
-	}
-	ep := n1.ep
-	if err := ep.Send(0, wire.Message{
-		Type: wire.TLockRel, Group: uint32(tGroup), Src: 1, Origin: 1,
-		Lock: uint32(tLock), Var: staleEpoch,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(100 * time.Millisecond)
-	if got, _ := c.nodes[0].LockValue(tGroup, tLock); got != GrantValue(2) {
-		t.Errorf("lock value = %d after stale release replay, want grant(2)=%d", got, GrantValue(2))
-	}
-	_ = n2.Release(tGroup, tLock)
+	eachKind(t, func(t *testing.T, k lockKind) {
+		c := newInProcCluster(t, 3, true)
+		n1, n2 := c.nodes[1], c.nodes[2]
+		if err := n1.EnterSession(tGroup, tLock, k.session); err != nil {
+			t.Fatal(err)
+		}
+		// Forge the duplicate release a lost-ack retry could produce: quote
+		// the epoch of n1's current entry, release properly, let n1 enter
+		// again, then replay the stale release. The later entry must
+		// survive — and so must a rival's, once n1 has really left.
+		n1.mu.Lock()
+		staleEpoch := n1.groups[tGroup].locks.at(tLock).held.find(1).epoch
+		n1.mu.Unlock()
+		replay := func() {
+			t.Helper()
+			if err := n1.ep.Send(0, wire.Message{
+				Type: wire.TLockRel, Group: uint32(tGroup), Src: 1, Origin: 1,
+				Lock: uint32(tLock), Var: staleEpoch, Session: k.session,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := n1.Sync(tGroup); err != nil { // the FIFO fence behind the forged frame
+				t.Fatal(err)
+			}
+		}
+		if err := n1.Release(tGroup, tLock); err != nil {
+			t.Fatal(err)
+		}
+		if err := n1.EnterSession(tGroup, tLock, k.session); err != nil {
+			t.Fatal(err)
+		}
+		replay()
+		if !booked(c.nodes[0], 1, k.session) {
+			t.Error("a stale release closed the same node's later entry")
+		}
+		if err := n1.Release(tGroup, tLock); err != nil {
+			t.Fatal(err)
+		}
+		if err := n2.EnterSession(tGroup, tLock, k.rival); err != nil {
+			t.Fatal(err)
+		}
+		replay()
+		if !booked(c.nodes[0], 2, k.rival) {
+			t.Error("a stale release closed a rival's entry")
+		}
+		_ = n2.Release(tGroup, tLock)
+	})
 }
 
 func TestCloseUnblocksWaiters(t *testing.T) {
-	c := newInProcCluster(t, 2, true)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		ok, _ := c.nodes[1].WaitGE(tGroup, tVar, 100)
-		if ok {
-			t.Error("WaitGE satisfied after close")
+	eachKind(t, func(t *testing.T, k lockKind) {
+		c := newInProcCluster(t, 3, true)
+		if err := c.nodes[2].EnterSession(tGroup, tLock, k.rival); err != nil {
+			t.Fatal(err)
 		}
-	}()
-	time.Sleep(20 * time.Millisecond)
-	_ = c.nodes[1].Close()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("WaitGE did not unblock on close")
-	}
+		done := make(chan struct{}, 2)
+		go func() {
+			defer func() { done <- struct{}{} }()
+			ok, _ := c.nodes[1].WaitGE(tGroup, tVar, 100)
+			if ok {
+				t.Error("WaitGE satisfied after close")
+			}
+		}()
+		go func() {
+			defer func() { done <- struct{}{} }()
+			if err := c.nodes[1].EnterSession(tGroup, tLock, k.session); !errors.Is(err, ErrClosed) {
+				t.Errorf("entry blocked behind a rival returned %v after close, want ErrClosed", err)
+			}
+		}()
+		time.Sleep(20 * time.Millisecond)
+		_ = c.nodes[1].Close()
+		for i := 0; i < 2; i++ {
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("a waiter did not unblock on close")
+			}
+		}
+	})
 }
 
 func TestTCPClusterEndToEnd(t *testing.T) {

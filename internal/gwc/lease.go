@@ -62,9 +62,9 @@ func (n *Node) SetLeases(ttl time.Duration) {
 	n.leaseTTL = ttl
 }
 
-// memberLease is a member's cached claim on a lock: while it holds, the
-// local lock copy keeps GrantValue(self) across releases and re-entry
-// is decided locally.
+// memberLease is a member's cached claim on a lock: while it holds, this
+// node's exclusive entry stays in the local copy across releases and
+// re-entry is decided locally.
 type memberLease struct {
 	expiry  time.Time
 	ttl     time.Duration
@@ -113,10 +113,7 @@ func (n *Node) leaseEnter(gid GroupID, g *memberGroup, l LockID) bool {
 		return false
 	}
 	le := lk.lease
-	if le == nil || le.held || le.revoked {
-		return false
-	}
-	if lk.value() != GrantValue(n.id) {
+	if le == nil || le.held || le.revoked || !lk.held.has(n.id) {
 		return false
 	}
 	if !n.clock.Now().Before(le.expiry) {
@@ -143,12 +140,12 @@ func (n *Node) sendLeaseRet(g *memberGroup, l LockID, epoch uint32) {
 	})
 }
 
-// returnIdleLease frees a cached-but-unheld lock locally and returns
-// the lease to the root. Caller holds n.mu.
+// returnIdleLease frees a cached lock this node is not (or no longer)
+// inside and returns the lease to the root. Caller holds n.mu.
 func (n *Node) returnIdleLease(g *memberGroup, l LockID, lk *memberLock) {
 	epoch := lk.lease.epoch
 	lk.lease = nil
-	lk.set(Free)
+	lk.held.drop(n.id)
 	lk.lockDone = max(lk.lockDone, epoch)
 	n.sendLeaseRet(g, l, epoch)
 	g.lock.notifyAll()
@@ -173,7 +170,7 @@ func (n *Node) handleLeaseGrant(g *memberGroup, m *wire.Message) {
 	le := lk.lease
 	if m.Deadline == 0 {
 		// Revoke demand: Var names the grant epoch the root wants back.
-		if le == nil || le.epoch != m.Var || lk.value() != GrantValue(n.id) {
+		if le == nil || le.epoch != m.Var || !lk.held.has(n.id) {
 			// No such lease here. If this node already finished with that
 			// grant, the root's record is stale because the original
 			// return (or release) was lost — repeat it so the demand loop
@@ -193,7 +190,7 @@ func (n *Node) handleLeaseGrant(g *memberGroup, m *wire.Message) {
 	// Grant or extension. Valid only against the entry it was issued
 	// for: the grant multicast may still be in flight, in which case the
 	// lease is simply dropped (the root's next extension re-offers it).
-	if lk.value() != GrantValue(n.id) || lk.grantEpoch != m.Var {
+	if h := lk.held.find(n.id); h == nil || h.epoch != m.Var {
 		return
 	}
 	if le == nil {
@@ -250,7 +247,7 @@ func (n *Node) leaseRelease(gid GroupID, g *memberGroup, l LockID, lk *memberLoc
 		return false, nil
 	}
 	if le.held && !le.revoked && now.Before(le.expiry) && n.leasing() {
-		// Retain: the lock value stays GrantValue(self) and the next
+		// Retain: this node's entry stays in the copy and the next
 		// acquisition is a local decision. Zero wire messages.
 		le.held = false
 		lk.endRequest()
@@ -258,24 +255,10 @@ func (n *Node) leaseRelease(gid GroupID, g *memberGroup, l LockID, lk *memberLoc
 		return true, nil
 	}
 	// Revoked or expired: this release doubles as the lease return.
-	epoch := le.epoch
-	lk.lease = nil
-	lk.set(Free)
-	lk.lockDone = max(lk.lockDone, epoch)
 	lk.endRequest()
-	g.lock.notifyAll()
-	root := g.rootID
-	msg := wire.Message{
-		Type:   wire.TLeaseRet,
-		Group:  uint32(gid),
-		Src:    int32(n.id),
-		Origin: int32(n.id),
-		Lock:   uint32(l),
-		Var:    epoch,
-		Epoch:  g.epoch,
-	}
+	n.returnIdleLease(g, l, lk)
 	n.mu.Unlock()
-	return true, n.ep.Send(root, msg)
+	return true, nil
 }
 
 // handoffRelease transfers the lock directly to the hinted waiter: one
@@ -285,9 +268,10 @@ func (n *Node) leaseRelease(gid GroupID, g *memberGroup, l LockID, lk *memberLoc
 // root recognise the transfer in whatever frame reaches it first.
 // Caller holds n.mu; released before the sends.
 func (n *Node) handoffRelease(gid GroupID, g *memberGroup, l LockID, lk *memberLock, h handoffHint, now time.Time) error {
-	epoch := lk.grantEpoch // our entry epoch
-	next := epoch + 1      // the epoch this transfer reserves
-	lk.set(GrantValue(h.node))
+	epoch := lk.held.find(n.id).epoch // our entry epoch
+	next := epoch + 1                 // the epoch this transfer reserves
+	lk.held.open(0)
+	lk.held.put(holder{node: h.node, epoch: next, token: h.token})
 	lk.sawGrant(next)
 	lk.lockDone = epoch
 	lk.lease = nil
@@ -365,7 +349,7 @@ func (n *Node) handleHandoff(g *memberGroup, m *wire.Message) {
 		return
 	}
 	g.unparkHandoff(lk)
-	n.applyLockValue(g, l, m.Val, m.Var, uint32(m.Origin), 0)
+	n.applyLock(g, m)
 }
 
 // parkHandoff holds a direct grant (a copy of m) until the stream covers
@@ -410,7 +394,7 @@ func (n *Node) deliverHandoffs(g *memberGroup) {
 		if lk.grantEpoch >= m.Var {
 			continue // the sequenced confirm (or a later grant) superseded it
 		}
-		n.applyLockValue(g, l, m.Val, m.Var, uint32(m.Origin), 0)
+		n.applyLock(g, m)
 	}
 }
 
@@ -471,7 +455,7 @@ func (n *Node) dropLeases(g *memberGroup) {
 		}
 		dropped = true
 		if le := lk.lease; le != nil && !le.held {
-			lk.set(Free)
+			lk.held.drop(n.id)
 			lk.lockDone = max(lk.lockDone, le.epoch)
 		}
 		lk.lease = nil
@@ -489,16 +473,14 @@ func (n *Node) dropLeases(g *memberGroup) {
 // maybeLease leases the lock to the winner it was just granted to, when
 // nobody waits behind it. Caller holds n.mu.
 func (n *Node) maybeLease(r *rootGroup, l LockID, ls *lockState, winner int) {
-	if !n.leasing() || winner == n.id || ls.session != 0 || len(ls.queue) > 0 || !ls.holds(winner) {
-		return
-	}
-	if r.fenced {
+	h := ls.sole()
+	if !n.leasing() || winner == n.id || len(ls.queue) > 0 || h == nil || h.node != winner || r.fenced {
 		return
 	}
 	ls.leaseTo = winner
 	ls.leaseExpiry = n.clock.Now().Add(n.leaseTTL)
-	ls.leaseEpoch = ls.entryEpochs[winner]
-	ls.leaseToken = ls.holders[winner]
+	ls.leaseEpoch = h.epoch
+	ls.leaseToken = h.token
 	ls.revokeB.reset()
 	n.stats.LeaseGrants++
 	n.emit(obs.EvLeaseGrant, r.cfg.ID, int64(l), int64(winner))
@@ -521,12 +503,12 @@ func (n *Node) maybeLease(r *rootGroup, l LockID, ls *lockState, winner int) {
 // churn grants it if not. Caller holds n.mu.
 func (n *Node) reserveHint(r *rootGroup, ls *lockState, winner int) int64 {
 	ls.hintNode = -1
-	if !n.leasing() || ls.session != 0 || len(ls.queue) == 0 {
+	if !n.leasing() || ls.sole() == nil || len(ls.queue) == 0 {
 		return 0
 	}
 	w := ls.queue[0]
 	if w.session != 0 || w.node == n.id || w.node == winner {
-		return 0
+		return 0 // only an exclusive waiter can take an exclusive section over
 	}
 	ls.hintNode = w.node
 	ls.hintToken = w.token
@@ -579,7 +561,7 @@ func (n *Node) rootLeaseRet(r *rootGroup, m *wire.Message) {
 	l := LockID(m.Lock)
 	ls := r.lock(l)
 	origin := int(m.Origin)
-	if !ls.holds(origin) || ls.entryEpochs[origin] != m.Var {
+	if !ls.holdsAt(origin, m.Var) {
 		return // stale or duplicate return
 	}
 	n.stats.LeaseReturns++
@@ -600,10 +582,10 @@ func (n *Node) rootHandoff(r *rootGroup, m *wire.Message) {
 	if w < 0 || w == n.id || !r.cfg.memberOf(w) || !r.cfg.memberOf(from) {
 		return
 	}
-	if !ls.holds(from) || ls.entryEpochs[from] != m.Var {
+	if !ls.holdsAt(from, m.Var) {
 		return // already committed (duplicate notice) or stale
 	}
-	if ls.session != 0 || len(ls.holders) != 1 {
+	if ls.sole() == nil {
 		n.protoErr("gwc: node %d got handoff notice for lock %d outside an exclusive section", n.id, l)
 		return
 	}
@@ -620,13 +602,11 @@ func (n *Node) rootHandoff(r *rootGroup, m *wire.Message) {
 // caller re-checks its validation against the updated state). Caller
 // holds n.mu.
 func (n *Node) inferHandoff(r *rootGroup, l LockID, ls *lockState, origin int, epoch uint32) bool {
-	if !n.leasing() || ls.hintNode != origin || epoch != ls.epoch+1 {
+	h := ls.sole()
+	if !n.leasing() || ls.hintNode != origin || epoch != ls.epoch+1 || h == nil || h.node == origin {
 		return false
 	}
-	if ls.session != 0 || len(ls.holders) != 1 || ls.holds(origin) {
-		return false
-	}
-	n.installHandoff(r, l, ls, ls.soleHolder(), origin)
+	n.installHandoff(r, l, ls, h.node, origin)
 	return true
 }
 
@@ -650,30 +630,14 @@ func (n *Node) installHandoff(r *rootGroup, l LockID, ls *lockState, from, w int
 			break
 		}
 	}
-	for i, p := range ls.pending {
-		if p == from {
-			ls.pending = append(ls.pending[:i], ls.pending[i+1:]...)
-			break
-		}
-	}
-	delete(ls.holders, from)
-	delete(ls.entryEpochs, from)
-	n.metrics.Gauge(obs.GaugeSessHolders).Add(-1)
-	if ls.leaseTo == from {
-		ls.leaseTo = -1
-	}
+	n.leave(ls, from)
 	// A peer transfer is always a foreign entry: the new holder differs
 	// from the old, so other nodes' speculations against the closing
 	// section must roll back.
 	ls.foreignEpoch = ls.epoch
-	ls.epoch++
-	ls.holders[w] = tok
-	ls.entryEpochs[w] = ls.epoch
+	n.enter(ls, w, tok)
 	ls.lastWinner = w
-	ls.lastSession = 0
-	ls.session = 0
 	ls.hintNode = -1
-	n.metrics.Gauge(obs.GaugeSessHolders).Add(1)
 	n.stats.HandoffCommits++
 	n.emit(obs.EvHandoff, r.cfg.ID, int64(l), int64(w))
 	msg := wire.Message{

@@ -106,6 +106,77 @@ func rootLeaseTo(root *Node, l LockID) int {
 	return ls.leaseTo
 }
 
+// TestSessionEntryReturnsIdleLease pins the one enter path's lease rule:
+// a section that cannot enter through the idle lease this node holds — it
+// wants another session — gives the lease back before it asks, so the
+// root has the lock free when the request arrives. When the session path
+// did not know leases existed, the root answered the leaseholder's
+// request by re-announcing its old exclusive grant, the member ignored
+// that, and the entry waited out the lease (5 s here).
+func TestSessionEntryReturnsIdleLease(t *testing.T) {
+	c := leaseCluster(t, 3, false, 5*time.Second)
+	nd := c.nodes[1]
+	warmLease(t, nd, tLock)
+	if got := rootLeaseTo(c.nodes[0], tLock); got != 1 {
+		t.Fatalf("root's leaseTo = %d after warming, want 1", got)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := nd.EnterSessionContext(ctx, tGroup, tLock, 7); err != nil {
+		t.Fatalf("entering session 7 over an idle lease: %v", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("the entry took %v: it waited for the lease instead of returning it", d)
+	}
+	if got := rootLeaseTo(c.nodes[0], tLock); got != -1 {
+		t.Errorf("root's leaseTo = %d after the session entry, want -1", got)
+	}
+	if si, _ := nd.SessionState(tGroup, tLock); !si.Mine || si.Session != 7 {
+		t.Errorf("session state %+v after the entry, want this node inside session 7", si)
+	}
+	if err := nd.Release(tGroup, tLock); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestExpiredIdleLeaseIsReturnedNotEntered: between a lease's expiry and
+// the tick that returns it, this node's entry is still in its copy. An
+// acquire in that window must not take the copy for its grant — it would
+// run its section on a lease the next tick gives away — so it returns the
+// lease and asks, like any section that cannot enter through it.
+func TestExpiredIdleLeaseIsReturnedNotEntered(t *testing.T) {
+	const ttl = 100 * time.Millisecond
+	c := leaseCluster(t, 3, false, ttl)
+	nd := c.nodes[1]
+	// No tick on this node for the next two seconds (the one already armed
+	// fires within the old interval).
+	nd.SetTimers(2*time.Second, time.Minute, 0)
+	time.Sleep(80 * time.Millisecond)
+	warmLease(t, nd, tLock)
+	time.Sleep(ttl + 50*time.Millisecond)
+	local, returns := nd.Stats().LeaseLocal, c.nodes[0].Stats().LeaseReturns
+	if err := nd.Acquire(tGroup, tLock); err != nil {
+		t.Fatal(err)
+	}
+	nd.mu.Lock()
+	lk := nd.groups[tGroup].locks.at(tLock)
+	idle := lk.lease != nil && !lk.lease.held
+	nd.mu.Unlock()
+	if idle {
+		t.Error("inside the lock on an idle, expired lease: the next tick returns it mid-section")
+	}
+	if got := nd.Stats().LeaseLocal; got != local {
+		t.Errorf("LeaseLocal moved %d -> %d: entered through an expired lease", local, got)
+	}
+	if got := c.nodes[0].Stats().LeaseReturns; got != returns+1 {
+		t.Errorf("root saw %d lease returns, want %d: the expired lease did not go back first", got, returns+1)
+	}
+	if err := nd.Release(tGroup, tLock); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestLeasedReacquireZeroWire is the headline property: once a lease is
 // cached, an uncontended Acquire/Release pair is a purely local decision
 // — zero lock-plane wire frames, counted at the transport itself.
@@ -367,7 +438,7 @@ func TestLeaseRenewalKeepsLockLocal(t *testing.T) {
 // bound: waiters born into a root outage, with the lease machinery live,
 // must still converge on the failover with adaptively-bounded resends —
 // the lease/handoff paths (renewals, revoke demands, notice re-sends,
-// and waitLock's reset when a grant epoch moves mid-wait) add no
+// and the retry schedule's reset when a grant epoch moves mid-wait) add no
 // unbounded traffic.
 func TestLeasedRetryStormBounded(t *testing.T) {
 	const (

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"optsync/internal/integrity"
@@ -106,13 +107,14 @@ type memberVar struct {
 
 // memberLock is everything a member keeps about one lock.
 type memberLock struct {
-	// val is the local copy of the lock variable; known is false until a
-	// frame or a request first set it. An unknown lock reads as Free, and
-	// election reports carry only known ones.
-	val   int64
-	known bool
-	// grantEpoch counts grants observed for the lock; releases quote it so
-	// the root can discard stale duplicates.
+	// held is the local copy of the lock's open section: who is inside,
+	// and in which session (holders.go). This node is in it exactly while
+	// it is inside the lock — or holds an idle lease on it, the cached
+	// exclusive entry lease.go keeps across releases. The paper's lock
+	// word (value) and SessionInfo are read off it.
+	held holderSet
+	// grantEpoch is the newest grant epoch observed for the lock: guarded
+	// writes are tagged with it (Write), and state streams carry it.
 	grantEpoch uint32
 	// lockDone is the highest grant epoch this node has finished with
 	// (released or handed back). A self-grant at or below it is a stale
@@ -151,18 +153,14 @@ type memberLock struct {
 	// reign changes and when the lock's grant epoch moves: the delay was
 	// sized against a world that no longer exists.
 	reqB backoff
-	// parked counts the callers blocked in waitLockF on behalf of an
-	// acquisition of this lock. While it is non-zero and the lock is not
+	// parked counts the callers blocked in WaitEnteredContext on behalf of
+	// an acquisition of this lock. While it is non-zero and the lock is not
 	// entered, the tick keeps a request alive — minting a fresh one if a
 	// rejoin or a re-base wiped the record under the waiter — and
 	// forgetState keeps the count: the callers are still there.
 	parked int
 	// busy: listed in the group's busyLocks (see memberGroup).
 	busy bool
-
-	// sess is the locally observed holder set while a non-zero session is
-	// open (session.go).
-	sess *sessView
 
 	// Lock leasing and peer handoff (lease.go): lease is this node's
 	// cached claim; hint the handoff target the root designated on the
@@ -186,15 +184,18 @@ type memberLock struct {
 	specSession uint32
 }
 
-// value is the local lock value: Free until something set it.
-func (lk *memberLock) value() int64 {
-	if lk.known {
-		return lk.val
+// value projects the paper's lock word from the record: the grant of an
+// exclusive section's holder, else this node's own request marker, else
+// Free. (A shared section reads as Free here; SessionState carries it.)
+func (lk *memberLock) value(self int) int64 {
+	switch {
+	case len(lk.held.in) > 0 && lk.held.session == 0:
+		return GrantValue(lk.held.in[0].node)
+	case lk.want && !lk.held.has(self):
+		return RequestValue(self)
 	}
 	return Free
 }
-
-func (lk *memberLock) set(val int64) { lk.val, lk.known = val, true }
 
 // sawGrant records a newly observed grant epoch. The lock moved, so an
 // outstanding request's retry restarts at base cadence (e.g. a lease
@@ -207,17 +208,17 @@ func (lk *memberLock) sawGrant(epoch uint32) {
 	}
 }
 
-// entered reports whether node self is inside the lock: it holds the
-// exclusive grant or an entry in the open session.
-func (lk *memberLock) entered(self int) bool {
-	return lk.value() == GrantValue(self) || (lk.sess != nil && lk.sess.mine)
+// inside reports whether node self is inside the lock, in the given
+// session.
+func (lk *memberLock) inside(self int, session uint32) bool {
+	return lk.held.session == session && lk.held.has(self)
 }
 
 // inUse reports whether this node is inside the lock or acquiring it:
 // an acquisition outstanding or held (want stays set until the release),
-// a caller parked for one, a leased re-entry, or a session entry.
+// a caller parked for one, or a leased re-entry.
 func (lk *memberLock) inUse() bool {
-	return lk.want || lk.parked > 0 || (lk.lease != nil && lk.lease.held) || (lk.sess != nil && lk.sess.mine)
+	return lk.want || lk.parked > 0 || (lk.lease != nil && lk.lease.held)
 }
 
 // endRequest closes the outstanding acquisition's bookkeeping: released,
@@ -457,11 +458,11 @@ func (g *memberGroup) resetRetrySchedules() {
 	}
 }
 
-// lockValue is the local copy of lock l, Free for one never seen. It
-// never grows the table.
-func (g *memberGroup) lockValue(l LockID) int64 {
+// lockValue is node self's lock word for lock l (memberLock.value), Free
+// for a lock never seen. It never grows the table.
+func (g *memberGroup) lockValue(l LockID, self int) int64 {
 	if lk := g.locks.peek(l); lk != nil {
-		return lk.value()
+		return lk.value(self)
 	}
 	return Free
 }
@@ -682,15 +683,7 @@ func (n *Node) applySeq(g *memberGroup, m *wire.Message) {
 		}
 		n.applyData(g, m)
 	case wire.TSeqLock:
-		// The root stamps the grant epoch in Var and echoes the winning
-		// request's token in Origin. Frames with a non-zero session route
-		// through the holder-set view; session 0 is the classic
-		// single-holder protocol.
-		if m.Session != 0 {
-			n.applySessionLock(g, m)
-			return
-		}
-		n.applyLockValue(g, LockID(m.Lock), m.Val, m.Var, uint32(m.Origin), m.Deadline)
+		n.applyLock(g, m)
 	}
 }
 
@@ -709,10 +702,8 @@ func (n *Node) sendRelease(g *memberGroup, l LockID, entryEpoch, session uint32)
 	})
 }
 
-// runLockHooks fires the lock's value hooks with val, and the interrupt
-// of an exclusive section speculating on it when val is a value node
-// self does not own. Caller holds n.mu.
-func (g *memberGroup) runLockHooks(lk *memberLock, val int64, self int) {
+// runLockHooks fires the lock's value hooks with val. Caller holds n.mu.
+func (g *memberGroup) runLockHooks(lk *memberLock, val int64) {
 	for _, h := range lk.lockHooks {
 		if h.fn(val) == HookSuspend {
 			// The paper's atomic interrupt-and-sharing-suspension: no data
@@ -721,116 +712,163 @@ func (g *memberGroup) runLockHooks(lk *memberLock, val int64, self int) {
 			g.suspended = true
 		}
 	}
-	if lk.spec != nil && lk.specSession == 0 && val != Free && val != GrantValue(self) {
-		g.interrupt(lk)
-	}
 }
 
-// applyLockValue installs a new lock value (from the sequenced stream or
-// a failover snapshot), running hooks and waking waiters. A self-grant
-// is consumed only when its echoed token matches this node's current
-// outstanding request; one arriving for a lock this node no longer
-// wants, or answering a since-cancelled request, is released on the
-// spot, and the local copy stays free so a later acquisition cannot
-// mistake the stale grant for its own. hint is the packed handoff hint
-// from the grant multicast's Deadline field (0 = none): when this node
-// wins, it names the queued waiter the root designated as the direct
-// handoff target (lease.go). Caller holds n.mu.
-func (n *Node) applyLockValue(g *memberGroup, l LockID, val int64, grantEpoch uint32, token uint32, hint int64) {
-	lk := g.locks.at(l)
-	if ph := lk.pendingHandoff; ph != nil && grantEpoch >= ph.doneEpoch {
-		// The root's lock epoch caught up with (or passed) this node's
-		// handoff: the transfer is committed and the notice can stop.
-		lk.pendingHandoff = nil
-	}
-	sessNotified := false
-	if sv := lk.sess; sv != nil && len(sv.holders) > 0 {
-		// An exclusive-protocol frame for this lock is sequenced after the
-		// open session closed at the root; the local view is stale. An
-		// exclusive grant to another node doubles as the conflict signal
-		// for speculators targeting the old session.
-		clear(sv.holders)
-		sv.mine = false
-		if holderOf(val) >= 0 {
-			g.sessionEntered(lk, 0)
-		}
-		sessNotified = true
-	}
-	mine := GrantValue(n.id)
-	if val == mine {
-		if grantEpoch <= lk.lockDone {
-			// Stale duplicate of a grant this node already finished with
-			// (a re-announce the root minted for a racing request retry).
-			// Taking it would let a later acquisition run unlocked, so it
-			// must not become the local lock value; the stream's next lock
-			// update supersedes it everywhere else too. But answer it with
-			// a release quoting the stale grant epoch: a root that still
-			// records this node as the holder lost our original release
-			// (e.g. it fell past the fenced-queue bound during a
-			// partition) and would otherwise re-announce forever while we
-			// ignore it forever — the reply breaks that livelock, and a
-			// root that has moved on discards it as stale.
-			n.sendRelease(g, l, grantEpoch, 0)
-			return
-		}
-		if lk.value() != mine && (!lk.want || token != lk.reqToken) {
-			// Unwanted, or minted for a different acquisition than the one
-			// outstanding (a cancel in flight, or a token-less failover
-			// re-queue): hand it straight back. When a live request is
-			// outstanding the local copy keeps its request marker and the
-			// periodic retry re-registers with the root, so a declined
-			// grant costs one round trip, never liveness. A grant for a
-			// lock this node already consumed (local copy shows the grant)
-			// is only ever the root's re-announce of that same grant, so
-			// it falls through regardless of token. Record the observed
-			// grant epoch either way: the next speculation tags its writes
-			// with grantEpoch, and leaving it stale would make the root
-			// suppress a *committed* section's writes as StaleGrant —
-			// silent data loss.
-			if !lk.want {
-				lk.set(Free)
-			}
-			lk.lockDone = grantEpoch
-			lk.sawGrant(grantEpoch)
-			n.sendRelease(g, l, grantEpoch, 0)
-			g.lock.notifyAll()
-			return
-		}
-	}
-	lk.set(val)
-	if val != Free {
-		lk.sawGrant(grantEpoch)
-	}
-	// Capture (or clear) the handoff target the root designated for this
-	// grant. A re-announce without a hint clears a stale one: the queue
-	// the old hint peeked no longer exists.
-	lk.hint = handoffHint{}
-	if val == mine {
-		// Acquisition complete: stop the watchdog's clock on it.
-		lk.reqSince = time.Time{}
-		if hint != 0 && n.leasing() {
-			if wn := int(uint32(hint)) - 1; wn >= 0 && wn != n.id {
-				lk.hint = handoffHint{node: wn, token: uint32(hint >> 32), set: true}
-				markBusy(&g.busyLocks, &lk.busy, l)
-			}
-		}
-	} else if le := lk.lease; le != nil {
-		// The sequenced stream says someone else holds (or the lock is
-		// free): any cached claim is dead. Mid-section the Release in
-		// progress returns it; idle it just evaporates.
+// lostClaim records that the sequenced stream (or a re-base) put someone
+// else in the lock, or nobody: any cached lease is dead. Mid-section the
+// Release in progress returns it; idle it just evaporates.
+func (lk *memberLock) lostClaim() {
+	if le := lk.lease; le != nil {
 		if le.held {
 			le.revoked = true
 		} else {
 			lk.lease = nil
 		}
 	}
-	g.runLockHooks(lk, val, n.id)
-	if !sessNotified && holderOf(val) >= 0 {
-		// Session speculators see exclusive grants too — session 0 is the
-		// one-holder session, so a grant is its entry. Without this, a
-		// speculator joining session s could miss a conflicting exclusive
-		// grant that lands while no session view is open locally.
-		g.sessionEntered(lk, 0)
+}
+
+// caughtUp retires this node's handoff notice once a lock frame shows the
+// root's epoch at or past the transfer: it is committed there.
+func (lk *memberLock) caughtUp(epoch uint32) {
+	if ph := lk.pendingHandoff; ph != nil && epoch >= ph.doneEpoch {
+		lk.pendingHandoff = nil
+	}
+}
+
+// applyLock installs one sequenced lock frame, the one reader of TSeqLock
+// (and of a direct handoff grant, which is laid out like the entry it
+// stands in for): an entry (Val > 0: the entrant's grant value, Session
+// its session, Var its entry epoch, Origin the token of the request it
+// answers, Deadline a packed handoff hint or 0), a holder leaving a
+// section that stays open (Val its request-encoded ID), or the close
+// (Val == Free). Caller holds n.mu.
+func (n *Node) applyLock(g *memberGroup, m *wire.Message) {
+	l := LockID(m.Lock)
+	lk := g.locks.at(l)
+	lk.caughtUp(m.Var)
+	switch {
+	case m.Val > 0:
+		n.applyEntry(g, l, lk, m)
+		return
+	case m.Val == Free:
+		lk.held.in = lk.held.in[:0]
+		lk.hint = handoffHint{}
+		lk.lostClaim()
+		g.runLockHooks(lk, Free)
+	case lk.held.session == m.Session:
+		lk.held.drop(holderOf(-m.Val))
+	}
+	g.lock.notifyAll()
+}
+
+// applyEntry is applyLock's entry half. An entry into a session the open
+// section shares extends it; any other opens a new section in its place
+// — an exclusive close sends no notice of its own, the next entry is the
+// notice. A self-entry is consumed only when its echoed token matches
+// this node's outstanding request: one arriving for a lock this node no
+// longer wants, or answering a since-cancelled request, is handed back
+// on the spot, so a later acquisition cannot mistake it for its own.
+// Caller holds n.mu.
+func (n *Node) applyEntry(g *memberGroup, l LockID, lk *memberLock, m *wire.Message) {
+	s, epoch := m.Session, m.Var
+	h := holder{node: holderOf(m.Val), epoch: epoch, token: uint32(m.Origin)}
+	self := h.node == n.id
+	if self && epoch <= lk.lockDone {
+		// Stale duplicate of an entry this node already finished with (a
+		// re-announce the root minted for a racing request retry). Taking
+		// it would let a later acquisition run unlocked, so it must not
+		// enter the copy; the stream's next lock frame supersedes it
+		// everywhere else too. But answer it with a release quoting the
+		// stale epoch: a root that still books this node as a holder lost
+		// the original release (e.g. it fell past the fenced-queue bound
+		// during a partition) and would otherwise re-announce forever while
+		// we ignore it forever — the reply breaks that livelock, and a root
+		// that has moved on discards it as stale.
+		n.sendRelease(g, l, epoch, s)
+		return
+	}
+	// An entry this node already consumed (the copy shows it inside) is
+	// only ever the root's re-announce of that same entry, so it is taken
+	// again whatever its token.
+	had := lk.inside(n.id, s)
+	if shares(s, lk.held.session) && len(lk.held.in) > 0 {
+		// Re-announces of earlier entrants carry their older epochs.
+		epoch = max(epoch, lk.grantEpoch)
+	} else {
+		lk.held.open(s)
+	}
+	// Record the observed epoch even for an entry about to be declined:
+	// the next speculation tags its writes with grantEpoch, and leaving it
+	// stale would make the root suppress a *committed* section's writes as
+	// StaleGrant — silent data loss.
+	lk.sawGrant(epoch)
+	if self && !had && (!lk.want || h.token != lk.reqToken) {
+		// Unwanted, or minted for a different acquisition than the one
+		// outstanding (a cancel in flight, or a token-less failover
+		// re-queue): hand it straight back. When a live request is
+		// outstanding the periodic retry re-registers with the root, so a
+		// declined entry costs one round trip, never liveness.
+		lk.lockDone = max(lk.lockDone, h.epoch)
+		n.sendRelease(g, l, h.epoch, s)
+		g.lock.notifyAll()
+		return
+	}
+	lk.held.put(h)
+	// Capture (or clear) the handoff target the root designated for this
+	// entry. A re-announce without a hint clears a stale one: the queue
+	// the old hint peeked no longer exists.
+	lk.hint = handoffHint{}
+	if self {
+		// Acquisition complete: stop the watchdog's clock on it.
+		lk.reqSince = time.Time{}
+		if hint := m.Deadline; hint != 0 && n.leasing() {
+			if wn := int(uint32(hint)) - 1; wn >= 0 && wn != n.id {
+				lk.hint = handoffHint{node: wn, token: uint32(hint >> 32), set: true}
+				markBusy(&g.busyLocks, &lk.busy, l)
+			}
+		}
+	} else {
+		lk.lostClaim()
+	}
+	g.runLockHooks(lk, m.Val)
+	g.sawEntry(lk, h.node, n.id, s)
+	g.lock.notifyAll()
+}
+
+// install re-bases a lock's copy from a failover snapshot or a promotion:
+// the reconstructed section sec (the lock's newest epoch beside it)
+// replaces the local one wholesale. A reconstructed self-entry is kept
+// only if the copy already showed this node inside that session — the
+// entry tokens died with the old root, so belief is the only validation
+// left — and handed back like a declined entry otherwise. Caller holds
+// n.mu.
+func (n *Node) install(g *memberGroup, l LockID, sec *holderSet, epoch uint32) {
+	lk := g.locks.at(l)
+	lk.caughtUp(epoch)
+	had := lk.inside(n.id, sec.session)
+	lk.held.open(sec.session)
+	for _, h := range sec.in {
+		if h.node == n.id && (!had || h.epoch <= lk.lockDone) {
+			lk.lockDone = max(lk.lockDone, h.epoch)
+			n.sendRelease(g, l, h.epoch, sec.session)
+			continue
+		}
+		lk.held.put(h)
+	}
+	lk.sawGrant(epoch)
+	lk.hint = handoffHint{}
+	if lk.held.has(n.id) {
+		lk.reqSince = time.Time{}
+	} else {
+		lk.lostClaim()
+	}
+	val := Free
+	if len(lk.held.in) > 0 {
+		val = GrantValue(lk.held.in[0].node)
+	}
+	g.runLockHooks(lk, val)
+	for _, h := range lk.held.in {
+		g.sawEntry(lk, h.node, n.id, lk.held.session)
 	}
 	g.lock.notifyAll()
 }
@@ -954,7 +992,10 @@ func (n *Node) Read(gid GroupID, v VarID) (int64, error) {
 	return g.varValue(v), nil
 }
 
-// LockValue returns the local copy of the lock variable.
+// LockValue returns this node's lock word for the lock — the paper's lock
+// variable, read off the local copy of the open section: the grant value
+// of an exclusive section's holder, else this node's own request marker,
+// else Free.
 func (n *Node) LockValue(gid GroupID, l LockID) (int64, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -962,7 +1003,32 @@ func (n *Node) LockValue(gid GroupID, l LockID) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return g.lockValue(l), nil
+	return g.lockValue(l, n.id), nil
+}
+
+// SessionInfo is a lock's locally observed session state.
+type SessionInfo struct {
+	Session uint32 // the open session, 0 when none is open locally
+	Holders int    // concurrent holders currently observed
+	Mine    bool   // whether this node holds an entry
+}
+
+// SessionState returns the lock's locally observed session state: the
+// open session, how many concurrent holders this node has seen enter
+// and not leave, and whether it holds an entry itself. Exclusive
+// sections report as no open session — LockValue carries those.
+func (n *Node) SessionState(gid GroupID, l LockID) (SessionInfo, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	g, err := n.group(gid)
+	if err != nil {
+		return SessionInfo{}, err
+	}
+	lk := g.locks.peek(l)
+	if lk == nil || len(lk.held.in) == 0 || lk.held.session == 0 {
+		return SessionInfo{}, nil
+	}
+	return SessionInfo{Session: lk.held.session, Holders: len(lk.held.in), Mine: lk.held.has(n.id)}, nil
 }
 
 // WaitGE blocks until the local copy of v reaches at least min. It
@@ -1024,12 +1090,19 @@ func (n *Node) park(ctx context.Context, ch chan struct{}, cond func() bool) (bo
 	}
 }
 
-// SendLockRequest issues the non-blocking half of an acquisition: it
-// writes the negated ID into the local lock copy and ships the request.
-// The maintenance tick re-sends it until the grant lands or the caller
-// cancels. The optimistic engine pairs it with WaitLockCondContext.
+// SendLockRequest issues the non-blocking half of an exclusive
+// acquisition: SendSessionRequest for session 0.
 func (n *Node) SendLockRequest(gid GroupID, l LockID) error {
-	return n.sendLockRequestS(gid, l, 0, 0, n.clock.Now())
+	return n.SendSessionRequest(gid, l, 0)
+}
+
+// SendSessionRequest issues the non-blocking half of an acquisition: it
+// records the request for the given session (0 = exclusive) and ships
+// it. The maintenance tick re-sends it until the entry lands or the
+// caller cancels. Pair it with WaitEnteredContext, or poll LockValue or
+// SessionState.
+func (n *Node) SendSessionRequest(gid GroupID, l LockID, session uint32) error {
+	return n.sendLockRequestS(gid, l, session, 0, n.clock.Now())
 }
 
 // sendLockRequestS is the session-aware request sender: session names
@@ -1052,23 +1125,42 @@ func (n *Node) sendLockRequestS(gid GroupID, l LockID, session uint32, deadline 
 	return n.ep.Send(root, msg)
 }
 
-// ownLockRequest is sendLockRequestS for a caller that will wait for an
-// acquisition of its own (AcquireContext, EnterSessionContext). It cannot
-// share one — both callers would wake on the one grant and run their
-// sections together — so it is refused with ErrNested, in the hold that
-// would have recorded the request, while this node is inside the lock or
-// acquiring it.
-func (n *Node) ownLockRequest(gid GroupID, l LockID, session uint32, deadline int64, now time.Time) error {
+// ownLockRequest starts the acquisition EnterSessionContext will wait
+// for: an exclusive one enters through a live lease if this node has one
+// (leased: the caller holds the lock now, zero wire messages); any other
+// sends its request. It cannot share an acquisition — both callers would
+// wake on the one entry and run their sections together — so it is
+// refused with ErrNested, in the hold that would have recorded the
+// request, while this node is inside the lock or acquiring it.
+func (n *Node) ownLockRequest(gid GroupID, l LockID, session uint32, deadline int64, now time.Time) (leased bool, err error) {
 	n.mu.Lock()
 	g, lk, err := n.ownLock(gid, l)
 	if err != nil {
 		n.mu.Unlock()
-		return err
+		return false, err
 	}
-	msg := n.newRequest(g, l, lk, session, deadline, now)
+	if session == 0 && n.leaseEnter(gid, g, l) {
+		n.mu.Unlock()
+		return true, nil
+	}
+	msg := n.ownRequest(g, l, lk, session, deadline, now)
 	root := g.rootID
 	n.mu.Unlock()
-	return n.sendOwn(gid, l, root, msg)
+	return false, n.sendOwn(gid, l, root, msg)
+}
+
+// ownRequest is newRequest for an acquisition its caller will wait for
+// (ownLockRequest, Speculate). An idle lease the section did not enter
+// through — it wants another session, or the lease has run out — goes
+// back first: the return precedes the request on the same FIFO link, so
+// the root has the lock free when the request arrives, where a request
+// from the leaseholder on its books would only be answered with the old
+// grant again until the lease expired. Caller holds n.mu.
+func (n *Node) ownRequest(g *memberGroup, l LockID, lk *memberLock, session uint32, deadline int64, now time.Time) wire.Message {
+	if le := lk.lease; le != nil && !le.held {
+		n.returnIdleLease(g, l, lk)
+	}
+	return n.newRequest(g, l, lk, session, deadline, now)
 }
 
 // ownLock is lockOf for a caller about to start an acquisition of its
@@ -1121,11 +1213,6 @@ func (n *Node) lockRequest(g *memberGroup, l LockID, lk *memberLock, now time.Ti
 		lk.reqB.reset()
 		markBusy(&g.busyLocks, &lk.busy, l)
 	}
-	if lk.reqSession == 0 && lk.value() != GrantValue(n.id) {
-		// The request marker in the local copy belongs to the exclusive
-		// protocol; session entries leave the lock value alone.
-		lk.set(RequestValue(n.id))
-	}
 	n.arm(&lk.reqB, now, n.boBase(), n.boCap())
 	n.stats.LockRequests++
 	m := n.lockReqFrame(g, l, lk.reqToken)
@@ -1150,9 +1237,9 @@ func (n *Node) lockReqFrame(g *memberGroup, l LockID, token uint32) wire.Message
 
 // retryLocks is the lock plane's loss recovery, run by the maintenance
 // tick: it re-sends every lock request that is due — in flight and
-// unanswered, or wanted by a caller still parked in waitLockF — through
-// lockRequest, which mints a fresh request when a rejoin or a failover
-// re-base wiped the old one. The root ignores duplicates. It runs on the
+// unanswered, or wanted by a caller still parked in WaitEnteredContext —
+// through lockRequest, which mints a fresh request when a rejoin or a
+// failover re-base wiped the old one. The root ignores duplicates. It runs on the
 // node that roots the group too: a waiter there sends its request to
 // itself, and a reign that began under it (promotion re-queues survivors
 // token-less, and the grant is declined) knows its token only from the
@@ -1163,7 +1250,7 @@ func (n *Node) retryLocks(g *memberGroup, now time.Time) {
 		if lk.parked == 0 && lk.reqSince.IsZero() {
 			continue
 		}
-		if lk.entered(n.id) || !lk.reqB.ready(now) {
+		if lk.held.has(n.id) || !lk.reqB.ready(now) {
 			continue
 		}
 		n.send(g.rootID, n.lockRequest(g, l, lk, now))
@@ -1207,22 +1294,20 @@ func (n *Node) putWait(ch chan struct{}) {
 	n.freeWaits = append(n.freeWaits, ch)
 }
 
-// waitLock blocks until cond is satisfied by the local lock value; see
-// waitLockF.
-func (n *Node) waitLock(ctx context.Context, gid GroupID, l LockID, cond func(val int64) bool) (bool, error) {
-	return n.waitLockF(ctx, gid, l, func(g *memberGroup) bool { return cond(g.lockValue(l)) })
-}
-
-// waitLockF blocks on behalf of this node's acquisition of l until cond
-// is satisfied by the member view (checked immediately and after every
-// lock change; cond runs under n.mu). It returns (false, ctx.Err()) if
-// the context ends first and (false, nil) if the node closes. The
+// WaitEnteredContext blocks, on behalf of an acquisition this node has
+// issued (SendLockRequest, SendSessionRequest, Speculate), until the node
+// is inside lock l's given session (0 = it holds the lock exclusively),
+// or giveUp — when not nil — reads true; both are checked immediately and
+// after every lock change, and whoever sets giveUp under the node lock
+// (an Interrupt's Fire) wakes the wait. It returns (false, ctx.Err()) if
+// the context ends first, without withdrawing the request (use
+// CancelLockRequest for that), and (false, nil) if the node closes. The
 // caller parks on one channel and nothing else: while it is parked the
 // maintenance tick owns the request's loss recovery (retryLocks) —
 // re-sends on the record's backoff schedule, a prompt re-register with a
 // new root after a reign change, a fresh request if a rejoin wiped the
 // old one.
-func (n *Node) waitLockF(ctx context.Context, gid GroupID, l LockID, cond func(g *memberGroup) bool) (bool, error) {
+func (n *Node) WaitEnteredContext(ctx context.Context, gid GroupID, l LockID, session uint32, giveUp *atomic.Bool) (bool, error) {
 	n.mu.Lock()
 	g, lk, err := n.lockOf(gid, l)
 	if err != nil {
@@ -1237,66 +1322,51 @@ func (n *Node) waitLockF(ctx context.Context, gid GroupID, l LockID, cond func(g
 		// The freshest word on when the caller gives up.
 		lk.reqDeadline = d
 	}
-	ok, err := n.park(ctx, ch, func() bool { return cond(g) })
-	g.locks.at(l).parked-- // re-resolved: the table may have grown under the wait
+	ok, err := n.park(ctx, ch, func() bool {
+		// The record is re-resolved: the table may have grown under the wait.
+		return g.locks.at(l).inside(n.id, session) || (giveUp != nil && giveUp.Load())
+	})
+	g.locks.at(l).parked--
 	g.lock.unregister(ch)
 	n.putWait(ch)
 	n.mu.Unlock()
 	return ok, err
 }
 
-// grantCond reports whether this node holds the lock.
-func (n *Node) grantCond(val int64) bool { return val == GrantValue(n.id) }
-
-// WaitLockGrant blocks until this node's positive ID arrives in the local
-// lock copy; the maintenance tick re-sends the request meanwhile in case
-// it was lost (the root ignores duplicates). It returns false if the
-// node closes first.
-func (n *Node) WaitLockGrant(gid GroupID, l LockID) (bool, error) {
-	return n.waitLock(context.Background(), gid, l, n.grantCond)
-}
-
-// WaitLockGrantContext is WaitLockGrant with cancellation. On context
-// expiry it returns ctx's error without withdrawing the queued request;
-// use CancelLockRequest (or AcquireContext, which pairs them) for that.
-func (n *Node) WaitLockGrantContext(ctx context.Context, gid GroupID, l LockID) (bool, error) {
-	return n.waitLock(ctx, gid, l, n.grantCond)
-}
-
-// WaitLockCondContext blocks, on behalf of the acquisition the caller
-// issued with SendLockRequest, until cond is satisfied by the local lock
-// value (checked immediately and after every change) or ctx ends. While
-// it waits the maintenance tick keeps the request alive, so one that
-// died with a crashed root is re-issued to its successor.
-func (n *Node) WaitLockCondContext(ctx context.Context, gid GroupID, l LockID, cond func(val int64) bool) (bool, error) {
-	return n.waitLock(ctx, gid, l, cond)
-}
-
 // Acquire blocks until this node holds the lock.
 func (n *Node) Acquire(gid GroupID, l LockID) error {
-	return n.AcquireContext(context.Background(), gid, l)
+	return n.EnterSessionContext(context.Background(), gid, l, 0)
 }
 
-// AcquireContext blocks until this node holds the lock or ctx ends. On
-// cancellation or deadline it withdraws the queued request from the root
-// (releasing the lock instead if the grant raced the cancellation) and
-// returns ctx's error.
+// AcquireContext blocks until this node holds the lock or ctx ends; see
+// EnterSessionContext.
 func (n *Node) AcquireContext(ctx context.Context, gid GroupID, l LockID) error {
+	return n.EnterSessionContext(ctx, gid, l, 0)
+}
+
+// EnterSession blocks until this node is inside the lock's given
+// session. Session 0 is Acquire.
+func (n *Node) EnterSession(gid GroupID, l LockID, session uint32) error {
+	return n.EnterSessionContext(context.Background(), gid, l, session)
+}
+
+// EnterSessionContext blocks until this node is inside the lock's given
+// session — alone in it for session 0 — or ctx ends. On cancellation or
+// deadline it withdraws the queued request from the root (releasing the
+// entry instead if it raced the cancellation) and returns ctx's error.
+// Entering a session that is already open with nobody else waiting is
+// near-free: the root admits the join without closing the section.
+func (n *Node) EnterSessionContext(ctx context.Context, gid GroupID, l LockID, session uint32) error {
 	if err := ctx.Err(); err != nil {
 		return err
-	}
-	if n.TryLeaseEnter(gid, l) {
-		// Leased fast path: the lock is cached here from the previous
-		// hold, so re-entry is a local decision — zero wire messages.
-		return nil
 	}
 	// One clock reading serves the request's watchdog stamp, the first
 	// re-send's schedule and the latency histogram's origin.
 	start := n.clock.Now()
-	if err := n.ownLockRequest(gid, l, 0, ctxDeadline(ctx), start); err != nil {
+	if leased, err := n.ownLockRequest(gid, l, session, ctxDeadline(ctx), start); err != nil || leased {
 		return err
 	}
-	ok, err := n.waitLock(ctx, gid, l, n.grantCond)
+	ok, err := n.WaitEnteredContext(ctx, gid, l, session, nil)
 	if err != nil {
 		if cerr := n.CancelLockRequest(gid, l); cerr != nil {
 			n.mu.Lock()
@@ -1306,18 +1376,18 @@ func (n *Node) AcquireContext(ctx context.Context, gid GroupID, l LockID) error 
 		return err
 	}
 	if !ok {
-		return fmt.Errorf("gwc: node %d closed while waiting for lock %d: %w", n.id, l, ErrClosed)
+		return fmt.Errorf("gwc: node %d closed while entering session %d of lock %d: %w", n.id, session, l, ErrClosed)
 	}
-	// Request-to-grant wall time for a successful blocking acquire — the
+	// Request-to-entry wall time for a successful blocking acquire — the
 	// latency the paper's speculation overlaps with useful work.
 	n.metrics.Hist(obs.HistLockAcquire).Record(n.clock.Now().Sub(start))
 	return nil
 }
 
-// CancelLockRequest withdraws an outstanding lock request. If the grant
-// has already arrived locally, the lock is released instead, so the
-// caller never retains it; if the grant is in flight, the auto-release
-// in applyLockValue hands it back when it lands.
+// CancelLockRequest withdraws an outstanding lock request. If the entry
+// has already arrived locally, it is released instead, so the caller
+// never retains it; if it is in flight, applyEntry hands it back when it
+// lands.
 func (n *Node) CancelLockRequest(gid GroupID, l LockID) error {
 	n.mu.Lock()
 	g, lk, err := n.lockOf(gid, l)
@@ -1326,23 +1396,15 @@ func (n *Node) CancelLockRequest(gid GroupID, l LockID) error {
 		return err
 	}
 	lk.spec = nil
-	if lk.value() == GrantValue(n.id) {
+	if lk.held.has(n.id) {
 		n.mu.Unlock()
 		return n.Release(gid, l)
 	}
-	if sv := lk.sess; sv != nil && sv.mine {
-		// The session entry raced the cancellation; leave it instead.
-		n.mu.Unlock()
-		return n.LeaveSession(gid, l)
-	}
-	// The grant answering this request may already be in flight; its
+	// The entry answering this request may already be in flight; its
 	// echoed token no longer matches any outstanding acquisition (a new
-	// request mints a fresh token), so applyLockValue declines it.
+	// request mints a fresh token), so applyEntry declines it.
 	lk.endRequest()
-	if lk.value() == RequestValue(n.id) {
-		lk.set(Free)
-		g.lock.notifyAll()
-	}
+	g.lock.notifyAll()
 	root := g.rootID
 	msg := wire.Message{
 		Type:   wire.TLockCancel,
@@ -1356,9 +1418,11 @@ func (n *Node) CancelLockRequest(gid GroupID, l LockID) error {
 	return n.ep.Send(root, msg)
 }
 
-// Release frees the lock. The release follows the critical section's last
-// shared write on the same path, so GWC ordering guarantees every member
-// sees the data before the lock changes.
+// Release leaves the lock: whatever section this node is inside, the
+// exclusive one or its entry in a shared session. The release follows
+// the critical section's last shared write on the same path, so GWC
+// ordering guarantees every member sees the data before the lock
+// changes.
 func (n *Node) Release(gid GroupID, l LockID) error {
 	n.mu.Lock()
 	g, lk, err := n.lockOf(gid, l)
@@ -1367,9 +1431,10 @@ func (n *Node) Release(gid GroupID, l LockID) error {
 		return err
 	}
 	// The section is over, so its interrupt goes in the hold that frees
-	// the lock: the next holder's grant must find nothing to fire.
+	// the lock: the next holder's entry must find nothing to fire.
 	lk.spec = nil
-	if lk.value() != GrantValue(n.id) {
+	h := lk.held.find(n.id)
+	if h == nil {
 		n.mu.Unlock()
 		return fmt.Errorf("gwc: node %d releasing lock %d it does not hold", n.id, l)
 	}
@@ -1383,20 +1448,21 @@ func (n *Node) Release(gid GroupID, l LockID) error {
 	if handled, err := n.leaseRelease(gid, g, l, lk); handled {
 		return err
 	}
-	epoch := lk.grantEpoch
-	lk.set(Free)
-	lk.lockDone = epoch
-	lk.endRequest()
-	root := g.rootID
 	msg := wire.Message{
-		Type:   wire.TLockRel,
-		Group:  uint32(gid),
-		Src:    int32(n.id),
-		Origin: int32(n.id),
-		Lock:   uint32(l),
-		Var:    epoch, // quoted so the root can discard stale duplicates
-		Epoch:  g.epoch,
+		Type:    wire.TLockRel,
+		Group:   uint32(gid),
+		Src:     int32(n.id),
+		Origin:  int32(n.id),
+		Lock:    uint32(l),
+		Var:     h.epoch, // quoted so the root can discard stale duplicates
+		Epoch:   g.epoch,
+		Session: lk.held.session,
 	}
+	lk.lockDone = max(lk.lockDone, h.epoch)
+	lk.held.drop(n.id)
+	lk.endRequest()
+	g.lock.notifyAll()
+	root := g.rootID
 	n.mu.Unlock()
 	return n.ep.Send(root, msg)
 }

@@ -77,9 +77,12 @@ func newTapCluster(t *testing.T, n int) (*cluster, *transport.Flaky, *tapNet) {
 
 // acquireAsync runs Acquire on its own goroutine; the channel yields its
 // result.
-func acquireAsync(n *Node, l LockID) <-chan error {
+func acquireAsync(n *Node, l LockID) <-chan error { return enterAsync(n, l, 0) }
+
+// enterAsync is acquireAsync for any session.
+func enterAsync(n *Node, l LockID, session uint32) <-chan error {
 	done := make(chan error, 1)
-	go func() { done <- n.Acquire(tGroup, l) }()
+	go func() { done <- n.EnterSession(tGroup, l, session) }()
 	return done
 }
 
@@ -107,30 +110,32 @@ func lockRecord(n *Node, l LockID) memberLock {
 // for a waiter on a member and for one on the node that roots the group,
 // whose request is a self-send the tick must retry all the same.
 func TestDroppedLockRequestRecoversOnTick(t *testing.T) {
-	for _, waiter := range []int{1, 0} {
-		c, _, tap := newTapCluster(t, 3)
-		for _, nd := range c.nodes {
-			nd.SetTimers(20*time.Millisecond, time.Hour, time.Hour)
+	eachKind(t, func(t *testing.T, k lockKind) {
+		for _, waiter := range []int{1, 0} {
+			c, _, tap := newTapCluster(t, 3)
+			for _, nd := range c.nodes {
+				nd.SetTimers(20*time.Millisecond, time.Hour, time.Hour)
+			}
+			var dropped atomic.Int32
+			tap.filter(func(from, to int, m *wire.Message) bool {
+				return m.Type == wire.TLockReq && from == waiter && dropped.Add(1) == 1
+			})
+			n := c.nodes[waiter]
+			start := time.Now()
+			waitAcquired(t, enterAsync(n, tLock, k.session), "Acquire whose request frame was lost")
+			if got := n.Stats().LockRequests; got != 2 {
+				t.Errorf("waiter on node %d: %d lock requests sent, want 2 (the lost one and one tick re-send)", waiter, got)
+			}
+			// The re-send is due in [base/2, base] and fires at the first tick
+			// at or after that.
+			if d := time.Since(start); d < 10*time.Millisecond {
+				t.Errorf("waiter on node %d: granted after %v, before any retry could be due", waiter, d)
+			}
+			if err := n.Release(tGroup, tLock); err != nil {
+				t.Fatal(err)
+			}
 		}
-		var dropped atomic.Int32
-		tap.filter(func(from, to int, m *wire.Message) bool {
-			return m.Type == wire.TLockReq && from == waiter && dropped.Add(1) == 1
-		})
-		n := c.nodes[waiter]
-		start := time.Now()
-		waitAcquired(t, acquireAsync(n, tLock), "Acquire whose request frame was lost")
-		if got := n.Stats().LockRequests; got != 2 {
-			t.Errorf("waiter on node %d: %d lock requests sent, want 2 (the lost one and one tick re-send)", waiter, got)
-		}
-		// The re-send is due in [base/2, base] and fires at the first tick at
-		// or after that.
-		if d := time.Since(start); d < 10*time.Millisecond {
-			t.Errorf("waiter on node %d: granted after %v, before any retry could be due", waiter, d)
-		}
-		if err := n.Release(tGroup, tLock); err != nil {
-			t.Fatal(err)
-		}
-	}
+	})
 }
 
 // TestParkedAcquireSurvivesRejoin: Rejoin wipes the member's lock records
@@ -139,43 +144,45 @@ func TestDroppedLockRequestRecoversOnTick(t *testing.T) {
 // tick must mint it a fresh request (a new token: the old acquisition is
 // gone on both sides) and the caller must get the lock.
 func TestParkedAcquireSurvivesRejoin(t *testing.T) {
-	c, _, _ := newTapCluster(t, 3)
-	holder, n := c.nodes[2], c.nodes[1]
-	if err := holder.Acquire(tGroup, tLock); err != nil {
-		t.Fatal(err)
-	}
-	done := acquireAsync(n, tLock)
-	waitFor(t, c, 5*time.Second, "node 1 queued at the root", func() bool {
-		c.nodes[0].mu.Lock()
-		defer c.nodes[0].mu.Unlock()
-		return c.nodes[0].roots[tGroup].lock(tLock).queued(1)
+	eachKind(t, func(t *testing.T, k lockKind) {
+		c, _, _ := newTapCluster(t, 3)
+		holder, n := c.nodes[2], c.nodes[1]
+		if err := holder.EnterSession(tGroup, tLock, k.rival); err != nil {
+			t.Fatal(err)
+		}
+		done := enterAsync(n, tLock, k.session)
+		waitFor(t, c, 5*time.Second, "node 1 queued at the root", func() bool {
+			c.nodes[0].mu.Lock()
+			defer c.nodes[0].mu.Unlock()
+			return c.nodes[0].roots[tGroup].lock(tLock).queued(1)
+		})
+		before := lockRecord(n, tLock)
+		if !before.want || before.parked != 1 {
+			t.Fatalf("before the rejoin: want=%v parked=%d, expected an outstanding request with one parked caller", before.want, before.parked)
+		}
+		if err := n.Rejoin(tGroup); err != nil {
+			t.Fatal(err)
+		}
+		if lk := lockRecord(n, tLock); lk.want || lk.parked != 1 {
+			t.Fatalf("after the rejoin: want=%v parked=%d, expected the request wiped and the caller still counted", lk.want, lk.parked)
+		}
+		waitFor(t, c, 5*time.Second, "the re-minted request to queue at the root", func() bool {
+			c.nodes[0].mu.Lock()
+			defer c.nodes[0].mu.Unlock()
+			return n.Stats().Rejoins >= 1 && c.nodes[0].roots[tGroup].lock(tLock).queued(1)
+		})
+		if err := holder.Release(tGroup, tLock); err != nil {
+			t.Fatal(err)
+		}
+		waitAcquired(t, done, "Acquire parked across its node's Rejoin")
+		after := lockRecord(n, tLock)
+		if after.reqToken <= before.reqToken {
+			t.Errorf("request token %d after the rejoin, want a fresh one past %d", after.reqToken, before.reqToken)
+		}
+		if after.parked != 0 {
+			t.Errorf("%d callers still counted as parked after Acquire returned", after.parked)
+		}
 	})
-	before := lockRecord(n, tLock)
-	if !before.want || before.parked != 1 {
-		t.Fatalf("before the rejoin: want=%v parked=%d, expected an outstanding request with one parked caller", before.want, before.parked)
-	}
-	if err := n.Rejoin(tGroup); err != nil {
-		t.Fatal(err)
-	}
-	if lk := lockRecord(n, tLock); lk.want || lk.parked != 1 {
-		t.Fatalf("after the rejoin: want=%v parked=%d, expected the request wiped and the caller still counted", lk.want, lk.parked)
-	}
-	waitFor(t, c, 5*time.Second, "the re-minted request to queue at the root", func() bool {
-		c.nodes[0].mu.Lock()
-		defer c.nodes[0].mu.Unlock()
-		return n.Stats().Rejoins >= 1 && c.nodes[0].roots[tGroup].lock(tLock).queued(1)
-	})
-	if err := holder.Release(tGroup, tLock); err != nil {
-		t.Fatal(err)
-	}
-	waitAcquired(t, done, "Acquire parked across its node's Rejoin")
-	after := lockRecord(n, tLock)
-	if after.reqToken <= before.reqToken {
-		t.Errorf("request token %d after the rejoin, want a fresh one past %d", after.reqToken, before.reqToken)
-	}
-	if after.parked != 0 {
-		t.Errorf("%d callers still counted as parked after Acquire returned", after.parked)
-	}
 }
 
 // TestParkedAcquireSurvivesFailover: the root dies under a parked waiter
@@ -184,29 +191,31 @@ func TestParkedAcquireSurvivesRejoin(t *testing.T) {
 // a retry — from the tick, on the node that now roots the group —
 // re-registers the live token.
 func TestParkedAcquireSurvivesFailover(t *testing.T) {
-	c, fl, _ := newTapCluster(t, 4)
-	holder, n := c.nodes[2], c.nodes[1]
-	if err := holder.Acquire(tGroup, tLock); err != nil {
-		t.Fatal(err)
-	}
-	done := acquireAsync(n, tLock)
-	waitFor(t, c, 5*time.Second, "node 1 queued at the root", func() bool {
-		c.nodes[0].mu.Lock()
-		defer c.nodes[0].mu.Unlock()
-		return c.nodes[0].roots[tGroup].lock(tLock).queued(1)
+	eachKind(t, func(t *testing.T, k lockKind) {
+		c, fl, _ := newTapCluster(t, 4)
+		holder, n := c.nodes[2], c.nodes[1]
+		if err := holder.EnterSession(tGroup, tLock, k.rival); err != nil {
+			t.Fatal(err)
+		}
+		done := enterAsync(n, tLock, k.session)
+		waitFor(t, c, 5*time.Second, "node 1 queued at the root", func() bool {
+			c.nodes[0].mu.Lock()
+			defer c.nodes[0].mu.Unlock()
+			return c.nodes[0].roots[tGroup].lock(tLock).queued(1)
+		})
+		fl.Crash(0)
+		waitFor(t, c, 5*time.Second, "node 1 to take over the group", func() bool {
+			return n.Stats().Failovers == 1
+		})
+		waitAdopted(t, c, holder, 1)
+		if err := holder.Release(tGroup, tLock); err != nil {
+			t.Fatal(err)
+		}
+		waitAcquired(t, done, "Acquire parked across a failover onto its own node")
+		if err := n.Release(tGroup, tLock); err != nil {
+			t.Fatal(err)
+		}
 	})
-	fl.Crash(0)
-	waitFor(t, c, 5*time.Second, "node 1 to take over the group", func() bool {
-		return n.Stats().Failovers == 1
-	})
-	waitAdopted(t, c, holder, 1)
-	if err := holder.Release(tGroup, tLock); err != nil {
-		t.Fatal(err)
-	}
-	waitAcquired(t, done, "Acquire parked across a failover onto its own node")
-	if err := n.Release(tGroup, tLock); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestWaitGEReturnsThroughTheProbeAlone pins that WaitGE needs no timer:
@@ -263,33 +272,35 @@ func TestWaitGEReturnsThroughTheProbeAlone(t *testing.T) {
 // an unreachable root cannot hold it — and leaves nothing behind for the
 // tick to keep retrying.
 func TestCancelledAcquireLeavesInBoundedSteps(t *testing.T) {
-	c, fl, _ := newTapCluster(t, 3)
-	for _, nd := range c.nodes {
-		nd.SetTimers(5*time.Millisecond, time.Hour, time.Hour) // no failover: the root just stays dark
-	}
-	n := c.nodes[1]
-	fl.Crash(0)
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	if err := n.AcquireContext(ctx, tGroup, tLock); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("AcquireContext = %v, want context.DeadlineExceeded", err)
-	}
-	if d := time.Since(start); d > time.Second {
-		t.Errorf("the cancelled waiter took %v to leave", d)
-	}
-	lk := lockRecord(n, tLock)
-	if lk.want || lk.parked != 0 || !lk.reqSince.IsZero() || lk.value() != Free {
-		t.Errorf("after the cancel: want=%v parked=%d stamped=%v value=%d, expected a clean record",
-			lk.want, lk.parked, !lk.reqSince.IsZero(), lk.value())
-	}
-	sent := n.Stats().LockRequests
-	for i := 0; i < 5; i++ {
-		n.tick()
-	}
-	if got := n.Stats().LockRequests; got != sent {
-		t.Errorf("the tick re-sent a cancelled request: %d frames, was %d", got, sent)
-	}
+	eachKind(t, func(t *testing.T, k lockKind) {
+		c, fl, _ := newTapCluster(t, 3)
+		for _, nd := range c.nodes {
+			nd.SetTimers(5*time.Millisecond, time.Hour, time.Hour) // no failover: the root just stays dark
+		}
+		n := c.nodes[1]
+		fl.Crash(0)
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		defer cancel()
+		start := time.Now()
+		if err := n.EnterSessionContext(ctx, tGroup, tLock, k.session); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("AcquireContext = %v, want context.DeadlineExceeded", err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("the cancelled waiter took %v to leave", d)
+		}
+		lk := lockRecord(n, tLock)
+		if lk.want || lk.parked != 0 || !lk.reqSince.IsZero() || lk.value(n.id) != Free {
+			t.Errorf("after the cancel: want=%v parked=%d stamped=%v value=%d, expected a clean record",
+				lk.want, lk.parked, !lk.reqSince.IsZero(), lk.value(n.id))
+		}
+		sent := n.Stats().LockRequests
+		for i := 0; i < 5; i++ {
+			n.tick()
+		}
+		if got := n.Stats().LockRequests; got != sent {
+			t.Errorf("the tick re-sent a cancelled request: %d frames, was %d", got, sent)
+		}
+	})
 }
 
 // TestWatchdogReissueKeepsTheDeadline: a request's deadline lives in the
@@ -477,4 +488,70 @@ func TestWaitsMintNoTimersAndWritesReadNoClock(t *testing.T) {
 	if got := ns[0].Stats().LockGrants; got < nodes*rounds {
 		t.Errorf("%d grants for %d sections", got, nodes*rounds)
 	}
+}
+
+// TestSnapshotAlignsAFreeLocksEpoch: a member that missed a stretch of
+// lock traffic and catches up by snapshot must come out with the root's
+// epoch for every lock, a free one included — the epoch is what it tags
+// its next speculative writes with. The snapshot of a free lock used to
+// leave the member's epoch where it was: the root then judged the writes
+// of its next (clean, committed) speculation as older than the newest
+// foreign entry and suppressed them — a section that ran, committed and
+// left nothing behind.
+func TestSnapshotAlignsAFreeLocksEpoch(t *testing.T) {
+	c, _, tap := newTapCluster(t, 3)
+	for _, nd := range c.nodes {
+		nd.SetTimers(10*time.Millisecond, time.Hour, time.Hour) // no failover: node 2 is just cut off
+	}
+	busy, n := c.nodes[1], c.nodes[2]
+	tap.filter(func(from, to int, m *wire.Message) bool { return to == 2 })
+	// More sections than the root's history can retransmit: a snapshot is
+	// the only way back.
+	for i := int64(1); c.nodes[0].Stats().LockGrants < 1500; i++ {
+		if err := busy.Acquire(tGroup, tLock); err != nil {
+			t.Fatal(err)
+		}
+		if err := busy.Write(tGroup, tVar, i); err != nil {
+			t.Fatal(err)
+		}
+		if err := busy.Release(tGroup, tLock); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last, _ := busy.Read(tGroup, tVar)
+	tap.filter(nil)
+	waitValue(t, n, tVar, last)
+	rootEpoch := func() uint32 {
+		c.nodes[0].mu.Lock()
+		defer c.nodes[0].mu.Unlock()
+		return c.nodes[0].roots[tGroup].lock(tLock).epoch
+	}
+	if got, want := lockRecord(n, tLock).grantEpoch, rootEpoch(); got != want {
+		t.Errorf("after the snapshot node 2 has the lock at epoch %d, the root at %d", got, want)
+	}
+	// A speculative section on node 2, as the engine runs it.
+	suppressed := c.nodes[0].Stats().Suppressed
+	intr := new(countIntr)
+	if ok, err := n.Speculate(tGroup, tLock, 0, intr); !ok || err != nil {
+		t.Fatalf("Speculate on the free lock = %v, %v", ok, err)
+	}
+	if err := n.Write(tGroup, tVar, last+100); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := waitGrant(n); !ok || err != nil {
+		t.Fatalf("waitGrant = %v, %v", ok, err)
+	}
+	if err := n.Release(tGroup, tLock); err != nil {
+		t.Fatal(err)
+	}
+	if intr.fired.Load() != 0 {
+		t.Fatal("the speculation was interrupted: no rival was anywhere near")
+	}
+	if err := n.Sync(tGroup); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.nodes[0].Stats().Suppressed; got != suppressed {
+		t.Errorf("the root suppressed %d write(s) of a speculation that committed", got-suppressed)
+	}
+	waitValue(t, busy, tVar, last+100)
 }

@@ -185,14 +185,13 @@ func TestQuorumWatermarkDefersHandoffUntilMajorityAck(t *testing.T) {
 		Val:   5,
 	})
 	ls := r.lock(tLock)
-	ls.holders[3] = 0
-	ls.entryEpochs[3] = 1
+	ls.held.put(holder{node: 3, epoch: 1})
 	ls.epoch = 1
 	ls.queue = []lockWaiter{{node: 4}}
 	seqBefore := r.ring.seq()
 	root.leaveLock(r, tLock, ls, 3)
 	if !ls.holds(4) || len(ls.queue) != 0 {
-		t.Fatalf("next holder not designated at release: holders=%v queue=%v", ls.holders, ls.queue)
+		t.Fatalf("next holder not designated at release: holders=%v queue=%v", ls.held.in, ls.queue)
 	}
 	if len(ls.pending) == 0 {
 		t.Fatal("grant multicast not deferred behind the watermark")
@@ -257,7 +256,7 @@ func TestQuorumAckedHandoffCarriesData(t *testing.T) {
 	if err := c.nodes[1].Release(tGroup, tLock); err != nil {
 		t.Fatal(err)
 	}
-	ok, err := c.nodes[2].WaitLockGrant(tGroup, tLock)
+	ok, err := waitGrant(c.nodes[2])
 	if err != nil || !ok {
 		t.Fatalf("queued waiter never granted: ok=%v err=%v", ok, err)
 	}
@@ -383,7 +382,7 @@ func TestRejoinFreesCrashedHoldersLock(t *testing.T) {
 	if err := c.nodes[2].Rejoin(tGroup); err != nil {
 		t.Fatal(err)
 	}
-	ok, err := c.nodes[1].WaitLockGrant(tGroup, tLock)
+	ok, err := waitGrant(c.nodes[1])
 	if err != nil || !ok {
 		t.Fatalf("waiter never granted after holder rejoin: ok=%v err=%v", ok, err)
 	}

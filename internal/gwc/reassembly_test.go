@@ -230,7 +230,7 @@ func TestRootLockCancelLeavesNoPhantomEntry(t *testing.T) {
 	cancel(2)
 	n.mu.Lock()
 	ls := n.roots[tGroup].lock(tLock)
-	holder, qlen := ls.soleHolder(), len(ls.queue)
+	holder, qlen := soleNode(ls), len(ls.queue)
 	n.mu.Unlock()
 	if holder != 1 {
 		t.Errorf("holder = %d after a waiter cancelled, want 1", holder)
@@ -244,7 +244,7 @@ func TestRootLockCancelLeavesNoPhantomEntry(t *testing.T) {
 		Type: wire.TLockRel, Group: uint32(tGroup), Src: 1, Origin: 1, Lock: uint32(tLock), Var: 1,
 	})
 	n.mu.Lock()
-	holder = n.roots[tGroup].lock(tLock).soleHolder()
+	holder = soleNode(n.roots[tGroup].lock(tLock))
 	n.mu.Unlock()
 	if holder != -1 {
 		t.Errorf("holder = %d after release, want -1 (cancelled waiter must not inherit)", holder)
@@ -257,7 +257,7 @@ func TestRootLockCancelLeavesNoPhantomEntry(t *testing.T) {
 	cancel(3)
 	n.mu.Lock()
 	ls = n.roots[tGroup].lock(tLock)
-	holder, qlen = ls.soleHolder(), len(ls.queue)
+	holder, qlen = soleNode(ls), len(ls.queue)
 	n.mu.Unlock()
 	if holder != 4 || qlen != 0 {
 		t.Errorf("holder = %d queue = %d after holder cancel, want lock handed to 4", holder, qlen)
@@ -285,14 +285,14 @@ func TestRootStaleEpochReleaseIgnored(t *testing.T) {
 	grant(1)      // epoch 2, holder 1 again
 	release(1, 1) // stale duplicate from epoch 1: must be ignored
 	n.mu.Lock()
-	holder := n.roots[tGroup].lock(tLock).soleHolder()
+	holder := soleNode(n.roots[tGroup].lock(tLock))
 	n.mu.Unlock()
 	if holder != 1 {
 		t.Errorf("holder = %d after stale release, want 1 (epoch 2 grant intact)", holder)
 	}
 	release(1, 2) // the real release
 	n.mu.Lock()
-	holder = n.roots[tGroup].lock(tLock).soleHolder()
+	holder = soleNode(n.roots[tGroup].lock(tLock))
 	n.mu.Unlock()
 	if holder != -1 {
 		t.Errorf("holder = %d after valid release, want -1", holder)

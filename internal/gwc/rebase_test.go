@@ -2,6 +2,7 @@ package gwc
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -25,15 +26,20 @@ func loneMember(t *testing.T) (*Node, *memberGroup) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep, err := net.Endpoint(1)
+	t.Cleanup(func() { _ = net.Close() })
+	return stillMember(t, net, 1)
+}
+
+// stillMember starts node id of the three-member group on net with a
+// clock that never ticks; the founding root, node 0, is never started.
+func stillMember(t *testing.T, net transport.Network, id int) (*Node, *memberGroup) {
+	t.Helper()
+	ep, err := net.Endpoint(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := NewNodeClock(1, ep, stillClock{vclock.Real()})
-	t.Cleanup(func() {
-		_ = n.Close()
-		_ = net.Close()
-	})
+	n := NewNodeClock(id, ep, stillClock{vclock.Real()})
+	t.Cleanup(func() { _ = n.Close() })
 	if err := n.Join(GroupConfig{ID: tGroup, Root: 0, Members: []int{0, 1, 2}}); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +101,7 @@ func TestEveryRebaseEntranceRevokesTheSame(t *testing.T) {
 			arm(&sw.bo)
 			g.syncPending[1] = sw
 			lk := g.locks.at(tLock)
-			lk.set(GrantValue(n.id))
+			lk.held.put(holder{node: n.id, epoch: 4})
 			lk.lease = &memberLease{expiry: now.Add(time.Hour), epoch: 4}
 			arm(&lk.lease.renewB)
 			lk.hint = handoffHint{node: 2, token: 1, set: true}
@@ -160,12 +166,11 @@ func TestOwnReportReadsAsAPeers(t *testing.T) {
 	mv.val, mv.written = 77, true
 	g.vars.at(tVarB) // never written: not reported
 	lk := g.locks.at(held)
-	lk.set(GrantValue(n.id))
+	lk.held.put(holder{node: n.id, epoch: 5})
 	lk.grantEpoch = 5
 	lk = g.locks.at(shared)
-	lk.set(Free)
 	lk.grantEpoch = 4
-	lk.sess = &sessView{session: 7, holders: map[int]uint32{1: 3, 2: 4}, mine: true}
+	lk.held = holderSet{session: 7, in: []holder{{node: 1, epoch: 3}, {node: 2, epoch: 4}}}
 	lk = g.locks.at(wanted)
 	lk.want, lk.reqSession = true, 9
 
@@ -181,12 +186,105 @@ func TestOwnReportReadsAsAPeers(t *testing.T) {
 		done: true,
 		vars: map[VarID]int64{tVar: 77},
 		locks: map[LockID]lockSnap{
-			held:   {val: GrantValue(n.id), epoch: 5},
-			shared: {val: Free, epoch: 4, session: 7, holders: map[int]uint32{1: 3, 2: 4}},
-			wanted: {reqSession: 9},
+			held:   {epoch: 5, held: holderSet{in: []holder{{node: n.id, epoch: 5}}}},
+			shared: {epoch: 4, held: holderSet{session: 7, in: []holder{{node: 1, epoch: 3}, {node: 2, epoch: 4}}}},
+			wanted: {waits: true, session: 9},
 		},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("own report reads\n  %+v\nwant\n  %+v", got, want)
+	}
+}
+
+// TestStreamRoundTripsEveryLockState carries the four states a lock can
+// be in — free, exclusively held, shared by two holders, and held while
+// this node waits (which the lock word could not report: the grant
+// overwrote the request marker and the next retry wrote it back) —
+// through both state streams by the production path: node 1's election
+// report, read back and rebuilt into its books by its promotion, and the
+// snapshot node 2 then fetches from it.
+func TestStreamRoundTripsEveryLockState(t *testing.T) {
+	net, err := transport.NewInProc(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = net.Close() })
+	n1, g1 := stillMember(t, net, 1)
+	n2, g2 := stillMember(t, net, 2)
+	const free, excl, shared, waited LockID = 1, 2, 3, 4
+	two := holderSet{session: 7, in: []holder{{node: 1, epoch: 3}, {node: 2, epoch: 4}}}
+	dirty := func(n *Node, g *memberGroup) {
+		g.locks.at(excl).held.put(holder{node: 2, epoch: 5})
+		g.locks.at(excl).grantEpoch = 5
+		g.locks.at(shared).held = holderSet{session: 7, in: slices.Clone(two.in)}
+		g.locks.at(shared).grantEpoch = 4
+		g.locks.at(waited).held.put(holder{node: 2, epoch: 6})
+		g.locks.at(waited).grantEpoch = 6
+		for _, l := range []LockID{excl, shared, waited} {
+			g.locks.at(l).want = g.locks.at(l).held.has(n.id)
+		}
+	}
+	n1.mu.Lock()
+	dirty(n1, g1)
+	g1.locks.at(free).grantEpoch = 3
+	lk := g1.locks.at(waited)
+	lk.want, lk.reqToken = true, 1
+	g1.electEpoch = 1
+	g1.suspected[0] = true
+	n1.promote(tGroup, g1)
+	r := n1.roots[tGroup]
+	for l, want := range map[LockID]lockState{
+		free:   {epoch: 3},
+		excl:   {epoch: 5, held: holderSet{in: []holder{{node: 2, epoch: 5}}}},
+		shared: {epoch: 4, held: two},
+		waited: {epoch: 6, held: holderSet{in: []holder{{node: 2, epoch: 6}}}, queue: []lockWaiter{{node: 1}}},
+	} {
+		ls := r.lock(l)
+		if ls.epoch != want.epoch || ls.held.session != want.held.session ||
+			!slices.Equal(ls.held.in, want.held.in) || !slices.Equal(ls.queue, want.queue) {
+			t.Errorf("lock %d rebuilt as epoch %d, section %+v, queue %+v; want %d, %+v, %+v",
+				l, ls.epoch, ls.held, ls.queue, want.epoch, want.held, want.queue)
+		}
+	}
+	if v := g1.lockValue(waited, 1); v != GrantValue(2) || !g1.locks.at(waited).want {
+		t.Errorf("the new root's own copy of the lock it waits for reads %d (want=%v), expected node 2's grant and a live request",
+			v, g1.locks.at(waited).want)
+	}
+	n1.mu.Unlock()
+
+	n2.mu.Lock()
+	dirty(n2, g2)
+	n2.adoptEpoch(g2, 1, 1) // asks node 1 for its snapshot
+	n2.mu.Unlock()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n2.mu.Lock()
+		synced := !g2.snapWanted
+		n2.mu.Unlock()
+		if synced {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("node 2 never applied node 1's snapshot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	n2.mu.Lock()
+	defer n2.mu.Unlock()
+	for l, want := range map[LockID]holderSet{
+		free:   {},
+		excl:   {in: []holder{{node: 2, epoch: 5}}},
+		shared: two,
+		waited: {in: []holder{{node: 2, epoch: 6}}},
+	} {
+		if got := g2.locks.at(l).held; got.session != want.session || !slices.Equal(got.in, want.in) {
+			t.Errorf("lock %d installed as %+v, want %+v", l, got, want)
+		}
+	}
+	if e := g2.locks.at(free).grantEpoch; e != 3 {
+		t.Errorf("the free lock's epoch arrived as %d, want 3 (the Free frame carries it)", e)
+	}
+	if rel := n2.stats.StaleEpochRejected; rel != 0 {
+		t.Errorf("%d stale-epoch rejections on a clean adoption", rel)
 	}
 }

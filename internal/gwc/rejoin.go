@@ -137,7 +137,7 @@ func (n *Node) handleJoinReq(m *wire.Message) {
 						break
 					}
 				}
-				if ls.holds(src) {
+				if h := ls.held.find(src); h != nil {
 					// Free only the rejoiner's own entry — under a session
 					// other holders' sections are live and must keep running.
 					n.rootHandle(r, &wire.Message{
@@ -146,9 +146,9 @@ func (n *Node) handleJoinReq(m *wire.Message) {
 						Src:     int32(src),
 						Origin:  int32(src),
 						Lock:    uint32(l),
-						Var:     ls.entryEpochs[src],
+						Var:     h.epoch,
 						Epoch:   r.epoch,
-						Session: ls.session,
+						Session: ls.held.session,
 					})
 				}
 			}

@@ -41,7 +41,7 @@ func TestRejoinEdgeCases(t *testing.T) {
 				if err := c.nodes[victim].Rejoin(tGroup); err != nil {
 					t.Fatal(err)
 				}
-				if ok, err := c.nodes[1].WaitLockGrant(tGroup, tLock); err != nil || !ok {
+				if ok, err := waitGrant(c.nodes[1]); err != nil || !ok {
 					t.Fatalf("waiter never granted after holder rejoined: ok=%v err=%v", ok, err)
 				}
 				if err := c.nodes[1].Release(tGroup, tLock); err != nil {

@@ -1,6 +1,7 @@
 package gwc
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -141,81 +142,91 @@ func TestSyncBarrierSurvivesRejoin(t *testing.T) {
 // request the root may have already answered, and it must neither
 // re-queue the holder, steal the lock, nor disturb the holder's token.
 func TestLockTokenRetryAfterGrant(t *testing.T) {
-	c := newInProcCluster(t, 3, true)
-	n1, n2 := c.nodes[1], c.nodes[2]
-	rootState := func() (holder int, token uint32, queued int) {
-		c.nodes[0].mu.Lock()
-		defer c.nodes[0].mu.Unlock()
-		ls := c.nodes[0].roots[tGroup].lock(tLock)
-		return ls.soleHolder(), ls.holders[1], len(ls.queue)
-	}
+	eachKind(t, func(t *testing.T, k lockKind) {
+		c := newInProcCluster(t, 3, true)
+		n1, n2 := c.nodes[1], c.nodes[2]
+		rootState := func() (holder int, token uint32, queued int) {
+			c.nodes[0].mu.Lock()
+			defer c.nodes[0].mu.Unlock()
+			ls := c.nodes[0].roots[tGroup].lock(tLock)
+			if len(ls.held.in) != 1 {
+				return -1, 0, len(ls.queue)
+			}
+			return ls.held.in[0].node, ls.held.in[0].token, len(ls.queue)
+		}
+		inside := func(n *Node, session uint32) bool {
+			n.mu.Lock()
+			defer n.mu.Unlock()
+			return n.groups[tGroup].locks.at(tLock).inside(n.id, session)
+		}
 
-	if err := n1.Acquire(tGroup, tLock); err != nil {
-		t.Fatal(err)
-	}
-	holder, token, _ := rootState()
-	if holder != 1 {
-		t.Fatalf("holder = %d, want 1", holder)
-	}
+		if err := n1.EnterSession(tGroup, tLock, k.session); err != nil {
+			t.Fatal(err)
+		}
+		holder, token, _ := rootState()
+		if holder != 1 {
+			t.Fatalf("holder = %d, want 1", holder)
+		}
 
-	// A retry of the granted request: the root must re-announce, not
-	// re-queue. Sync is the FIFO fence that proves the frame was handled.
-	if err := n1.SendLockRequest(tGroup, tLock); err != nil {
-		t.Fatal(err)
-	}
-	if err := n1.Sync(tGroup); err != nil {
-		t.Fatal(err)
-	}
-	if h, tok, q := rootState(); h != 1 || tok != token || q != 0 {
-		t.Fatalf("after retry-of-granted: holder=%d token=%d queue=%d, want 1/%d/0", h, tok, q, token)
-	}
-	if v, err := n1.LockValue(tGroup, tLock); err != nil || v != GrantValue(1) {
-		t.Fatalf("holder's local value = %d (%v), want grant", v, err)
-	}
+		// A retry of the granted request: the root must re-announce, not
+		// re-queue. Sync is the FIFO fence that proves the frame was handled.
+		if err := n1.SendSessionRequest(tGroup, tLock, k.session); err != nil {
+			t.Fatal(err)
+		}
+		if err := n1.Sync(tGroup); err != nil {
+			t.Fatal(err)
+		}
+		if h, tok, q := rootState(); h != 1 || tok != token || q != 0 {
+			t.Fatalf("after retry-of-granted: holder=%d token=%d queue=%d, want 1/%d/0", h, tok, q, token)
+		}
+		if !inside(n1, k.session) {
+			t.Fatal("the holder's local copy no longer shows it inside")
+		}
 
-	// A waiter that retries while queued must stay queued once, its
-	// entry refreshed rather than duplicated.
-	if err := n2.SendLockRequest(tGroup, tLock); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, c, 5*time.Second, "the waiter to queue", func() bool {
-		_, _, q := rootState()
-		return q == 1
+		// A waiter that retries while queued must stay queued once, its
+		// entry refreshed rather than duplicated.
+		if err := n2.SendSessionRequest(tGroup, tLock, k.rival); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, c, 5*time.Second, "the waiter to queue", func() bool {
+			_, _, q := rootState()
+			return q == 1
+		})
+		if err := n2.SendSessionRequest(tGroup, tLock, k.rival); err != nil {
+			t.Fatal(err)
+		}
+		if err := n2.Sync(tGroup); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, q := rootState(); q != 1 {
+			t.Fatalf("waiter retry duplicated its queue entry: %d entries", q)
+		}
+
+		// Handoff grants the waiter exactly once; its own late retry after
+		// the grant is equally inert.
+		if err := n1.Release(tGroup, tLock); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := n2.WaitEnteredContext(context.Background(), tGroup, tLock, k.rival, nil); err != nil || !ok {
+			t.Fatalf("waiter never granted: ok=%v err=%v", ok, err)
+		}
+		if err := n2.SendSessionRequest(tGroup, tLock, k.rival); err != nil {
+			t.Fatal(err)
+		}
+		if err := n2.Sync(tGroup); err != nil {
+			t.Fatal(err)
+		}
+		if h, _, q := rootState(); h != 2 || q != 0 {
+			t.Fatalf("after post-grant retry: holder=%d queue=%d, want 2/0", h, q)
+		}
+		if err := n2.Release(tGroup, tLock); err != nil {
+			t.Fatal(err)
+		}
+		if err := n1.EnterSession(tGroup, tLock, k.session); err != nil {
+			t.Fatalf("lock stopped flowing after retry storm: %v", err)
+		}
+		if err := n1.Release(tGroup, tLock); err != nil {
+			t.Fatal(err)
+		}
 	})
-	if err := n2.SendLockRequest(tGroup, tLock); err != nil {
-		t.Fatal(err)
-	}
-	if err := n2.Sync(tGroup); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, q := rootState(); q != 1 {
-		t.Fatalf("waiter retry duplicated its queue entry: %d entries", q)
-	}
-
-	// Handoff grants the waiter exactly once; its own late retry after
-	// the grant is equally inert.
-	if err := n1.Release(tGroup, tLock); err != nil {
-		t.Fatal(err)
-	}
-	if ok, err := n2.WaitLockGrant(tGroup, tLock); err != nil || !ok {
-		t.Fatalf("waiter never granted: ok=%v err=%v", ok, err)
-	}
-	if err := n2.SendLockRequest(tGroup, tLock); err != nil {
-		t.Fatal(err)
-	}
-	if err := n2.Sync(tGroup); err != nil {
-		t.Fatal(err)
-	}
-	if h, _, q := rootState(); h != 2 || q != 0 {
-		t.Fatalf("after post-grant retry: holder=%d queue=%d, want 2/0", h, q)
-	}
-	if err := n2.Release(tGroup, tLock); err != nil {
-		t.Fatal(err)
-	}
-	if err := n1.Acquire(tGroup, tLock); err != nil {
-		t.Fatalf("lock stopped flowing after retry storm: %v", err)
-	}
-	if err := n1.Release(tGroup, tLock); err != nil {
-		t.Fatal(err)
-	}
 }

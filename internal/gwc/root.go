@@ -1,6 +1,7 @@
 package gwc
 
 import (
+	"slices"
 	"time"
 
 	"optsync/internal/integrity"
@@ -143,33 +144,21 @@ func (n *Node) popWaiter(ls *lockState) (lockWaiter, bool) {
 	return lockWaiter{}, false
 }
 
-// lockState is the manager's view of one queue-based session lock. A
-// critical section is open while holders is non-empty; session names
-// which session it belongs to. Session 0 is plain mutual exclusion —
-// at most one holder — and every exclusive code path below degenerates
-// to the classic single-holder protocol. A non-zero session admits any
-// number of concurrent holders of that same session while excluding
-// every other session (group mutual exclusion).
+// lockState is the manager's books on one queue-based lock: the open
+// section (holders.go), the epoch counter and the queue behind it.
 type lockState struct {
 	// used marks a record lock() has initialized.
 	used bool
-	// holders maps each current critical-section holder to the
-	// acquisition token of its request, echoed in its entry multicast so
-	// the requester can tell a grant answering its live request from one
-	// minted for a request it has since cancelled. entryEpochs maps each
-	// holder to the grant epoch its entry was announced with — the epoch
-	// the holder quotes when it leaves.
-	holders     map[int]uint32
-	entryEpochs map[int]uint32
-	// session is the session of the open section; meaningless while
-	// holders is empty.
-	session uint32
-	epoch   uint32
-	queue   []lockWaiter
-	// lastWinner is the winner of the newest exclusive grant (-1 once a
-	// non-zero session opens); lastSession is the session of the newest
-	// open. foreignEpoch is the epoch of the newest *foreign* entry — one
-	// that rolls other nodes' speculative sections back. A speculative
+	// held is the open critical section: its session and, per holder, the
+	// epoch its entry was announced with and the token of the request it
+	// answered. The section is open while anyone is in it.
+	held  holderSet
+	epoch uint32
+	queue []lockWaiter
+	// lastWinner is the node that opened the newest section (-1: none on
+	// these books) and lastSession that section's session. foreignEpoch is
+	// the epoch of the newest *foreign* entry — one that rolls other
+	// nodes' speculative sections back. A speculative
 	// write is clean iff its sender observed every foreign entry before
 	// speculating (tag >= foreignEpoch). Consecutive exclusive grants to
 	// the same node never roll its sections back, and entries into (or
@@ -181,8 +170,8 @@ type lockState struct {
 	// needSeq is the sequence number the closing section's data reached;
 	// under SetQuorumAcks the next grant waits until commit covers it.
 	needSeq uint64
-	// pending lists designated holders — present in holders/entryEpochs,
-	// epoch assigned — whose entry multicast is deferred until the commit
+	// pending lists designated holders — present in held, epoch
+	// assigned — whose entry multicast is deferred until the commit
 	// watermark covers needSeq. Designating eagerly keeps the lock from
 	// going holderless across the park: a clean speculation whose request
 	// wins the park window has its guarded writes sequenced (it is a
@@ -217,21 +206,49 @@ type lockState struct {
 }
 
 // free reports whether no critical section is open.
-func (ls *lockState) free() bool { return len(ls.holders) == 0 }
+func (ls *lockState) free() bool { return len(ls.held.in) == 0 }
 
 // holds reports whether node is a current holder.
-func (ls *lockState) holds(node int) bool {
-	_, ok := ls.holders[node]
-	return ok
+func (ls *lockState) holds(node int) bool { return ls.held.has(node) }
+
+// holdsAt reports whether node holds the entry announced at epoch — what
+// a release, a lease return or a handoff notice must quote, so that a
+// stale duplicate can never close a later entry.
+func (ls *lockState) holdsAt(node int, epoch uint32) bool {
+	h := ls.held.find(node)
+	return h != nil && h.epoch == epoch
 }
 
-// soleHolder returns the single holder of an exclusive section, or -1.
-// Only meaningful when session is 0 (at most one holder then).
-func (ls *lockState) soleHolder() int {
-	for h := range ls.holders {
-		return h
+// sole returns the holder of an open exclusive section, or nil: the one
+// state of the books in which a lock can be leased or handed over peer
+// to peer (lease.go).
+func (ls *lockState) sole() *holder {
+	if ls.held.session == 0 && len(ls.held.in) == 1 {
+		return &ls.held.in[0]
 	}
-	return -1
+	return nil
+}
+
+// enter books node into the open section at the lock's next epoch.
+func (n *Node) enter(ls *lockState, node int, token uint32) {
+	ls.epoch++
+	ls.held.put(holder{node: node, epoch: ls.epoch, token: token})
+	n.metrics.Gauge(obs.GaugeSessHolders).Add(1)
+}
+
+// leave takes node off the books — its entry, an announcement still
+// deferred, a lease — and returns the epoch the entry was announced with.
+func (n *Node) leave(ls *lockState, node int) uint32 {
+	// Leaving a designated-but-unannounced entry simply retires it; the
+	// multicast that never went out owes nobody anything.
+	ls.pending = slices.DeleteFunc(ls.pending, func(p int) bool { return p == node })
+	left := ls.held.find(node).epoch
+	ls.held.drop(node)
+	n.metrics.Gauge(obs.GaugeSessHolders).Add(-1)
+	if ls.leaseTo == node {
+		ls.leaseTo = -1 // the leaseholder leaving retires its lease
+	}
+	return left
 }
 
 // parked reports whether node's entry announcement is deferred on the
@@ -270,14 +287,7 @@ func newRootGroup(cfg GroupConfig, member *memberGroup, now time.Time) *rootGrou
 // past winner, no lease out, no handoff target. Node 0 is a member, so
 // the node-valued fields' zero value would name it.
 func newLockState() lockState {
-	return lockState{
-		used:        true,
-		holders:     make(map[int]uint32),
-		entryEpochs: make(map[int]uint32),
-		lastWinner:  -1,
-		leaseTo:     -1,
-		hintNode:    -1,
-	}
+	return lockState{used: true, lastWinner: -1, leaseTo: -1, hintNode: -1}
 }
 
 // lock returns l's record, initializing it on first use.
@@ -468,7 +478,7 @@ func (n *Node) rootLockReq(r *rootGroup, m *wire.Message) {
 		n.stats.DeadlineDrops++
 		return
 	}
-	if ls.holds(origin) {
+	if h := ls.held.find(origin); h != nil {
 		if ls.parked(origin) {
 			// Designated but not yet announced: the retry changes nothing,
 			// and announcing early would leak the grant past the quorum
@@ -476,7 +486,7 @@ func (n *Node) rootLockReq(r *rootGroup, m *wire.Message) {
 			return
 		}
 		if n.leasing() && ls.leaseTo == origin && m.Var != 0 &&
-			m.Var == ls.leaseEpoch && ls.holders[origin] == token {
+			m.Var == ls.leaseEpoch && h.token == token {
 			// Lease renewal: the holder quotes its lease's grant epoch in
 			// Var (ordinary retries carry zero) and its granted token.
 			// Extend while nobody waits; with waiters the answer is the
@@ -508,11 +518,11 @@ func (n *Node) rootLockReq(r *rootGroup, m *wire.Message) {
 			Type:    wire.TSeqLock,
 			Group:   uint32(r.cfg.ID),
 			Src:     int32(n.id),
-			Origin:  int32(ls.holders[origin]),
+			Origin:  int32(h.token),
 			Lock:    uint32(l),
-			Var:     ls.entryEpochs[origin],
+			Var:     h.epoch,
 			Val:     GrantValue(origin),
-			Session: ls.session,
+			Session: ls.held.session,
 		})
 		return
 	}
@@ -530,7 +540,7 @@ func (n *Node) rootLockReq(r *rootGroup, m *wire.Message) {
 		}
 	}
 	if !ls.free() {
-		if sess != 0 && sess == ls.session && len(ls.queue) == 0 {
+		if shares(sess, ls.held.session) && len(ls.queue) == 0 {
 			// Concurrent entering: the requested session is already open
 			// and nobody waits, so the requester joins it immediately.
 			// Once any other session queues, later same-session requests
@@ -564,16 +574,13 @@ func (n *Node) rootLockRel(r *rootGroup, m *wire.Message) {
 	l := LockID(m.Lock)
 	ls := r.lock(l)
 	origin := int(m.Origin)
-	if !ls.holds(origin) || ls.entryEpochs[origin] != m.Var {
+	if !ls.holdsAt(origin, m.Var) {
 		// A release quoting exactly the epoch the newest handoff hint
 		// reserved is the new holder already leaving a section this
 		// manager has not committed yet (the notice is in flight): commit
 		// the transfer first, then re-validate (lease.go).
-		if !n.inferHandoff(r, l, ls, origin, m.Var) {
+		if !n.inferHandoff(r, l, ls, origin, m.Var) || !ls.holdsAt(origin, m.Var) {
 			return // stale or duplicate release
-		}
-		if !ls.holds(origin) || ls.entryEpochs[origin] != m.Var {
-			return
 		}
 	}
 	n.leaveLock(r, l, ls, origin)
@@ -618,34 +625,20 @@ func (n *Node) rootLockCancel(r *rootGroup, m *wire.Message) {
 // observe (and build on) writes that a root failover could lose; the
 // winner itself is designated at once (see lockState.pending).
 func (n *Node) leaveLock(r *rootGroup, l LockID, ls *lockState, origin int) {
-	// A release (or cancel) of a designated-but-unannounced entry simply
-	// retires it; the multicast that never went out owes nobody anything.
-	for i, p := range ls.pending {
-		if p == origin {
-			ls.pending = append(ls.pending[:i], ls.pending[i+1:]...)
-			break
-		}
+	sess := ls.held.session
+	notice := wire.Message{
+		Type:    wire.TSeqLock,
+		Group:   uint32(r.cfg.ID),
+		Src:     int32(n.id),
+		Lock:    uint32(l),
+		Var:     n.leave(ls, origin),
+		Val:     RequestValue(origin),
+		Session: sess,
 	}
-	left := ls.entryEpochs[origin]
-	delete(ls.holders, origin)
-	delete(ls.entryEpochs, origin)
-	n.metrics.Gauge(obs.GaugeSessHolders).Add(-1)
-	if ls.leaseTo == origin {
-		ls.leaseTo = -1 // the leaseholder leaving retires its lease
-	}
-	sess := ls.session
 	if !ls.free() {
 		// The session stays open; tell the group this holder is out so
-		// member-side holder sets (and session-change waiters) stay exact.
-		n.multicast(r, wire.Message{
-			Type:    wire.TSeqLock,
-			Group:   uint32(r.cfg.ID),
-			Src:     int32(n.id),
-			Lock:    uint32(l),
-			Var:     left,
-			Val:     RequestValue(origin),
-			Session: sess,
-		})
+		// member-side holder sets (and waiters on them) stay exact.
+		n.multicast(r, notice)
 		return
 	}
 	if sess != 0 {
@@ -675,16 +668,9 @@ func (n *Node) leaveLock(r *rootGroup, l LockID, ls *lockState, origin int) {
 		// must see its last holder leave before the next section's entry
 		// frames arrive, so a same-session reopen extends an exact holder
 		// set. (An exclusive close needs no notice — the next entry frame
-		// resets member views by itself, exactly as it always has.)
-		n.multicast(r, wire.Message{
-			Type:    wire.TSeqLock,
-			Group:   uint32(r.cfg.ID),
-			Src:     int32(n.id),
-			Lock:    uint32(l),
-			Var:     left,
-			Val:     RequestValue(origin),
-			Session: sess,
-		})
+		// opens a new section in member copies by itself, exactly as it
+		// always has.)
+		n.multicast(r, notice)
 	}
 	n.grant(r, l, ls, next)
 	n.admitSession(r, l, ls)
@@ -695,14 +681,14 @@ func (n *Node) leaveLock(r *rootGroup, l LockID, ls *lockState, origin int) {
 // its head, rather than serializing one per section churn. Exclusive
 // sections (session 0) admit exactly one holder, so this is a no-op.
 func (n *Node) admitSession(r *rootGroup, l LockID, ls *lockState) {
-	if ls.free() || ls.session == 0 {
+	if ls.free() {
 		return
 	}
 	var now int64
 	i := 0
 	for i < len(ls.queue) {
 		w := ls.queue[i]
-		if w.session != ls.session {
+		if !shares(w.session, ls.held.session) {
 			i++
 			continue
 		}
@@ -736,33 +722,20 @@ func (n *Node) grant(r *rootGroup, l LockID, ls *lockState, w lockWaiter) {
 	if ls.free() {
 		// Opening a new critical section. The entry is foreign — it rolls
 		// other nodes' speculative sections back — unless it re-extends
-		// what the previous section already allowed: the same exclusive
-		// winner back to back, or a reopen of the same session (see
+		// what the previous section already allowed: a reopen of a session
+		// it shares, or the same exclusive winner back to back (see
 		// lockState.foreignEpoch).
-		foreign := true
-		if w.session == 0 && ls.lastSession == 0 && winner == ls.lastWinner {
-			foreign = false
-		}
-		if w.session != 0 && w.session == ls.lastSession {
-			foreign = false
-		}
-		if foreign {
+		if !shares(w.session, ls.lastSession) && (w.session != ls.lastSession || winner != ls.lastWinner) {
 			ls.foreignEpoch = ls.epoch
 		}
-		if w.session == 0 {
-			ls.lastWinner = winner
-		} else {
-			ls.lastWinner = -1
+		if w.session != 0 {
 			n.stats.SessionOpens++
 			n.emit(obs.EvSessOpen, r.cfg.ID, int64(l), int64(w.session))
 		}
-		ls.lastSession = w.session
-		ls.session = w.session
+		ls.lastWinner, ls.lastSession = winner, w.session
+		ls.held.open(w.session)
 	}
-	ls.holders[winner] = w.token
-	ls.epoch++
-	ls.entryEpochs[winner] = ls.epoch
-	n.metrics.Gauge(obs.GaugeSessHolders).Add(1)
+	n.enter(ls, winner, w.token)
 	if n.quorumAcks && r.commit < ls.needSeq {
 		// Durability gate: the winner is designated (its clean speculative
 		// writes sequence as holder writes) but must not *learn* of the
@@ -781,9 +754,7 @@ func (n *Node) grant(r *rootGroup, l LockID, ls *lockState, w lockWaiter) {
 // sendGrant multicasts winner's already-designated entry: its positive
 // ID in the lock variable, tagged with its entry epoch and echoing the
 // winning request's token so the member can verify the grant answers
-// its current acquisition. The frame carries the open session; members
-// route non-zero sessions through the holder-set view and session 0
-// through the classic single-holder path.
+// its current acquisition. The frame carries the open session.
 func (n *Node) sendGrant(r *rootGroup, l LockID, ls *lockState, winner int) {
 	n.stats.LockGrants++
 	if !ls.deferredAt.IsZero() && len(ls.pending) == 0 {
@@ -793,15 +764,16 @@ func (n *Node) sendGrant(r *rootGroup, l LockID, ls *lockState, winner int) {
 		ls.deferredAt = time.Time{}
 	}
 	n.emit(obs.EvLockGrant, r.cfg.ID, int64(l), int64(winner))
+	h := ls.held.find(winner)
 	msg := wire.Message{
 		Type:    wire.TSeqLock,
 		Group:   uint32(r.cfg.ID),
 		Src:     int32(n.id),
-		Origin:  int32(ls.holders[winner]),
+		Origin:  int32(h.token),
 		Lock:    uint32(l),
-		Var:     ls.entryEpochs[winner],
+		Var:     h.epoch,
 		Val:     GrantValue(winner),
-		Session: ls.session,
+		Session: ls.held.session,
 	}
 	// Piggyback the head waiter as the winner's direct-handoff target
 	// (lease.go); with nobody queued, lease the lock to the winner

@@ -14,15 +14,18 @@ package gwc
 type Interrupt interface {
 	// Fire runs under the node lock, and must not block or call back into
 	// the node, whenever a section incompatible with the speculation is
-	// applied here: another node's lock value for an exclusive section,
-	// an entry into any other session for a session one. Returning
-	// HookSuspend suspends insharing atomically with that observation.
+	// applied here: another node's entry into a session the speculation's
+	// own does not share. Returning HookSuspend suspends insharing
+	// atomically with that observation.
 	Fire() HookAction
 }
 
-// interrupt fires the lock's installed Interrupt. Caller holds n.mu.
-func (g *memberGroup) interrupt(lk *memberLock) {
-	if lk.spec.Fire() == HookSuspend {
+// sawEntry fires the interrupt of the section speculating on the lock
+// when node — another node than self — was seen entering a session that
+// the speculation's own does not share: the root sequenced an
+// incompatible section ahead of it. Caller holds n.mu.
+func (g *memberGroup) sawEntry(lk *memberLock, node, self int, session uint32) {
+	if lk.spec != nil && node != self && !shares(lk.specSession, session) && lk.spec.Fire() == HookSuspend {
 		g.suspended = true
 	}
 }
@@ -32,11 +35,7 @@ type Outlook struct {
 	// Leased: the caller entered through a live lease (exclusive sections
 	// only) and holds the lock now; it must Release it.
 	Leased bool
-	// Foreign: an incompatible section is visible — another node's
-	// exclusive grant or request marker, or a session other than the
-	// caller's open here; an exclusive section also counts this node's
-	// own grant still in the copy (a lease it could not enter, about to
-	// be returned), which a blocking acquire sorts out with the root.
+	// Foreign: a section the caller's session does not share is open here.
 	Foreign bool
 	// Joinable: the caller's own session is open here, so the root
 	// admits the join without closing the section.
@@ -44,19 +43,21 @@ type Outlook struct {
 }
 
 // outlook evaluates Foreign and Joinable for a section of the given
-// session on lock l. Caller holds n.mu.
+// session on lock l. An idle lease this node holds reads as a free lock:
+// whoever asks gives it back first (ownRequest). Caller holds n.mu.
 func (n *Node) outlook(g *memberGroup, l LockID, session uint32) (foreign, joinable bool) {
-	val := g.lockValue(l)
-	si := g.sessionInfo(l)
-	foreign = (val != Free && (session == 0 || val != GrantValue(n.id))) ||
-		(si.Holders > 0 && si.Session != session)
-	return foreign, si.Holders > 0 && si.Session == session
+	lk := g.locks.peek(l)
+	if lk == nil || len(lk.held.in) == 0 || (lk.lease != nil && !lk.lease.held) {
+		return false, false
+	}
+	joinable = shares(lk.held.session, session)
+	return !joinable, joinable
 }
 
 // Look is the one look a section of the given session (0 = exclusive)
 // takes at lock l before choosing its path: it enters through a live
-// lease if it can (TryLeaseEnter) and reports the local lock copy and
-// session view otherwise, all under one hold.
+// lease if it can (TryLeaseEnter) and reports what the local copy of the
+// open section shows otherwise, all under one hold.
 func (n *Node) Look(gid GroupID, l LockID, session uint32) (Outlook, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -77,8 +78,8 @@ func (n *Node) Look(gid GroupID, l LockID, session uint32) (Outlook, error) {
 // registered and nothing sent — the caller takes the blocking path.
 // Otherwise it installs intr as the lock's interrupt, records the
 // acquisition, and ships the non-blocking request; pair it with
-// WaitLockCondContext or WaitSessionCondContext. A node that is already
-// inside the lock or acquiring it is refused with ErrNested.
+// WaitEnteredContext. A node that is already inside the lock or acquiring
+// it is refused with ErrNested.
 func (n *Node) Speculate(gid GroupID, l LockID, session uint32, intr Interrupt) (bool, error) {
 	now := n.clock.Now()
 	n.mu.Lock()
@@ -92,7 +93,7 @@ func (n *Node) Speculate(gid GroupID, l LockID, session uint32, intr Interrupt) 
 		return false, nil
 	}
 	lk.spec, lk.specSession = intr, session
-	msg := n.newRequest(g, l, lk, session, 0, now)
+	msg := n.ownRequest(g, l, lk, session, 0, now)
 	root := g.rootID
 	n.mu.Unlock()
 	err = n.sendOwn(gid, l, root, msg)

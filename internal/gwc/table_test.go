@@ -20,7 +20,7 @@ import (
 // zero-valued, and a rejoin forgets everything except the acquisition
 // tokens.
 func TestLockRecordsMatchMapModel(t *testing.T) {
-	const ids = 48
+	const ids, self = 48, 1
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := newMemberGroup(1, GroupConfig{ID: tGroup, Members: []int{0, 1}}, time.Time{})
@@ -31,10 +31,14 @@ func TestLockRecordsMatchMapModel(t *testing.T) {
 		for step := 0; step < 4000; step++ {
 			l := LockID(rng.Intn(ids))
 			switch op := rng.Intn(100); {
-			case op < 30: // a lock frame or a request marker sets the value
-				v := []int64{Free, GrantValue(rng.Intn(4)), RequestValue(rng.Intn(4)), 0}[rng.Intn(4)]
-				g.locks.at(l).set(v)
-				val[l] = v
+			case op < 30: // a lock frame opens an exclusive section, or closes it
+				lk := g.locks.at(l)
+				lk.held.open(0)
+				delete(val, l)
+				if node := rng.Intn(8); node < 4 {
+					lk.held.put(holder{node: node, epoch: 1})
+					val[l] = GrantValue(node)
+				}
 			case op < 45: // a request opens
 				lk := g.locks.at(l)
 				if !lk.want {
@@ -57,19 +61,24 @@ func TestLockRecordsMatchMapModel(t *testing.T) {
 			case op < 64: // a read far past anything written grows nothing
 				before := len(g.locks.recs)
 				far := LockID(ids + rng.Intn(math.MaxUint32-ids))
-				if got := g.lockValue(far); got != Free {
+				if got := g.lockValue(far, self); got != Free {
 					t.Fatalf("seed %d step %d: lockValue(%d) = %d, want Free", seed, step, far, got)
 				}
 				if len(g.locks.recs) != before {
 					t.Fatalf("seed %d step %d: a read grew the table %d -> %d", seed, step, before, len(g.locks.recs))
 				}
 			}
-			// Point reads, present or not.
+			// Point reads, present or not: the holder's grant, else this
+			// node's own request marker, else Free.
 			wantVal, ok := val[l]
-			if !ok {
+			switch {
+			case ok:
+			case want[l]:
+				wantVal = RequestValue(self)
+			default:
 				wantVal = Free
 			}
-			if got := g.lockValue(l); got != wantVal {
+			if got := g.lockValue(l, self); got != wantVal {
 				t.Fatalf("seed %d step %d: lockValue(%d) = %d, want %d (present %v)", seed, step, l, got, wantVal, ok)
 			}
 			if lk := g.locks.peek(l); lk != nil {
@@ -83,11 +92,11 @@ func TestLockRecordsMatchMapModel(t *testing.T) {
 			if step%97 != 0 {
 				continue
 			}
-			// The ordered walk sees exactly the set locks, in the order
+			// The ordered walk sees exactly the held locks, in the order
 			// sortedKeys gave the map.
 			var walk []LockID
 			for i := range g.locks.recs {
-				if g.locks.recs[i].known {
+				if len(g.locks.recs[i].held.in) > 0 {
 					walk = append(walk, LockID(i))
 				}
 			}
@@ -432,7 +441,7 @@ func TestEverySetterMarksItsRecord(t *testing.T) {
 	// A grant carrying a handoff hint.
 	lk := g.locks.at(6)
 	lk.want, lk.reqToken = true, 9
-	n.applyLockValue(g, 6, mine, 1, 9, int64(4)<<32|int64(2+1))
+	n.applyLock(g, &wire.Message{Type: wire.TSeqLock, Lock: 6, Val: mine, Var: 1, Origin: 9, Deadline: int64(4)<<32 | int64(2+1)})
 	if !lk.hint.set {
 		t.Fatal("the grant's hint was not captured")
 	}
@@ -440,8 +449,7 @@ func TestEverySetterMarksItsRecord(t *testing.T) {
 
 	// A lease on a lock held mid-section.
 	lk = g.locks.at(7)
-	lk.set(mine)
-	lk.grantEpoch = 3
+	lk.held.put(holder{node: n.id, epoch: 3})
 	n.handleLeaseGrant(g, &wire.Message{Type: wire.TLeaseGrant, Group: uint32(tGroup), Lock: 7, Var: 3, Deadline: int64(time.Hour), Epoch: g.epoch})
 	if lk.lease == nil {
 		t.Fatal("the lease was not installed")
@@ -455,7 +463,7 @@ func TestEverySetterMarksItsRecord(t *testing.T) {
 
 	// A handoff notice awaiting the root (handoffRelease drops n.mu).
 	lk = g.locks.at(9)
-	lk.set(mine)
+	lk.held.put(holder{node: n.id, epoch: 1})
 	if err := n.handoffRelease(tGroup, g, 9, lk, handoffHint{node: 2, token: 1, set: true}, n.clock.Now()); err != nil {
 		t.Fatal(err)
 	}

@@ -372,3 +372,49 @@ func TestEnterContextCancelWhileQueued(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRLockAfterWUnlockUnderLeases: with leases on, a writer section
+// leaves this node holding an idle lease on the lock. A reader entry, and
+// an optimistic one, on the same node must give that lease back and go
+// ahead, not wait it out (5 s here; the entry used to take the whole TTL).
+func TestRLockAfterWUnlockUnderLeases(t *testing.T) {
+	c, _, l, v := newSessionCluster(t, 3, WithLeases(5*time.Second))
+	h := c.MustHandle(1)
+	warm := func() {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for base := h.Stats().GWC.LeaseLocal; h.Stats().GWC.LeaseLocal == base; {
+			if err := h.WLock(l); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.WUnlock(l); err != nil {
+				t.Fatal(err)
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("the writer's lease never warmed up")
+			}
+		}
+	}
+	within := func(what string, f func() error) {
+		t.Helper()
+		start := time.Now()
+		if err := f(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s took %v: it waited for the writer's lease", what, d)
+		}
+	}
+	warm()
+	within("RLock after WUnlock", func() error { return h.RLock(l) })
+	if err := h.RUnlock(l); err != nil {
+		t.Fatal(err)
+	}
+	warm()
+	within("OptimisticSessionDo after WUnlock", func() error {
+		return h.OptimisticSessionDo(l, SessionReaders, func(tx *Tx) error {
+			_, err := tx.Read(v)
+			return err
+		})
+	})
+}

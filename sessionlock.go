@@ -113,7 +113,7 @@ func (h *Handle) EnterContext(ctx context.Context, l *SessionLock, session uint3
 // the leave is sequenced after the section's writes, so every node sees
 // the data before the session state changes.
 func (h *Handle) Leave(l *SessionLock) error {
-	return h.node.LeaveSession(l.g.id, l.id)
+	return h.node.Release(l.g.id, l.id)
 }
 
 // SessionState reports l's locally observed session state.
