@@ -283,7 +283,7 @@ func (n *Node) rootEndBatch(r *rootGroup) {
 	}
 	for _, member := range r.cfg.Members {
 		if member != n.id {
-			n.send(member, frame)
+			n.push(member, frame)
 		}
 	}
 }

@@ -283,6 +283,9 @@ func NewNodeClock(id int, ep transport.Endpoint, clock vclock.Clock) *Node {
 	// then left with the node's self-sends. Any other endpoint ignores the
 	// request and recvLoop sees everything.
 	transport.DeliverTo(ep, n.deliver)
+	// An InProc endpoint lets the root's fan-out apply itself here
+	// (tryDeliver); recvLoop keeps everything that was sent, not pushed.
+	transport.ConsumeInPlace(ep, n.tryDeliver)
 	n.wg.Add(2)
 	go n.recvLoop()
 	go n.resyncLoop(maint)
@@ -511,8 +514,9 @@ func (n *Node) protoErr(format string, args ...any) {
 const dispatchChunk = 64
 
 // recvLoop takes what the endpoint queues for Recv — everything, on an
-// endpoint whose links do not deliver for themselves (InProc, detsim, a
-// decorator); the node's self-sends alone on TCP. Each pass drains the
+// endpoint whose links do not deliver for themselves (detsim, a decorator;
+// on InProc everything but the frames a root applied here itself,
+// tryDeliver); the node's self-sends alone on TCP. Each pass drains the
 // whole queue, so the fixed costs of a wake-up are paid per backlog, not
 // per message. A lone message is a backlog of one.
 func (n *Node) recvLoop() {
@@ -552,6 +556,29 @@ func (n *Node) dispatch(ms []wire.Message) {
 	for i := range ms {
 		n.route(&ms[i])
 	}
+}
+
+// tryDeliver is dispatch for a run another node pushed here
+// (transport.Push), on that node's goroutine and under its node lock. It
+// may not wait for this node's: two nodes that each root a group the other
+// is a member of push at each other, each holding its own lock, and would
+// wait forever. So it takes n.mu if it is free and declines otherwise,
+// which queues the run for recvLoop. It reads no clock either: msgNow keeps
+// the stamp of the last tick or queued dispatch, so the proof of life a
+// pushed frame leaves (lastRoot) reads up to one maintenance interval
+// early — the root's heartbeat is sent, not pushed — and never late.
+func (n *Node) tryDeliver(ms []wire.Message) bool {
+	if !n.mu.TryLock() {
+		return false
+	}
+	defer n.mu.Unlock()
+	if n.closed {
+		return true // dropped, like a send to a closed mailbox
+	}
+	for i := range ms {
+		n.route(&ms[i])
+	}
+	return true
 }
 
 // resyncLoop drives the node's periodic maintenance: resync probes and
@@ -799,6 +826,16 @@ func (n *Node) route(m *wire.Message) {
 // from losses.
 func (n *Node) send(to int, m wire.Message) {
 	if err := n.ep.Send(to, m); err != nil {
+		n.protoErr("gwc: node %d send to %d: %w", n.id, to, err)
+	}
+}
+
+// push is send for a copy of the sequenced stream on its way down: an
+// in-process member that is idle has it applied here and now, on this
+// goroutine, instead of being woken for it (tryDeliver). Everything that
+// asks for an answer, repairs a loss or carries a liveness stamp is sent.
+func (n *Node) push(to int, m wire.Message) {
+	if err := transport.Push(n.ep, to, m); err != nil {
 		n.protoErr("gwc: node %d send to %d: %w", n.id, to, err)
 	}
 }

@@ -506,7 +506,7 @@ func (n *Node) varOf(gid GroupID, v VarID) (*memberGroup, *memberVar, error) {
 func (n *Node) forwardDown(g *memberGroup, m *wire.Message) {
 	for _, child := range g.children {
 		n.stats.Forwarded++
-		n.send(child, *m)
+		n.push(child, *m)
 	}
 }
 

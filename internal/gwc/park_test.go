@@ -389,11 +389,13 @@ func TestFailoverRebuildsLocksUnleased(t *testing.T) {
 }
 
 // countingClock is the wall clock with its calls counted: timers minted,
-// and clock reads made from inside Node.Write.
+// and clock reads made from inside Node.Write or while a pushed frame is
+// being applied (Node.tryDeliver, on the pusher's goroutine).
 type countingClock struct {
 	vclock.Clock
 	timers       atomic.Int32
 	nowFromWrite atomic.Int32
+	nowFromPush  atomic.Int32
 }
 
 func (c *countingClock) NewTimer(d time.Duration) vclock.Timer {
@@ -402,12 +404,15 @@ func (c *countingClock) NewTimer(d time.Duration) vclock.Timer {
 }
 
 func (c *countingClock) Now() time.Time {
-	var pcs [16]uintptr
+	var pcs [32]uintptr
 	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs[:])])
 	for {
 		f, more := frames.Next()
 		if strings.HasSuffix(f.Function, "gwc.(*Node).Write") {
 			c.nowFromWrite.Add(1)
+		}
+		if strings.HasSuffix(f.Function, "gwc.(*Node).tryDeliver") {
+			c.nowFromPush.Add(1)
 		}
 		if !more {
 			break
@@ -418,8 +423,9 @@ func (c *countingClock) Now() time.Time {
 
 // TestWaitsMintNoTimersAndWritesReadNoClock: after a thousand contended
 // acquires with guarded writes inside and a thousand WaitGEs, each node
-// has minted exactly one timer — its maintenance timer — and no Write
-// has read the clock.
+// has minted exactly one timer — its maintenance timer — no Write has read
+// the clock, and neither has any node while a frame pushed at it was
+// applied, though most of the fan-out arrived that way.
 func TestWaitsMintNoTimersAndWritesReadNoClock(t *testing.T) {
 	const nodes, rounds = 4, 250
 	net, err := transport.NewInProc(nodes)
@@ -484,6 +490,12 @@ func TestWaitsMintNoTimersAndWritesReadNoClock(t *testing.T) {
 		if got := ck.nowFromWrite.Load(); got != 0 {
 			t.Errorf("node %d: Write read the clock %d times", i, got)
 		}
+		if got := ck.nowFromPush.Load(); got != 0 {
+			t.Errorf("node %d: the clock was read %d times while a pushed frame was applied", i, got)
+		}
+	}
+	if s := net.TransportStats(); s.PushedInPlace < nodes*rounds {
+		t.Errorf("only %d pushes ran in place (%d queued): the no-clock assertion saw too little", s.PushedInPlace, s.PushedQueued)
 	}
 	if got := ns[0].Stats().LockGrants; got < nodes*rounds {
 		t.Errorf("%d grants for %d sections", got, nodes*rounds)

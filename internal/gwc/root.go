@@ -844,7 +844,7 @@ func (n *Node) multicast(r *rootGroup, m wire.Message) {
 			if member == n.id {
 				continue
 			}
-			n.send(member, m)
+			n.push(member, m)
 		}
 	}
 	// Tree mode: ingest forwards to the root's children.

@@ -167,8 +167,8 @@ func (g *GaugeSnapshot) Merge(o GaugeSnapshot) {
 
 // TransportStats is a point-in-time copy of the transport layer's
 // counters, filled in by the cluster when the underlying network exposes
-// them (the TCP transport does; in-process delivery has nothing to
-// count). Everything is cumulative since the network came up.
+// them (the TCP transport counts its links; in-process delivery counts
+// only its pushes). Everything is cumulative since the network came up.
 type TransportStats struct {
 	// FramesSent and BytesSent count wire frames (a batch frame is one)
 	// and encoded bytes shipped to remote peers.
@@ -197,6 +197,12 @@ type TransportStats struct {
 	// duplex link to a peer instead of dialing one back.
 	Dials        uint64
 	LinksAdopted uint64
+	// PushedInPlace counts in-process pushes (transport.Push) the sender
+	// applied at the destination itself; PushedQueued those that fell
+	// back to the destination's queue and a wake-up — something was queued
+	// ahead, a consumer was active, or the consumer declined.
+	PushedInPlace uint64
+	PushedQueued  uint64
 }
 
 // Merge folds another transport snapshot in (all counters sum).
@@ -210,6 +216,8 @@ func (t *TransportStats) Merge(o TransportStats) {
 	t.SendDrops += o.SendDrops
 	t.Dials += o.Dials
 	t.LinksAdopted += o.LinksAdopted
+	t.PushedInPlace += o.PushedInPlace
+	t.PushedQueued += o.PushedQueued
 }
 
 // MetricsSnapshot is a point-in-time copy of a node's Metrics,

@@ -10,8 +10,8 @@ import (
 )
 
 // TestDeliverToIsDecidedByEndpointType: the TCP endpoint has the
-// capability and Flaky forwards it; InProc does not (a send would run
-// the handler on the sender's stack), nor does any decorator written
+// capability and Flaky forwards it; InProc does not (it has no link
+// reader to lend; its in-place path is Push), nor does any decorator written
 // against Endpoint alone — and such a decorator around a TCP endpoint
 // still gets every frame through Recv, which is how bench/'s tracer and
 // detsim keep working.

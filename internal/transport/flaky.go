@@ -62,8 +62,10 @@ func downPlane(m wire.Message) bool {
 		t == wire.TJoinAck || t == wire.TSyncAck
 }
 
-// spares reports whether the plan exempts t from probabilistic faults.
-func (p FaultPlan) spares(t wire.Type) bool {
+// spares reports whether the plan exempts t from probabilistic faults. On
+// a pointer: a value receiver would copy the plan, CorruptRate included,
+// outside the lock Corrupt writes it under.
+func (p *FaultPlan) spares(t wire.Type) bool {
 	for _, s := range p.Spare {
 		if s == t {
 			return true
@@ -153,7 +155,7 @@ func (f *Flaky) Stats() (dropped, duplicated, delayed int) {
 }
 
 // TransportStats surfaces the wrapped network's transport counters when
-// it keeps any (the TCP mesh does); a zero snapshot otherwise.
+// it keeps any (the TCP mesh and InProc do); a zero snapshot otherwise.
 func (f *Flaky) TransportStats() obs.TransportStats {
 	if ts, ok := f.inner.(interface{ TransportStats() obs.TransportStats }); ok {
 		return ts.TransportStats()
@@ -295,9 +297,13 @@ type flakyEndpoint struct {
 	inner Endpoint
 }
 
+// sendFunc is how a frame leaves for the wrapped endpoint: Endpoint.Send,
+// or Push when the caller pushed.
+type sendFunc func(ep Endpoint, to int, m wire.Message) error
+
 // deliver sends one copy of m, rolling the delay dice first so both the
 // original and any duplicate can be independently reordered.
-func (e *flakyEndpoint) deliver(to int, m wire.Message) error {
+func (e *flakyEndpoint) deliver(to int, m wire.Message, via sendFunc) error {
 	f := e.net
 	if f.plan.DelayRate > 0 && f.roll() < f.plan.DelayRate {
 		f.mu.Lock()
@@ -309,14 +315,24 @@ func (e *flakyEndpoint) deliver(to int, m wire.Message) error {
 			time.Sleep(f.plan.Delay)
 			// Delivery into a closed mailbox is a benign race during
 			// shutdown; the error is intentionally discarded.
-			_ = e.inner.Send(to, m)
+			_ = via(e.inner, to, m)
 		}()
 		return nil
 	}
-	return e.inner.Send(to, m)
+	return via(e.inner, to, m)
 }
 
 func (e *flakyEndpoint) Send(to int, m wire.Message) error {
+	return e.send(to, m, Endpoint.Send)
+}
+
+// push forwards the capability: the same faults, and what survives them
+// is pushed.
+func (e *flakyEndpoint) push(to int, m wire.Message) error {
+	return e.send(to, m, Push)
+}
+
+func (e *flakyEndpoint) send(to int, m wire.Message, via sendFunc) error {
 	f := e.net
 	// Crashes and partitions sever the link outright: even spared types
 	// cannot cross a dead wire.
@@ -324,10 +340,10 @@ func (e *flakyEndpoint) Send(to int, m wire.Message) error {
 		return nil
 	}
 	if f.plan.spares(m.Type) {
-		return e.inner.Send(to, m)
+		return via(e.inner, to, m)
 	}
 	if f.plan.DownOnly && !downPlane(m) {
-		return e.inner.Send(to, m)
+		return via(e.inner, to, m)
 	}
 	if f.plan.DropRate > 0 && f.roll() < f.plan.DropRate {
 		f.mu.Lock()
@@ -336,16 +352,16 @@ func (e *flakyEndpoint) Send(to int, m wire.Message) error {
 		return nil
 	}
 	if r := f.corruptRate(); r > 0 && f.roll() < r {
-		return e.corrupt(to, m)
+		return e.corrupt(to, m, via)
 	}
-	if err := e.deliver(to, m); err != nil {
+	if err := e.deliver(to, m, via); err != nil {
 		return err
 	}
 	if f.plan.DupRate > 0 && f.roll() < f.plan.DupRate {
 		f.mu.Lock()
 		f.duplicated++
 		f.mu.Unlock()
-		return e.deliver(to, m)
+		return e.deliver(to, m, via)
 	}
 	return nil
 }
@@ -369,7 +385,7 @@ type rawSender interface {
 // drop and the usual retry machinery recovers it. A clean decode means
 // silent acceptance: the corrupted message is delivered, and the
 // corruptMissed counter convicts the codec.
-func (e *flakyEndpoint) corrupt(to int, m wire.Message) error {
+func (e *flakyEndpoint) corrupt(to int, m wire.Message, via sendFunc) error {
 	f := e.net
 	buf := wire.Encode(nil, m)
 	f.mu.Lock()
@@ -395,7 +411,7 @@ func (e *flakyEndpoint) corrupt(to int, m wire.Message) error {
 	if err != nil {
 		return nil
 	}
-	return e.deliver(to, dm)
+	return e.deliver(to, dm, via)
 }
 
 func (e *flakyEndpoint) Recv() (wire.Message, bool) { return e.inner.Recv() }
@@ -406,6 +422,10 @@ func (e *flakyEndpoint) recvBatch(spare []wire.Message) ([]wire.Message, bool) {
 
 func (e *flakyEndpoint) deliverTo(h func([]wire.Message)) bool {
 	return DeliverTo(e.inner, h)
+}
+
+func (e *flakyEndpoint) consumeInPlace(h func([]wire.Message) bool) bool {
+	return ConsumeInPlace(e.inner, h)
 }
 
 func (e *flakyEndpoint) Close() error { return e.inner.Close() }

@@ -20,6 +20,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"optsync/internal/obs"
 	"optsync/internal/wire"
 )
 
@@ -90,14 +91,59 @@ type runDeliverer interface {
 // may hold whatever h takes, so it must queue) and anything that arrived
 // before the call; the consumer keeps its receive loop for those.
 // Register once, before traffic. Only the TCP endpoint has the capability
-// (and Flaky forwards it): an InProc send would run h on the *sender's*
-// stack, under the sender's locks, and detsim's endpoint and decorators
-// written against Endpoint alone are left exactly as they were — false
-// means nothing changed and Recv/RecvBatch see every message. This is the
-// only place that asks.
+// (and Flaky forwards it): InProc has no link reader to lend — its way of
+// skipping the inbox is the sender's own goroutine, which may block on
+// nothing, so it is a capability of its own (Push, ConsumeInPlace) — and
+// detsim's endpoint and decorators written against Endpoint alone are
+// left exactly as they were: false means nothing changed and
+// Recv/RecvBatch see every message. This is the only place that asks.
 func DeliverTo(ep Endpoint, h func(run []wire.Message)) bool {
 	if rd, can := ep.(runDeliverer); can {
 		return rd.deliverTo(h)
+	}
+	return false
+}
+
+// pusher is the optional capability behind Push and ConsumeInPlace: an
+// endpoint whose sends can run the destination's consumer on the
+// sender's goroutine.
+type pusher interface {
+	push(to int, m wire.Message) error
+	consumeInPlace(h func(run []wire.Message) bool) bool
+}
+
+// Push is Send for a frame the sender would rather apply at the
+// destination itself than wake the destination for: if the destination
+// registered a consumer (ConsumeInPlace), has nothing queued and is not
+// consuming right now, the consumer runs on the caller's goroutine, under
+// whatever the caller holds; in every other case — and on every endpoint
+// without the capability — it is Send. Either way everything this sender
+// sent to `to` earlier has been consumed in full before m is, so a link
+// stays FIFO however its frames mix the two calls.
+func Push(ep Endpoint, to int, m wire.Message) error {
+	if p, can := ep.(pusher); can {
+		return p.push(to, m)
+	}
+	return ep.Send(to, m)
+}
+
+// ConsumeInPlace registers h as the consumer Push may run for frames
+// addressed to ep, and reports whether ep can. h is called with a run of
+// one message, on a goroutine that is not ep's owner's and may hold any
+// lock of its own, so it must not block: it takes what it needs with a
+// try-lock and returns false to decline, which queues the run for
+// Recv/RecvBatch as if it had been sent. The slice is the endpoint's: h
+// reads it in place and keeps nothing of it. No two calls of h overlap,
+// and none overlaps the owner's handling of what it last received (the
+// endpoint takes that to end when the owner comes back to receive).
+// Register once, before traffic. Close does not wait for an h in
+// progress, but the owner's receive call does before it reports the
+// endpoint closed, so an owner that waits for its receive loop to end
+// has waited for h too. Only InProc has the capability (and Flaky
+// forwards it).
+func ConsumeInPlace(ep Endpoint, h func(run []wire.Message) bool) bool {
+	if p, can := ep.(pusher); can {
+		return p.consumeInPlace(h)
 	}
 	return false
 }
@@ -141,6 +187,17 @@ type mailbox[T any] struct {
 	// the oldest entries and counts them into drops.
 	bound int
 	drops *atomic.Uint64
+
+	// The in-place path (offer). consumer is what a producer may run
+	// itself. At most one of receiving and producing is set, and says who
+	// is consuming right now: the receiver, from taking a batch until it
+	// comes back for the next, or a producer inside consumer. slot holds
+	// that producer's one-message run, so the flag owns it and nothing is
+	// allocated. inPlace and queued count how offers ended.
+	consumer             func(run []T) bool
+	receiving, producing bool
+	slot                 [1]T
+	inPlace, queued      uint64
 }
 
 func newMailbox[T any]() *mailbox[T] {
@@ -195,6 +252,44 @@ func (mb *mailbox[T]) putAll(ms []T) error {
 	return nil
 }
 
+// offer hands m to the registered consumer on the caller's goroutine when
+// nothing is queued and nobody is consuming, and is put otherwise or when
+// the consumer declines. Whatever the caller put or offered earlier was
+// therefore consumed in full before m is: it left the queue before the
+// check (the queue is FIFO), and its consumer returned before the flag
+// it ran under was cleared.
+func (mb *mailbox[T]) offer(m T) error {
+	mb.mu.Lock()
+	if mb.closed {
+		mb.mu.Unlock()
+		return ErrClosed
+	}
+	took := false
+	if mb.consumer != nil && mb.head == len(mb.queue) && !mb.receiving && !mb.producing {
+		mb.producing = true
+		mb.slot[0] = m
+		mb.mu.Unlock()
+		took = mb.consumer(mb.slot[:])
+		mb.mu.Lock()
+		clear(mb.slot[:])
+		mb.producing = false
+	}
+	if took {
+		mb.inPlace++
+	} else {
+		mb.queued++
+		mb.push(m)
+	}
+	// The receiver sleeps through an in-place run; it is woken only for
+	// what queued up meanwhile, or to see the mailbox closed.
+	wake := mb.head != len(mb.queue) || mb.closed
+	mb.mu.Unlock()
+	if wake {
+		mb.cond.Signal()
+	}
+	return nil
+}
+
 // push appends one entry, shedding the oldest first when the mailbox is
 // at its bound. Caller holds mb.mu.
 func (mb *mailbox[T]) push(m T) {
@@ -222,14 +317,24 @@ func (mb *mailbox[T]) push(m T) {
 	mb.queue = append(mb.queue, m)
 }
 
+// await blocks the receiver until it may take from the queue: something
+// is queued and no producer is inside the consumer. Coming back is how
+// the receiver says it is done with what it took last. False once the
+// mailbox is closed and emptied. Caller holds mb.mu.
+func (mb *mailbox[T]) await() bool {
+	mb.receiving = false
+	for mb.producing || (mb.head == len(mb.queue) && !mb.closed) {
+		mb.cond.Wait()
+	}
+	mb.receiving = mb.head != len(mb.queue)
+	return mb.receiving
+}
+
 func (mb *mailbox[T]) get() (T, bool) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	for mb.head == len(mb.queue) && !mb.closed {
-		mb.cond.Wait()
-	}
 	var zero T
-	if mb.head == len(mb.queue) {
+	if !mb.await() {
 		return zero, false
 	}
 	m := mb.queue[mb.head]
@@ -250,10 +355,7 @@ func (mb *mailbox[T]) get() (T, bool) {
 func (mb *mailbox[T]) drain(spare []T) (batch []T, ok bool) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	for mb.head == len(mb.queue) && !mb.closed {
-		mb.cond.Wait()
-	}
-	if mb.head == len(mb.queue) {
+	if !mb.await() {
 		return nil, false
 	}
 	batch = mb.queue[mb.head:]
@@ -308,16 +410,45 @@ func (p *InProc) Close() error {
 	return nil
 }
 
+// TransportStats reports how the network's pushes ended: run in place at
+// the destination, or queued like a send (something was queued ahead, a
+// consumer was active or none was registered, or the consumer declined).
+func (p *InProc) TransportStats() obs.TransportStats {
+	var s obs.TransportStats
+	for _, b := range p.boxes {
+		b.mu.Lock()
+		s.PushedInPlace += b.inPlace
+		s.PushedQueued += b.queued
+		b.mu.Unlock()
+	}
+	return s
+}
+
 type inProcEndpoint struct {
 	net *InProc
 	id  int
 }
 
-func (e *inProcEndpoint) Send(to int, m wire.Message) error {
+func (e *inProcEndpoint) Send(to int, m wire.Message) error { return e.send(to, m, false) }
+
+func (e *inProcEndpoint) push(to int, m wire.Message) error { return e.send(to, m, true) }
+
+func (e *inProcEndpoint) send(to int, m wire.Message, inPlace bool) error {
 	if to < 0 || to >= len(e.net.boxes) {
 		return fmt.Errorf("transport: send to %d out of range [0,%d)", to, len(e.net.boxes))
 	}
+	if inPlace {
+		return e.net.boxes[to].offer(m)
+	}
 	return e.net.boxes[to].put(m)
+}
+
+func (e *inProcEndpoint) consumeInPlace(h func(run []wire.Message) bool) bool {
+	mb := e.net.boxes[e.id]
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	mb.consumer = h
+	return true
 }
 
 func (e *inProcEndpoint) Recv() (wire.Message, bool) {

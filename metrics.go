@@ -46,7 +46,8 @@ func WithMetricsAddr(addr string) Option {
 // metric, plus the per-event-type counts and — when the cluster runs a
 // transport that counts (TCP, with or without fault injection) — the
 // transport counters (frames, writev batches, decode errors, link
-// resets, outbox drops). Histograms record always; event counts are
+// resets, outbox drops; in-process, how many pushes ran in place and how
+// many queued). Histograms record always; event counts are
 // zero unless tracing is on (WithTracing or WithMetricsAddr).
 func (c *Cluster) Metrics() obs.MetricsSnapshot {
 	var s obs.MetricsSnapshot
@@ -188,5 +189,7 @@ func writeMetrics(w io.Writer, s obs.MetricsSnapshot, nodes int) {
 		fmt.Fprintf(w, "  send_drops       %d\n", t.SendDrops)
 		fmt.Fprintf(w, "  dials            %d\n", t.Dials)
 		fmt.Fprintf(w, "  links_adopted    %d\n", t.LinksAdopted)
+		fmt.Fprintf(w, "  pushed_in_place  %d\n", t.PushedInPlace)
+		fmt.Fprintf(w, "  pushed_queued    %d\n", t.PushedQueued)
 	}
 }

@@ -3,6 +3,7 @@ package optsync
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 )
 
 // Published is the paper's single-writer pattern (Section 2): "Since
@@ -23,6 +24,13 @@ type Published struct {
 	g       *Group
 	version *Var
 	vars    []*Var
+
+	// wrote is, per publishing node, the highest version that node has
+	// written. An unguarded write is applied at its origin twice — eagerly,
+	// and again when the root's echo comes back — so a publisher that
+	// outruns its echoes sees its local copy rewound to a version it has
+	// long since passed; its own record is the one it can count from.
+	wrote []atomic.Int64
 }
 
 // Published declares a named single-writer publication block over the
@@ -41,6 +49,7 @@ func (g *Group) Published(name string, vars ...*Var) (*Published, error) {
 		g:       g,
 		version: g.Int(name + ".version"),
 		vars:    append([]*Var(nil), vars...),
+		wrote:   make([]atomic.Int64, len(g.c.nodes)),
 	}, nil
 }
 
@@ -60,17 +69,28 @@ func (h *Handle) Publish(p *Published, write func() error) error {
 	if err != nil {
 		return err
 	}
+	ver = max(ver, p.wrote[h.node.ID()].Load())
 	if ver%2 != 0 {
 		return errors.New("optsync: publication already in flight (is there a second writer?)")
 	}
-	if err := h.Write(p.version, ver+1); err != nil {
+	if err := h.writeVersion(p, ver+1); err != nil {
 		return err
 	}
 	writeErr := write()
-	if err := h.Write(p.version, ver+2); err != nil {
+	if err := h.writeVersion(p, ver+2); err != nil {
 		return err
 	}
 	return writeErr
+}
+
+// writeVersion writes the block's version and records it as this node's
+// latest.
+func (h *Handle) writeVersion(p *Published, ver int64) error {
+	if err := h.Write(p.version, ver); err != nil {
+		return err
+	}
+	p.wrote[h.node.ID()].Store(ver)
+	return nil
 }
 
 // Snapshot returns a consistent view of the block's variables, in

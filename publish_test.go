@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"optsync/internal/transport"
 )
 
 func newPubCluster(t *testing.T, n int) (*Cluster, *Published, *Var, *Var) {
@@ -246,6 +248,52 @@ func TestPublishFromNonRootWriter(t *testing.T) {
 		}
 		if vals[0] != 30 || vals[1] != -30 {
 			t.Errorf("node %d snapshot = %v, want [30 -30]", id, vals)
+		}
+	}
+}
+
+// TestPublishVersionSurvivesOwnEchoes: an unguarded write is applied at
+// its origin twice — eagerly, and again when the root's echo arrives — so
+// a publisher that outruns its echoes finds its local version rewound.
+// With the down plane 30 ms late, the third publication below starts
+// after the first one's echoes have put the writer's copy back to 2 and
+// before the second one's have arrived: counting from the copy it would
+// publish versions 3 and 4 a second time, and every node would end at 4
+// with two different publications behind the same even version.
+func TestPublishVersionSurvivesOwnEchoes(t *testing.T) {
+	delayedDown := optionFunc(func(o *options) {
+		o.faults = &transport.FaultPlan{DelayRate: 1, Delay: 30 * time.Millisecond, DownOnly: true}
+	})
+	c, err := NewCluster(4, delayedDown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	g, err := c.NewGroup("pub", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := g.Int("x")
+	p, err := g.Published("block", x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writer := c.MustHandle(1)
+	for i, pause := range []time.Duration{0, 10 * time.Millisecond, 25 * time.Millisecond} {
+		time.Sleep(pause)
+		if err := writer.Publish(p, func() error { return writer.Write(x, int64(i+1)) }); err != nil {
+			t.Fatalf("publication %d: %v", i+1, err)
+		}
+	}
+	for id := 0; id < 4; id++ {
+		h := c.MustHandle(id)
+		var ver int64
+		for deadline := time.Now().Add(2 * time.Second); ver < 6 && time.Now().Before(deadline); {
+			time.Sleep(5 * time.Millisecond)
+			ver, _ = h.Version(p)
+		}
+		if xv, _ := h.Read(x); ver != 6 || xv != 3 {
+			t.Errorf("node %d: version %d, x = %d after three publications, want 6 and 3", id, ver, xv)
 		}
 	}
 }
