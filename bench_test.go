@@ -229,10 +229,11 @@ func BenchmarkAblationHistoryThreshold(b *testing.B) {
 
 // --- Live-runtime microbenchmarks -----------------------------------------
 
-// liveRig builds a live cluster for microbenches. The anti-entropy
-// sweep runs throughout, so the write path is measured with the digest
-// fold in it — the alloc gate's zero-allocation claim covers integrity.
-func liveRig(b *testing.B, n int) (*Cluster, *Mutex, *Var) {
+// liveGroup builds a live cluster and one group for microbenches. The
+// anti-entropy sweep runs throughout, so the write path is measured with
+// the digest fold in it — the alloc gate's zero-allocation claim covers
+// integrity.
+func liveGroup(b *testing.B, n int) (*Cluster, *Group) {
 	b.Helper()
 	c, err := NewCluster(n, WithIntegrity(50*time.Millisecond))
 	if err != nil {
@@ -243,13 +244,35 @@ func liveRig(b *testing.B, n int) (*Cluster, *Mutex, *Var) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := g.Mutex("lock")
-	v := g.Int("v", m)
-	return c, m, v
+	return c, g
 }
 
+// liveRig is liveGroup with a mutex and a variable it guards: what a
+// section benchmark locks and writes.
+func liveRig(b *testing.B, n int) (*Cluster, *Mutex, *Var) {
+	b.Helper()
+	c, g := liveGroup(b, n)
+	m := g.Mutex("lock")
+	return c, m, g.Int("v", m)
+}
+
+// liveFree is liveGroup with one variable no mutex guards: what a
+// benchmark writes from outside a section. A write to liveRig's v with m
+// not held is a speculation nobody asked for, and the root throws every one
+// away.
+func liveFree(b *testing.B, n int) (*Cluster, *Var) {
+	b.Helper()
+	c, g := liveGroup(b, n)
+	return c, g.Int("v")
+}
+
+// BenchmarkLiveWrite measures what a Write costs its caller, back to back
+// from member 1: the eager store and the push at the root — which, the
+// group being idle between two writes, runs the sequencer and the fan-out
+// to all four nodes on the caller's goroutine (DESIGN.md "InProc: push").
+// The alloc gate's 0 therefore covers sequencing, fan-out and apply.
 func BenchmarkLiveWrite(b *testing.B) {
-	c, _, v := liveRig(b, 4)
+	c, v := liveFree(b, 4)
 	h := c.MustHandle(1)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -257,6 +280,10 @@ func BenchmarkLiveWrite(b *testing.B) {
 		if err := h.Write(v, int64(i)); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.StopTimer()
+	if s := c.MustHandle(0).Stats().GWC.Suppressed; s != 0 {
+		b.Fatalf("the root threw %d of the benchmark's writes away", s)
 	}
 }
 
@@ -296,16 +323,7 @@ func BenchmarkLiveLock(b *testing.B) {
 // allocation per op is WaitGE's wake channel (ci/alloc_baseline.txt says
 // why that one stays).
 func BenchmarkLiveWaitGE(b *testing.B) {
-	c, err := NewCluster(4, WithIntegrity(50*time.Millisecond))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { _ = c.Close() })
-	g, err := c.NewGroup("bench", 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	v := g.Int("v")
+	c, v := liveFree(b, 4)
 	writer, reader := c.MustHandle(1), c.MustHandle(3)
 	b.ReportAllocs()
 	b.ResetTimer()

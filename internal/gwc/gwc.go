@@ -283,8 +283,9 @@ func NewNodeClock(id int, ep transport.Endpoint, clock vclock.Clock) *Node {
 	// then left with the node's self-sends. Any other endpoint ignores the
 	// request and recvLoop sees everything.
 	transport.DeliverTo(ep, n.deliver)
-	// An InProc endpoint lets the root's fan-out apply itself here
-	// (tryDeliver); recvLoop keeps everything that was sent, not pushed.
+	// An InProc endpoint lets whoever pushes at this node run it (tryDeliver):
+	// a writer sequences here, a root's fan-out applies itself here; recvLoop
+	// keeps everything that was sent, not pushed.
 	transport.ConsumeInPlace(ep, n.tryDeliver)
 	n.wg.Add(2)
 	go n.recvLoop()
@@ -515,7 +516,7 @@ const dispatchChunk = 64
 
 // recvLoop takes what the endpoint queues for Recv — everything, on an
 // endpoint whose links do not deliver for themselves (detsim, a decorator;
-// on InProc everything but the frames a root applied here itself,
+// on InProc everything but the frames their pushers ran here themselves,
 // tryDeliver); the node's self-sends alone on TCP. Each pass drains the
 // whole queue, so the fixed costs of a wake-up are paid per backlog, not
 // per message. A lone message is a backlog of one.
@@ -558,15 +559,25 @@ func (n *Node) dispatch(ms []wire.Message) {
 	}
 }
 
-// tryDeliver is dispatch for a run another node pushed here
-// (transport.Push), on that node's goroutine and under its node lock. It
-// may not wait for this node's: two nodes that each root a group the other
-// is a member of push at each other, each holding its own lock, and would
-// wait forever. So it takes n.mu if it is free and declines otherwise,
-// which queues the run for recvLoop. It reads no clock either: msgNow keeps
-// the stamp of the last tick or queued dispatch, so the proof of life a
-// pushed frame leaves (lastRoot) reads up to one maintenance interval
-// early — the root's heartbeat is sent, not pushed — and never late.
+// tryDeliver is dispatch for a run that was pushed here (transport.Push),
+// on the pusher's goroutine: a root's fan-out, under that root's node lock,
+// or a writer's update (Node.Write, this node the root), under nothing — in
+// which case this node's multicast pushes on from here, and the writer ends
+// up running the root and every idle member. It may not wait for n.mu: two
+// nodes that each root a group the other is a member of push at each other,
+// each holding its own lock, and would wait forever, and a pusher that is
+// this very node holding n.mu (a release's batch flush would be one, were it
+// pushed) would wait for itself. So it takes n.mu if it is free and declines
+// otherwise, which queues the run for recvLoop. While it runs the mailbox
+// has the pusher down as this node's consumer, so whatever else is pushed
+// here meanwhile queues without asking for the lock. It reads no clock
+// either: msgNow keeps the stamp of the last tick or queued dispatch, so the
+// proof of life a pushed frame leaves — lastRoot at a member, lastHeard at
+// the root — reads up to one maintenance interval early (the tick re-stamps
+// it every interval; heartbeats and probes are sent, not pushed) and never
+// late: the failure detector and the fence can only fire early, by that
+// much. Whatever else the root does with time (request deadlines, leases,
+// revokes) reads the clock itself.
 func (n *Node) tryDeliver(ms []wire.Message) bool {
 	if !n.mu.TryLock() {
 		return false
@@ -832,8 +843,19 @@ func (n *Node) send(to int, m wire.Message) {
 
 // push is send for a copy of the sequenced stream on its way down: an
 // in-process member that is idle has it applied here and now, on this
-// goroutine, instead of being woken for it (tryDeliver). Everything that
-// asks for an answer, repairs a loss or carries a liveness stamp is sent.
+// goroutine, instead of being woken for it (tryDeliver). Node.Write's
+// unbatched update is the one frame pushed up (it calls transport.Push
+// itself, to return the error). The rule for what is pushed, stated once:
+// the data plane is pushed both ways; the lock plane is sent up and pushed
+// down; everything that asks for an answer, repairs a loss or carries a
+// liveness duty is sent. So requests, releases (Release and sendRelease),
+// cancels, acks, NACKs, sync, snapshot, join, lease and handoff frames and
+// heartbeats are sent, as are the tick's eager re-ships (loss repair, under
+// n.mu) and the batched plane's flush frames (flushWrites runs under n.mu:
+// a push at the node's own root would only be declined). Sending the lock
+// plane up is measured, not structural: a pushed request or release hands
+// the lock over sooner than the woken holder can move, more requests find
+// it held, and each contended enqueue allocates (DESIGN.md "InProc: push").
 func (n *Node) push(to int, m wire.Message) {
 	if err := transport.Push(n.ep, to, m); err != nil {
 		n.protoErr("gwc: node %d send to %d: %w", n.id, to, err)

@@ -10,6 +10,7 @@ import (
 	"optsync/internal/integrity"
 	"optsync/internal/obs"
 	"optsync/internal/topo"
+	"optsync/internal/transport"
 	"optsync/internal/vclock"
 	"optsync/internal/wire"
 )
@@ -977,7 +978,10 @@ func (n *Node) Write(gid GroupID, v VarID, val int64) error {
 		return nil
 	}
 	n.mu.Unlock()
-	return n.ep.Send(root, msg)
+	// Pushed, not sent: the caller holds nothing now, so on an idle
+	// in-process group this goroutine sequences the write at the root and
+	// applies it at every member before it returns (push, gwc.go).
+	return transport.Push(n.ep, root, msg)
 }
 
 // Read returns the local copy of the group variable (zero if never

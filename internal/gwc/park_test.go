@@ -404,35 +404,44 @@ func (c *countingClock) NewTimer(d time.Duration) vclock.Timer {
 }
 
 func (c *countingClock) Now() time.Time {
-	var pcs [32]uintptr
-	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs[:])])
-	for {
-		f, more := frames.Next()
-		if strings.HasSuffix(f.Function, "gwc.(*Node).Write") {
-			c.nowFromWrite.Add(1)
-		}
-		if strings.HasSuffix(f.Function, "gwc.(*Node).tryDeliver") {
-			c.nowFromPush.Add(1)
-		}
-		if !more {
-			break
-		}
+	if onStack("gwc.(*Node).Write") {
+		c.nowFromWrite.Add(1)
+	}
+	if onStack("gwc.(*Node).tryDeliver") {
+		c.nowFromPush.Add(1)
 	}
 	return c.Clock.Now()
 }
 
-// TestWaitsMintNoTimersAndWritesReadNoClock: after a thousand contended
-// acquires with guarded writes inside and a thousand WaitGEs, each node
-// has minted exactly one timer — its maintenance timer — no Write has read
-// the clock, and neither has any node while a frame pushed at it was
-// applied, though most of the fan-out arrived that way.
-func TestWaitsMintNoTimersAndWritesReadNoClock(t *testing.T) {
-	const nodes, rounds = 4, 250
+// onStack reports whether a function whose name ends in suffix is among
+// the callers of the function that asks.
+func onStack(suffix string) bool {
+	var pcs [32]uintptr
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs[:])])
+	for {
+		f, more := frames.Next()
+		if strings.HasSuffix(f.Function, suffix) {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
+}
+
+// newClockedCluster is a default InProc cluster, group tGroup rooted at
+// node 0, each node on a counting clock and with tracing off (an emitted
+// event reads the clock).
+func newClockedCluster(t *testing.T, nodes int, guards map[VarID]LockID) (*transport.InProc, []*Node, []*countingClock) {
+	t.Helper()
 	net, err := transport.NewInProc(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	members := []int{0, 1, 2, 3}
+	members := make([]int, nodes)
+	for i := range members {
+		members[i] = i
+	}
 	clocks := make([]*countingClock, nodes)
 	ns := make([]*Node, nodes)
 	for i := range ns {
@@ -442,7 +451,7 @@ func TestWaitsMintNoTimersAndWritesReadNoClock(t *testing.T) {
 		}
 		clocks[i] = &countingClock{Clock: vclock.Real()}
 		ns[i] = NewNodeClock(i, ep, clocks[i])
-		if err := ns[i].Join(GroupConfig{ID: tGroup, Root: 0, Members: members, Guards: map[VarID]LockID{tVar: tLock}}); err != nil {
+		if err := ns[i].Join(GroupConfig{ID: tGroup, Root: 0, Members: members, Guards: guards}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -452,6 +461,17 @@ func TestWaitsMintNoTimersAndWritesReadNoClock(t *testing.T) {
 		}
 		_ = net.Close()
 	})
+	return net, ns, clocks
+}
+
+// TestWaitsMintNoTimersAndWritesReadNoClock: after a thousand contended
+// acquires with guarded writes inside and a thousand WaitGEs, each node
+// has minted exactly one timer — its maintenance timer — no Write has read
+// the clock, and neither has any node while a frame pushed at it was
+// applied, though most of the fan-out arrived that way.
+func TestWaitsMintNoTimersAndWritesReadNoClock(t *testing.T) {
+	const nodes, rounds = 4, 250
+	net, ns, clocks := newClockedCluster(t, nodes, map[VarID]LockID{tVar: tLock})
 	// Every node runs rounds sections on the one lock: a guarded write
 	// inside, an unguarded one after, then a WaitGE for a neighbour's.
 	var wg sync.WaitGroup

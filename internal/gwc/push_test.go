@@ -3,6 +3,7 @@ package gwc
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,14 +14,19 @@ import (
 // TestCrossRootedGroupsPushWithoutDeadlock: nodes 0 and 1 each root a
 // group the other is a member of and both write flat out (ten 20 ms
 // bursts), so each node's fan-out pushes into the other while the other's
-// pushes into it; every write must become visible at the other node. A receive loop that is
-// dispatching has its mailbox marked busy, so what it is pushed queues;
-// the pushes that can meet head on are the ones a node makes under its
-// lock from outside its receive loop — a maintenance tick that promotes
-// or services a quorum multicasts too — and two goroutines here do just
-// that, each holding its own node's lock while it pushes at the other. A
-// consumer that waited for the node lock instead of trying it would stop
-// both, and every writer behind them, within microseconds.
+// pushes into it; every write must become visible at the other node. A
+// node's consumer — its receive loop while it dispatches, or a writer that
+// is running the node's root handlers in place (each Write here is pushed
+// at the writer's own node, its group's root) — has the node's mailbox
+// marked busy, so what the peer pushes at it meanwhile queues without
+// reaching for its lock: writers alone cannot close the cycle. The pushes
+// that can meet head on are the ones a node makes under its lock from
+// outside any consumer — a maintenance tick that promotes or services a
+// quorum multicasts too — and two goroutines here do just that, each
+// holding its own node's lock while it pushes at the other. A consumer
+// that waited for the node lock instead of trying it (tryDeliver with Lock
+// for TryLock) stops both, and every writer behind them, within
+// microseconds: the test then fails at its 10 s deadline.
 func TestCrossRootedGroupsPushWithoutDeadlock(t *testing.T) {
 	net, err := transport.NewInProc(2)
 	if err != nil {
@@ -45,6 +51,10 @@ func TestCrossRootedGroupsPushWithoutDeadlock(t *testing.T) {
 		}
 		_ = net.Close()
 	}()
+	var rootInPlace, rootQueued atomic.Int64
+	for i, n := range ns {
+		countSequencing(t, n, GroupID(1+i), &rootInPlace, &rootQueued)
+	}
 	// Ten bursts, the mailboxes drained between them: flat out the queues
 	// never empty and everything queues (under -race beside other
 	// packages, 99 191 pushes of 99 191), which tests nothing. A burst
@@ -112,8 +122,28 @@ func TestCrossRootedGroupsPushWithoutDeadlock(t *testing.T) {
 			}
 		}
 	}
-	if s := net.TransportStats(); s.PushedInPlace == 0 || s.PushedQueued == 0 {
-		t.Errorf("pushed in place %d, queued %d: the test exercised one path only", s.PushedInPlace, s.PushedQueued)
+	if s := net.TransportStats(); s.PushedInPlace == 0 || s.PushedQueued == 0 || s.PushedDeclined == 0 {
+		t.Errorf("pushed in place %d, queued %d, declined %d: the test left a path out", s.PushedInPlace, s.PushedQueued, s.PushedDeclined)
+	}
+	if in, q := rootInPlace.Load(), rootQueued.Load(); in == 0 || q == 0 {
+		t.Errorf("%d writes ran their root in place, %d through its receive loop: the test exercised one path only", in, q)
+	}
+}
+
+// countSequencing counts how root, which roots gid, comes to sequence the
+// writes to tVar: on the writer's goroutine (the root's own apply of the
+// stamped frame has Write among its callers) or on its receive loop's, the
+// writer's push having queued.
+func countSequencing(t *testing.T, root *Node, gid GroupID, inPlace, queued *atomic.Int64) {
+	t.Helper()
+	if _, err := root.OnVarChange(gid, tVar, func(int64) {
+		if onStack("gwc.(*Node).Write") {
+			inPlace.Add(1)
+		} else {
+			queued.Add(1)
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -187,8 +217,152 @@ func TestFanOutRunsInPlace(t *testing.T) {
 			t.Fatalf("WaitGE = %v, %v", ok, err)
 		}
 	}
+	// One push up and three down a round.
 	s := net.TransportStats()
-	if total := s.PushedInPlace + s.PushedQueued; total < 3*2000 || s.PushedInPlace*10 < total*9 {
-		t.Errorf("%d of %d pushes ran in place, want at least 90%% of at least 6000", s.PushedInPlace, total)
+	if total := s.PushedInPlace + s.PushedQueued + s.PushedDeclined; total < 4*2000 || s.PushedInPlace*10 < total*9 {
+		t.Errorf("%d of %d pushes ran in place, want at least 90%% of at least 8000", s.PushedInPlace, total)
+	}
+}
+
+// TestWriteSequencesInPlace pins the up-plane half: on an idle group the
+// goroutine that calls Write runs the root and, through the root's
+// fan-out, every member, so the value is at the farthest member when Write
+// returns — no goroutine woken, no clock read, and the WaitGE that follows
+// has nothing to park for (the test reads member 3's copy first: what that
+// read finds is what WaitGE's first look finds).
+func TestWriteSequencesInPlace(t *testing.T) {
+	const nodes, rounds = 4, 2000
+	net, ns, clocks := newClockedCluster(t, nodes, nil)
+	var atRoot, queued atomic.Int64
+	countSequencing(t, ns[0], tGroup, &atRoot, &queued)
+	there := 0 // rounds in which member 3 had the value when Write returned
+	for k := int64(1); k <= rounds; k++ {
+		if err := ns[1].Write(tGroup, tVar, k); err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := ns[3].Read(tGroup, tVar); v >= k {
+			there++
+		}
+		if ok, err := ns[3].WaitGE(tGroup, tVar, k); !ok || err != nil {
+			t.Fatalf("WaitGE = %v, %v", ok, err)
+		}
+	}
+	if got := atRoot.Load(); got*10 < rounds*9 {
+		t.Errorf("the root sequenced %d of %d writes on the writer's goroutine (%d on its receive loop's), want at least 90%%", got, rounds, queued.Load())
+	}
+	if there*10 < rounds*9 {
+		t.Errorf("member 3 had the value when Write returned in %d of %d rounds, want at least 90%%", there, rounds)
+	}
+	s := net.TransportStats()
+	if total := s.PushedInPlace + s.PushedQueued + s.PushedDeclined; total < 4*rounds || s.PushedInPlace*10 < total*9 {
+		t.Errorf("%d of %d pushes ran in place, want at least 90%% of at least %d", s.PushedInPlace, total, 4*rounds)
+	}
+	// Everything the writer ran in place — the root's handlers, each
+	// member's apply — has Write among its callers.
+	for i, ck := range clocks {
+		if w, p := ck.nowFromWrite.Load(), ck.nowFromPush.Load(); w != 0 || p != 0 {
+			t.Errorf("node %d's clock was read %d times under Write and %d times under a pushed frame's apply, want 0 and 0", i, w, p)
+		}
+	}
+}
+
+// TestRootLocalWriteSequencesInPlace: a write on the root node is pushed
+// at the node's own mailbox and runs under TryLock of its own lock, which
+// Write has released. A frame offered there by a caller that holds the
+// node lock — the shape a release's batch flush would have, were it pushed
+// — is declined and queued for the receive loop, never re-entered (with
+// Lock for TryLock in tryDeliver this test hangs on its own lock).
+func TestRootLocalWriteSequencesInPlace(t *testing.T) {
+	const rounds = 1000
+	net, err := transport.NewInProc(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newCluster(t, net, false)
+	root, member := c.nodes[0], c.nodes[1]
+	var own, queued atomic.Int64
+	countSequencing(t, root, tGroup, &own, &queued)
+	for k := int64(1); k <= rounds; k++ {
+		if err := root.Write(tGroup, tVar, k); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := member.WaitGE(tGroup, tVar, k); !ok || err != nil {
+			t.Fatalf("WaitGE = %v, %v", ok, err)
+		}
+	}
+	if got := own.Load(); got*10 < rounds*9 {
+		t.Errorf("the root sequenced %d of its own %d writes on the writer's goroutine (%d on its receive loop's), want at least 90%%", got, rounds, queued.Load())
+	}
+
+	before := net.TransportStats()
+	root.mu.Lock()
+	r := root.roots[tGroup]
+	seq := r.ring.seq()
+	root.push(root.id, wire.Message{Type: wire.TUpdate, Group: uint32(tGroup), Src: int32(root.id), Origin: int32(root.id), Var: uint32(tVarB), Val: 7, Epoch: r.epoch})
+	reentered := r.ring.seq() != seq
+	root.mu.Unlock()
+	if reentered {
+		t.Error("a frame pushed at the node's own mailbox under its lock was handled under that hold")
+	}
+	waitValue(t, member, tVarB, 7) // the receive loop had it
+	after := net.TransportStats()
+	if got := after.PushedDeclined - before.PushedDeclined; got != 1 {
+		t.Errorf("%d pushes declined, want 1 (in place %d -> %d, queued %d -> %d)", got,
+			before.PushedInPlace, after.PushedInPlace, before.PushedQueued, after.PushedQueued)
+	}
+}
+
+// TestInPlaceWritesKeepTheFenceOpen: the root's proof of contact from a
+// member whose writes all run in place is the last tick's timestamp, not a
+// clock read (tryDeliver). Every other up-frame is dropped here — no
+// probe, no ack reaches the root — so in-place writes are all the root
+// hears for three failure-detection periods: it must not fence, because
+// the tick re-stamps msgNow every interval. Cut a majority off and it
+// must, within failAfter plus one interval: the stamp is never late.
+func TestInPlaceWritesKeepTheFenceOpen(t *testing.T) {
+	const retry, failAfter = 10 * time.Millisecond, 200 * time.Millisecond
+	inner, err := transport.NewInProc(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := transport.NewFlaky(inner, transport.FaultPlan{DropRate: 1,
+		Spare: []wire.Type{wire.TUpdate, wire.TSeqUpdate, wire.TSeqLock, wire.THeartbeat}})
+	c := newCluster(t, fl, false)
+	for _, nd := range c.nodes {
+		nd.SetTimers(retry, failAfter, time.Hour)
+	}
+	root := c.nodes[0]
+	writeFor := func(d time.Duration) {
+		for end, k := time.Now().Add(d), int64(1); time.Now().Before(end); k++ {
+			for _, nd := range c.nodes[1:] {
+				if err := nd.Write(tGroup, VarID(100+nd.id), k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	writeFor(3 * failAfter)
+	if st := root.Stats(); st.Fenced != 0 {
+		t.Fatalf("the root fenced %d time(s) while all three members were writing to it", st.Fenced)
+	}
+	if dropped, _, _ := fl.Stats(); dropped == 0 {
+		t.Error("no probe was dropped: the root heard more than the writes")
+	}
+	s := inner.TransportStats()
+	if total := s.PushedInPlace + s.PushedQueued + s.PushedDeclined; s.PushedInPlace*10 < total*9 {
+		t.Errorf("%d of %d pushes ran in place: the root heard the writes through its clock-reading dispatch", s.PushedInPlace, total)
+	}
+
+	cutAt := time.Now()
+	fl.Partition([]int{0}, []int{2, 3}) // the root and member 1: two of four
+	writeFor(failAfter + 10*retry)
+	root.mu.Lock()
+	fenced, fencedAt := root.roots[tGroup].fenced, root.roots[tGroup].fencedAt
+	root.mu.Unlock()
+	// One interval for the tick that notices; another failAfter of slack
+	// for a tick that a loaded machine runs late.
+	if late := fencedAt.Sub(cutAt) - (failAfter + retry); !fenced || late > failAfter {
+		t.Errorf("fenced=%v %v after the cut, want within %v", fenced, fencedAt.Sub(cutAt), failAfter+retry)
 	}
 }

@@ -199,10 +199,15 @@ type TransportStats struct {
 	LinksAdopted uint64
 	// PushedInPlace counts in-process pushes (transport.Push) the sender
 	// applied at the destination itself; PushedQueued those that fell
-	// back to the destination's queue and a wake-up — something was queued
-	// ahead, a consumer was active, or the consumer declined.
-	PushedInPlace uint64
-	PushedQueued  uint64
+	// back to the destination's queue and a wake-up without the consumer
+	// being asked — something was queued ahead, or a consumer was active;
+	// PushedDeclined those the consumer was offered and turned down (the
+	// destination's node lock was busy), which then queued too. The three
+	// are disjoint and sum to the pushes made; declined over that sum is
+	// how often a pusher met a busy node lock.
+	PushedInPlace  uint64
+	PushedQueued   uint64
+	PushedDeclined uint64
 }
 
 // Merge folds another transport snapshot in (all counters sum).
@@ -218,6 +223,7 @@ func (t *TransportStats) Merge(o TransportStats) {
 	t.LinksAdopted += o.LinksAdopted
 	t.PushedInPlace += o.PushedInPlace
 	t.PushedQueued += o.PushedQueued
+	t.PushedDeclined += o.PushedDeclined
 }
 
 // MetricsSnapshot is a point-in-time copy of a node's Metrics,

@@ -3,6 +3,7 @@ package transport
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -48,8 +49,8 @@ func TestPushIsDecidedByEndpointType(t *testing.T) {
 			t.Errorf("Recv on the plain endpoint = %+v ok=%v, want Val %d", m, ok, want)
 		}
 	}
-	if s := fl.TransportStats(); s.PushedInPlace != 1 || s.PushedQueued != 1 {
-		t.Errorf("pushed in place %d, queued %d; want 1 and 1 (the push from the plain endpoint was a Send)", s.PushedInPlace, s.PushedQueued)
+	if s := fl.TransportStats(); s.PushedInPlace != 1 || s.PushedQueued != 1 || s.PushedDeclined != 0 {
+		t.Errorf("pushed in place %d, queued %d, declined %d; want 1, 1 and 0 (the push from the plain endpoint was a Send)", s.PushedInPlace, s.PushedQueued, s.PushedDeclined)
 	}
 }
 
@@ -78,10 +79,12 @@ func TestPushKeepsLinkOrder(t *testing.T) {
 
 			// Handler state, deliberately unsynchronized.
 			var (
-				next  [producers]uint64
-				total int
-				rng   = rand.New(rand.NewSource(7))
-				done  = make(chan struct{})
+				next     [producers]uint64
+				total    int
+				declined uint64 // times the consumer said no
+				pushes   atomic.Uint64
+				rng      = rand.New(rand.NewSource(7))
+				done     = make(chan struct{})
 			)
 			handle := func(run []wire.Message) {
 				for _, m := range run {
@@ -96,6 +99,7 @@ func TestPushKeepsLinkOrder(t *testing.T) {
 			}
 			if !ConsumeInPlace(sink, func(run []wire.Message) bool {
 				if rng.Intn(4) == 0 {
+					declined++
 					return false
 				}
 				handle(run)
@@ -127,6 +131,8 @@ func TestPushKeepsLinkOrder(t *testing.T) {
 						send := Push
 						if pick.Intn(3) == 0 {
 							send = Endpoint.Send
+						} else {
+							pushes.Add(1)
 						}
 						if err := send(ep, producers, m); err != nil {
 							t.Error(err)
@@ -145,6 +151,12 @@ func TestPushKeepsLinkOrder(t *testing.T) {
 			s := inproc.TransportStats()
 			if s.PushedInPlace == 0 || s.PushedQueued == 0 {
 				t.Errorf("pushed in place %d, queued %d: the test exercised one path only", s.PushedInPlace, s.PushedQueued)
+			}
+			// Declined is the consumer's own count of its refusals, apart
+			// from the pushes it was never offered; the three add up.
+			if s.PushedDeclined != declined || s.PushedInPlace+s.PushedQueued+s.PushedDeclined != pushes.Load() {
+				t.Errorf("in place %d + queued %d + declined %d, want declined %d and a sum of %d pushes",
+					s.PushedInPlace, s.PushedQueued, s.PushedDeclined, declined, pushes.Load())
 			}
 		})
 	}

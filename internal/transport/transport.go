@@ -193,11 +193,13 @@ type mailbox[T any] struct {
 	// is consuming right now: the receiver, from taking a batch until it
 	// comes back for the next, or a producer inside consumer. slot holds
 	// that producer's one-message run, so the flag owns it and nothing is
-	// allocated. inPlace and queued count how offers ended.
-	consumer             func(run []T) bool
-	receiving, producing bool
-	slot                 [1]T
-	inPlace, queued      uint64
+	// allocated. inPlace, queued and declined count how offers ended: the
+	// consumer ran; it was never asked (a backlog, or somebody consuming);
+	// it was asked and said no.
+	consumer                  func(run []T) bool
+	receiving, producing      bool
+	slot                      [1]T
+	inPlace, queued, declined uint64
 }
 
 func newMailbox[T any]() *mailbox[T] {
@@ -264,8 +266,9 @@ func (mb *mailbox[T]) offer(m T) error {
 		mb.mu.Unlock()
 		return ErrClosed
 	}
-	took := false
+	asked, took := false, false
 	if mb.consumer != nil && mb.head == len(mb.queue) && !mb.receiving && !mb.producing {
+		asked = true
 		mb.producing = true
 		mb.slot[0] = m
 		mb.mu.Unlock()
@@ -274,10 +277,15 @@ func (mb *mailbox[T]) offer(m T) error {
 		clear(mb.slot[:])
 		mb.producing = false
 	}
-	if took {
+	switch {
+	case took:
 		mb.inPlace++
-	} else {
+	case asked:
+		mb.declined++
+	default:
 		mb.queued++
+	}
+	if !took {
 		mb.push(m)
 	}
 	// The receiver sleeps through an in-place run; it is woken only for
@@ -411,14 +419,16 @@ func (p *InProc) Close() error {
 }
 
 // TransportStats reports how the network's pushes ended: run in place at
-// the destination, or queued like a send (something was queued ahead, a
-// consumer was active or none was registered, or the consumer declined).
+// the destination; queued like a send without the consumer being asked
+// (something was queued ahead, a consumer was active or none was
+// registered); or offered to the consumer, declined, and then queued.
 func (p *InProc) TransportStats() obs.TransportStats {
 	var s obs.TransportStats
 	for _, b := range p.boxes {
 		b.mu.Lock()
 		s.PushedInPlace += b.inPlace
 		s.PushedQueued += b.queued
+		s.PushedDeclined += b.declined
 		b.mu.Unlock()
 	}
 	return s

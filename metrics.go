@@ -191,5 +191,6 @@ func writeMetrics(w io.Writer, s obs.MetricsSnapshot, nodes int) {
 		fmt.Fprintf(w, "  links_adopted    %d\n", t.LinksAdopted)
 		fmt.Fprintf(w, "  pushed_in_place  %d\n", t.PushedInPlace)
 		fmt.Fprintf(w, "  pushed_queued    %d\n", t.PushedQueued)
+		fmt.Fprintf(w, "  pushed_declined  %d\n", t.PushedDeclined)
 	}
 }

@@ -191,7 +191,8 @@ func TestMetricsUnderContendedLoad(t *testing.T) {
 		t.Fatalf("GET /metrics = %d, want 200", resp.StatusCode)
 	}
 	text := string(body)
-	for _, want := range []string{"lock_acquire", "rollback", "spec_section", "recv_backlog"} {
+	for _, want := range []string{"lock_acquire", "rollback", "spec_section", "recv_backlog",
+		"pushed_in_place", "pushed_queued", "pushed_declined"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics output missing %q:\n%s", want, text)
 		}

@@ -158,6 +158,91 @@ func TestOptimisticDoCounter(t *testing.T) {
 	}
 }
 
+// TestSectionWritesNeverOvertakeTheirRequest: a section's writes are pushed
+// at the root (in place when it is idle) while its lock request is sent,
+// and the root takes a speculative write only from a node whose request it
+// has already seen. What keeps the two in order is the mailbox's rule that
+// a push runs in place only when nothing is queued and nobody is consuming
+// (internal/transport, mailbox.offer): with that test short-circuited to
+// true this test fails — frames overtake what the same sender queued
+// ahead of them, and the counter comes out wrong on every node (21 810 for
+// 20 000 when it was tried). Members 1 and 2 run 20 000 sections on one
+// mutex, alternating Do and OptimisticDo, on InProc bare and through Flaky
+// with its faults off.
+//
+// The root's books must balance: every body run wrote once, and each of
+// those writes was sequenced or suppressed, once; nothing is suppressed
+// but a rolled-back run's write. (Not "suppressed == rollbacks": about one
+// rolled-back run in 4 000 is still running when its own grant arrives, so
+// its write is tagged post-grant and the root rightly sequences it; the
+// re-execution, inside the same hold, overwrites it.)
+func TestSectionWritesNeverOvertakeTheirRequest(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{{"inproc", nil}, {"flaky", []Option{WithChaos()}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const each = 10000
+			c, g, m, v := newTestCluster(t, 4, tc.opts...)
+			var sequenced atomic.Int64 // data frames the root sequenced
+			if _, err := c.MustHandle(0).node.OnVarChange(g.id, v.id, func(int64) { sequenced.Add(1) }); err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for _, i := range []int{1, 2} {
+				h := c.MustHandle(i)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for k := 0; k < each; k++ {
+						var err error
+						if k%2 == 0 {
+							err = h.Do(m, func() error {
+								cur, err := h.Read(v)
+								if err != nil {
+									return err
+								}
+								return h.Write(v, cur+1)
+							})
+						} else {
+							err = h.OptimisticDo(m, func(tx *Tx) error {
+								cur, err := tx.Read(v)
+								if err != nil {
+									return err
+								}
+								return tx.Write(v, cur+1)
+							})
+						}
+						if err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			for i := 0; i < 4; i++ {
+				waitRead(t, c.MustHandle(i), v, 2*each)
+			}
+			rollbacks := 0
+			for _, i := range []int{1, 2} {
+				o := c.MustHandle(i).Stats().Optimistic
+				if o.Optimistic != o.Commits+o.Rollbacks {
+					t.Errorf("node %d: %d speculations, %d commits + %d rollbacks", i, o.Optimistic, o.Commits, o.Rollbacks)
+				}
+				rollbacks += o.Rollbacks
+			}
+			suppressed, runs := c.MustHandle(0).Stats().GWC.Suppressed, 2*each+rollbacks
+			if suppressed > rollbacks {
+				t.Errorf("the root suppressed %d writes, only %d speculations rolled back", suppressed, rollbacks)
+			}
+			if got := int(sequenced.Load()) + suppressed; got != runs {
+				t.Errorf("%d writes sequenced + %d suppressed = %d, want one for each of %d body runs", sequenced.Load(), suppressed, got, runs)
+			}
+		})
+	}
+}
+
 func TestOptimisticCommitsWithoutContention(t *testing.T) {
 	c, _, m, v := newTestCluster(t, 3)
 	h := c.MustHandle(2)
