@@ -1,7 +1,8 @@
 #!/bin/sh
 # API surface gate: fail CI when the exported surface of the root
 # optsync package loses or changes a declaration relative to the
-# committed baseline.
+# committed baseline, or when internal/gwc's differs from its own in
+# either direction.
 #
 # ci/apisurface (stdlib-only go/ast, no module downloads — works in a
 # network-sandboxed CI step) prints one canonical sorted line per
@@ -14,6 +15,12 @@
 # commit and say why in the commit message:
 #
 #   go run ./ci/apisurface . > ci/api_baseline.txt
+#
+# internal/gwc is pinned exactly: no caller outside the module can break,
+# but an export nothing in production calls accumulates unseen, so each
+# one is added (or dropped) on purpose, the same way:
+#
+#   go run ./ci/apisurface ./internal/gwc > ci/gwc_api_baseline.txt
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -49,3 +56,13 @@ if [ -n "$added" ]; then
 else
     echo "apidiff gate: OK — surface matches baseline ($(wc -l < "$baseline" | tr -d ' ') declarations)"
 fi
+
+gwc_baseline=ci/gwc_api_baseline.txt
+go run ./ci/apisurface ./internal/gwc > "$current"
+if ! diff -u "$gwc_baseline" "$current" > /dev/null; then
+    echo "apidiff gate: FAIL — internal/gwc's exported surface differs from $gwc_baseline (- baseline, + current):" >&2
+    diff -u "$gwc_baseline" "$current" | tail -n +3 | grep '^[-+]' | sed 's/^/  /' >&2
+    echo "If intentional, re-baseline: go run ./ci/apisurface ./internal/gwc > $gwc_baseline" >&2
+    exit 1
+fi
+echo "apidiff gate: OK — internal/gwc matches $gwc_baseline ($(wc -l < "$gwc_baseline" | tr -d ' ') declarations)"

@@ -1,12 +1,14 @@
-// Command apisurface prints the exported API surface of the repository's
-// root package (package optsync) as one sorted, canonical line per
-// declaration — functions, methods, types, exported struct fields,
-// interface methods, consts, and vars.
+// Command apisurface prints the exported API surface of the package in
+// the directory it is given (the repository's root package, optsync, by
+// default) as one sorted, canonical line per declaration — functions,
+// methods, types, exported struct fields, interface methods, consts, and
+// vars.
 //
 // It is the network-free engine of ci/apidiff_gate.sh: the gate compares
 // this output against the committed baseline in ci/api_baseline.txt and
 // fails CI when a baseline line disappears (a breaking change to the
-// public surface). Pure go/ast over the checked-out tree — no module
+// public surface), and compares internal/gwc's against
+// ci/gwc_api_baseline.txt line for line. Pure go/ast over the checked-out tree — no module
 // downloads, no type checking, so it runs in a sandboxed CI step.
 package main
 

@@ -62,8 +62,10 @@ type Env struct {
 	w     *World
 	nodes []*gwc.Node
 	// inv, when a scenario sets it, is checked at every quiescent point
-	// drive visits.
-	inv func() error
+	// drive visits. pump, when set, is the scenario's background load: drive
+	// runs it at each of those points with the point's index in the call.
+	inv  func() error
+	pump func(i int)
 }
 
 // Node returns node i's live gwc handle.

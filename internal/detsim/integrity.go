@@ -52,33 +52,18 @@ func DivergenceRepair() Scenario {
 			}
 			streams := []int{0, 1, 2}
 			next := make([]int64, len(streams))
-			pump := func() {
-				for si, id := range streams {
-					next[si]++
-					e.Node(id).Write(simGroup, simStreamBase+gwc.VarID(si), next[si])
-				}
-			}
 			// Pump sparsely enough that the links drain faster than the
 			// streams fill them (each pump fans out ~24 frames counting quorum acks; the
 			// scheduler delivers under one per event), or the wind-down
 			// phases spend their whole budget draining the backlog.
-			run := func(budget int, what string, pred func() bool) error {
-				for i := 0; i < budget; i++ {
-					e.w.waitQuiesce()
-					for _, w := range ws {
-						w.poll()
-					}
-					if i%97 == 0 {
-						pump()
-					}
-					if pred() {
-						return nil
-					}
-					if err := e.Step(); err != nil {
-						return fmt.Errorf("waiting for %s: %w", what, err)
-					}
+			e.pump = func(i int) {
+				if i%97 != 0 {
+					return
 				}
-				return fmt.Errorf("%s not reached within %d events", what, budget)
+				for si, id := range streams {
+					next[si]++
+					e.Node(id).Write(simGroup, simStreamBase+gwc.VarID(si), next[si])
+				}
 			}
 			// The fault: a sequenced stream frame is mutated just before
 			// node 3 applies and folds it, so the corruption lands in both
@@ -101,27 +86,18 @@ func DivergenceRepair() Scenario {
 				injectedAt.Store(int64(e.Now()))
 				injections.Add(1)
 			})
-			if err := run(60000, "first acknowledged increments", func() bool {
+			if err := drive(e, ws, 60000, "first acknowledged increments", func() bool {
 				return totalAcked(ws) >= 1
 			}); err != nil {
 				return err
 			}
 			// Arm a seed-chosen distance into the workload so different
 			// seeds corrupt different frames at different sweep phases.
-			for i, k := 0, e.Rand().Intn(600); i < k; i++ {
-				e.w.waitQuiesce()
-				for _, w := range ws {
-					w.poll()
-				}
-				if i%97 == 0 {
-					pump()
-				}
-				if err := e.Step(); err != nil {
-					return err
-				}
+			if err := drive(e, ws, e.Rand().Intn(600), "the injection point", nil); err != nil {
+				return err
 			}
 			wantInjections.Store(1)
-			if err := run(60000, "corruption injected", func() bool {
+			if err := drive(e, ws, 60000, "corruption injected", func() bool {
 				return injections.Load() >= 1
 			}); err != nil {
 				return err
@@ -131,7 +107,7 @@ func DivergenceRepair() Scenario {
 			// checkpoint ring, or node 3's own self-check at the
 			// watermark. Both end in markDiverged on node 3, which counts
 			// Divergences there.
-			if err := run(120000, "divergence detected", func() bool {
+			if err := drive(e, ws, 120000, "divergence detected", func() bool {
 				return e.Node(3).Stats().Divergences >= 1
 			}); err != nil {
 				return err
@@ -147,17 +123,18 @@ func DivergenceRepair() Scenario {
 			}
 			// Repair under load: the corrective snapshot re-bases node 3
 			// and clears the conviction while the streams keep flowing.
-			if err := run(120000, "divergence repaired", func() bool {
+			if err := drive(e, ws, 120000, "divergence repaired", func() bool {
 				_, _, diverged, err := e.Node(3).DigestState(simGroup)
 				return err == nil && !diverged
 			}); err != nil {
 				return err
 			}
-			if err := run(60000, "post-repair increments", func() bool {
+			if err := drive(e, ws, 60000, "post-repair increments", func() bool {
 				return totalAcked(ws) >= 2
 			}); err != nil {
 				return err
 			}
+			e.pump = nil
 			final, err := windDown(e, ws, []int{0, 1, 2, 3})
 			if err != nil {
 				return err

@@ -91,14 +91,8 @@ func LeaseExpiryVsFailover() Scenario {
 
 			// Phase 3: crash the root a seed-chosen distance in, so the
 			// reign ends with the lease machinery in a seed-chosen state.
-			for i, k := 0, e.Rand().Intn(80); i < k; i++ {
-				e.w.waitQuiesce()
-				for _, w := range ws {
-					w.poll()
-				}
-				if err := e.Step(); err != nil {
-					return err
-				}
+			if err := drive(e, ws, e.Rand().Intn(80), "the crash point", nil); err != nil {
+				return err
 			}
 			e.Crash(0)
 			if err := drive(e, ws, 120000, "failover to node 1", func() bool {

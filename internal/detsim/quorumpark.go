@@ -50,27 +50,12 @@ func QuorumParkRegression() Scenario {
 			e.Crash(2)
 			e.Crash(3)
 			checker := model.NewCounterChecker()
-			w := &specWorker{env: e, node: 1, obs: []int{0}, minObs: 1, checker: checker}
-			driveSpec := func(budget int, what string, pred func() bool) error {
-				for i := 0; i < budget; i++ {
-					e.w.waitQuiesce()
-					if err := w.poll(); err != nil {
-						return err
-					}
-					if pred() {
-						return nil
-					}
-					if err := e.Step(); err != nil {
-						return fmt.Errorf("waiting for %s: %w", what, err)
-					}
-				}
-				return fmt.Errorf("%s not reached within %d events (acked=%d aborted=%d)",
-					what, budget, w.acked, w.aborted)
-			}
+			w := &worker{env: e, node: 1, spec: true, obs: []int{0}, minObs: 1, checker: checker}
+			ws := []*worker{w}
 			root := e.Node(0)
 			// Section 1 commits against needSeq 0 and is observed at the
 			// root (the only live observer).
-			if err := driveSpec(60000, "first committed section", func() bool {
+			if err := drive(e, ws, 60000, "first committed section", func() bool {
 				return w.acked >= 1
 			}); err != nil {
 				return err
@@ -78,7 +63,7 @@ func QuorumParkRegression() Scenario {
 			// Section 2's request must park behind the watermark, and its
 			// speculative writes must have reached the root (drained links),
 			// where they are sequenced (fixed) or suppressed (regression).
-			if err := driveSpec(60000, "second acquisition parked behind the watermark", func() bool {
+			if err := drive(e, ws, 60000, "second acquisition parked behind the watermark", func() bool {
 				return root.Stats().QuorumAckWaits >= 1 && e.Inflight() == 0
 			}); err != nil {
 				return err
@@ -87,26 +72,17 @@ func QuorumParkRegression() Scenario {
 			// their gap and their catch-up acks complete the quorum.
 			e.Revive(2)
 			e.Revive(3)
-			if err := driveSpec(120000, "parked handoff granted and section observed", func() bool {
+			if err := drive(e, ws, 120000, "parked handoff granted and section observed", func() bool {
 				return w.acked >= 2
 			}); err != nil {
 				return err
 			}
-			w.stopped = true
-			var final int64
-			if err := driveSpec(80000, "cluster convergence", func() bool {
-				if w.state != wDone || e.Inflight() > 0 {
-					return false
-				}
-				v0, _ := root.Read(simGroup, simCounter)
-				for i := 1; i < e.Nodes(); i++ {
-					v, _ := e.Node(i).Read(simGroup, simCounter)
-					if v != v0 {
-						return false
-					}
-				}
-				final = v0
-				return true
+			final, err := windDown(e, ws, []int{0, 1, 2, 3})
+			if err != nil {
+				return err
+			}
+			if err := drive(e, ws, 80000, "network drain", func() bool {
+				return e.Inflight() == 0
 			}); err != nil {
 				return err
 			}

@@ -1,8 +1,10 @@
 package detsim
 
 import (
+	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"optsync/internal/gwc"
@@ -15,11 +17,13 @@ import (
 // against internal/model's linearizability checker after the dust
 // settles.
 //
-// The scripts only use the non-blocking half of the gwc API
-// (SendLockRequest / LockValue / Read / Write / Release): a blocking call
-// would park the scenario goroutine on protocol progress that only the
-// scenario itself can schedule. Workers are therefore explicit state
-// machines, polled once per scheduler event at quiescence.
+// The scripts enter locks through the calls core.Engine and
+// AcquireContext make — Request, Speculate — but never wait in them: a
+// blocking call would park the scenario goroutine on protocol progress
+// that only the scenario itself can schedule. They poll instead
+// (LockValue / SessionState / Read), so every driver is one worker state
+// machine, polled once per scheduler event at quiescence by one drive
+// loop.
 
 const (
 	simGroup   gwc.GroupID = 1
@@ -120,14 +124,28 @@ func guardedCfg(nodes int) map[gwc.VarID]gwc.LockID {
 // observed in time is abandoned, about which the checker claims
 // nothing.
 //
-// Before shipping a lock request the worker probes TryLeaseEnter — the
-// exact sequence AcquireContext runs — so a live lease turns the acquire
-// into a local decision with zero frames (without a lease the probe is a
-// no-op). Under leasing the probe is mandatory, not an optimisation: a
-// leased idle holder's lock copy still reads as self-granted, so a
-// worker that only polled LockValue would walk into the section without
-// pinning the lease, and a concurrent revoke could pull the lock out
-// from under it mid-section.
+// The worker acquires through Request, the entry AcquireContext makes:
+// a live lease turns the acquire into a local decision with zero frames,
+// and an idle lease it cannot enter goes back to the root before the
+// request. Under leasing that is mandatory, not an optimisation: a
+// leased idle holder's lock copy still reads as self-granted, so a worker
+// that only polled LockValue would walk into the section without pinning
+// the lease, and a concurrent revoke could pull the lock out from under
+// it mid-section. Request refuses a second acquisition with ErrNested
+// while the node is still acquiring (a leave that failed keeps its
+// request outstanding); the worker then waits for that one.
+//
+// A worker with spec set runs the section optimistically instead, through
+// the calls core.Engine makes: Speculate arms the worker as the lock's
+// interrupt and sends the request in one hold, and the section's writes
+// go out at once, their prior values saved. The grant with no rival
+// ahead commits them — release and observe. A rival's entry applied
+// first fires the interrupt (Fire), which suspends insharing; the worker
+// then rolls back as core does — RestoreLocal, ResumeInsharing — and
+// stays queued, re-executing the section inside the hold its grant
+// brings. A speculating worker only runs where its observers never
+// fail, so a section that never shows is a lost update and an error,
+// not an abandoned op.
 //
 // A worker with a non-zero session is a reader instead: it churns
 // through that shared session — request an entry, hold it
@@ -139,6 +157,7 @@ type worker struct {
 	env     *Env
 	node    int
 	session uint32
+	spec    bool
 	obs     []int // stable observer nodes (never this worker)
 	minObs  int
 	hold    int // how long the section stays open; see the hold values
@@ -149,7 +168,12 @@ type worker struct {
 	from    int64 // counter value read in the current section
 	polls   int   // polls spent in the current state
 	acked   int
-	aborted int
+	aborted int // abandoned ops; for a speculating worker, rollbacks
+
+	// The running speculation: its save set (nil when none is running)
+	// and the interrupt's verdict.
+	saved  []gwc.Saved
+	rolled atomic.Bool
 }
 
 // A worker's hold is how long its section stays open past the poll that
@@ -180,23 +204,79 @@ const (
 	readerHoldPolls = 40   // polls a reader holds its entry before leaving
 )
 
+// request starts node n's acquisition of the scenario lock in the given
+// session through the entry the engine uses; leased reports an entry
+// through a live lease.
+func request(n *gwc.Node, session uint32) (leased bool, err error) {
+	return n.Request(simGroup, simLock, session, 0, n.Now())
+}
+
+// Fire is the worker's interrupt, shaped like core's: the first rival
+// entry rolls the speculation back and suspends insharing.
+func (w *worker) Fire() gwc.HookAction {
+	if w.rolled.Swap(true) {
+		return gwc.HookNone
+	}
+	return gwc.HookSuspend
+}
+
 // stop makes the worker wind down: no new sections; a pending request
-// is cancelled; a pending observation runs to ack or abandonment.
+// is cancelled — unless it carries a speculation, which must learn its
+// fate first; a pending observation runs to ack or abandonment.
 func (w *worker) stop() {
 	w.stopped = true
-	if w.state == wWaiting {
-		w.env.Node(w.node).CancelLockRequest(simGroup, simLock)
-		w.state = wDone
-	}
-	if w.state == wIdle {
+	switch {
+	case w.state == wWaiting && w.saved == nil:
+		w.cancel()
+	case w.state == wIdle:
 		w.state = wDone
 	}
 }
 
+func (w *worker) cancel() {
+	w.env.Node(w.node).CancelLockRequest(simGroup, simLock)
+	w.state = wDone
+}
+
 func (w *worker) done() bool { return w.state == wDone }
 
-// enter runs the critical-section writes; the caller already holds the
-// lock (granted or leased).
+// idle ends an operation: back to wIdle for the next, or wDone once
+// stopped.
+func (w *worker) idle() {
+	w.state = wIdle
+	if w.stopped {
+		w.state = wDone
+	}
+}
+
+// body is the critical section: read the counter, write its successor
+// to the counter and to the worker's stamp.
+func (w *worker) body(n *gwc.Node) {
+	t, _ := n.Read(simGroup, simCounter)
+	n.Write(simGroup, simCounter, t+1)
+	n.Write(simGroup, stampVar(w.node), t+1)
+	w.from = t
+}
+
+// speculate starts an optimistic section (core's speculate): arm and
+// request in one hold, then run the body at once, saving what it
+// overwrites. Speculate refuses — nothing armed, nothing sent — while a
+// section is open here; the engine would take the regular path, and the
+// worker, which exercises speculation only, waits for the lock to clear.
+func (w *worker) speculate(n *gwc.Node) (bool, error) {
+	w.rolled.Store(false)
+	if sent, err := n.Speculate(simGroup, simLock, w.session, w); err != nil || !sent {
+		return false, err
+	}
+	t, _ := n.Read(simGroup, simCounter)
+	st, _ := n.Read(simGroup, stampVar(w.node))
+	w.saved = []gwc.Saved{{Var: simCounter, Old: t}, {Var: stampVar(w.node), Old: st}}
+	w.body(n)
+	return true, nil
+}
+
+// enter runs the critical section; the caller already holds the lock
+// (granted or leased).
 func (w *worker) enter() {
 	w.state = wHolding
 	w.polls = 0
@@ -204,11 +284,7 @@ func (w *worker) enter() {
 		w.acked++
 		return
 	}
-	n := w.env.Node(w.node)
-	t, _ := n.Read(simGroup, simCounter)
-	n.Write(simGroup, simCounter, t+1)
-	n.Write(simGroup, stampVar(w.node), t+1)
-	w.from = t
+	w.body(w.env.Node(w.node))
 	if w.hold == holdNone {
 		w.leave()
 	}
@@ -222,10 +298,7 @@ func (w *worker) leave() {
 		return
 	}
 	if w.session != 0 { // a reader wrote nothing to observe
-		w.state = wIdle
-		if w.stopped {
-			w.state = wDone
-		}
+		w.idle()
 		return
 	}
 	w.state = wObserving
@@ -247,42 +320,72 @@ func (w *worker) inside() bool {
 // poll advances the state machine one notch. Called only at quiescence,
 // so every read is a stable protocol state and every send lands in a
 // deterministic order.
-func (w *worker) poll() {
+func (w *worker) poll() error {
 	n := w.env.Node(w.node)
 	switch w.state {
 	case wIdle:
 		if w.stopped {
 			w.state = wDone
-			return
+			return nil
 		}
-		if n.TryLeaseEnter(simGroup, simLock) {
-			w.enter() // leased: straight into the section, zero frames
-			return
+		if w.spec {
+			if sent, err := w.speculate(n); err != nil || !sent {
+				return err
+			}
+		} else if leased, err := request(n, w.session); leased {
+			w.enter() // straight into the section, zero frames
+			return nil
+		} else if err != nil && !errors.Is(err, gwc.ErrNested) {
+			return err // on ErrNested, wait for the acquisition in flight
 		}
-		n.SendSessionRequest(simGroup, simLock, w.session)
 		w.state = wWaiting
 		w.polls = 0
 	case wWaiting:
+		if w.saved != nil && w.rolled.Load() {
+			// Rollback: both guarded writes reached the root while the
+			// rival held the lock, so the root suppressed exactly two
+			// updates — the invariant the speculation scenarios check.
+			if err := n.RestoreLocal(simGroup, w.saved); err != nil {
+				return err
+			}
+			if err := n.ResumeInsharing(simGroup); err != nil {
+				return err
+			}
+			w.saved = nil
+			w.aborted++
+			if w.stopped {
+				w.cancel()
+				return nil
+			}
+		}
 		if !w.inside() {
-			// The request (or its grant) may be sitting in a dead root's
+			// The request (or its entry) may be sitting in a dead root's
 			// mailbox; the node's maintenance tick re-registers it with
 			// whatever root the member currently follows.
-			return
+			return nil
+		}
+		if w.saved != nil {
+			// Commit: the grant reached this node with no rival ahead, so
+			// FIFO ordering guarantees the root accepted both speculative
+			// writes before this release.
+			w.saved = nil
+			w.leave()
+			return nil
 		}
 		w.enter()
 	case wHolding:
 		if w.session != 0 {
 			w.polls++
 			if w.polls < readerHoldPolls && !w.stopped {
-				return
+				return nil
 			}
 		} else if w.hold > 0 {
 			if v, _ := w.env.Node(0).Read(simGroup, stampVar(w.node)); v < w.from+1 {
-				return
+				return nil
 			}
 			w.polls++
 			if w.polls < w.hold {
-				return
+				return nil
 			}
 		}
 		w.leave()
@@ -297,50 +400,65 @@ func (w *worker) poll() {
 		if seen >= w.minObs {
 			w.checker.Acked(w.from)
 			w.acked++
-			w.state = wIdle
-			if w.stopped {
-				w.state = wDone
-			}
-			return
+			w.idle()
+			return nil
 		}
 		w.polls++
-		if w.polls >= observeFor {
-			// Never confirmed; the op may or may not have committed, and
-			// the checker hears nothing about it.
-			w.aborted++
-			w.state = wIdle
-			if w.stopped {
-				w.state = wDone
-			}
+		if w.polls < observeFor {
+			return nil
 		}
+		if w.spec {
+			var vals []string
+			for _, o := range w.obs {
+				v, _ := w.env.Node(o).Read(simGroup, stampVar(w.node))
+				vals = append(vals, fmt.Sprintf("node%d=%d", o, v))
+			}
+			return fmt.Errorf("spec worker %d: committed section from=%d never observed (%s)",
+				w.node, w.from, strings.Join(vals, " "))
+		}
+		// Never confirmed; the op may or may not have committed, and the
+		// checker hears nothing about it.
+		w.aborted++
+		w.idle()
 	}
+	return nil
 }
 
-// drive steps the world until pred holds, polling the workers once per
-// event so the workload advances with the schedule, and checking the
-// scenario's invariant (Env.inv), if it set one, at every quiescent
-// point before the predicate.
+// drive steps the world until pred holds or, with pred nil, for exactly
+// budget events. At every quiescent point before the predicate it polls
+// the workers in order, runs the scenario's background pump (Env.pump)
+// and checks its invariant (Env.inv), each if the scenario set one.
 func drive(e *Env, ws []*worker, budget int, what string, pred func() bool) error {
-	for i := 0; ; i++ {
+	for i := 0; i < budget; i++ {
 		e.w.waitQuiesce()
 		for _, w := range ws {
-			w.poll()
+			if err := w.poll(); err != nil {
+				return err
+			}
+		}
+		if e.pump != nil {
+			e.pump(i)
 		}
 		if e.inv != nil {
 			if err := e.inv(); err != nil {
 				return err
 			}
 		}
-		if pred() {
+		if pred != nil && pred() {
 			return nil
-		}
-		if i == budget {
-			return fmt.Errorf("%s not reached within %d events", what, budget)
 		}
 		if err := e.Step(); err != nil {
 			return fmt.Errorf("waiting for %s: %w", what, err)
 		}
 	}
+	if pred == nil {
+		return nil
+	}
+	aborted := 0
+	for _, w := range ws {
+		aborted += w.aborted
+	}
+	return fmt.Errorf("%s not reached within %d events (acked=%d aborted=%d)", what, budget, totalAcked(ws), aborted)
 }
 
 // windDown stops the workers, lets pending observations resolve, and
@@ -426,14 +544,8 @@ func RootCrashMidBatch() Scenario {
 			}
 			// Crash the root a seed-chosen distance into the workload so
 			// different seeds catch it with different batches in flight.
-			for i, k := 0, e.Rand().Intn(60); i < k; i++ {
-				e.w.waitQuiesce()
-				for _, w := range ws {
-					w.poll()
-				}
-				if err := e.Step(); err != nil {
-					return err
-				}
+			if err := drive(e, ws, e.Rand().Intn(60), "the crash point", nil); err != nil {
+				return err
 			}
 			e.Crash(0)
 			if err := drive(e, ws, 80000, "failover to a surviving member", func() bool {
@@ -584,65 +696,42 @@ func RejoinUnderLoad() Scenario {
 			}
 			streams := []int{0, 1, 2}
 			next := make([]int64, len(streams))
-			pump := func() {
+			e.pump = func(i int) {
+				if i%7 != 0 {
+					return
+				}
 				for si, id := range streams {
 					next[si]++
 					e.Node(id).Write(simGroup, simStreamBase+gwc.VarID(si), next[si])
 				}
 			}
-			run := func(budget int, what string, pred func() bool) error {
-				for i := 0; i < budget; i++ {
-					e.w.waitQuiesce()
-					for _, w := range ws {
-						w.poll()
-					}
-					if i%7 == 0 {
-						pump()
-					}
-					if pred() {
-						return nil
-					}
-					if err := e.Step(); err != nil {
-						return fmt.Errorf("waiting for %s: %w", what, err)
-					}
-				}
-				return fmt.Errorf("%s not reached within %d events", what, budget)
-			}
-			if err := run(60000, "first acknowledged increments", func() bool {
+			if err := drive(e, ws, 60000, "first acknowledged increments", func() bool {
 				return totalAcked(ws) >= 1
 			}); err != nil {
 				return err
 			}
 			e.Crash(3)
 			// Keep the load flowing for a seed-chosen dark window.
-			for i, k := 0, 2000+e.Rand().Intn(2000); i < k; i++ {
-				e.w.waitQuiesce()
-				for _, w := range ws {
-					w.poll()
-				}
-				if i%7 == 0 {
-					pump()
-				}
-				if err := e.Step(); err != nil {
-					return err
-				}
+			if err := drive(e, ws, 2000+e.Rand().Intn(2000), "the end of the dark window", nil); err != nil {
+				return err
 			}
 			e.Revive(3)
 			if err := e.Node(3).Rejoin(simGroup); err != nil {
 				return err
 			}
-			if err := run(80000, "node 3 re-admission", func() bool {
+			if err := drive(e, ws, 80000, "node 3 re-admission", func() bool {
 				return e.Node(3).Stats().Rejoins >= 1
 			}); err != nil {
 				return err
 			}
-			if err := run(40000, "more increments after the rejoin", func() bool {
+			if err := drive(e, ws, 40000, "more increments after the rejoin", func() bool {
 				return totalAcked(ws) >= 2
 			}); err != nil {
 				return err
 			}
 			// Stop the streams, then require the rejoined node to catch up
 			// to every stream's final value.
+			e.pump = nil
 			if err := drive(e, ws, 80000, "rejoined node stream catch-up", func() bool {
 				for si := range streams {
 					v, _ := e.Node(3).Read(simGroup, simStreamBase+gwc.VarID(si))

@@ -8,10 +8,9 @@ import (
 )
 
 // Session-lock scenarios: group mutual exclusion under the
-// deterministic scheduler. Like the counter workers, the session
-// workloads use only the non-blocking half of the gwc API
-// (SendSessionRequest / SessionState / Release) as polled state
-// machines; a reader is a worker with a session (scenarios.go).
+// deterministic scheduler. A reader is a worker with a session
+// (scenarios.go): it enters through Request and polls SessionState, like
+// every other driver.
 
 // simReadSession is the shared session the scenario readers churn
 // through; the writers use session 0 (exclusive).
@@ -42,36 +41,18 @@ func SessionFairnessChurn() Scenario {
 				{env: e, node: 1, session: simReadSession},
 				{env: e, node: 2, session: simReadSession},
 			}
-			ws := []*worker{w}
-			pollAll := func() {
-				for _, r := range rs {
-					r.poll()
-				}
-				w.poll()
-			}
-			run := func(budget int, what string, pred func() bool) error {
-				for i := 0; i < budget; i++ {
-					e.w.waitQuiesce()
-					pollAll()
-					if pred() {
-						return nil
-					}
-					if err := e.Step(); err != nil {
-						return fmt.Errorf("waiting for %s: %w", what, err)
-					}
-				}
-				return fmt.Errorf("%s not reached within %d events", what, budget)
-			}
+			// Readers are polled before the writer at every event.
+			all := []*worker{rs[0], rs[1], w}
 			// Let the reader churn establish itself before the writer
 			// contends, a seed-chosen head start.
-			if err := run(400+e.Rand().Intn(400), "reader churn to start", func() bool {
+			if err := drive(e, all, 400+e.Rand().Intn(400), "reader churn to start", func() bool {
 				return rs[0].acked >= 1 && rs[1].acked >= 1
 			}); err != nil {
 				return err
 			}
 			// The writer must achieve acknowledged increments through the
 			// churn: every section is proof it was not starved.
-			if err := run(120000, "writer sections through reader churn", func() bool {
+			if err := drive(e, all, 120000, "writer sections through reader churn", func() bool {
 				return w.acked >= 3
 			}); err != nil {
 				return fmt.Errorf("writer starved by same-session reader churn: %w", err)
@@ -79,12 +60,12 @@ func SessionFairnessChurn() Scenario {
 			for _, r := range rs {
 				r.stop()
 			}
-			if err := run(40000, "readers wound down", func() bool {
+			if err := drive(e, all, 40000, "readers wound down", func() bool {
 				return rs[0].done() && rs[1].done()
 			}); err != nil {
 				return err
 			}
-			final, err := windDown(e, ws, []int{0, 1, 2, 3})
+			final, err := windDown(e, []*worker{w}, []int{0, 1, 2, 3})
 			if err != nil {
 				return err
 			}
@@ -131,7 +112,9 @@ func SessionFailoverMultiHolder() Scenario {
 			ws := []*worker{w}
 			// Both readers enter the shared session and hold.
 			for _, id := range []int{1, 2} {
-				e.Node(id).SendSessionRequest(simGroup, simLock, simReadSession)
+				if _, err := request(e.Node(id), simReadSession); err != nil {
+					return err
+				}
 			}
 			bothHold := func() bool {
 				for _, id := range []int{1, 2} {
@@ -146,11 +129,8 @@ func SessionFailoverMultiHolder() Scenario {
 				return err
 			}
 			// A seed-chosen pause with the session open, then the root dies.
-			for i, k := 0, e.Rand().Intn(300); i < k; i++ {
-				e.w.waitQuiesce()
-				if err := e.Step(); err != nil {
-					return err
-				}
+			if err := drive(e, nil, e.Rand().Intn(300), "the crash point", nil); err != nil {
+				return err
 			}
 			e.Crash(0)
 			if err := drive(e, nil, 120000, "failover to a surviving member", func() bool {
@@ -170,7 +150,9 @@ func SessionFailoverMultiHolder() Scenario {
 			}
 			// The writer queues behind the open session against the new
 			// root; the holders then finish, and the writer must enter.
-			w.poll() // sends the exclusive request (wIdle -> wWaiting)
+			if err := w.poll(); err != nil { // sends the exclusive request (wIdle -> wWaiting)
+				return err
+			}
 			for _, id := range []int{1, 2} {
 				if err := e.Node(id).Release(simGroup, simLock); err != nil {
 					return fmt.Errorf("holder %d could not leave after failover: %w", id, err)

@@ -34,8 +34,11 @@ func ForgedGrant() Scenario {
 			checker := model.NewCounterChecker()
 			// Both nodes request; the schedule decides whose request reaches
 			// the root first and wins the real grant.
-			e.Node(1).SendLockRequest(simGroup, simLock)
-			e.Node(2).SendLockRequest(simGroup, simLock)
+			for _, id := range []int{1, 2} {
+				if _, err := request(e.Node(id), 0); err != nil {
+					return err
+				}
+			}
 			// Rewrite the loser's copy of the winner's grant multicast into
 			// a grant to itself, before every delivery: the scheduler only
 			// moves messages when the script steps, so whichever way the
@@ -130,7 +133,9 @@ func FenceRegression() Scenario {
 				}
 				return false
 			}
-			e.Node(1).SendLockRequest(simGroup, simLock)
+			if _, err := request(e.Node(1), 0); err != nil {
+				return err
+			}
 			if err := drive(e, nil, 30000, "node 1 lock grant", func() bool {
 				v, _ := e.Node(1).LockValue(simGroup, simLock)
 				return v == gwc.GrantValue(1)
@@ -164,7 +169,9 @@ func FenceRegression() Scenario {
 			// The reign survived. Once quorum contact returns the fence
 			// replays its queue — including the release — so node 2's
 			// acquisition must go through.
-			e.Node(2).SendLockRequest(simGroup, simLock)
+			if _, err := request(e.Node(2), 0); err != nil {
+				return err
+			}
 			err := drive(e, nil, 60000, "node 2 lock grant after the fence lifts", func() bool {
 				if raced() {
 					return true // deposed mid-probe; inconclusive

@@ -48,12 +48,15 @@ func TestConcurrentLinksApplyOneTotalOrder(t *testing.T) {
 	}
 	var mu sync.Mutex
 	logs := make([][]event, len(c.nodes))
+	applied := make([]map[VarID]int64, len(c.nodes)) // newest value each hook saw
 	for id, n := range c.nodes {
+		applied[id] = make(map[VarID]int64)
 		for _, vs := range vars {
 			for _, v := range vs {
 				if _, err := n.OnVarChange(tGroup, v, func(val int64) {
 					mu.Lock()
 					logs[id] = append(logs[id], event{v, val})
+					applied[id][v] = val
 					mu.Unlock()
 				}); err != nil {
 					t.Fatal(err)
@@ -81,11 +84,20 @@ func TestConcurrentLinksApplyOneTotalOrder(t *testing.T) {
 			last[vs[k%len(vs)]] = int64(k)
 		}
 	}
-	for _, n := range c.nodes {
-		for v, val := range last {
-			waitValue(t, n, v, val)
+	// A writer reads its own last write at once, but its hooks run only
+	// when the root's echo lands: wait on the hooks, not on Read.
+	waitFor(t, c, 5*time.Second, "every member's hooks to apply the last writes", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		for id := range c.nodes {
+			for v, val := range last {
+				if applied[id][v] != val {
+					return false
+				}
+			}
 		}
-	}
+		return true
+	})
 
 	mu.Lock()
 	defer mu.Unlock()

@@ -118,7 +118,7 @@ func TestFailoverPreservesLockHolderAndQueue(t *testing.T) {
 	if err := c.nodes[2].Acquire(tGroup, tLock); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.nodes[3].SendLockRequest(tGroup, tLock); err != nil {
+	if err := request(c.nodes[3], tLock); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, c, 5*time.Second, "node 3 to queue at the root", func() bool {

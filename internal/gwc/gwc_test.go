@@ -114,8 +114,15 @@ func soleNode(ls *lockState) int {
 	return -1
 }
 
+// request starts n's exclusive acquisition of lock l without waiting for
+// it: the first half of Acquire.
+func request(n *Node, l LockID) error {
+	_, err := n.Request(tGroup, l, 0, 0, n.Now())
+	return err
+}
+
 // waitGrant blocks until n holds tLock exclusively: the wait half of an
-// acquisition the test issued with SendLockRequest.
+// acquisition the test started with request.
 func waitGrant(n *Node) (bool, error) {
 	return n.WaitEnteredContext(context.Background(), tGroup, tLock, 0, nil)
 }
@@ -490,40 +497,6 @@ func TestJoinValidation(t *testing.T) {
 	}
 }
 
-func TestLockChangeHooks(t *testing.T) {
-	c := newInProcCluster(t, 3, true)
-	var mu sync.Mutex
-	var seen []int64
-	unreg, err := c.nodes[2].OnLockChange(tGroup, tLock, func(val int64) HookAction {
-		mu.Lock()
-		seen = append(seen, val)
-		mu.Unlock()
-		return HookNone
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.nodes[1].Acquire(tGroup, tLock); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.nodes[1].Release(tGroup, tLock); err != nil {
-		t.Fatal(err)
-	}
-	// The root's grant and free multicasts emit trace events that wake
-	// waitFor; the fallback tick covers the last hop to node 2's hook.
-	waitFor(t, c, 2*time.Second, "the hook to observe grant and free", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(seen) >= 2
-	})
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) < 2 || seen[0] != GrantValue(1) || seen[len(seen)-1] != Free {
-		t.Errorf("hook saw %v, want [grant(1) ... free]", seen)
-	}
-	unreg()
-}
-
 // countIntr is an Interrupt that counts its firings and asks for the
 // suspension every time.
 type countIntr struct{ fired atomic.Int32 }
@@ -535,9 +508,13 @@ func (ci *countIntr) Fire() HookAction { ci.fired.Add(1); return HookSuspend }
 // is visible, with nothing registered and nothing sent; armed otherwise,
 // and then a second entry from this node is nested; fired by a rival's
 // grant only while the section lasts — the release that frees the lock
-// drops it.
+// drops it. Then the firing case: a rival's grant sequenced ahead of the
+// speculation fires the interrupt exactly once, and the suspension it
+// asks for parks data until ResumeInsharing; the speculation stays
+// queued and is granted after the rival.
 func TestSpeculateArmsOrRefusesInOneHold(t *testing.T) {
-	c := newInProcCluster(t, 3, true)
+	const tFree VarID = 12 // not guarded by newCluster
+	c, _, tap := newTapCluster(t, 3)
 	rival, n := c.nodes[1], c.nodes[2]
 	intr := new(countIntr)
 	armed := func() bool {
@@ -595,13 +572,82 @@ func TestSpeculateArmsOrRefusesInOneHold(t *testing.T) {
 	if got := intr.fired.Load(); got != 0 {
 		t.Errorf("a grant after the section fired its interrupt %d times", got)
 	}
+
+	// The rival's third grant is held back from node 2 until node 2 has
+	// armed, so node 2 speculates on a lock its copy shows free while the
+	// root has already sequenced the rival ahead of it.
+	if err := rival.Release(tGroup, tLock); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, c, 2*time.Second, "node 2 to see the lock free again", sees(Free))
+	var held atomic.Int32
+	tap.filter(func(from, to int, m *wire.Message) bool {
+		if m.Type == wire.TSeqLock && to == 2 && m.Val == GrantValue(1) {
+			held.Add(1)
+			return true
+		}
+		return false
+	})
+	if err := rival.Acquire(tGroup, tLock); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, c, 2*time.Second, "the rival's grant to be held back from node 2", func() bool { return held.Load() > 0 })
+	if ok, err := n.Speculate(tGroup, tLock, 0, intr); !ok || err != nil {
+		t.Fatalf("Speculate with the rival's grant held back = %v, %v; want it armed", ok, err)
+	}
+	tap.filter(nil)
+	// The rival's unguarded write is sequenced after its grant. At node 2
+	// it opens the gap whose repair applies the grant first — the
+	// interrupt fires and insharing is suspended — and then the write,
+	// which the suspension parks.
+	if err := rival.Write(tGroup, tFree, 77); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, c, 2*time.Second, "the interrupt to fire and the write to park", func() bool {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return intr.fired.Load() > 0 && len(n.groups[tGroup].suspendQ) > 0
+	})
+	if got, _ := n.Read(tGroup, tFree); got != 0 {
+		t.Fatalf("suspended node 2 applied the rival's write: read %d, want 0 until resume", got)
+	}
+	if err := n.ResumeInsharing(tGroup); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := n.Read(tGroup, tFree); got != 77 {
+		t.Fatalf("after ResumeInsharing node 2 reads %d, want the parked 77", got)
+	}
+	if err := rival.Release(tGroup, tLock); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := waitGrant(n); !ok || err != nil {
+		t.Fatalf("the rolled-back speculation's queued request: waitGrant = %v, %v", ok, err)
+	}
+	if got := intr.fired.Load(); got != 1 {
+		t.Errorf("the rival's grant fired the interrupt %d times, want exactly once", got)
+	}
+	if err := n.Release(tGroup, tLock); err != nil {
+		t.Fatal(err)
+	}
 }
 
+// TestSuspendInsharingBuffersData: an armed interrupt that fires with
+// HookSuspend — the one way insharing is suspended — parks data updates
+// instead of applying them, and ResumeInsharing applies what was parked.
 func TestSuspendInsharingBuffersData(t *testing.T) {
 	c := newInProcCluster(t, 3, false)
 	n2 := c.nodes[2]
-	if err := n2.SuspendInsharing(tGroup); err != nil {
-		t.Fatal(err)
+	intr := new(countIntr)
+	n2.mu.Lock()
+	g := n2.groups[tGroup]
+	lk := g.locks.at(tLock)
+	lk.spec = intr
+	g.sawEntry(lk, 1, n2.id, 0) // node 1's exclusive entry, applied here
+	lk.spec = nil
+	suspended := g.suspended
+	n2.mu.Unlock()
+	if intr.fired.Load() != 1 || !suspended {
+		t.Fatalf("a rival's entry fired the interrupt %d times, suspended %v; want once, suspended", intr.fired.Load(), suspended)
 	}
 	if err := c.nodes[1].Write(tGroup, tVar, 77); err != nil {
 		t.Fatal(err)

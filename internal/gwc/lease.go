@@ -93,17 +93,10 @@ type handoffNotice struct {
 	bo        backoff
 }
 
-// TryLeaseEnter attempts a purely local lock acquisition under a live
-// lease: no wire traffic, no allocation. It returns true when the
-// caller now holds the lock and must pair the call with Release.
-func (n *Node) TryLeaseEnter(gid GroupID, l LockID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	g, ok := n.groups[gid]
-	return ok && n.leaseEnter(gid, g, l)
-}
-
-// leaseEnter is TryLeaseEnter under the caller's hold of n.mu.
+// leaseEnter attempts a purely local entry into lock l under a live
+// lease: no wire traffic, no allocation. It returns true when the caller
+// now holds the lock and must pair the entry with Release. Caller holds
+// n.mu.
 func (n *Node) leaseEnter(gid GroupID, g *memberGroup, l LockID) bool {
 	if n.closed {
 		return false

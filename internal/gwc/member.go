@@ -88,7 +88,7 @@ type memberVar struct {
 	busy  bool
 	guard LockID
 	// hooks observe applied data updates (Watch).
-	hooks []hook[func(int64)]
+	hooks []hook
 	// batchSlot is the variable's slot in the write-coalescing queue plus
 	// one (batch.go), zero when it has no write queued: an in-window
 	// rewrite combines into the slot instead of appending.
@@ -172,15 +172,11 @@ type memberLock struct {
 	pendingHandoff *handoffNotice
 	handoffIn      *wire.Message
 
-	// lockHooks run (under the node lock) on every lock-value change;
-	// the optimistic engine uses them as the paper's interrupt. A hook
-	// returning HookSuspend parks insharing atomically with the interrupt.
-	lockHooks []hook[LockHook]
 	// spec is the interrupt of the section speculating on the lock and
 	// specSession the session it wants (speculate.go); nil when none is.
-	// It lives here beside the hooks so that arming it is a store in the
-	// hold that sends the request, and dropping it one in the hold that
-	// frees the lock.
+	// It lives in the record so that arming it is a store in the hold that
+	// sends the request, and dropping it one in the hold that frees the
+	// lock.
 	spec        Interrupt
 	specSession uint32
 }
@@ -398,7 +394,7 @@ func (g *memberGroup) forgetState() {
 	g.busyLocks, g.busyVars = g.busyLocks[:0], g.busyVars[:0]
 	for i := range g.locks.recs {
 		lk := &g.locks.recs[i]
-		kept := memberLock{reqToken: lk.reqToken, lockHooks: lk.lockHooks, spec: lk.spec, specSession: lk.specSession}
+		kept := memberLock{reqToken: lk.reqToken, spec: lk.spec, specSession: lk.specSession}
 		if lk.parked > 0 {
 			kept.parked, kept.reqSession, kept.reqDeadline = lk.parked, lk.reqSession, lk.reqDeadline
 			kept.busy = true
@@ -703,18 +699,6 @@ func (n *Node) sendRelease(g *memberGroup, l LockID, entryEpoch, session uint32)
 	})
 }
 
-// runLockHooks fires the lock's value hooks with val. Caller holds n.mu.
-func (g *memberGroup) runLockHooks(lk *memberLock, val int64) {
-	for _, h := range lk.lockHooks {
-		if h.fn(val) == HookSuspend {
-			// The paper's atomic interrupt-and-sharing-suspension: no data
-			// update can slip in between the lock change that triggers the
-			// rollback and the suspension.
-			g.suspended = true
-		}
-	}
-}
-
 // lostClaim records that the sequenced stream (or a re-base) put someone
 // else in the lock, or nobody: any cached lease is dead. Mid-section the
 // Release in progress returns it; idle it just evaporates.
@@ -755,7 +739,6 @@ func (n *Node) applyLock(g *memberGroup, m *wire.Message) {
 		lk.held.in = lk.held.in[:0]
 		lk.hint = handoffHint{}
 		lk.lostClaim()
-		g.runLockHooks(lk, Free)
 	case lk.held.session == m.Session:
 		lk.held.drop(holderOf(-m.Val))
 	}
@@ -831,7 +814,6 @@ func (n *Node) applyEntry(g *memberGroup, l LockID, lk *memberLock, m *wire.Mess
 	} else {
 		lk.lostClaim()
 	}
-	g.runLockHooks(lk, m.Val)
 	g.sawEntry(lk, h.node, n.id, s)
 	g.lock.notifyAll()
 }
@@ -863,11 +845,6 @@ func (n *Node) install(g *memberGroup, l LockID, sec *holderSet, epoch uint32) {
 	} else {
 		lk.lostClaim()
 	}
-	val := Free
-	if len(lk.held.in) > 0 {
-		val = GrantValue(lk.held.in[0].node)
-	}
-	g.runLockHooks(lk, val)
 	for _, h := range lk.held.in {
 		g.sawEntry(lk, h.node, n.id, lk.held.session)
 	}
@@ -1094,49 +1071,18 @@ func (n *Node) park(ctx context.Context, ch chan struct{}, cond func() bool) (bo
 	}
 }
 
-// SendLockRequest issues the non-blocking half of an exclusive
-// acquisition: SendSessionRequest for session 0.
-func (n *Node) SendLockRequest(gid GroupID, l LockID) error {
-	return n.SendSessionRequest(gid, l, 0)
-}
-
-// SendSessionRequest issues the non-blocking half of an acquisition: it
-// records the request for the given session (0 = exclusive) and ships
-// it. The maintenance tick re-sends it until the entry lands or the
-// caller cancels. Pair it with WaitEnteredContext, or poll LockValue or
-// SessionState.
-func (n *Node) SendSessionRequest(gid GroupID, l LockID, session uint32) error {
-	return n.sendLockRequestS(gid, l, session, 0, n.clock.Now())
-}
-
-// sendLockRequestS is the session-aware request sender: session names
-// the session the acquisition wants to enter (0 = exclusive) and
-// deadline the caller's context deadline (Unix nanoseconds, 0 = none).
-// A fresh acquisition records both; a call while one is outstanding
-// re-sends that one's request unchanged, so a duplicate call never
-// changes what an acquisition asks for. now is the caller's clock
-// reading.
-func (n *Node) sendLockRequestS(gid GroupID, l LockID, session uint32, deadline int64, now time.Time) error {
-	n.mu.Lock()
-	g, lk, err := n.lockOf(gid, l)
-	if err != nil {
-		n.mu.Unlock()
-		return err
-	}
-	msg := n.newRequest(g, l, lk, session, deadline, now)
-	root := g.rootID
-	n.mu.Unlock()
-	return n.ep.Send(root, msg)
-}
-
-// ownLockRequest starts the acquisition EnterSessionContext will wait
-// for: an exclusive one enters through a live lease if this node has one
-// (leased: the caller holds the lock now, zero wire messages); any other
-// sends its request. It cannot share an acquisition — both callers would
-// wake on the one entry and run their sections together — so it is
-// refused with ErrNested, in the hold that would have recorded the
-// request, while this node is inside the lock or acquiring it.
-func (n *Node) ownLockRequest(gid GroupID, l LockID, session uint32, deadline int64, now time.Time) (leased bool, err error) {
+// Request starts an acquisition of lock l in the given session (0 =
+// exclusive) that its caller will wait for (WaitEnteredContext, or by
+// polling LockValue / SessionState): an exclusive one enters through a
+// live lease if this node has one (leased: the caller holds the lock now,
+// zero wire messages); any other sends its request, which the maintenance
+// tick re-sends until the entry lands or the caller cancels. deadline is
+// the caller's give-up time (Unix nanoseconds, 0 = none) and now its
+// clock reading. It cannot share an acquisition — both callers would wake
+// on the one entry and run their sections together — so it is refused
+// with ErrNested, in the hold that would have recorded the request, while
+// this node is inside the lock or acquiring it.
+func (n *Node) Request(gid GroupID, l LockID, session uint32, deadline int64, now time.Time) (leased bool, err error) {
 	n.mu.Lock()
 	g, lk, err := n.ownLock(gid, l)
 	if err != nil {
@@ -1153,18 +1099,21 @@ func (n *Node) ownLockRequest(gid GroupID, l LockID, session uint32, deadline in
 	return false, n.sendOwn(gid, l, root, msg)
 }
 
-// ownRequest is newRequest for an acquisition its caller will wait for
-// (ownLockRequest, Speculate). An idle lease the section did not enter
-// through — it wants another session, or the lease has run out — goes
-// back first: the return precedes the request on the same FIFO link, so
-// the root has the lock free when the request arrives, where a request
-// from the leaseholder on its books would only be answered with the old
-// grant again until the lease expired. Caller holds n.mu.
+// ownRequest records what a fresh acquisition asks for and builds its
+// request frame: the one way a caller's acquisition starts (Request,
+// Speculate). An idle lease the section did not enter through — it wants
+// another session, or the lease has run out — goes back first: the return
+// precedes the request on the same FIFO link, so the root has the lock
+// free when the request arrives, where a request from the leaseholder on
+// its books would only be answered with the old grant again until the
+// lease expired. Caller holds n.mu, and ownLock has vouched that no
+// acquisition is outstanding.
 func (n *Node) ownRequest(g *memberGroup, l LockID, lk *memberLock, session uint32, deadline int64, now time.Time) wire.Message {
 	if le := lk.lease; le != nil && !le.held {
 		n.returnIdleLease(g, l, lk)
 	}
-	return n.newRequest(g, l, lk, session, deadline, now)
+	lk.reqSession, lk.reqDeadline = session, deadline
+	return n.lockRequest(g, l, lk, now)
 }
 
 // ownLock is lockOf for a caller about to start an acquisition of its
@@ -1176,15 +1125,6 @@ func (n *Node) ownLock(gid GroupID, l LockID) (*memberGroup, *memberLock, error)
 		err = fmt.Errorf("gwc: node %d is already inside or acquiring lock %d: %w", n.id, l, ErrNested)
 	}
 	return g, lk, err
-}
-
-// newRequest records what a fresh acquisition asks for (an outstanding
-// one keeps its own) and builds the request frame. Caller holds n.mu.
-func (n *Node) newRequest(g *memberGroup, l LockID, lk *memberLock, session uint32, deadline int64, now time.Time) wire.Message {
-	if !lk.want {
-		lk.reqSession, lk.reqDeadline = session, deadline
-	}
-	return n.lockRequest(g, l, lk, now)
 }
 
 // sendOwn ships the request of an acquisition its caller will wait for.
@@ -1299,9 +1239,9 @@ func (n *Node) putWait(ch chan struct{}) {
 }
 
 // WaitEnteredContext blocks, on behalf of an acquisition this node has
-// issued (SendLockRequest, SendSessionRequest, Speculate), until the node
-// is inside lock l's given session (0 = it holds the lock exclusively),
-// or giveUp — when not nil — reads true; both are checked immediately and
+// issued (Request, Speculate), until the node is inside lock l's given
+// session (0 = it holds the lock exclusively), or giveUp — when not
+// nil — reads true; both are checked immediately and
 // after every lock change, and whoever sets giveUp under the node lock
 // (an Interrupt's Fire) wakes the wait. It returns (false, ctx.Err()) if
 // the context ends first, without withdrawing the request (use
@@ -1367,7 +1307,7 @@ func (n *Node) EnterSessionContext(ctx context.Context, gid GroupID, l LockID, s
 	// One clock reading serves the request's watchdog stamp, the first
 	// re-send's schedule and the latency histogram's origin.
 	start := n.clock.Now()
-	if leased, err := n.ownLockRequest(gid, l, session, ctxDeadline(ctx), start); err != nil || leased {
+	if leased, err := n.Request(gid, l, session, ctxDeadline(ctx), start); err != nil || leased {
 		return err
 	}
 	ok, err := n.WaitEnteredContext(ctx, gid, l, session, nil)
@@ -1471,10 +1411,10 @@ func (n *Node) Release(gid GroupID, l LockID) error {
 	return n.ep.Send(root, msg)
 }
 
-// HookAction is a lock-change hook's verdict.
+// HookAction is an Interrupt's verdict.
 type HookAction int
 
-// Hook verdicts.
+// Interrupt verdicts.
 const (
 	// HookNone takes no protocol action.
 	HookNone HookAction = iota
@@ -1482,43 +1422,6 @@ const (
 	// paper's interrupt-and-sharing-suspension (Figure 5).
 	HookSuspend
 )
-
-// LockHook observes a lock-value change. It runs under the node's
-// internal lock and must not block or call back into the node.
-type LockHook func(val int64) HookAction
-
-// OnLockChange registers a hook invoked whenever the lock's value
-// changes. The returned function unregisters it.
-func (n *Node) OnLockChange(gid GroupID, l LockID, fn LockHook) (func(), error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	g, lk, err := n.lockOf(gid, l)
-	if err != nil {
-		return nil, err
-	}
-	g.hookSeq++
-	token := g.hookSeq
-	lk.lockHooks = append(lk.lockHooks, hook[LockHook]{token, fn})
-	return func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		lk := g.locks.at(l)
-		lk.lockHooks = dropHook(lk.lockHooks, token)
-	}, nil
-}
-
-// SuspendInsharing parks incoming data updates for the group (lock
-// changes still flow), the atomic interrupt-and-suspension of Figure 5.
-func (n *Node) SuspendInsharing(gid GroupID) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	g, err := n.group(gid)
-	if err != nil {
-		return err
-	}
-	g.suspended = true
-	return nil
-}
 
 // ResumeInsharing replays parked updates and resumes normal delivery.
 func (n *Node) ResumeInsharing(gid GroupID) error {
@@ -1585,7 +1488,7 @@ func (n *Node) OnVarChange(gid GroupID, v VarID, fn func(val int64)) (func(), er
 	}
 	g.hookSeq++
 	token := g.hookSeq
-	mv.hooks = append(mv.hooks, hook[func(int64)]{token, fn})
+	mv.hooks = append(mv.hooks, hook{token, fn})
 	return func() {
 		n.mu.Lock()
 		defer n.mu.Unlock()

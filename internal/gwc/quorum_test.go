@@ -242,7 +242,7 @@ func TestQuorumAckedHandoffCarriesData(t *testing.T) {
 	if err := c.nodes[1].Acquire(tGroup, tLock); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.nodes[2].SendLockRequest(tGroup, tLock); err != nil {
+	if err := request(c.nodes[2], tLock); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, c, 5*time.Second, "node 2 to queue at the root", func() bool {
@@ -367,7 +367,7 @@ func TestRejoinFreesCrashedHoldersLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	fl.Crash(2)
-	if err := c.nodes[1].SendLockRequest(tGroup, tLock); err != nil {
+	if err := request(c.nodes[1], tLock); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, c, 5*time.Second, "node 1 to queue behind the crashed holder", func() bool {

@@ -22,6 +22,7 @@ func TestBurstThenReleaseKeepsOrderThroughDrain(t *testing.T) {
 	const (
 		burst          = 256
 		tFree    VarID = 12 // not guarded by newCluster
+		tTail    VarID = 13 // the holder's write after its release
 		holder         = 1
 		streamer       = 2
 	)
@@ -41,33 +42,27 @@ func TestBurstThenReleaseKeepsOrderThroughDrain(t *testing.T) {
 			}
 			c := newCluster(t, net, true)
 
-			// One log per observer, in apply order: both hooks run on
-			// the observer's receive loop, under its node lock.
+			// One log per observer, in apply order: each hook runs on the
+			// observer's receive loop, under its node lock, and records the
+			// lock copy beside the value it applied.
 			type event struct {
-				v   VarID // 0: a lock change
-				val int64
+				v         VarID
+				val, lock int64
 			}
 			observers := []int{0, 3, 4}
 			var mu sync.Mutex
 			logs := make(map[int][]event)
 			for _, id := range observers {
 				n := c.nodes[id]
-				for _, v := range []VarID{tVar, tFree} {
+				for _, v := range []VarID{tVar, tFree, tTail} {
 					if _, err := n.OnVarChange(tGroup, v, func(val int64) {
+						lock := n.groups[tGroup].locks.at(tLock).value(id)
 						mu.Lock()
-						logs[id] = append(logs[id], event{v, val})
+						logs[id] = append(logs[id], event{v, val, lock})
 						mu.Unlock()
 					}); err != nil {
 						t.Fatal(err)
 					}
-				}
-				if _, err := n.OnLockChange(tGroup, tLock, func(val int64) HookAction {
-					mu.Lock()
-					logs[id] = append(logs[id], event{0, val})
-					mu.Unlock()
-					return HookNone
-				}); err != nil {
-					t.Fatal(err)
 				}
 			}
 
@@ -110,18 +105,23 @@ func TestBurstThenReleaseKeepsOrderThroughDrain(t *testing.T) {
 			if err := h.Release(tGroup, tLock); err != nil {
 				t.Fatal(err)
 			}
+			// Sequenced after the release: the holder's link to the root is
+			// FIFO.
+			if err := h.Write(tGroup, tTail, 1); err != nil {
+				t.Fatal(err)
+			}
 			close(stop)
 			last := <-streamed
 
 			complete := func(log []event) bool {
-				freed, tail := false, false
+				tailed, streamEnd := false, false
 				for _, e := range log {
-					freed = freed || (e.v == 0 && e.val == Free)
-					tail = tail || (e.v == tFree && e.val == last)
+					tailed = tailed || e.v == tTail
+					streamEnd = streamEnd || (e.v == tFree && e.val == last)
 				}
-				return freed && tail
+				return tailed && streamEnd
 			}
-			waitFor(t, c, 10*time.Second, "every observer to see the release and the stream's tail", func() bool {
+			waitFor(t, c, 10*time.Second, "every observer to see the trailing write and the stream's tail", func() bool {
 				mu.Lock()
 				defer mu.Unlock()
 				for _, id := range observers {
@@ -134,28 +134,24 @@ func TestBurstThenReleaseKeepsOrderThroughDrain(t *testing.T) {
 
 			mu.Lock()
 			defer mu.Unlock()
-			// Retried requests make the root announce a grant again, and
-			// one that outlives the section is granted and handed straight
-			// back, so grants and frees may repeat; what must hold is
-			// first grant < values 1..burst in order < first free.
+			// Data before lock: values 1..burst apply in order, each under
+			// the holder's grant, and the trailing write finds the lock free.
 			ref := logs[observers[0]]
-			firstGrant, firstFree, next := -1, -1, int64(1)
+			next := int64(1)
 			for i, e := range ref {
-				switch {
-				case e == event{0, GrantValue(holder)} && firstGrant < 0:
-					firstGrant = i
-				case e == event{0, Free} && firstFree < 0:
-					firstFree = i
-				case e.v == tVar:
-					if e.val != next || firstGrant < 0 || firstFree >= 0 {
-						t.Fatalf("observer %d: guarded value %d at %d, want value %d between the grant (at %d) and the release (at %d)",
-							observers[0], e.val, i, next, firstGrant, firstFree)
+				switch e.v {
+				case tVar:
+					if e.val != next || e.lock != GrantValue(holder) {
+						t.Fatalf("observer %d: guarded value %d at %d under lock %d, want value %d under the holder's grant",
+							observers[0], e.val, i, e.lock, next)
 					}
 					next++
+				case tTail:
+					if next != burst+1 || e.lock != Free {
+						t.Fatalf("observer %d: the trailing write at %d saw lock %d after %d of %d guarded values, want it free after all of them",
+							observers[0], i, e.lock, next-1, burst)
+					}
 				}
-			}
-			if next != burst+1 || firstFree < 0 {
-				t.Fatalf("observer %d saw %d of %d guarded values and the release at %d", observers[0], next-1, burst, firstFree)
 			}
 			// One total order: each log is a prefix of the longest (an
 			// observer may be a few trailing events behind another).

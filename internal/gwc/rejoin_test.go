@@ -34,7 +34,7 @@ func TestRejoinEdgeCases(t *testing.T) {
 					t.Fatal(err)
 				}
 				fl.Crash(victim)
-				if err := c.nodes[1].SendLockRequest(tGroup, tLock); err != nil {
+				if err := request(c.nodes[1], tLock); err != nil {
 					t.Fatal(err)
 				}
 				fl.Revive(victim)
@@ -67,7 +67,7 @@ func TestRejoinEdgeCases(t *testing.T) {
 				if err := c.nodes[1].Acquire(tGroup, tLock); err != nil {
 					t.Fatal(err)
 				}
-				if err := c.nodes[victim].SendLockRequest(tGroup, tLock); err != nil {
+				if err := request(c.nodes[victim], tLock); err != nil {
 					t.Fatal(err)
 				}
 				waitFor(t, c, 5*time.Second, "the victim to queue", func() bool {

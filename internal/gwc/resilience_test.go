@@ -154,6 +154,14 @@ func TestLockTokenRetryAfterGrant(t *testing.T) {
 			}
 			return ls.held.in[0].node, ls.held.in[0].token, len(ls.queue)
 		}
+		// retry re-sends n's outstanding request as the maintenance tick does
+		// (retryLocks): the same acquisition, token and session.
+		retry := func(n *Node) {
+			n.mu.Lock()
+			g := n.groups[tGroup]
+			n.send(g.rootID, n.lockRequest(g, tLock, g.locks.at(tLock), n.Now()))
+			n.mu.Unlock()
+		}
 		inside := func(n *Node, session uint32) bool {
 			n.mu.Lock()
 			defer n.mu.Unlock()
@@ -170,9 +178,7 @@ func TestLockTokenRetryAfterGrant(t *testing.T) {
 
 		// A retry of the granted request: the root must re-announce, not
 		// re-queue. Sync is the FIFO fence that proves the frame was handled.
-		if err := n1.SendSessionRequest(tGroup, tLock, k.session); err != nil {
-			t.Fatal(err)
-		}
+		retry(n1)
 		if err := n1.Sync(tGroup); err != nil {
 			t.Fatal(err)
 		}
@@ -185,16 +191,14 @@ func TestLockTokenRetryAfterGrant(t *testing.T) {
 
 		// A waiter that retries while queued must stay queued once, its
 		// entry refreshed rather than duplicated.
-		if err := n2.SendSessionRequest(tGroup, tLock, k.rival); err != nil {
+		if _, err := n2.Request(tGroup, tLock, k.rival, 0, n2.Now()); err != nil {
 			t.Fatal(err)
 		}
 		waitFor(t, c, 5*time.Second, "the waiter to queue", func() bool {
 			_, _, q := rootState()
 			return q == 1
 		})
-		if err := n2.SendSessionRequest(tGroup, tLock, k.rival); err != nil {
-			t.Fatal(err)
-		}
+		retry(n2)
 		if err := n2.Sync(tGroup); err != nil {
 			t.Fatal(err)
 		}
@@ -210,9 +214,7 @@ func TestLockTokenRetryAfterGrant(t *testing.T) {
 		if ok, err := n2.WaitEnteredContext(context.Background(), tGroup, tLock, k.rival, nil); err != nil || !ok {
 			t.Fatalf("waiter never granted: ok=%v err=%v", ok, err)
 		}
-		if err := n2.SendSessionRequest(tGroup, tLock, k.rival); err != nil {
-			t.Fatal(err)
-		}
+		retry(n2)
 		if err := n2.Sync(tGroup); err != nil {
 			t.Fatal(err)
 		}

@@ -56,8 +56,8 @@ func (n *Node) outlook(g *memberGroup, l LockID, session uint32) (foreign, joina
 
 // Look is the one look a section of the given session (0 = exclusive)
 // takes at lock l before choosing its path: it enters through a live
-// lease if it can (TryLeaseEnter) and reports what the local copy of the
-// open section shows otherwise, all under one hold.
+// lease if it can and reports what the local copy of the open section
+// shows otherwise, all under one hold.
 func (n *Node) Look(gid GroupID, l LockID, session uint32) (Outlook, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -77,15 +77,15 @@ func (n *Node) idsOK(m *wire.Message) bool {
 	return false
 }
 
-// hook is one registered observer; token names it for removal.
-type hook[F any] struct {
+// hook is one registered variable observer; token names it for removal.
+type hook struct {
 	token uint64
-	fn    F
+	fn    func(val int64)
 }
 
 // dropHook removes the hook registered under token, keeping the rest in
 // registration order.
-func dropHook[F any](hs []hook[F], token uint64) []hook[F] {
+func dropHook(hs []hook, token uint64) []hook {
 	for i := range hs {
 		if hs[i].token == token {
 			return slices.Delete(hs, i, i+1)

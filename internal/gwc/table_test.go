@@ -431,7 +431,7 @@ func TestEverySetterMarksItsRecord(t *testing.T) {
 	if err := root.Acquire(tGroup, 5); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.SendLockRequest(tGroup, 5); err != nil {
+	if err := request(n, 5); err != nil {
 		t.Fatal(err)
 	}
 	n.mu.Lock()

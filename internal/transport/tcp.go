@@ -705,10 +705,13 @@ func (p *tcpPeer) dial() (net.Conn, error) {
 		}
 		if p.conn != nil {
 			// Link adoption raced the dial and won; keep the adopted
-			// duplex link and discard the fresh socket.
+			// duplex link for our traffic. The fresh socket stays open and
+			// read: when both ends dial at once, the remote may have adopted
+			// it just as we adopted its socket, and closing it would drop
+			// everything the remote writes on it.
 			adopted := p.conn
 			p.mu.Unlock()
-			_ = conn.Close()
+			p.ep.readSpare(conn)
 			return adopted, nil
 		}
 		p.conn = conn
@@ -737,6 +740,26 @@ func (p *tcpPeer) dial() (net.Conn, error) {
 	backoff += time.Duration(p.rng.Int63n(int64(backoff)/4 + 1))
 	p.nextDial = time.Now().Add(backoff)
 	return nil, fmt.Errorf("transport: dial %s: %w", p.addr, err)
+}
+
+// readSpare reads frames off a dialed socket that lost the race to an
+// adopted link until it dies. It is tracked with the inbound connections,
+// so Close closes it.
+func (ep *tcpEndpoint) readSpare(conn net.Conn) {
+	ep.mu.Lock()
+	if ep.closed {
+		ep.mu.Unlock()
+		_ = conn.Close()
+		return
+	}
+	ep.inbound = append(ep.inbound, conn)
+	ep.wg.Add(1)
+	ep.mu.Unlock()
+	go func() {
+		defer ep.wg.Done()
+		defer func() { _ = conn.Close() }()
+		ep.frameLoop(bufio.NewReader(conn), conn)
+	}()
 }
 
 func (p *tcpPeer) close() {

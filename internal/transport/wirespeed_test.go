@@ -289,6 +289,37 @@ func TestTCPMuxSharedLink(t *testing.T) {
 	}
 }
 
+// TestTCPCrossedDialsLoseNothing: when two nodes dial each other at once,
+// each can adopt the other's socket before its own dial returns. The
+// dialer then sends on the link it adopted, but the socket it dialed must
+// stay open and read — the remote adopted that one, and writes on it.
+func TestTCPCrossedDialsLoseNothing(t *testing.T) {
+	n := newTCPMesh(t, 2)
+	a, b := n.eps[0], n.eps[1]
+	in := newIntake(t, a, "inbox")
+	// b's half of the crossing, by hand: a socket from "node 1" that a
+	// adopts as its link to b.
+	rawPeer(t, a, in, 1)
+	// a's half, late: its dial reaches b, which has no link to a yet and
+	// adopts it, while a keeps the link it already adopted.
+	p, err := a.peer(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.dial(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		return n.TransportStats().LinksAdopted == 2
+	}, "b to adopt the socket a dialed")
+	if err := b.Send(0, wire.Message{Type: wire.TUpdate, Group: 1, Val: 7}); err != nil {
+		t.Fatal(err)
+	}
+	if msgs, _ := in.take(t, 1); msgs[0].Val != 7 {
+		t.Fatalf("b's reply arrived as %+v", msgs[0])
+	}
+}
+
 // TestFlakyCorruptOverTCP exercises fault injection end to end over the
 // real wire: Flaky's bit flips ship as literal corrupt bytes through the
 // TCP codec path (not a local simulation), the remote reader's checksum
