@@ -8,7 +8,7 @@
 set -eu
 
 cd "$(dirname "$0")/.."
-[ $# -gt 0 ] || set -- internal/gwc internal/core internal/detsim internal/transport . bench
+[ $# -gt 0 ] || set -- internal/gwc internal/wire internal/core internal/detsim internal/transport . bench
 
 for dir; do
 	n=$(ls "$dir"/*.go | grep -v '_test\.go$' | xargs cat | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')

@@ -21,9 +21,9 @@ type Options struct {
 	// (timers then fire only when no message is in flight).
 	TimeSkip float64
 	// Drop is the probability of dropping a deliverable message instead
-	// of delivering it. Only retried-by-design traffic is droppable (the
-	// same classification the wall-clock chaos harness uses); control
-	// messages the protocol sends exactly once are never dropped.
+	// of delivering it. Only frames whose loss a retry repairs are dropped
+	// (wire's Repairable, the rule the wall-clock chaos harness uses too);
+	// control messages the protocol sends exactly once are never dropped.
 	Drop float64
 	// Dup is the probability of re-enqueueing a delivered message at the
 	// tail of its link (a duplicate that arrives later).
@@ -115,20 +115,6 @@ func (e Event) String() string {
 // this only happens when every node has closed — a scenario bug.
 var errDead = errors.New("detsim: dead world: no messages in flight and no armed timers")
 
-// droppable mirrors the wall-clock chaos harness's fault plane: only
-// traffic some retry mechanism repairs may be lost — sequenced
-// multicasts (resync probes refetch them), rejoin and sync answers
-// (their requests re-send every maintenance tick), and batch frames of
-// the same.
-func droppable(m wire.Message) bool {
-	t := m.Type
-	if t == wire.TBatch && len(m.Batch) > 0 {
-		t = m.Batch[0].Type
-	}
-	return t == wire.TSeqUpdate || t == wire.TSeqLock ||
-		t == wire.TJoinAck || t == wire.TSyncAck
-}
-
 func (w *World) elapsedLocked() time.Duration {
 	return w.now.Sub(time.Unix(0, 0))
 }
@@ -190,7 +176,7 @@ func (w *World) stepLocked() error {
 		w.links[li] = w.links[li][1:]
 		ev.Kind = EDrop
 		ev.Note = "endpoint closed"
-	case w.drop > 0 && w.rng.Float64() < w.drop && droppable(m) && w.drops < w.opts.MaxDrops:
+	case w.drop > 0 && w.rng.Float64() < w.drop && m.Repairable() && w.drops < w.opts.MaxDrops:
 		w.links[li] = w.links[li][1:]
 		w.drops++
 		ev.Kind = EDrop

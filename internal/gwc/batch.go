@@ -163,13 +163,7 @@ func (n *Node) flushWrites(g *memberGroup, why flushReason) {
 		return
 	}
 	n.stats.Batches++
-	n.send(g.rootID, wire.Message{
-		Type:  wire.TBatch,
-		Group: uint32(g.cfg.ID),
-		Src:   int32(n.id),
-		Epoch: g.epoch,
-		Batch: q,
-	})
+	n.send(g.rootID, n.hdr(g).Batch(q))
 }
 
 // handleBatch dispatches one batch frame. Up-plane batches are sequenced
@@ -189,8 +183,8 @@ func (n *Node) handleBatch(frame *wire.Message) {
 		}
 	}
 	gid := GroupID(frame.Group)
-	switch frame.Batch[0].Type {
-	case wire.TUpdate, wire.TLockReq, wire.TLockRel, wire.TNack, wire.TLockCancel, wire.TSnapReq:
+	switch t := frame.Batch[0].Type; {
+	case t.ToRoot():
 		r, ok := n.roots[gid]
 		if ok && r.outBatch == nil {
 			// One right-sized allocation for the fan-out: sequenced output
@@ -215,7 +209,7 @@ func (n *Node) handleBatch(frame *wire.Message) {
 			n.rootHandle(r, &frame.Batch[i])
 		}
 		n.rootEndBatch(r)
-	case wire.TSeqUpdate, wire.TSeqLock:
+	case t == wire.TSeqUpdate || t == wire.TSeqLock:
 		g, ok := n.groups[gid]
 		if !ok {
 			n.protoErr("gwc: node %d got sequenced batch for unknown group %d", n.id, frame.Group)
@@ -239,7 +233,7 @@ func (n *Node) handleBatch(frame *wire.Message) {
 			n.ingestFwd(g, &frame.Batch[i], false)
 		}
 		n.maybeSendAck(g)
-	case wire.TSnapVar, wire.TSnapLock, wire.TSnapDone:
+	case t == wire.TSnapVar || t == wire.TSnapLock || t == wire.TSnapDone:
 		g, ok := n.groups[gid]
 		if !ok {
 			n.protoErr("gwc: node %d got snapshot batch for unknown group %d", n.id, frame.Group)
@@ -249,7 +243,7 @@ func (n *Node) handleBatch(frame *wire.Message) {
 			n.handleSnap(g, &frame.Batch[i])
 		}
 	default:
-		n.protoErr("gwc: node %d got batch of unexpected type %v", n.id, frame.Batch[0].Type)
+		n.protoErr("gwc: node %d got batch of unexpected type %v", n.id, t)
 	}
 }
 
@@ -269,13 +263,7 @@ func (n *Node) rootEndBatch(r *rootGroup) {
 		frame = q[0]
 	} else {
 		n.stats.Batches++
-		frame = wire.Message{
-			Type:  wire.TBatch,
-			Group: uint32(r.cfg.ID),
-			Src:   int32(n.id),
-			Epoch: r.epoch,
-			Batch: q,
-		}
+		frame = n.rootHdr(r).Batch(q)
 	}
 	if r.cfg.TreeFanout {
 		n.forwardDown(r.member, &frame)
@@ -288,10 +276,11 @@ func (n *Node) rootEndBatch(r *rootGroup) {
 	}
 }
 
-// sendStream ships a state stream (snapshot or election report) to one
-// node, packed into batch frames when batching is enabled. All messages
-// must belong to gid and carry their own epoch stamps.
-func (n *Node) sendStream(to int, gid GroupID, epoch uint32, msgs []wire.Message) {
+// sendStream ships a state stream (snapshot or election report, or a
+// retransmitted range) to one node, packed into batch frames when
+// batching is enabled. Its messages share one header, which the batch
+// frames carrying them repeat.
+func (n *Node) sendStream(to int, msgs []wire.Message) {
 	lim := n.batchMax
 	if lim < 2 {
 		for _, m := range msgs {
@@ -308,12 +297,6 @@ func (n *Node) sendStream(to int, gid GroupID, epoch uint32, msgs []wire.Message
 			continue
 		}
 		n.stats.Batches++
-		n.send(to, wire.Message{
-			Type:  wire.TBatch,
-			Group: uint32(gid),
-			Src:   int32(n.id),
-			Epoch: epoch,
-			Batch: chunk,
-		})
+		n.send(to, chunk[0].Hdr().Batch(chunk))
 	}
 }

@@ -59,37 +59,28 @@ type lockSnap struct {
 	session uint32
 }
 
-// snapLock appends lock l's piece of a state stream (an election report
-// or a catch-up snapshot; base addresses it): one frame per holder of the
-// open section, carrying its entry epoch, then the sender's own word on
-// the lock — word is its request marker if it waits to enter session, or
-// Free — carrying the newest epoch it knows for it.
-func snapLock(msgs []wire.Message, base wire.Message, l LockID, held *holderSet, epoch uint32, word int64, session uint32) []wire.Message {
-	base.Type = wire.TSnapLock
-	base.Lock = uint32(l)
-	for _, h := range held.in {
-		m := base
-		m.Var = h.epoch
-		m.Val = GrantValue(h.node)
-		m.Session = held.session
-		msgs = append(msgs, m)
+// snapLock appends lock l's piece of a state stream taken at seq (an
+// election report or a catch-up snapshot; h addresses it): one frame per
+// holder of the open section, carrying its entry epoch, then the sender's
+// own word on the lock — word is its request marker if it waits to enter
+// session, or Free — carrying the newest epoch it knows for it.
+func snapLock(msgs []wire.Message, h wire.Hdr, seq uint64, l LockID, held *holderSet, epoch uint32, word int64, session uint32) []wire.Message {
+	for _, e := range held.in {
+		msgs = append(msgs, h.SnapLock(seq, uint32(l), held.session, e.epoch, GrantValue(e.node)))
 	}
-	base.Var = epoch
-	base.Val = word
-	base.Session = session
-	return append(msgs, base)
+	return append(msgs, h.SnapLock(seq, uint32(l), session, epoch, word))
 }
 
 // absorb folds one TSnapLock frame into the lock's piece: snapLock's
 // reader.
 func (s *lockSnap) absorb(m *wire.Message) {
-	s.epoch = max(s.epoch, m.Var)
+	s.epoch = max(s.epoch, m.EntryEpoch())
 	switch {
-	case m.Val > 0:
+	case m.Holder() >= 0:
 		if m.Session != s.held.session {
 			s.held.open(m.Session)
 		}
-		s.held.put(holder{node: holderOf(m.Val), epoch: m.Var})
+		s.held.put(holder{node: m.Holder(), epoch: m.EntryEpoch()})
 	case m.Val != Free:
 		s.waits, s.session = true, m.Session
 	}
@@ -134,26 +125,19 @@ func (rep *snapReport) absorb(m *wire.Message) {
 
 // heartbeat announces this root's reign to every member. Caller holds
 // n.mu.
-func (n *Node) heartbeat(gid GroupID, r *rootGroup) {
+func (n *Node) heartbeat(r *rootGroup) {
+	hb := n.rootHdr(r).Heartbeat(r.ring.seq(), n.id)
 	for _, member := range r.cfg.Members {
-		if member == n.id {
-			continue
+		if member != n.id {
+			n.send(member, hb)
 		}
-		n.send(member, wire.Message{
-			Type:  wire.THeartbeat,
-			Group: uint32(gid),
-			Src:   int32(n.id),
-			Seq:   r.ring.seq(),
-			Val:   int64(n.id),
-			Epoch: r.epoch,
-		})
 	}
 }
 
-// handleHeartbeat processes a root's liveness announcement (Val carries
-// the claimed root ID). Caller holds n.mu.
+// handleHeartbeat processes a root's liveness announcement. Caller holds
+// n.mu.
 func (n *Node) handleHeartbeat(g *memberGroup, m *wire.Message) {
-	claimed := int(m.Val)
+	claimed := m.Root()
 	switch {
 	case m.Epoch > g.epoch || (m.Epoch == g.epoch && claimed < g.rootID):
 		// A newer reign — or a same-epoch split, which the lower node ID
@@ -188,13 +172,7 @@ func (n *Node) maybeNotice(g *memberGroup, to int) {
 		return
 	}
 	g.lastNotice = now
-	n.send(to, wire.Message{
-		Type:  wire.THeartbeat,
-		Group: uint32(g.cfg.ID),
-		Src:   int32(n.id),
-		Val:   int64(g.rootID),
-		Epoch: g.epoch,
-	})
+	n.send(to, n.hdr(g).Heartbeat(0, g.rootID))
 }
 
 // rebase moves the member onto a reign: a newer one it adopts, the one
@@ -275,12 +253,7 @@ func (n *Node) adoptEpoch(g *memberGroup, epoch uint32, root int) {
 			g.suspected[member] = true
 		}
 	}
-	n.send(root, wire.Message{
-		Type:  wire.TSnapReq,
-		Group: uint32(g.cfg.ID),
-		Src:   int32(n.id),
-		Epoch: epoch,
-	})
+	n.send(root, n.hdr(g).SnapReq()) // the rebase made epoch g.epoch
 }
 
 // candidate returns the lowest-ID member not suspected dead, or -1.
@@ -361,7 +334,7 @@ func (n *Node) reportQuorum(g *memberGroup) bool {
 // candidate. It is re-sent every tick while the election runs, so a lost
 // report only delays, never prevents, reconstruction. Caller holds n.mu.
 func (n *Node) sendReport(g *memberGroup, to int) {
-	n.sendStream(to, g.cfg.ID, g.electEpoch, n.reportFrames(g))
+	n.sendStream(to, n.reportFrames(g))
 }
 
 // reportFrames is this member's election report for the running
@@ -372,23 +345,12 @@ func (n *Node) reportFrames(g *memberGroup) []wire.Message {
 	// (idempotent): an idle cached lock reports as free, so the rebuilt
 	// manager cannot resurrect a holder that would never release.
 	n.dropLeases(g)
-	base := wire.Message{
-		Group: uint32(g.cfg.ID),
-		Src:   int32(n.id),
-		Seq:   g.nextSeq - 1,
-		Epoch: g.electEpoch,
-	}
+	hdr, seq := wire.Hdr{Group: uint32(g.cfg.ID), Src: int32(n.id), Epoch: g.electEpoch}, g.nextSeq-1
 	msgs := make([]wire.Message, 0, len(g.vars.recs)+len(g.locks.recs)+1)
 	for i := range g.vars.recs {
-		v, mv := VarID(i), &g.vars.recs[i]
-		if !mv.written {
-			continue
+		if mv := &g.vars.recs[i]; mv.written {
+			msgs = append(msgs, hdr.SnapVar(seq, uint32(i), mv.val))
 		}
-		m := base
-		m.Type = wire.TSnapVar
-		m.Var = uint32(v)
-		m.Val = mv.val
-		msgs = append(msgs, m)
 	}
 	for i := range g.locks.recs {
 		lk := &g.locks.recs[i]
@@ -398,11 +360,9 @@ func (n *Node) reportFrames(g *memberGroup) []wire.Message {
 		} else if len(lk.held.in) == 0 && lk.grantEpoch == 0 {
 			continue // never seen in use: nothing to report
 		}
-		msgs = snapLock(msgs, base, LockID(i), &lk.held, lk.grantEpoch, word, session)
+		msgs = snapLock(msgs, hdr, seq, LockID(i), &lk.held, lk.grantEpoch, word, session)
 	}
-	done := base
-	done.Type = wire.TSnapDone
-	return append(msgs, done)
+	return append(msgs, hdr.SnapDone(seq, 0))
 }
 
 // promote makes this node the group's root for the election epoch,
@@ -477,7 +437,7 @@ func (n *Node) promote(gid GroupID, g *memberGroup) {
 			}
 		}
 	}
-	n.heartbeat(gid, r)
+	n.heartbeat(r)
 }
 
 // mergeVars reconstructs the variable store from the reports with the
@@ -615,14 +575,6 @@ func rebuildLocks(reps map[int]*snapReport, suspected map[int]bool) map[LockID]*
 	return out
 }
 
-// holderOf decodes a lock value into the holding node, or -1.
-func holderOf(val int64) int {
-	if val <= 0 {
-		return -1
-	}
-	return int(val - 1)
-}
-
 // handleSnap routes a state stream message: a catch-up snapshot from the
 // current root, or an election report from a peer for a future epoch.
 // Caller holds n.mu.
@@ -670,7 +622,7 @@ func (n *Node) snapApply(g *memberGroup, m *wire.Message) {
 		// snapshot watermark (carried on TSnapDone). The replayed
 		// pending messages below fold on top, exactly as they folded on
 		// the root — and a diverged copy is now repaired.
-		g.digest.Rebase(uint64(m.Val))
+		g.digest.Rebase(m.Digest())
 		g.diverged = false
 		for s := range g.pending {
 			if s < g.nextSeq {
@@ -713,13 +665,7 @@ func (n *Node) reportPiece(g *memberGroup, m *wire.Message) {
 // through the normal delivery path, so insharing suspension and Watch
 // hooks behave exactly as for sequenced updates. Caller holds n.mu.
 func (n *Node) applyVarValue(g *memberGroup, v VarID, val int64) {
-	m := wire.Message{
-		Type:   wire.TSeqUpdate,
-		Group:  uint32(g.cfg.ID),
-		Origin: -1,
-		Var:    uint32(v),
-		Val:    val,
-	}
+	m := wire.Hdr{Group: uint32(g.cfg.ID)}.SeqUpdate(-1, uint32(v), val, false)
 	if g.suspended {
 		g.suspendQ = append(g.suspendQ, m)
 		return
@@ -732,35 +678,20 @@ func (n *Node) applyVarValue(g *memberGroup, v VarID, val int64) {
 // against live traffic. The stream is built under n.mu, so it is a
 // consistent cut. Caller holds n.mu.
 func (n *Node) rootSnapSend(r *rootGroup, to int) {
-	base := wire.Message{
-		Group: uint32(r.cfg.ID),
-		Src:   int32(n.id),
-		Seq:   r.ring.seq(),
-		Epoch: r.epoch,
-	}
+	hdr, seq := n.rootHdr(r), r.ring.seq()
 	msgs := make([]wire.Message, 0, len(r.vars.recs)+len(r.locks.recs)+1)
 	for i := range r.vars.recs {
-		v, rv := VarID(i), &r.vars.recs[i]
-		if !rv.written {
-			continue
+		if rv := &r.vars.recs[i]; rv.written {
+			msgs = append(msgs, hdr.SnapVar(seq, uint32(i), rv.auth))
 		}
-		m := base
-		m.Type = wire.TSnapVar
-		m.Var = uint32(v)
-		m.Val = rv.auth
-		msgs = append(msgs, m)
 	}
 	for i := range r.locks.recs {
 		if ls := &r.locks.recs[i]; ls.used {
-			msgs = snapLock(msgs, base, LockID(i), &ls.held, ls.epoch, Free, 0)
+			msgs = snapLock(msgs, hdr, seq, LockID(i), &ls.held, ls.epoch, Free, 0)
 		}
 	}
-	done := base
-	done.Type = wire.TSnapDone
 	// The root's digest at the snapshot watermark rides on the final
 	// frame, so the receiver re-anchors its own digest to it (snapApply)
 	// and the next anti-entropy sweep compares cleanly.
-	done.Val = int64(r.digest.Sum())
-	msgs = append(msgs, done)
-	n.sendStream(to, r.cfg.ID, r.epoch, msgs)
+	n.sendStream(to, append(msgs, hdr.SnapDone(seq, r.digest.Sum())))
 }

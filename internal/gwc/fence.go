@@ -191,13 +191,7 @@ func (n *Node) serviceQuorum(r *rootGroup) {
 				keep = append(keep, b)
 				continue
 			}
-			n.send(b.src, wire.Message{
-				Type:  wire.TSyncAck,
-				Group: uint32(r.cfg.ID),
-				Src:   int32(n.id),
-				Seq:   b.token,
-				Epoch: r.epoch,
-			})
+			n.send(b.src, n.rootHdr(r).SyncAck(b.token))
 		}
 		r.waitSyncs = keep
 	}
@@ -238,20 +232,14 @@ func (n *Node) serviceQuorum(r *rootGroup) {
 // sequenced first — and with it the answer waits for the quorum
 // watermark. Caller holds n.mu.
 func (n *Node) rootSyncReq(r *rootGroup, m *wire.Message) {
-	src, tok := int(m.Src), m.Seq
+	src, tok := int(m.Src), m.Ticket()
 	for _, b := range r.waitSyncs {
 		if b.src == src && b.token == tok {
 			return // retry of a barrier already pending
 		}
 	}
 	if !n.quorumAcks || r.commit >= r.ring.seq() {
-		n.send(src, wire.Message{
-			Type:  wire.TSyncAck,
-			Group: uint32(r.cfg.ID),
-			Src:   int32(n.id),
-			Seq:   tok,
-			Epoch: r.epoch,
-		})
+		n.send(src, n.rootHdr(r).SyncAck(tok))
 		return
 	}
 	n.stats.QuorumAckWaits++

@@ -44,6 +44,9 @@ var (
 	// caller would share the first one's request, and both would wake on
 	// the one grant.
 	ErrNested = errors.New("cannot safely nest mutex lock requests")
+	// ErrRolledBack marks a write refused because the speculating section
+	// that makes it has been rolled back: it will run again.
+	ErrRolledBack = errors.New("write from a rolled-back speculation")
 )
 
 // GroupID names a sharing group.
@@ -57,15 +60,15 @@ type LockID uint32
 
 // Free is the distinguished "lock free" value (the paper's -99..99: a
 // unique negative number not matching any processor ID).
-const Free int64 = math.MinInt64 / 2
+const Free int64 = wire.Free
 
 // GrantValue encodes "node holds the lock" as the paper's positive
 // processor ID (offset by one so node 0 is nonzero).
-func GrantValue(node int) int64 { return int64(node + 1) }
+func GrantValue(node int) int64 { return wire.GrantValue(node) }
 
 // RequestValue is the negated request form a requester writes into its
 // local lock copy.
-func RequestValue(node int) int64 { return -int64(node + 1) }
+func RequestValue(node int) int64 { return wire.RequestValue(node) }
 
 // GroupConfig describes one sharing group. All members (and the root)
 // must join with identical configuration.
@@ -648,29 +651,19 @@ func (n *Node) tick() {
 		case g.rejoining:
 			// A restarted member asks for re-admission instead of probing:
 			// its sequence state is meaningless until the root answers with
-			// a fresh epoch and snapshot (rejoin.go). Seq carries the join
-			// token so the root can serve duplicate handshakes idempotently.
+			// a fresh epoch and snapshot (rejoin.go). The request carries the
+			// attempt's ticket so the root can serve duplicate handshakes
+			// idempotently.
 			if g.joinB.ready(now) {
 				n.arm(&g.joinB, now, n.boBase(), n.boCap())
-				n.send(g.rootID, wire.Message{
-					Type:  wire.TJoinReq,
-					Group: uint32(gid),
-					Src:   int32(n.id),
-					Seq:   uint64(g.joinToken),
-					Epoch: g.epoch,
-				})
+				n.send(g.rootID, n.hdr(g).JoinReq(g.joinToken))
 			}
 		case g.snapWanted:
 			// A member waiting for a snapshot skips the resync probe: the
 			// snapshot supersedes any retransmission it could trigger.
 			if g.snapB.ready(now) {
 				n.arm(&g.snapB, now, n.boBase(), n.boCap())
-				n.send(g.rootID, wire.Message{
-					Type:  wire.TSnapReq,
-					Group: uint32(gid),
-					Src:   int32(n.id),
-					Epoch: g.epoch,
-				})
+				n.send(g.rootID, n.hdr(g).SnapReq())
 			}
 		default:
 			// Resync probe. The probe doubles as the member's cumulative ack
@@ -694,18 +687,11 @@ func (n *Node) tick() {
 			}
 			if g.probeB.ready(now) {
 				n.arm(&g.probeB, now, n.boBase(), n.probeCap())
-				want := int64(math.MaxInt64)
+				want := uint64(math.MaxInt64)
 				if moved && len(g.pending) == 0 {
-					want = int64(g.nextSeq) - 1 // nextSeq >= 1 always
+					want = g.nextSeq - 1 // nextSeq >= 1 always
 				}
-				n.send(g.rootID, wire.Message{
-					Type:  wire.TNack,
-					Group: uint32(gid),
-					Src:   int32(n.id),
-					Seq:   g.nextSeq,
-					Val:   want,
-					Epoch: g.epoch,
-				})
+				n.send(g.rootID, n.hdr(g).Nack(g.nextSeq, want))
 			}
 		}
 		// Re-ship due eager stores whose echo never came back. The update
@@ -741,13 +727,7 @@ func (n *Node) tick() {
 				continue
 			}
 			n.arm(&sw.bo, now, n.boBase(), n.boCap())
-			n.send(g.rootID, wire.Message{
-				Type:  wire.TSyncReq,
-				Group: uint32(gid),
-				Src:   int32(n.id),
-				Seq:   tok,
-				Epoch: g.epoch,
-			})
+			n.send(g.rootID, n.hdr(g).SyncReq(tok))
 		}
 		n.detectFailure(gid, g, now)
 	}
@@ -755,8 +735,8 @@ func (n *Node) tick() {
 		r := n.roots[gid]
 		n.checkFence(r, now)
 		n.watchRoot(gid, r, now)
-		n.heartbeat(gid, r)
-		n.sweepDigests(gid, r, now)
+		n.heartbeat(r)
+		n.sweepDigests(r, now)
 		n.tickRootLeases(r, now)
 	}
 }
@@ -768,9 +748,8 @@ func (n *Node) route(m *wire.Message) {
 	if !n.idsOK(m) {
 		return
 	}
-	switch m.Type {
-	case wire.TUpdate, wire.TLockReq, wire.TLockRel, wire.TNack, wire.TLockCancel, wire.TSnapReq,
-		wire.TAck, wire.TSyncReq, wire.TDigestAck, wire.TLeaseRet:
+	switch {
+	case m.Type.ToRoot():
 		r, ok := n.roots[GroupID(m.Group)]
 		if !ok {
 			if g, member := n.groups[GroupID(m.Group)]; member {
@@ -788,10 +767,11 @@ func (n *Node) route(m *wire.Message) {
 			return
 		}
 		n.rootHandle(r, m)
-	case wire.TJoinReq:
+	case m.Type == wire.TJoinReq:
 		n.handleJoinReq(m)
-	case wire.TJoinAck, wire.TSyncAck, wire.TSeqUpdate, wire.TSeqLock, wire.THeartbeat,
-		wire.TSnapVar, wire.TSnapLock, wire.TSnapDone, wire.TDigestReq, wire.TLeaseGrant, wire.THandoff:
+	case m.Type == wire.TBatch:
+		n.handleBatch(m)
+	default:
 		if m.Type == wire.THandoff {
 			// Dual-purpose frame: the direct grant lands at a member, the
 			// asynchronous notice at the root. A deposed ex-root routes it to
@@ -824,12 +804,20 @@ func (n *Node) route(m *wire.Message) {
 			n.handleLeaseGrant(g, m)
 		case wire.THandoff:
 			n.handleHandoff(g, m)
+		default:
+			n.protoErr("gwc: node %d got unexpected message type %v", n.id, m.Type)
 		}
-	case wire.TBatch:
-		n.handleBatch(m)
-	default:
-		n.protoErr("gwc: node %d got unexpected message type %v", n.id, m.Type)
 	}
+}
+
+// hdr is the header of a frame this node sends as g's member, in the
+// reign it follows; rootHdr that of a frame r's reign sends.
+func (n *Node) hdr(g *memberGroup) wire.Hdr {
+	return wire.Hdr{Group: uint32(g.cfg.ID), Src: int32(n.id), Epoch: g.epoch}
+}
+
+func (n *Node) rootHdr(r *rootGroup) wire.Hdr {
+	return wire.Hdr{Group: uint32(r.cfg.ID), Src: int32(n.id), Epoch: r.epoch}
 }
 
 // send ships a message, recording (not returning) transport errors: the

@@ -631,6 +631,83 @@ func TestSpeculateArmsOrRefusesInOneHold(t *testing.T) {
 	}
 }
 
+// TestRolledBackSpeculationWritesNothing: a speculation the interrupt has
+// rolled back can still be in its body when its own queued request is
+// granted. A guarded write it makes then is tagged post-grant, so the root
+// would sequence a value the section's re-execution overwrites — one an
+// unguarded reader elsewhere (node 3 here) could see. Write refuses it
+// until the rollback; the re-execution then writes as any section does.
+func TestRolledBackSpeculationWritesNothing(t *testing.T) {
+	const tFree VarID = 12 // not guarded by newCluster
+	const late, final int64 = 666, 7
+	c, _, tap := newTapCluster(t, 4)
+	rival, n, watcher := c.nodes[1], c.nodes[2], c.nodes[3]
+	var sawLate atomic.Bool
+	if _, err := watcher.OnVarChange(tGroup, tVar, func(v int64) {
+		if v == late {
+			sawLate.Store(true)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	// The rival's grant is held back from node 2 until node 2 has armed;
+	// the rival's next write opens the gap whose repair applies the grant
+	// there, and the interrupt fires.
+	var held atomic.Int32
+	tap.filter(func(from, to int, m *wire.Message) bool {
+		if m.Type == wire.TSeqLock && to == 2 && m.Holder() == 1 {
+			held.Add(1)
+			return true
+		}
+		return false
+	})
+	if err := rival.Acquire(tGroup, tLock); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, c, 2*time.Second, "the rival's grant to be held back from node 2", func() bool { return held.Load() > 0 })
+	intr := new(countIntr)
+	if ok, err := n.Speculate(tGroup, tLock, 0, intr); !ok || err != nil {
+		t.Fatalf("Speculate = %v, %v; want it armed", ok, err)
+	}
+	tap.filter(nil)
+	if err := rival.Write(tGroup, tFree, 77); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, c, 2*time.Second, "the interrupt to fire", func() bool { return intr.fired.Load() > 0 })
+
+	// The rival leaves and node 2's queued request is granted while the
+	// rolled-back body is still running.
+	if err := rival.Release(tGroup, tLock); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := waitGrant(n); !ok || err != nil {
+		t.Fatalf("waitGrant = %v, %v", ok, err)
+	}
+	lateErr := n.Write(tGroup, tVar, late)
+
+	// The rollback, and the re-execution inside the same hold.
+	if err := n.RestoreLocal(tGroup, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.ResumeInsharing(tGroup); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Write(tGroup, tVar, final); err != nil {
+		t.Fatalf("the re-execution's write: %v", err)
+	}
+	if err := n.Release(tGroup, tLock); err != nil {
+		t.Fatal(err)
+	}
+	waitValue(t, watcher, tVar, final)
+	if sawLate.Load() {
+		t.Error("the rolled-back run's write was sequenced: node 3 saw it")
+	}
+	if !errors.Is(lateErr, ErrRolledBack) {
+		t.Errorf("the rolled-back run's write returned %v, want ErrRolledBack", lateErr)
+	}
+}
+
 // TestSuspendInsharingBuffersData: an armed interrupt that fires with
 // HookSuspend — the one way insharing is suspended — parks data updates
 // instead of applying them, and ResumeInsharing applies what was parked.

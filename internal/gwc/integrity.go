@@ -15,7 +15,7 @@ package gwc
 //     ring parallel to the retransmission history.
 //
 //   - Every integrityEvery, the root multicasts TDigestReq carrying
-//     its digest at the current watermark (Seq = r.ring.seq(), Val = digest).
+//     its digest at the current watermark (r.ring.seq()).
 //     A member that is exactly at the watermark compares on the spot;
 //     any member answers TDigestAck with its own applied position and
 //     digest, which the root compares against the checkpoint ring —
@@ -25,7 +25,7 @@ package gwc
 //     Divergences counts it, EvDivergence traces it, Health/ReadStale
 //     refuse to serve from the copy, and repair re-drives the member
 //     through the existing snapshot catch-up path — the root sends a
-//     repair directive (TDigestReq with Var=1) followed by a snapshot
+//     repair directive (wire's Repair frame) followed by a snapshot
 //     stream; TSnapDone carries the root's digest so the member
 //     re-anchors (integrity.Digest.Rebase) and clears diverged.
 //
@@ -44,20 +44,13 @@ import (
 // the root sends every member its digest at the current sequence
 // watermark. Piggybacked on the maintenance tick like the heartbeat.
 // Caller holds n.mu.
-func (n *Node) sweepDigests(gid GroupID, r *rootGroup, now time.Time) {
+func (n *Node) sweepDigests(r *rootGroup, now time.Time) {
 	if n.integrityEvery <= 0 || now.Sub(r.lastSweep) < n.integrityEvery {
 		return
 	}
 	r.lastSweep = now
 	n.stats.DigestSweeps++
-	probe := wire.Message{
-		Type:  wire.TDigestReq,
-		Group: uint32(gid),
-		Src:   int32(n.id),
-		Seq:   r.ring.seq(),
-		Val:   int64(r.digest.Sum()),
-		Epoch: r.epoch,
-	}
+	probe := n.rootHdr(r).DigestReq(r.ring.seq(), r.digest.Sum())
 	for _, member := range r.cfg.Members {
 		if member == n.id {
 			continue
@@ -82,12 +75,7 @@ func (n *Node) markDiverged(g *memberGroup, watermark uint64) {
 	g.snapWanted = true
 	g.snapBuf = nil
 	g.snapB.reset()
-	n.send(g.rootID, wire.Message{
-		Type:  wire.TSnapReq,
-		Group: uint32(g.cfg.ID),
-		Src:   int32(n.id),
-		Epoch: g.epoch,
-	})
+	n.send(g.rootID, n.hdr(g).SnapReq())
 }
 
 // handleDigestReq is the member side of the sweep: act on a repair
@@ -108,7 +96,7 @@ func (n *Node) handleDigestReq(g *memberGroup, m *wire.Message) {
 		return
 	}
 	g.lastRoot = n.clock.Now()
-	if m.Var == 1 {
+	if m.Repair() {
 		// Repair directive: the root compared our ack and found it
 		// diverged; a corrective snapshot follows on this same link.
 		n.markDiverged(g, m.Seq)
@@ -120,20 +108,13 @@ func (n *Node) handleDigestReq(g *memberGroup, m *wire.Message) {
 		return
 	}
 	applied := g.nextSeq - 1
-	if applied == m.Seq && g.digest.Sum() != uint64(m.Val) {
+	if applied == m.Seq && g.digest.Sum() != m.Digest() {
 		// Self-detected divergence: repair without waiting for the
 		// root's verdict on an ack round trip.
 		n.markDiverged(g, m.Seq)
 		return
 	}
-	n.send(g.rootID, wire.Message{
-		Type:  wire.TDigestAck,
-		Group: uint32(g.cfg.ID),
-		Src:   int32(n.id),
-		Seq:   applied,
-		Val:   int64(g.digest.Sum()),
-		Epoch: g.epoch,
-	})
+	n.send(g.rootID, n.hdr(g).DigestAck(applied, g.digest.Sum()))
 }
 
 // rootDigestAck compares a member's digest report against the reign's
@@ -157,22 +138,14 @@ func (n *Node) rootDigestAck(r *rootGroup, m *wire.Message) {
 		}
 		want = s.digest
 	}
-	if uint64(m.Val) == want {
+	if m.Digest() == want {
 		return
 	}
 	n.stats.Divergences++
 	n.emit(obs.EvDivergence, r.cfg.ID, int64(src), int64(seq))
 	// Directive first, snapshot second: FIFO links deliver the verdict
 	// (which quarantines the copy) before the stream that repairs it.
-	n.send(src, wire.Message{
-		Type:  wire.TDigestReq,
-		Group: uint32(r.cfg.ID),
-		Src:   int32(n.id),
-		Seq:   seq,
-		Var:   1,
-		Val:   int64(want),
-		Epoch: r.epoch,
-	})
+	n.send(src, n.rootHdr(r).Repair(seq, want))
 	n.rootSnapSend(r, src)
 }
 

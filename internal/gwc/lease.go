@@ -76,14 +76,6 @@ type memberLease struct {
 	renewB  backoff
 }
 
-// handoffHint is the queued waiter the root designated as this holder's
-// direct-transfer target, captured from the grant multicast.
-type handoffHint struct {
-	node  int
-	token uint32
-	set   bool
-}
-
 // handoffNotice is the root-bound half of a handoff in flight: re-sent
 // on a backoff until a sequenced lock frame carries a grant epoch at or
 // past doneEpoch, which proves the root observed the transfer.
@@ -122,15 +114,7 @@ func (n *Node) leaseEnter(gid GroupID, g *memberGroup, l LockID) bool {
 // sendLeaseRet ships a lease return quoting the grant epoch it closes.
 // Caller holds n.mu.
 func (n *Node) sendLeaseRet(g *memberGroup, l LockID, epoch uint32) {
-	n.send(g.rootID, wire.Message{
-		Type:   wire.TLeaseRet,
-		Group:  uint32(g.cfg.ID),
-		Src:    int32(n.id),
-		Origin: int32(n.id),
-		Lock:   uint32(l),
-		Var:    epoch,
-		Epoch:  g.epoch,
-	})
+	n.send(g.rootID, n.hdr(g).LeaseRet(uint32(l), epoch))
 }
 
 // returnIdleLease frees a cached lock this node is not (or no longer)
@@ -145,8 +129,8 @@ func (n *Node) returnIdleLease(g *memberGroup, l LockID, lk *memberLock) {
 }
 
 // handleLeaseGrant processes a root's lease frame at the member: a
-// grant/extension when Deadline carries the TTL, a revoke demand when
-// Deadline is zero. Caller holds n.mu.
+// grant/extension when it carries a TTL, a revoke demand when it carries
+// none. Caller holds n.mu.
 func (n *Node) handleLeaseGrant(g *memberGroup, m *wire.Message) {
 	if m.Epoch != g.epoch {
 		if m.Epoch < g.epoch {
@@ -160,16 +144,16 @@ func (n *Node) handleLeaseGrant(g *memberGroup, m *wire.Message) {
 	}
 	l := LockID(m.Lock)
 	lk := g.locks.at(LockID(m.Lock))
-	le := lk.lease
-	if m.Deadline == 0 {
-		// Revoke demand: Var names the grant epoch the root wants back.
-		if le == nil || le.epoch != m.Var || !lk.held.has(n.id) {
+	le, epoch, ttl := lk.lease, m.EntryEpoch(), m.TTL()
+	if ttl == 0 {
+		// Revoke demand for the lease on the entry at epoch.
+		if le == nil || le.epoch != epoch || !lk.held.has(n.id) {
 			// No such lease here. If this node already finished with that
 			// grant, the root's record is stale because the original
 			// return (or release) was lost — repeat it so the demand loop
 			// can end. Anything else is a stray demand to ignore.
-			if lk.lockDone >= m.Var {
-				n.sendLeaseRet(g, l, m.Var)
+			if lk.lockDone >= epoch {
+				n.sendLeaseRet(g, l, epoch)
 			}
 			return
 		}
@@ -183,7 +167,7 @@ func (n *Node) handleLeaseGrant(g *memberGroup, m *wire.Message) {
 	// Grant or extension. Valid only against the entry it was issued
 	// for: the grant multicast may still be in flight, in which case the
 	// lease is simply dropped (the root's next extension re-offers it).
-	if h := lk.held.find(n.id); h == nil || h.epoch != m.Var {
+	if h := lk.held.find(n.id); h == nil || h.epoch != epoch {
 		return
 	}
 	if le == nil {
@@ -193,11 +177,10 @@ func (n *Node) handleLeaseGrant(g *memberGroup, m *wire.Message) {
 		lk.lease = le
 		markBusy(&g.busyLocks, &lk.busy, l)
 	}
-	ttl := time.Duration(m.Deadline)
 	le.expiry = n.clock.Now().Add(ttl)
 	le.ttl = ttl
-	le.epoch = m.Var
-	le.token = uint32(m.Origin)
+	le.epoch = epoch
+	le.token = m.Token()
 	le.used = false
 	le.revoked = false
 	le.renewB.reset()
@@ -223,13 +206,13 @@ func (g *memberGroup) sectionConfirmed(l LockID) bool {
 // handled=false (n.mu still held) when the classic release path should
 // run. When handled, n.mu has been released.
 func (n *Node) leaseRelease(gid GroupID, g *memberGroup, l LockID, lk *memberLock) (bool, error) {
-	if !lk.hint.set && lk.lease == nil {
+	if !lk.hint.Set && lk.lease == nil {
 		return false, nil // the common case pays no clock read
 	}
 	now := n.clock.Now()
-	if h := lk.hint; h.set {
-		lk.hint = handoffHint{}
-		if n.leasing() && h.node != n.id && g.cfg.memberOf(h.node) && g.sectionConfirmed(l) {
+	if h := lk.hint; h.Set {
+		lk.hint = wire.Hint{}
+		if n.leasing() && h.Node != n.id && g.cfg.memberOf(h.Node) && g.sectionConfirmed(l) {
 			return true, n.handoffRelease(gid, g, l, lk, h, now)
 		}
 		// Unconfirmed section data (or a stale hint): fall back to the
@@ -260,44 +243,25 @@ func (n *Node) leaseRelease(gid GroupID, g *memberGroup, l LockID, lk *memberLoc
 // next grant would mint (our entry epoch + 1), which is what lets the
 // root recognise the transfer in whatever frame reaches it first.
 // Caller holds n.mu; released before the sends.
-func (n *Node) handoffRelease(gid GroupID, g *memberGroup, l LockID, lk *memberLock, h handoffHint, now time.Time) error {
+func (n *Node) handoffRelease(gid GroupID, g *memberGroup, l LockID, lk *memberLock, h wire.Hint, now time.Time) error {
 	epoch := lk.held.find(n.id).epoch // our entry epoch
 	next := epoch + 1                 // the epoch this transfer reserves
 	lk.held.open(0)
-	lk.held.put(holder{node: h.node, epoch: next, token: h.token})
+	lk.held.put(holder{node: h.Node, epoch: next, token: h.Token})
 	lk.sawGrant(next)
 	lk.lockDone = epoch
 	lk.lease = nil
 	lk.endRequest()
 	n.stats.Handoffs++
-	n.emit(obs.EvHandoff, gid, int64(l), int64(h.node))
-	// The direct grant carries this node's applied watermark (Seq): the
-	// closing section's writes are all sequenced at or below it (the
-	// handoff only fires with every echo confirmed), so the new holder
-	// defers entry until its own stream covers that prefix — the GWC
-	// data-before-lock guarantee, kept without the root on the path.
-	direct := wire.Message{
-		Type:   wire.THandoff,
-		Group:  uint32(gid),
-		Src:    int32(n.id),
-		Origin: int32(h.token),
-		Seq:    g.nextSeq - 1,
-		Lock:   uint32(l),
-		Var:    next,
-		Val:    GrantValue(h.node),
-		Epoch:  g.epoch,
-	}
-	notice := wire.Message{
-		Type:   wire.THandoff,
-		Group:  uint32(gid),
-		Src:    int32(n.id),
-		Origin: int32(n.id),
-		Seq:    uint64(next),
-		Lock:   uint32(l),
-		Var:    epoch,
-		Val:    GrantValue(h.node),
-		Epoch:  g.epoch,
-	}
+	n.emit(obs.EvHandoff, gid, int64(l), int64(h.Node))
+	// The direct grant carries this node's applied watermark: the closing
+	// section's writes are all sequenced at or below it (the handoff only
+	// fires with every echo confirmed), so the new holder defers entry
+	// until its own stream covers that prefix — the GWC data-before-lock
+	// guarantee, kept without the root on the path.
+	hdr := n.hdr(g)
+	direct := hdr.HandoffGrant(uint32(l), h.Node, next, h.Token, g.nextSeq-1)
+	notice := hdr.HandoffNotice(uint32(l), h.Node, epoch, next)
 	ph := &handoffNotice{msg: notice, doneEpoch: next}
 	n.arm(&ph.bo, now, n.boBase(), n.boCap())
 	lk.pendingHandoff = ph
@@ -305,7 +269,7 @@ func (n *Node) handoffRelease(gid GroupID, g *memberGroup, l LockID, lk *memberL
 	g.lock.notifyAll()
 	root := g.rootID
 	n.mu.Unlock()
-	if err := n.ep.Send(h.node, direct); err != nil {
+	if err := n.ep.Send(h.Node, direct); err != nil {
 		return err
 	}
 	return n.ep.Send(root, notice)
@@ -313,7 +277,7 @@ func (n *Node) handoffRelease(gid GroupID, g *memberGroup, l LockID, lk *memberL
 
 // handleHandoff processes a direct grant at the designated waiter. A
 // root-bound notice that strays here (a deposed ex-root the sender
-// still follows) fails the Val check and is dropped; the sender's
+// still follows) names another node and is dropped; the sender's
 // notice retries converge on the live root. Caller holds n.mu.
 func (n *Node) handleHandoff(g *memberGroup, m *wire.Message) {
 	if m.Epoch != g.epoch {
@@ -324,7 +288,7 @@ func (n *Node) handleHandoff(g *memberGroup, m *wire.Message) {
 		}
 		return
 	}
-	if m.Val != GrantValue(n.id) {
+	if m.Holder() != n.id {
 		return // not ours to take: only the reigning root may arbitrate it
 	}
 	if g.rejoining || g.snapWanted {
@@ -334,7 +298,7 @@ func (n *Node) handleHandoff(g *memberGroup, m *wire.Message) {
 	lk := g.locks.at(LockID(m.Lock))
 	if g.nextSeq <= m.Seq {
 		// Data-before-lock: the handing-off holder's section writes are
-		// sequenced at or below its watermark (Seq). Entering before the
+		// sequenced at or below its watermark. Entering before the
 		// stream covers it would read stale guarded state, so the grant
 		// parks until reassembly catches up (deliverHandoffs).
 		g.parkHandoff(l, lk, m)
@@ -384,7 +348,7 @@ func (n *Node) deliverHandoffs(g *memberGroup) {
 			continue
 		}
 		g.unparkHandoff(lk)
-		if lk.grantEpoch >= m.Var {
+		if lk.grantEpoch >= m.EntryEpoch() {
 			continue // the sequenced confirm (or a later grant) superseded it
 		}
 		n.applyLock(g, m)
@@ -409,14 +373,12 @@ func (n *Node) tickLeases(gid GroupID, g *memberGroup, now time.Time) {
 		if le.used && le.expiry.Sub(now) < le.ttl/2 && le.renewB.ready(now) {
 			n.arm(&le.renewB, now, n.boBase(), n.boCap())
 			n.stats.LeaseRenewals++
-			// A renewal is a raw request frame carrying the lease's token
-			// and grant epoch in Var — ordinary request retries carry Var
-			// zero, which is how the root tells a renewal from a holder
-			// re-announcing a lost grant. It must not touch the want/token
-			// machinery: no acquisition is outstanding.
-			m := n.lockReqFrame(g, l, le.token)
-			m.Var = le.epoch
-			n.send(g.rootID, m)
+			// A renewal is a request frame quoting the lease's token and
+			// entry epoch — ordinary request retries quote none, which is
+			// how the root tells a renewal from a holder re-announcing a
+			// lost grant. It must not touch the want/token machinery: no
+			// acquisition is outstanding.
+			n.send(g.rootID, n.hdr(g).LeaseRenew(uint32(l), le.token, le.epoch))
 		}
 	}
 	for _, l := range g.busyLocks {
@@ -443,7 +405,7 @@ func (n *Node) dropLeases(g *memberGroup) {
 	dropped := false
 	for _, l := range g.busyLocks {
 		lk := &g.locks.recs[l]
-		if lk.lease == nil && !lk.hint.set && lk.pendingHandoff == nil && lk.handoffIn == nil {
+		if lk.lease == nil && !lk.hint.Set && lk.pendingHandoff == nil && lk.handoffIn == nil {
 			continue
 		}
 		dropped = true
@@ -452,7 +414,7 @@ func (n *Node) dropLeases(g *memberGroup) {
 			lk.lockDone = max(lk.lockDone, le.epoch)
 		}
 		lk.lease = nil
-		lk.hint = handoffHint{}
+		lk.hint = wire.Hint{}
 		lk.pendingHandoff = nil
 		g.unparkHandoff(lk)
 	}
@@ -475,38 +437,34 @@ func (n *Node) maybeLease(r *rootGroup, l LockID, ls *lockState, winner int) {
 	ls.leaseEpoch = h.epoch
 	ls.leaseToken = h.token
 	ls.revokeB.reset()
-	n.stats.LeaseGrants++
 	n.emit(obs.EvLeaseGrant, r.cfg.ID, int64(l), int64(winner))
-	n.send(winner, wire.Message{
-		Type:     wire.TLeaseGrant,
-		Group:    uint32(r.cfg.ID),
-		Src:      int32(n.id),
-		Origin:   int32(ls.leaseToken),
-		Lock:     uint32(l),
-		Var:      ls.leaseEpoch,
-		Deadline: int64(n.leaseTTL),
-		Epoch:    r.epoch,
-	})
+	n.sendLease(r, l, ls)
+}
+
+// sendLease grants, or extends, the lease on ls to its leaseholder.
+// Caller holds n.mu.
+func (n *Node) sendLease(r *rootGroup, l LockID, ls *lockState) {
+	n.stats.LeaseGrants++
+	n.send(ls.leaseTo, n.rootHdr(r).LeaseGrant(uint32(l), ls.leaseEpoch, ls.leaseToken, n.leaseTTL))
 }
 
 // reserveHint designates the head queued waiter as the new winner's
-// direct-handoff target and returns it packed for the grant multicast's
-// Deadline field (zero = no hint). The waiter is peeked, not popped:
-// installHandoff dequeues it if the transfer happens, and the classic
-// churn grants it if not. Caller holds n.mu.
-func (n *Node) reserveHint(r *rootGroup, ls *lockState, winner int) int64 {
+// direct-handoff target and returns it for the grant multicast. The
+// waiter is peeked, not popped: installHandoff dequeues it if the
+// transfer happens, and the classic churn grants it if not. Caller holds
+// n.mu.
+func (n *Node) reserveHint(r *rootGroup, ls *lockState, winner int) wire.Hint {
 	ls.hintNode = -1
 	if !n.leasing() || ls.sole() == nil || len(ls.queue) == 0 {
-		return 0
+		return wire.Hint{}
 	}
 	w := ls.queue[0]
 	if w.session != 0 || w.node == n.id || w.node == winner {
-		return 0 // only an exclusive waiter can take an exclusive section over
+		return wire.Hint{} // only an exclusive waiter can take an exclusive section over
 	}
 	ls.hintNode = w.node
 	ls.hintToken = w.token
-	// node+1 keeps node 0 distinguishable from "no hint".
-	return int64(w.token)<<32 | int64(uint32(w.node+1))
+	return wire.Hint{Node: w.node, Token: w.token, Set: true}
 }
 
 // sendLeaseRevoke demands a leased lock back from its holder and arms
@@ -514,16 +472,7 @@ func (n *Node) reserveHint(r *rootGroup, ls *lockState, winner int) int64 {
 func (n *Node) sendLeaseRevoke(r *rootGroup, l LockID, ls *lockState, now time.Time) {
 	n.stats.LeaseRevokes++
 	n.arm(&ls.revokeB, now, n.boBase(), n.boCap())
-	n.send(ls.leaseTo, wire.Message{
-		Type:   wire.TLeaseGrant,
-		Group:  uint32(r.cfg.ID),
-		Src:    int32(n.id),
-		Origin: int32(ls.leaseToken),
-		Lock:   uint32(l),
-		Var:    ls.leaseEpoch,
-		// Deadline zero is the revoke demand.
-		Epoch: r.epoch,
-	})
+	n.send(ls.leaseTo, n.rootHdr(r).LeaseRevoke(uint32(l), ls.leaseEpoch, ls.leaseToken))
 }
 
 // tickRootLeases re-sends due revoke demands: while a leased lock has
@@ -554,7 +503,7 @@ func (n *Node) rootLeaseRet(r *rootGroup, m *wire.Message) {
 	l := LockID(m.Lock)
 	ls := r.lock(l)
 	origin := int(m.Origin)
-	if !ls.holdsAt(origin, m.Var) {
+	if !ls.holdsAt(origin, m.EntryEpoch()) {
 		return // stale or duplicate return
 	}
 	n.stats.LeaseReturns++
@@ -570,19 +519,18 @@ func (n *Node) rootLeaseRet(r *rootGroup, m *wire.Message) {
 func (n *Node) rootHandoff(r *rootGroup, m *wire.Message) {
 	l := LockID(m.Lock)
 	ls := r.lock(l)
-	from := int(m.Origin)
-	w := holderOf(m.Val)
+	from, w := int(m.Origin), m.Holder()
 	if w < 0 || w == n.id || !r.cfg.memberOf(w) || !r.cfg.memberOf(from) {
 		return
 	}
-	if !ls.holdsAt(from, m.Var) {
+	if !ls.holdsAt(from, m.EntryEpoch()) {
 		return // already committed (duplicate notice) or stale
 	}
 	if ls.sole() == nil {
 		n.protoErr("gwc: node %d got handoff notice for lock %d outside an exclusive section", n.id, l)
 		return
 	}
-	if uint32(m.Seq) != ls.epoch+1 {
+	if m.Reserved() != ls.epoch+1 {
 		return // reserved an epoch this manager would not mint next
 	}
 	n.installHandoff(r, l, ls, from, w)
@@ -633,19 +581,6 @@ func (n *Node) installHandoff(r *rootGroup, l LockID, ls *lockState, from, w int
 	ls.hintNode = -1
 	n.stats.HandoffCommits++
 	n.emit(obs.EvHandoff, r.cfg.ID, int64(l), int64(w))
-	msg := wire.Message{
-		Type:    wire.TSeqLock,
-		Group:   uint32(r.cfg.ID),
-		Src:     int32(n.id),
-		Origin:  int32(tok),
-		Lock:    uint32(l),
-		Var:     ls.epoch,
-		Val:     GrantValue(w),
-		Session: 0,
-	}
-	if h := n.reserveHint(r, ls, w); h != 0 {
-		msg.Deadline = h
-	}
-	n.multicast(r, msg)
+	n.multicast(r, n.rootHdr(r).Entry(uint32(l), 0, w, ls.epoch, tok, n.reserveHint(r, ls, w)))
 	n.maybeLease(r, l, ls, w)
 }

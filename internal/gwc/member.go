@@ -168,7 +168,7 @@ type memberLock struct {
 	// newest grant; pendingHandoff the unacknowledged root-bound notice;
 	// handoffIn a direct grant parked on its sequence watermark.
 	lease          *memberLease
-	hint           handoffHint
+	hint           wire.Hint
 	pendingHandoff *handoffNotice
 	handoffIn      *wire.Message
 
@@ -179,6 +179,9 @@ type memberLock struct {
 	// lock.
 	spec        Interrupt
 	specSession uint32
+	// rolled marks that spec has fired (sawEntry): until ResumeInsharing
+	// ends the rollback, Write refuses the lock's guarded variables.
+	rolled bool
 }
 
 // value projects the paper's lock word from the record: the grant of an
@@ -250,8 +253,7 @@ type memberGroup struct {
 	busyLocks []LockID
 	busyVars  []VarID
 
-	// storeSeq stamps every guarded update with a per-group nonce
-	// (carried in the frame's otherwise-unused Deadline field) so the
+	// storeSeq stamps every guarded update with a per-group nonce so the
 	// root can tell a loss-recovery re-send from a fresh store and
 	// disposition each store exactly once (see rootUpdate).
 	storeSeq uint64
@@ -292,7 +294,7 @@ type memberGroup struct {
 	// it served per member and answers retries idempotently instead of
 	// re-freeing locks the member may have re-acquired since.
 	rejoining   bool
-	joinToken   uint32
+	joinToken   uint64
 	rejoinBegan time.Time
 
 	// Adaptive-retry schedules (backoff.go), one per resend path the
@@ -419,7 +421,7 @@ func markBusy[K ~uint32](list *[]K, busy *bool, id K) {
 func (g *memberGroup) sweepBusy() {
 	g.busyLocks = slices.DeleteFunc(g.busyLocks, func(l LockID) bool {
 		lk := &g.locks.recs[l]
-		lk.busy = !lk.reqSince.IsZero() || lk.parked > 0 || lk.lease != nil || lk.hint.set ||
+		lk.busy = !lk.reqSince.IsZero() || lk.parked > 0 || lk.lease != nil || lk.hint.Set ||
 			lk.pendingHandoff != nil || lk.handoffIn != nil
 		return !lk.busy
 	})
@@ -622,14 +624,7 @@ func (n *Node) maybeNack(g *memberGroup) {
 		}
 	}
 	n.stats.Nacks++
-	n.send(g.rootID, wire.Message{
-		Type:  wire.TNack,
-		Group: uint32(g.cfg.ID),
-		Src:   int32(n.id),
-		Seq:   g.nextSeq,
-		Val:   int64(maxSeq),
-		Epoch: g.epoch,
-	})
+	n.send(g.rootID, n.hdr(g).Nack(g.nextSeq, maxSeq))
 }
 
 // maybeSendAck tells the root how far this member's contiguous prefix
@@ -647,13 +642,7 @@ func (n *Node) maybeSendAck(g *memberGroup) {
 		return
 	}
 	g.acked = applied
-	n.send(g.rootID, wire.Message{
-		Type:  wire.TAck,
-		Group: uint32(g.cfg.ID),
-		Src:   int32(n.id),
-		Seq:   applied,
-		Epoch: g.epoch,
-	})
+	n.send(g.rootID, n.hdr(g).Ack(applied))
 }
 
 // applySeq applies one in-order sequenced message. Caller holds n.mu.
@@ -687,16 +676,7 @@ func (n *Node) applySeq(g *memberGroup, m *wire.Message) {
 // sendRelease hands a grant (or a session entry) back to the root,
 // quoting the entry epoch it closes. Caller holds n.mu.
 func (n *Node) sendRelease(g *memberGroup, l LockID, entryEpoch, session uint32) {
-	n.send(g.rootID, wire.Message{
-		Type:    wire.TLockRel,
-		Group:   uint32(g.cfg.ID),
-		Src:     int32(n.id),
-		Origin:  int32(n.id),
-		Lock:    uint32(l),
-		Var:     entryEpoch,
-		Epoch:   g.epoch,
-		Session: session,
-	})
+	n.send(g.rootID, n.hdr(g).LockRel(uint32(l), entryEpoch, session))
 }
 
 // lostClaim records that the sequenced stream (or a re-base) put someone
@@ -721,26 +701,24 @@ func (lk *memberLock) caughtUp(epoch uint32) {
 }
 
 // applyLock installs one sequenced lock frame, the one reader of TSeqLock
-// (and of a direct handoff grant, which is laid out like the entry it
-// stands in for): an entry (Val > 0: the entrant's grant value, Session
-// its session, Var its entry epoch, Origin the token of the request it
-// answers, Deadline a packed handoff hint or 0), a holder leaving a
-// section that stays open (Val its request-encoded ID), or the close
-// (Val == Free). Caller holds n.mu.
+// (and of a direct handoff grant, which reads like the entry it stands
+// in for): an entry (the lock word names a holder), a holder leaving a
+// section that stays open (the word is its request), or the close (Free).
+// Caller holds n.mu.
 func (n *Node) applyLock(g *memberGroup, m *wire.Message) {
 	l := LockID(m.Lock)
 	lk := g.locks.at(l)
-	lk.caughtUp(m.Var)
+	lk.caughtUp(m.EntryEpoch())
 	switch {
-	case m.Val > 0:
+	case m.Holder() >= 0:
 		n.applyEntry(g, l, lk, m)
 		return
 	case m.Val == Free:
 		lk.held.in = lk.held.in[:0]
-		lk.hint = handoffHint{}
+		lk.hint = wire.Hint{}
 		lk.lostClaim()
 	case lk.held.session == m.Session:
-		lk.held.drop(holderOf(-m.Val))
+		lk.held.drop(m.Requester())
 	}
 	g.lock.notifyAll()
 }
@@ -754,8 +732,8 @@ func (n *Node) applyLock(g *memberGroup, m *wire.Message) {
 // on the spot, so a later acquisition cannot mistake it for its own.
 // Caller holds n.mu.
 func (n *Node) applyEntry(g *memberGroup, l LockID, lk *memberLock, m *wire.Message) {
-	s, epoch := m.Session, m.Var
-	h := holder{node: holderOf(m.Val), epoch: epoch, token: uint32(m.Origin)}
+	s, epoch := m.Session, m.EntryEpoch()
+	h := holder{node: m.Holder(), epoch: epoch, token: m.Token()}
 	self := h.node == n.id
 	if self && epoch <= lk.lockDone {
 		// Stale duplicate of an entry this node already finished with (a
@@ -801,15 +779,13 @@ func (n *Node) applyEntry(g *memberGroup, l LockID, lk *memberLock, m *wire.Mess
 	// Capture (or clear) the handoff target the root designated for this
 	// entry. A re-announce without a hint clears a stale one: the queue
 	// the old hint peeked no longer exists.
-	lk.hint = handoffHint{}
+	lk.hint = wire.Hint{}
 	if self {
 		// Acquisition complete: stop the watchdog's clock on it.
 		lk.reqSince = time.Time{}
-		if hint := m.Deadline; hint != 0 && n.leasing() {
-			if wn := int(uint32(hint)) - 1; wn >= 0 && wn != n.id {
-				lk.hint = handoffHint{node: wn, token: uint32(hint >> 32), set: true}
-				markBusy(&g.busyLocks, &lk.busy, l)
-			}
+		if hint := m.Hint(); hint.Set && hint.Node != n.id && n.leasing() {
+			lk.hint = hint
+			markBusy(&g.busyLocks, &lk.busy, l)
 		}
 	} else {
 		lk.lostClaim()
@@ -839,7 +815,7 @@ func (n *Node) install(g *memberGroup, l LockID, sec *holderSet, epoch uint32) {
 		lk.held.put(h)
 	}
 	lk.sawGrant(epoch)
-	lk.hint = handoffHint{}
+	lk.hint = wire.Hint{}
 	if lk.held.has(n.id) {
 		lk.reqSince = time.Time{}
 	} else {
@@ -902,36 +878,35 @@ func (n *Node) group(id GroupID) (*memberGroup, error) {
 func (n *Node) Write(gid GroupID, v VarID, val int64) error {
 	n.mu.Lock()
 	g, mv, err := n.varOf(gid, v)
+	if err == nil && mv.guarded && g.locks.at(mv.guard).rolled {
+		// The speculation on the guard has been interrupted, and its own
+		// entry may land before its body returns: a write now would go out
+		// tagged post-grant and be sequenced — a value the re-execution
+		// overwrites, but one an unguarded reader elsewhere could see. No
+		// write of the section leaves the node until its rollback.
+		err = fmt.Errorf("gwc: node %d write to var %d of group %d: %w", n.id, v, gid, ErrRolledBack)
+	}
 	if err != nil {
 		n.mu.Unlock()
 		return err
 	}
 	mv.val, mv.written = val, true
 	g.data.notifyAll()
-	root := g.rootID
-	msg := wire.Message{
-		Type:    wire.TUpdate,
-		Group:   uint32(gid),
-		Src:     int32(n.id),
-		Origin:  int32(n.id),
-		Var:     uint32(v),
-		Val:     val,
-		Guarded: mv.guarded,
-		Epoch:   g.epoch,
-	}
-	if mv.guarded {
+	root, hdr := g.rootID, n.hdr(g)
+	var msg wire.Message
+	if !mv.guarded {
+		msg = hdr.Update(uint32(v), val)
+	} else {
 		// Epoch tag: the root accepts this write only if it is post-grant
 		// (tag == current epoch) or a clean speculation (tag+1 == current
 		// epoch). A clean speculation provably never rolls back, so a
 		// rolled-back section's stale writes can never slip in behind its
 		// queued grant — a hole the paper's unconditional critical
-		// sections never exposed.
-		msg.Seq = uint64(g.locks.at(mv.guard).grantEpoch)
-		// Per-store nonce (in the Deadline field, unused by updates):
-		// lets the root disposition this store exactly once even when
-		// the up-path loss recovery re-ships its frame.
+		// sections never exposed. The per-store nonce lets the root
+		// disposition this store exactly once even when the up-path loss
+		// recovery re-ships its frame.
 		g.storeSeq++
-		msg.Deadline = int64(g.storeSeq)
+		msg = hdr.GuardedUpdate(uint32(v), val, g.locks.at(mv.guard).grantEpoch, g.storeSeq)
 		// Remember the newest eager store so applyData can tell this
 		// write's echo apart from echoes of older, superseded stores —
 		// and restore it if a failover snapshot rolled the copy back.
@@ -1159,24 +1134,7 @@ func (n *Node) lockRequest(g *memberGroup, l LockID, lk *memberLock, now time.Ti
 	}
 	n.arm(&lk.reqB, now, n.boBase(), n.boCap())
 	n.stats.LockRequests++
-	m := n.lockReqFrame(g, l, lk.reqToken)
-	m.Deadline, m.Session = lk.reqDeadline, lk.reqSession
-	return m
-}
-
-// lockReqFrame is the bare TLockReq for lock l carrying token: what an
-// acquisition request (lockRequest) and a lease renewal (tickLeases)
-// share. Caller holds n.mu.
-func (n *Node) lockReqFrame(g *memberGroup, l LockID, token uint32) wire.Message {
-	return wire.Message{
-		Type:   wire.TLockReq,
-		Group:  uint32(g.cfg.ID),
-		Src:    int32(n.id),
-		Origin: int32(n.id),
-		Seq:    uint64(token),
-		Lock:   uint32(l),
-		Epoch:  g.epoch,
-	}
+	return n.hdr(g).LockReq(uint32(l), lk.reqToken, lk.reqSession, lk.reqDeadline)
 }
 
 // retryLocks is the lock plane's loss recovery, run by the maintenance
@@ -1201,8 +1159,8 @@ func (n *Node) retryLocks(g *memberGroup, now time.Time) {
 	}
 }
 
-// ctxDeadline extracts a context's deadline as Unix nanoseconds for the
-// wire's Deadline field (0 = none).
+// ctxDeadline extracts a context's deadline as Unix nanoseconds, the
+// caller deadline a lock request quotes (0 = none).
 func ctxDeadline(ctx context.Context) int64 {
 	if d, ok := ctx.Deadline(); ok {
 		return d.UnixNano()
@@ -1350,14 +1308,7 @@ func (n *Node) CancelLockRequest(gid GroupID, l LockID) error {
 	lk.endRequest()
 	g.lock.notifyAll()
 	root := g.rootID
-	msg := wire.Message{
-		Type:   wire.TLockCancel,
-		Group:  uint32(gid),
-		Src:    int32(n.id),
-		Origin: int32(n.id),
-		Lock:   uint32(l),
-		Epoch:  g.epoch,
-	}
+	msg := n.hdr(g).LockCancel(uint32(l))
 	n.mu.Unlock()
 	return n.ep.Send(root, msg)
 }
@@ -1392,16 +1343,8 @@ func (n *Node) Release(gid GroupID, l LockID) error {
 	if handled, err := n.leaseRelease(gid, g, l, lk); handled {
 		return err
 	}
-	msg := wire.Message{
-		Type:    wire.TLockRel,
-		Group:   uint32(gid),
-		Src:     int32(n.id),
-		Origin:  int32(n.id),
-		Lock:    uint32(l),
-		Var:     h.epoch, // quoted so the root can discard stale duplicates
-		Epoch:   g.epoch,
-		Session: lk.held.session,
-	}
+	// The entry epoch is quoted so the root can discard stale duplicates.
+	msg := n.hdr(g).LockRel(uint32(l), h.epoch, lk.held.session)
 	lk.lockDone = max(lk.lockDone, h.epoch)
 	lk.held.drop(n.id)
 	lk.endRequest()
@@ -1423,7 +1366,8 @@ const (
 	HookSuspend
 )
 
-// ResumeInsharing replays parked updates and resumes normal delivery.
+// ResumeInsharing replays parked updates and resumes normal delivery: the
+// rollback is over, and Write takes the re-execution's writes again.
 func (n *Node) ResumeInsharing(gid GroupID) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -1432,6 +1376,9 @@ func (n *Node) ResumeInsharing(gid GroupID) error {
 		return err
 	}
 	g.suspended = false
+	for i := range g.locks.recs {
+		g.locks.recs[i].rolled = false
+	}
 	q := g.suspendQ
 	g.suspendQ = nil
 	for i := range q {

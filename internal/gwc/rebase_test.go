@@ -104,7 +104,7 @@ func TestEveryRebaseEntranceRevokesTheSame(t *testing.T) {
 			lk.held.put(holder{node: n.id, epoch: 4})
 			lk.lease = &memberLease{expiry: now.Add(time.Hour), epoch: 4}
 			arm(&lk.lease.renewB)
-			lk.hint = handoffHint{node: 2, token: 1, set: true}
+			lk.hint = wire.Hint{Node: 2, Token: 1, Set: true}
 			lk.pendingHandoff = &handoffNotice{doneEpoch: 6}
 			arm(&lk.pendingHandoff.bo)
 			arm(&lk.reqB)
@@ -132,7 +132,7 @@ func TestEveryRebaseEntranceRevokesTheSame(t *testing.T) {
 			}
 			for i := range g.locks.recs {
 				lk := &g.locks.recs[i]
-				if lk.lease != nil || lk.hint.set || lk.pendingHandoff != nil || lk.handoffIn != nil {
+				if lk.lease != nil || lk.hint.Set || lk.pendingHandoff != nil || lk.handoffIn != nil {
 					t.Errorf("lock %d keeps a claim against the old reign: %+v", i, *lk)
 				}
 				if lk.reqB != (backoff{}) {

@@ -80,22 +80,16 @@ func (n *Node) Rejoin(gid GroupID) error {
 	// with it, and the admission snapshot re-anchors them.
 	n.rebase(g, g.epoch, g.rootID, false)
 	g.rejoining = true
-	// Each attempt mints a fresh rejoin token, carried in Seq: the root
-	// remembers the last token it served and answers duplicates of the
-	// same attempt idempotently (see handleJoinReq). The stamp starts the
+	// Each attempt mints a fresh rejoin ticket: the root remembers the
+	// last ticket it served and answers duplicates of the same attempt
+	// idempotently (see handleJoinReq). The stamp starts the
 	// watchdog's clock; the re-base restarted every retry schedule from
 	// its base, and joinB is armed past the send below so the first tick
 	// retry waits out a full base delay.
 	g.joinToken++
 	g.rejoinBegan = n.clock.Now()
 	n.arm(&g.joinB, g.rejoinBegan, n.boBase(), n.boCap())
-	n.send(g.rootID, wire.Message{
-		Type:  wire.TJoinReq,
-		Group: uint32(gid),
-		Src:   int32(n.id),
-		Seq:   uint64(g.joinToken),
-		Epoch: g.epoch,
-	})
+	n.send(g.rootID, n.hdr(g).JoinReq(g.joinToken))
 	return nil
 }
 
@@ -112,14 +106,14 @@ func (n *Node) handleJoinReq(m *wire.Message) {
 			return
 		}
 		r.lastHeard[src] = n.clock.Now()
-		// Admission is idempotent per rejoin attempt: the token the member
-		// minted (Seq; 0 from pre-token senders, which always take the full
+		// Admission is idempotent per rejoin attempt: the ticket the member
+		// minted (0 from pre-ticket senders, which always take the full
 		// path) keys the destructive half. A duplicate TJoinReq — a retry
 		// whose original answer or snapshot was lost — must still be
 		// answered, but must NOT re-free locks: the member may have been
 		// admitted by the first copy and re-acquired a lock since, and
 		// freeing that one would hand its critical section to someone else.
-		token := m.Seq
+		token := m.Ticket()
 		if token == 0 || r.joinSeen[src] != token {
 			r.joinSeen[src] = token
 			// The rejoiner's volatile state is gone: drop it from every lock
@@ -140,16 +134,8 @@ func (n *Node) handleJoinReq(m *wire.Message) {
 				if h := ls.held.find(src); h != nil {
 					// Free only the rejoiner's own entry — under a session
 					// other holders' sections are live and must keep running.
-					n.rootHandle(r, &wire.Message{
-						Type:    wire.TLockRel,
-						Group:   uint32(gid),
-						Src:     int32(src),
-						Origin:  int32(src),
-						Lock:    uint32(l),
-						Var:     h.epoch,
-						Epoch:   r.epoch,
-						Session: ls.held.session,
-					})
+					rel := wire.Hdr{Group: uint32(gid), Src: int32(src), Epoch: r.epoch}.LockRel(uint32(l), h.epoch, ls.held.session)
+					n.rootHandle(r, &rel)
 				}
 			}
 			// Its acked prefix died with its memory; the quorum watermark
@@ -158,14 +144,7 @@ func (n *Node) handleJoinReq(m *wire.Message) {
 			n.stats.Rejoins++
 			n.emit(obs.EvRejoined, gid, int64(src), int64(r.epoch))
 		}
-		n.send(src, wire.Message{
-			Type:  wire.TJoinAck,
-			Group: uint32(gid),
-			Src:   int32(n.id),
-			Seq:   r.ring.seq(),
-			Val:   int64(n.id),
-			Epoch: r.epoch,
-		})
+		n.send(src, n.rootHdr(r).JoinAck(r.ring.seq(), n.id))
 		n.rootSnapSend(r, src)
 		return
 	}
@@ -237,13 +216,7 @@ func (n *Node) SyncContext(ctx context.Context, gid GroupID) error {
 	// re-sends every pending token on its backoff schedule (roots dedupe
 	// by token). A root node syncing its own group sends to itself, like
 	// its writes do.
-	n.send(g.rootID, wire.Message{
-		Type:  wire.TSyncReq,
-		Group: uint32(gid),
-		Src:   int32(n.id),
-		Seq:   tok,
-		Epoch: g.epoch,
-	})
+	n.send(g.rootID, n.hdr(g).SyncReq(tok))
 	n.mu.Unlock()
 	select {
 	case <-ctx.Done():
@@ -265,11 +238,11 @@ func (n *Node) SyncContext(ctx context.Context, gid GroupID) error {
 // handleSyncAck wakes the Sync caller whose token the root echoed.
 // Caller holds n.mu.
 func (n *Node) handleSyncAck(g *memberGroup, m *wire.Message) {
-	sw, ok := g.syncPending[m.Seq]
+	sw, ok := g.syncPending[m.Ticket()]
 	if !ok {
 		return // cancelled, or a duplicate answer
 	}
-	delete(g.syncPending, m.Seq)
+	delete(g.syncPending, m.Ticket())
 	sw.ok = true
 	close(sw.ch)
 }

@@ -325,14 +325,7 @@ func (n *Node) rootHandle(r *rootGroup, m *wire.Message) {
 			// reign so it resyncs; its retry then arrives with the right
 			// epoch.
 			n.stats.StaleEpochRejected++
-			n.send(int(m.Src), wire.Message{
-				Type:  wire.THeartbeat,
-				Group: uint32(r.cfg.ID),
-				Src:   int32(n.id),
-				Seq:   r.ring.seq(),
-				Val:   int64(n.id),
-				Epoch: r.epoch,
-			})
+			n.send(int(m.Src), n.rootHdr(r).Heartbeat(r.ring.seq(), n.id))
 		}
 		// A higher epoch means this node has itself been deposed; the new
 		// root's heartbeat will demote it through the member path.
@@ -399,11 +392,10 @@ func (n *Node) rootUpdate(r *rootGroup, m *wire.Message) {
 		// already sequenced or suppressed. Re-sequencing it would let an
 		// old value overtake a newer one, and re-suppressing it would
 		// double-count one rollback.
-		if i := r.cfg.indexOf(int(m.Origin)); m.Deadline != 0 && i >= 0 {
+		if i, nonce := r.cfg.indexOf(int(m.Origin)), m.Nonce(); nonce != 0 && i >= 0 {
 			if rv.seen == nil {
 				rv.seen = make([]uint64, len(r.cfg.Members))
 			}
-			nonce := uint64(m.Deadline)
 			if nonce <= rv.seen[i] {
 				return
 			}
@@ -433,28 +425,20 @@ func (n *Node) rootUpdate(r *rootGroup, m *wire.Message) {
 			// write is proof the peer transfer happened and the notice is
 			// still in flight: commit the handoff first (lease.go), then
 			// judge the write against the updated record.
-			if !n.inferHandoff(r, guard, ls, int(m.Origin), uint32(m.Seq)) {
+			if !n.inferHandoff(r, guard, ls, int(m.Origin), m.Tag()) {
 				n.stats.Suppressed++
 				n.emit(obs.EvSuppressed, r.cfg.ID, int64(m.Var), obs.ReasonNotHolder)
 				return
 			}
 		}
-		if m.Seq < uint64(ls.foreignEpoch) {
+		if m.Tag() < ls.foreignEpoch {
 			n.stats.Suppressed++
 			n.emit(obs.EvSuppressed, r.cfg.ID, int64(m.Var), obs.ReasonStaleGrant)
 			return
 		}
 	}
 	rv.auth, rv.written = m.Val, true
-	n.multicast(r, wire.Message{
-		Type:    wire.TSeqUpdate,
-		Group:   m.Group,
-		Src:     int32(n.id),
-		Origin:  m.Origin,
-		Var:     m.Var,
-		Val:     m.Val,
-		Guarded: m.Guarded,
-	})
+	n.multicast(r, n.rootHdr(r).SeqUpdate(m.Origin, m.Var, m.Val, m.Guarded))
 }
 
 // rootLockReq queues or grants a lock request. A retry from a current
@@ -468,9 +452,8 @@ func (n *Node) rootLockReq(r *rootGroup, m *wire.Message) {
 	l := LockID(m.Lock)
 	ls := r.lock(l)
 	origin := int(m.Origin)
-	token := uint32(m.Seq)
-	sess := m.Session
-	if m.Deadline != 0 && m.Deadline <= n.clock.Now().UnixNano() {
+	token, deadline, sess := m.Token(), m.CallerDeadline(), m.Session
+	if deadline != 0 && deadline <= n.clock.Now().UnixNano() {
 		// The caller already gave up on this acquisition; queueing (or
 		// re-announcing) would grant into the void and bounce. Its cancel
 		// is on the way — and if the grant raced ahead of the deadline,
@@ -485,26 +468,16 @@ func (n *Node) rootLockReq(r *rootGroup, m *wire.Message) {
 			// watermark. serviceQuorum sends it when commit catches up.
 			return
 		}
-		if n.leasing() && ls.leaseTo == origin && m.Var != 0 &&
-			m.Var == ls.leaseEpoch && h.token == token {
-			// Lease renewal: the holder quotes its lease's grant epoch in
-			// Var (ordinary retries carry zero) and its granted token.
-			// Extend while nobody waits; with waiters the answer is the
-			// revoke demand, re-sent here in case the original was lost.
+		if renews := m.EntryEpoch(); n.leasing() && ls.leaseTo == origin && renews != 0 &&
+			renews == ls.leaseEpoch && h.token == token {
+			// Lease renewal: the holder quotes its lease's entry epoch
+			// (ordinary retries quote none) and its granted token. Extend
+			// while nobody waits; with waiters the answer is the revoke
+			// demand, re-sent here in case the original was lost.
 			now := n.clock.Now()
 			if len(ls.queue) == 0 {
 				ls.leaseExpiry = now.Add(n.leaseTTL)
-				n.stats.LeaseGrants++
-				n.send(origin, wire.Message{
-					Type:     wire.TLeaseGrant,
-					Group:    uint32(r.cfg.ID),
-					Src:      int32(n.id),
-					Origin:   int32(ls.leaseToken),
-					Lock:     uint32(l),
-					Var:      ls.leaseEpoch,
-					Deadline: int64(n.leaseTTL),
-					Epoch:    r.epoch,
-				})
+				n.sendLease(r, l, ls)
 			} else {
 				n.sendLeaseRevoke(r, l, ls, now)
 			}
@@ -514,16 +487,7 @@ func (n *Node) rootLockReq(r *rootGroup, m *wire.Message) {
 		// if they differ the member has moved on to a new acquisition and
 		// must decline this entry (its decline releases it here and its
 		// retry re-queues the new request).
-		n.multicast(r, wire.Message{
-			Type:    wire.TSeqLock,
-			Group:   uint32(r.cfg.ID),
-			Src:     int32(n.id),
-			Origin:  int32(h.token),
-			Lock:    uint32(l),
-			Var:     h.epoch,
-			Val:     GrantValue(origin),
-			Session: ls.held.session,
-		})
+		n.multicast(r, n.rootHdr(r).Entry(uint32(l), ls.held.session, origin, h.epoch, h.token, wire.Hint{}))
 		return
 	}
 	for i := range ls.queue {
@@ -534,7 +498,7 @@ func (n *Node) rootLockReq(r *rootGroup, m *wire.Message) {
 			// Either way the retry's deadline is the freshest word on when
 			// the caller gives up.
 			ls.queue[i].token = token
-			ls.queue[i].deadline = m.Deadline
+			ls.queue[i].deadline = deadline
 			ls.queue[i].session = sess
 			return
 		}
@@ -547,10 +511,10 @@ func (n *Node) rootLockReq(r *rootGroup, m *wire.Message) {
 			// line up behind it instead — the open session drains and the
 			// waiter gets its turn within one section churn.
 			n.stats.SessionJoins++
-			n.grant(r, l, ls, lockWaiter{origin, token, m.Deadline, sess})
+			n.grant(r, l, ls, lockWaiter{origin, token, deadline, sess})
 			return
 		}
-		ls.queue = append(ls.queue, lockWaiter{origin, token, m.Deadline, sess})
+		ls.queue = append(ls.queue, lockWaiter{origin, token, deadline, sess})
 		n.emit(obs.EvLockQueued, r.cfg.ID, int64(l), int64(origin))
 		if ls.leaseTo >= 0 {
 			// The lock is leased out and now has a waiter: demand it back.
@@ -563,7 +527,7 @@ func (n *Node) rootLockReq(r *rootGroup, m *wire.Message) {
 	// A free lock always designates the requester immediately; grant
 	// itself defers the multicast when the quorum watermark has not
 	// caught up, so the lock never sits holderless across the park.
-	n.grant(r, l, ls, lockWaiter{origin, token, m.Deadline, sess})
+	n.grant(r, l, ls, lockWaiter{origin, token, deadline, sess})
 }
 
 // rootLockRel removes origin from the holder set, validating the quoted
@@ -574,12 +538,12 @@ func (n *Node) rootLockRel(r *rootGroup, m *wire.Message) {
 	l := LockID(m.Lock)
 	ls := r.lock(l)
 	origin := int(m.Origin)
-	if !ls.holdsAt(origin, m.Var) {
+	if !ls.holdsAt(origin, m.EntryEpoch()) {
 		// A release quoting exactly the epoch the newest handoff hint
 		// reserved is the new holder already leaving a section this
 		// manager has not committed yet (the notice is in flight): commit
 		// the transfer first, then re-validate (lease.go).
-		if !n.inferHandoff(r, l, ls, origin, m.Var) || !ls.holdsAt(origin, m.Var) {
+		if e := m.EntryEpoch(); !n.inferHandoff(r, l, ls, origin, e) || !ls.holdsAt(origin, e) {
 			return // stale or duplicate release
 		}
 	}
@@ -625,16 +589,8 @@ func (n *Node) rootLockCancel(r *rootGroup, m *wire.Message) {
 // observe (and build on) writes that a root failover could lose; the
 // winner itself is designated at once (see lockState.pending).
 func (n *Node) leaveLock(r *rootGroup, l LockID, ls *lockState, origin int) {
-	sess := ls.held.session
-	notice := wire.Message{
-		Type:    wire.TSeqLock,
-		Group:   uint32(r.cfg.ID),
-		Src:     int32(n.id),
-		Lock:    uint32(l),
-		Var:     n.leave(ls, origin),
-		Val:     RequestValue(origin),
-		Session: sess,
-	}
+	hdr, sess := n.rootHdr(r), ls.held.session
+	notice := hdr.Leave(uint32(l), sess, origin, n.leave(ls, origin))
 	if !ls.free() {
 		// The session stays open; tell the group this holder is out so
 		// member-side holder sets (and waiters on them) stay exact.
@@ -652,15 +608,7 @@ func (n *Node) leaveLock(r *rootGroup, l LockID, ls *lockState, origin int) {
 	if !ok {
 		// Nobody waiting: propagate the free value to all group memories.
 		n.emit(obs.EvLockFree, r.cfg.ID, int64(l), 0)
-		n.multicast(r, wire.Message{
-			Type:    wire.TSeqLock,
-			Group:   uint32(r.cfg.ID),
-			Src:     int32(n.id),
-			Lock:    uint32(l),
-			Var:     ls.epoch,
-			Val:     Free,
-			Session: sess,
-		})
+		n.multicast(r, hdr.Close(uint32(l), sess, ls.epoch))
 		return
 	}
 	if sess != 0 {
@@ -764,32 +712,18 @@ func (n *Node) sendGrant(r *rootGroup, l LockID, ls *lockState, winner int) {
 		ls.deferredAt = time.Time{}
 	}
 	n.emit(obs.EvLockGrant, r.cfg.ID, int64(l), int64(winner))
-	h := ls.held.find(winner)
-	msg := wire.Message{
-		Type:    wire.TSeqLock,
-		Group:   uint32(r.cfg.ID),
-		Src:     int32(n.id),
-		Origin:  int32(h.token),
-		Lock:    uint32(l),
-		Var:     h.epoch,
-		Val:     GrantValue(winner),
-		Session: ls.held.session,
-	}
 	// Piggyback the head waiter as the winner's direct-handoff target
 	// (lease.go); with nobody queued, lease the lock to the winner
-	// instead. Deadline is unused by classic grants, so old members
-	// ignore the packing.
-	if h := n.reserveHint(r, ls, winner); h != 0 {
-		msg.Deadline = h
-	}
-	n.multicast(r, msg)
+	// instead.
+	h := ls.held.find(winner)
+	n.multicast(r, n.rootHdr(r).Entry(uint32(l), ls.held.session, winner, h.epoch, h.token, n.reserveHint(r, ls, winner)))
 	n.maybeLease(r, l, ls, winner)
 }
 
 // rootNack retransmits the sequenced range [m.Seq, m.Val] to the
 // requester, as far back as the ring's retained window still reaches.
 func (n *Node) rootNack(r *rootGroup, m *wire.Message) {
-	from, to := m.Seq, uint64(m.Val)
+	from, to := m.Range()
 	if to > r.ring.seq() {
 		to = r.ring.seq()
 	}
@@ -806,7 +740,7 @@ func (n *Node) rootNack(r *rootGroup, m *wire.Message) {
 	}
 	// Packed into batch frames when batching is on, so the repair of a
 	// dropped batch costs as few frames as the original.
-	n.sendStream(int(m.Src), r.cfg.ID, r.epoch, out)
+	n.sendStream(int(m.Src), out)
 }
 
 // multicast stamps the next sequence number on a down-message, records it

@@ -23,10 +23,12 @@ type Interrupt interface {
 // sawEntry fires the interrupt of the section speculating on the lock
 // when node — another node than self — was seen entering a session that
 // the speculation's own does not share: the root sequenced an
-// incompatible section ahead of it. Caller holds n.mu.
+// incompatible section ahead of it. From then until the rollback the
+// section's writes are refused (Write): its own entry may land before its
+// body returns. Caller holds n.mu.
 func (g *memberGroup) sawEntry(lk *memberLock, node, self int, session uint32) {
 	if lk.spec != nil && node != self && !shares(lk.specSession, session) && lk.spec.Fire() == HookSuspend {
-		g.suspended = true
+		g.suspended, lk.rolled = true, true
 	}
 }
 

@@ -57,18 +57,9 @@ func (t *table[K, T]) at(id K) *T {
 
 // idsOK reports whether the lock or variable ID a received message names
 // fits the tables; one that does not is counted and recorded, and the
-// caller discards the message. Which field is an ID depends on the type:
-// Var doubles as a grant epoch on the lock plane. Caller holds n.mu.
+// caller discards the message. Caller holds n.mu.
 func (n *Node) idsOK(m *wire.Message) bool {
-	id := uint32(0)
-	switch m.Type {
-	case wire.TUpdate, wire.TSeqUpdate, wire.TSnapVar:
-		id = m.Var
-	case wire.TLockReq, wire.TLockRel, wire.TLockCancel, wire.TSeqLock, wire.TSnapLock,
-		wire.TLeaseGrant, wire.TLeaseRet, wire.THandoff:
-		id = m.Lock
-	}
-	if id < maxRecords {
+	if m.ID() < maxRecords {
 		return true
 	}
 	n.stats.IDRangeDrops++

@@ -284,7 +284,7 @@ func busyListsOK(t *testing.T, n *Node, g *memberGroup) {
 	for i := range g.locks.recs {
 		lk := &g.locks.recs[i]
 		_, listed := slices.BinarySearch(g.busyLocks, LockID(i))
-		active := !lk.reqSince.IsZero() || lk.parked > 0 || lk.lease != nil || lk.hint.set || lk.pendingHandoff != nil || lk.handoffIn != nil
+		active := !lk.reqSince.IsZero() || lk.parked > 0 || lk.lease != nil || lk.hint.Set || lk.pendingHandoff != nil || lk.handoffIn != nil
 		if listed != lk.busy || (active && !listed) {
 			t.Errorf("node %d lock %d: listed=%v busy=%v active=%v", n.id, i, listed, lk.busy, active)
 		}
@@ -442,7 +442,7 @@ func TestEverySetterMarksItsRecord(t *testing.T) {
 	lk := g.locks.at(6)
 	lk.want, lk.reqToken = true, 9
 	n.applyLock(g, &wire.Message{Type: wire.TSeqLock, Lock: 6, Val: mine, Var: 1, Origin: 9, Deadline: int64(4)<<32 | int64(2+1)})
-	if !lk.hint.set {
+	if !lk.hint.Set {
 		t.Fatal("the grant's hint was not captured")
 	}
 	listed("a hinted grant", 6)
@@ -464,7 +464,7 @@ func TestEverySetterMarksItsRecord(t *testing.T) {
 	// A handoff notice awaiting the root (handoffRelease drops n.mu).
 	lk = g.locks.at(9)
 	lk.held.put(holder{node: n.id, epoch: 1})
-	if err := n.handoffRelease(tGroup, g, 9, lk, handoffHint{node: 2, token: 1, set: true}, n.clock.Now()); err != nil {
+	if err := n.handoffRelease(tGroup, g, 9, lk, wire.Hint{Node: 2, Token: 1, Set: true}, n.clock.Now()); err != nil {
 		t.Fatal(err)
 	}
 	n.mu.Lock()

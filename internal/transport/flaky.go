@@ -39,27 +39,14 @@ type FaultPlan struct {
 	// itself stays reliable when testing data-plane faults. Crash and
 	// partition faults ignore Spare: a dead node drops everything.
 	Spare []wire.Type
-	// DownOnly restricts faults to the root's retried down-path control
-	// responses: the sequenced multicast (TSeqUpdate/TSeqLock, including
-	// batch frames of them), which the GWC runtime repairs with
-	// NACK-driven retransmission, plus the rejoin/sync answers
-	// (TJoinAck/TSyncAck), which the requester re-requests every
+	// DownOnly restricts faults to the root-to-member frames whose loss a
+	// retry repairs (wire's Repairable): the sequenced multicast, which
+	// the GWC runtime repairs with NACK-driven retransmission, and the
+	// rejoin/sync answers, which the requester re-requests every
 	// maintenance tick. Up-path messages (update, lock request/release,
 	// NACK, ack, join/sync requests) pass through untouched, matching
 	// the paper's reliable member-to-root links.
 	DownOnly bool
-}
-
-// downPlane reports whether m travels a root-to-member path the
-// receiver's retry machinery repairs — a bare sequenced message, a
-// whole batch frame of them, or a rejoin/sync answer.
-func downPlane(m wire.Message) bool {
-	t := m.Type
-	if t == wire.TBatch && len(m.Batch) > 0 {
-		t = m.Batch[0].Type
-	}
-	return t == wire.TSeqUpdate || t == wire.TSeqLock ||
-		t == wire.TJoinAck || t == wire.TSyncAck
 }
 
 // spares reports whether the plan exempts t from probabilistic faults. On
@@ -342,7 +329,7 @@ func (e *flakyEndpoint) send(to int, m wire.Message, via sendFunc) error {
 	if f.plan.spares(m.Type) {
 		return via(e.inner, to, m)
 	}
-	if f.plan.DownOnly && !downPlane(m) {
+	if f.plan.DownOnly && !m.Repairable() {
 		return via(e.inner, to, m)
 	}
 	if f.plan.DropRate > 0 && f.roll() < f.plan.DropRate {

@@ -107,11 +107,11 @@ const (
 	// there. The root compares it against its digest checkpoint ring.
 	TDigestAck
 	// TLeaseGrant is the root's lock-lease message to the current holder:
-	// Deadline is the lease duration in nanoseconds (a fresh grant or an
-	// extension), or 0 — a revoke demand asking the holder to return the
-	// lease as soon as it is out of its section. Var carries the holder's
-	// grant epoch and Origin its request token, so a stale lease from a
-	// previous acquisition cannot be mistaken for the current one.
+	// a lease TTL (a fresh grant or an extension), or none — a revoke
+	// demand asking the holder to return the lease as soon as it is out of
+	// its section. It quotes the holder's entry epoch and request token,
+	// so a stale lease from a previous acquisition cannot be mistaken for
+	// the current one.
 	TLeaseGrant
 	// TLeaseRet returns a lease to the root: the member has released the
 	// lock locally (or answered a revoke demand) and the root should run
@@ -120,11 +120,9 @@ const (
 	TLeaseRet
 	// THandoff transfers a lock directly from a releasing holder to the
 	// next queued waiter the root hinted at grant time. Sent twice by the
-	// holder: to the waiter as a direct grant (Val = the waiter's grant
-	// value, Var = the root-reserved grant epoch, Origin = the waiter's
-	// request token) and to the root as an asynchronous notice (Var = the
-	// holder's own grant epoch, Seq = the reserved epoch, Val = the
-	// waiter's grant value) so the root can record the transfer. The root
+	// holder: to the waiter as a direct grant (HandoffGrant) and to the
+	// root as an asynchronous notice (HandoffNotice) so the root can
+	// record the transfer. The root
 	// stays the arbiter: a notice that no longer matches its lock state is
 	// discarded and the holder's release falls back to the normal path.
 	THandoff
@@ -190,18 +188,23 @@ func (t Type) String() string {
 // Message is one protocol message. Unused fields are zero; the codec
 // always transmits the full fixed layout (one branch-free encode/decode,
 // at the cost of a few bytes — the paper's updates are small anyway).
+//
+// Each field's comment gives its first meaning. Most fields carry other
+// operands on some kinds — a token, an entry epoch, a nonce, a hint, a
+// digest — and the table at the top of frames.go says which, kind by
+// kind. Build frames with the Hdr constructors there and read second
+// meanings through the views there, not through the raw fields.
 type Message struct {
 	Type   Type
 	Group  uint32 // sharing group
 	Src    int32  // sending node
-	Origin int32  // original writer (survives root re-multicast)
-	// Seq is the group sequence number on down messages and the NACK
-	// start; on guarded TUpdate messages it carries the origin's last
-	// applied grant epoch for the root's epoch validation.
+	Origin int32  // original writer (survives root re-multicast); on lock frames a node or a token
+	// Seq is the group sequence number on down messages (and the NACK
+	// start); on other kinds a token, a tag or an epoch (frames.go).
 	Seq  uint64
-	Var  uint32 // shared variable (TUpdate/TSeqUpdate)
+	Var  uint32 // shared variable; on lock frames an entry epoch (frames.go)
 	Lock uint32 // lock ID (lock messages)
-	Val  int64  // variable value, lock value, NACK end, or batch length
+	Val  int64  // variable value or lock word; a root, a digest, a NACK end or a batch length (frames.go)
 	// Guarded marks writes to variables inside a mutex data group: the
 	// root discards them from non-holders and origins drop their echoes.
 	Guarded bool
@@ -210,12 +213,12 @@ type Message struct {
 	// messages; either side rejects traffic from a stale epoch, so a
 	// revived old root cannot split the group after a failover.
 	Epoch uint32
-	// Deadline propagates the caller's context deadline (Unix
-	// nanoseconds; 0 means none) onto the wire, so the root can drop a
-	// request whose originator has already given up instead of granting
-	// into the void. Comparisons assume roughly synchronized clocks —
-	// the field is an optimization, never a correctness lever: an
-	// expired request's cancel (or silence) resolves it either way.
+	// Deadline is a lock request's caller deadline (Unix nanoseconds; 0
+	// means none), so the root can drop a request whose originator has
+	// already given up instead of granting into the void; comparisons
+	// assume roughly synchronized clocks, so it is an optimization, never a
+	// correctness lever. On other kinds it carries a store nonce, a lease
+	// TTL or a packed handoff hint (frames.go).
 	Deadline int64
 	// Session is the group-mutual-exclusion session a lock message
 	// belongs to: TLockReq carries the requested session, TSeqLock the

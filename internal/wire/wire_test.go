@@ -6,6 +6,7 @@ import (
 	"io"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -237,135 +238,155 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzReignFrames fuzzes the reign-control frames by field: the quorum
-// ack, the rejoin handshake (TJoinReq/TJoinAck), the durable-write
-// sync barrier (TSyncReq/TSyncAck), and the anti-entropy sweep
-// (TDigestReq/TDigestAck). Every field combination must survive both
-// the flat and the stream codec unchanged — these frames carry
-// sequence watermarks, epoch fences, and state digests, so a single
-// corrupted field silently un-fences a reign or fakes a divergence
-// verdict — and a corrupted type byte, a flipped checksum, or a
-// truncated frame must never decode at all.
-func FuzzReignFrames(f *testing.F) {
-	f.Add(uint8(0), uint32(2), int32(4), uint64(120), int64(0), uint32(3))
-	f.Add(uint8(2), uint32(1), int32(0), uint64(1)<<40, int64(1), uint32(7))
-	f.Add(uint8(4), uint32(9), int32(-1), uint64(9), int64(-5), uint32(0))
-	kinds := []Type{
-		TAck, TJoinReq, TJoinAck, TSyncReq, TSyncAck, TDigestReq, TDigestAck,
-		// The lease/handoff frames are reign-fenced control traffic too:
-		// a lease grant or a handoff notice that survives corruption
-		// would mint a phantom exclusive holder.
-		TLeaseGrant, TLeaseRet, THandoff,
+// checkFrame runs the checks every builder's frame must pass: it carries
+// h, has the fixed size, survives the flat and the stream codec unchanged,
+// and never decodes with a flipped CRC bit or from a truncated buffer. It
+// returns the decoded frame, for the caller to read its views.
+func checkFrame(t *testing.T, h Hdr, m Message) *Message {
+	t.Helper()
+	if m.Hdr() != h {
+		t.Fatalf("%v: header %+v, built with %+v", m.Type, m.Hdr(), h)
 	}
-	f.Fuzz(func(t *testing.T, kind uint8, group uint32, src int32, seq uint64, val int64, epoch uint32) {
-		m := Message{
-			Type:  kinds[int(kind)%len(kinds)],
-			Group: group,
-			Src:   src,
-			Seq:   seq,
-			Val:   val,
-			Epoch: epoch,
+	buf := Encode(nil, m)
+	if len(buf) != EncodedSize {
+		t.Fatalf("%v: encoded %d bytes, want %d", m.Type, len(buf), EncodedSize)
+	}
+	got, err := Decode(buf)
+	if err != nil {
+		t.Fatalf("%v: decode: %v", m.Type, err)
+	}
+	if !Equal(got, m) {
+		t.Fatalf("round trip changed frame:\n got %+v\nwant %+v", got, m)
+	}
+	var stream bytes.Buffer
+	if err := WriteTo(&stream, m); err != nil {
+		t.Fatal(err)
+	}
+	if sm, err := ReadFrom(&stream); err != nil || !Equal(sm, m) {
+		t.Fatalf("stream round trip: %+v (err %v), want %+v", sm, err, m)
+	}
+	bad := append([]byte(nil), buf...)
+	bad[len(bad)-1] ^= 0x01 // flip one CRC bit
+	if _, err := Decode(bad); err == nil {
+		t.Fatalf("%v: decode of flipped-CRC frame succeeded", m.Type)
+	}
+	for _, cut := range []int{len(buf) - 1, len(buf) / 2, 1} {
+		if _, err := Decode(buf[:cut]); err == nil {
+			t.Fatalf("%v: decode of frame truncated to %d bytes succeeded", m.Type, cut)
 		}
-		buf := Encode(nil, m)
-		if len(buf) != EncodedSize {
-			t.Fatalf("%v: encoded %d bytes, want %d", m.Type, len(buf), EncodedSize)
-		}
-		got, err := Decode(buf)
-		if err != nil {
-			t.Fatalf("%v: decode: %v", m.Type, err)
-		}
-		if !Equal(got, m) {
-			t.Fatalf("round trip changed frame:\n got %+v\nwant %+v", got, m)
-		}
-		var stream bytes.Buffer
-		if err := WriteTo(&stream, m); err != nil {
-			t.Fatal(err)
-		}
-		got, err = ReadFrom(&stream)
-		if err != nil || !Equal(got, m) {
-			t.Fatalf("stream round trip: %+v (err %v), want %+v", got, err, m)
-		}
-		bad := append([]byte(nil), buf...)
-		bad[0] = 250
-		if _, err := Decode(bad); err == nil {
-			t.Fatalf("decode of corrupted type byte succeeded")
-		}
-		bad = append(bad[:0], buf...)
-		bad[len(bad)-1] ^= 0x01 // flip one CRC bit
-		if _, err := Decode(bad); err == nil {
-			t.Fatalf("decode of flipped-CRC frame succeeded")
-		}
-		if _, err := Decode(buf[:len(buf)-1]); err == nil {
-			t.Fatalf("decode of truncated frame succeeded")
+	}
+	return &got
+}
+
+// FuzzReignFrames drives the reign-control builders — the quorum ack, the
+// NACK, the heartbeat, the rejoin handshake, the durable-write sync
+// barrier and the anti-entropy sweep — with fuzzed operands. These frames
+// carry sequence watermarks, epoch fences and state digests, so a single
+// misplaced operand silently un-fences a reign or fakes a divergence
+// verdict: every view must return what the frame was built with.
+func FuzzReignFrames(f *testing.F) {
+	f.Add(uint8(0), uint32(2), int32(4), uint32(3), uint64(120), int64(0))
+	f.Add(uint8(5), uint32(1), int32(0), uint32(7), uint64(1)<<40, int64(1))
+	f.Add(uint8(8), uint32(9), int32(-1), uint32(0), uint64(9), int64(-5))
+	f.Fuzz(func(t *testing.T, kind uint8, group uint32, src int32, epoch uint32, seq uint64, x int64) {
+		h := Hdr{Group: group, Src: src, Epoch: epoch}
+		digest, root := uint64(x), int(x)
+		switch kind % 10 {
+		case 0:
+			if m := checkFrame(t, h, h.Ack(seq)); m.Type != TAck || m.Seq != seq {
+				t.Fatalf("ack: %+v", m)
+			}
+		case 1:
+			if m := checkFrame(t, h, h.JoinReq(seq)); m.Type != TJoinReq || m.Ticket() != seq {
+				t.Fatalf("join request: %+v", m)
+			}
+		case 2:
+			if m := checkFrame(t, h, h.JoinAck(seq, root)); m.Type != TJoinAck || m.Seq != seq || m.Root() != root {
+				t.Fatalf("join answer: %+v", m)
+			}
+		case 3:
+			if m := checkFrame(t, h, h.SyncReq(seq)); m.Type != TSyncReq || m.Ticket() != seq {
+				t.Fatalf("sync request: %+v", m)
+			}
+		case 4:
+			if m := checkFrame(t, h, h.SyncAck(seq)); m.Type != TSyncAck || m.Ticket() != seq {
+				t.Fatalf("sync answer: %+v", m)
+			}
+		case 5:
+			if m := checkFrame(t, h, h.DigestReq(seq, digest)); m.Type != TDigestReq || m.Seq != seq || m.Digest() != digest || m.Repair() {
+				t.Fatalf("digest probe: %+v", m)
+			}
+		case 6:
+			if m := checkFrame(t, h, h.Repair(seq, digest)); m.Type != TDigestReq || m.Seq != seq || m.Digest() != digest || !m.Repair() {
+				t.Fatalf("repair directive: %+v", m)
+			}
+		case 7:
+			if m := checkFrame(t, h, h.DigestAck(seq, digest)); m.Type != TDigestAck || m.Seq != seq || m.Digest() != digest {
+				t.Fatalf("digest answer: %+v", m)
+			}
+		case 8:
+			if m := checkFrame(t, h, h.Heartbeat(seq, root)); m.Type != THeartbeat || m.Seq != seq || m.Root() != root {
+				t.Fatalf("heartbeat: %+v", m)
+			}
+		case 9:
+			if from, to := checkFrame(t, h, h.Nack(seq, digest)).Range(); from != seq || to != digest {
+				t.Fatalf("nack range [%d, %d], built [%d, %d]", from, to, seq, digest)
+			}
 		}
 	})
 }
 
-// FuzzLeaseFrames fuzzes the lease/handoff frames by field, over the
-// full set of fields they actually use: Origin carries a token or
-// node, Var a grant epoch, Seq a sequence watermark (THandoff) or
-// nothing, Deadline a TTL (grant), zero (revoke demand), or a packed
-// handoff hint (on grants), and Session stays zero — exclusive-only
-// protocols. Beyond the round trip, every frame must fail to decode
-// with a flipped CRC bit or a truncated buffer, and the layout must be
-// byte-identical to the established lock frames (same offsets, only
-// the type byte and the CRC trailer differ) so the new types cannot
-// have grown a divergent encoding.
+// FuzzLeaseFrames drives the lease and handoff builders — a lease grant
+// and its revoke demand, a lease return and a renewal, a direct handoff
+// grant and its notice — with fuzzed operands. Beyond the frame checks and
+// every view returning its operand, the layout must be byte-identical to
+// the established lock frames (same offsets, only the type byte and the
+// CRC trailer differ), so these kinds cannot have grown a divergent
+// encoding.
 func FuzzLeaseFrames(f *testing.F) {
-	f.Add(uint8(0), uint32(2), int32(0), int32(7), uint64(0), uint32(1), uint32(6), int64(0), int64(5e9), uint32(3))
-	f.Add(uint8(1), uint32(1), int32(4), int32(4), uint64(9), uint32(0), uint32(8), int64(0), int64(0), uint32(7))
-	f.Add(uint8(2), uint32(9), int32(4), int32(9), uint64(1)<<40, uint32(2), uint32(1<<31), int64(-3), int64(1)<<33|5, uint32(0))
-	kinds := []Type{TLeaseGrant, TLeaseRet, THandoff}
-	f.Fuzz(func(t *testing.T, kind uint8, group uint32, src, origin int32, seq uint64, lock, v uint32, val, deadline int64, epoch uint32) {
-		m := Message{
-			Type:     kinds[int(kind)%len(kinds)],
-			Group:    group,
-			Src:      src,
-			Origin:   origin,
-			Seq:      seq,
-			Lock:     lock,
-			Var:      v,
-			Val:      val,
-			Deadline: deadline,
-			Epoch:    epoch,
-		}
-		buf := Encode(nil, m)
-		if len(buf) != EncodedSize {
-			t.Fatalf("%v: encoded %d bytes, want %d", m.Type, len(buf), EncodedSize)
-		}
-		got, err := Decode(buf)
-		if err != nil {
-			t.Fatalf("%v: decode: %v", m.Type, err)
-		}
-		if !Equal(got, m) {
-			t.Fatalf("round trip changed frame:\n got %+v\nwant %+v", got, m)
-		}
-		if got.Session != 0 {
-			t.Fatalf("session field materialized from nowhere: %d", got.Session)
-		}
-		var stream bytes.Buffer
-		if err := WriteTo(&stream, m); err != nil {
-			t.Fatal(err)
-		}
-		got, err = ReadFrom(&stream)
-		if err != nil || !Equal(got, m) {
-			t.Fatalf("stream round trip: %+v (err %v), want %+v", got, err, m)
-		}
-		// Corruption must never decode.
-		bad := append([]byte(nil), buf...)
-		bad[len(bad)-1] ^= 0x01 // flip one CRC bit
-		if _, err := Decode(bad); err == nil {
-			t.Fatalf("decode of flipped-CRC frame succeeded")
-		}
-		for _, cut := range []int{len(buf) - 1, len(buf) / 2, 1} {
-			if _, err := Decode(buf[:cut]); err == nil {
-				t.Fatalf("decode of frame truncated to %d bytes succeeded", cut)
+	f.Add(uint8(0), uint32(2), int32(0), uint32(3), uint32(1), uint32(6), uint32(7), uint16(4), uint64(0), int64(5e9))
+	f.Add(uint8(4), uint32(1), int32(4), uint32(7), uint32(0), uint32(8), uint32(4), uint16(0), uint64(9), int64(0))
+	f.Add(uint8(5), uint32(9), int32(4), uint32(0), uint32(2), uint32(1<<31), uint32(9), uint16(3), uint64(1)<<40, int64(-3))
+	f.Fuzz(func(t *testing.T, kind uint8, group uint32, src int32, epoch, lock, entry, token uint32, node uint16, seq uint64, ttl int64) {
+		h := Hdr{Group: group, Src: src, Epoch: epoch}
+		var m *Message
+		switch kind % 6 {
+		case 0:
+			m = checkFrame(t, h, h.LeaseGrant(lock, entry, token, time.Duration(ttl)))
+			if m.Type != TLeaseGrant || m.TTL() != time.Duration(ttl) || m.Token() != token {
+				t.Fatalf("lease grant: %+v", m)
+			}
+		case 1:
+			m = checkFrame(t, h, h.LeaseRevoke(lock, entry, token))
+			if m.Type != TLeaseGrant || m.TTL() != 0 || m.Token() != token {
+				t.Fatalf("revoke demand: %+v", m)
+			}
+		case 2:
+			m = checkFrame(t, h, h.LeaseRet(lock, entry))
+			if m.Type != TLeaseRet || m.Origin != src {
+				t.Fatalf("lease return: %+v", m)
+			}
+		case 3:
+			m = checkFrame(t, h, h.LeaseRenew(lock, token, entry))
+			if m.Type != TLockReq || m.Token() != token || m.Origin != src || m.CallerDeadline() != 0 {
+				t.Fatalf("renewal: %+v", m)
+			}
+		case 4:
+			m = checkFrame(t, h, h.HandoffGrant(lock, int(node), entry, token, seq))
+			if m.Type != THandoff || m.Holder() != int(node) || m.Token() != token || m.Seq != seq {
+				t.Fatalf("direct grant: %+v", m)
+			}
+		case 5:
+			m = checkFrame(t, h, h.HandoffNotice(lock, int(node), entry, token))
+			if m.Type != THandoff || m.Holder() != int(node) || m.Reserved() != token || m.Origin != src {
+				t.Fatalf("handoff notice: %+v", m)
 			}
 		}
-		// Layout compatibility: re-encode the same fields as an
-		// established lock frame; everything but the type byte and the
-		// CRC trailer must match byte for byte.
-		ref := m
+		if m.Lock != lock || m.EntryEpoch() != entry || m.Session != 0 {
+			t.Fatalf("%v: lock %d entry epoch %d session %d, built with %d, %d, 0", m.Type, m.Lock, m.EntryEpoch(), m.Session, lock, entry)
+		}
+		buf := Encode(nil, *m)
+		ref := *m
 		ref.Type = TSeqLock
 		refBuf := Encode(nil, ref)
 		if !bytes.Equal(buf[1:len(buf)-4], refBuf[1:len(refBuf)-4]) {
@@ -428,49 +449,63 @@ func TestDigestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzSessionFrames fuzzes the lock-protocol frames that carry a
-// session id: requests, grants/leaves/closes, releases, and snapshot
-// holder reports. The session field rides at the end of the fixed
-// layout, so this pins that it survives both codecs for every lock
-// frame kind and never perturbs the neighbouring fields.
+// FuzzSessionFrames drives the lock-protocol builders that carry a
+// session — a request, a release, an entry (with or without a handoff
+// hint), a leave, a close and a state stream's lock word — and the cancel,
+// with fuzzed operands. The session rides at the end of the fixed layout;
+// every view, the session above all, must return what the frame was built
+// with, and no operand may perturb its neighbours.
 func FuzzSessionFrames(f *testing.F) {
-	f.Add(uint8(0), uint32(2), int32(4), uint64(12), uint32(1), int64(5), uint32(3), uint32(1))
-	f.Add(uint8(1), uint32(1), int32(0), uint64(1)<<40, uint32(9), int64(-6), uint32(7), uint32(0))
-	f.Add(uint8(3), uint32(9), int32(-1), uint64(9), uint32(0), int64(-1)<<62, uint32(0), uint32(1<<31))
-	kinds := []Type{TLockReq, TSeqLock, TLockRel, TSnapLock, TLockCancel}
-	f.Fuzz(func(t *testing.T, kind uint8, group uint32, src int32, seq uint64, lock uint32, val int64, epoch, session uint32) {
-		m := Message{
-			Type:    kinds[int(kind)%len(kinds)],
-			Group:   group,
-			Src:     src,
-			Origin:  src,
-			Seq:     seq,
-			Lock:    lock,
-			Val:     val,
-			Epoch:   epoch,
-			Session: session,
+	f.Add(uint8(0), uint32(2), int32(4), uint32(3), uint32(1), uint32(5), uint32(12), uint32(1), uint16(2), int64(0), false)
+	f.Add(uint8(2), uint32(1), int32(0), uint32(7), uint32(9), uint32(6), uint32(7), uint32(0), uint16(0), int64(1)<<50, true)
+	f.Add(uint8(5), uint32(9), int32(-1), uint32(0), uint32(0), uint32(1<<31), uint32(0), uint32(1<<31), uint16(9), int64(-6), false)
+	f.Fuzz(func(t *testing.T, kind uint8, group uint32, src int32, epoch, lock, entry, token, session uint32, node uint16, x int64, hinted bool) {
+		h := Hdr{Group: group, Src: src, Epoch: epoch}
+		var m *Message
+		switch kind % 7 {
+		case 0:
+			m = checkFrame(t, h, h.LockReq(lock, token, session, x))
+			if m.Type != TLockReq || m.Token() != token || m.CallerDeadline() != x || m.EntryEpoch() != 0 || m.Origin != src {
+				t.Fatalf("request: %+v", m)
+			}
+		case 1:
+			m = checkFrame(t, h, h.LockRel(lock, entry, session))
+			if m.Type != TLockRel || m.EntryEpoch() != entry || m.Origin != src {
+				t.Fatalf("release: %+v", m)
+			}
+		case 2:
+			hint := Hint{Node: int(uint16(x)), Token: uint32(x >> 16), Set: hinted}
+			m = checkFrame(t, h, h.Entry(lock, session, int(node), entry, token, hint))
+			if !hinted {
+				hint = Hint{}
+			}
+			if m.Type != TSeqLock || m.Holder() != int(node) || m.EntryEpoch() != entry || m.Token() != token || m.Hint() != hint {
+				t.Fatalf("entry: %+v (hint %+v), built with hint %+v", m, m.Hint(), hint)
+			}
+		case 3:
+			m = checkFrame(t, h, h.Leave(lock, session, int(node), entry))
+			if m.Type != TSeqLock || m.Requester() != int(node) || m.Holder() != -1 || m.EntryEpoch() != entry || m.Hint().Set {
+				t.Fatalf("leave: %+v", m)
+			}
+		case 4:
+			m = checkFrame(t, h, h.Close(lock, session, entry))
+			if m.Type != TSeqLock || m.Val != Free || m.Holder() != -1 || m.EntryEpoch() != entry {
+				t.Fatalf("close: %+v", m)
+			}
+		case 5:
+			m = checkFrame(t, h, h.SnapLock(uint64(x), lock, session, entry, GrantValue(int(node))))
+			if m.Type != TSnapLock || m.Seq != uint64(x) || m.Holder() != int(node) || m.EntryEpoch() != entry {
+				t.Fatalf("state stream lock word: %+v", m)
+			}
+		case 6:
+			session = 0
+			m = checkFrame(t, h, h.LockCancel(lock))
+			if m.Type != TLockCancel || m.Origin != src {
+				t.Fatalf("cancel: %+v", m)
+			}
 		}
-		buf := Encode(nil, m)
-		if len(buf) != EncodedSize {
-			t.Fatalf("%v: encoded %d bytes, want %d", m.Type, len(buf), EncodedSize)
-		}
-		got, err := Decode(buf)
-		if err != nil {
-			t.Fatalf("%v: decode: %v", m.Type, err)
-		}
-		if !Equal(got, m) {
-			t.Fatalf("round trip changed frame:\n got %+v\nwant %+v", got, m)
-		}
-		if got.Session != session {
-			t.Fatalf("session field corrupted: got %d, want %d", got.Session, session)
-		}
-		var stream bytes.Buffer
-		if err := WriteTo(&stream, m); err != nil {
-			t.Fatal(err)
-		}
-		got, err = ReadFrom(&stream)
-		if err != nil || !Equal(got, m) {
-			t.Fatalf("stream round trip: %+v (err %v), want %+v", got, err, m)
+		if m.Lock != lock || m.Session != session || m.ID() != lock {
+			t.Fatalf("%v: lock %d session %d, built with %d, %d", m.Type, m.Lock, m.Session, lock, session)
 		}
 	})
 }

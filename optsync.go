@@ -97,9 +97,6 @@ type options struct {
 	batchMsgs  int
 	quorumAcks bool
 	maxStale   time.Duration
-	boBase     time.Duration
-	boCap      time.Duration
-	wdBudget   time.Duration
 	integrity  time.Duration
 	leases     time.Duration
 
@@ -191,27 +188,6 @@ func WithBatching(maxDelay time.Duration, maxMsgs int) Option {
 // and up to one ack round-trip of added lock-handoff latency.
 func WithQuorumAcks() Option {
 	return optionFunc(func(o *options) { o.quorumAcks = true })
-}
-
-// WithBackoff tunes every node's adaptive-retry schedule: control-plane
-// retransmissions (lock requests, rejoin handshakes, snapshot requests,
-// resync probes, sync barriers) start at base and back off exponentially
-// with jitter up to max. Zero values keep the defaults, which derive
-// from the maintenance interval (base = retry interval, max = 16x).
-func WithBackoff(base, max time.Duration) Option {
-	return optionFunc(func(o *options) {
-		o.boBase = base
-		o.boCap = max
-	})
-}
-
-// WithWatchdog tunes every node's stuck-operation liveness budget: an
-// in-flight acquisition, rejoin, sync barrier, parked grant, holderless
-// lock, or fence that outlives the budget is counted, traced, and
-// re-driven (see the WatchdogStuck / WatchdogReissues counters). Zero
-// keeps the default of 4x the failure-detection deadline.
-func WithWatchdog(budget time.Duration) Option {
-	return optionFunc(func(o *options) { o.wdBudget = budget })
 }
 
 // WithIntegrity enables end-to-end state-integrity checking with the
@@ -368,8 +344,6 @@ func NewCluster(n int, opts ...Option) (*Cluster, error) {
 		c.nodes[i].SetTimers(o.retryIn, o.failAfter, o.electWait)
 		c.nodes[i].SetBatching(o.batchDelay, o.batchMsgs)
 		c.nodes[i].SetQuorumAcks(o.quorumAcks)
-		c.nodes[i].SetBackoff(o.boBase, o.boCap)
-		c.nodes[i].SetWatchdog(o.wdBudget)
 		c.nodes[i].SetIntegrity(o.integrity)
 		c.nodes[i].SetLeases(o.leases)
 		c.engines[i] = core.NewEngine(c.nodes[i], o.history)

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"optsync/internal/gwc"
 )
 
 // newTestCluster builds a small in-process cluster with a group, a mutex,
@@ -170,13 +172,15 @@ func TestOptimisticDoCounter(t *testing.T) {
 // mutex, alternating Do and OptimisticDo, on InProc bare and through Flaky
 // with its faults off.
 //
-// The root's books must balance: every body run wrote once, and each of
-// those writes was sequenced or suppressed, once; nothing is suppressed
-// but a rolled-back run's write. (Not "suppressed == rollbacks": about one
-// rolled-back run in 4 000 is still running when its own grant arrives, so
-// its write is tagged post-grant and the root rightly sequences it; the
-// re-execution, inside the same hold, overwrites it.)
+// The root's books must balance: every body run writes once, a value
+// unique to the run (the count in the high bits, the run's tag in the low
+// ones), and each of those writes was sequenced, suppressed or — from a
+// rolled-back run whose own grant landed before its body returned —
+// refused at the writer (gwc.ErrRolledBack), once. Nothing is suppressed
+// but a rolled-back run's write, and no value a rolled-back run wrote is
+// ever applied at the root.
 func TestSectionWritesNeverOvertakeTheirRequest(t *testing.T) {
+	const tagBits = 20 // 2^20 tags cover every run, re-executions included
 	for _, tc := range []struct {
 		name string
 		opts []Option
@@ -184,10 +188,22 @@ func TestSectionWritesNeverOvertakeTheirRequest(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			const each = 10000
 			c, g, m, v := newTestCluster(t, 4, tc.opts...)
-			var sequenced atomic.Int64 // data frames the root sequenced
-			if _, err := c.MustHandle(0).node.OnVarChange(g.id, v.id, func(int64) { sequenced.Add(1) }); err != nil {
+			var (
+				tags, refused atomic.Int64
+				mu            sync.Mutex
+				sequenced     int                // data frames the root applied
+				applied       = map[int64]bool{} // tags of the values it applied
+				rolledBack    []int64            // tags of the runs that rolled back
+			)
+			if _, err := c.MustHandle(0).node.OnVarChange(g.id, v.id, func(val int64) {
+				mu.Lock()
+				sequenced++
+				applied[val&(1<<tagBits-1)] = true
+				mu.Unlock()
+			}); err != nil {
 				t.Fatal(err)
 			}
+			next := func(cur int64) int64 { return (cur>>tagBits+1)<<tagBits | tags.Add(1) }
 			var wg sync.WaitGroup
 			for _, i := range []int{1, 2} {
 				h := c.MustHandle(i)
@@ -202,16 +218,26 @@ func TestSectionWritesNeverOvertakeTheirRequest(t *testing.T) {
 								if err != nil {
 									return err
 								}
-								return h.Write(v, cur+1)
+								return h.Write(v, next(cur))
 							})
 						} else {
+							var runs []int64
 							err = h.OptimisticDo(m, func(tx *Tx) error {
 								cur, err := tx.Read(v)
 								if err != nil {
 									return err
 								}
-								return tx.Write(v, cur+1)
+								val := next(cur)
+								runs = append(runs, val&(1<<tagBits-1))
+								err = tx.Write(v, val)
+								if errors.Is(err, gwc.ErrRolledBack) {
+									refused.Add(1)
+								}
+								return err
 							})
+							mu.Lock()
+							rolledBack = append(rolledBack, runs[:len(runs)-1]...)
+							mu.Unlock()
 						}
 						if err != nil {
 							t.Error(err)
@@ -222,7 +248,15 @@ func TestSectionWritesNeverOvertakeTheirRequest(t *testing.T) {
 			}
 			wg.Wait()
 			for i := 0; i < 4; i++ {
-				waitRead(t, c.MustHandle(i), v, 2*each)
+				h := c.MustHandle(i)
+				deadline := time.Now().Add(5 * time.Second)
+				got, _ := h.Read(v)
+				for ; got>>tagBits != 2*each && time.Now().Before(deadline); got, _ = h.Read(v) {
+					time.Sleep(time.Millisecond)
+				}
+				if got>>tagBits != 2*each {
+					t.Fatalf("node %d counted %d sections, want %d", i, got>>tagBits, 2*each)
+				}
 			}
 			rollbacks := 0
 			for _, i := range []int{1, 2} {
@@ -232,12 +266,21 @@ func TestSectionWritesNeverOvertakeTheirRequest(t *testing.T) {
 				}
 				rollbacks += o.Rollbacks
 			}
+			mu.Lock()
+			defer mu.Unlock()
 			suppressed, runs := c.MustHandle(0).Stats().GWC.Suppressed, 2*each+rollbacks
 			if suppressed > rollbacks {
 				t.Errorf("the root suppressed %d writes, only %d speculations rolled back", suppressed, rollbacks)
 			}
-			if got := int(sequenced.Load()) + suppressed; got != runs {
-				t.Errorf("%d writes sequenced + %d suppressed = %d, want one for each of %d body runs", sequenced.Load(), suppressed, got, runs)
+			if got := sequenced + suppressed + int(refused.Load()); got != runs {
+				t.Errorf("%d writes sequenced + %d suppressed + %d refused = %d, want one for each of %d body runs",
+					sequenced, suppressed, refused.Load(), got, runs)
+			}
+			t.Logf("%d body runs: %d rollbacks, %d writes suppressed, %d refused", runs, rollbacks, suppressed, refused.Load())
+			for _, tag := range rolledBack {
+				if applied[tag] {
+					t.Errorf("the root applied the write of run %d, which rolled back", tag)
+				}
 			}
 		})
 	}
