@@ -50,8 +50,8 @@ func DefaultConfig() Config {
 	return Config{HistoryDecay: 0.95, HistoryThreshold: 0.30}
 }
 
-// Stats counts engine outcomes. A section's counts appear when it
-// returns.
+// Stats counts engine outcomes, each read off one event type's count at
+// the engine's node (the engine emits them there).
 type Stats struct {
 	// Optimistic counts sections that started speculatively.
 	Optimistic int
@@ -79,9 +79,8 @@ type Engine struct {
 	node *gwc.Node
 	cfg  Config
 
-	mu    sync.Mutex
-	recs  map[lockKey]*lockRec
-	stats Stats
+	mu   sync.Mutex
+	recs map[lockKey]*lockRec
 }
 
 // NewEngine builds an engine over a GWC node.
@@ -95,11 +94,17 @@ func NewEngine(node *gwc.Node, cfg Config) *Engine {
 	return &Engine{node: node, cfg: cfg, recs: make(map[lockKey]*lockRec)}
 }
 
-// Stats returns a snapshot of the engine's counters.
+// Stats returns the engine's counters: its node's spec-start,
+// spec-commit, spec-abort, regular-acquire and leased counts.
 func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.stats
+	c := func(t obs.EventType) int { return int(e.node.Metrics().Trace.Count(t)) }
+	return Stats{
+		Optimistic: c(obs.EvSpecStart),
+		Commits:    c(obs.EvSpecCommit),
+		Rollbacks:  c(obs.EvSpecAbort),
+		Regular:    c(obs.EvRegular),
+		Leased:     c(obs.EvLeased),
+	}
 }
 
 // History reports the current usage-frequency estimate for a lock
@@ -128,10 +133,9 @@ type lockRec struct {
 	history float64
 	busy    bool
 
-	// h is the running section's working copy of history and out its
-	// outcome; exit publishes both.
-	h   float64
-	out Stats
+	// h is the running section's working copy of history; exit publishes
+	// it.
+	h float64
 	// The speculation's verdict, shared with Fire: rolled once an
 	// incompatible section was sequenced ahead of it, decided once the
 	// engine has acted on the answer and the interrupt must stay quiet.
@@ -151,7 +155,7 @@ func (e *Engine) enter(k lockKey) (*lockRec, error) {
 		return nil, ErrNested
 	}
 	r.busy = true
-	r.h, r.out = r.history, Stats{}
+	r.h = r.history
 	return r, nil
 }
 
@@ -161,11 +165,6 @@ func (e *Engine) exit(r *lockRec) {
 	defer e.mu.Unlock()
 	r.busy = false
 	r.history = r.h
-	e.stats.Optimistic += r.out.Optimistic
-	e.stats.Commits += r.out.Commits
-	e.stats.Rollbacks += r.out.Rollbacks
-	e.stats.Regular += r.out.Regular
-	e.stats.Leased += r.out.Leased
 }
 
 // sample folds one observation into the lock's usage-frequency history
@@ -298,7 +297,6 @@ func (s section) run(body func(tx *Tx) error) error {
 func (s section) regular(ctx context.Context, body func(tx *Tx) error) error {
 	r := s.r
 	n, k := r.e.node, r.k
-	r.out.Regular++
 	n.Emit(obs.EvRegular, k.g, int64(k.l), int64(s.session))
 	if err := n.EnterSessionContext(ctx, k.g, k.l, s.session); err != nil {
 		return err
@@ -362,7 +360,7 @@ func (e *Engine) DoSessionContext(ctx context.Context, gid gwc.GroupID, l gwc.Lo
 		// so entry is immediate and exclusive — no request, no
 		// speculation, no rollback risk. Beats even the optimistic path:
 		// that one still pays the request round trip before release.
-		r.out.Leased++
+		e.node.Emit(obs.EvLeased, gid, int64(l), 0)
 		return s.run(body)
 	}
 	if hist := r.sample(look.Foreign); !look.Joinable && (look.Foreign || hist > e.cfg.HistoryThreshold) {
@@ -393,7 +391,6 @@ func (s section) speculate(ctx context.Context, body func(tx *Tx) error) error {
 		r.sample(true)
 		return s.regular(ctx, body)
 	}
-	r.out.Optimistic++
 	e.node.Emit(obs.EvSpecStart, gid, int64(l), int64(s.session))
 
 	// Speculative execution while the request propagates (lines 14-18).
@@ -414,7 +411,6 @@ func (s section) speculate(ctx context.Context, body func(tx *Tx) error) error {
 		// on the same FIFO path, so all of them were accepted. Leave and
 		// go.
 		r.decided.Store(true)
-		r.out.Commits++
 		e.node.Emit(obs.EvSpecCommit, gid, int64(l), int64(s.session))
 		if err := s.leave(); err != nil {
 			return err
@@ -425,7 +421,6 @@ func (s section) speculate(ctx context.Context, body func(tx *Tx) error) error {
 	// Rollback (lines 22-26): restore saved values locally, resume
 	// insharing (replaying the valid data that arrived meanwhile), then
 	// wait for our queued request to be granted and re-execute.
-	r.out.Rollbacks++
 	e.node.Emit(obs.EvSpecAbort, gid, int64(l), obs.ReasonLockHeld)
 	r.sample(true)
 	restoreStart := e.node.Now()

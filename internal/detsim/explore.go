@@ -30,6 +30,9 @@ type Result struct {
 	Err   error
 	Steps int
 	Trace []Event
+	// Stats is every node's protocol counters once the run has ended and
+	// its nodes have closed.
+	Stats []gwc.Stats
 }
 
 // Failed reports whether the run broke an invariant.
@@ -232,11 +235,13 @@ func RunSeed(sc Scenario, seed int64) Result {
 		env.nodes[i] = gwc.NewNodeClock(i, ep, w.Clock())
 	}
 	err := sc.Run(env)
-	for _, n := range env.nodes {
+	stats := make([]gwc.Stats, len(env.nodes))
+	for i, n := range env.nodes {
 		n.Close()
+		stats[i] = n.Stats()
 	}
 	w.Close()
-	return Result{Name: sc.Name, Seed: seed, Err: err, Steps: w.Steps(), Trace: w.Trace()}
+	return Result{Name: sc.Name, Seed: seed, Err: err, Steps: w.Steps(), Trace: w.Trace(), Stats: stats}
 }
 
 // Explore runs a scenario across seeds base..base+n-1 and returns the

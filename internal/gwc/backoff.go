@@ -64,24 +64,12 @@ func (n *Node) arm(b *backoff, now time.Time, base, max time.Duration) {
 	b.attempt++
 }
 
-// boBase returns the backoff base under n.mu: the explicit SetBackoff
-// setting, or the maintenance interval (matching the old flat-retry
-// first-resend latency).
-func (n *Node) boBase() time.Duration {
-	if n.backoffBase > 0 {
-		return n.backoffBase
-	}
-	return n.retryIn
-}
+// boBase returns the backoff base under n.mu: the maintenance interval
+// (matching the old flat-retry first-resend latency).
+func (n *Node) boBase() time.Duration { return n.retryIn }
 
-// boCap returns the backoff cap under n.mu: the explicit SetBackoff
-// setting, or 16x the base.
-func (n *Node) boCap() time.Duration {
-	if n.backoffCap > 0 {
-		return n.backoffCap
-	}
-	return 16 * n.boBase()
-}
+// boCap returns the backoff cap under n.mu: 16x the base.
+func (n *Node) boCap() time.Duration { return 16 * n.retryIn }
 
 // probeCap bounds the resync probe's backoff separately: the probe
 // doubles as the fencing lease's proof of contact (and, under quorum
@@ -96,22 +84,4 @@ func (n *Node) probeCap() time.Duration {
 		c = b
 	}
 	return c
-}
-
-// SetBackoff tunes the adaptive-retry schedule shared by every
-// member-side resend path: retries start at base and back off
-// exponentially (with jitter) up to max. Zero values keep the current
-// setting; the defaults derive from the maintenance interval (base =
-// retry interval, max = 16x). The resync probe additionally clamps its
-// cap to a quarter of the failure-detection deadline so lease contact
-// never lapses.
-func (n *Node) SetBackoff(base, max time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if base > 0 {
-		n.backoffBase = base
-	}
-	if max > 0 {
-		n.backoffCap = max
-	}
 }

@@ -34,17 +34,6 @@ import (
 // slot order then matches program order; this is exactly the relaxation
 // Sesame's hardware write combining makes. Batching is off by default.
 
-// flushReason says why a member batch left the queue.
-type flushReason int
-
-const (
-	flushSize    flushReason = iota // the queue reached maxMsgs
-	flushDelay                      // maxDelay elapsed since the first write
-	flushRelease                    // a lock release needed the data out first
-	flushSync                       // a Sync barrier needed the data out first
-	flushClose                      // node shutdown drained the queue (uncounted)
-)
-
 // FlushReasons counts member batch flushes by trigger.
 type FlushReasons struct {
 	Size    int // queue reached the maxMsgs bound
@@ -86,7 +75,7 @@ func (n *Node) enqueueWrite(gid GroupID, g *memberGroup, mv *memberVar, msg wire
 		q := &g.batchQ[mv.batchSlot-1]
 		if q.Guarded == msg.Guarded && q.Seq == msg.Seq {
 			q.Val = msg.Val
-			n.stats.Coalesced++
+			n.emit(obs.EvCoalesced, gid, int64(msg.Var), 0)
 			return
 		}
 	}
@@ -98,7 +87,7 @@ func (n *Node) enqueueWrite(gid GroupID, g *memberGroup, mv *memberVar, msg wire
 	g.batchQ = append(g.batchQ, msg)
 	mv.batchSlot = len(g.batchQ)
 	if len(g.batchQ) >= n.batchMax {
-		n.flushWrites(g, flushSize)
+		n.flushWrites(g, obs.EvFlushSize)
 		return
 	}
 	if len(g.batchQ) == 1 {
@@ -120,15 +109,16 @@ func (n *Node) flushTimer(gid GroupID) {
 	if !ok || n.closed {
 		return
 	}
-	n.flushWrites(g, flushDelay)
+	n.flushWrites(g, obs.EvFlushDelay)
 }
 
 // flushWrites ships the queued writes to the group root as one batch
-// frame (or a bare message when only one is queued). Queued messages are
-// re-stamped with the group's current epoch, so a flush that straddles a
-// failover addresses the new reign — exactly as the writes would have if
-// sent unqueued. Caller holds n.mu.
-func (n *Node) flushWrites(g *memberGroup, why flushReason) {
+// frame (or a bare message when only one is queued), counted under why:
+// the flush trigger's event type (EvFlushSize ... EvFlushClose). Queued
+// messages are re-stamped with the group's current epoch, so a flush that
+// straddles a failover addresses the new reign — exactly as the writes
+// would have if sent unqueued. Caller holds n.mu.
+func (n *Node) flushWrites(g *memberGroup, why obs.EventType) {
 	if g.batchTimer != nil {
 		// The timer object is reused across windows; a stale fire finds an
 		// empty queue and does nothing.
@@ -143,17 +133,7 @@ func (n *Node) flushWrites(g *memberGroup, why flushReason) {
 		n.metrics.Hist(obs.HistBatchFlush).Record(n.clock.Now().Sub(g.batchFirst))
 		g.batchFirst = time.Time{}
 	}
-	n.emit(obs.EvBatchFlush, g.cfg.ID, int64(len(q)), int64(why))
-	switch why {
-	case flushSize:
-		n.stats.FlushReasons.Size++
-	case flushDelay:
-		n.stats.FlushReasons.Delay++
-	case flushRelease:
-		n.stats.FlushReasons.Release++
-	case flushSync:
-		n.stats.FlushReasons.Sync++
-	}
+	n.emit(why, g.cfg.ID, int64(len(q)), 0)
 	for i := range q {
 		q[i].Epoch = g.epoch
 		g.vars.recs[q[i].Var].batchSlot = 0
@@ -162,7 +142,7 @@ func (n *Node) flushWrites(g *memberGroup, why flushReason) {
 		n.send(g.rootID, q[0])
 		return
 	}
-	n.stats.Batches++
+	n.emit(obs.EvBatchSent, g.cfg.ID, int64(len(q)), int64(g.rootID))
 	n.send(g.rootID, n.hdr(g).Batch(q))
 }
 
@@ -196,7 +176,7 @@ func (n *Node) handleBatch(frame *wire.Message) {
 				// Routine during failover, as on the single-message path:
 				// point stale senders at the current root.
 				if frame.Epoch < g.epoch {
-					n.stats.StaleEpochRejected++
+					n.emit(obs.EvStaleEpoch, gid, int64(frame.Type), int64(frame.Epoch))
 					n.maybeNotice(g, int(frame.Src))
 				}
 				return
@@ -262,7 +242,7 @@ func (n *Node) rootEndBatch(r *rootGroup) {
 	if len(q) == 1 {
 		frame = q[0]
 	} else {
-		n.stats.Batches++
+		n.emit(obs.EvBatchSent, r.cfg.ID, int64(len(q)), -1)
 		frame = n.rootHdr(r).Batch(q)
 	}
 	if r.cfg.TreeFanout {
@@ -296,7 +276,7 @@ func (n *Node) sendStream(to int, msgs []wire.Message) {
 			n.send(to, chunk[0])
 			continue
 		}
-		n.stats.Batches++
+		n.emit(obs.EvBatchSent, GroupID(chunk[0].Group), int64(k), int64(to))
 		n.send(to, chunk[0].Hdr().Batch(chunk))
 	}
 }

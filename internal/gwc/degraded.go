@@ -76,7 +76,6 @@ func (n *Node) ReadStale(gid GroupID, v VarID, maxStale time.Duration) (int64, t
 			n.id, gid, v, stale, maxStale, ErrTooStale)
 	}
 	if degraded {
-		n.stats.DegradedReads++
 		n.emit(obs.EvDegradedRead, gid, int64(v), int64(stale))
 	}
 	return g.varValue(v), stale, nil
@@ -105,14 +104,15 @@ func (h Health) Serving() bool {
 		h.Diverged == 0
 }
 
-// Health snapshots the node's serving state under the node mutex, so
-// the cut is exactly consistent with Stats.
+// Health snapshots the node's serving state under the node mutex. Its
+// WatchdogStuck is read off the event count like Stats, so the two agree
+// up to a trip that lands between the reads.
 func (n *Node) Health() Health {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	h := Health{
 		Groups:        len(n.groups),
-		WatchdogStuck: n.stats.WatchdogStuck,
+		WatchdogStuck: int(n.metrics.Trace.Count(obs.EvWatchdogStuck)),
 	}
 	for _, gid := range sortedKeys(n.groups) {
 		g := n.groups[gid]

@@ -145,7 +145,7 @@ func (n *Node) handleHeartbeat(g *memberGroup, m *wire.Message) {
 		n.adoptEpoch(g, m.Epoch, claimed)
 	case m.Epoch < g.epoch || claimed != g.rootID:
 		// A deposed root still announcing itself: point it at this epoch.
-		n.stats.StaleEpochRejected++
+		n.emit(obs.EvStaleEpoch, g.cfg.ID, int64(m.Type), int64(m.Epoch))
 		n.maybeNotice(g, int(m.Src))
 	default:
 		g.lastRoot = n.clock.Now()
@@ -223,7 +223,6 @@ func (n *Node) demote(g *memberGroup, epoch uint32, root int) {
 		owed += len(r.locks.recs[i].held.in)
 	}
 	n.metrics.Gauge(obs.GaugeSessHolders).Add(-int64(owed))
-	n.stats.Demotions++
 	n.emit(obs.EvDemoted, g.cfg.ID, int64(root), int64(epoch))
 }
 
@@ -286,7 +285,6 @@ func (n *Node) detectFailure(gid GroupID, g *memberGroup, now time.Time) {
 		g.electEpoch = g.epoch + 1
 		g.electBegan = now
 		g.suspected[g.rootID] = true
-		n.stats.Elections++
 		n.emit(obs.EvElection, gid, int64(g.candidate()), int64(g.electEpoch))
 	}
 	cand := g.candidate()
@@ -405,11 +403,10 @@ func (n *Node) promote(gid GroupID, g *memberGroup) {
 		n.metrics.Gauge(obs.GaugeSessHolders).Add(int64(len(ls.held.in)))
 	}
 	n.roots[gid] = r
-	n.stats.Failovers++
 	// Failover duration: from the first suspicion of the old root to the
 	// moment the new reign's authoritative state exists.
 	n.metrics.Hist(obs.HistFailover).Record(n.clock.Now().Sub(g.electBegan))
-	n.emit(obs.EvReignChange, gid, int64(n.id), int64(epoch))
+	n.emit(obs.EvPromoted, gid, int64(n.id), int64(epoch))
 
 	// Re-base the member side onto the new reign; the merged state becomes
 	// the local copy. The reign's digest starts empty on both sides (the
@@ -431,7 +428,7 @@ func (n *Node) promote(gid GroupID, g *memberGroup) {
 	for i := range r.locks.recs {
 		l, ls := LockID(i), &r.locks.recs[i]
 		if ls.used && ls.free() {
-			if next, ok := n.popWaiter(ls); ok {
+			if next, ok := n.popWaiter(r, l, ls); ok {
 				n.grant(r, l, ls, next)
 				n.admitSession(r, l, ls)
 			}
@@ -588,7 +585,7 @@ func (n *Node) handleSnap(g *memberGroup, m *wire.Message) {
 	case m.Epoch > g.epoch:
 		n.reportPiece(g, m)
 	default:
-		n.stats.StaleEpochRejected++
+		n.emit(obs.EvStaleEpoch, g.cfg.ID, int64(m.Type), int64(m.Epoch))
 	}
 }
 

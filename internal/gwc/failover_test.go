@@ -308,3 +308,36 @@ func TestAcquireContextGrantRaceReleases(t *testing.T) {
 		}
 	})
 }
+
+// TestStaleEpochRejectionsAreEvents feeds a deposed root's frames to the
+// new reign at every place one is turned away — the root's own path, a
+// member's heartbeat, batch and snapshot handlers — and checks each one
+// is an EvStaleEpoch event, so the event count and Stats agree.
+func TestStaleEpochRejectionsAreEvents(t *testing.T) {
+	c, fl := newChaosCluster(t, 3, false)
+	c.nodes[0].mu.Lock()
+	old := wire.Hdr{Group: uint32(tGroup), Src: 0, Epoch: c.nodes[0].groups[tGroup].epoch}
+	c.nodes[0].mu.Unlock()
+	fl.Crash(0)
+	waitFor(t, c, 5*time.Second, "node 1 to promote itself", func() bool {
+		return c.nodes[1].Stats().Failovers == 1
+	})
+	waitAdopted(t, c, c.nodes[2], 1)
+
+	c.nodes[1].deliver([]wire.Message{old.Update(uint32(tVar), 5)})
+	c.nodes[2].deliver([]wire.Message{
+		old.Heartbeat(0, 0),
+		old.Batch([]wire.Message{old.Update(uint32(tVar), 5), old.Update(uint32(tVarB), 6)}),
+		old.SnapVar(1, uint32(tVar), 5),
+	})
+	for i, want := range map[int]int{1: 1, 2: 3} {
+		nd := c.nodes[i]
+		got := nd.Stats().StaleEpochRejected
+		if events := nd.Metrics().Snapshot().Events[obs.EvStaleEpoch]; events != uint64(got) {
+			t.Errorf("node %d: %d stale-epoch events, Stats counts %d", i, events, got)
+		}
+		if got < want {
+			t.Errorf("node %d rejected %d stale frames, want at least %d", i, got, want)
+		}
+	}
+}

@@ -49,7 +49,7 @@ import (
 // holds n.mu.
 func (n *Node) fenceQueue(r *rootGroup, m wire.Message) {
 	if len(r.fencedQ) >= r.cfg.HistorySize {
-		n.stats.FencedDrops++
+		n.emit(obs.EvFencedDrop, r.cfg.ID, int64(m.Type), int64(m.Src))
 		if fenceDroppable(m.Type) {
 			n.protoErr("gwc: node %d fenced root of group %d dropped %v from %d past queue bound",
 				n.id, r.cfg.ID, m.Type, m.Src)
@@ -106,7 +106,6 @@ func (n *Node) checkFence(r *rootGroup, now time.Time) {
 			r.fenced = true
 			r.fencedAt = now
 			r.fenceWatch = now
-			n.stats.Fenced++
 			n.emit(obs.EvFence, r.cfg.ID, int64(reach), int64(r.epoch))
 			// Demand every outstanding lease back: a fenced root cannot
 			// vouch for leased re-entries it no longer observes. Records
@@ -217,7 +216,7 @@ func (n *Node) serviceQuorum(r *rootGroup) {
 			continue
 		}
 		if ls.free() {
-			if next, ok := n.popWaiter(ls); ok {
+			if next, ok := n.popWaiter(r, l, ls); ok {
 				n.grant(r, l, ls, next)
 				n.admitSession(r, l, ls)
 			}
@@ -242,6 +241,6 @@ func (n *Node) rootSyncReq(r *rootGroup, m *wire.Message) {
 		n.send(src, n.rootHdr(r).SyncAck(tok))
 		return
 	}
-	n.stats.QuorumAckWaits++
+	n.emit(obs.EvSyncParked, r.cfg.ID, int64(src), int64(tok))
 	r.waitSyncs = append(r.waitSyncs, syncBarrier{src: src, token: tok, needSeq: r.ring.seq()})
 }

@@ -105,7 +105,9 @@ func (c *GroupConfig) indexOf(id int) int {
 // memberOf reports whether node id belongs to the group.
 func (c *GroupConfig) memberOf(id int) bool { return c.indexOf(id) >= 0 }
 
-// Stats counts protocol events at one node.
+// Stats counts protocol events at one node. Every field is read off the
+// node's per-type event counts (Metrics().Trace.Count), which Stats names
+// field by field.
 type Stats struct {
 	Suppressed         int // root: speculative writes discarded
 	Forwarded          int // member: sequenced messages relayed down the tree
@@ -122,7 +124,6 @@ type Stats struct {
 	StaleEpochRejected int // messages rejected for carrying an old root epoch
 	Failovers          int // member: promotions of this node to group root
 	Demotions          int // root: reigns ended by a newer epoch
-	DroppedErrors      int // protocol errors discarded past the retention cap
 	IDRangeDrops       int // messages dropped for naming a lock or variable past the table bound
 
 	// Partition safety and crash recovery (failover.go, rejoin.go).
@@ -186,7 +187,6 @@ type Node struct {
 	msgNow time.Time
 	groups map[GroupID]*memberGroup
 	roots  map[GroupID]*rootGroup
-	stats  Stats
 	errs   []error
 	closed bool
 	// freeWaits is the free list lock waits draw their wake channel from
@@ -213,11 +213,9 @@ type Node struct {
 	// prefix they depend on (see SetQuorumAcks).
 	quorumAcks bool
 
-	// Adaptive-retry bounds (backoff.go; zero means derived defaults)
-	// and the node's seeded jitter source, drawn only under n.mu.
-	backoffBase time.Duration
-	backoffCap  time.Duration
-	rng         *rand.Rand
+	// The retry backoff's seeded jitter source (backoff.go), drawn only
+	// under n.mu.
+	rng *rand.Rand
 
 	// wdBudget is the stuck-operation watchdog's liveness budget
 	// (watchdog.go; zero means 4x failAfter, derived at use).
@@ -243,8 +241,9 @@ type Node struct {
 	misapply func(*wire.Message)
 
 	// metrics holds the node's latency histograms and event tracer
-	// (internal/obs). Histograms are always on — recording is a few
-	// atomic adds — while the tracer costs one atomic load until
+	// (internal/obs): the node's one set of protocol counters. Histograms
+	// and per-type event counts are always on — recording is a few
+	// atomic adds — while the event ring costs one atomic load until
 	// enabled via Metrics().Trace.Enable. Neither takes n.mu, so
 	// instrumentation adds no lock traffic to the hot paths.
 	metrics obs.Metrics
@@ -420,7 +419,7 @@ func (n *Node) Close() error {
 		g := n.groups[gid]
 		// Drain the write-coalescing queue while the endpoint still works,
 		// so a Close right after a burst of batched writes loses nothing.
-		n.flushWrites(g, flushClose)
+		n.flushWrites(g, obs.EvFlushClose)
 		groups = append(groups, g)
 	}
 	n.mu.Unlock()
@@ -442,31 +441,79 @@ func (n *Node) Close() error {
 	return err
 }
 
-// Stats returns a snapshot of the node's protocol counters. The copy
-// is taken under the node mutex — the same mutex every increment in
-// this package holds — so a snapshot is an exactly consistent cut and
-// can never tear against hot-path increments.
+// Stats returns the node's protocol counters, each one event type's
+// count (or the sum of two). Every count is exact, but they are read one
+// by one without the node lock, so on a running node two fields may be a
+// transition apart.
 func (n *Node) Stats() Stats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.stats
+	c := func(t obs.EventType) int { return int(n.metrics.Trace.Count(t)) }
+	return Stats{
+		Suppressed:         c(obs.EvSuppressed),
+		Forwarded:          c(obs.EvForwarded),
+		Duplicates:         c(obs.EvDuplicate),
+		Gaps:               c(obs.EvGap),
+		Nacks:              c(obs.EvNack),
+		Retransmits:        c(obs.EvRetransmit),
+		EchoDropped:        c(obs.EvEchoDropped),
+		EchoRestored:       c(obs.EvEchoRestored),
+		LostHistory:        c(obs.EvLostHistory),
+		LockRequests:       c(obs.EvLockRequest),
+		LockGrants:         c(obs.EvLockGrant),
+		LockCancels:        c(obs.EvLockCancel),
+		StaleEpochRejected: c(obs.EvStaleEpoch),
+		Failovers:          c(obs.EvPromoted),
+		Demotions:          c(obs.EvDemoted),
+		IDRangeDrops:       c(obs.EvIDRangeDrop),
+		Elections:          c(obs.EvElection),
+		Fenced:             c(obs.EvFence),
+		Rejoins:            c(obs.EvRejoined),
+		QuorumAckWaits:     c(obs.EvLockParked) + c(obs.EvSyncParked),
+		FencedDrops:        c(obs.EvFencedDrop),
+		WatchdogStuck:      c(obs.EvWatchdogStuck),
+		WatchdogReissues:   c(obs.EvWatchdogReissue),
+		DeadlineDrops:      c(obs.EvDeadlineDrop),
+		DegradedReads:      c(obs.EvDegradedRead),
+		SessionOpens:       c(obs.EvSessOpen),
+		SessionCloses:      c(obs.EvSessClose),
+		SessionJoins:       c(obs.EvSessJoin),
+		Batches:            c(obs.EvBatchSent),
+		Coalesced:          c(obs.EvCoalesced),
+		FlushReasons: FlushReasons{
+			Size:    c(obs.EvFlushSize),
+			Delay:   c(obs.EvFlushDelay),
+			Release: c(obs.EvFlushRelease),
+			Sync:    c(obs.EvFlushSync),
+		},
+		DigestSweeps:   c(obs.EvDigestSweep),
+		Divergences:    c(obs.EvDivergence),
+		EagerResends:   c(obs.EvEagerResend),
+		LeaseGrants:    c(obs.EvLeaseGrant),
+		LeaseReturns:   c(obs.EvLeaseReturn),
+		LeaseRevokes:   c(obs.EvLeaseRevoke),
+		LeaseLocal:     c(obs.EvLeaseLocal),
+		LeaseRenewals:  c(obs.EvLeaseRenew),
+		Handoffs:       c(obs.EvHandoff),
+		HandoffCommits: c(obs.EvHandoffCommit),
+	}
 }
 
 // Metrics exposes the node's observability layer: latency histograms
-// (always recording) and the protocol event tracer (off until
-// Metrics().Trace.Enable is called). Safe to use concurrently with
-// all node operations.
+// and per-type event counts (always recording) and the protocol event
+// ring (off until Metrics().Trace.Enable is called). Safe to use
+// concurrently with all node operations.
 func (n *Node) Metrics() *obs.Metrics { return &n.metrics }
 
-// emit records a protocol-transition trace event if tracing is on.
-// The On check keeps the disabled cost to one atomic load and avoids
-// even constructing the Event. Safe with or without n.mu held; the
-// clock read is the only non-local operation.
+// emit counts one protocol transition and, while tracing is on, records
+// it in the ring. The On check keeps the disabled cost to one atomic add
+// and one load, and skips building the Event and its clock read. Safe
+// with or without n.mu held.
 func (n *Node) emit(typ obs.EventType, gid GroupID, a, b int64) {
-	if !n.metrics.Trace.On() {
+	t := &n.metrics.Trace
+	if !t.On() {
+		t.Tally(typ)
 		return
 	}
-	n.metrics.Trace.Emit(obs.Event{
+	t.Emit(obs.Event{
 		At:    n.clock.Now().UnixNano(),
 		Type:  typ,
 		Node:  int32(n.id),
@@ -476,11 +523,11 @@ func (n *Node) emit(typ obs.EventType, gid GroupID, a, b int64) {
 	})
 }
 
-// Emit records a trace event attributed to this node, stamped with the
-// node's (possibly virtual) clock. It exists for layers built on top of
-// the node — the optimistic engine, simulators — so their events land
-// in the same per-node ring as the protocol's own. No-op while tracing
-// is disabled.
+// Emit counts an event attributed to this node and, while tracing is on,
+// records it stamped with the node's (possibly virtual) clock. It exists
+// for layers built on top of the node — the optimistic engine, simulators
+// — so their events land in the same per-node counts and ring as the
+// protocol's own.
 func (n *Node) Emit(typ obs.EventType, gid GroupID, a, b int64) {
 	n.emit(typ, gid, a, b)
 }
@@ -499,15 +546,14 @@ func (n *Node) Errors() []error {
 	return append([]error(nil), n.errs...)
 }
 
-// protoErr records a protocol error for later inspection. It must be
-// called with n.mu held. Past the retention cap errors are counted
-// rather than stored, so saturation stays observable via Stats.
+// protoErr records a protocol error for later inspection: every one is
+// counted (EvProtoErr), the first 100 are kept for Errors. It must be
+// called with n.mu held.
 func (n *Node) protoErr(format string, args ...any) {
+	n.emit(obs.EvProtoErr, 0, 0, 0)
 	if len(n.errs) < 100 {
 		n.errs = append(n.errs, fmt.Errorf(format, args...))
-		return
 	}
-	n.stats.DroppedErrors++
 }
 
 // dispatchChunk bounds how many messages deliver dispatches under one
@@ -716,7 +762,7 @@ func (n *Node) tick() {
 				n.arm(&mv.eagerB, now, n.boBase(), n.boCap())
 				m := mv.eagerMsg
 				m.Epoch = g.epoch
-				n.stats.EagerResends++
+				n.emit(obs.EvEagerResend, gid, int64(v), 0)
 				n.send(g.rootID, m)
 			}
 		}
@@ -757,7 +803,6 @@ func (n *Node) route(m *wire.Message) {
 				// believes this node is root. Point stale senders at the
 				// current root; otherwise drop and let retries converge.
 				if m.Epoch < g.epoch {
-					n.stats.StaleEpochRejected++
 					n.emit(obs.EvStaleEpoch, GroupID(m.Group), int64(m.Type), int64(m.Epoch))
 					n.maybeNotice(g, int(m.Src))
 				}

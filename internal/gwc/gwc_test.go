@@ -387,28 +387,28 @@ func TestOwnEchoRestoredAfterSnapshotRebase(t *testing.T) {
 	if got := mv.val; got != 7 {
 		t.Errorf("after own echo: mem = %d, want 7 (restored)", got)
 	}
-	if n.stats.EchoRestored != 1 {
-		t.Errorf("EchoRestored = %d, want 1", n.stats.EchoRestored)
+	if n.Stats().EchoRestored != 1 {
+		t.Errorf("EchoRestored = %d, want 1", n.Stats().EchoRestored)
 	}
 
 	// A second arrival of the same echo is a plain duplicate again.
-	before := n.stats.EchoRestored
+	before := n.Stats().EchoRestored
 	n.ingestFwd(g, echo(7), false)
-	if n.stats.EchoRestored != before {
-		t.Errorf("re-delivered echo restored again; EchoRestored = %d", n.stats.EchoRestored)
+	if n.Stats().EchoRestored != before {
+		t.Errorf("re-delivered echo restored again; EchoRestored = %d", n.Stats().EchoRestored)
 	}
 
 	// An echo of an older store never lands: the newer local store wins
 	// even when a re-base intervened.
 	store(9)
 	n.applyVarValue(g, tVar, 3)
-	dropped := n.stats.EchoDropped
+	dropped := n.Stats().EchoDropped
 	n.ingestFwd(g, echo(5), false) // echo of a superseded store
 	if got := mv.val; got != 3 {
 		t.Errorf("superseded echo applied: mem = %d, want 3", got)
 	}
-	if n.stats.EchoDropped != dropped+1 {
-		t.Errorf("EchoDropped = %d, want %d", n.stats.EchoDropped, dropped+1)
+	if n.Stats().EchoDropped != dropped+1 {
+		t.Errorf("EchoDropped = %d, want %d", n.Stats().EchoDropped, dropped+1)
 	}
 	// The newest store's echo still repairs.
 	n.ingestFwd(g, echo(9), false)

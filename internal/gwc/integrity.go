@@ -49,7 +49,7 @@ func (n *Node) sweepDigests(r *rootGroup, now time.Time) {
 		return
 	}
 	r.lastSweep = now
-	n.stats.DigestSweeps++
+	n.emit(obs.EvDigestSweep, r.cfg.ID, int64(r.ring.seq()), 0)
 	probe := n.rootHdr(r).DigestReq(r.ring.seq(), r.digest.Sum())
 	for _, member := range r.cfg.Members {
 		if member == n.id {
@@ -66,7 +66,6 @@ func (n *Node) sweepDigests(r *rootGroup, now time.Time) {
 func (n *Node) markDiverged(g *memberGroup, watermark uint64) {
 	if !g.diverged {
 		g.diverged = true
-		n.stats.Divergences++
 		n.emit(obs.EvDivergence, g.cfg.ID, int64(n.id), int64(watermark))
 	}
 	if g.snapWanted {
@@ -90,7 +89,6 @@ func (n *Node) handleDigestReq(g *memberGroup, m *wire.Message) {
 			n.adoptEpoch(g, m.Epoch, int(m.Src))
 			return
 		}
-		n.stats.StaleEpochRejected++
 		n.emit(obs.EvStaleEpoch, g.cfg.ID, int64(m.Type), int64(m.Epoch))
 		n.maybeNotice(g, int(m.Src))
 		return
@@ -141,7 +139,6 @@ func (n *Node) rootDigestAck(r *rootGroup, m *wire.Message) {
 	if m.Digest() == want {
 		return
 	}
-	n.stats.Divergences++
 	n.emit(obs.EvDivergence, r.cfg.ID, int64(src), int64(seq))
 	// Directive first, snapshot second: FIFO links deliver the verdict
 	// (which quarantines the copy) before the stream that repairs it.

@@ -106,7 +106,6 @@ func (n *Node) leaseEnter(gid GroupID, g *memberGroup, l LockID) bool {
 	}
 	le.held = true
 	le.used = true
-	n.stats.LeaseLocal++
 	n.emit(obs.EvLeaseLocal, gid, int64(l), 0)
 	return true
 }
@@ -134,7 +133,6 @@ func (n *Node) returnIdleLease(g *memberGroup, l LockID, lk *memberLock) {
 func (n *Node) handleLeaseGrant(g *memberGroup, m *wire.Message) {
 	if m.Epoch != g.epoch {
 		if m.Epoch < g.epoch {
-			n.stats.StaleEpochRejected++
 			n.emit(obs.EvStaleEpoch, g.cfg.ID, int64(m.Type), int64(m.Epoch))
 		}
 		return
@@ -252,7 +250,6 @@ func (n *Node) handoffRelease(gid GroupID, g *memberGroup, l LockID, lk *memberL
 	lk.lockDone = epoch
 	lk.lease = nil
 	lk.endRequest()
-	n.stats.Handoffs++
 	n.emit(obs.EvHandoff, gid, int64(l), int64(h.Node))
 	// The direct grant carries this node's applied watermark: the closing
 	// section's writes are all sequenced at or below it (the handoff only
@@ -282,7 +279,6 @@ func (n *Node) handoffRelease(gid GroupID, g *memberGroup, l LockID, lk *memberL
 func (n *Node) handleHandoff(g *memberGroup, m *wire.Message) {
 	if m.Epoch != g.epoch {
 		if m.Epoch < g.epoch {
-			n.stats.StaleEpochRejected++
 			n.emit(obs.EvStaleEpoch, g.cfg.ID, int64(m.Type), int64(m.Epoch))
 			n.maybeNotice(g, int(m.Src))
 		}
@@ -372,7 +368,7 @@ func (n *Node) tickLeases(gid GroupID, g *memberGroup, now time.Time) {
 		}
 		if le.used && le.expiry.Sub(now) < le.ttl/2 && le.renewB.ready(now) {
 			n.arm(&le.renewB, now, n.boBase(), n.boCap())
-			n.stats.LeaseRenewals++
+			n.emit(obs.EvLeaseRenew, g.cfg.ID, int64(l), 0)
 			// A renewal is a request frame quoting the lease's token and
 			// entry epoch — ordinary request retries quote none, which is
 			// how the root tells a renewal from a holder re-announcing a
@@ -437,14 +433,13 @@ func (n *Node) maybeLease(r *rootGroup, l LockID, ls *lockState, winner int) {
 	ls.leaseEpoch = h.epoch
 	ls.leaseToken = h.token
 	ls.revokeB.reset()
-	n.emit(obs.EvLeaseGrant, r.cfg.ID, int64(l), int64(winner))
 	n.sendLease(r, l, ls)
 }
 
 // sendLease grants, or extends, the lease on ls to its leaseholder.
 // Caller holds n.mu.
 func (n *Node) sendLease(r *rootGroup, l LockID, ls *lockState) {
-	n.stats.LeaseGrants++
+	n.emit(obs.EvLeaseGrant, r.cfg.ID, int64(l), int64(ls.leaseTo))
 	n.send(ls.leaseTo, n.rootHdr(r).LeaseGrant(uint32(l), ls.leaseEpoch, ls.leaseToken, n.leaseTTL))
 }
 
@@ -470,7 +465,7 @@ func (n *Node) reserveHint(r *rootGroup, ls *lockState, winner int) wire.Hint {
 // sendLeaseRevoke demands a leased lock back from its holder and arms
 // the re-demand schedule. Caller holds n.mu.
 func (n *Node) sendLeaseRevoke(r *rootGroup, l LockID, ls *lockState, now time.Time) {
-	n.stats.LeaseRevokes++
+	n.emit(obs.EvLeaseRevoke, r.cfg.ID, int64(l), int64(ls.leaseTo))
 	n.arm(&ls.revokeB, now, n.boBase(), n.boCap())
 	n.send(ls.leaseTo, n.rootHdr(r).LeaseRevoke(uint32(l), ls.leaseEpoch, ls.leaseToken))
 }
@@ -506,7 +501,6 @@ func (n *Node) rootLeaseRet(r *rootGroup, m *wire.Message) {
 	if !ls.holdsAt(origin, m.EntryEpoch()) {
 		return // stale or duplicate return
 	}
-	n.stats.LeaseReturns++
 	n.emit(obs.EvLeaseReturn, r.cfg.ID, int64(l), int64(origin))
 	n.leaveLock(r, l, ls, origin)
 }
@@ -579,8 +573,7 @@ func (n *Node) installHandoff(r *rootGroup, l LockID, ls *lockState, from, w int
 	n.enter(ls, w, tok)
 	ls.lastWinner = w
 	ls.hintNode = -1
-	n.stats.HandoffCommits++
-	n.emit(obs.EvHandoff, r.cfg.ID, int64(l), int64(w))
+	n.emit(obs.EvHandoffCommit, r.cfg.ID, int64(l), int64(w))
 	n.multicast(r, n.rootHdr(r).Entry(uint32(l), 0, w, ls.epoch, tok, n.reserveHint(r, ls, w)))
 	n.maybeLease(r, l, ls, w)
 }

@@ -504,7 +504,7 @@ func (n *Node) varOf(gid GroupID, v VarID) (*memberGroup, *memberVar, error) {
 // children. Caller holds n.mu.
 func (n *Node) forwardDown(g *memberGroup, m *wire.Message) {
 	for _, child := range g.children {
-		n.stats.Forwarded++
+		n.emit(obs.EvForwarded, g.cfg.ID, int64(child), 0)
 		n.push(child, *m)
 	}
 }
@@ -530,7 +530,6 @@ func (n *Node) ingestFwd(g *memberGroup, m *wire.Message, forward bool) {
 			// A deposed root (or a retransmission from its reign) is still
 			// multicasting: its sequence numbering no longer means anything
 			// here.
-			n.stats.StaleEpochRejected++
 			n.emit(obs.EvStaleEpoch, g.cfg.ID, int64(m.Type), int64(m.Epoch))
 			return
 		}
@@ -551,7 +550,7 @@ func (n *Node) ingestFwd(g *memberGroup, m *wire.Message, forward bool) {
 	g.electing = false
 	switch {
 	case m.Seq < g.nextSeq:
-		n.stats.Duplicates++
+		n.emit(obs.EvDuplicate, g.cfg.ID, int64(m.Seq), 0)
 		return
 	case g.snapWanted:
 		// Not re-based into this reign yet: the stream and the snapshot
@@ -570,7 +569,7 @@ func (n *Node) ingestFwd(g *memberGroup, m *wire.Message, forward bool) {
 	case m.Seq > g.nextSeq:
 		if _, dup := g.pending[m.Seq]; !dup {
 			g.pending[m.Seq] = *m
-			n.stats.Gaps++
+			n.emit(obs.EvGap, g.cfg.ID, int64(m.Seq), int64(g.nextSeq))
 			if forward {
 				n.forwardDown(g, m)
 			}
@@ -623,7 +622,7 @@ func (n *Node) maybeNack(g *memberGroup) {
 			maxSeq = s
 		}
 	}
-	n.stats.Nacks++
+	n.emit(obs.EvNack, g.cfg.ID, int64(g.nextSeq), int64(maxSeq))
 	n.send(g.rootID, n.hdr(g).Nack(g.nextSeq, maxSeq))
 }
 
@@ -849,11 +848,9 @@ func (n *Node) applyData(g *memberGroup, m *wire.Message) {
 			restore = mv.val != m.Val
 		}
 		if !restore {
-			n.stats.EchoDropped++
 			n.emit(obs.EvEchoDropped, g.cfg.ID, int64(m.Var), 0)
 			return
 		}
-		n.stats.EchoRestored++
 		n.emit(obs.EvEchoRestored, g.cfg.ID, int64(m.Var), 0)
 	}
 	mv.val, mv.written = m.Val, true
@@ -1133,7 +1130,7 @@ func (n *Node) lockRequest(g *memberGroup, l LockID, lk *memberLock, now time.Ti
 		markBusy(&g.busyLocks, &lk.busy, l)
 	}
 	n.arm(&lk.reqB, now, n.boBase(), n.boCap())
-	n.stats.LockRequests++
+	n.emit(obs.EvLockRequest, g.cfg.ID, int64(l), int64(lk.reqToken))
 	return n.hdr(g).LockReq(uint32(l), lk.reqToken, lk.reqSession, lk.reqDeadline)
 }
 
@@ -1336,7 +1333,7 @@ func (n *Node) Release(gid GroupID, l LockID) error {
 	// Batched plane: the section's queued writes must reach the root
 	// before the release does, so every member still sees the data before
 	// the lock changes hands (the paper's GWC ordering guarantee).
-	n.flushWrites(g, flushRelease)
+	n.flushWrites(g, obs.EvFlushRelease)
 	// Lease/handoff fast paths (lease.go): a hinted waiter may take the
 	// lock directly, and a live lease keeps it cached here instead of
 	// going back to the root.

@@ -315,9 +315,11 @@ func TestWatchdogReissueKeepsTheDeadline(t *testing.T) {
 	for _, nd := range c.nodes {
 		nd.SetTimers(5*time.Millisecond, time.Hour, time.Hour)
 	}
-	// The ordinary retry schedule stays out of the way: the only frames of
-	// this acquisition are the first and the watchdog's.
-	n.SetBackoff(time.Hour, time.Hour)
+	// The ordinary retry schedule stays out of the way: n ticks slower
+	// than the watchdog's budget, so every tick trips the watchdog before
+	// a retry comes due, and the only frames of this acquisition are the
+	// first and the watchdog's.
+	n.SetTimers(25*time.Millisecond, 0, 0)
 	n.SetWatchdog(20 * time.Millisecond)
 	tap.filter(func(from, to int, m *wire.Message) bool {
 		return m.Type == wire.TLockCancel && from == 1

@@ -199,10 +199,10 @@ func TestQuorumWatermarkDefersHandoffUntilMajorityAck(t *testing.T) {
 	if r.ring.seq() != seqBefore {
 		t.Fatalf("deferred grant was multicast anyway: seq %d -> %d", seqBefore, r.ring.seq())
 	}
-	if w := root.stats.QuorumAckWaits; w != 1 {
+	if w := root.Stats().QuorumAckWaits; w != 1 {
 		t.Fatalf("QuorumAckWaits = %d, want 1", w)
 	}
-	if g := root.stats.LockGrants; g != 0 {
+	if g := root.Stats().LockGrants; g != 0 {
 		t.Fatalf("LockGrants = %d before the watermark advanced, want 0", g)
 	}
 
@@ -227,7 +227,7 @@ func TestQuorumWatermarkDefersHandoffUntilMajorityAck(t *testing.T) {
 	if len(ls.pending) != 0 || r.ring.seq() != seqBefore+1 {
 		t.Fatalf("deferred grant not serviced: pending=%v seq=%d", ls.pending, r.ring.seq())
 	}
-	if g := root.stats.LockGrants; g != 1 {
+	if g := root.Stats().LockGrants; g != 1 {
 		t.Fatalf("LockGrants = %d after the watermark advanced, want 1", g)
 	}
 }

@@ -284,7 +284,7 @@ func TestStreamRoundTripsEveryLockState(t *testing.T) {
 	if e := g2.locks.at(free).grantEpoch; e != 3 {
 		t.Errorf("the free lock's epoch arrived as %d, want 3 (the Free frame carries it)", e)
 	}
-	if rel := n2.stats.StaleEpochRejected; rel != 0 {
+	if rel := n2.Stats().StaleEpochRejected; rel != 0 {
 		t.Errorf("%d stale-epoch rejections on a clean adoption", rel)
 	}
 }

@@ -141,7 +141,6 @@ func (n *Node) handleJoinReq(m *wire.Message) {
 			// Its acked prefix died with its memory; the quorum watermark
 			// must not keep crediting it (commit itself stays monotonic).
 			r.acks[src] = 0
-			n.stats.Rejoins++
 			n.emit(obs.EvRejoined, gid, int64(src), int64(r.epoch))
 		}
 		n.send(src, n.rootHdr(r).JoinAck(r.ring.seq(), n.id))
@@ -174,7 +173,6 @@ func (n *Node) handleJoinAck(g *memberGroup, m *wire.Message) {
 			g.children = tree.Children[n.id]
 		}
 	}
-	n.stats.Rejoins++
 	n.emit(obs.EvRejoined, g.cfg.ID, int64(n.id), int64(g.epoch))
 }
 
@@ -205,7 +203,7 @@ func (n *Node) SyncContext(ctx context.Context, gid GroupID) error {
 		n.mu.Unlock()
 		return fmt.Errorf("gwc: node %d is closed: %w", n.id, ErrClosed)
 	}
-	n.flushWrites(g, flushSync)
+	n.flushWrites(g, obs.EvFlushSync)
 	g.syncToken++
 	tok := g.syncToken
 	now := n.clock.Now()

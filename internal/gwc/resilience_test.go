@@ -21,13 +21,12 @@ func TestRetryStormBounded(t *testing.T) {
 		retry     = 10 * time.Millisecond
 		failAfter = 200 * time.Millisecond
 		electWait = 100 * time.Millisecond
-		boBase    = 10 * time.Millisecond
-		boCap     = 160 * time.Millisecond
+		boBase    = retry      // the backoff starts at the retry interval
+		boCap     = 16 * retry // and climbs to 16x it
 	)
 	c, fl := newChaosCluster(t, 3, true)
 	for _, nd := range c.nodes {
 		nd.SetTimers(retry, failAfter, electWait)
-		nd.SetBackoff(boBase, boCap)
 	}
 
 	baseline := c.nodes[1].Stats().LockRequests + c.nodes[2].Stats().LockRequests

@@ -125,7 +125,7 @@ type lockWaiter struct {
 // request deadline has passed — their callers gave up, so a grant would
 // only be declined and cost the lock an extra round trip. The clock is
 // read lazily; most queues carry no deadlines at all. Caller holds n.mu.
-func (n *Node) popWaiter(ls *lockState) (lockWaiter, bool) {
+func (n *Node) popWaiter(r *rootGroup, l LockID, ls *lockState) (lockWaiter, bool) {
 	var now int64
 	for len(ls.queue) > 0 {
 		w := ls.queue[0]
@@ -135,7 +135,7 @@ func (n *Node) popWaiter(ls *lockState) (lockWaiter, bool) {
 				now = n.clock.Now().UnixNano()
 			}
 			if w.deadline <= now {
-				n.stats.DeadlineDrops++
+				n.emit(obs.EvDeadlineDrop, r.cfg.ID, int64(l), int64(w.node))
 				continue
 			}
 		}
@@ -324,7 +324,7 @@ func (n *Node) rootHandle(r *rootGroup, m *wire.Message) {
 			// The sender is following a deposed root. Tell it about this
 			// reign so it resyncs; its retry then arrives with the right
 			// epoch.
-			n.stats.StaleEpochRejected++
+			n.emit(obs.EvStaleEpoch, r.cfg.ID, int64(m.Type), int64(m.Epoch))
 			n.send(int(m.Src), n.rootHdr(r).Heartbeat(r.ring.seq(), n.id))
 		}
 		// A higher epoch means this node has itself been deposed; the new
@@ -403,7 +403,6 @@ func (n *Node) rootUpdate(r *rootGroup, m *wire.Message) {
 		}
 		mv := r.member.vars.peek(VarID(m.Var))
 		if mv == nil || !mv.guarded {
-			n.stats.Suppressed++
 			n.emit(obs.EvSuppressed, r.cfg.ID, int64(m.Var), obs.ReasonNotHolder)
 			return
 		}
@@ -426,13 +425,11 @@ func (n *Node) rootUpdate(r *rootGroup, m *wire.Message) {
 			// still in flight: commit the handoff first (lease.go), then
 			// judge the write against the updated record.
 			if !n.inferHandoff(r, guard, ls, int(m.Origin), m.Tag()) {
-				n.stats.Suppressed++
 				n.emit(obs.EvSuppressed, r.cfg.ID, int64(m.Var), obs.ReasonNotHolder)
 				return
 			}
 		}
 		if m.Tag() < ls.foreignEpoch {
-			n.stats.Suppressed++
 			n.emit(obs.EvSuppressed, r.cfg.ID, int64(m.Var), obs.ReasonStaleGrant)
 			return
 		}
@@ -458,7 +455,7 @@ func (n *Node) rootLockReq(r *rootGroup, m *wire.Message) {
 		// re-announcing) would grant into the void and bounce. Its cancel
 		// is on the way — and if the grant raced ahead of the deadline,
 		// cancellation releases it through the normal path.
-		n.stats.DeadlineDrops++
+		n.emit(obs.EvDeadlineDrop, r.cfg.ID, int64(l), int64(origin))
 		return
 	}
 	if h := ls.held.find(origin); h != nil {
@@ -510,7 +507,7 @@ func (n *Node) rootLockReq(r *rootGroup, m *wire.Message) {
 			// Once any other session queues, later same-session requests
 			// line up behind it instead — the open session drains and the
 			// waiter gets its turn within one section churn.
-			n.stats.SessionJoins++
+			n.emit(obs.EvSessJoin, r.cfg.ID, int64(l), int64(sess))
 			n.grant(r, l, ls, lockWaiter{origin, token, deadline, sess})
 			return
 		}
@@ -557,7 +554,6 @@ func (n *Node) rootLockCancel(r *rootGroup, m *wire.Message) {
 	l := LockID(m.Lock)
 	ls := r.lock(l)
 	origin := int(m.Origin)
-	n.stats.LockCancels++
 	n.emit(obs.EvLockCancel, r.cfg.ID, int64(l), int64(origin))
 	if ls.holds(origin) {
 		n.leaveLock(r, l, ls, origin)
@@ -598,13 +594,12 @@ func (n *Node) leaveLock(r *rootGroup, l LockID, ls *lockState, origin int) {
 		return
 	}
 	if sess != 0 {
-		n.stats.SessionCloses++
 		n.emit(obs.EvSessClose, r.cfg.ID, int64(l), int64(sess))
 	}
 	if n.quorumAcks {
 		ls.needSeq = r.ring.seq()
 	}
-	next, ok := n.popWaiter(ls)
+	next, ok := n.popWaiter(r, l, ls)
 	if !ok {
 		// Nobody waiting: propagate the free value to all group memories.
 		n.emit(obs.EvLockFree, r.cfg.ID, int64(l), 0)
@@ -646,11 +641,11 @@ func (n *Node) admitSession(r *rootGroup, l LockID, ls *lockState) {
 				now = n.clock.Now().UnixNano()
 			}
 			if w.deadline <= now {
-				n.stats.DeadlineDrops++
+				n.emit(obs.EvDeadlineDrop, r.cfg.ID, int64(l), int64(w.node))
 				continue
 			}
 		}
-		n.stats.SessionJoins++
+		n.emit(obs.EvSessJoin, r.cfg.ID, int64(l), int64(w.session))
 		n.grant(r, l, ls, w)
 	}
 }
@@ -677,7 +672,6 @@ func (n *Node) grant(r *rootGroup, l LockID, ls *lockState, w lockWaiter) {
 			ls.foreignEpoch = ls.epoch
 		}
 		if w.session != 0 {
-			n.stats.SessionOpens++
 			n.emit(obs.EvSessOpen, r.cfg.ID, int64(l), int64(w.session))
 		}
 		ls.lastWinner, ls.lastSession = winner, w.session
@@ -689,7 +683,6 @@ func (n *Node) grant(r *rootGroup, l LockID, ls *lockState, w lockWaiter) {
 		// writes sequence as holder writes) but must not *learn* of the
 		// grant until a quorum holds the prefix its section would build on.
 		ls.pending = append(ls.pending, winner)
-		n.stats.QuorumAckWaits++
 		if ls.deferredAt.IsZero() {
 			ls.deferredAt = n.clock.Now()
 		}
@@ -704,7 +697,6 @@ func (n *Node) grant(r *rootGroup, l LockID, ls *lockState, w lockWaiter) {
 // winning request's token so the member can verify the grant answers
 // its current acquisition. The frame carries the open session.
 func (n *Node) sendGrant(r *rootGroup, l LockID, ls *lockState, winner int) {
-	n.stats.LockGrants++
 	if !ls.deferredAt.IsZero() && len(ls.pending) == 0 {
 		// This handoff sat behind the quorum-ack watermark; record how
 		// long durability gated the lock.
@@ -732,10 +724,10 @@ func (n *Node) rootNack(r *rootGroup, m *wire.Message) {
 		h := r.ring.slot(s)
 		if h == nil {
 			// Overwritten — older than the retained window.
-			n.stats.LostHistory++
+			n.emit(obs.EvLostHistory, r.cfg.ID, int64(s), int64(m.Src))
 			continue
 		}
-		n.stats.Retransmits++
+		n.emit(obs.EvRetransmit, r.cfg.ID, int64(s), int64(m.Src))
 		out = append(out, h.msg)
 	}
 	// Packed into batch frames when batching is on, so the repair of a

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"optsync/internal/obs"
 	"optsync/internal/wire"
 )
 
@@ -62,7 +63,7 @@ func (n *Node) idsOK(m *wire.Message) bool {
 	if m.ID() < maxRecords {
 		return true
 	}
-	n.stats.IDRangeDrops++
+	n.emit(obs.EvIDRangeDrop, GroupID(m.Group), int64(m.Type), int64(m.Src))
 	n.protoErr("gwc: node %d dropped %v from %d: var %d / lock %d past the table bound %d",
 		n.id, m.Type, m.Src, m.Var, m.Lock, maxRecords)
 	return false

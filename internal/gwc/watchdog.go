@@ -63,9 +63,8 @@ func (n *Node) watchMember(gid GroupID, g *memberGroup, now time.Time) {
 			continue
 		}
 		lk.reqSince = now
-		n.stats.WatchdogStuck++
-		n.stats.WatchdogReissues++
 		n.emit(obs.EvWatchdogStuck, gid, obs.WatchAcquire, int64(l))
+		n.emit(obs.EvWatchdogReissue, gid, obs.WatchAcquire, int64(l))
 		// Restart the request's schedule; this tick's retryLocks re-issues
 		// it with the live token and the caller's deadline — at worst one
 		// duplicate the root dedupes.
@@ -73,9 +72,8 @@ func (n *Node) watchMember(gid GroupID, g *memberGroup, now time.Time) {
 	}
 	if g.rejoining && !g.rejoinBegan.IsZero() && now.Sub(g.rejoinBegan) >= budget {
 		g.rejoinBegan = now
-		n.stats.WatchdogStuck++
-		n.stats.WatchdogReissues++
 		n.emit(obs.EvWatchdogStuck, gid, obs.WatchRejoin, int64(g.joinToken))
+		n.emit(obs.EvWatchdogReissue, gid, obs.WatchRejoin, int64(g.joinToken))
 		// Restart the handshake's schedule; the tick's rejoin branch
 		// re-sends immediately.
 		g.joinB.reset()
@@ -86,9 +84,8 @@ func (n *Node) watchMember(gid GroupID, g *memberGroup, now time.Time) {
 			continue
 		}
 		sw.since = now
-		n.stats.WatchdogStuck++
-		n.stats.WatchdogReissues++
 		n.emit(obs.EvWatchdogStuck, gid, obs.WatchSync, int64(tok))
+		n.emit(obs.EvWatchdogReissue, gid, obs.WatchSync, int64(tok))
 		sw.bo.reset()
 	}
 }
@@ -106,7 +103,6 @@ func (n *Node) watchRoot(gid GroupID, r *rootGroup, now time.Time) {
 		// read path measures staleness from the start of the fence, and a
 		// trip must not shrink that bound.
 		r.fenceWatch = now
-		n.stats.WatchdogStuck++
 		n.emit(obs.EvWatchdogStuck, gid, obs.WatchFence, int64(r.epoch))
 		// No re-drive: only member contact (or deposition) lifts a fence,
 		// and unfencing without quorum would defeat partition safety. The
@@ -133,11 +129,10 @@ func (n *Node) watchRoot(gid GroupID, r *rootGroup, now time.Time) {
 			continue
 		}
 		ls.watchAt = now
-		n.stats.WatchdogStuck++
-		n.stats.WatchdogReissues++
+		kind := obs.WatchHolderless
 		switch {
 		case len(ls.pending) > 0:
-			n.emit(obs.EvWatchdogStuck, gid, obs.WatchParked, int64(l))
+			kind = obs.WatchParked
 			service = true
 		case leased:
 			// A leaseholder is sitting on a revoke demand past budget. The
@@ -145,12 +140,13 @@ func (n *Node) watchRoot(gid GroupID, r *rootGroup, now time.Time) {
 			// exclusive holders); the re-drive is the demand itself, at
 			// full cadence again. A crashed leaseholder is freed by its
 			// rejoin; a partitioned one by this reign's deposition.
-			n.emit(obs.EvWatchdogStuck, gid, obs.WatchLease, int64(l))
+			kind = obs.WatchLease
 			ls.revokeB.reset()
 		default:
-			n.emit(obs.EvWatchdogStuck, gid, obs.WatchHolderless, int64(l))
 			service = true
 		}
+		n.emit(obs.EvWatchdogStuck, gid, kind, int64(l))
+		n.emit(obs.EvWatchdogReissue, gid, kind, int64(l))
 	}
 	if service {
 		n.serviceQuorum(r)

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -143,14 +144,33 @@ func TestHistConcurrent(t *testing.T) {
 	}
 }
 
-func TestTracerDisabledIsNoop(t *testing.T) {
+// TestDisabledTracerCountsOnly: the per-type counts are the protocol's
+// counters, kept with the tracer off; only the ring is opt-in.
+func TestDisabledTracerCountsOnly(t *testing.T) {
 	var tr Tracer
 	tr.Emit(Event{Type: EvSpecStart})
-	if tr.Count(EvSpecStart) != 0 {
-		t.Fatal("disabled tracer counted an event")
+	tr.Tally(EvSpecStart)
+	if got := tr.Count(EvSpecStart); got != 2 {
+		t.Fatalf("disabled tracer counted %d events, want 2", got)
 	}
 	if got := tr.Snapshot(); got != nil {
 		t.Fatalf("disabled tracer buffered %d events", len(got))
+	}
+}
+
+// TestEveryEventTypeIsNamed: /metrics prints a row per counted type, so
+// none may fall back to the ev(N) placeholder.
+func TestEveryEventTypeIsNamed(t *testing.T) {
+	seen := map[string]EventType{}
+	for typ := EventType(0); typ < NumEventTypes; typ++ {
+		name := typ.String()
+		if strings.HasPrefix(name, "ev(") {
+			t.Errorf("event type %d has no name", typ)
+		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("event types %d and %d share the name %q", prev, typ, name)
+		}
+		seen[name] = typ
 	}
 }
 

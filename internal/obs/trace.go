@@ -16,50 +16,81 @@ const (
 	EvNone EventType = iota
 
 	// Optimistic-engine transitions (internal/core).
-	EvSpecStart  // speculative section entered before the grant; A=lock
-	EvSpecCommit // speculation confirmed by grant; A=lock
+	EvSpecStart  // speculative section entered before the grant; A=lock, B=session
+	EvSpecCommit // speculation confirmed by grant; A=lock, B=session
 	EvSpecAbort  // speculation rolled back; A=lock, B=abort reason
-	EvRegular    // history filter chose the pessimistic path; A=lock
+	EvRegular    // history filter chose the pessimistic path; A=lock, B=session
+	EvLeased     // section entered through a held lock lease; A=lock
 
 	// Member-side data plane (internal/gwc).
 	EvEchoDropped  // hardware blocking suppressed a self-echo; A=var
 	EvEchoRestored // failover snapshot restored a blocked echo; A=var
 	EvStaleEpoch   // frame from a deposed reign rejected; A=frame type, B=epoch
-	EvBatchFlush   // coalescing queue flushed; A=writes in flush, B=flush reason
 	EvSnapApplied  // failover/rejoin snapshot re-based the member; A=seq, B=epoch
 	EvRejoined     // rejoin handshake completed; A=rejoining node, B=epoch
+	EvForwarded    // sequenced frame relayed to a spanning-tree child; A=child
+	EvDuplicate    // re-delivered sequenced message dropped; A=seq
+	EvGap          // sequence gap detected, message held back; A=seq, B=next expected
+	EvNack         // retransmit request sent to the root; A=from seq, B=to seq
+	EvEagerResend  // unconfirmed guarded write re-shipped to the root; A=var
+
+	// Member-side write coalescing (batch.go): one type per flush trigger.
+	EvCoalesced    // write combined into an already-queued write; A=var
+	EvFlushSize    // queue flushed at the maxMsgs bound; A=writes in flush
+	EvFlushDelay   // queue flushed when maxDelay elapsed; A=writes in flush
+	EvFlushRelease // queue flushed ahead of a lock release; A=writes in flush
+	EvFlushSync    // queue flushed ahead of a Sync barrier; A=writes in flush
+	EvFlushClose   // queue drained by node shutdown; A=writes in flush
+	EvBatchSent    // batch frame sent (member flush, root fan-out, stream); A=messages, B=destination (-1: fan-out)
 
 	// Root-side lock and update plane.
-	EvSuppressed // guarded write dropped at the root; A=var, B=suppress reason
-	EvLockQueued // lock request queued behind a holder; A=lock, B=requester
-	EvLockGrant  // lock granted; A=lock, B=new holder
-	EvLockFree   // lock released with empty queue; A=lock
-	EvLockCancel // queued request withdrawn; A=lock, B=requester
+	EvSuppressed   // guarded write dropped at the root; A=var, B=suppress reason
+	EvLockRequest  // member: lock request (or its retry) built; A=lock, B=token
+	EvLockQueued   // lock request queued behind a holder; A=lock, B=requester
+	EvLockGrant    // lock granted; A=lock, B=new holder
+	EvLockFree     // lock released with empty queue; A=lock
+	EvLockCancel   // queued request withdrawn; A=lock, B=requester
+	EvDeadlineDrop // lock request dropped, its caller's deadline passed; A=lock, B=requester
+	EvRetransmit   // sequenced message re-sent on a NACK; A=seq, B=requester
+	EvLostHistory  // NACKed message already overwritten in the history; A=seq, B=requester
 
 	// Reign transitions.
 	EvFence       // root lost contact with a quorum and fenced itself; A=reachable, B=epoch
 	EvUnfence     // fenced root regained a quorum and replayed; A=parked frames, B=epoch
+	EvFencedDrop  // fenced root's parked-frame queue past its bound; A=frame type, B=sender
 	EvElection    // member began failure detection / candidacy; A=candidate, B=election epoch
-	EvReignChange // node adopted a new reign; A=new root, B=new epoch
+	EvPromoted    // this node promoted itself to group root; A=node, B=new epoch
+	EvReignChange // member adopted another node's reign; A=new root, B=new epoch
 	EvDemoted     // root learned of a higher reign and stepped down; A=new root, B=new epoch
 
 	// Resilience layer (retry/watchdog/degraded mode).
-	EvLockParked    // grant designated but its multicast deferred on the quorum watermark; A=lock, B=winner
-	EvWatchdogStuck // an operation exceeded its liveness budget; A=operation kind, B=operand
-	EvDegradedRead  // bounded-staleness read served while the node cannot reach a reign; A=var, B=staleness ns
+	EvLockParked      // grant designated but its multicast deferred on the quorum watermark; A=lock, B=winner
+	EvSyncParked      // Sync barrier answer deferred on the quorum watermark; A=sender, B=token
+	EvWatchdogStuck   // an operation exceeded its liveness budget; A=operation kind, B=operand
+	EvWatchdogReissue // the watchdog re-drove a stuck operation; A=operation kind, B=operand
+	EvDegradedRead    // bounded-staleness read served while the node cannot reach a reign; A=var, B=staleness ns
 
 	// Session locks (group mutual exclusion).
 	EvSessOpen  // a session opened (first entry granted); A=lock, B=session
+	EvSessJoin  // an entry joined an already-open session; A=lock, B=session
 	EvSessClose // the open session's last holder left; A=lock, B=session
 
 	// State integrity (anti-entropy sweep).
-	EvDivergence // a member's state digest diverged from the root's; A=diverged node, B=watermark seq
+	EvDigestSweep // root began an anti-entropy digest sweep; A=watermark seq
+	EvDivergence  // a member's state digest diverged from the root's; A=diverged node, B=watermark seq
 
 	// Lock leasing and peer handoff.
-	EvLeaseGrant  // root leased a lock to its holder; A=lock, B=holder
-	EvLeaseReturn // a lease came back to the root; A=lock, B=holder
-	EvLeaseLocal  // a leased re-acquire was decided locally, no wire traffic; A=lock
-	EvHandoff     // a releasing holder handed the lock directly to a waiter; A=lock, B=new holder
+	EvLeaseGrant    // root issued or extended a lock lease; A=lock, B=holder
+	EvLeaseReturn   // a lease came back to the root; A=lock, B=holder
+	EvLeaseRevoke   // root demanded a lease back; A=lock, B=holder
+	EvLeaseRenew    // member asked the root to extend its lease; A=lock
+	EvLeaseLocal    // a leased re-acquire was decided locally, no wire traffic; A=lock
+	EvHandoff       // member: a releasing holder handed the lock directly to a waiter; A=lock, B=new holder
+	EvHandoffCommit // root: a direct transfer was observed and committed; A=lock, B=new holder
+
+	// Received traffic the node discards as malformed.
+	EvIDRangeDrop // frame naming a lock or variable past the table bound; A=frame type, B=sender
+	EvProtoErr    // protocol error recorded (Node.Errors keeps the first 100)
 
 	NumEventTypes // sentinel; always last
 )
@@ -85,20 +116,28 @@ const (
 
 var evNames = [NumEventTypes]string{
 	EvNone: "none", EvSpecStart: "spec-start", EvSpecCommit: "spec-commit",
-	EvSpecAbort: "spec-abort", EvRegular: "regular-acquire",
+	EvSpecAbort: "spec-abort", EvRegular: "regular-acquire", EvLeased: "leased",
 	EvEchoDropped: "echo-dropped", EvEchoRestored: "echo-restored",
-	EvStaleEpoch: "stale-epoch", EvBatchFlush: "batch-flush",
-	EvSnapApplied: "snap-applied", EvRejoined: "rejoined",
-	EvSuppressed: "suppressed", EvLockQueued: "lock-queued",
+	EvStaleEpoch: "stale-epoch", EvSnapApplied: "snap-applied", EvRejoined: "rejoined",
+	EvForwarded: "forwarded", EvDuplicate: "duplicate", EvGap: "gap", EvNack: "nack",
+	EvEagerResend: "eager-resend",
+	EvCoalesced:   "coalesced", EvFlushSize: "flush-size", EvFlushDelay: "flush-delay",
+	EvFlushRelease: "flush-release", EvFlushSync: "flush-sync", EvFlushClose: "flush-close",
+	EvBatchSent:  "batch-sent",
+	EvSuppressed: "suppressed", EvLockRequest: "lock-request", EvLockQueued: "lock-queued",
 	EvLockGrant: "lock-grant", EvLockFree: "lock-free", EvLockCancel: "lock-cancel",
-	EvFence: "fence", EvUnfence: "unfence", EvElection: "election",
-	EvReignChange: "reign-change", EvDemoted: "demoted",
-	EvLockParked: "lock-parked", EvWatchdogStuck: "watchdog-stuck",
+	EvDeadlineDrop: "deadline-drop", EvRetransmit: "retransmit", EvLostHistory: "lost-history",
+	EvFence: "fence", EvUnfence: "unfence", EvFencedDrop: "fenced-drop", EvElection: "election",
+	EvPromoted: "promoted", EvReignChange: "reign-change", EvDemoted: "demoted",
+	EvLockParked: "lock-parked", EvSyncParked: "sync-parked",
+	EvWatchdogStuck: "watchdog-stuck", EvWatchdogReissue: "watchdog-reissue",
 	EvDegradedRead: "degraded-read",
-	EvSessOpen:     "sess-open", EvSessClose: "sess-close",
-	EvDivergence: "divergence",
-	EvLeaseGrant: "lease-grant", EvLeaseReturn: "lease-return",
-	EvLeaseLocal: "lease-local", EvHandoff: "handoff",
+	EvSessOpen:     "sess-open", EvSessJoin: "sess-join", EvSessClose: "sess-close",
+	EvDigestSweep: "digest-sweep", EvDivergence: "divergence",
+	EvLeaseGrant: "lease-grant", EvLeaseReturn: "lease-return", EvLeaseRevoke: "lease-revoke",
+	EvLeaseRenew: "lease-renew", EvLeaseLocal: "lease-local",
+	EvHandoff: "handoff", EvHandoffCommit: "handoff-commit",
+	EvIDRangeDrop: "id-range-drop", EvProtoErr: "proto-err",
 }
 
 func (t EventType) String() string {
@@ -152,11 +191,12 @@ func (r *ring) emit(e Event) {
 	s.seq.Store(idx)
 }
 
-// Tracer is a per-node bounded event trace: a drop-oldest ring of
-// Events plus exact per-type counters that survive wraparound. Emit is
-// lock-free and allocation-free; when the tracer is disabled (the
-// default) it is a single atomic load. The zero value is a valid,
-// disabled tracer.
+// Tracer is a node's one set of protocol counters — an exact count per
+// event type, kept whether or not the tracer is on — plus an opt-in
+// drop-oldest ring of the Events themselves. Emit is lock-free and
+// allocation-free; while the tracer is disabled (the default) it is one
+// atomic add and one atomic load. The zero value is a valid, disabled
+// tracer.
 type Tracer struct {
 	on     atomic.Bool
 	r      atomic.Pointer[ring]
@@ -194,14 +234,21 @@ func (t *Tracer) Disable() { t.on.Store(false) }
 // construction entirely.
 func (t *Tracer) On() bool { return t.on.Load() }
 
-// Emit records one event if the tracer is enabled: bump the exact
-// per-type counter, write the ring slot, and nudge subscribers.
+// Tally counts one event of typ without recording it: what Emit does
+// while the tracer is off, for a caller that skips building an Event it
+// would not keep.
+func (t *Tracer) Tally(typ EventType) {
+	if int(typ) < len(t.counts) {
+		t.counts[typ].Add(1)
+	}
+}
+
+// Emit counts one event and, while the tracer is on, writes it to the
+// ring and nudges subscribers.
 func (t *Tracer) Emit(e Event) {
+	t.Tally(e.Type)
 	if !t.on.Load() {
 		return
-	}
-	if int(e.Type) < len(t.counts) {
-		t.counts[e.Type].Add(1)
 	}
 	if r := t.r.Load(); r != nil {
 		r.emit(e)
@@ -217,7 +264,7 @@ func (t *Tracer) Emit(e Event) {
 }
 
 // Count returns the exact number of events of the given type emitted
-// since the tracer was created — immune to ring wraparound.
+// since the tracer was created, on or off — immune to ring wraparound.
 func (t *Tracer) Count(typ EventType) uint64 {
 	if int(typ) >= len(t.counts) {
 		return 0

@@ -15,14 +15,14 @@ import (
 	"optsync/internal/obs"
 )
 
-// WithTracing enables every node's structured event tracer: protocol
-// transitions (speculation start/commit/abort, suppressed writes,
-// fence/unfence, reign changes, ...) are captured in a per-node bounded
-// drop-oldest ring readable via TraceEvents. capacity is the per-node
-// ring size (0 means the default, 4096 events); the exact per-type
-// counters in Metrics() are unbounded either way. The cost is a few
-// atomic stores per protocol transition — never a lock, never an
-// allocation on the hot paths.
+// WithTracing enables every node's event ring: protocol transitions
+// (speculation start/commit/abort, suppressed writes, fence/unfence,
+// reign changes, ...) are captured in a per-node bounded drop-oldest
+// ring readable via TraceEvents. capacity is the per-node ring size (0
+// means the default, 4096 events). The per-type counts in Metrics() are
+// kept with or without it. The cost is a clock read and a few atomic
+// stores per protocol transition — never a lock, never an allocation on
+// the hot paths.
 func WithTracing(capacity int) Option {
 	return optionFunc(func(o *options) {
 		o.traced = true
@@ -34,8 +34,8 @@ func WithTracing(capacity int) Option {
 // (":0" picks a free port; see Cluster.MetricsAddr for the bound
 // address): GET /metrics returns a plain-text rendering of the merged
 // latency histograms and event counts, and /debug/vars exposes them as
-// expvar JSON. The option implies WithTracing's event capture, so the
-// endpoint's event counters are live.
+// expvar JSON. The event counts are live without WithTracing; the
+// option leaves the event ring off.
 func WithMetricsAddr(addr string) Option {
 	return optionFunc(func(o *options) { o.metricsAddr = addr })
 }
@@ -47,8 +47,8 @@ func WithMetricsAddr(addr string) Option {
 // transport that counts (TCP, with or without fault injection) — the
 // transport counters (frames, writev batches, decode errors, link
 // resets, outbox drops; in-process, how many pushes ran in place and how
-// many queued). Histograms record always; event counts are
-// zero unless tracing is on (WithTracing or WithMetricsAddr).
+// many queued). Histograms and event counts record always; tracing
+// (WithTracing) only adds the event ring.
 func (c *Cluster) Metrics() obs.MetricsSnapshot {
 	var s obs.MetricsSnapshot
 	for _, n := range c.nodes {

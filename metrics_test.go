@@ -168,9 +168,13 @@ func TestMetricsUnderContendedLoad(t *testing.T) {
 	if s.Hists[obs.HistRollback].Mean() < 0 {
 		t.Errorf("rollback mean = %v, negative cost", s.Hists[obs.HistRollback].Mean())
 	}
-	// WithMetricsAddr implies tracing, so event counters must be live too.
+	// Event counts are live without tracing, and the endpoint leaves the
+	// ring off.
 	if s.Events[obs.EvLockGrant] == 0 {
-		t.Error("tracing implied by WithMetricsAddr, but no grant events counted")
+		t.Error("no grant events counted under load")
+	}
+	if ev := c.TraceEvents(); len(ev) != 0 {
+		t.Errorf("WithMetricsAddr switched the event ring on: %d events buffered", len(ev))
 	}
 
 	// Every message above went through a receive loop's drain.
@@ -197,6 +201,9 @@ func TestMetricsUnderContendedLoad(t *testing.T) {
 			t.Errorf("/metrics output missing %q:\n%s", want, text)
 		}
 	}
+	if !strings.Contains(text, "lock-grant") {
+		t.Errorf("/metrics output lists no lock-grant count:\n%s", text)
+	}
 	if strings.Contains(text, "lock_acquire   n=0") {
 		t.Errorf("/metrics reports an empty acquire histogram after load:\n%s", text)
 	}
@@ -208,5 +215,36 @@ func TestMetricsUnderContendedLoad(t *testing.T) {
 	_ = resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /debug/vars = %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestEventCountsWithoutTracing: the per-type event counts are the
+// protocol's counters, so a cluster built with neither WithTracing nor
+// WithMetricsAddr reports them, and its Stats are read off them.
+func TestEventCountsWithoutTracing(t *testing.T) {
+	c, _, m, v := newTestCluster(t, 2)
+	h := c.MustHandle(1)
+	for i := 0; i < 3; i++ {
+		if err := h.Do(m, func() error {
+			cur, err := h.Read(v)
+			if err != nil {
+				return err
+			}
+			return h.Write(v, cur+1)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := c.Metrics()
+	if s.Events[obs.EvLockGrant] == 0 {
+		t.Fatal("no lock-grant events counted on an untraced cluster")
+	}
+	if got, want := s.Events[obs.EvLockGrant], uint64(c.MustHandle(0).Stats().GWC.LockGrants); got != want {
+		t.Errorf("lock-grant count %d, the root's Stats say %d", got, want)
+	}
+	var b strings.Builder
+	c.WriteMetrics(&b)
+	if !strings.Contains(b.String(), "lock-grant") {
+		t.Errorf("metrics text lists no lock-grant count:\n%s", b.String())
 	}
 }

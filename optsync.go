@@ -348,7 +348,7 @@ func NewCluster(n int, opts ...Option) (*Cluster, error) {
 		c.nodes[i].SetLeases(o.leases)
 		c.engines[i] = core.NewEngine(c.nodes[i], o.history)
 	}
-	if o.traced || o.metricsAddr != "" {
+	if o.traced {
 		for _, nd := range c.nodes {
 			nd.Metrics().Trace.Enable(o.traceCap)
 		}
