@@ -617,16 +617,18 @@ func (n *Node) dispatch(ms []wire.Message) {
 // each holding its own lock, and would wait forever, and a pusher that is
 // this very node holding n.mu (a release's batch flush would be one, were it
 // pushed) would wait for itself. So it takes n.mu if it is free and declines
-// otherwise, which queues the run for recvLoop. While it runs the mailbox
-// has the pusher down as this node's consumer, so whatever else is pushed
-// here meanwhile queues without asking for the lock. It reads no clock
-// either: msgNow keeps the stamp of the last tick or queued dispatch, so the
+// otherwise, which queues the run for recvLoop; it declines as well a lock
+// frame the root leaves for its receive loop (runsInPlace). While it runs
+// the mailbox has the pusher down as this node's consumer, so whatever else
+// is pushed here meanwhile queues without asking for the lock. It stamps no
+// clock: msgNow keeps the stamp of the last tick or queued dispatch, so the
 // proof of life a pushed frame leaves — lastRoot at a member, lastHeard at
 // the root — reads up to one maintenance interval early (the tick re-stamps
 // it every interval; heartbeats and probes are sent, not pushed) and never
 // late: the failure detector and the fence can only fire early, by that
-// much. Whatever else the root does with time (request deadlines, leases,
-// revokes) reads the clock itself.
+// much. The data plane reads no clock at all; a lock frame run here reads
+// it only where the root's lock handlers always did (a caller's deadline,
+// the quorum park, a lease).
 func (n *Node) tryDeliver(ms []wire.Message) bool {
 	if !n.mu.TryLock() {
 		return false
@@ -636,9 +638,35 @@ func (n *Node) tryDeliver(ms []wire.Message) bool {
 		return true // dropped, like a send to a closed mailbox
 	}
 	for i := range ms {
+		if m := &ms[i]; !n.runsInPlace(m) {
+			n.emit(obs.EvLockDeferred, GroupID(m.Group), int64(m.Type), int64(m.Src))
+			return false
+		}
+	}
+	for i := range ms {
 		n.route(&ms[i])
 	}
 	return true
+}
+
+// runsInPlace is the one rule for which lock frames the root runs on their
+// pusher's goroutine: those that change nobody else's wait — a request for
+// a lock that is free on the root's books, and a release with nobody queued
+// behind it. A request that would queue, or a release that would hand the
+// lock to a waiter, is left for the receive loop, as a sent frame is:
+// handing a lock over on the releaser's goroutine, sooner than the woken
+// holder can move, only makes more requests find it held. Every other frame
+// runs in place. Caller holds n.mu.
+func (n *Node) runsInPlace(m *wire.Message) bool {
+	if m.Type != wire.TLockReq && m.Type != wire.TLockRel {
+		return true
+	}
+	r := n.roots[GroupID(m.Group)]
+	if r == nil {
+		return false
+	}
+	ls := r.locks.peek(LockID(m.Lock))
+	return ls == nil || len(ls.queue) == 0 && (m.Type == wire.TLockRel || ls.free())
 }
 
 // resyncLoop drives the node's periodic maintenance: resync probes and
@@ -876,19 +904,19 @@ func (n *Node) send(to int, m wire.Message) {
 
 // push is send for a copy of the sequenced stream on its way down: an
 // in-process member that is idle has it applied here and now, on this
-// goroutine, instead of being woken for it (tryDeliver). Node.Write's
-// unbatched update is the one frame pushed up (it calls transport.Push
-// itself, to return the error). The rule for what is pushed, stated once:
-// the data plane is pushed both ways; the lock plane is sent up and pushed
-// down; everything that asks for an answer, repairs a loss or carries a
-// liveness duty is sent. So requests, releases (Release and sendRelease),
-// cancels, acks, NACKs, sync, snapshot, join, lease and handoff frames and
-// heartbeats are sent, as are the tick's eager re-ships (loss repair, under
-// n.mu) and the batched plane's flush frames (flushWrites runs under n.mu:
-// a push at the node's own root would only be declined). Sending the lock
-// plane up is measured, not structural: a pushed request or release hands
-// the lock over sooner than the woken holder can move, more requests find
-// it held, and each contended enqueue allocates (DESIGN.md "InProc: push").
+// goroutine, instead of being woken for it (tryDeliver). Three frames are
+// pushed up, each by its caller holding nothing and calling transport.Push
+// itself, to return the error: Node.Write's unbatched update, a caller's
+// lock request (sendOwn) and Release's release. The rule for what is
+// pushed, stated once: the data plane is pushed both ways; so is the lock
+// plane, but the root runs in place only a lock frame that changes nobody
+// else's wait (runsInPlace); everything that asks for an answer, repairs a
+// loss or carries a liveness duty is sent. So the tick's request retries,
+// the entries a member hands back (sendRelease, under n.mu), cancels, acks,
+// NACKs, sync, snapshot, join, lease and handoff frames and heartbeats are
+// sent, as are the tick's eager re-ships (loss repair) and the batched
+// plane's flush frames (flushWrites runs under n.mu: a push at the node's
+// own root would only be declined). DESIGN.md "InProc: push" has why.
 func (n *Node) push(to int, m wire.Message) {
 	if err := transport.Push(n.ep, to, m); err != nil {
 		n.protoErr("gwc: node %d send to %d: %w", n.id, to, err)

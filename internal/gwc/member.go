@@ -1100,11 +1100,14 @@ func (n *Node) ownLock(gid GroupID, l LockID) (*memberGroup, *memberLock, error)
 }
 
 // sendOwn ships the request of an acquisition its caller will wait for.
-// The caller will not wait for a request it could not send, so that one
-// (and its interrupt) must not stay on the record: the next acquisition
-// would be refused as nested.
+// It is pushed, the caller holding nothing: for a lock the root has free,
+// on an idle in-process group, this goroutine runs the grant and applies
+// the entry here before it returns (push, gwc.go). The caller will not
+// wait for a request it could not send, so that one (and its interrupt)
+// must not stay on the record: the next acquisition would be refused as
+// nested.
 func (n *Node) sendOwn(gid GroupID, l LockID, root int, msg wire.Message) error {
-	err := n.ep.Send(root, msg)
+	err := transport.Push(n.ep, root, msg)
 	if err != nil {
 		_ = n.CancelLockRequest(gid, l) // its frame is as lost as the request's
 	}
@@ -1196,12 +1199,13 @@ func (n *Node) putWait(ch chan struct{}) {
 // WaitEnteredContext blocks, on behalf of an acquisition this node has
 // issued (Request, Speculate), until the node is inside lock l's given
 // session (0 = it holds the lock exclusively), or giveUp — when not
-// nil — reads true; both are checked immediately and
-// after every lock change, and whoever sets giveUp under the node lock
-// (an Interrupt's Fire) wakes the wait. It returns (false, ctx.Err()) if
-// the context ends first, without withdrawing the request (use
-// CancelLockRequest for that), and (false, nil) if the node closes. The
-// caller parks on one channel and nothing else: while it is parked the
+// nil — reads true; both are checked first, before the wait takes a
+// channel or marks anything, and after every lock change, and whoever
+// sets giveUp under the node lock (an Interrupt's Fire) wakes the wait.
+// It returns (false, ctx.Err()) if the context ends first, without
+// withdrawing the request (use CancelLockRequest for that), and (false,
+// nil) if the node closes. The caller parks on one channel and nothing
+// else: while it is parked the
 // maintenance tick owns the request's loss recovery (retryLocks) —
 // re-sends on the record's backoff schedule, a prompt re-register with a
 // new root after a reign change, a fresh request if a rejoin wiped the
@@ -1213,6 +1217,16 @@ func (n *Node) WaitEnteredContext(ctx context.Context, gid GroupID, l LockID, se
 		n.mu.Unlock()
 		return false, err
 	}
+	done := func() bool {
+		// The record is re-resolved: the table may have grown under the wait.
+		return g.locks.at(l).inside(n.id, session) || (giveUp != nil && giveUp.Load())
+	}
+	if done() {
+		// The common case on an idle in-process group, where the request
+		// ran the grant before it returned: nothing to park for.
+		n.mu.Unlock()
+		return true, nil
+	}
 	ch := n.getWait()
 	g.lock.register(ch)
 	lk.parked++
@@ -1221,10 +1235,7 @@ func (n *Node) WaitEnteredContext(ctx context.Context, gid GroupID, l LockID, se
 		// The freshest word on when the caller gives up.
 		lk.reqDeadline = d
 	}
-	ok, err := n.park(ctx, ch, func() bool {
-		// The record is re-resolved: the table may have grown under the wait.
-		return g.locks.at(l).inside(n.id, session) || (giveUp != nil && giveUp.Load())
-	})
+	ok, err := n.park(ctx, ch, done)
 	g.locks.at(l).parked--
 	g.lock.unregister(ch)
 	n.putWait(ch)
@@ -1348,7 +1359,9 @@ func (n *Node) Release(gid GroupID, l LockID) error {
 	g.lock.notifyAll()
 	root := g.rootID
 	n.mu.Unlock()
-	return n.ep.Send(root, msg)
+	// Pushed: with nobody queued behind it the root frees the lock and
+	// every idle member applies the free value on this goroutine.
+	return transport.Push(n.ep, root, msg)
 }
 
 // HookAction is an Interrupt's verdict.

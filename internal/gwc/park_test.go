@@ -391,13 +391,17 @@ func TestFailoverRebuildsLocksUnleased(t *testing.T) {
 }
 
 // countingClock is the wall clock with its calls counted: timers minted,
-// and clock reads made from inside Node.Write or while a pushed frame is
-// being applied (Node.tryDeliver, on the pusher's goroutine).
+// clock reads made from inside Node.Write or while a pushed frame is being
+// applied (Node.tryDeliver, on the pusher's goroutine), and — a traced root
+// reads its clock once per event it records — the grants a release made to
+// a queued waiter, by the goroutine that made them: the releaser's own, or
+// the root's receive loop.
 type countingClock struct {
 	vclock.Clock
-	timers       atomic.Int32
-	nowFromWrite atomic.Int32
-	nowFromPush  atomic.Int32
+	timers                            atomic.Int32
+	nowFromWrite                      atomic.Int32
+	nowFromPush                       atomic.Int32
+	handOverOnRelease, handOverOnLoop atomic.Int32
 }
 
 func (c *countingClock) NewTimer(d time.Duration) vclock.Timer {
@@ -411,6 +415,14 @@ func (c *countingClock) Now() time.Time {
 	}
 	if onStack("gwc.(*Node).tryDeliver") {
 		c.nowFromPush.Add(1)
+	}
+	if onStack("gwc.(*Node).sendGrant") && onStack("gwc.(*Node).leaveLock") {
+		switch {
+		case onStack("gwc.(*Node).Release"):
+			c.handOverOnRelease.Add(1)
+		case onStack("gwc.(*Node).recvLoop"):
+			c.handOverOnLoop.Add(1)
+		}
 	}
 	return c.Clock.Now()
 }

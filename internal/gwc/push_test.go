@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"optsync/internal/obs"
 	"optsync/internal/transport"
 	"optsync/internal/wire"
 )
@@ -23,10 +24,14 @@ import (
 // that can meet head on are the ones a node makes under its lock from
 // outside any consumer — a maintenance tick that promotes or services a
 // quorum multicasts too — and two goroutines here do just that, each
-// holding its own node's lock while it pushes at the other. A consumer
-// that waited for the node lock instead of trying it (tryDeliver with Lock
-// for TryLock) stops both, and every writer behind them, within
-// microseconds: the test then fails at its 10 s deadline.
+// holding its own node's lock while it pushes at the other. Beside them
+// each node runs sections on the lock of both groups in turn, so lock
+// requests and releases are pushed at both roots — run there in place when
+// they change nobody else's wait, left for the receive loop when they do —
+// and their grants and free values pushed back. A consumer that waited for
+// the node lock instead of trying it (tryDeliver with Lock for TryLock)
+// stops both nodes, and every writer behind them, within microseconds: the
+// test then fails at its 10 s deadline.
 func TestCrossRootedGroupsPushWithoutDeadlock(t *testing.T) {
 	net, err := transport.NewInProc(2)
 	if err != nil {
@@ -59,12 +64,32 @@ func TestCrossRootedGroupsPushWithoutDeadlock(t *testing.T) {
 	// never empty and everything queues (under -race beside other
 	// packages, 99 191 pushes of 99 191), which tests nothing. A burst
 	// that starts on idle nodes has both sides pushing in place at once.
-	wrote, stale := make([]int64, 2), make([]int, 2)
+	wrote, stale, sections := make([]int64, 2), make([]int, 2), make([]int, 2)
 	for burst := 0; burst < 10; burst++ {
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 		for i, n := range ns {
-			wg.Add(2)
+			wg.Add(3)
+			go func() { // sections on the peer's group's lock and on its own
+				defer wg.Done()
+				for k := 0; ; k++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					gid := GroupID(1 + k%2)
+					if err := n.Acquire(gid, tLock); err != nil {
+						t.Error(err)
+						return
+					}
+					if err := n.Release(gid, tLock); err != nil {
+						t.Error(err)
+						return
+					}
+					sections[i]++
+				}
+			}()
 			go func() { // the node's own group, sequenced here and pushed at the peer
 				defer wg.Done()
 				for k := wrote[i] + 1; ; k++ {
@@ -127,6 +152,9 @@ func TestCrossRootedGroupsPushWithoutDeadlock(t *testing.T) {
 	}
 	if in, q := rootInPlace.Load(), rootQueued.Load(); in == 0 || q == 0 {
 		t.Errorf("%d writes ran their root in place, %d through its receive loop: the test exercised one path only", in, q)
+	}
+	if sections[0] == 0 || sections[1] == 0 {
+		t.Errorf("sections run: %v; want some on each node", sections)
 	}
 }
 
@@ -357,6 +385,168 @@ func TestInPlaceWritesKeepTheFenceOpen(t *testing.T) {
 	cutAt := time.Now()
 	fl.Partition([]int{0}, []int{2, 3}) // the root and member 1: two of four
 	writeFor(failAfter + 10*retry)
+	root.mu.Lock()
+	fenced, fencedAt := root.roots[tGroup].fenced, root.roots[tGroup].fencedAt
+	root.mu.Unlock()
+	// One interval for the tick that notices; another failAfter of slack
+	// for a tick that a loaded machine runs late.
+	if late := fencedAt.Sub(cutAt) - (failAfter + retry); !fenced || late > failAfter {
+		t.Errorf("fenced=%v %v after the cut, want within %v", fenced, fencedAt.Sub(cutAt), failAfter+retry)
+	}
+}
+
+// TestUncontendedLocksRunInPlace pins the lock plane's push: on an idle
+// in-process group a request for a lock the root has free runs the grant on
+// the requester's goroutine, so the entry is applied here before Request
+// returns and the wait that follows has nothing to park for; a release
+// with nobody queued behind it frees the lock on the releaser's goroutine,
+// so the root's books have it free before Release returns. From a member,
+// and from the node that roots the group (its frames are pushed at its own
+// mailbox). The root leaves no lock frame for its receive loop.
+func TestUncontendedLocksRunInPlace(t *testing.T) {
+	const rounds = 2000
+	c := newInProcCluster(t, 4, false)
+	root := c.nodes[0]
+	free := func() bool {
+		root.mu.Lock()
+		defer root.mu.Unlock()
+		return root.roots[tGroup].lock(tLock).free()
+	}
+	for _, n := range []*Node{c.nodes[1], root} {
+		entered, freed := 0, 0
+		for k := 0; k < rounds; k++ {
+			if err := request(n, tLock); err != nil {
+				t.Fatal(err)
+			}
+			if lk := lockRecord(n, tLock); lk.held.has(n.id) {
+				entered++
+			}
+			if ok, err := waitGrant(n); !ok || err != nil {
+				t.Fatalf("waitGrant = %v, %v", ok, err)
+			}
+			if err := n.Release(tGroup, tLock); err != nil {
+				t.Fatal(err)
+			}
+			if free() {
+				freed++
+			}
+		}
+		if entered*10 < rounds*9 {
+			t.Errorf("node %d: the grant was applied before Request returned in %d of %d rounds, want at least 90%%", n.id, entered, rounds)
+		}
+		if freed*10 < rounds*9 {
+			t.Errorf("node %d: the root's books had the lock free when Release returned in %d of %d rounds, want at least 90%%", n.id, freed, rounds)
+		}
+	}
+	if got := root.Metrics().Trace.Count(obs.EvLockDeferred); got != 0 {
+		t.Errorf("the root left %d lock frames for its receive loop; nobody ever waited", got)
+	}
+}
+
+// TestContendedHandOverStaysQueued pins the other half of the rule: two
+// members loop sections on one mutex, so releases find a waiter queued.
+// Such a release is never run on the releaser's goroutine — the rule
+// defers it when it is offered, and the root's receive loop grants the
+// waiter — so a hand-over keeps the timing a sent release has. The counts
+// come off the root's clock, which the traced root reads once per grant.
+func TestContendedHandOverStaysQueued(t *testing.T) {
+	const rounds = 500
+	_, ns, clocks := newClockedCluster(t, 3, map[VarID]LockID{tVar: tLock})
+	root := ns[0]
+	root.Metrics().Trace.Enable(1 << 15)
+	var wg sync.WaitGroup
+	for _, n := range ns[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < rounds; k++ {
+				if err := n.Acquire(tGroup, tLock); err != nil {
+					t.Error(err)
+					return
+				}
+				v, _ := n.Read(tGroup, tVar)
+				if err := n.Write(tGroup, tVar, v+1); err != nil {
+					t.Error(err)
+				}
+				if err := n.Release(tGroup, tLock); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	waitValue(t, root, tVar, 2*rounds)
+	queued := int(root.Metrics().Trace.Count(obs.EvLockQueued))
+	onRelease, onLoop := int(clocks[0].handOverOnRelease.Load()), int(clocks[0].handOverOnLoop.Load())
+	if onRelease != 0 || onLoop != queued || queued == 0 {
+		t.Errorf("of %d hand-overs, %d ran on the releaser's goroutine and %d on the root's receive loop; want all on the loop", queued, onRelease, onLoop)
+	}
+	deferred := 0
+	for _, e := range root.Metrics().Trace.Snapshot() {
+		if e.Type == obs.EvLockDeferred && e.A == int64(wire.TLockRel) {
+			deferred++
+		}
+	}
+	if deferred == 0 {
+		t.Error("no release was deferred: the rule never saw one with a waiter behind it")
+	}
+}
+
+// TestInPlaceLockTrafficKeepsTheFenceOpen is TestInPlaceWritesKeepTheFenceOpen
+// for the lock plane: the members only lock and unlock, in turn and each
+// its own lock, so every request finds its lock free and every release
+// finds nobody queued, and the root runs both in place, leaving the last
+// tick's stamp as proof of contact. Every other up-frame is dropped. The
+// root must not fence for three failure-detection periods, and must fence
+// within failAfter plus one interval once a majority is cut off.
+func TestInPlaceLockTrafficKeepsTheFenceOpen(t *testing.T) {
+	const retry, failAfter = 10 * time.Millisecond, 200 * time.Millisecond
+	inner, err := transport.NewInProc(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := transport.NewFlaky(inner, transport.FaultPlan{DropRate: 1,
+		Spare: []wire.Type{wire.TLockReq, wire.TLockRel, wire.TSeqUpdate, wire.TSeqLock, wire.THeartbeat}})
+	c := newCluster(t, fl, false)
+	for _, nd := range c.nodes {
+		nd.SetTimers(retry, failAfter, time.Hour)
+	}
+	root := c.nodes[0]
+	lockFor := func(d time.Duration, members ...*Node) {
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		defer cancel()
+		for ; ctx.Err() == nil; time.Sleep(time.Millisecond) {
+			for _, nd := range members {
+				if nd.AcquireContext(ctx, tGroup, LockID(nd.id)) != nil {
+					return // behind a fenced root until the phase ended
+				}
+				if err := nd.Release(tGroup, LockID(nd.id)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	lockFor(3*failAfter, c.nodes[1:]...)
+	if st := root.Stats(); st.Fenced != 0 {
+		t.Fatalf("the root fenced %d time(s) while all three members were locking", st.Fenced)
+	}
+	if dropped, _, _ := fl.Stats(); dropped == 0 {
+		t.Error("no probe was dropped: the root heard more than the lock frames")
+	}
+	// Eight pushes a section: the request and the release up, the entry and
+	// the free value down to three members.
+	sections := uint64(root.Stats().LockGrants)
+	if s := inner.TransportStats(); s.PushedInPlace*10 < sections*8*9 {
+		t.Errorf("%d pushes ran in place for %d sections, want at least 90%% of 8 a section: the root heard the lock frames through its clock-reading dispatch", s.PushedInPlace, sections)
+	}
+	if got := root.Metrics().Trace.Count(obs.EvLockDeferred); got != 0 {
+		t.Errorf("the root left %d lock frames for its receive loop; nobody ever waited", got)
+	}
+
+	cutAt := time.Now()
+	fl.Partition([]int{0}, []int{2, 3}) // the root and member 1, still locking: two of four
+	lockFor(failAfter+10*retry, c.nodes[1])
 	root.mu.Lock()
 	fenced, fencedAt := root.roots[tGroup].fenced, root.roots[tGroup].fencedAt
 	root.mu.Unlock()

@@ -93,16 +93,24 @@ func TestBurstThenReleaseKeepsOrderThroughDrain(t *testing.T) {
 				}
 			}()
 
-			h := c.nodes[holder]
+			h, root := c.nodes[holder], c.nodes[0]
 			if err := h.Acquire(tGroup, tLock); err != nil {
 				t.Fatal(err)
 			}
+			// The root is busy for the whole section, so the burst and the
+			// release wait in its queue, beside the stream, and its receive
+			// loop drains them as a backlog: on an idle InProc root a write
+			// or a release nobody waits behind would run in place.
+			root.mu.Lock()
 			for i := int64(1); i <= burst; i++ {
 				if err := h.Write(tGroup, tVar, i); err != nil {
+					root.mu.Unlock()
 					t.Fatal(err)
 				}
 			}
-			if err := h.Release(tGroup, tLock); err != nil {
+			err = h.Release(tGroup, tLock)
+			root.mu.Unlock()
+			if err != nil {
 				t.Fatal(err)
 			}
 			// Sequenced after the release: the holder's link to the root is

@@ -204,24 +204,38 @@ func TestIDsPastTheBoundAreDropped(t *testing.T) {
 }
 
 // TestLockWaitsReuseOneWaiter pins the free list: back-to-back lock waits
-// on a node draw the same wake channel instead of making one each.
+// on a node draw the same wake channel instead of making one each. Each
+// round's wait parks behind the root node's own section (a request for a
+// free lock is granted before the wait begins, and that wait takes none).
 func TestLockWaitsReuseOneWaiter(t *testing.T) {
 	c := newInProcCluster(t, 2, true)
-	n := c.nodes[1]
+	holder, n := c.nodes[0], c.nodes[1]
 	var first chan struct{}
 	for i := 0; i < 20; i++ {
-		if err := n.Acquire(tGroup, tLock); err != nil {
+		if err := holder.Acquire(tGroup, tLock); err != nil {
 			t.Fatal(err)
 		}
+		done := make(chan error, 1)
+		go func() { done <- n.Acquire(tGroup, tLock) }()
+		waitFor(t, c, 5*time.Second, "the waiter parked", func() bool {
+			n.mu.Lock()
+			defer n.mu.Unlock()
+			return len(n.groups[tGroup].lock.waiters) == 1
+		})
+		if err := holder.Release(tGroup, tLock); err != nil {
+			t.Fatal(err)
+		}
+		waitAcquired(t, done, "the parked waiter")
 		if err := n.Release(tGroup, tLock); err != nil {
 			t.Fatal(err)
 		}
 		n.mu.Lock()
-		if len(n.freeWaits) != 1 {
-			t.Fatalf("round %d: %d waiters on the free list, want 1", i, len(n.freeWaits))
-		}
-		ch := n.freeWaits[0]
+		free := append([]chan struct{}(nil), n.freeWaits...)
 		n.mu.Unlock()
+		if len(free) != 1 {
+			t.Fatalf("round %d: %d waiters on the free list, want 1", i, len(free))
+		}
+		ch := free[0]
 		if first == nil {
 			first = ch
 		}

@@ -201,10 +201,12 @@ type TransportStats struct {
 	// applied at the destination itself; PushedQueued those that fell
 	// back to the destination's queue and a wake-up without the consumer
 	// being asked — something was queued ahead, or a consumer was active;
-	// PushedDeclined those the consumer was offered and turned down (the
-	// destination's node lock was busy), which then queued too. The three
-	// are disjoint and sum to the pushes made; declined over that sum is
-	// how often a pusher met a busy node lock.
+	// PushedDeclined those the consumer was offered and turned down, which
+	// then queued too: the destination's node lock was busy, or the frame
+	// was a lock frame its root leaves for its receive loop (counted at that
+	// node as the lock-deferred event). The three are disjoint and sum to
+	// the pushes made; declined minus lock-deferred, over that sum, is how
+	// often a pusher met a busy node lock.
 	PushedInPlace  uint64
 	PushedQueued   uint64
 	PushedDeclined uint64

@@ -50,6 +50,7 @@ const (
 	EvLockGrant    // lock granted; A=lock, B=new holder
 	EvLockFree     // lock released with empty queue; A=lock
 	EvLockCancel   // queued request withdrawn; A=lock, B=requester
+	EvLockDeferred // pushed lock frame left for the root's receive loop (it would queue or hand over); A=frame type, B=sender
 	EvDeadlineDrop // lock request dropped, its caller's deadline passed; A=lock, B=requester
 	EvRetransmit   // sequenced message re-sent on a NACK; A=seq, B=requester
 	EvLostHistory  // NACKed message already overwritten in the history; A=seq, B=requester
@@ -126,7 +127,7 @@ var evNames = [NumEventTypes]string{
 	EvBatchSent:  "batch-sent",
 	EvSuppressed: "suppressed", EvLockRequest: "lock-request", EvLockQueued: "lock-queued",
 	EvLockGrant: "lock-grant", EvLockFree: "lock-free", EvLockCancel: "lock-cancel",
-	EvDeadlineDrop: "deadline-drop", EvRetransmit: "retransmit", EvLostHistory: "lost-history",
+	EvLockDeferred: "lock-deferred", EvDeadlineDrop: "deadline-drop", EvRetransmit: "retransmit", EvLostHistory: "lost-history",
 	EvFence: "fence", EvUnfence: "unfence", EvFencedDrop: "fenced-drop", EvElection: "election",
 	EvPromoted: "promoted", EvReignChange: "reign-change", EvDemoted: "demoted",
 	EvLockParked: "lock-parked", EvSyncParked: "sync-parked",
