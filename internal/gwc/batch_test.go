@@ -282,7 +282,7 @@ func TestBatchReleaseCloseRaceKeepsFlushOrdering(t *testing.T) {
 		waitFor(t, c, 5*time.Second, "root to process the release", func() bool {
 			root.mu.Lock()
 			defer root.mu.Unlock()
-			return root.roots[tGroup].lock(tLock).free()
+			return root.roots[tGroup].book.lock(tLock).free()
 		})
 		// The root handled the release, so FIFO says the flushed section
 		// data was already sequenced — no waiting, and nothing suppressed.

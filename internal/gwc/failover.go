@@ -209,20 +209,14 @@ func (n *Node) rebase(g *memberGroup, epoch uint32, root int, wantSnap bool) {
 }
 
 // demote stands this node down as the group's root, if it is one, and
-// settles what the dropped rootGroup still owed: the holders on its books
-// leave the gauge with it (their releases go to the new reign, which
-// counts the holders it reconstructed itself). Caller holds n.mu.
+// closes the dropped reign's lock book. Caller holds n.mu.
 func (n *Node) demote(g *memberGroup, epoch uint32, root int) {
 	r, wasRoot := n.roots[g.cfg.ID]
 	if !wasRoot {
 		return
 	}
 	delete(n.roots, g.cfg.ID)
-	owed := 0
-	for i := range r.locks.recs {
-		owed += len(r.locks.recs[i].held.in)
-	}
-	n.metrics.Gauge(obs.GaugeSessHolders).Add(-int64(owed))
+	r.book.close()
 	n.emit(obs.EvDemoted, g.cfg.ID, int64(root), int64(epoch))
 }
 
@@ -390,18 +384,12 @@ func (n *Node) promote(gid GroupID, g *memberGroup) {
 	cfg := g.cfg
 	cfg.Root = n.id
 	cfg.TreeFanout = false
-	r := newRootGroup(cfg, g, n.clock.Now())
-	r.epoch = epoch
+	r := n.newRootGroup(cfg, g, epoch, n.clock.Now())
 	for v, val := range auth {
 		rv := r.vars.at(v)
 		rv.auth, rv.written = val, true
 	}
-	for l, ls := range locks {
-		*r.locks.at(l) = *ls
-		// Reconstructed holders enter the gauge so their eventual leaves
-		// balance it.
-		n.metrics.Gauge(obs.GaugeSessHolders).Add(int64(len(ls.held.in)))
-	}
+	r.book.load(locks)
 	n.roots[gid] = r
 	// Failover duration: from the first suspicion of the old root to the
 	// moment the new reign's authoritative state exists.
@@ -416,24 +404,12 @@ func (n *Node) promote(gid GroupID, g *memberGroup) {
 	for _, v := range sortedKeys(auth) {
 		n.applyVarValue(g, v, auth[v])
 	}
-	for i := range r.locks.recs {
-		l, ls := LockID(i), &r.locks.recs[i]
-		if !ls.used {
-			continue
-		}
-		n.install(g, l, &ls.held, ls.epoch)
+	for _, l := range sortedKeys(locks) {
+		n.install(g, l, &locks[l].held, locks[l].epoch)
 	}
 	// Free locks with survivors queued move on immediately; everyone
 	// else learns the holder from the grant multicast or the snapshot.
-	for i := range r.locks.recs {
-		l, ls := LockID(i), &r.locks.recs[i]
-		if ls.used && ls.free() {
-			if next, ok := n.popWaiter(r, l, ls); ok {
-				n.grant(r, l, ls, next)
-				n.admitSession(r, l, ls)
-			}
-		}
-	}
+	r.book.resume()
 	n.heartbeat(r)
 }
 
@@ -676,17 +652,13 @@ func (n *Node) applyVarValue(g *memberGroup, v VarID, val int64) {
 // consistent cut. Caller holds n.mu.
 func (n *Node) rootSnapSend(r *rootGroup, to int) {
 	hdr, seq := n.rootHdr(r), r.ring.seq()
-	msgs := make([]wire.Message, 0, len(r.vars.recs)+len(r.locks.recs)+1)
+	msgs := make([]wire.Message, 0, len(r.vars.recs)+len(r.book.locks.recs)+1)
 	for i := range r.vars.recs {
 		if rv := &r.vars.recs[i]; rv.written {
 			msgs = append(msgs, hdr.SnapVar(seq, uint32(i), rv.auth))
 		}
 	}
-	for i := range r.locks.recs {
-		if ls := &r.locks.recs[i]; ls.used {
-			msgs = snapLock(msgs, hdr, seq, LockID(i), &ls.held, ls.epoch, Free, 0)
-		}
-	}
+	msgs = r.book.snap(msgs, hdr, seq)
 	// The root's digest at the snapshot watermark rides on the final
 	// frame, so the receiver re-anchors its own digest to it (snapApply)
 	// and the next anti-entropy sweep compares cleanly.

@@ -124,7 +124,7 @@ func TestFailoverPreservesLockHolderAndQueue(t *testing.T) {
 	waitFor(t, c, 5*time.Second, "node 3 to queue at the root", func() bool {
 		c.nodes[0].mu.Lock()
 		defer c.nodes[0].mu.Unlock()
-		return c.nodes[0].roots[tGroup].lock(tLock).queued(3)
+		return c.nodes[0].roots[tGroup].book.lock(tLock).waiting(3) >= 0
 	})
 
 	fl.Crash(0)
@@ -133,7 +133,7 @@ func TestFailoverPreservesLockHolderAndQueue(t *testing.T) {
 	})
 	// The new root must see node 2 as holder (no double grant).
 	c.nodes[1].mu.Lock()
-	holder := soleNode(c.nodes[1].roots[tGroup].lock(tLock))
+	holder := soleNode(c.nodes[1].roots[tGroup].book.lock(tLock))
 	c.nodes[1].mu.Unlock()
 	if holder != 2 {
 		t.Fatalf("reconstructed holder = %d, want 2", holder)
@@ -269,7 +269,7 @@ func TestCancelWhileQueuedLeavesNoPhantom(t *testing.T) {
 		// entry was withdrawn, so the release frees the lock outright.
 		waitFor(t, c, 5*time.Second, "the lock to come to rest free", func() bool {
 			c.nodes[0].mu.Lock()
-			ls := c.nodes[0].roots[tGroup].lock(tLock)
+			ls := c.nodes[0].roots[tGroup].book.lock(tLock)
 			free, qlen := ls.free(), len(ls.queue)
 			c.nodes[0].mu.Unlock()
 			return free && qlen == 0

@@ -107,17 +107,7 @@ func (n *Node) checkFence(r *rootGroup, now time.Time) {
 			r.fencedAt = now
 			r.fenceWatch = now
 			n.emit(obs.EvFence, r.cfg.ID, int64(reach), int64(r.epoch))
-			// Demand every outstanding lease back: a fenced root cannot
-			// vouch for leased re-entries it no longer observes. Records
-			// stay — the demand loop (tickRootLeases re-sends while
-			// fenced) must keep running, and only a validated return,
-			// release, or the holder's rejoin retires a lease.
-			for i := range r.locks.recs {
-				l, ls := LockID(i), &r.locks.recs[i]
-				if ls.used && ls.leaseTo >= 0 {
-					n.sendLeaseRevoke(r, l, ls, now)
-				}
-			}
+			r.book.recall(now, true)
 		}
 		return
 	}
@@ -178,10 +168,10 @@ func (n *Node) advanceCommit(r *rootGroup) {
 }
 
 // serviceQuorum answers sync barriers the commit watermark now covers
-// and grants lock handoffs that were deferred for quorum acks. Barriers
-// are answered even while fenced — they refer to a prefix a majority
-// already holds, which no election can lose — but new grants wait for
-// the fence to lift. Caller holds n.mu.
+// and resumes the lock book, which announces the grants deferred for
+// quorum acks. Barriers are answered even while fenced — they refer to a
+// prefix a majority already holds, which no election can lose — but the
+// book grants nothing until the fence lifts. Caller holds n.mu.
 func (n *Node) serviceQuorum(r *rootGroup) {
 	if len(r.waitSyncs) > 0 {
 		keep := r.waitSyncs[:0]
@@ -194,34 +184,7 @@ func (n *Node) serviceQuorum(r *rootGroup) {
 		}
 		r.waitSyncs = keep
 	}
-	if r.fenced {
-		return
-	}
-	for i := range r.locks.recs {
-		l, ls := LockID(i), &r.locks.recs[i]
-		if !ls.used || r.commit < ls.needSeq {
-			continue
-		}
-		if len(ls.pending) > 0 {
-			// The winners were designated at park time; only the
-			// multicasts waited for the watermark. Announce in
-			// designation order.
-			pend := ls.pending
-			ls.pending = nil
-			for _, h := range pend {
-				if ls.holds(h) {
-					n.sendGrant(r, l, ls, h)
-				}
-			}
-			continue
-		}
-		if ls.free() {
-			if next, ok := n.popWaiter(r, l, ls); ok {
-				n.grant(r, l, ls, next)
-				n.admitSession(r, l, ls)
-			}
-		}
-	}
+	r.book.resume()
 }
 
 // rootSyncReq answers (or defers) a member's durability barrier: the

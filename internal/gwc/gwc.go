@@ -398,7 +398,7 @@ func (n *Node) Join(cfg GroupConfig) error {
 	g := newMemberGroup(n.id, cfg, now)
 	n.groups[cfg.ID] = g
 	if cfg.Root == n.id {
-		n.roots[cfg.ID] = newRootGroup(cfg, g, now)
+		n.roots[cfg.ID] = n.newRootGroup(cfg, g, 0, now)
 	}
 	return nil
 }
@@ -618,7 +618,9 @@ func (n *Node) dispatch(ms []wire.Message) {
 // this very node holding n.mu (a release's batch flush would be one, were it
 // pushed) would wait for itself. So it takes n.mu if it is free and declines
 // otherwise, which queues the run for recvLoop; it declines as well a lock
-// frame the root leaves for its receive loop (runsInPlace). While it runs
+// frame the root leaves for its receive loop, as its lock book rules
+// (lockBook.runsInPlace; a node that roots no reign of the group drops the
+// frame, or points its sender at the reign, wherever it runs). While it runs
 // the mailbox has the pusher down as this node's consumer, so whatever else
 // is pushed here meanwhile queues without asking for the lock. It stamps no
 // clock: msgNow keeps the stamp of the last tick or queued dispatch, so the
@@ -627,8 +629,8 @@ func (n *Node) dispatch(ms []wire.Message) {
 // it every interval; heartbeats and probes are sent, not pushed) and never
 // late: the failure detector and the fence can only fire early, by that
 // much. The data plane reads no clock at all; a lock frame run here reads
-// it only where the root's lock handlers always did (a caller's deadline,
-// the quorum park, a lease).
+// it only where the root's lock book asks for the time (a caller's
+// deadline, the quorum park, a revoke demand).
 func (n *Node) tryDeliver(ms []wire.Message) bool {
 	if !n.mu.TryLock() {
 		return false
@@ -638,7 +640,8 @@ func (n *Node) tryDeliver(ms []wire.Message) bool {
 		return true // dropped, like a send to a closed mailbox
 	}
 	for i := range ms {
-		if m := &ms[i]; !n.runsInPlace(m) {
+		m := &ms[i]
+		if r := n.roots[GroupID(m.Group)]; r != nil && !r.book.runsInPlace(m) {
 			n.emit(obs.EvLockDeferred, GroupID(m.Group), int64(m.Type), int64(m.Src))
 			return false
 		}
@@ -647,26 +650,6 @@ func (n *Node) tryDeliver(ms []wire.Message) bool {
 		n.route(&ms[i])
 	}
 	return true
-}
-
-// runsInPlace is the one rule for which lock frames the root runs on their
-// pusher's goroutine: those that change nobody else's wait — a request for
-// a lock that is free on the root's books, and a release with nobody queued
-// behind it. A request that would queue, or a release that would hand the
-// lock to a waiter, is left for the receive loop, as a sent frame is:
-// handing a lock over on the releaser's goroutine, sooner than the woken
-// holder can move, only makes more requests find it held. Every other frame
-// runs in place. Caller holds n.mu.
-func (n *Node) runsInPlace(m *wire.Message) bool {
-	if m.Type != wire.TLockReq && m.Type != wire.TLockRel {
-		return true
-	}
-	r := n.roots[GroupID(m.Group)]
-	if r == nil {
-		return false
-	}
-	ls := r.locks.peek(LockID(m.Lock))
-	return ls == nil || len(ls.queue) == 0 && (m.Type == wire.TLockRel || ls.free())
 }
 
 // resyncLoop drives the node's periodic maintenance: resync probes and
@@ -811,7 +794,7 @@ func (n *Node) tick() {
 		n.watchRoot(gid, r, now)
 		n.heartbeat(r)
 		n.sweepDigests(r, now)
-		n.tickRootLeases(r, now)
+		r.book.recall(now, false)
 	}
 }
 
@@ -910,13 +893,14 @@ func (n *Node) send(to int, m wire.Message) {
 // lock request (sendOwn) and Release's release. The rule for what is
 // pushed, stated once: the data plane is pushed both ways; so is the lock
 // plane, but the root runs in place only a lock frame that changes nobody
-// else's wait (runsInPlace); everything that asks for an answer, repairs a
-// loss or carries a liveness duty is sent. So the tick's request retries,
-// the entries a member hands back (sendRelease, under n.mu), cancels, acks,
-// NACKs, sync, snapshot, join, lease and handoff frames and heartbeats are
-// sent, as are the tick's eager re-ships (loss repair) and the batched
-// plane's flush frames (flushWrites runs under n.mu: a push at the node's
-// own root would only be declined). DESIGN.md "InProc: push" has why.
+// else's wait (lockBook.runsInPlace); everything that asks for an answer,
+// repairs a loss or carries a liveness duty is sent. So the tick's request
+// retries, the entries a member hands back (sendRelease, under n.mu),
+// cancels, acks, NACKs, sync, snapshot, join, lease and handoff frames and
+// heartbeats are sent, as are the tick's eager re-ships (loss repair) and
+// the batched plane's flush frames (flushWrites runs under n.mu: a push at
+// the node's own root would only be declined). DESIGN.md "InProc: push"
+// has why.
 func (n *Node) push(to int, m wire.Message) {
 	if err := transport.Push(n.ep, to, m); err != nil {
 		n.protoErr("gwc: node %d send to %d: %w", n.id, to, err)

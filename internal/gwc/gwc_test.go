@@ -102,7 +102,7 @@ func eachKind(t *testing.T, f func(t *testing.T, k lockKind)) {
 func booked(root *Node, node int, session uint32) bool {
 	root.mu.Lock()
 	defer root.mu.Unlock()
-	ls := root.roots[tGroup].lock(tLock)
+	ls := root.roots[tGroup].book.lock(tLock)
 	return len(ls.held.in) == 1 && ls.held.in[0].node == node && ls.held.session == session
 }
 

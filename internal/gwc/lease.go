@@ -46,6 +46,10 @@ import (
 //
 // Both fast paths are disabled under SetQuorumAcks: a direct transfer
 // would bypass the quorum-ack watermark that durable handoffs park on.
+//
+// This file is the member side. The root side — issuing, extending and
+// recalling leases, reserving hints, committing handoffs — is the lock
+// book's (book.go).
 
 // leasing reports whether the lease/handoff fast paths are active.
 // Caller holds n.mu.
@@ -417,163 +421,4 @@ func (n *Node) dropLeases(g *memberGroup) {
 	if dropped {
 		g.lock.notifyAll()
 	}
-}
-
-// --- Root side ---
-
-// maybeLease leases the lock to the winner it was just granted to, when
-// nobody waits behind it. Caller holds n.mu.
-func (n *Node) maybeLease(r *rootGroup, l LockID, ls *lockState, winner int) {
-	h := ls.sole()
-	if !n.leasing() || winner == n.id || len(ls.queue) > 0 || h == nil || h.node != winner || r.fenced {
-		return
-	}
-	ls.leaseTo = winner
-	ls.leaseExpiry = n.clock.Now().Add(n.leaseTTL)
-	ls.leaseEpoch = h.epoch
-	ls.leaseToken = h.token
-	ls.revokeB.reset()
-	n.sendLease(r, l, ls)
-}
-
-// sendLease grants, or extends, the lease on ls to its leaseholder.
-// Caller holds n.mu.
-func (n *Node) sendLease(r *rootGroup, l LockID, ls *lockState) {
-	n.emit(obs.EvLeaseGrant, r.cfg.ID, int64(l), int64(ls.leaseTo))
-	n.send(ls.leaseTo, n.rootHdr(r).LeaseGrant(uint32(l), ls.leaseEpoch, ls.leaseToken, n.leaseTTL))
-}
-
-// reserveHint designates the head queued waiter as the new winner's
-// direct-handoff target and returns it for the grant multicast. The
-// waiter is peeked, not popped: installHandoff dequeues it if the
-// transfer happens, and the classic churn grants it if not. Caller holds
-// n.mu.
-func (n *Node) reserveHint(r *rootGroup, ls *lockState, winner int) wire.Hint {
-	ls.hintNode = -1
-	if !n.leasing() || ls.sole() == nil || len(ls.queue) == 0 {
-		return wire.Hint{}
-	}
-	w := ls.queue[0]
-	if w.session != 0 || w.node == n.id || w.node == winner {
-		return wire.Hint{} // only an exclusive waiter can take an exclusive section over
-	}
-	ls.hintNode = w.node
-	ls.hintToken = w.token
-	return wire.Hint{Node: w.node, Token: w.token, Set: true}
-}
-
-// sendLeaseRevoke demands a leased lock back from its holder and arms
-// the re-demand schedule. Caller holds n.mu.
-func (n *Node) sendLeaseRevoke(r *rootGroup, l LockID, ls *lockState, now time.Time) {
-	n.emit(obs.EvLeaseRevoke, r.cfg.ID, int64(l), int64(ls.leaseTo))
-	n.arm(&ls.revokeB, now, n.boBase(), n.boCap())
-	n.send(ls.leaseTo, n.rootHdr(r).LeaseRevoke(uint32(l), ls.leaseEpoch, ls.leaseToken))
-}
-
-// tickRootLeases re-sends due revoke demands: while a leased lock has
-// waiters (or the reign is fenced), the holder must give it back, and
-// the demand frame is unacknowledged until the TLeaseRet (or release)
-// lands. Caller holds n.mu.
-func (n *Node) tickRootLeases(r *rootGroup, now time.Time) {
-	for i := range r.locks.recs {
-		l, ls := LockID(i), &r.locks.recs[i]
-		if !ls.used || ls.leaseTo < 0 {
-			continue
-		}
-		if len(ls.queue) == 0 && !r.fenced {
-			continue
-		}
-		if !ls.revokeB.ready(now) {
-			continue
-		}
-		n.sendLeaseRevoke(r, l, ls, now)
-	}
-}
-
-// rootLeaseRet processes a member's lease return, validated exactly
-// like a release: the quoted entry epoch must match the holder record,
-// so a duplicated return can never free a later entry. Caller holds
-// n.mu.
-func (n *Node) rootLeaseRet(r *rootGroup, m *wire.Message) {
-	l := LockID(m.Lock)
-	ls := r.lock(l)
-	origin := int(m.Origin)
-	if !ls.holdsAt(origin, m.EntryEpoch()) {
-		return // stale or duplicate return
-	}
-	n.emit(obs.EvLeaseReturn, r.cfg.ID, int64(l), int64(origin))
-	n.leaveLock(r, l, ls, origin)
-}
-
-// rootHandoff validates a holder's transfer notice and commits it. The
-// hint is deliberately not required to match: a cancel race can clear
-// it, and the frame's own fields — the holder record, the entry epoch,
-// and the reserved next epoch — carry everything arbitration needs.
-// Caller holds n.mu.
-func (n *Node) rootHandoff(r *rootGroup, m *wire.Message) {
-	l := LockID(m.Lock)
-	ls := r.lock(l)
-	from, w := int(m.Origin), m.Holder()
-	if w < 0 || w == n.id || !r.cfg.memberOf(w) || !r.cfg.memberOf(from) {
-		return
-	}
-	if !ls.holdsAt(from, m.EntryEpoch()) {
-		return // already committed (duplicate notice) or stale
-	}
-	if ls.sole() == nil {
-		n.protoErr("gwc: node %d got handoff notice for lock %d outside an exclusive section", n.id, l)
-		return
-	}
-	if m.Reserved() != ls.epoch+1 {
-		return // reserved an epoch this manager would not mint next
-	}
-	n.installHandoff(r, l, ls, from, w)
-}
-
-// inferHandoff commits a handoff whose notice has not arrived yet,
-// recognised from the new holder's own traffic: frames by the hinted
-// waiter tagged with exactly the epoch the hint reserved can only mean
-// the transfer happened. Returns whether a handoff was committed (the
-// caller re-checks its validation against the updated state). Caller
-// holds n.mu.
-func (n *Node) inferHandoff(r *rootGroup, l LockID, ls *lockState, origin int, epoch uint32) bool {
-	h := ls.sole()
-	if !n.leasing() || ls.hintNode != origin || epoch != ls.epoch+1 || h == nil || h.node == origin {
-		return false
-	}
-	n.installHandoff(r, l, ls, h.node, origin)
-	return true
-}
-
-// installHandoff retires the old holder, installs the new one at the
-// reserved epoch, and multicasts the confirming lock frame — sequenced
-// behind the closing section's data and carrying the next hint, so a
-// convoy chains handoff to handoff. Caller holds n.mu.
-func (n *Node) installHandoff(r *rootGroup, l LockID, ls *lockState, from, w int) {
-	// The hint was a peek: the waiter is still queued and must come out,
-	// or the next churn would grant it a second time.
-	tok := uint32(0)
-	if ls.hintNode == w {
-		tok = ls.hintToken
-	}
-	for i, q := range ls.queue {
-		if q.node == w {
-			if tok == 0 {
-				tok = q.token
-			}
-			ls.queue = append(ls.queue[:i], ls.queue[i+1:]...)
-			break
-		}
-	}
-	n.leave(ls, from)
-	// A peer transfer is always a foreign entry: the new holder differs
-	// from the old, so other nodes' speculations against the closing
-	// section must roll back.
-	ls.foreignEpoch = ls.epoch
-	n.enter(ls, w, tok)
-	ls.lastWinner = w
-	ls.hintNode = -1
-	n.emit(obs.EvHandoffCommit, r.cfg.ID, int64(l), int64(w))
-	n.multicast(r, n.rootHdr(r).Entry(uint32(l), 0, w, ls.epoch, tok, n.reserveHint(r, ls, w)))
-	n.maybeLease(r, l, ls, w)
 }

@@ -99,7 +99,7 @@ func rootLeaseTo(root *Node, l LockID) int {
 	if !ok {
 		return -1
 	}
-	ls := r.locks.peek(l)
+	ls := r.book.locks.peek(l)
 	if ls == nil || !ls.used {
 		return -1
 	}
@@ -237,7 +237,7 @@ func TestHandoffDirectTransfer(t *testing.T) {
 			root.mu.Lock()
 			defer root.mu.Unlock()
 			r := root.roots[tGroup]
-			ls := r.locks.peek(tLock)
+			ls := r.book.locks.peek(tLock)
 			return ls != nil && len(ls.queue) >= want
 		}
 	}

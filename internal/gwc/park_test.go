@@ -154,7 +154,7 @@ func TestParkedAcquireSurvivesRejoin(t *testing.T) {
 		waitFor(t, c, 5*time.Second, "node 1 queued at the root", func() bool {
 			c.nodes[0].mu.Lock()
 			defer c.nodes[0].mu.Unlock()
-			return c.nodes[0].roots[tGroup].lock(tLock).queued(1)
+			return c.nodes[0].roots[tGroup].book.lock(tLock).waiting(1) >= 0
 		})
 		before := lockRecord(n, tLock)
 		if !before.want || before.parked != 1 {
@@ -169,7 +169,7 @@ func TestParkedAcquireSurvivesRejoin(t *testing.T) {
 		waitFor(t, c, 5*time.Second, "the re-minted request to queue at the root", func() bool {
 			c.nodes[0].mu.Lock()
 			defer c.nodes[0].mu.Unlock()
-			return n.Stats().Rejoins >= 1 && c.nodes[0].roots[tGroup].lock(tLock).queued(1)
+			return n.Stats().Rejoins >= 1 && c.nodes[0].roots[tGroup].book.lock(tLock).waiting(1) >= 0
 		})
 		if err := holder.Release(tGroup, tLock); err != nil {
 			t.Fatal(err)
@@ -201,7 +201,7 @@ func TestParkedAcquireSurvivesFailover(t *testing.T) {
 		waitFor(t, c, 5*time.Second, "node 1 queued at the root", func() bool {
 			c.nodes[0].mu.Lock()
 			defer c.nodes[0].mu.Unlock()
-			return c.nodes[0].roots[tGroup].lock(tLock).queued(1)
+			return c.nodes[0].roots[tGroup].book.lock(tLock).waiting(1) >= 0
 		})
 		fl.Crash(0)
 		waitFor(t, c, 5*time.Second, "node 1 to take over the group", func() bool {
@@ -341,7 +341,7 @@ func TestWatchdogReissueKeepsTheDeadline(t *testing.T) {
 	waitFor(t, c, 5*time.Second, "the lock to come to rest free", func() bool {
 		root.mu.Lock()
 		defer root.mu.Unlock()
-		ls := root.roots[tGroup].lock(tLock)
+		ls := root.roots[tGroup].book.lock(tLock)
 		return ls.free() && len(ls.queue) == 0
 	})
 	if st := root.Stats(); st.DeadlineDrops != 1 || st.LockGrants != 1 {
@@ -378,7 +378,7 @@ func TestFailoverRebuildsLocksUnleased(t *testing.T) {
 	waitFor(t, c, 5*time.Second, "node 3 queued behind the holder at the new root", func() bool {
 		c.nodes[1].mu.Lock()
 		defer c.nodes[1].mu.Unlock()
-		return c.nodes[1].roots[tGroup].lock(tLock).queued(3)
+		return c.nodes[1].roots[tGroup].book.lock(tLock).waiting(3) >= 0
 	})
 	if err := holder.Release(tGroup, tLock); err != nil {
 		t.Fatal(err)
@@ -416,7 +416,7 @@ func (c *countingClock) Now() time.Time {
 	if onStack("gwc.(*Node).tryDeliver") {
 		c.nowFromPush.Add(1)
 	}
-	if onStack("gwc.(*Node).sendGrant") && onStack("gwc.(*Node).leaveLock") {
+	if onStack("gwc.(*lockBook).sendGrant") && onStack("gwc.(*lockBook).leaveLock") {
 		switch {
 		case onStack("gwc.(*Node).Release"):
 			c.handOverOnRelease.Add(1)
@@ -570,7 +570,7 @@ func TestSnapshotAlignsAFreeLocksEpoch(t *testing.T) {
 	rootEpoch := func() uint32 {
 		c.nodes[0].mu.Lock()
 		defer c.nodes[0].mu.Unlock()
-		return c.nodes[0].roots[tGroup].lock(tLock).epoch
+		return c.nodes[0].roots[tGroup].book.lock(tLock).epoch
 	}
 	if got, want := lockRecord(n, tLock).grantEpoch, rootEpoch(); got != want {
 		t.Errorf("after the snapshot node 2 has the lock at epoch %d, the root at %d", got, want)

@@ -410,7 +410,7 @@ func TestUncontendedLocksRunInPlace(t *testing.T) {
 	free := func() bool {
 		root.mu.Lock()
 		defer root.mu.Unlock()
-		return root.roots[tGroup].lock(tLock).free()
+		return root.roots[tGroup].book.lock(tLock).free()
 	}
 	for _, n := range []*Node{c.nodes[1], root} {
 		entered, freed := 0, 0

@@ -3,9 +3,11 @@ package gwc
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
+	"optsync/internal/obs"
 	"optsync/internal/transport"
 	"optsync/internal/wire"
 )
@@ -163,13 +165,36 @@ func TestSymmetricSplitFencesThenResumesWithoutElection(t *testing.T) {
 	}
 }
 
+// lockFrames builds the up frames node sends r's book about tLock, for
+// tests that drive a root's book by hand under its node lock.
+type lockFrames struct{ wire.Hdr }
+
+func framesOf(r *rootGroup, node int) lockFrames {
+	return lockFrames{wire.Hdr{Group: uint32(r.cfg.ID), Src: int32(node), Epoch: r.epoch}}
+}
+
+func (f lockFrames) req(token uint32) *wire.Message {
+	m := f.LockReq(uint32(tLock), token, 0, 0)
+	return &m
+}
+
+func (f lockFrames) rel(epoch uint32) *wire.Message {
+	m := f.LockRel(uint32(tLock), epoch, 0)
+	return &m
+}
+
+func (f lockFrames) cancel() *wire.Message {
+	m := f.LockCancel(uint32(tLock))
+	return &m
+}
+
 func TestQuorumWatermarkDefersHandoffUntilMajorityAck(t *testing.T) {
-	// Drive the root's watermark machinery directly (under its lock, so
-	// live ticks cannot interleave): a release with a queued waiter
-	// designates the next holder at once — the lock never goes
-	// holderless, so a clean speculation landing in the park window is
-	// sequenced, not suppressed — but the grant *multicast* must not go
-	// out until a majority acked the releaser's data.
+	// Drive the root's book directly (under the node lock, so live ticks
+	// cannot interleave): a release with a queued waiter designates the
+	// next holder at once — the lock never goes holderless, so a clean
+	// speculation landing in the park window is sequenced, not
+	// suppressed — but the grant *multicast* must not go out until a
+	// majority acked the releaser's data.
 	c := newInProcCluster(t, 5, true)
 	root := c.nodes[0]
 	root.SetQuorumAcks(true)
@@ -177,19 +202,12 @@ func TestQuorumWatermarkDefersHandoffUntilMajorityAck(t *testing.T) {
 	root.mu.Lock()
 	defer root.mu.Unlock() // Fatalf runs deferred calls, so cleanup can Close
 	r := root.roots[tGroup]
-	root.multicast(r, wire.Message{
-		Type:  wire.TSeqUpdate,
-		Group: uint32(tGroup),
-		Src:   int32(root.id),
-		Var:   uint32(tVar),
-		Val:   5,
-	})
-	ls := r.lock(tLock)
-	ls.held.put(holder{node: 3, epoch: 1})
-	ls.epoch = 1
-	ls.queue = []lockWaiter{{node: 4}}
-	seqBefore := r.ring.seq()
-	root.leaveLock(r, tLock, ls, 3)
+	root.multicast(r, root.rootHdr(r).SeqUpdate(int32(root.id), uint32(tVar), 5, false))
+	r.book.step(framesOf(r, 3).req(1)) // nothing to wait for: node 3 enters at epoch 1
+	r.book.step(framesOf(r, 4).req(1)) // node 4 queues behind it
+	ls := r.book.lock(tLock)
+	seqBefore, grants := r.ring.seq(), root.Stats().LockGrants
+	r.book.step(framesOf(r, 3).rel(1))
 	if !ls.holds(4) || len(ls.queue) != 0 {
 		t.Fatalf("next holder not designated at release: holders=%v queue=%v", ls.held.in, ls.queue)
 	}
@@ -202,8 +220,8 @@ func TestQuorumWatermarkDefersHandoffUntilMajorityAck(t *testing.T) {
 	if w := root.Stats().QuorumAckWaits; w != 1 {
 		t.Fatalf("QuorumAckWaits = %d, want 1", w)
 	}
-	if g := root.Stats().LockGrants; g != 0 {
-		t.Fatalf("LockGrants = %d before the watermark advanced, want 0", g)
+	if g := root.Stats().LockGrants; g != grants {
+		t.Fatalf("LockGrants = %d before the watermark advanced, want %d", g, grants)
 	}
 
 	// Acks from non-members are ignored; acks past the reign's sequence
@@ -220,15 +238,66 @@ func TestQuorumWatermarkDefersHandoffUntilMajorityAck(t *testing.T) {
 	// The second member ack completes the majority and sends the parked
 	// multicast (which advances r.ring.seq() past the watermark again — the
 	// next section's data, not yet quorum-held).
-	root.rootAck(r, 2, 1)
+	root.rootAck(r, 2, seqBefore)
 	if r.commit != seqBefore {
 		t.Fatalf("commit = %d after majority ack, want %d", r.commit, seqBefore)
 	}
 	if len(ls.pending) != 0 || r.ring.seq() != seqBefore+1 {
 		t.Fatalf("deferred grant not serviced: pending=%v seq=%d", ls.pending, r.ring.seq())
 	}
-	if g := root.Stats().LockGrants; g != 1 {
-		t.Fatalf("LockGrants = %d after the watermark advanced, want 1", g)
+	if g := root.Stats().LockGrants; g != grants+1 {
+		t.Fatalf("LockGrants = %d after the watermark advanced, want %d", g, grants+1)
+	}
+}
+
+// TestQuorumWaitCountsOnlyParkedGrants: HistQuorumWait records how long
+// grants parked on the quorum watermark waited, and nothing else. A
+// parked winner that cancels before its grant goes out takes the park
+// with it, so the next grant — which never parked — must not record the
+// time since (the lock sat free in between), and the next park's wait is
+// measured from that park.
+func TestQuorumWaitCountsOnlyParkedGrants(t *testing.T) {
+	const idle = 100 * time.Millisecond
+	c := newInProcCluster(t, 3, true)
+	root := c.nodes[0]
+	root.SetQuorumAcks(true)
+
+	root.mu.Lock()
+	defer root.mu.Unlock()
+	r := root.roots[tGroup]
+	ls := r.book.lock(tLock)
+	waits := func() obs.HistSnapshot { return root.metrics.Hist(obs.HistQuorumWait).Snapshot() }
+	ackAll := func() {
+		root.rootAck(r, 1, r.ring.seq())
+		root.rootAck(r, 2, r.ring.seq())
+	}
+
+	r.book.step(framesOf(r, 1).req(1)) // node 1 enters at epoch 1
+	r.book.step(framesOf(r, 2).req(1))
+	r.book.step(framesOf(r, 1).rel(1)) // node 2 parks at epoch 2
+	if !slices.Equal(ls.pending, []int{2}) {
+		t.Fatalf("pending = %v after the release, want node 2 parked", ls.pending)
+	}
+	r.book.step(framesOf(r, 2).cancel()) // the parked winner gives up
+	time.Sleep(idle)
+	ackAll()
+	r.book.step(framesOf(r, 1).req(2)) // uncontended: never parks
+	if !ls.holdsAt(1, 3) || len(ls.pending) != 0 {
+		t.Fatalf("holders %v, pending %v: want node 1 in at epoch 3, announced", ls.held.in, ls.pending)
+	}
+	if n := waits().Count; n != 0 {
+		t.Fatalf("HistQuorumWait counted %d waits with no grant ever announced from a park, want 0", n)
+	}
+
+	// A grant that does park records its wait once, when it goes out.
+	r.book.step(framesOf(r, 2).req(2))
+	r.book.step(framesOf(r, 1).rel(3)) // node 2 parks at epoch 4
+	ackAll()
+	if !ls.holdsAt(2, 4) || len(ls.pending) != 0 {
+		t.Fatalf("holders %v, pending %v: want node 2 in at epoch 4, announced", ls.held.in, ls.pending)
+	}
+	if w := waits(); w.Count != 1 || time.Duration(w.SumNanos) >= idle {
+		t.Fatalf("HistQuorumWait counted %d waits for one parked grant, %v in all; want 1, well under %v", w.Count, time.Duration(w.SumNanos), idle)
 	}
 }
 
@@ -248,7 +317,7 @@ func TestQuorumAckedHandoffCarriesData(t *testing.T) {
 	waitFor(t, c, 5*time.Second, "node 2 to queue at the root", func() bool {
 		c.nodes[0].mu.Lock()
 		defer c.nodes[0].mu.Unlock()
-		return c.nodes[0].roots[tGroup].lock(tLock).queued(2)
+		return c.nodes[0].roots[tGroup].book.lock(tLock).waiting(2) >= 0
 	})
 	if err := c.nodes[1].Write(tGroup, tVar, 5); err != nil {
 		t.Fatal(err)
@@ -373,7 +442,7 @@ func TestRejoinFreesCrashedHoldersLock(t *testing.T) {
 	waitFor(t, c, 5*time.Second, "node 1 to queue behind the crashed holder", func() bool {
 		c.nodes[0].mu.Lock()
 		defer c.nodes[0].mu.Unlock()
-		return c.nodes[0].roots[tGroup].lock(tLock).queued(1)
+		return c.nodes[0].roots[tGroup].book.lock(tLock).waiting(1) >= 0
 	})
 
 	// The holder reboots: its critical section died with its memory, so

@@ -206,7 +206,7 @@ func TestRootDuplicateLockRequestIgnored(t *testing.T) {
 	n.handle(req2)
 	n.handle(req2)
 	n.mu.Lock()
-	qlen := len(n.roots[tGroup].lock(tLock).queue)
+	qlen := len(n.roots[tGroup].book.lock(tLock).queue)
 	n.mu.Unlock()
 	if qlen != 1 {
 		t.Errorf("queue length = %d, want 1 (duplicate requests must dedup)", qlen)
@@ -229,7 +229,7 @@ func TestRootLockCancelLeavesNoPhantomEntry(t *testing.T) {
 	req(2) // queued behind 1
 	cancel(2)
 	n.mu.Lock()
-	ls := n.roots[tGroup].lock(tLock)
+	ls := n.roots[tGroup].book.lock(tLock)
 	holder, qlen := soleNode(ls), len(ls.queue)
 	n.mu.Unlock()
 	if holder != 1 {
@@ -244,7 +244,7 @@ func TestRootLockCancelLeavesNoPhantomEntry(t *testing.T) {
 		Type: wire.TLockRel, Group: uint32(tGroup), Src: 1, Origin: 1, Lock: uint32(tLock), Var: 1,
 	})
 	n.mu.Lock()
-	holder = soleNode(n.roots[tGroup].lock(tLock))
+	holder = soleNode(n.roots[tGroup].book.lock(tLock))
 	n.mu.Unlock()
 	if holder != -1 {
 		t.Errorf("holder = %d after release, want -1 (cancelled waiter must not inherit)", holder)
@@ -256,7 +256,7 @@ func TestRootLockCancelLeavesNoPhantomEntry(t *testing.T) {
 	req(4) // queued
 	cancel(3)
 	n.mu.Lock()
-	ls = n.roots[tGroup].lock(tLock)
+	ls = n.roots[tGroup].book.lock(tLock)
 	holder, qlen = soleNode(ls), len(ls.queue)
 	n.mu.Unlock()
 	if holder != 4 || qlen != 0 {
@@ -285,14 +285,14 @@ func TestRootStaleEpochReleaseIgnored(t *testing.T) {
 	grant(1)      // epoch 2, holder 1 again
 	release(1, 1) // stale duplicate from epoch 1: must be ignored
 	n.mu.Lock()
-	holder := soleNode(n.roots[tGroup].lock(tLock))
+	holder := soleNode(n.roots[tGroup].book.lock(tLock))
 	n.mu.Unlock()
 	if holder != 1 {
 		t.Errorf("holder = %d after stale release, want 1 (epoch 2 grant intact)", holder)
 	}
 	release(1, 2) // the real release
 	n.mu.Lock()
-	holder = soleNode(n.roots[tGroup].lock(tLock))
+	holder = soleNode(n.roots[tGroup].book.lock(tLock))
 	n.mu.Unlock()
 	if holder != -1 {
 		t.Errorf("holder = %d after valid release, want -1", holder)

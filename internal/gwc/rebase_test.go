@@ -239,7 +239,7 @@ func TestStreamRoundTripsEveryLockState(t *testing.T) {
 		shared: {epoch: 4, held: two},
 		waited: {epoch: 6, held: holderSet{in: []holder{{node: 2, epoch: 6}}}, queue: []lockWaiter{{node: 1}}},
 	} {
-		ls := r.lock(l)
+		ls := r.book.lock(l)
 		if ls.epoch != want.epoch || ls.held.session != want.held.session ||
 			!slices.Equal(ls.held.in, want.held.in) || !slices.Equal(ls.queue, want.queue) {
 			t.Errorf("lock %d rebuilt as epoch %d, section %+v, queue %+v; want %d, %+v, %+v",

@@ -116,28 +116,7 @@ func (n *Node) handleJoinReq(m *wire.Message) {
 		token := m.Ticket()
 		if token == 0 || r.joinSeen[src] != token {
 			r.joinSeen[src] = token
-			// The rejoiner's volatile state is gone: drop it from every lock
-			// queue and release anything it held. The release goes through
-			// rootHandle so a fenced reign parks it like any other release
-			// instead of multicasting a grant while fenced.
-			for i := range r.locks.recs {
-				l, ls := LockID(i), &r.locks.recs[i]
-				if !ls.used {
-					continue
-				}
-				for j, q := range ls.queue {
-					if q.node == src {
-						ls.queue = append(ls.queue[:j], ls.queue[j+1:]...)
-						break
-					}
-				}
-				if h := ls.held.find(src); h != nil {
-					// Free only the rejoiner's own entry — under a session
-					// other holders' sections are live and must keep running.
-					rel := wire.Hdr{Group: uint32(gid), Src: int32(src), Epoch: r.epoch}.LockRel(uint32(l), h.epoch, ls.held.session)
-					n.rootHandle(r, &rel)
-				}
-			}
+			r.book.purge(src)
 			// Its acked prefix died with its memory; the quorum watermark
 			// must not keep crediting it (commit itself stays monotonic).
 			r.acks[src] = 0

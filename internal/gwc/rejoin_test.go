@@ -73,7 +73,7 @@ func TestRejoinEdgeCases(t *testing.T) {
 				waitFor(t, c, 5*time.Second, "the victim to queue", func() bool {
 					c.nodes[0].mu.Lock()
 					defer c.nodes[0].mu.Unlock()
-					return c.nodes[0].roots[tGroup].lock(tLock).queued(victim)
+					return c.nodes[0].roots[tGroup].book.lock(tLock).waiting(victim) >= 0
 				})
 				fl.Crash(victim)
 				fl.Revive(victim)

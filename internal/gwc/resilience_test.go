@@ -147,7 +147,7 @@ func TestLockTokenRetryAfterGrant(t *testing.T) {
 		rootState := func() (holder int, token uint32, queued int) {
 			c.nodes[0].mu.Lock()
 			defer c.nodes[0].mu.Unlock()
-			ls := c.nodes[0].roots[tGroup].lock(tLock)
+			ls := c.nodes[0].roots[tGroup].book.lock(tLock)
 			if len(ls.held.in) != 1 {
 				return -1, 0, len(ls.queue)
 			}

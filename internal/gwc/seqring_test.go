@@ -78,7 +78,7 @@ func TestSeqRingFreshReign(t *testing.T) {
 		s := old.tick()
 		old.publish(ringMsg(s), s)
 	}
-	r := newRootGroup(GroupConfig{ID: 1, Members: []int{0, 1}, HistorySize: 8}, nil, time.Now())
+	r := new(Node).newRootGroup(GroupConfig{ID: 1, Members: []int{0, 1}, HistorySize: 8}, nil, 0, time.Now())
 	if got := r.ring.seq(); got != 0 {
 		t.Fatalf("fresh reign watermark = %d, want 0", got)
 	}

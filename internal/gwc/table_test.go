@@ -140,7 +140,7 @@ func TestIDsPastTheBoundAreDropped(t *testing.T) {
 		g := n.groups[tGroup]
 		s := [4]int{len(g.vars.recs), len(g.locks.recs)}
 		if r := n.roots[tGroup]; r != nil {
-			s[2], s[3] = len(r.vars.recs), len(r.locks.recs)
+			s[2], s[3] = len(r.vars.recs), len(r.book.locks.recs)
 		}
 		return s
 	}

@@ -92,8 +92,9 @@ func (n *Node) watchMember(gid GroupID, g *memberGroup, now time.Time) {
 
 // watchRoot cross-checks a reign's lock manager and fencing lease: a
 // fence held past budget, a grant parked on the quorum watermark past
-// budget, and a holderless lock with waiters queued past budget. The
-// lock trips share one serviceQuorum re-run — the cheapest safe
+// budget, and a holderless lock with waiters queued past budget (the
+// lock trips are the book's: lockBook.watch). They share one
+// serviceQuorum re-run — the cheapest safe
 // re-drive, since it re-evaluates every parked grant and holderless
 // queue against the current watermark. Caller holds n.mu.
 func (n *Node) watchRoot(gid GroupID, r *rootGroup, now time.Time) {
@@ -109,46 +110,7 @@ func (n *Node) watchRoot(gid GroupID, r *rootGroup, now time.Time) {
 		// trip is pure observability — degraded reads and /healthz key off
 		// the fence itself.
 	}
-	service := false
-	for i := range r.locks.recs {
-		l, ls := LockID(i), &r.locks.recs[i]
-		if !ls.used {
-			continue
-		}
-		leased := ls.leaseTo >= 0 && len(ls.queue) > 0
-		stuck := len(ls.pending) > 0 || (ls.free() && len(ls.queue) > 0) || leased
-		if !stuck {
-			ls.watchAt = now
-			continue
-		}
-		if ls.watchAt.IsZero() {
-			ls.watchAt = now
-			continue
-		}
-		if now.Sub(ls.watchAt) < budget {
-			continue
-		}
-		ls.watchAt = now
-		kind := obs.WatchHolderless
-		switch {
-		case len(ls.pending) > 0:
-			kind = obs.WatchParked
-			service = true
-		case leased:
-			// A leaseholder is sitting on a revoke demand past budget. The
-			// root never force-frees a leased lock (that could mint two
-			// exclusive holders); the re-drive is the demand itself, at
-			// full cadence again. A crashed leaseholder is freed by its
-			// rejoin; a partitioned one by this reign's deposition.
-			kind = obs.WatchLease
-			ls.revokeB.reset()
-		default:
-			service = true
-		}
-		n.emit(obs.EvWatchdogStuck, gid, kind, int64(l))
-		n.emit(obs.EvWatchdogReissue, gid, kind, int64(l))
-	}
-	if service {
+	if r.book.watch(now, budget) {
 		n.serviceQuorum(r)
 	}
 }
