@@ -608,22 +608,22 @@ func (n *Node) dispatch(ms []wire.Message) {
 	}
 }
 
-// tryDeliver is dispatch for a run that was pushed here (transport.Push),
+// tryDeliver is dispatch for a frame that was pushed here (transport.Push),
 // on the pusher's goroutine: a root's fan-out, under that root's node lock,
 // or a writer's update (Node.Write, this node the root), under nothing — in
 // which case this node's multicast pushes on from here, and the writer ends
-// up running the root and every idle member. It may not wait for n.mu: two
-// nodes that each root a group the other is a member of push at each other,
-// each holding its own lock, and would wait forever, and a pusher that is
-// this very node holding n.mu (a release's batch flush would be one, were it
-// pushed) would wait for itself. So it takes n.mu if it is free and declines
-// otherwise, which queues the run for recvLoop; it declines as well a lock
-// frame the root leaves for its receive loop, as its lock book rules
-// (lockBook.runsInPlace; a node that roots no reign of the group drops the
-// frame, or points its sender at the reign, wherever it runs). While it runs
-// the mailbox has the pusher down as this node's consumer, so whatever else
-// is pushed here meanwhile queues without asking for the lock. It stamps no
-// clock: msgNow keeps the stamp of the last tick or queued dispatch, so the
+// up running the root and every idle member. n.mu is all that excludes it
+// from another pusher and from recvLoop's dispatch: the mailbox only keeps
+// it from overtaking what the same sender queued. It may not wait for n.mu:
+// two nodes that each root a group the other is a member of push at each
+// other, each holding its own lock, and would wait forever, and a pusher
+// that is this very node holding n.mu (a release's batch flush would be one,
+// were it pushed) would wait for itself. So it takes n.mu if it is free and
+// declines otherwise, which queues the frame for recvLoop; it declines as
+// well a lock frame the root leaves for its receive loop, as its lock book
+// rules (lockBook.runsInPlace; a node that roots no reign of the group drops
+// the frame, or points its sender at the reign, wherever it runs). It stamps
+// no clock: msgNow keeps the stamp of the last tick or queued dispatch, so the
 // proof of life a pushed frame leaves — lastRoot at a member, lastHeard at
 // the root — reads up to one maintenance interval early (the tick re-stamps
 // it every interval; heartbeats and probes are sent, not pushed) and never
@@ -631,7 +631,7 @@ func (n *Node) dispatch(ms []wire.Message) {
 // much. The data plane reads no clock at all; a lock frame run here reads
 // it only where the root's lock book asks for the time (a caller's
 // deadline, the quorum park, a revoke demand).
-func (n *Node) tryDeliver(ms []wire.Message) bool {
+func (n *Node) tryDeliver(m wire.Message) bool {
 	if !n.mu.TryLock() {
 		return false
 	}
@@ -639,16 +639,11 @@ func (n *Node) tryDeliver(ms []wire.Message) bool {
 	if n.closed {
 		return true // dropped, like a send to a closed mailbox
 	}
-	for i := range ms {
-		m := &ms[i]
-		if r := n.roots[GroupID(m.Group)]; r != nil && !r.book.runsInPlace(m) {
-			n.emit(obs.EvLockDeferred, GroupID(m.Group), int64(m.Type), int64(m.Src))
-			return false
-		}
+	if r := n.roots[GroupID(m.Group)]; r != nil && !r.book.runsInPlace(&m) {
+		n.emit(obs.EvLockDeferred, GroupID(m.Group), int64(m.Type), int64(m.Src))
+		return false
 	}
-	for i := range ms {
-		n.route(&ms[i])
-	}
+	n.route(&m)
 	return true
 }
 

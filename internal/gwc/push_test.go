@@ -15,20 +15,19 @@ import (
 // TestCrossRootedGroupsPushWithoutDeadlock: nodes 0 and 1 each root a
 // group the other is a member of and both write flat out (ten 20 ms
 // bursts), so each node's fan-out pushes into the other while the other's
-// pushes into it; every write must become visible at the other node. A
-// node's consumer — its receive loop while it dispatches, or a writer that
-// is running the node's root handlers in place (each Write here is pushed
-// at the writer's own node, its group's root) — has the node's mailbox
-// marked busy, so what the peer pushes at it meanwhile queues without
-// reaching for its lock: writers alone cannot close the cycle. The pushes
-// that can meet head on are the ones a node makes under its lock from
-// outside any consumer — a maintenance tick that promotes or services a
-// quorum multicasts too — and two goroutines here do just that, each
-// holding its own node's lock while it pushes at the other. Beside them
-// each node runs sections on the lock of both groups in turn, so lock
-// requests and releases are pushed at both roots — run there in place when
-// they change nobody else's wait, left for the receive loop when they do —
-// and their grants and free values pushed back. A consumer that waited for
+// pushes into it; every write must become visible at the other node. Only
+// a receive loop mid-batch has its node's mailbox marked busy; everyone
+// else who runs a node's handlers holds nothing but its node lock, and
+// pushes at the peer under it: a writer running its own node's root in
+// place (each Write here is pushed at the writer's own node, its group's
+// root), and a maintenance tick that promotes or services a quorum, which
+// two goroutines here imitate, each holding its own node's lock while it
+// pushes at the other. So pushes meet head on, each holding the lock the
+// other reaches for. Beside them each node runs sections on the lock of
+// both groups in turn, so lock requests and releases are pushed at both
+// roots — run there in place when they change nobody else's wait, left for
+// the receive loop when they do — and their grants and free values pushed
+// back. A consumer that waited for
 // the node lock instead of trying it (tryDeliver with Lock for TryLock)
 // stops both nodes, and every writer behind them, within microseconds: the
 // test then fails at its 10 s deadline.
@@ -217,7 +216,7 @@ func TestPushIntoClosingNode(t *testing.T) {
 	member.mu.Lock()
 	g := member.groups[tGroup]
 	before := g.varValue(tVar)
-	frame := []wire.Message{{Type: wire.TSeqUpdate, Group: uint32(tGroup), Var: uint32(tVar), Val: before + 1, Seq: g.nextSeq, Epoch: g.epoch}}
+	frame := wire.Message{Type: wire.TSeqUpdate, Group: uint32(tGroup), Var: uint32(tVar), Val: before + 1, Seq: g.nextSeq, Epoch: g.epoch}
 	member.mu.Unlock()
 	if !member.tryDeliver(frame) {
 		t.Error("a closed node declined a pushed frame; it should take it and drop it")
@@ -328,12 +327,15 @@ func TestRootLocalWriteSequencesInPlace(t *testing.T) {
 	seq := r.ring.seq()
 	root.push(root.id, wire.Message{Type: wire.TUpdate, Group: uint32(tGroup), Src: int32(root.id), Origin: int32(root.id), Var: uint32(tVarB), Val: 7, Epoch: r.epoch})
 	reentered := r.ring.seq() != seq
+	// Read under the hold: once it ends, the receive loop's fan-out of the
+	// frame can meet the member's lock, which waitValue takes, and be
+	// declined too.
+	after := net.TransportStats()
 	root.mu.Unlock()
 	if reentered {
 		t.Error("a frame pushed at the node's own mailbox under its lock was handled under that hold")
 	}
 	waitValue(t, member, tVarB, 7) // the receive loop had it
-	after := net.TransportStats()
 	if got := after.PushedDeclined - before.PushedDeclined; got != 1 {
 		t.Errorf("%d pushes declined, want 1 (in place %d -> %d, queued %d -> %d)", got,
 			before.PushedInPlace, after.PushedInPlace, before.PushedQueued, after.PushedQueued)

@@ -200,13 +200,15 @@ type TransportStats struct {
 	// PushedInPlace counts in-process pushes (transport.Push) the sender
 	// applied at the destination itself; PushedQueued those that fell
 	// back to the destination's queue and a wake-up without the consumer
-	// being asked — something was queued ahead, or a consumer was active;
-	// PushedDeclined those the consumer was offered and turned down, which
-	// then queued too: the destination's node lock was busy, or the frame
-	// was a lock frame its root leaves for its receive loop (counted at that
-	// node as the lock-deferred event). The three are disjoint and sum to
-	// the pushes made; declined minus lock-deferred, over that sum, is how
-	// often a pusher met a busy node lock.
+	// being asked — something was queued ahead, or the destination's
+	// receive loop was mid-batch; PushedDeclined those the consumer was
+	// offered and turned down, which then queued too: the destination's
+	// node lock was busy — held by an API caller, a tick, or another
+	// pusher running the node — or the frame was a lock frame its root
+	// leaves for its receive loop (counted at that node as the
+	// lock-deferred event). The three are disjoint and sum to the pushes
+	// made; declined minus lock-deferred, over that sum, is how often a
+	// pusher met a busy node lock.
 	PushedInPlace  uint64
 	PushedQueued   uint64
 	PushedDeclined uint64

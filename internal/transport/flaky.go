@@ -411,7 +411,7 @@ func (e *flakyEndpoint) deliverTo(h func([]wire.Message)) bool {
 	return DeliverTo(e.inner, h)
 }
 
-func (e *flakyEndpoint) consumeInPlace(h func([]wire.Message) bool) bool {
+func (e *flakyEndpoint) consumeInPlace(h func(wire.Message) bool) bool {
 	return ConsumeInPlace(e.inner, h)
 }
 

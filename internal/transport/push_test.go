@@ -24,11 +24,11 @@ func TestPushIsDecidedByEndpointType(t *testing.T) {
 	a := mustEndpoint(t, fl, 0)
 	b := mustEndpoint(t, fl, 1)
 	plain := struct{ Endpoint }{mustEndpoint(t, inproc, 2)} // hides the capability
-	if ConsumeInPlace(plain, func([]wire.Message) bool { t.Error("consumer called on an endpoint that refused it"); return true }) {
+	if ConsumeInPlace(plain, func(wire.Message) bool { t.Error("consumer called on an endpoint that refused it"); return true }) {
 		t.Error("a decorator without the capability accepted ConsumeInPlace")
 	}
 	var inPlace []int64
-	if !ConsumeInPlace(b, func(run []wire.Message) bool { inPlace = append(inPlace, run[0].Val); return true }) {
+	if !ConsumeInPlace(b, func(m wire.Message) bool { inPlace = append(inPlace, m.Val); return true }) {
 		t.Fatal("Flaky over InProc did not forward ConsumeInPlace")
 	}
 	// In place at b, through Flaky; queued at the plain endpoint's mailbox
@@ -54,12 +54,101 @@ func TestPushIsDecidedByEndpointType(t *testing.T) {
 	}
 }
 
+// TestPushBehindBacklogNeverAsks: with a frame queued ahead, a push on the
+// same link queues behind it without offering itself to the consumer, and
+// the receiver gets both in link order.
+func TestPushBehindBacklogNeverAsks(t *testing.T) {
+	inproc, err := NewInProc(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = inproc.Close() }()
+	a, b := mustEndpoint(t, inproc, 0), mustEndpoint(t, inproc, 1)
+	var asked []int64
+	if !ConsumeInPlace(b, func(m wire.Message) bool { asked = append(asked, m.Val); return true }) {
+		t.Fatal("no in-place capability")
+	}
+	if err := a.Send(1, wire.Message{Type: wire.TSeqUpdate, Val: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := Push(a, 1, wire.Message{Type: wire.TSeqUpdate, Val: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if len(asked) != 0 {
+		t.Errorf("the consumer was offered %v behind a backlog", asked)
+	}
+	if s := inproc.TransportStats(); s.PushedInPlace != 0 || s.PushedQueued != 1 || s.PushedDeclined != 0 {
+		t.Errorf("pushed in place %d, queued %d, declined %d; want 0, 1 and 0", s.PushedInPlace, s.PushedQueued, s.PushedDeclined)
+	}
+	if batch, ok := RecvBatch(b, nil); !ok || len(batch) != 2 || batch[0].Val != 1 || batch[1].Val != 2 {
+		t.Errorf("RecvBatch = %+v ok=%v, want the frames 1 and 2 in order", batch, ok)
+	}
+}
+
+// TestPushQueuesBehindUnfinishedBatch: a frame the receiver has taken but
+// not finished keeps the gate shut although nothing is queued, so a push
+// on the same link queues instead of running ahead of it. Coming back for
+// the next batch is what finishes the first; once the receiver is back
+// with nothing queued, a push runs in place again.
+func TestPushQueuesBehindUnfinishedBatch(t *testing.T) {
+	inproc, err := NewInProc(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = inproc.Close() }()
+	a, b := mustEndpoint(t, inproc, 0), mustEndpoint(t, inproc, 1)
+	var asked atomic.Int64 // the last value offered to the consumer
+	if !ConsumeInPlace(b, func(m wire.Message) bool { asked.Store(m.Val); return true }) {
+		t.Fatal("no in-place capability")
+	}
+	if err := a.Send(1, wire.Message{Type: wire.TSeqUpdate, Val: 1}); err != nil {
+		t.Fatal(err)
+	}
+	batch, ok := RecvBatch(b, nil) // frame 1 taken, not finished
+	if !ok || len(batch) != 1 || batch[0].Val != 1 {
+		t.Fatalf("RecvBatch = %+v ok=%v, want frame 1", batch, ok)
+	}
+	if err := Push(a, 1, wire.Message{Type: wire.TSeqUpdate, Val: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if v := asked.Load(); v != 0 {
+		t.Fatalf("the consumer was offered frame %d while frame 1 was in the receiver's unfinished batch", v)
+	}
+	batch, ok = RecvBatch(b, batch) // finishes frame 1, takes frame 2
+	if !ok || len(batch) != 1 || batch[0].Val != 2 {
+		t.Fatalf("RecvBatch = %+v ok=%v, want frame 2", batch, ok)
+	}
+	back := make(chan struct{})
+	go func() { // finishes frame 2 and waits for more
+		defer close(back)
+		_, _ = RecvBatch(b, batch)
+	}()
+	for end := time.Now().Add(10 * time.Second); inproc.boxes[1].gate.Load() != 0; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(end) {
+			t.Fatal("the gate stayed shut after the receiver came back to an empty queue")
+		}
+	}
+	if err := Push(a, 1, wire.Message{Type: wire.TSeqUpdate, Val: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if v := asked.Load(); v != 3 {
+		t.Errorf("the consumer was last offered frame %d, want 3", v)
+	}
+	if s := inproc.TransportStats(); s.PushedInPlace != 1 || s.PushedQueued != 1 || s.PushedDeclined != 0 {
+		t.Errorf("pushed in place %d, queued %d, declined %d; want 1, 1 and 0", s.PushedInPlace, s.PushedQueued, s.PushedDeclined)
+	}
+	_ = inproc.Close()
+	<-back
+}
+
 // TestPushKeepsLinkOrder: four producers mix Send and Push into one
 // endpoint whose consumer declines at random and whose owner runs a
 // RecvBatch loop beside them. Each source's counters must come out
 // strictly in order, none lost, none twice — whichever goroutine handled
-// them — and no two handlers may overlap: they share unsynchronized state,
-// so the race detector is the judge of that.
+// them. As the contract asks, the consumer keeps other consumers and the
+// owner's batch handling out by itself: it try-locks the mutex the owner
+// handles a batch under and declines when it is taken. The handler state
+// is otherwise unsynchronized, so the race detector checks that lock too.
 func TestPushKeepsLinkOrder(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -77,32 +166,36 @@ func TestPushKeepsLinkOrder(t *testing.T) {
 			nw := tc.wrap(inproc)
 			sink := mustEndpoint(t, nw, producers)
 
-			// Handler state, deliberately unsynchronized.
+			// Handler state, guarded by mu alone.
 			var (
+				mu       sync.Mutex
 				next     [producers]uint64
 				total    int
-				declined uint64 // times the consumer said no
+				declined atomic.Uint64 // times the consumer said no
 				pushes   atomic.Uint64
 				rng      = rand.New(rand.NewSource(7))
 				done     = make(chan struct{})
 			)
-			handle := func(run []wire.Message) {
-				for _, m := range run {
-					if m.Seq != next[m.Src] {
-						t.Errorf("source %d: got counter %d, want %d", m.Src, m.Seq, next[m.Src])
-					}
-					next[m.Src] = m.Seq + 1
-					if total++; total == producers*perProducer {
-						close(done)
-					}
+			handle := func(m wire.Message) {
+				if m.Seq != next[m.Src] {
+					t.Errorf("source %d: got counter %d, want %d", m.Src, m.Seq, next[m.Src])
+				}
+				next[m.Src] = m.Seq + 1
+				if total++; total == producers*perProducer {
+					close(done)
 				}
 			}
-			if !ConsumeInPlace(sink, func(run []wire.Message) bool {
-				if rng.Intn(4) == 0 {
-					declined++
+			if !ConsumeInPlace(sink, func(m wire.Message) bool {
+				if !mu.TryLock() {
+					declined.Add(1)
 					return false
 				}
-				handle(run)
+				defer mu.Unlock()
+				if rng.Intn(4) == 0 {
+					declined.Add(1)
+					return false
+				}
+				handle(m)
 				return true
 			}) {
 				t.Fatal("no in-place capability")
@@ -117,7 +210,11 @@ func TestPushKeepsLinkOrder(t *testing.T) {
 					if batch, ok = RecvBatch(sink, batch); !ok {
 						return
 					}
-					handle(batch)
+					mu.Lock()
+					for _, m := range batch {
+						handle(m)
+					}
+					mu.Unlock()
 				}
 			}()
 			for src := 0; src < producers; src++ {
@@ -154,9 +251,9 @@ func TestPushKeepsLinkOrder(t *testing.T) {
 			}
 			// Declined is the consumer's own count of its refusals, apart
 			// from the pushes it was never offered; the three add up.
-			if s.PushedDeclined != declined || s.PushedInPlace+s.PushedQueued+s.PushedDeclined != pushes.Load() {
+			if s.PushedDeclined != declined.Load() || s.PushedInPlace+s.PushedQueued+s.PushedDeclined != pushes.Load() {
 				t.Errorf("in place %d + queued %d + declined %d, want declined %d and a sum of %d pushes",
-					s.PushedInPlace, s.PushedQueued, s.PushedDeclined, declined, pushes.Load())
+					s.PushedInPlace, s.PushedQueued, s.PushedDeclined, declined.Load(), pushes.Load())
 			}
 		})
 	}

@@ -109,17 +109,18 @@ func DeliverTo(ep Endpoint, h func(run []wire.Message)) bool {
 // sender's goroutine.
 type pusher interface {
 	push(to int, m wire.Message) error
-	consumeInPlace(h func(run []wire.Message) bool) bool
+	consumeInPlace(h func(m wire.Message) bool) bool
 }
 
 // Push is Send for a frame the sender would rather apply at the
 // destination itself than wake the destination for: if the destination
-// registered a consumer (ConsumeInPlace), has nothing queued and is not
-// consuming right now, the consumer runs on the caller's goroutine, under
-// whatever the caller holds; in every other case — and on every endpoint
-// without the capability — it is Send. Either way everything this sender
-// sent to `to` earlier has been consumed in full before m is, so a link
-// stays FIFO however its frames mix the two calls.
+// registered a consumer (ConsumeInPlace), has nothing queued and its owner
+// is not holding a batch it received, the consumer is offered m on the
+// caller's goroutine, under whatever the caller holds; in every other case,
+// when the consumer declines, and on every endpoint without the capability,
+// it is Send. Either way everything this sender sent to `to` earlier has
+// been consumed in full before m is, so a link stays FIFO however its
+// frames mix the two calls.
 func Push(ep Endpoint, to int, m wire.Message) error {
 	if p, can := ep.(pusher); can {
 		return p.push(to, m)
@@ -128,20 +129,21 @@ func Push(ep Endpoint, to int, m wire.Message) error {
 }
 
 // ConsumeInPlace registers h as the consumer Push may run for frames
-// addressed to ep, and reports whether ep can. h is called with a run of
-// one message, on a goroutine that is not ep's owner's and may hold any
-// lock of its own, so it must not block: it takes what it needs with a
-// try-lock and returns false to decline, which queues the run for
-// Recv/RecvBatch as if it had been sent. The slice is the endpoint's: h
-// reads it in place and keeps nothing of it. No two calls of h overlap,
-// and none overlaps the owner's handling of what it last received (the
+// addressed to ep, and reports whether ep can. h is called with one
+// message, on a goroutine that is not ep's owner's and may hold any lock
+// of its own, so it must not block: it takes what it needs with a
+// try-lock and returns false to decline, which queues m for
+// Recv/RecvBatch as if it had been sent. The endpoint excludes nobody: h
+// may run beside another pusher's h and beside the owner's handling of
+// what it received, so h must keep both out itself — with the same lock
+// the owner handles a batch under. What the endpoint does guarantee is
+// the link order: h is not offered a frame while an earlier one from the
+// same sender is queued or in a batch the owner has not finished (the
 // endpoint takes that to end when the owner comes back to receive).
-// Register once, before traffic. Close does not wait for an h in
-// progress, but the owner's receive call does before it reports the
-// endpoint closed, so an owner that waits for its receive loop to end
-// has waited for h too. Only InProc has the capability (and Flaky
-// forwards it).
-func ConsumeInPlace(ep Endpoint, h func(run []wire.Message) bool) bool {
+// Register once, before traffic. Neither Close nor the owner's receive
+// call waits for an h in progress. Only InProc has the capability (and
+// Flaky forwards it).
+func ConsumeInPlace(ep Endpoint, h func(m wire.Message) bool) bool {
 	if p, can := ep.(pusher); can {
 		return p.consumeInPlace(h)
 	}
@@ -189,23 +191,37 @@ type mailbox[T any] struct {
 	drops *atomic.Uint64
 
 	// The in-place path (offer). consumer is what a producer may run
-	// itself. At most one of receiving and producing is set, and says who
-	// is consuming right now: the receiver, from taking a batch until it
-	// comes back for the next, or a producer inside consumer. slot holds
-	// that producer's one-message run, so the flag owns it and nothing is
-	// allocated. inPlace, queued and declined count how offers ended: the
-	// consumer ran; it was never asked (a backlog, or somebody consuming);
-	// it was asked and said no.
-	consumer                  func(run []T) bool
-	receiving, producing      bool
-	slot                      [1]T
-	inPlace, queued, declined uint64
+	// itself; receiving is set from the receiver taking a batch until it
+	// comes back for the next. gate is zero exactly when a consumer is
+	// registered, nothing is queued, the receiver is not receiving and the
+	// mailbox is open — the one word offer reads without mb.mu; it is
+	// written under mb.mu wherever one of the four changes (regate).
+	// inPlace, queued and declined count how offers ended: the consumer
+	// took the frame; it was never asked (the gate was shut); it was asked
+	// and said no.
+	consumer                  func(m T) bool
+	receiving                 bool
+	gate                      atomic.Uint32
+	inPlace, queued, declined atomic.Uint64
 }
 
 func newMailbox[T any]() *mailbox[T] {
 	mb := &mailbox[T]{}
 	mb.cond = sync.NewCond(&mb.mu)
+	mb.gate.Store(1) // no consumer yet
 	return mb
+}
+
+// regate brings the gate word in line with the state it sums up. Caller
+// holds mb.mu.
+func (mb *mailbox[T]) regate() {
+	var shut uint32
+	if mb.consumer == nil || mb.head != len(mb.queue) || mb.receiving || mb.closed {
+		shut = 1
+	}
+	if mb.gate.Load() != shut { // every pusher reads the word: store only a change
+		mb.gate.Store(shut)
+	}
 }
 
 // newBoundedMailbox builds a mailbox that holds at most bound entries,
@@ -255,46 +271,25 @@ func (mb *mailbox[T]) putAll(ms []T) error {
 }
 
 // offer hands m to the registered consumer on the caller's goroutine when
-// nothing is queued and nobody is consuming, and is put otherwise or when
-// the consumer declines. Whatever the caller put or offered earlier was
-// therefore consumed in full before m is: it left the queue before the
-// check (the queue is FIFO), and its consumer returned before the flag
-// it ran under was cleared.
+// the gate is open, and is put when it is shut or the consumer declines;
+// mb.mu is taken only to enqueue. Whatever the caller put or offered
+// earlier was therefore consumed in full before m is: had it still been
+// queued, or in a batch the receiver had not finished, the gate would
+// have been shut when offer read it, and had it been offered, its
+// consumer call returned before this one began.
 func (mb *mailbox[T]) offer(m T) error {
-	mb.mu.Lock()
-	if mb.closed {
-		mb.mu.Unlock()
-		return ErrClosed
+	count := &mb.queued
+	if mb.gate.Load() == 0 {
+		if mb.consumer(m) {
+			mb.inPlace.Add(1)
+			return nil
+		}
+		count = &mb.declined
 	}
-	asked, took := false, false
-	if mb.consumer != nil && mb.head == len(mb.queue) && !mb.receiving && !mb.producing {
-		asked = true
-		mb.producing = true
-		mb.slot[0] = m
-		mb.mu.Unlock()
-		took = mb.consumer(mb.slot[:])
-		mb.mu.Lock()
-		clear(mb.slot[:])
-		mb.producing = false
+	if err := mb.put(m); err != nil {
+		return err
 	}
-	switch {
-	case took:
-		mb.inPlace++
-	case asked:
-		mb.declined++
-	default:
-		mb.queued++
-	}
-	if !took {
-		mb.push(m)
-	}
-	// The receiver sleeps through an in-place run; it is woken only for
-	// what queued up meanwhile, or to see the mailbox closed.
-	wake := mb.head != len(mb.queue) || mb.closed
-	mb.mu.Unlock()
-	if wake {
-		mb.cond.Signal()
-	}
+	count.Add(1)
 	return nil
 }
 
@@ -323,15 +318,17 @@ func (mb *mailbox[T]) push(m T) {
 		mb.head = 0
 	}
 	mb.queue = append(mb.queue, m)
+	mb.regate()
 }
 
-// await blocks the receiver until it may take from the queue: something
-// is queued and no producer is inside the consumer. Coming back is how
-// the receiver says it is done with what it took last. False once the
-// mailbox is closed and emptied. Caller holds mb.mu.
+// await blocks the receiver until something is queued. Coming back is how
+// the receiver says it is done with what it took last, which opens the
+// gate if nothing is queued. False once the mailbox is closed and emptied.
+// Caller holds mb.mu.
 func (mb *mailbox[T]) await() bool {
 	mb.receiving = false
-	for mb.producing || (mb.head == len(mb.queue) && !mb.closed) {
+	mb.regate()
+	for mb.head == len(mb.queue) && !mb.closed {
 		mb.cond.Wait()
 	}
 	mb.receiving = mb.head != len(mb.queue)
@@ -352,6 +349,7 @@ func (mb *mailbox[T]) get() (T, bool) {
 		mb.queue = mb.queue[:0]
 		mb.head = 0
 	}
+	mb.regate()
 	return m, true
 }
 
@@ -369,6 +367,7 @@ func (mb *mailbox[T]) drain(spare []T) (batch []T, ok bool) {
 	batch = mb.queue[mb.head:]
 	mb.queue = spare[:0]
 	mb.head = 0
+	mb.regate()
 	return batch, true
 }
 
@@ -376,6 +375,7 @@ func (mb *mailbox[T]) close() {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	mb.closed = true
+	mb.regate()
 	mb.cond.Broadcast()
 }
 
@@ -420,16 +420,15 @@ func (p *InProc) Close() error {
 
 // TransportStats reports how the network's pushes ended: run in place at
 // the destination; queued like a send without the consumer being asked
-// (something was queued ahead, a consumer was active or none was
-// registered); or offered to the consumer, declined, and then queued.
+// (something was queued ahead, the receiver was mid-batch or no consumer
+// was registered); or offered to the consumer, declined, and then queued.
+// It takes no lock: each count is exact, read one by one.
 func (p *InProc) TransportStats() obs.TransportStats {
 	var s obs.TransportStats
 	for _, b := range p.boxes {
-		b.mu.Lock()
-		s.PushedInPlace += b.inPlace
-		s.PushedQueued += b.queued
-		s.PushedDeclined += b.declined
-		b.mu.Unlock()
+		s.PushedInPlace += b.inPlace.Load()
+		s.PushedQueued += b.queued.Load()
+		s.PushedDeclined += b.declined.Load()
 	}
 	return s
 }
@@ -453,11 +452,12 @@ func (e *inProcEndpoint) send(to int, m wire.Message, inPlace bool) error {
 	return e.net.boxes[to].put(m)
 }
 
-func (e *inProcEndpoint) consumeInPlace(h func(run []wire.Message) bool) bool {
+func (e *inProcEndpoint) consumeInPlace(h func(m wire.Message) bool) bool {
 	mb := e.net.boxes[e.id]
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	mb.consumer = h
+	mb.regate()
 	return true
 }
 

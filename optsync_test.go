@@ -164,13 +164,13 @@ func TestOptimisticDoCounter(t *testing.T) {
 // at the root (in place when it is idle) while its lock request is sent,
 // and the root takes a speculative write only from a node whose request it
 // has already seen. What keeps the two in order is the mailbox's rule that
-// a push runs in place only when nothing is queued and nobody is consuming
-// (internal/transport, mailbox.offer): with that test short-circuited to
-// true this test fails — frames overtake what the same sender queued
-// ahead of them, and the counter comes out wrong on every node (21 810 for
-// 20 000 when it was tried). Members 1 and 2 run 20 000 sections on one
-// mutex, alternating Do and OptimisticDo, on InProc bare and through Flaky
-// with its faults off.
+// a push runs in place only when nothing is queued and the receiver is not
+// mid-batch (internal/transport, the mailbox's gate): with that test
+// short-circuited to true this test fails — frames overtake what the same
+// sender queued ahead of them, and the counter comes out wrong on every
+// node (21 810 for 20 000 when it was tried). Members 1 and 2 run 20 000
+// sections on one mutex, alternating Do and OptimisticDo, on InProc bare
+// and through Flaky with its faults off.
 //
 // The root's books must balance: every body run writes once, a value
 // unique to the run (the count in the high bits, the run's tag in the low
