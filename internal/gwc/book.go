@@ -122,14 +122,13 @@ type lockState struct {
 	watchAt time.Time
 
 	// Lease bookkeeping (lease.go): leaseTo is the member the lock is
-	// leased to (-1 none), leaseEpoch/leaseToken the entry the lease was
-	// issued against, and revokeB the revoke demand's re-send schedule.
-	// The book keeps no expiry: it frees a leased lock only on a return, a
-	// release, or the holder's rejoin.
-	leaseTo    int
-	leaseEpoch uint32
-	leaseToken uint32
-	revokeB    backoff
+	// leased to (-1 none), and revokeB the revoke demand's re-send
+	// schedule. The lease is on leaseTo's entry in held — its epoch and
+	// token are the entry's, and the entry leaving retires the lease
+	// (leave). The book keeps no expiry: it frees a leased lock only on a
+	// return, a release, or the holder's rejoin.
+	leaseTo int
+	revokeB backoff
 	// hintNode/hintToken name the head queued waiter the newest grant
 	// designated as its holder's direct-handoff target (-1 none). The
 	// waiter stays queued: a committed handoff dequeues it, anything
@@ -214,7 +213,7 @@ func (b *lockBook) each(f func(LockID, *lockState)) {
 }
 
 func (b *lockBook) self() int     { return int(b.hdr.Src) }
-func (b *lockBook) leasing() bool { return b.sink.leaseTTL() > 0 && !b.sink.quorumAcks() }
+func (b *lockBook) leasing() bool { return b.sink.leaseTTL() > 0 }
 
 // step takes in one lock frame of the reign's up plane.
 func (b *lockBook) step(m *wire.Message) {
@@ -275,8 +274,13 @@ func (b *lockBook) request(l LockID, ls *lockState, m *wire.Message) {
 		// The caller already gave up on this acquisition; queueing (or
 		// re-announcing) would grant into the void and bounce. Its cancel
 		// is on the way — and if the grant raced ahead of the deadline,
-		// cancellation releases it through the normal path.
+		// cancellation releases it through the normal path. A request of
+		// the node's still queued is the one abandoned with it (a retry
+		// shares its acquisition; a newer one supersedes it): it leaves
+		// now, so the abandoned acquisition is dropped once and holds no
+		// queue slot until its turn.
 		b.sink.emit(obs.EvDeadlineDrop, int64(l), int64(w.node))
+		b.withdraw(ls, w.node)
 		return
 	}
 	if h := ls.held.find(w.node); h != nil {
@@ -287,8 +291,8 @@ func (b *lockBook) request(l LockID, ls *lockState, m *wire.Message) {
 			return
 		}
 		if renews := m.EntryEpoch(); b.leasing() && ls.leaseTo == w.node && renews != 0 &&
-			renews == ls.leaseEpoch && h.token == w.token {
-			// Lease renewal: the holder quotes its lease's entry epoch
+			renews == h.epoch && h.token == w.token {
+			// Lease renewal: the holder quotes its leased entry's epoch
 			// (ordinary retries quote none) and its granted token. Extend
 			// while nobody waits; with waiters the answer is the revoke
 			// demand, re-sent here in case the original was lost.
@@ -351,11 +355,15 @@ func (b *lockBook) cancel(l LockID, ls *lockState, origin int) {
 		b.leaveLock(l, ls, origin)
 		return
 	}
-	if _, ok := ls.unqueue(origin); ok && ls.hintNode == origin {
-		// The designated handoff target withdrew. The holder may still
-		// transfer to it (its hint is already out); the notice path
-		// re-validates and the decline machinery returns the lock if the
-		// waiter is truly gone.
+	b.withdraw(ls, origin)
+}
+
+// withdraw takes node's queued request out, if it waits, and the handoff
+// hint that names it. The holder may still transfer to the withdrawn
+// waiter (its hint is already out); the notice path re-validates and the
+// decline machinery returns the lock if the waiter is truly gone.
+func (b *lockBook) withdraw(ls *lockState, node int) {
+	if _, ok := ls.unqueue(node); ok && ls.hintNode == node {
 		ls.hintNode = -1
 	}
 }
@@ -705,23 +713,25 @@ func (b *lockBook) maybeLease(l LockID, ls *lockState, winner int) {
 	if !b.leasing() || winner == b.self() || len(ls.queue) > 0 || h == nil || h.node != winner || b.sink.fenced() {
 		return
 	}
-	ls.leaseTo, ls.leaseEpoch, ls.leaseToken = winner, h.epoch, h.token
+	ls.leaseTo = winner
 	ls.revokeB.reset()
 	b.sendLease(l, ls)
 }
 
 // sendLease grants, or extends, the lease on l to its leaseholder.
 func (b *lockBook) sendLease(l LockID, ls *lockState) {
+	h := ls.held.find(ls.leaseTo)
 	b.sink.emit(obs.EvLeaseGrant, int64(l), int64(ls.leaseTo))
-	b.sink.send(ls.leaseTo, b.hdr.LeaseGrant(uint32(l), ls.leaseEpoch, ls.leaseToken, b.sink.leaseTTL()))
+	b.sink.send(ls.leaseTo, b.hdr.LeaseGrant(uint32(l), h.epoch, h.token, b.sink.leaseTTL()))
 }
 
 // sendLeaseRevoke demands a leased lock back from its holder and arms
 // the re-demand schedule.
 func (b *lockBook) sendLeaseRevoke(l LockID, ls *lockState, now time.Time) {
+	h := ls.held.find(ls.leaseTo)
 	b.sink.emit(obs.EvLeaseRevoke, int64(l), int64(ls.leaseTo))
 	b.sink.arm(&ls.revokeB, now)
-	b.sink.send(ls.leaseTo, b.hdr.LeaseRevoke(uint32(l), ls.leaseEpoch, ls.leaseToken))
+	b.sink.send(ls.leaseTo, b.hdr.LeaseRevoke(uint32(l), h.epoch, h.token))
 }
 
 // reserveHint designates the head queued waiter as the new winner's

@@ -371,3 +371,37 @@ func TestLockBookSmallScope(t *testing.T) {
 		})
 	}
 }
+
+// TestExpiredRetryLeavesTheQueue pins bounded abort at the root: a
+// waiter whose caller gave up leaves the queue the moment its retry
+// arrives past the deadline, and the abandoned acquisition is counted
+// once. Left queued, it would hold its slot until its turn and be dropped
+// a second time there.
+func TestExpiredRetryLeavesTheQueue(t *testing.T) {
+	w := newBookWorld(false)
+	drops := func() (n int) {
+		for _, e := range w.rec.events {
+			if e.Type == obs.EvDeadlineDrop {
+				n++
+			}
+		}
+		return n
+	}
+	w.apply(bookInput{kind: 'q', node: 1})
+	w.apply(bookInput{kind: 'q', node: 2, deadline: true})
+	if ls := w.ls(); !ls.holds(1) || ls.waiting(2) != 0 {
+		t.Fatalf("holders %v queue %v, want node 1 in and node 2 waiting", ls.held.in, ls.queue)
+	}
+	w.apply(bookInput{kind: 't'})                          // the caller's deadline passes
+	w.apply(bookInput{kind: 'q', node: 2, deadline: true}) // and its retry arrives
+	if got, ls := drops(), w.ls(); got != 1 || len(ls.queue) != 0 {
+		t.Fatalf("after the expired retry: %d deadline drops, queue %v; want 1 and an empty queue", got, ls.queue)
+	}
+	w.apply(bookInput{kind: 'r', node: 1})
+	if got, ls := drops(), w.ls(); got != 1 || !ls.free() || len(ls.queue) != 0 {
+		t.Errorf("after the holder left: %d deadline drops, holders %v, queue %v; want 1, free and empty", got, ls.held.in, ls.queue)
+	}
+	if err := w.check(); err != nil {
+		t.Error(err)
+	}
+}

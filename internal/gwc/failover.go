@@ -185,8 +185,9 @@ func (n *Node) maybeNotice(g *memberGroup, to int) {
 // flags (wantSnap: the new root's snapshot does the catching up); the
 // spanning tree (rooted at the old root; failover reigns fan out
 // directly); every retry schedule (outstanding operations re-register
-// with the new root at full cadence); leases, handoff hints and parked
-// direct grants (claims against the old reign's lock manager); and the
+// with the new root at full cadence); every lock's delegation record —
+// lease, handoff hint, handoff notice, parked direct grant — (claims
+// against the old reign's lock manager; one pass, dropDelegs); and the
 // digest with any divergence verdict (the snapshot's TSnapDone re-anchors
 // it to the new root's sum). Copy-scoped state — values, lock copies,
 // tokens — is forgetState's, and only a rejoin drops it. Caller holds
@@ -202,8 +203,14 @@ func (n *Node) rebase(g *memberGroup, epoch uint32, root int, wantSnap bool) {
 	g.pending = make(map[uint64]wire.Message)
 	g.acked = 0
 	g.children = nil
-	g.resetRetrySchedules()
-	n.dropLeases(g)
+	g.joinB.reset()
+	g.snapB.reset()
+	g.probeB.reset()
+	g.probeSeq = g.nextSeq
+	for _, sw := range g.syncPending {
+		sw.bo.reset()
+	}
+	n.dropDelegs(g, true)
 	g.digest.Reset()
 	g.diverged = false
 }
@@ -336,7 +343,7 @@ func (n *Node) reportFrames(g *memberGroup) []wire.Message {
 	// Reporting state to a would-be reign forfeits every lease first
 	// (idempotent): an idle cached lock reports as free, so the rebuilt
 	// manager cannot resurrect a holder that would never release.
-	n.dropLeases(g)
+	n.dropDelegs(g, false)
 	hdr, seq := wire.Hdr{Group: uint32(g.cfg.ID), Src: int32(n.id), Epoch: g.electEpoch}, g.nextSeq-1
 	msgs := make([]wire.Message, 0, len(g.vars.recs)+len(g.locks.recs)+1)
 	for i := range g.vars.recs {

@@ -690,15 +690,12 @@ func (n *Node) tick() {
 	n.msgNow = now
 	for _, gid := range sortedKeys(n.groups) {
 		g := n.groups[gid]
-		g.sweepBusy()
 		onRoot := g.rootID == n.id
-		if !onRoot {
-			n.watchMember(gid, g, now)
-		}
-		n.retryLocks(g, now)
+		n.tickLocks(gid, g, now, !onRoot)
 		if onRoot {
 			continue // the rest of the root's member state is fed directly
 		}
+		n.watchMember(gid, g, now)
 		switch {
 		case g.rejoining:
 			// A restarted member asks for re-admission instead of probing:
@@ -757,9 +754,12 @@ func (n *Node) tick() {
 		// is kept, so the root's speculation gate judges the re-send
 		// exactly as it would have judged the original.
 		if !g.rejoining && !g.snapWanted && !g.electing {
-			// Lease clocks and handoff notices (lease.go) first: a lease
-			// return or renewal should beat this tick's failure detector.
-			n.tickLeases(gid, g, now)
+			// The second pass over the busy locks (tickDeleg, lease.go)
+			// runs first: a lease return or renewal should beat this
+			// tick's failure detector.
+			for _, l := range g.busyLocks {
+				n.tickDeleg(g, l, &g.locks.recs[l], now)
+			}
 			for _, v := range g.busyVars {
 				mv := &g.vars.recs[v]
 				if !mv.eagerOut || !mv.eagerB.ready(now) {

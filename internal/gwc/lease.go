@@ -32,61 +32,109 @@ import (
 //     notice against its holder record and the epoch the hint reserved,
 //     and every conflict path falls back to the classic queue.
 //
+// A lease and a hint only cache or pass on the grant the root sequenced
+// into the lock variable; that grant is the node's entry in the lock's
+// copy (memberLock.held), and the lease's epoch and token are read off
+// it, never kept beside it. What a member holds of a lock beyond the
+// copy is one record, memberLock.deleg (nil when there is none): the
+// lease, the hint, the notice it owes the root, and a direct grant parked
+// on its sequence watermark. The maintenance tick drives it in one pass
+// after the probe (tickDeleg).
+//
 // Epoch fencing makes the speculative transfer safe: a handoff reserves
 // exactly the grant epoch the root's own next grant would mint
 // (holder's entry epoch + 1), so the root can recognise the transfer in
 // any frame that quotes it — the notice, the new holder's tagged
 // writes, or its release — and a reign change invalidates everything at
 // once through the ordinary stale-epoch gate. Leases die with their
-// reign: members drop them on any re-base (dropLeases), idle cached
-// locks reporting as free, and the root's records go down with the
-// deposed rootGroup. The root never frees a leased lock on expiry alone
-// — only a return, a release, or the rejoin of a crashed leaseholder
-// does — so an expired clock can never create two exclusive holders.
+// reign: members drop the record on any re-base (dropDelegs), idle
+// cached locks reporting as free, and the root's records go down with
+// the deposed rootGroup. The root never frees a leased lock on expiry
+// alone — only a return, a release, or the rejoin of a crashed
+// leaseholder does — so an expired clock can never create two exclusive
+// holders.
 //
-// Both fast paths are disabled under SetQuorumAcks: a direct transfer
-// would bypass the quorum-ack watermark that durable handoffs park on.
+// Both fast paths are off under SetQuorumAcks (leasing): a direct
+// transfer would bypass the quorum-ack watermark that durable handoffs
+// park on. The public API refuses the option pair outright.
 //
 // This file is the member side. The root side — issuing, extending and
 // recalling leases, reserving hints, committing handoffs — is the lock
 // book's (book.go).
 
-// leasing reports whether the lease/handoff fast paths are active.
-// Caller holds n.mu.
+// deleg is everything a member holds of one lock beyond the copy of its
+// open section: what the root delegated to it, what it owes the root,
+// and what a peer handed it ahead of the stream.
+type deleg struct {
+	// The lease: while leased, this node's exclusive entry stays in the
+	// copy across releases and re-entry is decided locally. entered: inside
+	// the section right now (never set without leased); used: re-entered
+	// locally since the last grant or extension; revoked: the root
+	// demanded it back, to be returned on the next Release.
+	leased, entered, used, revoked bool
+	expiry                         time.Time
+	ttl                            time.Duration
+	renewB                         backoff
+	// hint is the handoff target the root designated on this node's
+	// newest entry.
+	hint wire.Hint
+	// reserved is the epoch a handoff this node made reserved for
+	// successor (0: none in flight). Its notice re-sends on noticeB until a
+	// lock frame shows the root's epoch at or past it.
+	reserved  uint32
+	successor int
+	noticeB   backoff
+	// grant is a direct grant parked on its sequence watermark, when
+	// parked.
+	parked bool
+	grant  wire.Message
+}
+
+// delegOf returns lock l's record, making it — and listing the lock for
+// the tick — when it has none. Caller holds n.mu.
+func (g *memberGroup) delegOf(l LockID, lk *memberLock) *deleg {
+	if lk.deleg == nil {
+		lk.deleg = new(deleg)
+		markBusy(&g.busyLocks, &lk.busy, l)
+	}
+	return lk.deleg
+}
+
+// settle frees the record once nothing is left in it.
+func (lk *memberLock) settle() {
+	if d := lk.deleg; d != nil && !d.leased && !d.hint.Set && d.reserved == 0 && !d.parked {
+		lk.deleg = nil
+	}
+}
+
+// idleLease reports whether this node caches the lock under a lease it
+// is not inside.
+func (lk *memberLock) idleLease() bool {
+	d := lk.deleg
+	return d != nil && d.leased && !d.entered
+}
+
+// clearHint forgets the handoff target: the queue it peeked is gone.
+func (lk *memberLock) clearHint() {
+	if d := lk.deleg; d != nil {
+		d.hint = wire.Hint{}
+	}
+}
+
+// leasing reports whether the lease/handoff fast paths are active. It is
+// the one place quorum acks turn them off. Caller holds n.mu.
 func (n *Node) leasing() bool { return n.leaseTTL > 0 && !n.quorumAcks }
 
 // SetLeases enables lock leasing and peer handoff with the given lease
 // TTL (zero disables). All nodes of a group should agree on the
-// setting; it is read on both the member and root paths. Ignored while
-// SetQuorumAcks is on — leased re-entries and direct transfers would
-// bypass the durability watermark.
+// setting; it is read on both the member and root paths. Leasing stays
+// off while SetQuorumAcks is on — leased re-entries and direct transfers
+// would bypass the durability watermark — so the cluster API refuses
+// the pair.
 func (n *Node) SetLeases(ttl time.Duration) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.leaseTTL = ttl
-}
-
-// memberLease is a member's cached claim on a lock: while it holds, this
-// node's exclusive entry stays in the local copy across releases and
-// re-entry is decided locally.
-type memberLease struct {
-	expiry  time.Time
-	ttl     time.Duration
-	epoch   uint32 // grant epoch the lease was issued against
-	token   uint32 // acquisition token the root records for the grant
-	held    bool   // inside the critical section right now
-	used    bool   // re-entered locally since the last grant/extension
-	revoked bool   // root demanded it back; return on the next Release
-	renewB  backoff
-}
-
-// handoffNotice is the root-bound half of a handoff in flight: re-sent
-// on a backoff until a sequenced lock frame carries a grant epoch at or
-// past doneEpoch, which proves the root observed the transfer.
-type handoffNotice struct {
-	msg       wire.Message
-	doneEpoch uint32
-	bo        backoff
 }
 
 // leaseEnter attempts a purely local entry into lock l under a live
@@ -98,18 +146,15 @@ func (n *Node) leaseEnter(gid GroupID, g *memberGroup, l LockID) bool {
 		return false
 	}
 	lk := g.locks.peek(l)
-	if lk == nil {
+	if lk == nil || !lk.idleLease() || lk.deleg.revoked || !lk.held.has(n.id) {
 		return false
 	}
-	le := lk.lease
-	if le == nil || le.held || le.revoked || !lk.held.has(n.id) {
-		return false
-	}
-	if !n.clock.Now().Before(le.expiry) {
+	d := lk.deleg
+	if !n.clock.Now().Before(d.expiry) {
 		return false // expired: the lease tick returns it
 	}
-	le.held = true
-	le.used = true
+	d.entered = true
+	d.used = true
 	n.emit(obs.EvLeaseLocal, gid, int64(l), 0)
 	return true
 }
@@ -121,10 +166,15 @@ func (n *Node) sendLeaseRet(g *memberGroup, l LockID, epoch uint32) {
 }
 
 // returnIdleLease frees a cached lock this node is not (or no longer)
-// inside and returns the lease to the root. Caller holds n.mu.
+// inside and returns the lease on its entry to the root. Caller holds
+// n.mu.
 func (n *Node) returnIdleLease(g *memberGroup, l LockID, lk *memberLock) {
-	epoch := lk.lease.epoch
-	lk.lease = nil
+	var epoch uint32
+	if h := lk.held.find(n.id); h != nil {
+		epoch = h.epoch
+	}
+	lk.deleg.leased, lk.deleg.entered = false, false
+	lk.settle()
 	lk.held.drop(n.id)
 	lk.lockDone = max(lk.lockDone, epoch)
 	n.sendLeaseRet(g, l, epoch)
@@ -133,7 +183,8 @@ func (n *Node) returnIdleLease(g *memberGroup, l LockID, lk *memberLock) {
 
 // handleLeaseGrant processes a root's lease frame at the member: a
 // grant/extension when it carries a TTL, a revoke demand when it carries
-// none. Caller holds n.mu.
+// none. Either names the entry it is for by its epoch. Caller holds
+// n.mu.
 func (n *Node) handleLeaseGrant(g *memberGroup, m *wire.Message) {
 	if m.Epoch != g.epoch {
 		if m.Epoch < g.epoch {
@@ -145,11 +196,13 @@ func (n *Node) handleLeaseGrant(g *memberGroup, m *wire.Message) {
 		return // not re-based into the reign; leases target live state only
 	}
 	l := LockID(m.Lock)
-	lk := g.locks.at(LockID(m.Lock))
-	le, epoch, ttl := lk.lease, m.EntryEpoch(), m.TTL()
+	lk := g.locks.at(l)
+	epoch, ttl := m.EntryEpoch(), m.TTL()
+	h := lk.held.find(n.id)
+	mine := h != nil && h.epoch == epoch
 	if ttl == 0 {
 		// Revoke demand for the lease on the entry at epoch.
-		if le == nil || le.epoch != epoch || !lk.held.has(n.id) {
+		if d := lk.deleg; d == nil || !d.leased || !mine {
 			// No such lease here. If this node already finished with that
 			// grant, the root's record is stale because the original
 			// return (or release) was lost — repeat it so the demand loop
@@ -157,35 +210,30 @@ func (n *Node) handleLeaseGrant(g *memberGroup, m *wire.Message) {
 			if lk.lockDone >= epoch {
 				n.sendLeaseRet(g, l, epoch)
 			}
-			return
+		} else if d.entered {
+			d.revoked = true // the Release in progress doubles as the return
+		} else {
+			n.returnIdleLease(g, l, lk)
 		}
-		if le.held {
-			le.revoked = true // the Release in progress doubles as the return
-			return
-		}
-		n.returnIdleLease(g, l, lk)
 		return
 	}
 	// Grant or extension. Valid only against the entry it was issued
 	// for: the grant multicast may still be in flight, in which case the
 	// lease is simply dropped (the root's next extension re-offers it).
-	if h := lk.held.find(n.id); h == nil || h.epoch != epoch {
+	if !mine {
 		return
 	}
-	if le == nil {
+	d := g.delegOf(l, lk)
+	if !d.leased {
 		// Holding the grant value without a lease means this node is
 		// inside the section (between grant and Release).
-		le = &memberLease{held: true}
-		lk.lease = le
-		markBusy(&g.busyLocks, &lk.busy, l)
+		d.leased, d.entered = true, true
 	}
-	le.expiry = n.clock.Now().Add(ttl)
-	le.ttl = ttl
-	le.epoch = epoch
-	le.token = m.Token()
-	le.used = false
-	le.revoked = false
-	le.renewB.reset()
+	d.expiry = n.clock.Now().Add(ttl)
+	d.ttl = ttl
+	d.used = false
+	d.revoked = false
+	d.renewB.reset()
 }
 
 // sectionConfirmed reports whether every guarded write of the closing
@@ -208,33 +256,32 @@ func (g *memberGroup) sectionConfirmed(l LockID) bool {
 // handled=false (n.mu still held) when the classic release path should
 // run. When handled, n.mu has been released.
 func (n *Node) leaseRelease(gid GroupID, g *memberGroup, l LockID, lk *memberLock) (bool, error) {
-	if !lk.hint.Set && lk.lease == nil {
+	d := lk.deleg
+	if d == nil {
 		return false, nil // the common case pays no clock read
 	}
 	now := n.clock.Now()
-	if h := lk.hint; h.Set {
-		lk.hint = wire.Hint{}
+	if h := d.hint; h.Set {
+		d.hint = wire.Hint{}
 		if n.leasing() && h.Node != n.id && g.cfg.memberOf(h.Node) && g.sectionConfirmed(l) {
 			return true, n.handoffRelease(gid, g, l, lk, h, now)
 		}
 		// Unconfirmed section data (or a stale hint): fall back to the
 		// root path, which sequences the grant behind the data itself.
 	}
-	le := lk.lease
-	if le == nil {
+	if !d.leased {
+		lk.settle()
 		return false, nil
 	}
-	if le.held && !le.revoked && now.Before(le.expiry) && n.leasing() {
+	lk.endRequest()
+	if d.entered && !d.revoked && now.Before(d.expiry) && n.leasing() {
 		// Retain: this node's entry stays in the copy and the next
 		// acquisition is a local decision. Zero wire messages.
-		le.held = false
-		lk.endRequest()
-		n.mu.Unlock()
-		return true, nil
+		d.entered = false
+	} else {
+		// Revoked or expired: this release doubles as the lease return.
+		n.returnIdleLease(g, l, lk)
 	}
-	// Revoked or expired: this release doubles as the lease return.
-	lk.endRequest()
-	n.returnIdleLease(g, l, lk)
 	n.mu.Unlock()
 	return true, nil
 }
@@ -252,7 +299,11 @@ func (n *Node) handoffRelease(gid GroupID, g *memberGroup, l LockID, lk *memberL
 	lk.held.put(holder{node: h.Node, epoch: next, token: h.Token})
 	lk.sawGrant(next)
 	lk.lockDone = epoch
-	lk.lease = nil
+	d := g.delegOf(l, lk)
+	d.leased, d.entered = false, false
+	d.reserved, d.successor = next, h.Node
+	d.noticeB.reset()
+	n.arm(&d.noticeB, now, n.boBase(), n.boCap())
 	lk.endRequest()
 	n.emit(obs.EvHandoff, gid, int64(l), int64(h.Node))
 	// The direct grant carries this node's applied watermark: the closing
@@ -263,10 +314,6 @@ func (n *Node) handoffRelease(gid GroupID, g *memberGroup, l LockID, lk *memberL
 	hdr := n.hdr(g)
 	direct := hdr.HandoffGrant(uint32(l), h.Node, next, h.Token, g.nextSeq-1)
 	notice := hdr.HandoffNotice(uint32(l), h.Node, epoch, next)
-	ph := &handoffNotice{msg: notice, doneEpoch: next}
-	n.arm(&ph.bo, now, n.boBase(), n.boCap())
-	lk.pendingHandoff = ph
-	markBusy(&g.busyLocks, &lk.busy, l)
 	g.lock.notifyAll()
 	root := g.rootID
 	n.mu.Unlock()
@@ -295,128 +342,113 @@ func (n *Node) handleHandoff(g *memberGroup, m *wire.Message) {
 		return // not re-based; the request retry re-queues at the root
 	}
 	l := LockID(m.Lock)
-	lk := g.locks.at(LockID(m.Lock))
+	lk := g.locks.at(l)
 	if g.nextSeq <= m.Seq {
 		// Data-before-lock: the handing-off holder's section writes are
 		// sequenced at or below its watermark. Entering before the
 		// stream covers it would read stale guarded state, so the grant
-		// parks until reassembly catches up (deliverHandoffs).
-		g.parkHandoff(l, lk, m)
+		// parks until reassembly catches up (deliverParked).
+		d := g.delegOf(l, lk)
+		d.parked, d.grant = true, *m
+		g.grantParked = true
 		n.maybeNack(g)
 		return
 	}
-	g.unparkHandoff(lk)
+	if d := lk.deleg; d != nil {
+		d.parked = false
+	}
 	n.applyLock(g, m)
 }
 
-// parkHandoff holds a direct grant (a copy of m) until the stream covers
-// its watermark; unparkHandoff forgets one. Both keep parkedHandoffs,
-// the count deliverHandoffs' fast path reads.
-func (g *memberGroup) parkHandoff(l LockID, lk *memberLock, m *wire.Message) {
-	if lk.handoffIn == nil {
-		lk.handoffIn = new(wire.Message)
-		g.parkedHandoffs++
-		markBusy(&g.busyLocks, &lk.busy, l)
-	}
-	*lk.handoffIn = *m
-}
-
-func (g *memberGroup) unparkHandoff(lk *memberLock) {
-	if lk.handoffIn != nil {
-		lk.handoffIn = nil
-		g.parkedHandoffs--
-	}
-}
-
-// deliverHandoffs installs parked direct grants whose sequence
-// watermark the stream now covers. Caller holds n.mu.
-func (n *Node) deliverHandoffs(g *memberGroup) {
-	if g.parkedHandoffs == 0 {
+// deliverParked installs the lock's parked direct grant once the stream
+// covers its watermark, and forgets one the sequenced confirm (or a later
+// grant) superseded. The grant is of the reign the member follows: a
+// re-base drops the record. Caller holds n.mu.
+func (n *Node) deliverParked(g *memberGroup, lk *memberLock) {
+	d := lk.deleg
+	if d == nil || !d.parked || g.nextSeq <= d.grant.Seq {
 		return
 	}
+	d.parked = false
+	if m := d.grant; lk.grantEpoch < m.EntryEpoch() {
+		n.applyLock(g, &m)
+		return
+	}
+	lk.settle()
+}
+
+// deliverDue runs deliverParked over every listed lock (only a listed
+// lock has a record) and notes whether a grant is still parked. Caller
+// holds n.mu.
+func (n *Node) deliverDue(g *memberGroup) {
+	g.grantParked = false
 	for _, l := range g.busyLocks {
 		lk := &g.locks.recs[l]
-		m := lk.handoffIn
-		if m == nil {
-			continue
+		n.deliverParked(g, lk)
+		if d := lk.deleg; d != nil && d.parked {
+			g.grantParked = true
 		}
-		if m.Epoch != g.epoch {
-			g.unparkHandoff(lk)
-			continue
-		}
-		if g.nextSeq <= m.Seq {
-			continue
-		}
-		g.unparkHandoff(lk)
-		if lk.grantEpoch >= m.EntryEpoch() {
-			continue // the sequenced confirm (or a later grant) superseded it
-		}
-		n.applyLock(g, m)
 	}
 }
 
-// tickLeases drives the member's lease clocks each maintenance tick:
-// expired idle leases go back, in-use leases renew past their half
-// life, and unacknowledged handoff notices re-send. Caller holds n.mu.
-func (n *Node) tickLeases(gid GroupID, g *memberGroup, now time.Time) {
-	n.deliverHandoffs(g)
-	for _, l := range g.busyLocks {
-		lk := &g.locks.recs[l]
-		le := lk.lease
-		if le == nil {
-			continue
-		}
-		if !le.held && (le.revoked || !now.Before(le.expiry)) {
+// tickDeleg is the maintenance tick's pass over lock l's record, after
+// the probe: a parked direct grant the stream now covers is installed,
+// an idle lease that expired or was revoked goes back, one in use renews
+// past its half life, and an unacknowledged handoff notice re-sends.
+// Caller holds n.mu.
+func (n *Node) tickDeleg(g *memberGroup, l LockID, lk *memberLock, now time.Time) {
+	n.deliverParked(g, lk)
+	d := lk.deleg
+	if d == nil {
+		return
+	}
+	if d.leased {
+		h := lk.held.find(n.id)
+		if !d.entered && (d.revoked || !now.Before(d.expiry)) {
 			n.returnIdleLease(g, l, lk)
-			continue
-		}
-		if le.used && le.expiry.Sub(now) < le.ttl/2 && le.renewB.ready(now) {
-			n.arm(&le.renewB, now, n.boBase(), n.boCap())
+		} else if h != nil && d.used && d.expiry.Sub(now) < d.ttl/2 && d.renewB.ready(now) {
+			n.arm(&d.renewB, now, n.boBase(), n.boCap())
 			n.emit(obs.EvLeaseRenew, g.cfg.ID, int64(l), 0)
-			// A renewal is a request frame quoting the lease's token and
-			// entry epoch — ordinary request retries quote none, which is
-			// how the root tells a renewal from a holder re-announcing a
-			// lost grant. It must not touch the want/token machinery: no
+			// A renewal is a request frame quoting the leased entry's token
+			// and epoch — ordinary request retries quote none, which is how
+			// the root tells a renewal from a holder re-announcing a lost
+			// grant. It must not touch the want/token machinery: no
 			// acquisition is outstanding.
-			n.send(g.rootID, n.hdr(g).LeaseRenew(uint32(l), le.token, le.epoch))
+			n.send(g.rootID, n.hdr(g).LeaseRenew(uint32(l), h.token, h.epoch))
 		}
 	}
-	for _, l := range g.busyLocks {
-		lk := &g.locks.recs[l]
-		ph := lk.pendingHandoff
-		if ph == nil || !ph.bo.ready(now) {
-			continue
-		}
-		n.arm(&ph.bo, now, n.boBase(), n.boCap())
-		m := ph.msg
-		m.Epoch = g.epoch
-		n.send(g.rootID, m)
+	if d.reserved != 0 && d.noticeB.ready(now) {
+		n.arm(&d.noticeB, now, n.boBase(), n.boCap())
+		n.send(g.rootID, n.hdr(g).HandoffNotice(uint32(l), d.successor, d.reserved-1, d.reserved))
 	}
 }
 
-// dropLeases forgets every lease, hint, parked direct grant, and
-// pending notice — called by rebase and before an election report is
-// built (reportFrames), because all of them are claims against the old
-// reign's lock manager. An idle cached lock is, for the new
-// reign, simply free: reporting it held would resurrect a holder that
-// never releases. A lease held mid-section survives as a plain hold —
-// its Release takes the wire path. Caller holds n.mu.
-func (n *Node) dropLeases(g *memberGroup) {
+// dropDelegs forgets every lock's record — lease, hint, parked direct
+// grant and pending notice — because all of them are claims against the
+// old reign's lock manager: rebase's (which also restarts every
+// request's retry schedule, in the same pass), and an election report's
+// (reportFrames). An idle cached lock is, for the new reign, simply
+// free: reporting it held would resurrect a holder that never releases.
+// A lease held mid-section survives as a plain hold — its Release takes
+// the wire path. Caller holds n.mu.
+func (n *Node) dropDelegs(g *memberGroup, rebasing bool) {
 	dropped := false
 	for _, l := range g.busyLocks {
 		lk := &g.locks.recs[l]
-		if lk.lease == nil && !lk.hint.Set && lk.pendingHandoff == nil && lk.handoffIn == nil {
+		if rebasing {
+			lk.reqB.reset()
+		}
+		if lk.deleg == nil {
 			continue
 		}
 		dropped = true
-		if le := lk.lease; le != nil && !le.held {
+		if lk.idleLease() {
+			if h := lk.held.find(n.id); h != nil {
+				lk.lockDone = max(lk.lockDone, h.epoch)
+			}
 			lk.held.drop(n.id)
-			lk.lockDone = max(lk.lockDone, le.epoch)
 		}
-		lk.lease = nil
-		lk.hint = wire.Hint{}
-		lk.pendingHandoff = nil
-		g.unparkHandoff(lk)
+		lk.deleg = nil
 	}
 	if dropped {
 		g.lock.notifyAll()

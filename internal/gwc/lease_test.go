@@ -161,7 +161,7 @@ func TestExpiredIdleLeaseIsReturnedNotEntered(t *testing.T) {
 	}
 	nd.mu.Lock()
 	lk := nd.groups[tGroup].locks.at(tLock)
-	idle := lk.lease != nil && !lk.lease.held
+	idle := lk.idleLease()
 	nd.mu.Unlock()
 	if idle {
 		t.Error("inside the lock on an idle, expired lease: the next tick returns it mid-section")

@@ -150,7 +150,7 @@ type memberLock struct {
 	// void.
 	reqDeadline int64
 	// reqB schedules the request's next re-send; the maintenance tick
-	// drives it (retryLocks). Armed by every request frame, reset when the
+	// drives it (retryLock). Armed by every request frame, reset when the
 	// reign changes and when the lock's grant epoch moves: the delay was
 	// sized against a world that no longer exists.
 	reqB backoff
@@ -163,14 +163,10 @@ type memberLock struct {
 	// busy: listed in the group's busyLocks (see memberGroup).
 	busy bool
 
-	// Lock leasing and peer handoff (lease.go): lease is this node's
-	// cached claim; hint the handoff target the root designated on the
-	// newest grant; pendingHandoff the unacknowledged root-bound notice;
-	// handoffIn a direct grant parked on its sequence watermark.
-	lease          *memberLease
-	hint           wire.Hint
-	pendingHandoff *handoffNotice
-	handoffIn      *wire.Message
+	// deleg is what this node holds of the lock beyond held — a lease, a
+	// handoff hint, a handoff notice owed the root, a parked direct grant
+	// (lease.go) — and nil when it holds none of them.
+	deleg *deleg
 
 	// spec is the interrupt of the section speculating on the lock and
 	// specSession the session it wants (speculate.go); nil when none is.
@@ -218,7 +214,7 @@ func (lk *memberLock) inside(self int, session uint32) bool {
 // an acquisition outstanding or held (want stays set until the release),
 // a caller parked for one, or a leased re-entry.
 func (lk *memberLock) inUse() bool {
-	return lk.want || lk.parked > 0 || (lk.lease != nil && lk.lease.held)
+	return lk.want || lk.parked > 0 || lk.deleg != nil && lk.deleg.entered
 }
 
 // endRequest closes the outstanding acquisition's bookkeeping: released,
@@ -237,19 +233,21 @@ type memberGroup struct {
 	cfg GroupConfig
 
 	// vars and locks hold the one record per variable and per lock,
-	// indexed by ID (table.go). parkedHandoffs counts lock records with a
-	// handoffIn, so the per-message check for deliverable direct grants is
-	// a comparison, not a scan.
-	vars           table[VarID, memberVar]
-	locks          table[LockID, memberLock]
-	parkedHandoffs int
+	// indexed by ID (table.go). grantParked is set where a direct grant
+	// parks in a lock's record and recomputed by the scan that delivers
+	// them (deliverDue), so the per-message check for deliverable grants
+	// is a flag test, not a scan.
+	vars        table[VarID, memberVar]
+	locks       table[LockID, memberLock]
+	grantParked bool
 	// busyLocks and busyVars list, ascending, the records that carry state
 	// the maintenance tick and the lease paths visit: a lock with an
-	// acquisition stamp or any lease/handoff state, a variable with an
-	// unconfirmed eager store. They walk these lists, not the tables, so
-	// their cost follows what is in flight and not the highest ID seen.
-	// Setting such state marks the record; clearing it does nothing, and
-	// the tick's sweepBusy unlists what went idle.
+	// acquisition stamp, a parked caller or a delegation record, a variable
+	// with an unconfirmed eager store. They walk these lists, not the
+	// tables, so their cost follows what is in flight and not the highest
+	// ID seen. Setting such state marks the record; clearing it does
+	// nothing, and the tick's first pass (tickLocks) unlists what went
+	// idle.
 	busyLocks []LockID
 	busyVars  []VarID
 
@@ -350,20 +348,24 @@ type memberGroup struct {
 	lock notifyList
 }
 
-func newMemberGroup(id int, cfg GroupConfig, now time.Time) *memberGroup {
-	var children []int
-	if cfg.TreeFanout {
-		// The config was validated at Join time; the tree over the torus
-		// embedding is deterministic, so every member derives the same
-		// one.
-		tree, err := topo.SpanningTree(topo.MustNew(len(cfg.Members)), cfg.Root)
-		if err != nil {
-			panic(fmt.Sprintf("gwc: spanning tree: %v", err))
-		}
-		children = tree.Children[id]
+// treeChildren is node id's children in the founding reign's spanning
+// tree, nil when the group fans out directly. The config was validated at
+// Join time; the tree over the torus embedding is deterministic, so every
+// member derives the same one.
+func treeChildren(cfg *GroupConfig, id int) []int {
+	if !cfg.TreeFanout {
+		return nil
 	}
+	tree, err := topo.SpanningTree(topo.MustNew(len(cfg.Members)), cfg.Root)
+	if err != nil {
+		panic(fmt.Sprintf("gwc: spanning tree: %v", err))
+	}
+	return tree.Children[id]
+}
+
+func newMemberGroup(id int, cfg GroupConfig, now time.Time) *memberGroup {
 	g := &memberGroup{
-		children:    children,
+		children:    treeChildren(&cfg, id),
 		cfg:         cfg,
 		nextSeq:     1,
 		pending:     make(map[uint64]wire.Message),
@@ -386,13 +388,12 @@ func newMemberGroup(id int, cfg GroupConfig, now time.Time) *memberGroup {
 // counting, so a grant minted for a pre-crash request can never match a
 // later one. Callers parked in a lock wait are still there too: their
 // lock stays listed with what they asked for, and the tick mints them a
-// fresh request (retryLocks).
+// fresh request (retryLock).
 func (g *memberGroup) forgetState() {
 	for i := range g.vars.recs {
 		mv := &g.vars.recs[i]
 		*mv = memberVar{guarded: mv.guarded, guard: mv.guard, hooks: mv.hooks}
 	}
-	g.parkedHandoffs = 0
 	g.busyLocks, g.busyVars = g.busyLocks[:0], g.busyVars[:0]
 	for i := range g.locks.recs {
 		lk := &g.locks.recs[i]
@@ -417,44 +418,29 @@ func markBusy[K ~uint32](list *[]K, busy *bool, id K) {
 	}
 }
 
-// sweepBusy unlists the records whose tick-driven state is gone.
-func (g *memberGroup) sweepBusy() {
+// tickLocks is the maintenance tick's pass over the busy locks before
+// the probe. It unlists a lock with nothing left in flight, trips the
+// watchdog on an acquisition over budget (watch: a member that does not
+// root the group, watchLock) and re-sends each lock request that is due
+// (retryLock). It sweeps the busy variables too. Caller holds n.mu.
+func (n *Node) tickLocks(gid GroupID, g *memberGroup, now time.Time, watch bool) {
+	budget := n.watchBudget()
 	g.busyLocks = slices.DeleteFunc(g.busyLocks, func(l LockID) bool {
 		lk := &g.locks.recs[l]
-		lk.busy = !lk.reqSince.IsZero() || lk.parked > 0 || lk.lease != nil || lk.hint.Set ||
-			lk.pendingHandoff != nil || lk.handoffIn != nil
-		return !lk.busy
+		if lk.busy = !lk.reqSince.IsZero() || lk.parked > 0 || lk.deleg != nil; !lk.busy {
+			return true
+		}
+		if watch {
+			n.watchLock(gid, l, lk, now, budget)
+		}
+		n.retryLock(g, l, lk, now)
+		return false
 	})
 	g.busyVars = slices.DeleteFunc(g.busyVars, func(v VarID) bool {
 		mv := &g.vars.recs[v]
 		mv.busy = mv.eagerOut
 		return !mv.busy
 	})
-}
-
-// resetRetrySchedules forgets every adaptive-retry schedule in the
-// group. It is rebase's: when the member comes to follow a reign, the
-// first retry of every outstanding operation fires on the next
-// maintenance tick instead of waiting out a backoff armed against the
-// old regime.
-func (g *memberGroup) resetRetrySchedules() {
-	g.joinB.reset()
-	g.snapB.reset()
-	g.probeB.reset()
-	g.probeSeq = g.nextSeq
-	for _, sw := range g.syncPending {
-		sw.bo.reset()
-	}
-	for _, l := range g.busyLocks {
-		lk := &g.locks.recs[l]
-		lk.reqB.reset()
-		if lk.lease != nil {
-			lk.lease.renewB.reset()
-		}
-		if lk.pendingHandoff != nil {
-			lk.pendingHandoff.bo.reset()
-		}
-	}
 }
 
 // lockValue is node self's lock word for lock l (memberLock.value), Free
@@ -585,7 +571,9 @@ func (n *Node) ingestFwd(g *memberGroup, m *wire.Message, forward bool) {
 	n.drainPending(g)
 	// The prefix advanced: direct handoff grants parked on a sequence
 	// watermark may be deliverable now.
-	n.deliverHandoffs(g)
+	if g.grantParked {
+		n.deliverDue(g)
+	}
 }
 
 // drainPending applies the buffered messages that now continue the
@@ -682,11 +670,11 @@ func (n *Node) sendRelease(g *memberGroup, l LockID, entryEpoch, session uint32)
 // else in the lock, or nobody: any cached lease is dead. Mid-section the
 // Release in progress returns it; idle it just evaporates.
 func (lk *memberLock) lostClaim() {
-	if le := lk.lease; le != nil {
-		if le.held {
-			le.revoked = true
+	if d := lk.deleg; d != nil && d.leased {
+		if d.entered {
+			d.revoked = true
 		} else {
-			lk.lease = nil
+			d.leased = false
 		}
 	}
 }
@@ -694,8 +682,8 @@ func (lk *memberLock) lostClaim() {
 // caughtUp retires this node's handoff notice once a lock frame shows the
 // root's epoch at or past the transfer: it is committed there.
 func (lk *memberLock) caughtUp(epoch uint32) {
-	if ph := lk.pendingHandoff; ph != nil && epoch >= ph.doneEpoch {
-		lk.pendingHandoff = nil
+	if d := lk.deleg; d != nil && d.reserved != 0 && epoch >= d.reserved {
+		d.reserved = 0
 	}
 }
 
@@ -708,18 +696,20 @@ func (n *Node) applyLock(g *memberGroup, m *wire.Message) {
 	l := LockID(m.Lock)
 	lk := g.locks.at(l)
 	lk.caughtUp(m.EntryEpoch())
-	switch {
-	case m.Holder() >= 0:
+	if m.Holder() >= 0 {
 		n.applyEntry(g, l, lk, m)
-		return
-	case m.Val == Free:
-		lk.held.in = lk.held.in[:0]
-		lk.hint = wire.Hint{}
-		lk.lostClaim()
-	case lk.held.session == m.Session:
-		lk.held.drop(m.Requester())
+	} else {
+		switch {
+		case m.Val == Free:
+			lk.held.in = lk.held.in[:0]
+			lk.clearHint()
+			lk.lostClaim()
+		case lk.held.session == m.Session:
+			lk.held.drop(m.Requester())
+		}
+		g.lock.notifyAll()
 	}
-	g.lock.notifyAll()
+	lk.settle()
 }
 
 // applyEntry is applyLock's entry half. An entry into a session the open
@@ -778,13 +768,12 @@ func (n *Node) applyEntry(g *memberGroup, l LockID, lk *memberLock, m *wire.Mess
 	// Capture (or clear) the handoff target the root designated for this
 	// entry. A re-announce without a hint clears a stale one: the queue
 	// the old hint peeked no longer exists.
-	lk.hint = wire.Hint{}
+	lk.clearHint()
 	if self {
 		// Acquisition complete: stop the watchdog's clock on it.
 		lk.reqSince = time.Time{}
 		if hint := m.Hint(); hint.Set && hint.Node != n.id && n.leasing() {
-			lk.hint = hint
-			markBusy(&g.busyLocks, &lk.busy, l)
+			g.delegOf(l, lk).hint = hint
 		}
 	} else {
 		lk.lostClaim()
@@ -814,12 +803,13 @@ func (n *Node) install(g *memberGroup, l LockID, sec *holderSet, epoch uint32) {
 		lk.held.put(h)
 	}
 	lk.sawGrant(epoch)
-	lk.hint = wire.Hint{}
+	lk.clearHint()
 	if lk.held.has(n.id) {
 		lk.reqSince = time.Time{}
 	} else {
 		lk.lostClaim()
 	}
+	lk.settle()
 	for _, h := range lk.held.in {
 		g.sawEntry(lk, h.node, n.id, lk.held.session)
 	}
@@ -1081,7 +1071,7 @@ func (n *Node) Request(gid GroupID, l LockID, session uint32, deadline int64, no
 // lease expired. Caller holds n.mu, and ownLock has vouched that no
 // acquisition is outstanding.
 func (n *Node) ownRequest(g *memberGroup, l LockID, lk *memberLock, session uint32, deadline int64, now time.Time) wire.Message {
-	if le := lk.lease; le != nil && !le.held {
+	if lk.idleLease() {
 		n.returnIdleLease(g, l, lk)
 	}
 	lk.reqSession, lk.reqDeadline = session, deadline
@@ -1116,7 +1106,7 @@ func (n *Node) sendOwn(gid GroupID, l LockID, root int, msg wire.Message) error 
 
 // lockRequest builds lock l's request frame from its record and arms the
 // next re-send: the one builder behind the caller's first send and every
-// retry the maintenance tick makes (retryLocks). With no acquisition
+// retry the maintenance tick makes (retryLock). With no acquisition
 // outstanding — a first request, or a record a rejoin wiped under a
 // parked caller — it mints the acquisition's token, which retries then
 // reuse so the root can tell a retry from a new request that overtook a
@@ -1137,24 +1127,17 @@ func (n *Node) lockRequest(g *memberGroup, l LockID, lk *memberLock, now time.Ti
 	return n.hdr(g).LockReq(uint32(l), lk.reqToken, lk.reqSession, lk.reqDeadline)
 }
 
-// retryLocks is the lock plane's loss recovery, run by the maintenance
-// tick: it re-sends every lock request that is due — in flight and
-// unanswered, or wanted by a caller still parked in WaitEnteredContext —
-// through lockRequest, which mints a fresh request when a rejoin or a
-// failover re-base wiped the old one. The root ignores duplicates. It runs on the
-// node that roots the group too: a waiter there sends its request to
-// itself, and a reign that began under it (promotion re-queues survivors
-// token-less, and the grant is declined) knows its token only from the
-// retry. Caller holds n.mu.
-func (n *Node) retryLocks(g *memberGroup, now time.Time) {
-	for _, l := range g.busyLocks {
-		lk := &g.locks.recs[l]
-		if lk.parked == 0 && lk.reqSince.IsZero() {
-			continue
-		}
-		if lk.held.has(n.id) || !lk.reqB.ready(now) {
-			continue
-		}
+// retryLock is the lock plane's loss recovery, run by the maintenance
+// tick (tickLocks): it re-sends lock l's request when it is due — in
+// flight and unanswered, or wanted by a caller still parked in
+// WaitEnteredContext — through lockRequest, which mints a fresh request
+// when a rejoin or a failover re-base wiped the old one. The root ignores
+// duplicates. It runs on the node that roots the group too: a waiter
+// there sends its request to itself, and a reign that began under it
+// (promotion re-queues survivors token-less, and the grant is declined)
+// knows its token only from the retry. Caller holds n.mu.
+func (n *Node) retryLock(g *memberGroup, l LockID, lk *memberLock, now time.Time) {
+	if (lk.parked > 0 || !lk.reqSince.IsZero()) && !lk.held.has(n.id) && lk.reqB.ready(now) {
 		n.send(g.rootID, n.lockRequest(g, l, lk, now))
 	}
 }
@@ -1206,7 +1189,7 @@ func (n *Node) putWait(ch chan struct{}) {
 // withdrawing the request (use CancelLockRequest for that), and (false,
 // nil) if the node closes. The caller parks on one channel and nothing
 // else: while it is parked the
-// maintenance tick owns the request's loss recovery (retryLocks) —
+// maintenance tick owns the request's loss recovery (retryLock) —
 // re-sends on the record's backoff schedule, a prompt re-register with a
 // new root after a reign change, a fresh request if a rejoin wiped the
 // old one.

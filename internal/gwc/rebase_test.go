@@ -102,13 +102,14 @@ func TestEveryRebaseEntranceRevokesTheSame(t *testing.T) {
 			g.syncPending[1] = sw
 			lk := g.locks.at(tLock)
 			lk.held.put(holder{node: n.id, epoch: 4})
-			lk.lease = &memberLease{expiry: now.Add(time.Hour), epoch: 4}
-			arm(&lk.lease.renewB)
-			lk.hint = wire.Hint{Node: 2, Token: 1, Set: true}
-			lk.pendingHandoff = &handoffNotice{doneEpoch: 6}
-			arm(&lk.pendingHandoff.bo)
+			d := g.delegOf(tLock, lk)
+			d.leased, d.expiry = true, now.Add(time.Hour)
+			arm(&d.renewB)
+			d.hint = wire.Hint{Node: 2, Token: 1, Set: true}
+			d.reserved, d.successor = 6, 2
+			arm(&d.noticeB)
 			arm(&lk.reqB)
-			g.parkHandoff(tLock, lk, &wire.Message{Type: wire.THandoff})
+			d.parked, d.grant = true, wire.Message{Type: wire.THandoff}
 
 			tc.enter(n, g)
 
@@ -127,13 +128,10 @@ func TestEveryRebaseEntranceRevokesTheSame(t *testing.T) {
 			if g.digest.Sum() != 0 || g.diverged {
 				t.Errorf("digest %#x diverged=%v, want a fresh digest and no verdict", g.digest.Sum(), g.diverged)
 			}
-			if g.parkedHandoffs != 0 {
-				t.Errorf("%d direct grants still parked", g.parkedHandoffs)
-			}
 			for i := range g.locks.recs {
 				lk := &g.locks.recs[i]
-				if lk.lease != nil || lk.hint.Set || lk.pendingHandoff != nil || lk.handoffIn != nil {
-					t.Errorf("lock %d keeps a claim against the old reign: %+v", i, *lk)
+				if lk.deleg != nil {
+					t.Errorf("lock %d keeps a claim against the old reign: %+v", i, *lk.deleg)
 				}
 				if lk.reqB != (backoff{}) {
 					t.Errorf("lock %d request schedule not reset: %+v", i, lk.reqB)
@@ -149,6 +147,107 @@ func TestEveryRebaseEntranceRevokesTheSame(t *testing.T) {
 		})
 	}
 }
+
+// TestDelegRecordDiesWithTheReign takes locks through each part of the
+// delegation record the way the protocol builds it — a lease granted and
+// kept idle across a release, a handoff hint, a handoff notice owed the
+// root, a direct grant parked on its watermark — and then revokes the
+// reign's claims both ways a member does: a re-base, and the report it
+// builds for an election. Either way no lock keeps a record, the idle
+// cached entry is freed (the report reads the lock free), and the next
+// tick unlists every lock, as nothing is left in flight on them.
+func TestDelegRecordDiesWithTheReign(t *testing.T) {
+	const leased, hinted, handed, parked LockID = 1, 2, 3, 4
+	for _, tc := range []struct {
+		name   string
+		revoke func(n *Node, g *memberGroup) *snapReport
+	}{
+		{name: "rebase", revoke: func(n *Node, g *memberGroup) *snapReport {
+			n.adoptEpoch(g, 1, 2)
+			return nil
+		}},
+		{name: "election-report", revoke: func(n *Node, g *memberGroup) *snapReport {
+			g.electEpoch = 1
+			rep := newSnapReport(0)
+			for _, m := range n.reportFrames(g) {
+				rep.absorb(&m)
+			}
+			return rep
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, g := loneMember(t)
+			n.SetLeases(time.Hour)
+			hint := wire.Hint{Node: 2, Token: 5, Set: true}
+			n.mu.Lock()
+			defer n.mu.Unlock() // held at every failure below
+			hdr := wire.Hdr{Group: uint32(tGroup), Src: 0, Epoch: g.epoch}
+			enter := func(l LockID, epoch uint32, hint wire.Hint) {
+				lk := g.locks.at(l)
+				lk.want, lk.reqToken = true, 7
+				n.applyLock(g, ptr(hdr.Entry(uint32(l), 0, n.id, epoch, 7, hint)))
+			}
+			enter(leased, 4, wire.Hint{})
+			n.handleLeaseGrant(g, ptr(hdr.LeaseGrant(uint32(leased), 4, 7, time.Hour)))
+			enter(hinted, 3, hint)
+			// A lease granted mid-section, on an entry that carries a hint:
+			// the release hands the lock on and ends the lease.
+			enter(handed, 2, hint)
+			n.handleLeaseGrant(g, ptr(hdr.LeaseGrant(uint32(handed), 2, 7, time.Hour)))
+			n.handleHandoff(g, ptr(wire.Hdr{Group: uint32(tGroup), Src: 2, Epoch: g.epoch}.HandoffGrant(uint32(parked), n.id, 9, 1, g.nextSeq+10)))
+			n.mu.Unlock()
+			for _, l := range []LockID{leased, handed} {
+				if err := n.Release(tGroup, l); err != nil {
+					t.Logf("release of lock %d: %v", l, err) // the peers never started
+				}
+			}
+			n.mu.Lock()
+			for l, has := range map[LockID]func(d *deleg) bool{
+				leased: func(d *deleg) bool { return d.leased && !d.entered },
+				hinted: func(d *deleg) bool { return d.hint == hint },
+				handed: func(d *deleg) bool { return d.reserved == 3 && d.successor == 2 },
+				parked: func(d *deleg) bool { return d.parked },
+			} {
+				if d := g.locks.at(l).deleg; d == nil || !has(d) {
+					t.Fatalf("lock %d does not hold its part of the record: %+v", l, d)
+				}
+			}
+			if !g.locks.at(leased).held.has(n.id) {
+				t.Fatal("the idle lease's entry is not cached")
+			}
+			for _, l := range []LockID{leased, handed} {
+				if g.locks.at(l).inUse() {
+					t.Fatalf("lock %d reads in use after its release: a new acquisition would be refused as nested", l)
+				}
+			}
+
+			rep := tc.revoke(n, g)
+
+			for i := range g.locks.recs {
+				if d := g.locks.recs[i].deleg; d != nil {
+					t.Errorf("lock %d keeps a record: %+v", i, *d)
+				}
+			}
+			if lk := g.locks.at(leased); lk.held.has(n.id) || lk.lockDone < 4 {
+				t.Errorf("idle cached entry kept: holders %v, lockDone %d", lk.held.in, lk.lockDone)
+			}
+			if rep != nil && len(rep.locks[leased].held.in) != 0 {
+				t.Errorf("the report has the idle leased lock held: %+v", rep.locks[leased])
+			}
+			if len(g.busyLocks) == 0 {
+				t.Fatal("no lock listed before the tick")
+			}
+			n.mu.Unlock()
+			n.tick()
+			n.mu.Lock()
+			if len(g.busyLocks) != 0 {
+				t.Errorf("the tick left locks %v listed", g.busyLocks)
+			}
+		})
+	}
+}
+
+func ptr(m wire.Message) *wire.Message { return &m }
 
 // TestOwnReportReadsAsAPeers pins the candidate's view of itself: the
 // report a member with an exclusive hold, an open session with two

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"optsync/internal/obs"
-	"optsync/internal/topo"
 	"optsync/internal/wire"
 )
 
@@ -144,13 +143,10 @@ func (n *Node) handleJoinAck(g *memberGroup, m *wire.Message) {
 		return // duplicate answer, or adoption already superseded the rejoin
 	}
 	n.rebase(g, m.Epoch, int(m.Src), true)
-	if g.cfg.TreeFanout && g.rootID == g.cfg.Root {
+	if g.rootID == g.cfg.Root {
 		// Still the founding reign: resume this node's relay duties in the
 		// spanning tree. Failover reigns use direct fanout.
-		tree, err := topo.SpanningTree(topo.MustNew(len(g.cfg.Members)), g.cfg.Root)
-		if err == nil {
-			g.children = tree.Children[n.id]
-		}
+		g.children = treeChildren(&g.cfg, n.id)
 	}
 	n.emit(obs.EvRejoined, g.cfg.ID, int64(n.id), int64(g.epoch))
 }

@@ -154,7 +154,7 @@ func TestLockTokenRetryAfterGrant(t *testing.T) {
 			return ls.held.in[0].node, ls.held.in[0].token, len(ls.queue)
 		}
 		// retry re-sends n's outstanding request as the maintenance tick does
-		// (retryLocks): the same acquisition, token and session.
+		// (retryLock): the same acquisition, token and session.
 		retry := func(n *Node) {
 			n.mu.Lock()
 			g := n.groups[tGroup]

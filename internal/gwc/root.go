@@ -147,7 +147,12 @@ func (s *bookShell) seq() uint64                         { return s.r.ring.seq()
 func (s *bookShell) commit() uint64                      { return s.r.commit }
 func (s *bookShell) fenced() bool                        { return s.r.fenced }
 func (s *bookShell) quorumAcks() bool                    { return s.n.quorumAcks }
-func (s *bookShell) leaseTTL() time.Duration             { return s.n.leaseTTL }
+func (s *bookShell) leaseTTL() time.Duration {
+	if !s.n.leasing() {
+		return 0
+	}
+	return s.n.leaseTTL
+}
 func (s *bookShell) quorumWaited(since time.Time) {
 	s.n.metrics.Hist(obs.HistQuorumWait).Record(s.n.clock.Now().Sub(since))
 }

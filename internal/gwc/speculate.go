@@ -49,7 +49,7 @@ type Outlook struct {
 // whoever asks gives it back first (ownRequest). Caller holds n.mu.
 func (n *Node) outlook(g *memberGroup, l LockID, session uint32) (foreign, joinable bool) {
 	lk := g.locks.peek(l)
-	if lk == nil || len(lk.held.in) == 0 || (lk.lease != nil && !lk.lease.held) {
+	if lk == nil || len(lk.held.in) == 0 || lk.idleLease() {
 		return false, false
 	}
 	joinable = shares(lk.held.session, session)

@@ -298,7 +298,7 @@ func busyListsOK(t *testing.T, n *Node, g *memberGroup) {
 	for i := range g.locks.recs {
 		lk := &g.locks.recs[i]
 		_, listed := slices.BinarySearch(g.busyLocks, LockID(i))
-		active := !lk.reqSince.IsZero() || lk.parked > 0 || lk.lease != nil || lk.hint.Set || lk.pendingHandoff != nil || lk.handoffIn != nil
+		active := !lk.reqSince.IsZero() || lk.parked > 0 || lk.deleg != nil
 		if listed != lk.busy || (active && !listed) {
 			t.Errorf("node %d lock %d: listed=%v busy=%v active=%v", n.id, i, listed, lk.busy, active)
 		}
@@ -317,8 +317,10 @@ func busyListsOK(t *testing.T, n *Node, g *memberGroup) {
 // flight are listed — in ID order, once each — an idle one leaves at the
 // next sweep and may come back, and a rejoin reset empties the lists.
 func TestBusyListsFollowWhatIsInFlight(t *testing.T) {
-	g := &memberGroup{}
-	now := time.Now()
+	n, g := loneMember(t)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	now := n.clock.Now()
 	for _, l := range []LockID{maxRecords - 1, 2, 700, 2} {
 		lk := g.locks.at(l)
 		lk.reqSince = now
@@ -337,16 +339,14 @@ func TestBusyListsFollowWhatIsInFlight(t *testing.T) {
 	}
 	g.locks.at(700).endRequest()
 	g.vars.at(4).eagerOut = false
-	g.sweepBusy()
+	n.tickLocks(tGroup, g, now, true)
 	if want := []LockID{2, maxRecords - 1}; !slices.Equal(g.busyLocks, want) || g.locks.at(700).busy {
 		t.Fatalf("after the sweep busyLocks = %v (lock 700 busy=%v), want %v", g.busyLocks, g.locks.at(700).busy, want)
 	}
 	if want := []VarID{9}; !slices.Equal(g.busyVars, want) || g.vars.at(4).busy {
 		t.Fatalf("after the sweep busyVars = %v, want %v", g.busyVars, want)
 	}
-	lk := g.locks.at(700)
-	lk.lease = &memberLease{}
-	markBusy(&g.busyLocks, &lk.busy, 700)
+	g.delegOf(700, g.locks.at(700))
 	if want := []LockID{2, 700, maxRecords - 1}; !slices.Equal(g.busyLocks, want) {
 		t.Fatalf("re-marked busyLocks = %v, want %v", g.busyLocks, want)
 	}
@@ -368,7 +368,7 @@ func TestBusyListsCoverLeaseTraffic(t *testing.T) {
 			busyListsOK(t, n, n.groups[tGroup])
 			// Sweeping this often unlists a record the moment it idles, so
 			// state set without a mark shows up in the next check.
-			n.groups[tGroup].sweepBusy()
+			n.tickLocks(tGroup, n.groups[tGroup], n.clock.Now(), false)
 			n.mu.Unlock()
 		}
 	}
@@ -456,7 +456,7 @@ func TestEverySetterMarksItsRecord(t *testing.T) {
 	lk := g.locks.at(6)
 	lk.want, lk.reqToken = true, 9
 	n.applyLock(g, &wire.Message{Type: wire.TSeqLock, Lock: 6, Val: mine, Var: 1, Origin: 9, Deadline: int64(4)<<32 | int64(2+1)})
-	if !lk.hint.Set {
+	if lk.deleg == nil || !lk.deleg.hint.Set {
 		t.Fatal("the grant's hint was not captured")
 	}
 	listed("a hinted grant", 6)
@@ -465,14 +465,17 @@ func TestEverySetterMarksItsRecord(t *testing.T) {
 	lk = g.locks.at(7)
 	lk.held.put(holder{node: n.id, epoch: 3})
 	n.handleLeaseGrant(g, &wire.Message{Type: wire.TLeaseGrant, Group: uint32(tGroup), Lock: 7, Var: 3, Deadline: int64(time.Hour), Epoch: g.epoch})
-	if lk.lease == nil {
+	if lk.deleg == nil || !lk.deleg.leased {
 		t.Fatal("the lease was not installed")
 	}
 	listed("a lease grant", 7)
 
 	// A direct grant parked on its watermark.
 	lk = g.locks.at(8)
-	g.parkHandoff(8, lk, &wire.Message{Type: wire.THandoff, Lock: 8, Seq: g.nextSeq + 10, Epoch: g.epoch})
+	n.handleHandoff(g, &wire.Message{Type: wire.THandoff, Group: uint32(tGroup), Lock: 8, Val: mine, Var: 5, Seq: g.nextSeq + 10, Epoch: g.epoch})
+	if lk.deleg == nil || !lk.deleg.parked {
+		t.Fatal("the direct grant was not parked")
+	}
 	listed("a parked handoff", 8)
 
 	// A handoff notice awaiting the root (handoffRelease drops n.mu).
@@ -482,7 +485,7 @@ func TestEverySetterMarksItsRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.mu.Lock()
-	if g.locks.at(9).pendingHandoff == nil {
+	if d := g.locks.at(9).deleg; d == nil || d.reserved != 2 {
 		t.Fatal("no handoff notice pending")
 	}
 	listed("a handoff notice", 9)

@@ -44,32 +44,35 @@ func (n *Node) SetWatchdog(budget time.Duration) {
 	}
 }
 
-// watchMember cross-checks the member side's in-flight operations:
-// outstanding lock acquisitions, the rejoin handshake, and pending sync
-// barriers. Runs at the start of the maintenance tick, so a schedule
-// reset it performs takes effect within the same tick. Caller holds
-// n.mu.
+// watchLock cross-checks lock l's outstanding acquisition at a member.
+// It runs in the maintenance tick's first pass (tickLocks), just before
+// the lock's retry, so a schedule reset it performs takes effect within
+// the same tick. Caller holds n.mu.
+func (n *Node) watchLock(gid GroupID, l LockID, lk *memberLock, now time.Time, budget time.Duration) {
+	if lk.reqSince.IsZero() || now.Sub(lk.reqSince) < budget {
+		return
+	}
+	if !lk.want {
+		// The acquisition was cancelled or satisfied without the stamp
+		// being cleared; nothing to watch.
+		lk.reqSince = time.Time{}
+		return
+	}
+	lk.reqSince = now
+	n.emit(obs.EvWatchdogStuck, gid, obs.WatchAcquire, int64(l))
+	n.emit(obs.EvWatchdogReissue, gid, obs.WatchAcquire, int64(l))
+	// Restart the request's schedule; the retry that follows re-issues it
+	// with the live token and the caller's deadline — at worst one
+	// duplicate the root dedupes.
+	lk.reqB.reset()
+}
+
+// watchMember cross-checks the member side's other in-flight operations:
+// the rejoin handshake and pending sync barriers. Runs before the
+// maintenance tick's re-sends, so a schedule reset it performs takes
+// effect within the same tick. Caller holds n.mu.
 func (n *Node) watchMember(gid GroupID, g *memberGroup, now time.Time) {
 	budget := n.watchBudget()
-	for _, l := range g.busyLocks {
-		lk := &g.locks.recs[l]
-		if lk.reqSince.IsZero() || now.Sub(lk.reqSince) < budget {
-			continue
-		}
-		if !lk.want {
-			// The acquisition was cancelled or satisfied without the stamp
-			// being cleared; nothing to watch.
-			lk.reqSince = time.Time{}
-			continue
-		}
-		lk.reqSince = now
-		n.emit(obs.EvWatchdogStuck, gid, obs.WatchAcquire, int64(l))
-		n.emit(obs.EvWatchdogReissue, gid, obs.WatchAcquire, int64(l))
-		// Restart the request's schedule; this tick's retryLocks re-issues
-		// it with the live token and the caller's deadline — at worst one
-		// duplicate the root dedupes.
-		lk.reqB.reset()
-	}
 	if g.rejoining && !g.rejoinBegan.IsZero() && now.Sub(g.rejoinBegan) >= budget {
 		g.rejoinBegan = now
 		n.emit(obs.EvWatchdogStuck, gid, obs.WatchRejoin, int64(g.joinToken))

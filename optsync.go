@@ -220,8 +220,9 @@ func WithIntegrity(interval time.Duration) Option {
 // fenced root demands them back, and the root frees a leased lock only
 // on an explicit return, release, or the holder's rejoin — never on
 // expiry alone — so a slow clock cannot mint two exclusive holders.
-// Ignored under WithQuorumAcks: direct transfers would bypass the
-// durability watermark. Zero (the default) disables leasing.
+// NewCluster refuses it together with WithQuorumAcks: leased re-entries
+// and direct transfers would bypass the durability watermark. Zero (the
+// default) disables leasing.
 func WithLeases(ttl time.Duration) Option {
 	return optionFunc(func(o *options) { o.leases = ttl })
 }
@@ -297,6 +298,9 @@ func NewCluster(n int, opts ...Option) (*Cluster, error) {
 	o.history = core.DefaultConfig()
 	for _, opt := range opts {
 		opt.apply(&o)
+	}
+	if o.leases > 0 && o.quorumAcks {
+		return nil, fmt.Errorf("optsync: WithLeases cannot be combined with WithQuorumAcks: leased re-entries and direct handoffs would bypass the quorum-ack watermark")
 	}
 
 	var (

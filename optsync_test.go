@@ -55,6 +55,11 @@ func TestClusterValidation(t *testing.T) {
 	if _, err := NewCluster(2, WithTCP([]string{"127.0.0.1:0"})); err == nil {
 		t.Error("mismatched TCP address count succeeded")
 	}
+	// Leasing would bypass the quorum-ack watermark: the pair is refused,
+	// not one of them silently dropped.
+	if c, err := NewCluster(2, WithLeases(time.Second), WithQuorumAcks()); err == nil || c != nil {
+		t.Errorf("WithLeases with WithQuorumAcks = (%v, %v), want an error and no cluster", c, err)
+	}
 	c, err := NewCluster(2)
 	if err != nil {
 		t.Fatal(err)
