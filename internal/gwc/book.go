@@ -245,18 +245,16 @@ func (b *lockBook) step(m *wire.Message) {
 	}
 }
 
-// runsInPlace answers, for a frame pushed at the reign's root
-// (Node.tryDeliver), whether it changes nobody else's wait, so that its
-// pusher may run it: a request for a lock free on the books, or a
-// release with nobody queued behind it. A request that would queue, or a
-// release that would hand the lock to a waiter, is left for the root's
-// receive loop, as a sent frame is: handing a lock over on the
+// runsInPlace answers, for a lock request or release pushed at the
+// reign's root (Node.tryDeliver), whether it changes nobody else's wait,
+// so that its pusher may run it: a request for a lock free on the books,
+// or a release with nobody queued behind it. A request that would queue,
+// or a release that would hand the lock to a waiter, is left for the
+// root's receive loop, as a sent frame is: handing a lock over on the
 // releaser's goroutine, sooner than the woken holder can move, only
-// makes more requests find it held. No other frame changes a wait.
+// makes more requests find it held. No other frame changes a wait, so
+// tryDeliver asks about these two kinds alone.
 func (b *lockBook) runsInPlace(m *wire.Message) bool {
-	if m.Type != wire.TLockReq && m.Type != wire.TLockRel {
-		return true
-	}
 	ls := b.locks.peek(LockID(m.Lock))
 	return ls == nil || len(ls.queue) == 0 && (m.Type == wire.TLockRel || ls.free())
 }

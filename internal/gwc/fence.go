@@ -93,11 +93,8 @@ func fenceDroppable(t wire.Type) bool {
 // n.mu.
 func (n *Node) checkFence(r *rootGroup, now time.Time) {
 	reach := 1 // the root itself
-	for _, m := range r.cfg.Members {
-		if m == n.id {
-			continue
-		}
-		if now.Sub(r.lastHeard[m]) <= n.failAfter {
+	for i, m := range r.cfg.Members {
+		if m != n.id && now.Sub(r.lastHeard[i]) <= n.failAfter {
 			reach++
 		}
 	}

@@ -339,8 +339,12 @@ func (n *Node) SetQuorumAcks(on bool) {
 // on the maintenance tick), compares the TDigestAck replies against
 // its digest checkpoint ring, and re-drives any diverged member
 // through the rejoin/snapshot catch-up path. Zero disables sweeping.
-// All nodes of a group should enable it so a member that inherits the
-// reign keeps sweeping.
+// It is a set-up call, like SetBatching: make it on every node of the
+// group before the group carries data. A node folds sequenced writes into
+// its digests only while its interval is set, so a node that turned it on
+// late holds a digest that misses the earlier writes, and a member that
+// inherits the reign keeps sweeping only if it was set there too. While
+// off it costs the data path nothing.
 func (n *Node) SetIntegrity(interval time.Duration) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -620,17 +624,18 @@ func (n *Node) dispatch(ms []wire.Message) {
 // that is this very node holding n.mu (a release's batch flush would be one,
 // were it pushed) would wait for itself. So it takes n.mu if it is free and
 // declines otherwise, which queues the frame for recvLoop; it declines as
-// well a lock frame the root leaves for its receive loop, as its lock book
-// rules (lockBook.runsInPlace; a node that roots no reign of the group drops
-// the frame, or points its sender at the reign, wherever it runs). It stamps
-// no clock: msgNow keeps the stamp of the last tick or queued dispatch, so the
-// proof of life a pushed frame leaves — lastRoot at a member, lastHeard at
-// the root — reads up to one maintenance interval early (the tick re-stamps
-// it every interval; heartbeats and probes are sent, not pushed) and never
-// late: the failure detector and the fence can only fire early, by that
-// much. The data plane reads no clock at all; a lock frame run here reads
-// it only where the root's lock book asks for the time (a caller's
-// deadline, the quorum park, a revoke demand).
+// well a lock request or release the root leaves for its receive loop, as
+// its lock book rules (lockBook.runsInPlace; no other kind asks the reign,
+// and a node that roots no reign of the group drops the frame, or points
+// its sender at the reign, wherever it runs). It stamps no clock: msgNow
+// keeps the stamp of the last tick or queued dispatch, so the proof of life
+// a pushed frame leaves — lastRoot at a member, lastHeard at the root —
+// reads up to one maintenance interval early (the tick re-stamps it every
+// interval; heartbeats and probes are sent, not pushed) and never late:
+// the failure detector and the fence can only fire early, by that much.
+// The data plane reads no clock at all; a lock frame run here reads it
+// only where the root's lock book asks for the time (a caller's deadline,
+// the quorum park, a revoke demand).
 func (n *Node) tryDeliver(m wire.Message) bool {
 	if !n.mu.TryLock() {
 		return false
@@ -639,9 +644,11 @@ func (n *Node) tryDeliver(m wire.Message) bool {
 	if n.closed {
 		return true // dropped, like a send to a closed mailbox
 	}
-	if r := n.roots[GroupID(m.Group)]; r != nil && !r.book.runsInPlace(&m) {
-		n.emit(obs.EvLockDeferred, GroupID(m.Group), int64(m.Type), int64(m.Src))
-		return false
+	if m.Type == wire.TLockReq || m.Type == wire.TLockRel {
+		if r := n.roots[GroupID(m.Group)]; r != nil && !r.book.runsInPlace(&m) {
+			n.emit(obs.EvLockDeferred, GroupID(m.Group), int64(m.Type), int64(m.Src))
+			return false
+		}
 	}
 	n.route(&m)
 	return true

@@ -149,7 +149,8 @@ func (n *Node) rootDigestAck(r *rootGroup, m *wire.Message) {
 // DigestState reports a member's integrity digest, the sequence
 // watermark it covers (highest contiguously applied), and whether the
 // copy is currently convicted as diverged. Intended for tests and
-// operational inspection; the sweep itself never calls it.
+// operational inspection; the sweep itself never calls it. The sum is 0
+// on a node that does not sweep (SetIntegrity), which folds nothing.
 func (n *Node) DigestState(gid GroupID) (sum uint64, applied uint64, diverged bool, err error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -647,7 +647,9 @@ func (n *Node) applySeq(g *memberGroup, m *wire.Message) {
 			n.misapply(&mm)
 			m = &mm
 		}
-		g.digest.Fold(m.Var, m.Seq, m.Val)
+		if n.integrityEvery > 0 {
+			g.digest.Fold(m.Var, m.Seq, m.Val)
+		}
 		if g.suspended {
 			// Insharing suspension: hold data back until the rollback
 			// finishes so restored values are not clobbered.

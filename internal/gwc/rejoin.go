@@ -100,11 +100,12 @@ func (n *Node) handleJoinReq(m *wire.Message) {
 	gid := GroupID(m.Group)
 	src := int(m.Src)
 	if r, ok := n.roots[gid]; ok {
-		if !r.cfg.memberOf(src) {
+		i := r.cfg.indexOf(src)
+		if i < 0 {
 			n.protoErr("gwc: node %d got join request from non-member %d for group %d", n.id, src, m.Group)
 			return
 		}
-		r.lastHeard[src] = n.clock.Now()
+		r.lastHeard[i] = n.clock.Now()
 		// Admission is idempotent per rejoin attempt: the ticket the member
 		// minted (0 from pre-ticket senders, which always take the full
 		// path) keys the destructive half. A duplicate TJoinReq — a retry

@@ -50,7 +50,7 @@ type rootGroup struct {
 	fencedAt   time.Time // when the current fence began (degraded.go staleness origin)
 	fenceWatch time.Time // watchdog budget clock for the fence; re-stamped per trip
 	fencedQ    []wire.Message
-	lastHeard  map[int]time.Time
+	lastHeard  []time.Time // indexed like cfg.Members
 
 	// joinSeen is the last rejoin token served per member (rejoin.go): a
 	// duplicate TJoinReq gets its ack and snapshot re-sent but skips the
@@ -106,22 +106,22 @@ type syncBarrier struct {
 // newRootGroup starts this node's reign over the group in epoch.
 func (n *Node) newRootGroup(cfg GroupConfig, member *memberGroup, epoch uint32, now time.Time) *rootGroup {
 	r := &rootGroup{
-		cfg:       cfg,
-		epoch:     epoch,
-		member:    member,
-		ring:      newSeqRing(cfg.HistorySize),
-		quorum:    len(cfg.Members)/2 + 1,
-		lastHeard: make(map[int]time.Time),
+		cfg:    cfg,
+		epoch:  epoch,
+		member: member,
+		ring:   newSeqRing(cfg.HistorySize),
+		quorum: len(cfg.Members)/2 + 1,
+		// Every member starts "recently heard": the lease must observe a
+		// full failAfter of silence before fencing a fresh reign. (The
+		// acting root is skipped by checkFence, so its own slot is inert.)
+		lastHeard: make([]time.Time, len(cfg.Members)),
 		acks:      make(map[int]uint64),
 		joinSeen:  make(map[int]uint64),
 		lastSweep: now,
 	}
 	r.cfg.Guards = nil
-	// Every member starts "recently heard": the lease must observe a full
-	// failAfter of silence before fencing a fresh reign. (The acting root
-	// is skipped by checkFence, so its own entry is inert.)
-	for _, m := range cfg.Members {
-		r.lastHeard[m] = now
+	for i := range r.lastHeard {
+		r.lastHeard[i] = now
 	}
 	r.book = lockBook{sink: &bookShell{n, r}, hdr: n.rootHdr(r), members: r.cfg.Members}
 	return r
@@ -160,12 +160,12 @@ func (s *bookShell) quorumWaited(since time.Time) {
 // rootHandle processes an up-message at the group root. Caller holds
 // n.mu.
 func (n *Node) rootHandle(r *rootGroup, m *wire.Message) {
-	if src := int(m.Src); src != n.id && r.cfg.memberOf(src) {
+	if i := r.cfg.indexOf(int(m.Src)); i >= 0 && int(m.Src) != n.id {
 		// Any up-traffic from a configured member proves connectivity for
 		// the fencing lease, whatever epoch the sender believes in. The
 		// dispatch timestamp stands in for a per-message clock read: every
 		// inner message of a batch frame arrived in the same dispatch.
-		r.lastHeard[src] = n.msgNow
+		r.lastHeard[i] = n.msgNow
 	}
 	if m.Epoch != r.epoch {
 		if m.Epoch < r.epoch {
@@ -290,7 +290,9 @@ func (n *Node) multicast(r *rootGroup, m wire.Message) {
 	// cumulative sum at every sequence number (lock traffic folds
 	// nothing but still claims a checkpoint slot), so any watermark a
 	// member acks within the retained window is comparable directly.
-	if m.Type == wire.TSeqUpdate {
+	// Only a node that sweeps folds (SetIntegrity): the sum stays zero
+	// otherwise, on the root and on every member alike.
+	if m.Type == wire.TSeqUpdate && n.integrityEvery > 0 {
 		r.digest.Fold(m.Var, m.Seq, m.Val)
 	}
 	r.ring.publish(&m, r.digest.Sum())

@@ -190,15 +190,15 @@ type mailbox[T any] struct {
 	bound int
 	drops *atomic.Uint64
 
-	// The in-place path (offer). consumer is what a producer may run
-	// itself; receiving is set from the receiver taking a batch until it
-	// comes back for the next. gate is zero exactly when a consumer is
-	// registered, nothing is queued, the receiver is not receiving and the
-	// mailbox is open — the one word offer reads without mb.mu; it is
-	// written under mb.mu wherever one of the four changes (regate).
-	// inPlace, queued and declined count how offers ended: the consumer
-	// took the frame; it was never asked (the gate was shut); it was asked
-	// and said no.
+	// The in-place path (inProcEndpoint.push). consumer is what a pusher
+	// may run itself; receiving is set from the receiver taking a batch
+	// until it comes back for the next. gate is zero exactly when a
+	// consumer is registered, nothing is queued, the receiver is not
+	// receiving and the mailbox is open — the one word a push reads
+	// without mb.mu; it is written under mb.mu wherever one of the four
+	// changes (regate). inPlace, queued and declined count how pushes
+	// ended: the consumer took the frame; it was never asked (the gate was
+	// shut); it was asked and said no.
 	consumer                  func(m T) bool
 	receiving                 bool
 	gate                      atomic.Uint32
@@ -267,29 +267,6 @@ func (mb *mailbox[T]) putAll(ms []T) error {
 	}
 	mb.mu.Unlock()
 	mb.cond.Signal()
-	return nil
-}
-
-// offer hands m to the registered consumer on the caller's goroutine when
-// the gate is open, and is put when it is shut or the consumer declines;
-// mb.mu is taken only to enqueue. Whatever the caller put or offered
-// earlier was therefore consumed in full before m is: had it still been
-// queued, or in a batch the receiver had not finished, the gate would
-// have been shut when offer read it, and had it been offered, its
-// consumer call returned before this one began.
-func (mb *mailbox[T]) offer(m T) error {
-	count := &mb.queued
-	if mb.gate.Load() == 0 {
-		if mb.consumer(m) {
-			mb.inPlace.Add(1)
-			return nil
-		}
-		count = &mb.declined
-	}
-	if err := mb.put(m); err != nil {
-		return err
-	}
-	count.Add(1)
 	return nil
 }
 
@@ -438,18 +415,38 @@ type inProcEndpoint struct {
 	id  int
 }
 
-func (e *inProcEndpoint) Send(to int, m wire.Message) error { return e.send(to, m, false) }
-
-func (e *inProcEndpoint) push(to int, m wire.Message) error { return e.send(to, m, true) }
-
-func (e *inProcEndpoint) send(to int, m wire.Message, inPlace bool) error {
+func (e *inProcEndpoint) Send(to int, m wire.Message) error {
 	if to < 0 || to >= len(e.net.boxes) {
 		return fmt.Errorf("transport: send to %d out of range [0,%d)", to, len(e.net.boxes))
 	}
-	if inPlace {
-		return e.net.boxes[to].offer(m)
-	}
 	return e.net.boxes[to].put(m)
+}
+
+// push hands m to the destination's consumer on the caller's goroutine
+// when the gate is open, and puts it when the gate is shut or the consumer
+// declines; mb.mu is taken only to enqueue. Whatever the caller sent or
+// pushed to `to` earlier was therefore consumed in full before m is: had
+// it still been queued, or in a batch the receiver had not finished, the
+// gate would have been shut when push read it, and had it been pushed in
+// place, its consumer call returned before this one began.
+func (e *inProcEndpoint) push(to int, m wire.Message) error {
+	if to < 0 || to >= len(e.net.boxes) {
+		return fmt.Errorf("transport: send to %d out of range [0,%d)", to, len(e.net.boxes))
+	}
+	mb := e.net.boxes[to]
+	count := &mb.queued
+	if mb.gate.Load() == 0 {
+		if mb.consumer(m) {
+			mb.inPlace.Add(1)
+			return nil
+		}
+		count = &mb.declined
+	}
+	if err := mb.put(m); err != nil {
+		return err
+	}
+	count.Add(1)
+	return nil
 }
 
 func (e *inProcEndpoint) consumeInPlace(h func(m wire.Message) bool) bool {

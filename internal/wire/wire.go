@@ -194,32 +194,30 @@ func (t Type) String() string {
 // digest — and the table at the top of frames.go says which, kind by
 // kind. Build frames with the Hdr constructors there and read second
 // meanings through the views there, not through the raw fields.
+//
+// The field order is the in-memory layout, not the wire's (the codec
+// writes explicit offsets): the two one-byte fields sit together and the
+// 32-bit ones in pairs, so the struct has no padding to carry on the
+// copies every hop makes (TestMessageLayout).
 type Message struct {
-	Type   Type
-	Group  uint32 // sharing group
-	Src    int32  // sending node
-	Origin int32  // original writer (survives root re-multicast); on lock frames a node or a token
+	Type Type
+	// Guarded marks writes to variables inside a mutex data group: the
+	// root discards them from non-holders and origins drop their echoes.
+	Guarded bool
+	Group   uint32 // sharing group
+	Src     int32  // sending node
+	Origin  int32  // original writer (survives root re-multicast); on lock frames a node or a token
 	// Seq is the group sequence number on down messages (and the NACK
 	// start); on other kinds a token, a tag or an epoch (frames.go).
 	Seq  uint64
 	Var  uint32 // shared variable; on lock frames an entry epoch (frames.go)
 	Lock uint32 // lock ID (lock messages)
 	Val  int64  // variable value or lock word; a root, a digest, a NACK end or a batch length (frames.go)
-	// Guarded marks writes to variables inside a mutex data group: the
-	// root discards them from non-holders and origins drop their echoes.
-	Guarded bool
 	// Epoch is the root epoch the message belongs to. Members stamp their
 	// current epoch on up messages and the root stamps its reign on down
 	// messages; either side rejects traffic from a stale epoch, so a
 	// revived old root cannot split the group after a failover.
 	Epoch uint32
-	// Deadline is a lock request's caller deadline (Unix nanoseconds; 0
-	// means none), so the root can drop a request whose originator has
-	// already given up instead of granting into the void; comparisons
-	// assume roughly synchronized clocks, so it is an optimization, never a
-	// correctness lever. On other kinds it carries a store nonce, a lease
-	// TTL or a packed handoff hint (frames.go).
-	Deadline int64
 	// Session is the group-mutual-exclusion session a lock message
 	// belongs to: TLockReq carries the requested session, TSeqLock the
 	// open session of an entry/leave/close, TLockRel the session being
@@ -227,6 +225,13 @@ type Message struct {
 	// plain mutual exclusion (the pre-session protocol, and the zero
 	// value on every non-lock message).
 	Session uint32
+	// Deadline is a lock request's caller deadline (Unix nanoseconds; 0
+	// means none), so the root can drop a request whose originator has
+	// already given up instead of granting into the void; comparisons
+	// assume roughly synchronized clocks, so it is an optimization, never a
+	// correctness lever. On other kinds it carries a store nonce, a lease
+	// TTL or a packed handoff hint (frames.go).
+	Deadline int64
 	// Batch holds the inner messages of a TBatch frame (nil otherwise).
 	// Inner messages must share the frame's group and may not themselves
 	// be batches.

@@ -7,7 +7,19 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
+
+// TestMessageLayout pins the frame's in-memory size. A frame passes by
+// value, and every hop copies it several times on its way from the sender
+// through the transport to the destination's handler, so a new field must
+// not add padding: place it so the struct grows by the field's own size,
+// and raise the figure here by that much.
+func TestMessageLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Message{}); got != 80 {
+		t.Fatalf("unsafe.Sizeof(Message{}) = %d bytes, want 80", got)
+	}
+}
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	tests := []Message{

@@ -201,7 +201,10 @@ func WithQuorumAcks() Option {
 // ReadStale returns ErrDiverged) and self-healed by re-driving it
 // through the snapshot catch-up path. Wire-frame CRC32C checksums are
 // always on and need no option; the sweep costs two small frames per
-// member per interval. Zero (the default) disables sweeping.
+// member per interval. NewCluster sets it on every node before any group
+// carries data, which the digests need: a node folds writes only while
+// sweeping. Zero (the default) disables sweeping, and with it every
+// digest fold, so the option costs nothing while off.
 func WithIntegrity(interval time.Duration) Option {
 	return optionFunc(func(o *options) { o.integrity = interval })
 }
