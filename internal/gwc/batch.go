@@ -210,7 +210,7 @@ func (n *Node) handleBatch(frame *wire.Message) {
 			}
 		}
 		for i := range frame.Batch {
-			n.ingestFwd(g, &frame.Batch[i], false)
+			n.ingest(g, &frame.Batch[i], false)
 		}
 		n.maybeSendAck(g)
 	case t == wire.TSnapVar || t == wire.TSnapLock || t == wire.TSnapDone:

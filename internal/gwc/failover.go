@@ -210,7 +210,7 @@ func (n *Node) rebase(g *memberGroup, epoch uint32, root int, wantSnap bool) {
 	for _, sw := range g.syncPending {
 		sw.bo.reset()
 	}
-	n.dropDelegs(g, true)
+	g.locks.dropDelegs(true)
 	g.digest.Reset()
 	g.diverged = false
 }
@@ -308,7 +308,9 @@ func (n *Node) detectFailure(gid GroupID, g *memberGroup, now time.Time) {
 		g.suspected[cand] = true
 		g.electBegan = now
 	default:
-		n.sendReport(g, cand)
+		// Re-sent every tick while the election runs, so a lost report
+		// only delays, never prevents, reconstruction.
+		n.sendStream(cand, n.reportFrames(g))
 	}
 }
 
@@ -329,21 +331,10 @@ func (n *Node) reportQuorum(g *memberGroup) bool {
 	return count >= len(g.cfg.Members)/2+1
 }
 
-// sendReport streams this member's local state to the election
-// candidate. It is re-sent every tick while the election runs, so a lost
-// report only delays, never prevents, reconstruction. Caller holds n.mu.
-func (n *Node) sendReport(g *memberGroup, to int) {
-	n.sendStream(to, n.reportFrames(g))
-}
-
 // reportFrames is this member's election report for the running
 // election, as the frames a peer sends the candidate and the candidate
 // reads of itself (promote). Caller holds n.mu.
 func (n *Node) reportFrames(g *memberGroup) []wire.Message {
-	// Reporting state to a would-be reign forfeits every lease first
-	// (idempotent): an idle cached lock reports as free, so the rebuilt
-	// manager cannot resurrect a holder that would never release.
-	n.dropDelegs(g, false)
 	hdr, seq := wire.Hdr{Group: uint32(g.cfg.ID), Src: int32(n.id), Epoch: g.electEpoch}, g.nextSeq-1
 	msgs := make([]wire.Message, 0, len(g.vars.recs)+len(g.locks.recs)+1)
 	for i := range g.vars.recs {
@@ -351,17 +342,7 @@ func (n *Node) reportFrames(g *memberGroup) []wire.Message {
 			msgs = append(msgs, hdr.SnapVar(seq, uint32(i), mv.val))
 		}
 	}
-	for i := range g.locks.recs {
-		lk := &g.locks.recs[i]
-		word, session := Free, uint32(0)
-		if lk.want && !lk.held.has(n.id) {
-			word, session = RequestValue(n.id), lk.reqSession
-		} else if len(lk.held.in) == 0 && lk.grantEpoch == 0 {
-			continue // never seen in use: nothing to report
-		}
-		msgs = snapLock(msgs, hdr, seq, LockID(i), &lk.held, lk.grantEpoch, word, session)
-	}
-	return append(msgs, hdr.SnapDone(seq, 0))
+	return append(g.locks.report(msgs, hdr, seq), hdr.SnapDone(seq, 0))
 }
 
 // promote makes this node the group's root for the election epoch,
@@ -412,7 +393,7 @@ func (n *Node) promote(gid GroupID, g *memberGroup) {
 		n.applyVarValue(g, v, auth[v])
 	}
 	for _, l := range sortedKeys(locks) {
-		n.install(g, l, &locks[l].held, locks[l].epoch)
+		g.locks.install(l, &locks[l].held, locks[l].epoch)
 	}
 	// Free locks with survivors queued move on immediately; everyone
 	// else learns the holder from the grant multicast or the snapshot.
@@ -595,7 +576,7 @@ func (n *Node) snapApply(g *memberGroup, m *wire.Message) {
 		}
 		for _, l := range sortedKeys(snap.locks) {
 			s := snap.locks[l]
-			n.install(g, l, &s.held, s.epoch)
+			g.locks.install(l, &s.held, s.epoch)
 		}
 		g.nextSeq = m.Seq + 1
 		// Re-anchor the integrity digest to the root's sum at the

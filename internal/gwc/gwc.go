@@ -179,7 +179,7 @@ type Node struct {
 	mu sync.Mutex
 	// msgNow is the dispatch timestamp: stamped once per lock hold at the
 	// top of dispatch and tick, then reused by the per-message liveness
-	// bookkeeping (rootHandle's lastHeard, ingestFwd's lastRoot) instead
+	// bookkeeping (rootHandle's lastHeard, ingest's lastRoot) instead
 	// of a clock read per message. A batch frame's thousands of inner
 	// messages land within one dispatch, so one timestamp is exactly as
 	// informative — and the clock read was the dominant per-message cost
@@ -400,6 +400,7 @@ func (n *Node) Join(cfg GroupConfig) error {
 	}
 	now := n.clock.Now()
 	g := newMemberGroup(n.id, cfg, now)
+	g.locks.sink = &memberShell{n, g}
 	n.groups[cfg.ID] = g
 	if cfg.Root == n.id {
 		n.roots[cfg.ID] = n.newRootGroup(cfg, g, 0, now)
@@ -697,9 +698,10 @@ func (n *Node) tick() {
 	n.msgNow = now
 	for _, gid := range sortedKeys(n.groups) {
 		g := n.groups[gid]
-		onRoot := g.rootID == n.id
-		n.tickLocks(gid, g, now, !onRoot)
-		if onRoot {
+		// The node that roots the group does not watch its own requests.
+		g.locks.tickLocks(now, g.rootID != n.id, n.watchBudget())
+		g.sweepVars()
+		if g.rootID == n.id {
 			continue // the rest of the root's member state is fed directly
 		}
 		n.watchMember(gid, g, now)
@@ -761,12 +763,10 @@ func (n *Node) tick() {
 		// is kept, so the root's speculation gate judges the re-send
 		// exactly as it would have judged the original.
 		if !g.rejoining && !g.snapWanted && !g.electing {
-			// The second pass over the busy locks (tickDeleg, lease.go)
+			// The lock plane's second pass over its busy locks (tickDeleg)
 			// runs first: a lease return or renewal should beat this
 			// tick's failure detector.
-			for _, l := range g.busyLocks {
-				n.tickDeleg(g, l, &g.locks.recs[l], now)
-			}
+			g.locks.tickDeleg(now)
 			for _, v := range g.busyVars {
 				mv := &g.vars.recs[v]
 				if !mv.eagerOut || !mv.eagerB.ready(now) {
@@ -815,10 +815,7 @@ func (n *Node) route(m *wire.Message) {
 				// Routine during failover: a peer still (or again)
 				// believes this node is root. Point stale senders at the
 				// current root; otherwise drop and let retries converge.
-				if m.Epoch < g.epoch {
-					n.emit(obs.EvStaleEpoch, GroupID(m.Group), int64(m.Type), int64(m.Epoch))
-					n.maybeNotice(g, int(m.Src))
-				}
+				n.offReign(g, m, true)
 				return
 			}
 			n.protoErr("gwc: node %d got %v for group %d but is not its root", n.id, m.Type, m.Group)
@@ -850,7 +847,7 @@ func (n *Node) route(m *wire.Message) {
 		case wire.TSyncAck:
 			n.handleSyncAck(g, m)
 		case wire.TSeqUpdate, wire.TSeqLock:
-			n.ingest(g, m)
+			n.ingest(g, m, true)
 			n.maybeSendAck(g)
 		case wire.THeartbeat:
 			n.handleHeartbeat(g, m)
@@ -858,10 +855,8 @@ func (n *Node) route(m *wire.Message) {
 			n.handleSnap(g, m)
 		case wire.TDigestReq:
 			n.handleDigestReq(g, m)
-		case wire.TLeaseGrant:
-			n.handleLeaseGrant(g, m)
-		case wire.THandoff:
-			n.handleHandoff(g, m)
+		case wire.TLeaseGrant, wire.THandoff:
+			n.lockFrame(g, m)
 		default:
 			n.protoErr("gwc: node %d got unexpected message type %v", n.id, m.Type)
 		}
@@ -897,7 +892,7 @@ func (n *Node) send(to int, m wire.Message) {
 // plane, but the root runs in place only a lock frame that changes nobody
 // else's wait (lockBook.runsInPlace); everything that asks for an answer,
 // repairs a loss or carries a liveness duty is sent. So the tick's request
-// retries, the entries a member hands back (sendRelease, under n.mu),
+// retries, the entries a member hands back (lockPlane.handBack, under n.mu),
 // cancels, acks, NACKs, sync, snapshot, join, lease and handoff frames and
 // heartbeats are sent, as are the tick's eager re-ships (loss repair) and
 // the batched plane's flush frames (flushWrites runs under n.mu: a push at

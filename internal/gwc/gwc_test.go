@@ -383,7 +383,7 @@ func TestOwnEchoRestoredAfterSnapshotRebase(t *testing.T) {
 		t.Fatalf("after re-base: mem = %d, want 3", got)
 	}
 	// The echo must repair the copy.
-	n.ingestFwd(g, echo(7), false)
+	n.ingest(g, echo(7), false)
 	if got := mv.val; got != 7 {
 		t.Errorf("after own echo: mem = %d, want 7 (restored)", got)
 	}
@@ -393,7 +393,7 @@ func TestOwnEchoRestoredAfterSnapshotRebase(t *testing.T) {
 
 	// A second arrival of the same echo is a plain duplicate again.
 	before := n.Stats().EchoRestored
-	n.ingestFwd(g, echo(7), false)
+	n.ingest(g, echo(7), false)
 	if n.Stats().EchoRestored != before {
 		t.Errorf("re-delivered echo restored again; EchoRestored = %d", n.Stats().EchoRestored)
 	}
@@ -403,7 +403,7 @@ func TestOwnEchoRestoredAfterSnapshotRebase(t *testing.T) {
 	store(9)
 	n.applyVarValue(g, tVar, 3)
 	dropped := n.Stats().EchoDropped
-	n.ingestFwd(g, echo(5), false) // echo of a superseded store
+	n.ingest(g, echo(5), false) // echo of a superseded store
 	if got := mv.val; got != 3 {
 		t.Errorf("superseded echo applied: mem = %d, want 3", got)
 	}
@@ -411,7 +411,7 @@ func TestOwnEchoRestoredAfterSnapshotRebase(t *testing.T) {
 		t.Errorf("EchoDropped = %d, want %d", n.Stats().EchoDropped, dropped+1)
 	}
 	// The newest store's echo still repairs.
-	n.ingestFwd(g, echo(9), false)
+	n.ingest(g, echo(9), false)
 	if got := mv.val; got != 9 {
 		t.Errorf("newest echo after superseded one: mem = %d, want 9", got)
 	}
@@ -719,7 +719,7 @@ func TestSuspendInsharingBuffersData(t *testing.T) {
 	g := n2.groups[tGroup]
 	lk := g.locks.at(tLock)
 	lk.spec = intr
-	g.sawEntry(lk, 1, n2.id, 0) // node 1's exclusive entry, applied here
+	g.locks.sawEntry(lk, 1, 0) // node 1's exclusive entry, applied here
 	lk.spec = nil
 	suspended := g.suspended
 	n2.mu.Unlock()

@@ -42,7 +42,7 @@ type countingEndpoint struct {
 	id  int
 }
 
-func lockPlane(t wire.Type) bool {
+func lockPlaneFrame(t wire.Type) bool {
 	switch t {
 	case wire.TLockReq, wire.TLockRel, wire.TSeqLock, wire.TLeaseGrant, wire.TLeaseRet, wire.THandoff:
 		return true
@@ -51,7 +51,7 @@ func lockPlane(t wire.Type) bool {
 }
 
 func (e *countingEndpoint) Send(to int, m wire.Message) error {
-	if lockPlane(m.Type) {
+	if lockPlaneFrame(m.Type) {
 		e.net.sent[e.id].Add(1)
 	}
 	return e.Endpoint.Send(to, m)

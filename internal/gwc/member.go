@@ -106,150 +106,20 @@ type memberVar struct {
 	eagerMsg wire.Message
 }
 
-// memberLock is everything a member keeps about one lock.
-type memberLock struct {
-	// held is the local copy of the lock's open section: who is inside,
-	// and in which session (holders.go). This node is in it exactly while
-	// it is inside the lock — or holds an idle lease on it, the cached
-	// exclusive entry lease.go keeps across releases. The paper's lock
-	// word (value) and SessionInfo are read off it.
-	held holderSet
-	// grantEpoch is the newest grant epoch observed for the lock: guarded
-	// writes are tagged with it (Write), and state streams carry it.
-	grantEpoch uint32
-	// lockDone is the highest grant epoch this node has finished with
-	// (released or handed back). A self-grant at or below it is a stale
-	// duplicate — e.g. the root's re-announce of a grant whose original
-	// multicast this node already consumed and released — and must not
-	// be mistaken for the grant of a later acquisition.
-	lockDone uint32
-
-	// want marks a lock this node has requested and not yet released or
-	// cancelled. A grant arriving for an unwanted lock is auto-released,
-	// so a lost cancel message cannot strand the lock.
-	want bool
-	// reqToken numbers this node's logical acquisitions of the lock. A
-	// fresh token is minted when a request goes out with none
-	// outstanding; retries of the same acquisition reuse it. The root
-	// echoes the winner's token in the grant multicast, and a self-grant
-	// is consumed only when that echo matches the outstanding request:
-	// a grant minted for a since-cancelled request (which the root's
-	// cancel handling auto-releases) can therefore never be mistaken for
-	// the answer to a newer acquisition — consuming one would leave this
-	// node inside a section the root already handed to someone else.
-	reqToken uint32
-	// reqSession is the session the outstanding acquisition wants to enter
-	// (0 = exclusive), reused by request retries.
-	reqSession uint32
-	// reqSince stamps when the in-flight acquisition minted its token, for
-	// the stuck-operation watchdog (watchdog.go); zero when none is.
-	reqSince time.Time
-	// reqDeadline is the caller's give-up time for the outstanding
-	// acquisition (Unix nanoseconds, 0 = none); every request frame quotes
-	// it, so the root can drop the request instead of granting into the
-	// void.
-	reqDeadline int64
-	// reqB schedules the request's next re-send; the maintenance tick
-	// drives it (retryLock). Armed by every request frame, reset when the
-	// reign changes and when the lock's grant epoch moves: the delay was
-	// sized against a world that no longer exists.
-	reqB backoff
-	// parked counts the callers blocked in WaitEnteredContext on behalf of
-	// an acquisition of this lock. While it is non-zero and the lock is not
-	// entered, the tick keeps a request alive — minting a fresh one if a
-	// rejoin or a re-base wiped the record under the waiter — and
-	// forgetState keeps the count: the callers are still there.
-	parked int
-	// busy: listed in the group's busyLocks (see memberGroup).
-	busy bool
-
-	// deleg is what this node holds of the lock beyond held — a lease, a
-	// handoff hint, a handoff notice owed the root, a parked direct grant
-	// (lease.go) — and nil when it holds none of them.
-	deleg *deleg
-
-	// spec is the interrupt of the section speculating on the lock and
-	// specSession the session it wants (speculate.go); nil when none is.
-	// It lives in the record so that arming it is a store in the hold that
-	// sends the request, and dropping it one in the hold that frees the
-	// lock.
-	spec        Interrupt
-	specSession uint32
-	// rolled marks that spec has fired (sawEntry): until ResumeInsharing
-	// ends the rollback, Write refuses the lock's guarded variables.
-	rolled bool
-}
-
-// value projects the paper's lock word from the record: the grant of an
-// exclusive section's holder, else this node's own request marker, else
-// Free. (A shared section reads as Free here; SessionState carries it.)
-func (lk *memberLock) value(self int) int64 {
-	switch {
-	case len(lk.held.in) > 0 && lk.held.session == 0:
-		return GrantValue(lk.held.in[0].node)
-	case lk.want && !lk.held.has(self):
-		return RequestValue(self)
-	}
-	return Free
-}
-
-// sawGrant records a newly observed grant epoch. The lock moved, so an
-// outstanding request's retry restarts at base cadence (e.g. a lease
-// granted mid-retry means the next change is the revoke answer, which
-// deserves a prompt re-register).
-func (lk *memberLock) sawGrant(epoch uint32) {
-	if epoch != lk.grantEpoch {
-		lk.grantEpoch = epoch
-		lk.reqB.reset()
-	}
-}
-
-// inside reports whether node self is inside the lock, in the given
-// session.
-func (lk *memberLock) inside(self int, session uint32) bool {
-	return lk.held.session == session && lk.held.has(self)
-}
-
-// inUse reports whether this node is inside the lock or acquiring it:
-// an acquisition outstanding or held (want stays set until the release),
-// a caller parked for one, or a leased re-entry.
-func (lk *memberLock) inUse() bool {
-	return lk.want || lk.parked > 0 || lk.deleg != nil && lk.deleg.entered
-}
-
-// endRequest closes the outstanding acquisition's bookkeeping: released,
-// cancelled, or handed on.
-func (lk *memberLock) endRequest() {
-	lk.want = false
-	lk.reqSince = time.Time{}
-	lk.reqSession = 0
-	lk.reqDeadline = 0
-}
-
 // memberGroup is one node's member-side state for a sharing group.
 type memberGroup struct {
 	// cfg is the joined configuration. Its Guards map is consumed at Join:
 	// each variable's guard lives in its record.
 	cfg GroupConfig
 
-	// vars and locks hold the one record per variable and per lock,
-	// indexed by ID (table.go). grantParked is set where a direct grant
-	// parks in a lock's record and recomputed by the scan that delivers
-	// them (deliverDue), so the per-message check for deliverable grants
-	// is a flag test, not a scan.
-	vars        table[VarID, memberVar]
-	locks       table[LockID, memberLock]
-	grantParked bool
-	// busyLocks and busyVars list, ascending, the records that carry state
-	// the maintenance tick and the lease paths visit: a lock with an
-	// acquisition stamp, a parked caller or a delegation record, a variable
-	// with an unconfirmed eager store. They walk these lists, not the
-	// tables, so their cost follows what is in flight and not the highest
-	// ID seen. Setting such state marks the record; clearing it does
-	// nothing, and the tick's first pass (tickLocks) unlists what went
-	// idle.
-	busyLocks []LockID
-	busyVars  []VarID
+	// vars holds the one record per variable, indexed by ID (table.go).
+	vars table[VarID, memberVar]
+	// busyVars lists, ascending, the variables with an unconfirmed eager
+	// store: the tick walks it, not the table, so its cost follows what is
+	// in flight and not the highest ID seen. A store marks the record;
+	// confirming it does nothing, and the tick's first pass unlists what
+	// went idle.
+	busyVars []VarID
 
 	// storeSeq stamps every guarded update with a per-group nonce so the
 	// root can tell a loss-recovery re-send from a fresh store and
@@ -346,6 +216,12 @@ type memberGroup struct {
 
 	data notifyList
 	lock notifyList
+
+	// locks is the group's lock plane (plane.go), which keeps the one
+	// record per lock. It sits last: between vars and the stream's fields
+	// it measured contend_inproc ×1.08 op_p50_adj_us, worse in 10 of 10
+	// pairs, and here at parity (EXPERIMENTS.md, "The member lock plane").
+	locks lockPlane
 }
 
 // treeChildren is node id's children in the founding reign's spanning
@@ -373,6 +249,7 @@ func newMemberGroup(id int, cfg GroupConfig, now time.Time) *memberGroup {
 		lastRoot:    now,
 		suspected:   make(map[int]bool),
 		syncPending: make(map[uint64]*syncWaiter),
+		locks:       lockPlane{self: id, members: cfg.Members},
 	}
 	for v, l := range cfg.Guards {
 		mv := g.vars.at(v)
@@ -382,74 +259,91 @@ func newMemberGroup(id int, cfg GroupConfig, now time.Time) *memberGroup {
 	return g
 }
 
+// memberShell is the node's side of a group's lock plane: it carries out
+// on the node what the plane decides, and answers what the plane asks of
+// the member. Caller holds n.mu, as for every input to the plane.
+type memberShell struct {
+	n *Node
+	g *memberGroup
+}
+
+func (s *memberShell) up(m wire.Message)                  { s.n.send(s.g.rootID, m) }
+func (s *memberShell) emit(typ obs.EventType, a, b int64) { s.n.emit(typ, s.g.cfg.ID, a, b) }
+func (s *memberShell) wake()                              { s.g.lock.notifyAll() }
+func (s *memberShell) arm(b *backoff, now time.Time)      { s.n.arm(b, now, s.n.boBase(), s.n.boCap()) }
+func (s *memberShell) nack()                              { s.n.maybeNack(s.g) }
+func (s *memberShell) suspend()                           { s.g.suspended = true }
+func (s *memberShell) now() time.Time                     { return s.n.clock.Now() }
+func (s *memberShell) hdr() wire.Hdr                      { return s.n.hdr(s.g) }
+func (s *memberShell) applied() uint64                    { return s.g.nextSeq - 1 }
+func (s *memberShell) leasing() bool                      { return s.n.leasing() }
+
+// sectionConfirmed reports whether every guarded write of the closing
+// section has been sequenced (its echo consumed): the precondition for
+// a direct handoff, since the new holder's entry gate is a sequence
+// watermark that must cover the section's data.
+func (s *memberShell) sectionConfirmed(l LockID) bool {
+	for _, v := range s.g.busyVars {
+		mv := &s.g.vars.recs[v]
+		if mv.eagerOut && mv.guarded && mv.guard == l {
+			return false
+		}
+	}
+	return true
+}
+
+// lockFrame is the one reign gate for the lock frames a member receives
+// outside the sequenced stream — a lease grant or revoke demand, a direct
+// handoff grant — before its lock plane takes them in. A frame of another
+// reign is dropped (an older one counted, and a stale handoff's sender
+// told of the reign), and so is one that reaches a member not yet
+// re-based into the reign — a lease targets live state only, and a
+// handed-on grant is re-queued by the request retry. Caller holds n.mu.
+func (n *Node) lockFrame(g *memberGroup, m *wire.Message) {
+	switch {
+	case n.offReign(g, m, m.Type == wire.THandoff), g.rejoining || g.snapWanted:
+	case m.Type == wire.TLeaseGrant:
+		g.locks.leaseFrame(m)
+	case m.Holder() == n.id:
+		g.locks.handoffGrant(m)
+	} // else a root-bound notice strayed here: only the reigning root may arbitrate it
+}
+
+// offReign reports whether m, a frame a member drops unless it belongs to
+// the reign g follows, belongs to another: an older one is counted, and
+// with notice its sender is pointed at the current root. Caller holds
+// n.mu.
+func (n *Node) offReign(g *memberGroup, m *wire.Message, notice bool) bool {
+	if m.Epoch < g.epoch {
+		n.emit(obs.EvStaleEpoch, g.cfg.ID, int64(m.Type), int64(m.Epoch))
+		if notice {
+			n.maybeNotice(g, int(m.Src))
+		}
+	}
+	return m.Epoch != g.epoch
+}
+
 // forgetState drops every record's volatile state: what a restarted
 // process has lost (rejoin.go). Guards are configuration and hooks
-// belong to callers that are still there, so both stay; reqToken keeps
-// counting, so a grant minted for a pre-crash request can never match a
-// later one. Callers parked in a lock wait are still there too: their
-// lock stays listed with what they asked for, and the tick mints them a
-// fresh request (retryLock).
+// belong to callers that are still there, so both stay; the lock plane
+// keeps what it keeps (lockPlane.forget).
 func (g *memberGroup) forgetState() {
 	for i := range g.vars.recs {
 		mv := &g.vars.recs[i]
 		*mv = memberVar{guarded: mv.guarded, guard: mv.guard, hooks: mv.hooks}
 	}
-	g.busyLocks, g.busyVars = g.busyLocks[:0], g.busyVars[:0]
-	for i := range g.locks.recs {
-		lk := &g.locks.recs[i]
-		kept := memberLock{reqToken: lk.reqToken, spec: lk.spec, specSession: lk.specSession}
-		if lk.parked > 0 {
-			kept.parked, kept.reqSession, kept.reqDeadline = lk.parked, lk.reqSession, lk.reqDeadline
-			kept.busy = true
-			g.busyLocks = append(g.busyLocks, LockID(i))
-		}
-		*lk = kept
-	}
+	g.busyVars = g.busyVars[:0]
+	g.locks.forget()
 }
 
-// markBusy lists record id (whose busy flag is *busy) unless it already
-// is, keeping the list in ID order: the order the tick visited map keys
-// in, and table order.
-func markBusy[K ~uint32](list *[]K, busy *bool, id K) {
-	if !*busy {
-		*busy = true
-		i, _ := slices.BinarySearch(*list, id)
-		*list = slices.Insert(*list, i, id)
-	}
-}
-
-// tickLocks is the maintenance tick's pass over the busy locks before
-// the probe. It unlists a lock with nothing left in flight, trips the
-// watchdog on an acquisition over budget (watch: a member that does not
-// root the group, watchLock) and re-sends each lock request that is due
-// (retryLock). It sweeps the busy variables too. Caller holds n.mu.
-func (n *Node) tickLocks(gid GroupID, g *memberGroup, now time.Time, watch bool) {
-	budget := n.watchBudget()
-	g.busyLocks = slices.DeleteFunc(g.busyLocks, func(l LockID) bool {
-		lk := &g.locks.recs[l]
-		if lk.busy = !lk.reqSince.IsZero() || lk.parked > 0 || lk.deleg != nil; !lk.busy {
-			return true
-		}
-		if watch {
-			n.watchLock(gid, l, lk, now, budget)
-		}
-		n.retryLock(g, l, lk, now)
-		return false
-	})
+// sweepVars unlists the variables whose eager store was confirmed: the
+// tick's first pass, beside the lock plane's (tickLocks).
+func (g *memberGroup) sweepVars() {
 	g.busyVars = slices.DeleteFunc(g.busyVars, func(v VarID) bool {
 		mv := &g.vars.recs[v]
 		mv.busy = mv.eagerOut
 		return !mv.busy
 	})
-}
-
-// lockValue is node self's lock word for lock l (memberLock.value), Free
-// for a lock never seen. It never grows the table.
-func (g *memberGroup) lockValue(l LockID, self int) int64 {
-	if lk := g.locks.peek(l); lk != nil {
-		return lk.value(self)
-	}
-	return Free
 }
 
 // varValue is the local copy of v, zero for one never written. It never
@@ -461,20 +355,29 @@ func (g *memberGroup) varValue(v VarID) int64 {
 	return 0
 }
 
-// lockOf resolves an API call's group and lock record, growing the lock
-// table to hold it. Caller holds n.mu.
-func (n *Node) lockOf(gid GroupID, l LockID) (*memberGroup, *memberLock, error) {
+// holdLock is the preamble of every lock call: it takes n.mu and
+// resolves the group and the lock's record, growing the table to hold
+// it. With own — a caller about to start an acquisition of its own — it
+// refuses with ErrNested a lock this node is already inside or
+// acquiring. On an error it returns with n.mu released.
+func (n *Node) holdLock(gid GroupID, l LockID, own bool) (*memberGroup, *memberLock, error) {
+	n.mu.Lock()
 	g, err := n.group(gid)
-	if err != nil {
-		return nil, nil, err
+	switch {
+	case err != nil:
+	case l >= maxRecords:
+		err = idErr(gid, "lock", uint32(l))
+	case own && g.locks.at(l).inUse():
+		err = fmt.Errorf("gwc: node %d is already inside or acquiring lock %d: %w", n.id, l, ErrNested)
+	default:
+		return g, g.locks.at(l), nil
 	}
-	if l >= maxRecords {
-		return nil, nil, idErr(gid, "lock", uint32(l))
-	}
-	return g, g.locks.at(l), nil
+	n.mu.Unlock()
+	return nil, nil, err
 }
 
-// varOf is lockOf for a variable. Caller holds n.mu.
+// varOf resolves an API call's group and variable record, growing the
+// table to hold it. Caller holds n.mu.
 func (n *Node) varOf(gid GroupID, v VarID) (*memberGroup, *memberVar, error) {
 	g, err := n.group(gid)
 	if err != nil {
@@ -496,21 +399,16 @@ func (n *Node) forwardDown(g *memberGroup, m *wire.Message) {
 }
 
 // ingest performs sequence reassembly for a sequenced message, then
-// applies in-order messages. Caller holds n.mu. Fresh messages are
-// relayed down the spanning tree before local processing when the group
-// uses tree fanout; duplicates (including retransmissions of messages the
+// applies in-order messages. Fresh messages are relayed down the spanning
+// tree before local processing when the group uses tree fanout and
+// forward is set; duplicates (including retransmissions of messages the
 // subtree already has) are not re-forwarded — descendants that are still
-// missing them NACK the root directly.
-func (n *Node) ingest(g *memberGroup, m *wire.Message) {
-	n.ingestFwd(g, m, true)
-}
-
-// ingestFwd is ingest with the tree relay controllable: batch frames are
-// forwarded whole (handleBatch), so their inner messages ingest with
-// forward=false instead of being re-sent one by one. m is read in place
-// (it usually points into the drained receive batch) and copied only
-// where it must outlive the call. Caller holds n.mu.
-func (n *Node) ingestFwd(g *memberGroup, m *wire.Message, forward bool) {
+// missing them NACK the root directly. Batch frames are forwarded whole
+// (handleBatch), so their inner messages ingest with forward=false
+// instead of being re-sent one by one. m is read in place (it usually
+// points into the drained receive batch) and copied only where it must
+// outlive the call. Caller holds n.mu.
+func (n *Node) ingest(g *memberGroup, m *wire.Message, forward bool) {
 	if m.Epoch != g.epoch {
 		if m.Epoch < g.epoch {
 			// A deposed root (or a retransmission from its reign) is still
@@ -571,8 +469,8 @@ func (n *Node) ingestFwd(g *memberGroup, m *wire.Message, forward bool) {
 	n.drainPending(g)
 	// The prefix advanced: direct handoff grants parked on a sequence
 	// watermark may be deliverable now.
-	if g.grantParked {
-		n.deliverDue(g)
+	if g.locks.grantParked {
+		g.locks.deliverDue()
 	}
 }
 
@@ -658,164 +556,8 @@ func (n *Node) applySeq(g *memberGroup, m *wire.Message) {
 		}
 		n.applyData(g, m)
 	case wire.TSeqLock:
-		n.applyLock(g, m)
+		g.locks.applyLock(m)
 	}
-}
-
-// sendRelease hands a grant (or a session entry) back to the root,
-// quoting the entry epoch it closes. Caller holds n.mu.
-func (n *Node) sendRelease(g *memberGroup, l LockID, entryEpoch, session uint32) {
-	n.send(g.rootID, n.hdr(g).LockRel(uint32(l), entryEpoch, session))
-}
-
-// lostClaim records that the sequenced stream (or a re-base) put someone
-// else in the lock, or nobody: any cached lease is dead. Mid-section the
-// Release in progress returns it; idle it just evaporates.
-func (lk *memberLock) lostClaim() {
-	if d := lk.deleg; d != nil && d.leased {
-		if d.entered {
-			d.revoked = true
-		} else {
-			d.leased = false
-		}
-	}
-}
-
-// caughtUp retires this node's handoff notice once a lock frame shows the
-// root's epoch at or past the transfer: it is committed there.
-func (lk *memberLock) caughtUp(epoch uint32) {
-	if d := lk.deleg; d != nil && d.reserved != 0 && epoch >= d.reserved {
-		d.reserved = 0
-	}
-}
-
-// applyLock installs one sequenced lock frame, the one reader of TSeqLock
-// (and of a direct handoff grant, which reads like the entry it stands
-// in for): an entry (the lock word names a holder), a holder leaving a
-// section that stays open (the word is its request), or the close (Free).
-// Caller holds n.mu.
-func (n *Node) applyLock(g *memberGroup, m *wire.Message) {
-	l := LockID(m.Lock)
-	lk := g.locks.at(l)
-	lk.caughtUp(m.EntryEpoch())
-	if m.Holder() >= 0 {
-		n.applyEntry(g, l, lk, m)
-	} else {
-		switch {
-		case m.Val == Free:
-			lk.held.in = lk.held.in[:0]
-			lk.clearHint()
-			lk.lostClaim()
-		case lk.held.session == m.Session:
-			lk.held.drop(m.Requester())
-		}
-		g.lock.notifyAll()
-	}
-	lk.settle()
-}
-
-// applyEntry is applyLock's entry half. An entry into a session the open
-// section shares extends it; any other opens a new section in its place
-// — an exclusive close sends no notice of its own, the next entry is the
-// notice. A self-entry is consumed only when its echoed token matches
-// this node's outstanding request: one arriving for a lock this node no
-// longer wants, or answering a since-cancelled request, is handed back
-// on the spot, so a later acquisition cannot mistake it for its own.
-// Caller holds n.mu.
-func (n *Node) applyEntry(g *memberGroup, l LockID, lk *memberLock, m *wire.Message) {
-	s, epoch := m.Session, m.EntryEpoch()
-	h := holder{node: m.Holder(), epoch: epoch, token: m.Token()}
-	self := h.node == n.id
-	if self && epoch <= lk.lockDone {
-		// Stale duplicate of an entry this node already finished with (a
-		// re-announce the root minted for a racing request retry). Taking
-		// it would let a later acquisition run unlocked, so it must not
-		// enter the copy; the stream's next lock frame supersedes it
-		// everywhere else too. But answer it with a release quoting the
-		// stale epoch: a root that still books this node as a holder lost
-		// the original release (e.g. it fell past the fenced-queue bound
-		// during a partition) and would otherwise re-announce forever while
-		// we ignore it forever — the reply breaks that livelock, and a root
-		// that has moved on discards it as stale.
-		n.sendRelease(g, l, epoch, s)
-		return
-	}
-	// An entry this node already consumed (the copy shows it inside) is
-	// only ever the root's re-announce of that same entry, so it is taken
-	// again whatever its token.
-	had := lk.inside(n.id, s)
-	if shares(s, lk.held.session) && len(lk.held.in) > 0 {
-		// Re-announces of earlier entrants carry their older epochs.
-		epoch = max(epoch, lk.grantEpoch)
-	} else {
-		lk.held.open(s)
-	}
-	// Record the observed epoch even for an entry about to be declined:
-	// the next speculation tags its writes with grantEpoch, and leaving it
-	// stale would make the root suppress a *committed* section's writes as
-	// StaleGrant — silent data loss.
-	lk.sawGrant(epoch)
-	if self && !had && (!lk.want || h.token != lk.reqToken) {
-		// Unwanted, or minted for a different acquisition than the one
-		// outstanding (a cancel in flight, or a token-less failover
-		// re-queue): hand it straight back. When a live request is
-		// outstanding the periodic retry re-registers with the root, so a
-		// declined entry costs one round trip, never liveness.
-		lk.lockDone = max(lk.lockDone, h.epoch)
-		n.sendRelease(g, l, h.epoch, s)
-		g.lock.notifyAll()
-		return
-	}
-	lk.held.put(h)
-	// Capture (or clear) the handoff target the root designated for this
-	// entry. A re-announce without a hint clears a stale one: the queue
-	// the old hint peeked no longer exists.
-	lk.clearHint()
-	if self {
-		// Acquisition complete: stop the watchdog's clock on it.
-		lk.reqSince = time.Time{}
-		if hint := m.Hint(); hint.Set && hint.Node != n.id && n.leasing() {
-			g.delegOf(l, lk).hint = hint
-		}
-	} else {
-		lk.lostClaim()
-	}
-	g.sawEntry(lk, h.node, n.id, s)
-	g.lock.notifyAll()
-}
-
-// install re-bases a lock's copy from a failover snapshot or a promotion:
-// the reconstructed section sec (the lock's newest epoch beside it)
-// replaces the local one wholesale. A reconstructed self-entry is kept
-// only if the copy already showed this node inside that session — the
-// entry tokens died with the old root, so belief is the only validation
-// left — and handed back like a declined entry otherwise. Caller holds
-// n.mu.
-func (n *Node) install(g *memberGroup, l LockID, sec *holderSet, epoch uint32) {
-	lk := g.locks.at(l)
-	lk.caughtUp(epoch)
-	had := lk.inside(n.id, sec.session)
-	lk.held.open(sec.session)
-	for _, h := range sec.in {
-		if h.node == n.id && (!had || h.epoch <= lk.lockDone) {
-			lk.lockDone = max(lk.lockDone, h.epoch)
-			n.sendRelease(g, l, h.epoch, sec.session)
-			continue
-		}
-		lk.held.put(h)
-	}
-	lk.sawGrant(epoch)
-	lk.clearHint()
-	if lk.held.has(n.id) {
-		lk.reqSince = time.Time{}
-	} else {
-		lk.lostClaim()
-	}
-	lk.settle()
-	for _, h := range lk.held.in {
-		g.sawEntry(lk, h.node, n.id, lk.held.session)
-	}
-	g.lock.notifyAll()
 }
 
 // applyData installs a data update, honouring hardware blocking.
@@ -948,7 +690,7 @@ func (n *Node) LockValue(gid GroupID, l LockID) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return g.lockValue(l, n.id), nil
+	return g.locks.value(l), nil
 }
 
 // SessionInfo is a lock's locally observed session state.
@@ -1047,101 +789,33 @@ func (n *Node) park(ctx context.Context, ch chan struct{}, cond func() bool) (bo
 // with ErrNested, in the hold that would have recorded the request, while
 // this node is inside the lock or acquiring it.
 func (n *Node) Request(gid GroupID, l LockID, session uint32, deadline int64, now time.Time) (leased bool, err error) {
-	n.mu.Lock()
-	g, lk, err := n.ownLock(gid, l)
+	g, _, err := n.holdLock(gid, l, true)
 	if err != nil {
-		n.mu.Unlock()
 		return false, err
 	}
-	if session == 0 && n.leaseEnter(gid, g, l) {
+	leased, msg := g.locks.start(l, session, deadline, now, session == 0 && !n.closed)
+	if leased {
 		n.mu.Unlock()
 		return true, nil
 	}
-	msg := n.ownRequest(g, l, lk, session, deadline, now)
-	root := g.rootID
-	n.mu.Unlock()
-	return false, n.sendOwn(gid, l, root, msg)
+	return false, n.sendOwn(gid, l, g, msg)
 }
 
-// ownRequest records what a fresh acquisition asks for and builds its
-// request frame: the one way a caller's acquisition starts (Request,
-// Speculate). An idle lease the section did not enter through — it wants
-// another session, or the lease has run out — goes back first: the return
-// precedes the request on the same FIFO link, so the root has the lock
-// free when the request arrives, where a request from the leaseholder on
-// its books would only be answered with the old grant again until the
-// lease expired. Caller holds n.mu, and ownLock has vouched that no
-// acquisition is outstanding.
-func (n *Node) ownRequest(g *memberGroup, l LockID, lk *memberLock, session uint32, deadline int64, now time.Time) wire.Message {
-	if lk.idleLease() {
-		n.returnIdleLease(g, l, lk)
-	}
-	lk.reqSession, lk.reqDeadline = session, deadline
-	return n.lockRequest(g, l, lk, now)
-}
-
-// ownLock is lockOf for a caller about to start an acquisition of its
-// own: ErrNested while this node is inside the lock or acquiring it.
-// Caller holds n.mu.
-func (n *Node) ownLock(gid GroupID, l LockID) (*memberGroup, *memberLock, error) {
-	g, lk, err := n.lockOf(gid, l)
-	if err == nil && lk.inUse() {
-		err = fmt.Errorf("gwc: node %d is already inside or acquiring lock %d: %w", n.id, l, ErrNested)
-	}
-	return g, lk, err
-}
-
-// sendOwn ships the request of an acquisition its caller will wait for.
-// It is pushed, the caller holding nothing: for a lock the root has free,
+// sendOwn ships the request of an acquisition its caller will wait for,
+// dropping n.mu first. It is pushed, the caller holding nothing: for a lock the root has free,
 // on an idle in-process group, this goroutine runs the grant and applies
 // the entry here before it returns (push, gwc.go). The caller will not
 // wait for a request it could not send, so that one (and its interrupt)
 // must not stay on the record: the next acquisition would be refused as
 // nested.
-func (n *Node) sendOwn(gid GroupID, l LockID, root int, msg wire.Message) error {
+func (n *Node) sendOwn(gid GroupID, l LockID, g *memberGroup, msg wire.Message) error {
+	root := g.rootID
+	n.mu.Unlock()
 	err := transport.Push(n.ep, root, msg)
 	if err != nil {
 		_ = n.CancelLockRequest(gid, l) // its frame is as lost as the request's
 	}
 	return err
-}
-
-// lockRequest builds lock l's request frame from its record and arms the
-// next re-send: the one builder behind the caller's first send and every
-// retry the maintenance tick makes (retryLock). With no acquisition
-// outstanding — a first request, or a record a rejoin wiped under a
-// parked caller — it mints the acquisition's token, which retries then
-// reuse so the root can tell a retry from a new request that overtook a
-// lost cancel; the mint also starts the watchdog's clock. The frame
-// quotes the recorded deadline, so the root can drop the request
-// outright once the caller has given up instead of granting into the
-// void. Caller holds n.mu and sends the frame to g.rootID.
-func (n *Node) lockRequest(g *memberGroup, l LockID, lk *memberLock, now time.Time) wire.Message {
-	if !lk.want {
-		lk.want = true
-		lk.reqToken++
-		lk.reqSince = now
-		lk.reqB.reset()
-		markBusy(&g.busyLocks, &lk.busy, l)
-	}
-	n.arm(&lk.reqB, now, n.boBase(), n.boCap())
-	n.emit(obs.EvLockRequest, g.cfg.ID, int64(l), int64(lk.reqToken))
-	return n.hdr(g).LockReq(uint32(l), lk.reqToken, lk.reqSession, lk.reqDeadline)
-}
-
-// retryLock is the lock plane's loss recovery, run by the maintenance
-// tick (tickLocks): it re-sends lock l's request when it is due — in
-// flight and unanswered, or wanted by a caller still parked in
-// WaitEnteredContext — through lockRequest, which mints a fresh request
-// when a rejoin or a failover re-base wiped the old one. The root ignores
-// duplicates. It runs on the node that roots the group too: a waiter
-// there sends its request to itself, and a reign that began under it
-// (promotion re-queues survivors token-less, and the grant is declined)
-// knows its token only from the retry. Caller holds n.mu.
-func (n *Node) retryLock(g *memberGroup, l LockID, lk *memberLock, now time.Time) {
-	if (lk.parked > 0 || !lk.reqSince.IsZero()) && !lk.held.has(n.id) && lk.reqB.ready(now) {
-		n.send(g.rootID, n.lockRequest(g, l, lk, now))
-	}
 }
 
 // ctxDeadline extracts a context's deadline as Unix nanoseconds, the
@@ -1191,15 +865,13 @@ func (n *Node) putWait(ch chan struct{}) {
 // withdrawing the request (use CancelLockRequest for that), and (false,
 // nil) if the node closes. The caller parks on one channel and nothing
 // else: while it is parked the
-// maintenance tick owns the request's loss recovery (retryLock) —
+// maintenance tick owns the request's loss recovery (tickLocks) —
 // re-sends on the record's backoff schedule, a prompt re-register with a
 // new root after a reign change, a fresh request if a rejoin wiped the
 // old one.
 func (n *Node) WaitEnteredContext(ctx context.Context, gid GroupID, l LockID, session uint32, giveUp *atomic.Bool) (bool, error) {
-	n.mu.Lock()
-	g, lk, err := n.lockOf(gid, l)
+	g, _, err := n.holdLock(gid, l, false)
 	if err != nil {
-		n.mu.Unlock()
 		return false, err
 	}
 	done := func() bool {
@@ -1214,12 +886,7 @@ func (n *Node) WaitEnteredContext(ctx context.Context, gid GroupID, l LockID, se
 	}
 	ch := n.getWait()
 	g.lock.register(ch)
-	lk.parked++
-	markBusy(&g.busyLocks, &lk.busy, l)
-	if d := ctxDeadline(ctx); d != 0 {
-		// The freshest word on when the caller gives up.
-		lk.reqDeadline = d
-	}
+	g.locks.park(l, ctxDeadline(ctx))
 	ok, err := n.park(ctx, ch, done)
 	g.locks.at(l).parked--
 	g.lock.unregister(ch)
@@ -1284,10 +951,8 @@ func (n *Node) EnterSessionContext(ctx context.Context, gid GroupID, l LockID, s
 // never retains it; if it is in flight, applyEntry hands it back when it
 // lands.
 func (n *Node) CancelLockRequest(gid GroupID, l LockID) error {
-	n.mu.Lock()
-	g, lk, err := n.lockOf(gid, l)
+	g, lk, err := n.holdLock(gid, l, false)
 	if err != nil {
-		n.mu.Unlock()
 		return err
 	}
 	lk.spec = nil
@@ -1295,13 +960,8 @@ func (n *Node) CancelLockRequest(gid GroupID, l LockID) error {
 		n.mu.Unlock()
 		return n.Release(gid, l)
 	}
-	// The entry answering this request may already be in flight; its
-	// echoed token no longer matches any outstanding acquisition (a new
-	// request mints a fresh token), so applyEntry declines it.
-	lk.endRequest()
-	g.lock.notifyAll()
+	msg := g.locks.cancel(l, lk)
 	root := g.rootID
-	msg := n.hdr(g).LockCancel(uint32(l))
 	n.mu.Unlock()
 	return n.ep.Send(root, msg)
 }
@@ -1312,17 +972,14 @@ func (n *Node) CancelLockRequest(gid GroupID, l LockID) error {
 // ordering guarantees every member sees the data before the lock
 // changes.
 func (n *Node) Release(gid GroupID, l LockID) error {
-	n.mu.Lock()
-	g, lk, err := n.lockOf(gid, l)
+	g, lk, err := n.holdLock(gid, l, false)
 	if err != nil {
-		n.mu.Unlock()
 		return err
 	}
 	// The section is over, so its interrupt goes in the hold that frees
 	// the lock: the next holder's entry must find nothing to fire.
 	lk.spec = nil
-	h := lk.held.find(n.id)
-	if h == nil {
+	if !lk.held.has(n.id) {
 		n.mu.Unlock()
 		return fmt.Errorf("gwc: node %d releasing lock %d it does not hold", n.id, l)
 	}
@@ -1330,23 +987,22 @@ func (n *Node) Release(gid GroupID, l LockID) error {
 	// before the release does, so every member still sees the data before
 	// the lock changes hands (the paper's GWC ordering guarantee).
 	n.flushWrites(g, obs.EvFlushRelease)
-	// Lease/handoff fast paths (lease.go): a hinted waiter may take the
-	// lock directly, and a live lease keeps it cached here instead of
-	// going back to the root.
-	if handled, err := n.leaseRelease(gid, g, l, lk); handled {
-		return err
-	}
-	// The entry epoch is quoted so the root can discard stale duplicates.
-	msg := n.hdr(g).LockRel(uint32(l), h.epoch, lk.held.session)
-	lk.lockDone = max(lk.lockDone, h.epoch)
-	lk.held.drop(n.id)
-	lk.endRequest()
-	g.lock.notifyAll()
+	to, direct, up := g.locks.release(l, lk)
 	root := g.rootID
 	n.mu.Unlock()
+	if direct.Type != 0 {
+		// A peer handoff: the taker's grant first, then the root's notice.
+		if err := n.ep.Send(to, direct); err != nil {
+			return err
+		}
+		return n.ep.Send(root, up)
+	}
+	if up.Type == 0 {
+		return nil // a lease keeps the lock here, or its return is out
+	}
 	// Pushed: with nobody queued behind it the root frees the lock and
 	// every idle member applies the free value on this goroutine.
-	return transport.Push(n.ep, root, msg)
+	return transport.Push(n.ep, root, up)
 }
 
 // HookAction is an Interrupt's verdict.

@@ -289,9 +289,9 @@ func TestCancelledAcquireLeavesInBoundedSteps(t *testing.T) {
 			t.Errorf("the cancelled waiter took %v to leave", d)
 		}
 		lk := lockRecord(n, tLock)
-		if lk.want || lk.parked != 0 || !lk.reqSince.IsZero() || lk.value(n.id) != Free {
+		if v, _ := n.LockValue(tGroup, tLock); lk.want || lk.parked != 0 || !lk.reqSince.IsZero() || v != Free {
 			t.Errorf("after the cancel: want=%v parked=%d stamped=%v value=%d, expected a clean record",
-				lk.want, lk.parked, !lk.reqSince.IsZero(), lk.value(n.id))
+				lk.want, lk.parked, !lk.reqSince.IsZero(), v)
 		}
 		sent := n.Stats().LockRequests
 		for i := 0; i < 5; i++ {

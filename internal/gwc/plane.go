@@ -1,0 +1,862 @@
+package gwc
+
+import (
+	"slices"
+	"time"
+
+	"optsync/internal/obs"
+	"optsync/internal/wire"
+)
+
+// The member's lock plane.
+//
+// In the paper a member's copy of a lock is a word of local memory that
+// the sharing interface overwrites. The plane is that copy, and every
+// member-side lock decision, as one value per group beside the root's
+// lock book (book.go): it owns the lock records (memberLock), the list of
+// busy locks the tick walks, and what a member holds of a lock beyond its
+// copy (deleg, the lease, handoff hint, handoff notice and parked direct
+// grant; lease.go has the design). It takes in the sequenced lock frames
+// (applyLock), the lease and handoff frames the node's reign gate let
+// through (leaseFrame, handoffGrant), a re-base's installed sections
+// (install) and dropped claims (dropDelegs), a rejoin's reset (forget),
+// an election report's lock half (report), a caller's look, start, wait,
+// cancel and release (look, start, park, cancel, release), and the
+// maintenance tick's two passes (tickLocks, tickDeleg).
+//
+// It does no I/O and reads no clock. Each decision leaves through its
+// memberSink in the order it is made — a frame for the root, an event, a
+// wake-up, a backoff armed — and what it does not own it asks the sink
+// for. A frame its caller sends once it holds nothing — a caller's first
+// request, Release's release or handoff — is returned, not sunk. The
+// node implements the sink (memberShell, member.go); a test records it
+// and runs planes against a lock book (plane_test.go).
+
+// memberSink is the plane's way out, and its way to read what it does
+// not own.
+type memberSink interface {
+	up(m wire.Message)                  // send a frame to the root the member follows
+	emit(typ obs.EventType, a, b int64) // a protocol event of the group
+	wake()                              // poke the callers waiting on a lock change
+	arm(b *backoff, now time.Time)      // schedule a re-send (seeded jitter)
+	nack()                              // ask the root for the stream's gap, rate-limited
+	suspend()                           // an interrupt answered HookSuspend: suspend insharing
+
+	now() time.Time
+	hdr() wire.Hdr                  // the header of a frame in the reign the member follows
+	applied() uint64                // the sequenced prefix applied here
+	leasing() bool                  // the lease and handoff fast paths are on
+	sectionConfirmed(l LockID) bool // every guarded write under l has been sequenced
+}
+
+// lockPlane is one member's lock state for one group.
+type lockPlane struct {
+	// The one record per lock, indexed by ID (table.go).
+	table[LockID, memberLock]
+	// self is this node; members the group's, the only nodes a handoff
+	// may name.
+	self    int
+	members []int
+	sink    memberSink
+	// busy lists, ascending, the locks that carry state the tick visits:
+	// an acquisition stamp, a parked caller or a delegation record.
+	// Setting such state marks the record (markBusy); clearing it does
+	// nothing, and the tick's first pass (tickLocks) unlists what went
+	// idle. grantParked is set where a direct grant parks and recomputed
+	// by the scan that delivers them (deliverDue), so the per-message
+	// check for deliverable grants is a flag test, not a scan.
+	busy        []LockID
+	grantParked bool
+}
+
+// memberLock is everything a member keeps about one lock.
+type memberLock struct {
+	// held is the local copy of the lock's open section: who is inside,
+	// and in which session (holders.go). This node is in it exactly while
+	// it is inside the lock — or holds an idle lease on it, the cached
+	// exclusive entry lease.go keeps across releases. The paper's lock
+	// word (value) and SessionInfo are read off it.
+	held holderSet
+	// grantEpoch is the newest grant epoch observed for the lock: guarded
+	// writes are tagged with it (Write), and state streams carry it.
+	grantEpoch uint32
+	// lockDone is the highest grant epoch this node has finished with
+	// (released or handed back). A self-grant at or below it is a stale
+	// duplicate — e.g. the root's re-announce of a grant whose original
+	// multicast this node already consumed and released — and must not
+	// be mistaken for the grant of a later acquisition.
+	lockDone uint32
+
+	// want marks a lock this node has requested and not yet released or
+	// cancelled. A grant arriving for an unwanted lock is auto-released,
+	// so a lost cancel message cannot strand the lock.
+	want bool
+	// reqToken numbers this node's logical acquisitions of the lock. A
+	// fresh token is minted when a request goes out with none
+	// outstanding; retries of the same acquisition reuse it. The root
+	// echoes the winner's token in the grant multicast, and a self-grant
+	// is consumed only when that echo matches the outstanding request:
+	// a grant minted for a since-cancelled request (which the root's
+	// cancel handling auto-releases) can therefore never be mistaken for
+	// the answer to a newer acquisition — consuming one would leave this
+	// node inside a section the root already handed to someone else.
+	reqToken uint32
+	// reqSession is the session the outstanding acquisition wants to enter
+	// (0 = exclusive), reused by request retries.
+	reqSession uint32
+	// reqSince stamps when the in-flight acquisition minted its token, for
+	// the stuck-operation watchdog (watchLock); zero when none is.
+	reqSince time.Time
+	// reqDeadline is the caller's give-up time for the outstanding
+	// acquisition (Unix nanoseconds, 0 = none); every request frame quotes
+	// it, so the root can drop the request instead of granting into the
+	// void.
+	reqDeadline int64
+	// reqB schedules the request's next re-send; the maintenance tick
+	// drives it (tickLocks). Armed by every request frame, reset when the
+	// reign changes and when the lock's grant epoch moves: the delay was
+	// sized against a world that no longer exists.
+	reqB backoff
+	// parked counts the callers blocked in WaitEnteredContext on behalf of
+	// an acquisition of this lock. While it is non-zero and the lock is not
+	// entered, the tick keeps a request alive — minting a fresh one if a
+	// rejoin or a re-base wiped the record under the waiter — and
+	// forget keeps the count: the callers are still there.
+	parked int
+	// busy: listed in the plane's busy list.
+	busy bool
+
+	// deleg is what this node holds of the lock beyond held — a lease, a
+	// handoff hint, a handoff notice owed the root, a parked direct grant —
+	// and nil when it holds none of them.
+	deleg *deleg
+
+	// spec is the interrupt of the section speculating on the lock and
+	// specSession the session it wants (speculate.go); nil when none is.
+	// It lives in the record so that arming it is a store in the hold that
+	// sends the request, and dropping it one in the hold that frees the
+	// lock.
+	spec        Interrupt
+	specSession uint32
+	// rolled marks that spec has fired (sawEntry): until ResumeInsharing
+	// ends the rollback, Write refuses the lock's guarded variables.
+	rolled bool
+}
+
+// deleg is everything a member holds of one lock beyond the copy of its
+// open section: what the root delegated to it, what it owes the root,
+// and what a peer handed it ahead of the stream.
+type deleg struct {
+	// The lease: while leased, this node's exclusive entry stays in the
+	// copy across releases and re-entry is decided locally. entered: inside
+	// the section right now (never set without leased); used: re-entered
+	// locally since the last grant or extension; revoked: the root
+	// demanded it back, to be returned on the next Release.
+	leased, entered, used, revoked bool
+	expiry                         time.Time
+	ttl                            time.Duration
+	renewB                         backoff
+	// hint is the handoff target the root designated on this node's
+	// newest entry.
+	hint wire.Hint
+	// reserved is the epoch a handoff this node made reserved for
+	// successor (0: none in flight). Its notice re-sends on noticeB until a
+	// lock frame shows the root's epoch at or past it.
+	reserved  uint32
+	successor int
+	noticeB   backoff
+	// grant is a direct grant parked on its sequence watermark, when
+	// parked.
+	parked bool
+	grant  wire.Message
+}
+
+// sawGrant records a newly observed grant epoch. The lock moved, so an
+// outstanding request's retry restarts at base cadence (e.g. a lease
+// granted mid-retry means the next change is the revoke answer, which
+// deserves a prompt re-register).
+func (lk *memberLock) sawGrant(epoch uint32) {
+	if epoch != lk.grantEpoch {
+		lk.grantEpoch = epoch
+		lk.reqB.reset()
+	}
+}
+
+// inside reports whether node self is inside the lock, in the given
+// session.
+func (lk *memberLock) inside(self int, session uint32) bool {
+	return lk.held.session == session && lk.held.has(self)
+}
+
+// inUse reports whether this node is inside the lock or acquiring it:
+// an acquisition outstanding or held (want stays set until the release),
+// a caller parked for one, or a leased re-entry.
+func (lk *memberLock) inUse() bool {
+	return lk.want || lk.parked > 0 || lk.deleg != nil && lk.deleg.entered
+}
+
+// endRequest closes the outstanding acquisition's bookkeeping: released,
+// cancelled, or handed on.
+func (lk *memberLock) endRequest() {
+	lk.want, lk.reqSince, lk.reqSession, lk.reqDeadline = false, time.Time{}, 0, 0
+}
+
+// lostClaim records that the sequenced stream (or a re-base) put someone
+// else in the lock, or nobody: any cached lease is dead. Mid-section the
+// Release in progress returns it; idle it just evaporates.
+func (lk *memberLock) lostClaim() {
+	if d := lk.deleg; d != nil && d.leased {
+		if d.entered {
+			d.revoked = true
+		} else {
+			d.leased = false
+		}
+	}
+}
+
+// caughtUp retires this node's handoff notice once a lock frame shows the
+// root's epoch at or past the transfer: it is committed there.
+func (lk *memberLock) caughtUp(epoch uint32) {
+	if d := lk.deleg; d != nil && d.reserved != 0 && epoch >= d.reserved {
+		d.reserved = 0
+	}
+}
+
+// settle frees the record once nothing is left in it.
+func (lk *memberLock) settle() {
+	if d := lk.deleg; d != nil && !d.leased && !d.hint.Set && d.reserved == 0 && !d.parked {
+		lk.deleg = nil
+	}
+}
+
+// idleLease reports whether this node caches the lock under a lease it
+// is not inside.
+func (lk *memberLock) idleLease() bool {
+	d := lk.deleg
+	return d != nil && d.leased && !d.entered
+}
+
+// clearHint forgets the handoff target: the queue it peeked is gone.
+func (lk *memberLock) clearHint() {
+	if d := lk.deleg; d != nil {
+		d.hint = wire.Hint{}
+	}
+}
+
+// markBusy lists record id (whose busy flag is *busy) unless it already
+// is, keeping the list in ID order: the order the tick visited map keys
+// in, and table order.
+func markBusy[K ~uint32](list *[]K, busy *bool, id K) {
+	if !*busy {
+		*busy = true
+		i, _ := slices.BinarySearch(*list, id)
+		*list = slices.Insert(*list, i, id)
+	}
+}
+
+// delegOf returns lock l's record, making it — and listing the lock for
+// the tick — when it has none.
+func (p *lockPlane) delegOf(l LockID, lk *memberLock) *deleg {
+	if lk.deleg == nil {
+		lk.deleg = new(deleg)
+		markBusy(&p.busy, &lk.busy, l)
+	}
+	return lk.deleg
+}
+
+// value projects the paper's lock word for lock l from its record: the
+// grant of an exclusive section's holder, else this node's own request
+// marker, else Free — also for a lock never seen. (A shared section reads
+// as Free here; SessionState carries it.) It never grows the table.
+func (p *lockPlane) value(l LockID) int64 {
+	lk := p.peek(l)
+	switch {
+	case lk == nil:
+	case len(lk.held.in) > 0 && lk.held.session == 0:
+		return GrantValue(lk.held.in[0].node)
+	case lk.want && !lk.held.has(p.self):
+		return RequestValue(p.self)
+	}
+	return Free
+}
+
+// leave is the one way this node's entry at epoch leaves the copy, or is
+// kept out of it: the epoch is finished, so a later frame announcing it
+// is a stale duplicate.
+func (p *lockPlane) leave(lk *memberLock, epoch uint32) {
+	lk.lockDone = max(lk.lockDone, epoch)
+	lk.held.drop(p.self)
+}
+
+// handBack declines this node's entry at epoch in session: it leaves,
+// and the root is told with a release quoting the entry.
+func (p *lockPlane) handBack(l LockID, lk *memberLock, epoch, session uint32) {
+	p.leave(lk, epoch)
+	p.sink.up(p.sink.hdr().LockRel(uint32(l), epoch, session))
+}
+
+// returnIdleLease frees a cached lock this node is not (or no longer)
+// inside and returns the lease on its entry to the root.
+func (p *lockPlane) returnIdleLease(l LockID, lk *memberLock) {
+	var epoch uint32
+	if h := lk.held.find(p.self); h != nil {
+		epoch = h.epoch
+	}
+	lk.deleg.leased, lk.deleg.entered = false, false
+	lk.settle()
+	p.leave(lk, epoch)
+	p.sink.up(p.sink.hdr().LeaseRet(uint32(l), epoch))
+	p.sink.wake()
+}
+
+// applyLock installs one sequenced lock frame, the one reader of TSeqLock
+// (and of a direct handoff grant, which reads like the entry it stands
+// in for): an entry (the lock word names a holder), a holder leaving a
+// section that stays open (the word is its request), or the close (Free).
+func (p *lockPlane) applyLock(m *wire.Message) {
+	l := LockID(m.Lock)
+	lk := p.at(l)
+	lk.caughtUp(m.EntryEpoch())
+	if m.Holder() >= 0 {
+		p.applyEntry(l, lk, m)
+	} else {
+		switch {
+		case m.Val == Free:
+			lk.held.in = lk.held.in[:0]
+			lk.clearHint()
+			lk.lostClaim()
+		case lk.held.session == m.Session:
+			lk.held.drop(m.Requester())
+		}
+		p.sink.wake()
+	}
+	lk.settle()
+}
+
+// applyEntry is applyLock's entry half. An entry into a session the open
+// section shares extends it; any other opens a new section in its place
+// — an exclusive close sends no notice of its own, the next entry is the
+// notice. A self-entry is consumed only when its echoed token matches
+// this node's outstanding request: one arriving for a lock this node no
+// longer wants, or answering a since-cancelled request, is handed back
+// on the spot, so a later acquisition cannot mistake it for its own.
+func (p *lockPlane) applyEntry(l LockID, lk *memberLock, m *wire.Message) {
+	s, epoch := m.Session, m.EntryEpoch()
+	h := holder{node: m.Holder(), epoch: epoch, token: m.Token()}
+	self := h.node == p.self
+	if self && epoch <= lk.lockDone {
+		// Stale duplicate of an entry this node already finished with (a
+		// re-announce the root minted for a racing request retry). Taking
+		// it would let a later acquisition run unlocked, so it must not
+		// enter the copy; the stream's next lock frame supersedes it
+		// everywhere else too. But answer it with a release quoting the
+		// stale epoch: a root that still books this node as a holder lost
+		// the original release (e.g. it fell past the fenced-queue bound
+		// during a partition) and would otherwise re-announce forever while
+		// we ignore it forever — the reply breaks that livelock, and a root
+		// that has moved on discards it as stale.
+		p.sink.up(p.sink.hdr().LockRel(uint32(l), epoch, s))
+		return
+	}
+	// An entry this node already consumed (the copy shows it inside) is
+	// only ever the root's re-announce of that same entry, so it is taken
+	// again whatever its token.
+	had := lk.inside(p.self, s)
+	if shares(s, lk.held.session) && len(lk.held.in) > 0 {
+		// Re-announces of earlier entrants carry their older epochs.
+		epoch = max(epoch, lk.grantEpoch)
+	} else {
+		lk.held.open(s)
+	}
+	// Record the observed epoch even for an entry about to be declined:
+	// the next speculation tags its writes with grantEpoch, and leaving it
+	// stale would make the root suppress a *committed* section's writes as
+	// StaleGrant — silent data loss.
+	lk.sawGrant(epoch)
+	if self && !had && (!lk.want || h.token != lk.reqToken) {
+		// Unwanted, or minted for a different acquisition than the one
+		// outstanding (a cancel in flight, or a token-less failover
+		// re-queue): hand it straight back. When a live request is
+		// outstanding the periodic retry re-registers with the root, so a
+		// declined entry costs one round trip, never liveness.
+		p.handBack(l, lk, h.epoch, s)
+		p.sink.wake()
+		return
+	}
+	lk.held.put(h)
+	// Capture (or clear) the handoff target the root designated for this
+	// entry. A re-announce without a hint clears a stale one: the queue
+	// the old hint peeked no longer exists.
+	lk.clearHint()
+	if self {
+		// Acquisition complete: stop the watchdog's clock on it.
+		lk.reqSince = time.Time{}
+		if hint := m.Hint(); hint.Set && hint.Node != p.self && p.sink.leasing() {
+			p.delegOf(l, lk).hint = hint
+		}
+	} else {
+		lk.lostClaim()
+	}
+	p.sawEntry(lk, h.node, s)
+	p.sink.wake()
+}
+
+// sawEntry fires the interrupt of the section speculating on the lock
+// when node — another node than this one — was seen entering a session
+// that the speculation's own does not share: the root sequenced an
+// incompatible section ahead of it. From then until the rollback the
+// section's writes are refused (Write): its own entry may land before its
+// body returns.
+func (p *lockPlane) sawEntry(lk *memberLock, node int, session uint32) {
+	if lk.spec != nil && node != p.self && !shares(lk.specSession, session) && lk.spec.Fire() == HookSuspend {
+		p.sink.suspend()
+		lk.rolled = true
+	}
+}
+
+// install re-bases a lock's copy from a failover snapshot or a promotion:
+// the reconstructed section sec (the lock's newest epoch beside it)
+// replaces the local one wholesale. A reconstructed self-entry is kept
+// only if the copy already showed this node inside that session — the
+// entry tokens died with the old root, so belief is the only validation
+// left — and handed back like a declined entry otherwise.
+func (p *lockPlane) install(l LockID, sec *holderSet, epoch uint32) {
+	lk := p.at(l)
+	lk.caughtUp(epoch)
+	had := lk.inside(p.self, sec.session)
+	lk.held.open(sec.session)
+	for _, h := range sec.in {
+		if h.node == p.self && (!had || h.epoch <= lk.lockDone) {
+			p.handBack(l, lk, h.epoch, sec.session)
+			continue
+		}
+		lk.held.put(h)
+	}
+	lk.sawGrant(epoch)
+	lk.clearHint()
+	if lk.held.has(p.self) {
+		lk.reqSince = time.Time{}
+	} else {
+		lk.lostClaim()
+	}
+	lk.settle()
+	for _, h := range lk.held.in {
+		p.sawEntry(lk, h.node, lk.held.session)
+	}
+	p.sink.wake()
+}
+
+// dropDelegs forgets every lock's record — lease, hint, parked direct
+// grant and pending notice — because all of them are claims against the
+// old reign's lock manager: rebase's (which also restarts every
+// request's retry schedule, in the same pass), and an election report's
+// (report). An idle cached lock is, for the new reign, simply free:
+// reporting it held would resurrect a holder that never releases. A
+// lease held mid-section survives as a plain hold — its Release takes
+// the wire path.
+func (p *lockPlane) dropDelegs(rebasing bool) {
+	dropped := false
+	for _, l := range p.busy {
+		lk := &p.recs[l]
+		if rebasing {
+			lk.reqB.reset()
+		}
+		if lk.deleg == nil {
+			continue
+		}
+		dropped = true
+		if h := lk.held.find(p.self); h != nil && lk.idleLease() {
+			p.leave(lk, h.epoch)
+		}
+		lk.deleg = nil
+	}
+	if dropped {
+		p.sink.wake()
+	}
+}
+
+// forget drops every lock's volatile state: what a restarted process has
+// lost (rejoin.go). reqToken keeps counting, so a grant minted for a
+// pre-crash request can never match a later one, and the interrupt
+// belongs to a caller that is still there. So are callers parked in a
+// lock wait: their lock stays listed with what they asked for, and the
+// tick mints them a fresh request.
+func (p *lockPlane) forget() {
+	p.busy = p.busy[:0]
+	for i := range p.recs {
+		lk := &p.recs[i]
+		kept := memberLock{reqToken: lk.reqToken, spec: lk.spec, specSession: lk.specSession}
+		if lk.parked > 0 {
+			kept.parked, kept.reqSession, kept.reqDeadline = lk.parked, lk.reqSession, lk.reqDeadline
+			markBusy(&p.busy, &kept.busy, LockID(i))
+		}
+		*lk = kept
+	}
+}
+
+// report appends the lock half of this member's election report, each
+// lock as a stream piece addressed by hdr and taken at seq. Reporting
+// state to a would-be reign forfeits every lease first (idempotent): an
+// idle cached lock reports as free, so the rebuilt manager cannot
+// resurrect a holder that would never release.
+func (p *lockPlane) report(msgs []wire.Message, hdr wire.Hdr, seq uint64) []wire.Message {
+	p.dropDelegs(false)
+	for i := range p.recs {
+		lk := &p.recs[i]
+		word, session := Free, uint32(0)
+		if lk.want && !lk.held.has(p.self) {
+			word, session = RequestValue(p.self), lk.reqSession
+		} else if len(lk.held.in) == 0 && lk.grantEpoch == 0 {
+			continue // never seen in use: nothing to report
+		}
+		msgs = snapLock(msgs, hdr, seq, LockID(i), &lk.held, lk.grantEpoch, word, session)
+	}
+	return msgs
+}
+
+// look is what a section of the given session sees of lock l before it
+// chooses its path. With lease set it enters through a live lease if it
+// can (Leased). Otherwise it evaluates Foreign and Joinable, and an idle
+// lease this node holds reads as a free lock: whoever asks gives it back
+// first (start).
+func (p *lockPlane) look(l LockID, session uint32, lease bool) Outlook {
+	if lease && p.leaseEnter(l) {
+		return Outlook{Leased: true}
+	}
+	lk := p.peek(l)
+	if lk == nil || len(lk.held.in) == 0 || lk.idleLease() {
+		return Outlook{}
+	}
+	joinable := shares(lk.held.session, session)
+	return Outlook{Foreign: !joinable, Joinable: joinable}
+}
+
+// leaseEnter attempts a purely local entry into lock l under a live
+// lease: no wire traffic, no allocation. It returns true when the caller
+// now holds the lock and must pair the entry with Release.
+func (p *lockPlane) leaseEnter(l LockID) bool {
+	lk := p.peek(l)
+	if lk == nil || !lk.idleLease() || lk.deleg.revoked || !lk.held.has(p.self) {
+		return false
+	}
+	if !p.sink.now().Before(lk.deleg.expiry) {
+		return false // expired: the lease tick returns it
+	}
+	lk.deleg.entered, lk.deleg.used = true, true
+	p.sink.emit(obs.EvLeaseLocal, int64(l), 0)
+	return true
+}
+
+// start begins a caller's acquisition of lock l in session, with the
+// caller's deadline (Unix nanoseconds, 0 = none) and clock reading now.
+// With lease set it enters through a live lease if it can (leased: the
+// caller holds the lock now, zero wire messages). Otherwise it returns
+// the request frame, which the caller sends. An idle lease the section
+// did not enter through — it wants another session, or the lease has
+// run out — goes back first: the return precedes the request on the same
+// FIFO link, so the root has the lock free when the request arrives,
+// where a request from the leaseholder on its books would only be
+// answered with the old grant again until the lease expired. The caller
+// has vouched that no acquisition is outstanding (Node.holdLock).
+func (p *lockPlane) start(l LockID, session uint32, deadline int64, now time.Time, lease bool) (leased bool, m wire.Message) {
+	if lease && p.leaseEnter(l) {
+		return true, m
+	}
+	lk := p.at(l)
+	if lk.idleLease() {
+		p.returnIdleLease(l, lk)
+	}
+	lk.reqSession, lk.reqDeadline = session, deadline
+	return false, p.request(l, lk, now)
+}
+
+// request builds lock l's request frame from its record and arms the
+// next re-send: the one builder behind the caller's first send (start)
+// and every retry the maintenance tick makes (tickLocks). With no
+// acquisition outstanding — a first request, or a record a rejoin wiped
+// under a parked caller — it mints the acquisition's token, which retries
+// then reuse so the root can tell a retry from a new request that
+// overtook a lost cancel; the mint also starts the watchdog's clock. The
+// frame quotes the recorded deadline, so the root can drop the request
+// outright once the caller has given up instead of granting into the
+// void.
+func (p *lockPlane) request(l LockID, lk *memberLock, now time.Time) wire.Message {
+	if !lk.want {
+		lk.want, lk.reqSince, lk.reqB = true, now, backoff{}
+		lk.reqToken++
+		markBusy(&p.busy, &lk.busy, l)
+	}
+	p.sink.arm(&lk.reqB, now)
+	p.sink.emit(obs.EvLockRequest, int64(l), int64(lk.reqToken))
+	return p.sink.hdr().LockReq(uint32(l), lk.reqToken, lk.reqSession, lk.reqDeadline)
+}
+
+// park records a caller blocking on lock l's acquisition, with its
+// context's deadline (0 = none): the freshest word on when it gives up.
+func (p *lockPlane) park(l LockID, deadline int64) {
+	lk := p.at(l)
+	lk.parked++
+	markBusy(&p.busy, &lk.busy, l)
+	if deadline != 0 {
+		lk.reqDeadline = deadline
+	}
+}
+
+// cancel withdraws this node's outstanding request for lock l and returns
+// the cancel frame for the caller to send. The entry answering the
+// request may already be in flight; its echoed token no longer matches
+// any outstanding acquisition (a new request mints a fresh token), so
+// applyEntry declines it.
+func (p *lockPlane) cancel(l LockID, lk *memberLock) wire.Message {
+	lk.endRequest()
+	p.sink.wake()
+	return p.sink.hdr().LockCancel(uint32(l))
+}
+
+// release leaves lock l, which this node is inside, and returns what the
+// caller sends once it holds nothing: the frame for the root (none when
+// a lease keeps the lock here or the return went out already) and, for a
+// peer handoff, the direct grant to its taker, sent first. A hinted
+// waiter gets the lock directly; a live lease retains it locally; a
+// revoked or expired lease rides the release back to the root; anything
+// else is the classic release, quoting the entry epoch so the root can
+// discard stale duplicates.
+func (p *lockPlane) release(l LockID, lk *memberLock) (to int, direct, up wire.Message) {
+	if d := lk.deleg; d != nil { // the common case pays no clock read
+		now := p.sink.now()
+		if h := d.hint; h.Set {
+			d.hint = wire.Hint{}
+			if p.sink.leasing() && h.Node != p.self && slices.Contains(p.members, h.Node) && p.sink.sectionConfirmed(l) {
+				return p.handoff(l, lk, h, now)
+			}
+			// Unconfirmed section data (or a stale hint): fall back to the
+			// root path, which sequences the grant behind the data itself.
+		}
+		if d.leased {
+			lk.endRequest()
+			if d.entered && !d.revoked && now.Before(d.expiry) && p.sink.leasing() {
+				// Retain: this node's entry stays in the copy and the next
+				// acquisition is a local decision. Zero wire messages.
+				d.entered = false
+			} else {
+				// Revoked or expired: this release doubles as the lease return.
+				p.returnIdleLease(l, lk)
+			}
+			return 0, direct, up
+		}
+		lk.settle()
+	}
+	h := lk.held.find(p.self)
+	up = p.sink.hdr().LockRel(uint32(l), h.epoch, lk.held.session)
+	p.leave(lk, h.epoch)
+	lk.endRequest()
+	p.sink.wake()
+	return 0, direct, up
+}
+
+// handoff transfers the lock directly to the hinted waiter: one frame on
+// the critical path, plus an asynchronous notice the root validates. The
+// handoff reserves exactly the grant epoch the root's next grant would
+// mint (our entry epoch + 1), which is what lets the root recognise the
+// transfer in whatever frame reaches it first.
+func (p *lockPlane) handoff(l LockID, lk *memberLock, h wire.Hint, now time.Time) (to int, direct, notice wire.Message) {
+	epoch := lk.held.find(p.self).epoch // our entry epoch
+	next := epoch + 1                   // the epoch this transfer reserves
+	p.leave(lk, epoch)
+	lk.held.open(0)
+	lk.held.put(holder{node: h.Node, epoch: next, token: h.Token})
+	lk.sawGrant(next)
+	d := p.delegOf(l, lk)
+	d.leased, d.entered, d.reserved, d.successor = false, false, next, h.Node
+	d.noticeB.reset()
+	p.sink.arm(&d.noticeB, now)
+	lk.endRequest()
+	p.sink.emit(obs.EvHandoff, int64(l), int64(h.Node))
+	// The direct grant carries this node's applied watermark: the closing
+	// section's writes are all sequenced at or below it (the handoff only
+	// fires with every echo confirmed), so the new holder defers entry
+	// until its own stream covers that prefix — the GWC data-before-lock
+	// guarantee, kept without the root on the path.
+	hdr := p.sink.hdr()
+	direct = hdr.HandoffGrant(uint32(l), h.Node, next, h.Token, p.sink.applied())
+	notice = hdr.HandoffNotice(uint32(l), h.Node, epoch, next)
+	p.sink.wake()
+	return h.Node, direct, notice
+}
+
+// leaseFrame processes a root's lease frame: a grant/extension when it
+// carries a TTL, a revoke demand when it carries none. Either names the
+// entry it is for by its epoch.
+func (p *lockPlane) leaseFrame(m *wire.Message) {
+	l := LockID(m.Lock)
+	lk := p.at(l)
+	epoch, ttl := m.EntryEpoch(), m.TTL()
+	h := lk.held.find(p.self)
+	mine := h != nil && h.epoch == epoch
+	if ttl == 0 {
+		// Revoke demand for the lease on the entry at epoch.
+		if d := lk.deleg; d == nil || !d.leased || !mine {
+			// No such lease here. If this node already finished with that
+			// grant, the root's record is stale because the original
+			// return (or release) was lost — repeat it so the demand loop
+			// can end. Anything else is a stray demand to ignore.
+			if lk.lockDone >= epoch {
+				p.sink.up(p.sink.hdr().LeaseRet(uint32(l), epoch))
+			}
+		} else if d.entered {
+			d.revoked = true // the Release in progress doubles as the return
+		} else {
+			p.returnIdleLease(l, lk)
+		}
+		return
+	}
+	// Grant or extension. Valid only against the entry it was issued
+	// for: the grant multicast may still be in flight, in which case the
+	// lease is simply dropped (the root's next extension re-offers it).
+	if !mine {
+		return
+	}
+	d := p.delegOf(l, lk)
+	if !d.leased {
+		// Holding the grant value without a lease means this node is
+		// inside the section (between grant and Release).
+		d.leased, d.entered = true, true
+	}
+	d.expiry, d.ttl, d.used, d.revoked = p.sink.now().Add(ttl), ttl, false, false
+	d.renewB.reset()
+}
+
+// handoffGrant processes a direct grant at the designated waiter. The
+// node's reign gate (Node.lockFrame) has checked that it names this
+// node: a root-bound notice that strays to a member is not its to take.
+func (p *lockPlane) handoffGrant(m *wire.Message) {
+	l := LockID(m.Lock)
+	lk := p.at(l)
+	if p.sink.applied() < m.Seq {
+		// Data-before-lock: the handing-off holder's section writes are
+		// sequenced at or below its watermark. Entering before the
+		// stream covers it would read stale guarded state, so the grant
+		// parks until reassembly catches up (deliverParked).
+		d := p.delegOf(l, lk)
+		d.parked, d.grant = true, *m
+		p.grantParked = true
+		p.sink.nack()
+		return
+	}
+	if d := lk.deleg; d != nil {
+		d.parked = false
+	}
+	p.applyLock(m)
+}
+
+// deliverParked installs the lock's parked direct grant once the stream
+// covers its watermark, and forgets one the sequenced confirm (or a later
+// grant) superseded; it reports whether a grant is still parked. The
+// grant is of the reign the member follows: a re-base drops the record.
+func (p *lockPlane) deliverParked(lk *memberLock) (parked bool) {
+	d := lk.deleg
+	if d == nil || !d.parked || p.sink.applied() < d.grant.Seq {
+		return d != nil && d.parked
+	}
+	d.parked = false
+	if m := d.grant; lk.grantEpoch < m.EntryEpoch() {
+		p.applyLock(&m)
+	} else {
+		lk.settle()
+	}
+	return false
+}
+
+// deliverDue runs deliverParked over every listed lock (only a listed
+// lock has a record) and notes whether a grant is still parked.
+func (p *lockPlane) deliverDue() {
+	p.grantParked = false
+	for _, l := range p.busy {
+		p.grantParked = p.deliverParked(&p.recs[l]) || p.grantParked
+	}
+}
+
+// tickLocks is the maintenance tick's pass over the busy locks before
+// the probe. It unlists a lock with nothing left in flight, trips the
+// watchdog on an acquisition over budget (watch: a member that does not
+// root the group, watchLock) and re-sends each lock request that is due
+// — in flight and unanswered, or wanted by a caller still parked in
+// WaitEnteredContext — through request, which mints a fresh request when
+// a rejoin or a failover re-base wiped the old one. The root ignores
+// duplicates. It runs on the node that roots the group too: a waiter
+// there sends its request to itself, and a reign that began under it
+// (promotion re-queues survivors token-less, and the grant is declined)
+// knows its token only from the retry.
+func (p *lockPlane) tickLocks(now time.Time, watch bool, budget time.Duration) {
+	p.busy = slices.DeleteFunc(p.busy, func(l LockID) bool {
+		lk := &p.recs[l]
+		if lk.busy = !lk.reqSince.IsZero() || lk.parked > 0 || lk.deleg != nil; !lk.busy {
+			return true
+		}
+		if watch {
+			p.watchLock(l, lk, now, budget)
+		}
+		if (lk.parked > 0 || !lk.reqSince.IsZero()) && !lk.held.has(p.self) && lk.reqB.ready(now) {
+			p.sink.up(p.request(l, lk, now))
+		}
+		return false
+	})
+}
+
+// watchLock cross-checks lock l's outstanding acquisition against the
+// stuck-operation watchdog's budget (watchdog.go). It runs just before
+// the lock's retry, so a schedule reset it performs takes effect within
+// the same tick.
+func (p *lockPlane) watchLock(l LockID, lk *memberLock, now time.Time, budget time.Duration) {
+	if lk.reqSince.IsZero() || now.Sub(lk.reqSince) < budget {
+		return
+	}
+	if !lk.want {
+		// The acquisition was cancelled or satisfied without the stamp
+		// being cleared; nothing to watch.
+		lk.reqSince = time.Time{}
+		return
+	}
+	lk.reqSince = now
+	p.sink.emit(obs.EvWatchdogStuck, obs.WatchAcquire, int64(l))
+	p.sink.emit(obs.EvWatchdogReissue, obs.WatchAcquire, int64(l))
+	// Restart the request's schedule; the retry that follows re-issues it
+	// with the live token and the caller's deadline — at worst one
+	// duplicate the root dedupes.
+	lk.reqB.reset()
+}
+
+// tickDeleg is the maintenance tick's pass over the busy locks' records,
+// after the probe: a parked direct grant the stream now covers is
+// installed, an idle lease that expired or was revoked goes back, one in
+// use renews past its half life, and an unacknowledged handoff notice
+// re-sends.
+func (p *lockPlane) tickDeleg(now time.Time) {
+	for _, l := range p.busy {
+		lk := &p.recs[l]
+		p.deliverParked(lk)
+		d := lk.deleg
+		if d == nil {
+			continue
+		}
+		if d.leased {
+			h := lk.held.find(p.self)
+			if !d.entered && (d.revoked || !now.Before(d.expiry)) {
+				p.returnIdleLease(l, lk)
+			} else if h != nil && d.used && d.expiry.Sub(now) < d.ttl/2 && d.renewB.ready(now) {
+				p.sink.arm(&d.renewB, now)
+				p.sink.emit(obs.EvLeaseRenew, int64(l), 0)
+				// A renewal is a request frame quoting the leased entry's token
+				// and epoch — ordinary request retries quote none, which is how
+				// the root tells a renewal from a holder re-announcing a lost
+				// grant. It must not touch the want/token machinery: no
+				// acquisition is outstanding.
+				p.sink.up(p.sink.hdr().LeaseRenew(uint32(l), h.token, h.epoch))
+			}
+		}
+		if d.reserved != 0 && d.noticeB.ready(now) {
+			p.sink.arm(&d.noticeB, now)
+			p.sink.up(p.sink.hdr().HandoffNotice(uint32(l), d.successor, d.reserved-1, d.reserved))
+		}
+	}
+}

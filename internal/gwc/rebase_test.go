@@ -102,7 +102,7 @@ func TestEveryRebaseEntranceRevokesTheSame(t *testing.T) {
 			g.syncPending[1] = sw
 			lk := g.locks.at(tLock)
 			lk.held.put(holder{node: n.id, epoch: 4})
-			d := g.delegOf(tLock, lk)
+			d := g.locks.delegOf(tLock, lk)
 			d.leased, d.expiry = true, now.Add(time.Hour)
 			arm(&d.renewB)
 			d.hint = wire.Hint{Node: 2, Token: 1, Set: true}
@@ -185,16 +185,16 @@ func TestDelegRecordDiesWithTheReign(t *testing.T) {
 			enter := func(l LockID, epoch uint32, hint wire.Hint) {
 				lk := g.locks.at(l)
 				lk.want, lk.reqToken = true, 7
-				n.applyLock(g, ptr(hdr.Entry(uint32(l), 0, n.id, epoch, 7, hint)))
+				g.locks.applyLock(ptr(hdr.Entry(uint32(l), 0, n.id, epoch, 7, hint)))
 			}
 			enter(leased, 4, wire.Hint{})
-			n.handleLeaseGrant(g, ptr(hdr.LeaseGrant(uint32(leased), 4, 7, time.Hour)))
+			n.lockFrame(g, ptr(hdr.LeaseGrant(uint32(leased), 4, 7, time.Hour)))
 			enter(hinted, 3, hint)
 			// A lease granted mid-section, on an entry that carries a hint:
 			// the release hands the lock on and ends the lease.
 			enter(handed, 2, hint)
-			n.handleLeaseGrant(g, ptr(hdr.LeaseGrant(uint32(handed), 2, 7, time.Hour)))
-			n.handleHandoff(g, ptr(wire.Hdr{Group: uint32(tGroup), Src: 2, Epoch: g.epoch}.HandoffGrant(uint32(parked), n.id, 9, 1, g.nextSeq+10)))
+			n.lockFrame(g, ptr(hdr.LeaseGrant(uint32(handed), 2, 7, time.Hour)))
+			n.lockFrame(g, ptr(wire.Hdr{Group: uint32(tGroup), Src: 2, Epoch: g.epoch}.HandoffGrant(uint32(parked), n.id, 9, 1, g.nextSeq+10)))
 			n.mu.Unlock()
 			for _, l := range []LockID{leased, handed} {
 				if err := n.Release(tGroup, l); err != nil {
@@ -234,14 +234,14 @@ func TestDelegRecordDiesWithTheReign(t *testing.T) {
 			if rep != nil && len(rep.locks[leased].held.in) != 0 {
 				t.Errorf("the report has the idle leased lock held: %+v", rep.locks[leased])
 			}
-			if len(g.busyLocks) == 0 {
+			if len(g.locks.busy) == 0 {
 				t.Fatal("no lock listed before the tick")
 			}
 			n.mu.Unlock()
 			n.tick()
 			n.mu.Lock()
-			if len(g.busyLocks) != 0 {
-				t.Errorf("the tick left locks %v listed", g.busyLocks)
+			if len(g.locks.busy) != 0 {
+				t.Errorf("the tick left locks %v listed", g.locks.busy)
 			}
 		})
 	}
@@ -345,7 +345,7 @@ func TestStreamRoundTripsEveryLockState(t *testing.T) {
 				l, ls.epoch, ls.held, ls.queue, want.epoch, want.held, want.queue)
 		}
 	}
-	if v := g1.lockValue(waited, 1); v != GrantValue(2) || !g1.locks.at(waited).want {
+	if v := g1.locks.value(waited); v != GrantValue(2) || !g1.locks.at(waited).want {
 		t.Errorf("the new root's own copy of the lock it waits for reads %d (want=%v), expected node 2's grant and a live request",
 			v, g1.locks.at(waited).want)
 	}

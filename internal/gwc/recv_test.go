@@ -56,7 +56,7 @@ func TestBurstThenReleaseKeepsOrderThroughDrain(t *testing.T) {
 				n := c.nodes[id]
 				for _, v := range []VarID{tVar, tFree, tTail} {
 					if _, err := n.OnVarChange(tGroup, v, func(val int64) {
-						lock := n.groups[tGroup].locks.at(tLock).value(id)
+						lock := n.groups[tGroup].locks.value(tLock)
 						mu.Lock()
 						logs[id] = append(logs[id], event{v, val, lock})
 						mu.Unlock()

@@ -154,11 +154,11 @@ func TestLockTokenRetryAfterGrant(t *testing.T) {
 			return ls.held.in[0].node, ls.held.in[0].token, len(ls.queue)
 		}
 		// retry re-sends n's outstanding request as the maintenance tick does
-		// (retryLock): the same acquisition, token and session.
+		// (lockPlane.tickLocks): the same acquisition, token and session.
 		retry := func(n *Node) {
 			n.mu.Lock()
 			g := n.groups[tGroup]
-			n.send(g.rootID, n.lockRequest(g, tLock, g.locks.at(tLock), n.Now()))
+			n.send(g.rootID, g.locks.request(tLock, g.locks.at(tLock), n.Now()))
 			n.mu.Unlock()
 		}
 		inside := func(n *Node, session uint32) bool {

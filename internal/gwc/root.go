@@ -301,7 +301,7 @@ func (n *Node) multicast(r *rootGroup, m wire.Message) {
 		// fan-out frame and advance the root's own member state now (tree
 		// relay suppressed — rootEndBatch forwards the whole frame).
 		r.outBatch = append(r.outBatch, m)
-		n.ingestFwd(r.member, &m, false)
+		n.ingest(r.member, &m, false)
 		if len(r.outBatch) >= wire.MaxBatch {
 			// Keep frames within the codec bound; reopen the window for the
 			// rest of the incoming batch.
@@ -319,5 +319,5 @@ func (n *Node) multicast(r *rootGroup, m wire.Message) {
 		}
 	}
 	// Tree mode: ingest forwards to the root's children.
-	n.ingest(r.member, &m)
+	n.ingest(r.member, &m, true)
 }

@@ -20,18 +20,6 @@ type Interrupt interface {
 	Fire() HookAction
 }
 
-// sawEntry fires the interrupt of the section speculating on the lock
-// when node — another node than self — was seen entering a session that
-// the speculation's own does not share: the root sequenced an
-// incompatible section ahead of it. From then until the rollback the
-// section's writes are refused (Write): its own entry may land before its
-// body returns. Caller holds n.mu.
-func (g *memberGroup) sawEntry(lk *memberLock, node, self int, session uint32) {
-	if lk.spec != nil && node != self && !shares(lk.specSession, session) && lk.spec.Fire() == HookSuspend {
-		g.suspended, lk.rolled = true, true
-	}
-}
-
 // Outlook is what Look saw of a lock.
 type Outlook struct {
 	// Leased: the caller entered through a live lease (exclusive sections
@@ -42,18 +30,6 @@ type Outlook struct {
 	// Joinable: the caller's own session is open here, so the root
 	// admits the join without closing the section.
 	Joinable bool
-}
-
-// outlook evaluates Foreign and Joinable for a section of the given
-// session on lock l. An idle lease this node holds reads as a free lock:
-// whoever asks gives it back first (ownRequest). Caller holds n.mu.
-func (n *Node) outlook(g *memberGroup, l LockID, session uint32) (foreign, joinable bool) {
-	lk := g.locks.peek(l)
-	if lk == nil || len(lk.held.in) == 0 || lk.idleLease() {
-		return false, false
-	}
-	joinable = shares(lk.held.session, session)
-	return !joinable, joinable
 }
 
 // Look is the one look a section of the given session (0 = exclusive)
@@ -67,11 +43,7 @@ func (n *Node) Look(gid GroupID, l LockID, session uint32) (Outlook, error) {
 	if err != nil {
 		return Outlook{}, err
 	}
-	if session == 0 && n.leaseEnter(gid, g, l) {
-		return Outlook{Leased: true}, nil
-	}
-	foreign, joinable := n.outlook(g, l, session)
-	return Outlook{Foreign: foreign, Joinable: joinable}, nil
+	return g.locks.look(l, session, session == 0 && !n.closed), nil
 }
 
 // Speculate starts a speculation on lock l under one hold: it looks
@@ -84,20 +56,16 @@ func (n *Node) Look(gid GroupID, l LockID, session uint32) (Outlook, error) {
 // it is refused with ErrNested.
 func (n *Node) Speculate(gid GroupID, l LockID, session uint32, intr Interrupt) (bool, error) {
 	now := n.clock.Now()
-	n.mu.Lock()
-	g, lk, err := n.ownLock(gid, l)
+	g, lk, err := n.holdLock(gid, l, true)
 	if err != nil {
-		n.mu.Unlock()
 		return false, err
 	}
-	if foreign, joinable := n.outlook(g, l, session); foreign && !joinable {
+	if g.locks.look(l, session, false).Foreign {
 		n.mu.Unlock()
 		return false, nil
 	}
 	lk.spec, lk.specSession = intr, session
-	msg := n.ownRequest(g, l, lk, session, 0, now)
-	root := g.rootID
-	n.mu.Unlock()
-	err = n.sendOwn(gid, l, root, msg)
+	_, msg := g.locks.start(l, session, 0, now, false)
+	err = n.sendOwn(gid, l, g, msg)
 	return err == nil, err
 }

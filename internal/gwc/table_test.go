@@ -61,7 +61,7 @@ func TestLockRecordsMatchMapModel(t *testing.T) {
 			case op < 64: // a read far past anything written grows nothing
 				before := len(g.locks.recs)
 				far := LockID(ids + rng.Intn(math.MaxUint32-ids))
-				if got := g.lockValue(far, self); got != Free {
+				if got := g.locks.value(far); got != Free {
 					t.Fatalf("seed %d step %d: lockValue(%d) = %d, want Free", seed, step, far, got)
 				}
 				if len(g.locks.recs) != before {
@@ -78,7 +78,7 @@ func TestLockRecordsMatchMapModel(t *testing.T) {
 			default:
 				wantVal = Free
 			}
-			if got := g.lockValue(l, self); got != wantVal {
+			if got := g.locks.value(l); got != wantVal {
 				t.Fatalf("seed %d step %d: lockValue(%d) = %d, want %d (present %v)", seed, step, l, got, wantVal, ok)
 			}
 			if lk := g.locks.peek(l); lk != nil {
@@ -292,12 +292,12 @@ func TestCloseWhileWaitingKeepsNoWaiter(t *testing.T) {
 // holds n.mu.
 func busyListsOK(t *testing.T, n *Node, g *memberGroup) {
 	t.Helper()
-	if !slices.IsSorted(g.busyLocks) || !slices.IsSorted(g.busyVars) {
-		t.Errorf("node %d: busy lists out of order: %v %v", n.id, g.busyLocks, g.busyVars)
+	if !slices.IsSorted(g.locks.busy) || !slices.IsSorted(g.busyVars) {
+		t.Errorf("node %d: busy lists out of order: %v %v", n.id, g.locks.busy, g.busyVars)
 	}
 	for i := range g.locks.recs {
 		lk := &g.locks.recs[i]
-		_, listed := slices.BinarySearch(g.busyLocks, LockID(i))
+		_, listed := slices.BinarySearch(g.locks.busy, LockID(i))
 		active := !lk.reqSince.IsZero() || lk.parked > 0 || lk.deleg != nil
 		if listed != lk.busy || (active && !listed) {
 			t.Errorf("node %d lock %d: listed=%v busy=%v active=%v", n.id, i, listed, lk.busy, active)
@@ -324,35 +324,36 @@ func TestBusyListsFollowWhatIsInFlight(t *testing.T) {
 	for _, l := range []LockID{maxRecords - 1, 2, 700, 2} {
 		lk := g.locks.at(l)
 		lk.reqSince = now
-		markBusy(&g.busyLocks, &lk.busy, l)
+		markBusy(&g.locks.busy, &lk.busy, l)
 	}
 	for _, v := range []VarID{9, 4} {
 		mv := g.vars.at(v)
 		mv.eagerOut = true
 		markBusy(&g.busyVars, &mv.busy, v)
 	}
-	if want := []LockID{2, 700, maxRecords - 1}; !slices.Equal(g.busyLocks, want) {
-		t.Fatalf("busyLocks = %v, want %v", g.busyLocks, want)
+	if want := []LockID{2, 700, maxRecords - 1}; !slices.Equal(g.locks.busy, want) {
+		t.Fatalf("busy = %v, want %v", g.locks.busy, want)
 	}
 	if want := []VarID{4, 9}; !slices.Equal(g.busyVars, want) {
 		t.Fatalf("busyVars = %v, want %v", g.busyVars, want)
 	}
 	g.locks.at(700).endRequest()
 	g.vars.at(4).eagerOut = false
-	n.tickLocks(tGroup, g, now, true)
-	if want := []LockID{2, maxRecords - 1}; !slices.Equal(g.busyLocks, want) || g.locks.at(700).busy {
-		t.Fatalf("after the sweep busyLocks = %v (lock 700 busy=%v), want %v", g.busyLocks, g.locks.at(700).busy, want)
+	g.locks.tickLocks(now, true, n.watchBudget())
+	g.sweepVars()
+	if want := []LockID{2, maxRecords - 1}; !slices.Equal(g.locks.busy, want) || g.locks.at(700).busy {
+		t.Fatalf("after the sweep busy = %v (lock 700 busy=%v), want %v", g.locks.busy, g.locks.at(700).busy, want)
 	}
 	if want := []VarID{9}; !slices.Equal(g.busyVars, want) || g.vars.at(4).busy {
 		t.Fatalf("after the sweep busyVars = %v, want %v", g.busyVars, want)
 	}
-	g.delegOf(700, g.locks.at(700))
-	if want := []LockID{2, 700, maxRecords - 1}; !slices.Equal(g.busyLocks, want) {
-		t.Fatalf("re-marked busyLocks = %v, want %v", g.busyLocks, want)
+	g.locks.delegOf(700, g.locks.at(700))
+	if want := []LockID{2, 700, maxRecords - 1}; !slices.Equal(g.locks.busy, want) {
+		t.Fatalf("re-marked busy = %v, want %v", g.locks.busy, want)
 	}
 	g.forgetState()
-	if len(g.busyLocks) != 0 || len(g.busyVars) != 0 || g.locks.at(2).busy || g.vars.at(9).busy {
-		t.Fatalf("forgetState left busy records: %v %v", g.busyLocks, g.busyVars)
+	if len(g.locks.busy) != 0 || len(g.busyVars) != 0 || g.locks.at(2).busy || g.vars.at(9).busy {
+		t.Fatalf("forgetState left busy records: %v %v", g.locks.busy, g.busyVars)
 	}
 }
 
@@ -368,7 +369,8 @@ func TestBusyListsCoverLeaseTraffic(t *testing.T) {
 			busyListsOK(t, n, n.groups[tGroup])
 			// Sweeping this often unlists a record the moment it idles, so
 			// state set without a mark shows up in the next check.
-			n.tickLocks(tGroup, n.groups[tGroup], n.clock.Now(), false)
+			n.groups[tGroup].locks.tickLocks(n.clock.Now(), false, 0)
+			n.groups[tGroup].sweepVars()
 			n.mu.Unlock()
 		}
 	}
@@ -414,7 +416,7 @@ func TestBusyListsCoverLeaseTraffic(t *testing.T) {
 			n.tick()
 			n.mu.Lock()
 			g := n.groups[tGroup]
-			left := len(g.busyLocks) + len(g.busyVars)
+			left := len(g.locks.busy) + len(g.busyVars)
 			n.mu.Unlock()
 			if left > 0 {
 				return false
@@ -436,8 +438,8 @@ func TestEverySetterMarksItsRecord(t *testing.T) {
 		t.Helper()
 		g := n.groups[tGroup]
 		busyListsOK(t, n, g)
-		if _, ok := slices.BinarySearch(g.busyLocks, l); !ok {
-			t.Errorf("%s left lock %d unlisted: %v", what, l, g.busyLocks)
+		if _, ok := slices.BinarySearch(g.locks.busy, l); !ok {
+			t.Errorf("%s left lock %d unlisted: %v", what, l, g.locks.busy)
 		}
 	}
 
@@ -455,7 +457,7 @@ func TestEverySetterMarksItsRecord(t *testing.T) {
 	// A grant carrying a handoff hint.
 	lk := g.locks.at(6)
 	lk.want, lk.reqToken = true, 9
-	n.applyLock(g, &wire.Message{Type: wire.TSeqLock, Lock: 6, Val: mine, Var: 1, Origin: 9, Deadline: int64(4)<<32 | int64(2+1)})
+	g.locks.applyLock(&wire.Message{Type: wire.TSeqLock, Lock: 6, Val: mine, Var: 1, Origin: 9, Deadline: int64(4)<<32 | int64(2+1)})
 	if lk.deleg == nil || !lk.deleg.hint.Set {
 		t.Fatal("the grant's hint was not captured")
 	}
@@ -464,7 +466,7 @@ func TestEverySetterMarksItsRecord(t *testing.T) {
 	// A lease on a lock held mid-section.
 	lk = g.locks.at(7)
 	lk.held.put(holder{node: n.id, epoch: 3})
-	n.handleLeaseGrant(g, &wire.Message{Type: wire.TLeaseGrant, Group: uint32(tGroup), Lock: 7, Var: 3, Deadline: int64(time.Hour), Epoch: g.epoch})
+	n.lockFrame(g, &wire.Message{Type: wire.TLeaseGrant, Group: uint32(tGroup), Lock: 7, Var: 3, Deadline: int64(time.Hour), Epoch: g.epoch})
 	if lk.deleg == nil || !lk.deleg.leased {
 		t.Fatal("the lease was not installed")
 	}
@@ -472,16 +474,22 @@ func TestEverySetterMarksItsRecord(t *testing.T) {
 
 	// A direct grant parked on its watermark.
 	lk = g.locks.at(8)
-	n.handleHandoff(g, &wire.Message{Type: wire.THandoff, Group: uint32(tGroup), Lock: 8, Val: mine, Var: 5, Seq: g.nextSeq + 10, Epoch: g.epoch})
+	n.lockFrame(g, &wire.Message{Type: wire.THandoff, Group: uint32(tGroup), Lock: 8, Val: mine, Var: 5, Seq: g.nextSeq + 10, Epoch: g.epoch})
 	if lk.deleg == nil || !lk.deleg.parked {
 		t.Fatal("the direct grant was not parked")
 	}
 	listed("a parked handoff", 8)
 
-	// A handoff notice awaiting the root (handoffRelease drops n.mu).
+	// A handoff notice awaiting the root (sent, as Release sends them,
+	// with n.mu dropped).
 	lk = g.locks.at(9)
 	lk.held.put(holder{node: n.id, epoch: 1})
-	if err := n.handoffRelease(tGroup, g, 9, lk, wire.Hint{Node: 2, Token: 1, Set: true}, n.clock.Now()); err != nil {
+	to, direct, notice := g.locks.handoff(9, lk, wire.Hint{Node: 2, Token: 1, Set: true}, n.clock.Now())
+	n.mu.Unlock()
+	if err := n.ep.Send(to, direct); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.ep.Send(root.id, notice); err != nil {
 		t.Fatal(err)
 	}
 	n.mu.Lock()

@@ -44,29 +44,6 @@ func (n *Node) SetWatchdog(budget time.Duration) {
 	}
 }
 
-// watchLock cross-checks lock l's outstanding acquisition at a member.
-// It runs in the maintenance tick's first pass (tickLocks), just before
-// the lock's retry, so a schedule reset it performs takes effect within
-// the same tick. Caller holds n.mu.
-func (n *Node) watchLock(gid GroupID, l LockID, lk *memberLock, now time.Time, budget time.Duration) {
-	if lk.reqSince.IsZero() || now.Sub(lk.reqSince) < budget {
-		return
-	}
-	if !lk.want {
-		// The acquisition was cancelled or satisfied without the stamp
-		// being cleared; nothing to watch.
-		lk.reqSince = time.Time{}
-		return
-	}
-	lk.reqSince = now
-	n.emit(obs.EvWatchdogStuck, gid, obs.WatchAcquire, int64(l))
-	n.emit(obs.EvWatchdogReissue, gid, obs.WatchAcquire, int64(l))
-	// Restart the request's schedule; the retry that follows re-issues it
-	// with the live token and the caller's deadline — at worst one
-	// duplicate the root dedupes.
-	lk.reqB.reset()
-}
-
 // watchMember cross-checks the member side's other in-flight operations:
 // the rejoin handshake and pending sync barriers. Runs before the
 // maintenance tick's re-sends, so a schedule reset it performs takes
