@@ -28,8 +28,9 @@ go test ./internal/wire -run '^$' -bench 'BenchmarkWireEncodeBatch$|BenchmarkWir
 # The TCP paths in steady state. Receive: the per-frame header scratch
 # that used to escape to the heap in the frame reader must not come back.
 # Send: one op is one write syscall, so the heap object per write that
-# building a net.Buffers cost would read as 1.
-go test ./internal/transport -run '^$' -bench 'BenchmarkTCPRecvFrames$|BenchmarkTCPSendFrames$' \
+# building a net.Buffers cost would read as 1. The in-process push: a
+# frame on the pusher's stack, pushed by pointer, must stay there.
+go test ./internal/transport -run '^$' -bench 'BenchmarkTCPRecvFrames$|BenchmarkTCPSendFrames$|BenchmarkInProcPush$' \
 	-benchmem -benchtime 20000x | tee -a "$out"
 
 fail=0

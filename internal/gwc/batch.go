@@ -251,7 +251,7 @@ func (n *Node) rootEndBatch(r *rootGroup) {
 	}
 	for _, member := range r.cfg.Members {
 		if member != n.id {
-			n.push(member, frame)
+			n.push(member, &frame)
 		}
 	}
 }

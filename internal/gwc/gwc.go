@@ -196,6 +196,11 @@ type Node struct {
 	wg        sync.WaitGroup
 	retryIn   time.Duration // retry/heartbeat/maintenance interval
 
+	// pushedInPlace counts the frames pushed at this node that it ran on
+	// the pusher's goroutine (tryDeliver): obs.TransportStats'
+	// PushedInPlace, this node's share. Guarded by n.mu.
+	pushedInPlace uint64
+
 	// Crash-fault tolerance timing: a member that has not heard from its
 	// group root for failAfter starts an election, and a candidate waits
 	// electWait after detection for peer state reports before promoting
@@ -289,6 +294,7 @@ func NewNodeClock(id int, ep transport.Endpoint, clock vclock.Clock) *Node {
 	// a writer sequences here, a root's fan-out applies itself here; recvLoop
 	// keeps everything that was sent, not pushed.
 	transport.ConsumeInPlace(ep, n.tryDeliver)
+	n.metrics.SetTransport(n.pushStats)
 	n.wg.Add(2)
 	go n.recvLoop()
 	go n.resyncLoop(maint)
@@ -636,13 +642,17 @@ func (n *Node) dispatch(ms []wire.Message) {
 // the failure detector and the fence can only fire early, by that much.
 // The data plane reads no clock at all; a lock frame run here reads it
 // only where the root's lock book asks for the time (a caller's deadline,
-// the quorum park, a revoke demand).
+// the quorum park, a revoke demand). A frame it takes — run, or dropped by
+// a closed node — it counts in pushedInPlace, under the n.mu it holds: the
+// transport counts only the pushes that queued. m is the hop's one copy
+// of the frame (transport.ConsumeInPlace has why it is by value).
 func (n *Node) tryDeliver(m wire.Message) bool {
 	if !n.mu.TryLock() {
 		return false
 	}
 	defer n.mu.Unlock()
 	if n.closed {
+		n.pushedInPlace++
 		return true // dropped, like a send to a closed mailbox
 	}
 	if m.Type == wire.TLockReq || m.Type == wire.TLockRel {
@@ -651,8 +661,17 @@ func (n *Node) tryDeliver(m wire.Message) bool {
 			return false
 		}
 	}
+	n.pushedInPlace++
 	n.route(&m)
 	return true
+}
+
+// pushStats is the node's share of the transport counters: the pushed
+// frames it ran in place.
+func (n *Node) pushStats() obs.TransportStats {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return obs.TransportStats{PushedInPlace: n.pushedInPlace}
 }
 
 // resyncLoop drives the node's periodic maintenance: resync probes and
@@ -897,8 +916,10 @@ func (n *Node) send(to int, m wire.Message) {
 // heartbeats are sent, as are the tick's eager re-ships (loss repair) and
 // the batched plane's flush frames (flushWrites runs under n.mu: a push at
 // the node's own root would only be declined). DESIGN.md "InProc: push"
-// has why.
-func (n *Node) push(to int, m wire.Message) {
+// has why. m is passed on by pointer — for the fan-out it is the root's
+// ring slot, which every member is pushed — and read, not kept: the copy
+// into the destination's consumer is the hop's one copy.
+func (n *Node) push(to int, m *wire.Message) {
 	if err := transport.Push(n.ep, to, m); err != nil {
 		n.protoErr("gwc: node %d send to %d: %w", n.id, to, err)
 	}

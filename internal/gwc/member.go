@@ -394,7 +394,7 @@ func (n *Node) varOf(gid GroupID, v VarID) (*memberGroup, *memberVar, error) {
 func (n *Node) forwardDown(g *memberGroup, m *wire.Message) {
 	for _, child := range g.children {
 		n.emit(obs.EvForwarded, g.cfg.ID, int64(child), 0)
-		n.push(child, *m)
+		n.push(child, m)
 	}
 }
 
@@ -664,7 +664,7 @@ func (n *Node) Write(gid GroupID, v VarID, val int64) error {
 	// Pushed, not sent: the caller holds nothing now, so on an idle
 	// in-process group this goroutine sequences the write at the root and
 	// applies it at every member before it returns (push, gwc.go).
-	return transport.Push(n.ep, root, msg)
+	return transport.Push(n.ep, root, &msg)
 }
 
 // Read returns the local copy of the group variable (zero if never
@@ -793,12 +793,12 @@ func (n *Node) Request(gid GroupID, l LockID, session uint32, deadline int64, no
 	if err != nil {
 		return false, err
 	}
-	leased, msg := g.locks.start(l, session, deadline, now, session == 0 && !n.closed)
-	if leased {
+	var msg wire.Message
+	if g.locks.start(l, session, deadline, now, session == 0 && !n.closed, &msg) {
 		n.mu.Unlock()
 		return true, nil
 	}
-	return false, n.sendOwn(gid, l, g, msg)
+	return false, n.sendOwn(gid, l, g, &msg)
 }
 
 // sendOwn ships the request of an acquisition its caller will wait for,
@@ -808,7 +808,7 @@ func (n *Node) Request(gid GroupID, l LockID, session uint32, deadline int64, no
 // wait for a request it could not send, so that one (and its interrupt)
 // must not stay on the record: the next acquisition would be refused as
 // nested.
-func (n *Node) sendOwn(gid GroupID, l LockID, g *memberGroup, msg wire.Message) error {
+func (n *Node) sendOwn(gid GroupID, l LockID, g *memberGroup, msg *wire.Message) error {
 	root := g.rootID
 	n.mu.Unlock()
 	err := transport.Push(n.ep, root, msg)
@@ -960,7 +960,8 @@ func (n *Node) CancelLockRequest(gid GroupID, l LockID) error {
 		n.mu.Unlock()
 		return n.Release(gid, l)
 	}
-	msg := g.locks.cancel(l, lk)
+	var msg wire.Message
+	g.locks.cancel(l, lk, &msg)
 	root := g.rootID
 	n.mu.Unlock()
 	return n.ep.Send(root, msg)
@@ -987,7 +988,8 @@ func (n *Node) Release(gid GroupID, l LockID) error {
 	// before the release does, so every member still sees the data before
 	// the lock changes hands (the paper's GWC ordering guarantee).
 	n.flushWrites(g, obs.EvFlushRelease)
-	to, direct, up := g.locks.release(l, lk)
+	var direct, up wire.Message
+	to := g.locks.release(l, lk, &direct, &up)
 	root := g.rootID
 	n.mu.Unlock()
 	if direct.Type != 0 {
@@ -1002,7 +1004,7 @@ func (n *Node) Release(gid GroupID, l LockID) error {
 	}
 	// Pushed: with nobody queued behind it the root frees the lock and
 	// every idle member applies the free value on this goroutine.
-	return transport.Push(n.ep, root, up)
+	return transport.Push(n.ep, root, &up)
 }
 
 // HookAction is an Interrupt's verdict.

@@ -151,7 +151,12 @@ func TestParkedAcquireSurvivesRejoin(t *testing.T) {
 			t.Fatal(err)
 		}
 		done := enterAsync(n, tLock, k.session)
-		waitFor(t, c, 5*time.Second, "node 1 queued at the root", func() bool {
+		// The request can queue at the root before its caller parks: wait
+		// for both.
+		waitFor(t, c, 5*time.Second, "node 1 queued at the root and its caller parked", func() bool {
+			if lockRecord(n, tLock).parked == 0 {
+				return false
+			}
 			c.nodes[0].mu.Lock()
 			defer c.nodes[0].mu.Unlock()
 			return c.nodes[0].roots[tGroup].book.lock(tLock).waiting(1) >= 0
@@ -528,7 +533,7 @@ func TestWaitsMintNoTimersAndWritesReadNoClock(t *testing.T) {
 			t.Errorf("node %d: the clock was read %d times while a pushed frame was applied", i, got)
 		}
 	}
-	if s := net.TransportStats(); s.PushedInPlace < nodes*rounds {
+	if s := pushCounts(net, ns...); s.PushedInPlace < nodes*rounds {
 		t.Errorf("only %d pushes ran in place (%d queued): the no-clock assertion saw too little", s.PushedInPlace, s.PushedQueued)
 	}
 	if got := ns[0].Stats().LockGrants; got < nodes*rounds {

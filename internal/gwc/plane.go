@@ -550,28 +550,30 @@ func (p *lockPlane) leaseEnter(l LockID) bool {
 // start begins a caller's acquisition of lock l in session, with the
 // caller's deadline (Unix nanoseconds, 0 = none) and clock reading now.
 // With lease set it enters through a live lease if it can (leased: the
-// caller holds the lock now, zero wire messages). Otherwise it returns
-// the request frame, which the caller sends. An idle lease the section
-// did not enter through — it wants another session, or the lease has
-// run out — goes back first: the return precedes the request on the same
+// caller holds the lock now, zero wire messages, and *m is not written).
+// Otherwise it writes the request frame into *m, which the caller sends.
+// An idle lease the section did not enter through — it wants another
+// session, or the lease has run out — goes back first: the return
+// precedes the request on the same
 // FIFO link, so the root has the lock free when the request arrives,
 // where a request from the leaseholder on its books would only be
 // answered with the old grant again until the lease expired. The caller
 // has vouched that no acquisition is outstanding (Node.holdLock).
-func (p *lockPlane) start(l LockID, session uint32, deadline int64, now time.Time, lease bool) (leased bool, m wire.Message) {
+func (p *lockPlane) start(l LockID, session uint32, deadline int64, now time.Time, lease bool, m *wire.Message) (leased bool) {
 	if lease && p.leaseEnter(l) {
-		return true, m
+		return true
 	}
 	lk := p.at(l)
 	if lk.idleLease() {
 		p.returnIdleLease(l, lk)
 	}
 	lk.reqSession, lk.reqDeadline = session, deadline
-	return false, p.request(l, lk, now)
+	p.request(l, lk, now, m)
+	return false
 }
 
-// request builds lock l's request frame from its record and arms the
-// next re-send: the one builder behind the caller's first send (start)
+// request builds lock l's request frame into *m from its record and arms
+// the next re-send: the one builder behind the caller's first send (start)
 // and every retry the maintenance tick makes (tickLocks). With no
 // acquisition outstanding — a first request, or a record a rejoin wiped
 // under a parked caller — it mints the acquisition's token, which retries
@@ -580,7 +582,7 @@ func (p *lockPlane) start(l LockID, session uint32, deadline int64, now time.Tim
 // frame quotes the recorded deadline, so the root can drop the request
 // outright once the caller has given up instead of granting into the
 // void.
-func (p *lockPlane) request(l LockID, lk *memberLock, now time.Time) wire.Message {
+func (p *lockPlane) request(l LockID, lk *memberLock, now time.Time, m *wire.Message) {
 	if !lk.want {
 		lk.want, lk.reqSince, lk.reqB = true, now, backoff{}
 		lk.reqToken++
@@ -588,7 +590,7 @@ func (p *lockPlane) request(l LockID, lk *memberLock, now time.Time) wire.Messag
 	}
 	p.sink.arm(&lk.reqB, now)
 	p.sink.emit(obs.EvLockRequest, int64(l), int64(lk.reqToken))
-	return p.sink.hdr().LockReq(uint32(l), lk.reqToken, lk.reqSession, lk.reqDeadline)
+	*m = p.sink.hdr().LockReq(uint32(l), lk.reqToken, lk.reqSession, lk.reqDeadline)
 }
 
 // park records a caller blocking on lock l's acquisition, with its
@@ -602,32 +604,34 @@ func (p *lockPlane) park(l LockID, deadline int64) {
 	}
 }
 
-// cancel withdraws this node's outstanding request for lock l and returns
-// the cancel frame for the caller to send. The entry answering the
+// cancel withdraws this node's outstanding request for lock l and writes
+// the cancel frame into *m for the caller to send. The entry answering the
 // request may already be in flight; its echoed token no longer matches
 // any outstanding acquisition (a new request mints a fresh token), so
 // applyEntry declines it.
-func (p *lockPlane) cancel(l LockID, lk *memberLock) wire.Message {
+func (p *lockPlane) cancel(l LockID, lk *memberLock, m *wire.Message) {
 	lk.endRequest()
 	p.sink.wake()
-	return p.sink.hdr().LockCancel(uint32(l))
+	*m = p.sink.hdr().LockCancel(uint32(l))
 }
 
-// release leaves lock l, which this node is inside, and returns what the
-// caller sends once it holds nothing: the frame for the root (none when
-// a lease keeps the lock here or the return went out already) and, for a
-// peer handoff, the direct grant to its taker, sent first. A hinted
-// waiter gets the lock directly; a live lease retains it locally; a
+// release leaves lock l, which this node is inside, and writes what the
+// caller sends once it holds nothing into the caller's empty frames: *up
+// for the root (left empty when a lease keeps the lock here or the return
+// went out already) and, for a peer handoff, *direct for the taker it
+// returns, which is sent first. The leased path writes neither, so it
+// costs its caller no frame copy. A hinted waiter gets the lock directly;
+// a live lease retains it locally; a
 // revoked or expired lease rides the release back to the root; anything
 // else is the classic release, quoting the entry epoch so the root can
 // discard stale duplicates.
-func (p *lockPlane) release(l LockID, lk *memberLock) (to int, direct, up wire.Message) {
+func (p *lockPlane) release(l LockID, lk *memberLock, direct, up *wire.Message) (to int) {
 	if d := lk.deleg; d != nil { // the common case pays no clock read
 		now := p.sink.now()
 		if h := d.hint; h.Set {
 			d.hint = wire.Hint{}
 			if p.sink.leasing() && h.Node != p.self && slices.Contains(p.members, h.Node) && p.sink.sectionConfirmed(l) {
-				return p.handoff(l, lk, h, now)
+				return p.handoff(l, lk, h, now, direct, up)
 			}
 			// Unconfirmed section data (or a stale hint): fall back to the
 			// root path, which sequences the grant behind the data itself.
@@ -642,24 +646,25 @@ func (p *lockPlane) release(l LockID, lk *memberLock) (to int, direct, up wire.M
 				// Revoked or expired: this release doubles as the lease return.
 				p.returnIdleLease(l, lk)
 			}
-			return 0, direct, up
+			return 0
 		}
 		lk.settle()
 	}
 	h := lk.held.find(p.self)
-	up = p.sink.hdr().LockRel(uint32(l), h.epoch, lk.held.session)
+	*up = p.sink.hdr().LockRel(uint32(l), h.epoch, lk.held.session)
 	p.leave(lk, h.epoch)
 	lk.endRequest()
 	p.sink.wake()
-	return 0, direct, up
+	return 0
 }
 
 // handoff transfers the lock directly to the hinted waiter: one frame on
 // the critical path, plus an asynchronous notice the root validates. The
 // handoff reserves exactly the grant epoch the root's next grant would
 // mint (our entry epoch + 1), which is what lets the root recognise the
-// transfer in whatever frame reaches it first.
-func (p *lockPlane) handoff(l LockID, lk *memberLock, h wire.Hint, now time.Time) (to int, direct, notice wire.Message) {
+// transfer in whatever frame reaches it first. It writes the direct grant
+// into *direct and the notice into *notice, and returns the taker.
+func (p *lockPlane) handoff(l LockID, lk *memberLock, h wire.Hint, now time.Time, direct, notice *wire.Message) (to int) {
 	epoch := lk.held.find(p.self).epoch // our entry epoch
 	next := epoch + 1                   // the epoch this transfer reserves
 	p.leave(lk, epoch)
@@ -678,10 +683,10 @@ func (p *lockPlane) handoff(l LockID, lk *memberLock, h wire.Hint, now time.Time
 	// until its own stream covers that prefix — the GWC data-before-lock
 	// guarantee, kept without the root on the path.
 	hdr := p.sink.hdr()
-	direct = hdr.HandoffGrant(uint32(l), h.Node, next, h.Token, p.sink.applied())
-	notice = hdr.HandoffNotice(uint32(l), h.Node, epoch, next)
+	*direct = hdr.HandoffGrant(uint32(l), h.Node, next, h.Token, p.sink.applied())
+	*notice = hdr.HandoffNotice(uint32(l), h.Node, epoch, next)
 	p.sink.wake()
-	return h.Node, direct, notice
+	return h.Node
 }
 
 // leaseFrame processes a root's lease frame: a grant/extension when it
@@ -797,7 +802,9 @@ func (p *lockPlane) tickLocks(now time.Time, watch bool, budget time.Duration) {
 			p.watchLock(l, lk, now, budget)
 		}
 		if (lk.parked > 0 || !lk.reqSince.IsZero()) && !lk.held.has(p.self) && lk.reqB.ready(now) {
-			p.sink.up(p.request(l, lk, now))
+			var m wire.Message
+			p.request(l, lk, now, &m)
+			p.sink.up(m)
 		}
 		return false
 	})

@@ -309,12 +309,14 @@ func (w *planeWorld) apply(in planeInput) {
 		}
 		p.reqs++
 		p.deadline, p.cancelled, p.ahead, p.age = in.deadline, false, 0, 0
-		if leased, m := p.plane.start(tLock, in.session, dl, now, in.session == 0); !leased {
+		var m wire.Message
+		if !p.plane.start(tLock, in.session, dl, now, in.session == 0, &m) {
 			p.up(m)
 		}
 	case 'r':
 		p := w.nodes[in.node]
-		to, direct, up := p.plane.release(tLock, p.lk())
+		var direct, up wire.Message
+		to := p.plane.release(tLock, p.lk(), &direct, &up)
 		if direct.Type != 0 {
 			w.push(p.id, to, direct)
 		}
@@ -324,7 +326,9 @@ func (w *planeWorld) apply(in planeInput) {
 	case 'c':
 		p := w.nodes[in.node]
 		p.cancelled, p.ahead, p.age = true, len(w.links[p.id][w.root()]), 0
-		p.up(p.plane.cancel(tLock, p.lk()))
+		var m wire.Message
+		p.plane.cancel(tLock, p.lk(), &m)
+		p.up(m)
 	case 'w':
 		p := w.nodes[in.node]
 		lk := p.lk()

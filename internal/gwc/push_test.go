@@ -1,6 +1,7 @@
 package gwc
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"sync/atomic"
@@ -116,7 +117,7 @@ func TestCrossRootedGroupsPushWithoutDeadlock(t *testing.T) {
 					default:
 					}
 					n.mu.Lock()
-					n.push(1-i, m)
+					n.push(1-i, &m)
 					n.mu.Unlock()
 					stale[i]++
 				}
@@ -146,7 +147,7 @@ func TestCrossRootedGroupsPushWithoutDeadlock(t *testing.T) {
 			}
 		}
 	}
-	if s := net.TransportStats(); s.PushedInPlace == 0 || s.PushedQueued == 0 || s.PushedDeclined == 0 {
+	if s := pushCounts(net, ns...); s.PushedInPlace == 0 || s.PushedQueued == 0 || s.PushedDeclined == 0 {
 		t.Errorf("pushed in place %d, queued %d, declined %d: the test left a path out", s.PushedInPlace, s.PushedQueued, s.PushedDeclined)
 	}
 	if in, q := rootInPlace.Load(), rootQueued.Load(); in == 0 || q == 0 {
@@ -155,6 +156,17 @@ func TestCrossRootedGroupsPushWithoutDeadlock(t *testing.T) {
 	if sections[0] == 0 || sections[1] == 0 {
 		t.Errorf("sections run: %v; want some on each node", sections)
 	}
+}
+
+// pushCounts is how the nodes' pushes ended, as Cluster.Metrics reports
+// it: the network counts those that queued, and each node the frames
+// pushed at it that it ran in place. None of nodes' locks may be held.
+func pushCounts(net interface{ TransportStats() obs.TransportStats }, nodes ...*Node) obs.TransportStats {
+	s := net.TransportStats()
+	for _, n := range nodes {
+		s.Merge(n.pushStats())
+	}
+	return s
 }
 
 // countSequencing counts how root, which roots gid, comes to sequence the
@@ -245,9 +257,93 @@ func TestFanOutRunsInPlace(t *testing.T) {
 		}
 	}
 	// One push up and three down a round.
-	s := net.TransportStats()
+	s := pushCounts(net, c.nodes...)
 	if total := s.PushedInPlace + s.PushedQueued + s.PushedDeclined; total < 4*2000 || s.PushedInPlace*10 < total*9 {
 		t.Errorf("%d of %d pushes ran in place, want at least 90%% of at least 8000", s.PushedInPlace, total)
+	}
+}
+
+// TestFanOutReadsTheStampedSlot: the root copies a frame it sequences
+// once, into the ring slot of its sequence number, stamps it there and
+// fans out that slot (multicast). Every member, the root's own included,
+// applies a frame equal to the slot; the slot is byte for byte the frame
+// as stamped before the fan-out, whenever a member that runs in place on
+// the fan-out's goroutine reads it, and after; and the caller's frame is
+// read, not written. A handler that wrote the frame it was handed would,
+// at the root, rewrite the slot that later members and every
+// retransmission read.
+func TestFanOutReadsTheStampedSlot(t *testing.T) {
+	const nodes, frames = 4, 50
+	c := newInProcCluster(t, nodes, false)
+	root := c.nodes[0]
+	// What each node applied, and the root's slot for it as the node read
+	// it mid-fan-out (nil for an apply on the node's receive loop).
+	type applied struct{ frame, slot []byte }
+	var mu sync.Mutex
+	got := make([][]applied, nodes)
+	for i, n := range c.nodes {
+		n.SetMisapply(func(m *wire.Message) {
+			if m.Var != uint32(tVarB) {
+				return
+			}
+			a := applied{frame: wire.Encode(nil, *m)}
+			if onStack("gwc.(*Node).multicast") {
+				// On the fan-out's goroutine, which holds the root's lock.
+				a.slot = wire.Encode(nil, root.roots[tGroup].ring.slot(m.Seq).msg)
+			}
+			mu.Lock()
+			got[i] = append(got[i], a)
+			mu.Unlock()
+		})
+	}
+	slots := make(map[uint64][]byte, frames)
+	for k := int64(1); k <= frames; k++ {
+		root.mu.Lock()
+		r := root.roots[tGroup]
+		down := root.rootHdr(r).SeqUpdate(int32(root.id), uint32(tVarB), k, false)
+		sent := wire.Encode(nil, down)
+		want := down
+		want.Seq, want.Epoch = r.ring.seq()+1, r.epoch
+		root.multicast(r, &down)
+		slot := r.ring.slot(want.Seq)
+		after := wire.Encode(nil, slot.msg)
+		root.mu.Unlock()
+		if !bytes.Equal(wire.Encode(nil, down), sent) {
+			t.Fatalf("frame %d: multicast wrote the caller's frame", k)
+		}
+		if stamped := wire.Encode(nil, want); !bytes.Equal(after, stamped) {
+			t.Fatalf("frame %d: the slot after the fan-out is %+v, want the stamped frame %+v", k, slot.msg, want)
+		}
+		slots[want.Seq] = after
+	}
+	for _, n := range c.nodes {
+		waitValue(t, n, tVarB, frames)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	inPlace := 0
+	for i, as := range got {
+		if len(as) != frames {
+			t.Errorf("node %d applied %d frames, want %d", i, len(as), frames)
+		}
+		for _, a := range as {
+			m, err := wire.Decode(a.frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.frame, slots[m.Seq]) {
+				t.Errorf("node %d applied %+v, unlike the slot of seq %d", i, m, m.Seq)
+			}
+			if a.slot != nil {
+				inPlace++
+				if !bytes.Equal(a.slot, slots[m.Seq]) {
+					t.Errorf("node %d read the slot of seq %d mid-fan-out unlike it was stamped", i, m.Seq)
+				}
+			}
+		}
+	}
+	if inPlace == 0 {
+		t.Error("no apply ran inside the fan-out: the test read no slot mid-fan-out")
 	}
 }
 
@@ -280,7 +376,7 @@ func TestWriteSequencesInPlace(t *testing.T) {
 	if there*10 < rounds*9 {
 		t.Errorf("member 3 had the value when Write returned in %d of %d rounds, want at least 90%%", there, rounds)
 	}
-	s := net.TransportStats()
+	s := pushCounts(net, ns...)
 	if total := s.PushedInPlace + s.PushedQueued + s.PushedDeclined; total < 4*rounds || s.PushedInPlace*10 < total*9 {
 		t.Errorf("%d of %d pushes ran in place, want at least 90%% of at least %d", s.PushedInPlace, total, 4*rounds)
 	}
@@ -321,16 +417,17 @@ func TestRootLocalWriteSequencesInPlace(t *testing.T) {
 		t.Errorf("the root sequenced %d of its own %d writes on the writer's goroutine (%d on its receive loop's), want at least 90%%", got, rounds, queued.Load())
 	}
 
-	before := net.TransportStats()
+	before := pushCounts(net, c.nodes...)
 	root.mu.Lock()
 	r := root.roots[tGroup]
 	seq := r.ring.seq()
-	root.push(root.id, wire.Message{Type: wire.TUpdate, Group: uint32(tGroup), Src: int32(root.id), Origin: int32(root.id), Var: uint32(tVarB), Val: 7, Epoch: r.epoch})
+	root.push(root.id, &wire.Message{Type: wire.TUpdate, Group: uint32(tGroup), Src: int32(root.id), Origin: int32(root.id), Var: uint32(tVarB), Val: 7, Epoch: r.epoch})
 	reentered := r.ring.seq() != seq
 	// Read under the hold: once it ends, the receive loop's fan-out of the
 	// frame can meet the member's lock, which waitValue takes, and be
-	// declined too.
-	after := net.TransportStats()
+	// declined too. The root's own count is read under the hold too.
+	after := pushCounts(net, member)
+	after.PushedInPlace += root.pushedInPlace
 	root.mu.Unlock()
 	if reentered {
 		t.Error("a frame pushed at the node's own mailbox under its lock was handled under that hold")
@@ -379,7 +476,7 @@ func TestInPlaceWritesKeepTheFenceOpen(t *testing.T) {
 	if dropped, _, _ := fl.Stats(); dropped == 0 {
 		t.Error("no probe was dropped: the root heard more than the writes")
 	}
-	s := inner.TransportStats()
+	s := pushCounts(inner, c.nodes...)
 	if total := s.PushedInPlace + s.PushedQueued + s.PushedDeclined; s.PushedInPlace*10 < total*9 {
 		t.Errorf("%d of %d pushes ran in place: the root heard the writes through its clock-reading dispatch", s.PushedInPlace, total)
 	}
@@ -539,7 +636,7 @@ func TestInPlaceLockTrafficKeepsTheFenceOpen(t *testing.T) {
 	// Eight pushes a section: the request and the release up, the entry and
 	// the free value down to three members.
 	sections := uint64(root.Stats().LockGrants)
-	if s := inner.TransportStats(); s.PushedInPlace*10 < sections*8*9 {
+	if s := pushCounts(inner, c.nodes...); s.PushedInPlace*10 < sections*8*9 {
 		t.Errorf("%d pushes ran in place for %d sections, want at least 90%% of 8 a section: the root heard the lock frames through its clock-reading dispatch", s.PushedInPlace, sections)
 	}
 	if got := root.Metrics().Trace.Count(obs.EvLockDeferred); got != 0 {

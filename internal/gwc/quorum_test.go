@@ -202,7 +202,8 @@ func TestQuorumWatermarkDefersHandoffUntilMajorityAck(t *testing.T) {
 	root.mu.Lock()
 	defer root.mu.Unlock() // Fatalf runs deferred calls, so cleanup can Close
 	r := root.roots[tGroup]
-	root.multicast(r, root.rootHdr(r).SeqUpdate(int32(root.id), uint32(tVar), 5, false))
+	write := root.rootHdr(r).SeqUpdate(int32(root.id), uint32(tVar), 5, false)
+	root.multicast(r, &write)
 	r.book.step(framesOf(r, 3).req(1)) // nothing to wait for: node 3 enters at epoch 1
 	r.book.step(framesOf(r, 4).req(1)) // node 4 queues behind it
 	ls := r.book.lock(tLock)

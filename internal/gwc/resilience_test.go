@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"optsync/internal/wire"
 )
 
 // TestRetryStormBounded pins the adaptive-retry contract: waiters that
@@ -158,7 +160,9 @@ func TestLockTokenRetryAfterGrant(t *testing.T) {
 		retry := func(n *Node) {
 			n.mu.Lock()
 			g := n.groups[tGroup]
-			n.send(g.rootID, g.locks.request(tLock, g.locks.at(tLock), n.Now()))
+			var m wire.Message
+			g.locks.request(tLock, g.locks.at(tLock), n.Now(), &m)
+			n.send(g.rootID, m)
 			n.mu.Unlock()
 		}
 		inside := func(n *Node, session uint32) bool {

@@ -135,7 +135,7 @@ type bookShell struct {
 	r *rootGroup
 }
 
-func (s *bookShell) multicast(m wire.Message)            { s.n.multicast(s.r, m) }
+func (s *bookShell) multicast(m wire.Message)            { s.n.multicast(s.r, &m) }
 func (s *bookShell) send(to int, m wire.Message)         { s.n.send(to, m) }
 func (s *bookShell) park(m wire.Message)                 { s.n.fenceQueue(s.r, m) }
 func (s *bookShell) emit(typ obs.EventType, a, b int64)  { s.n.emit(typ, s.r.cfg.ID, a, b) }
@@ -252,7 +252,8 @@ func (n *Node) rootUpdate(r *rootGroup, m *wire.Message) {
 		}
 	}
 	rv.auth, rv.written = m.Val, true
-	n.multicast(r, n.rootHdr(r).SeqUpdate(m.Origin, m.Var, m.Val, m.Guarded))
+	down := n.rootHdr(r).SeqUpdate(m.Origin, m.Var, m.Val, m.Guarded)
+	n.multicast(r, &down)
 }
 
 // rootNack retransmits the sequenced range [m.Seq, m.Val] to the
@@ -278,14 +279,21 @@ func (n *Node) rootNack(r *rootGroup, m *wire.Message) {
 	n.sendStream(int(m.Src), out)
 }
 
-// multicast stamps the next sequence number on a down-message, records it
-// for retransmission, and fans it out — to every member directly, or to
-// the root's tree children when the group uses tree fanout (members relay
-// onward in ingest). The root applies locally through the same path, so
-// its own member state stays in order.
-func (n *Node) multicast(r *rootGroup, m wire.Message) {
-	m.Seq = r.ring.tick()
-	m.Epoch = r.epoch
+// multicast sequences a down-message: it copies m into the ring slot of
+// the next sequence number, stamped there (seqRing.stamp), and fans out
+// that slot — to every member directly, or to the root's tree children
+// when the group uses tree fanout (members relay onward in ingest). The
+// root applies locally through the same path, reading the same slot, so
+// its own member state stays in order. m is read once and not kept. The
+// slot is the frame from here on, and nothing overwrites it while this
+// runs: only a multicast on this root writes the ring, under this node's
+// n.mu, which the fan-out holds — a member it runs in place that pushes
+// back at this root is declined by the try-lock — and the root's own
+// apply sends to this root, never runs it. Every handler reads a routed
+// frame and writes none of it.
+func (n *Node) multicast(r *rootGroup, m *wire.Message) {
+	s := r.ring.stamp(m, r.epoch)
+	m = &s.msg
 	// Fold data messages into the reign digest and checkpoint the
 	// cumulative sum at every sequence number (lock traffic folds
 	// nothing but still claims a checkpoint slot), so any watermark a
@@ -295,13 +303,13 @@ func (n *Node) multicast(r *rootGroup, m wire.Message) {
 	if m.Type == wire.TSeqUpdate && n.integrityEvery > 0 {
 		r.digest.Fold(m.Var, m.Seq, m.Val)
 	}
-	r.ring.publish(&m, r.digest.Sum())
+	s.digest = r.digest.Sum()
 	if r.collecting {
 		// Batch collection window: park the stamped message for the single
 		// fan-out frame and advance the root's own member state now (tree
 		// relay suppressed — rootEndBatch forwards the whole frame).
-		r.outBatch = append(r.outBatch, m)
-		n.ingest(r.member, &m, false)
+		r.outBatch = append(r.outBatch, *m)
+		n.ingest(r.member, m, false)
 		if len(r.outBatch) >= wire.MaxBatch {
 			// Keep frames within the codec bound; reopen the window for the
 			// rest of the incoming batch.
@@ -319,5 +327,5 @@ func (n *Node) multicast(r *rootGroup, m wire.Message) {
 		}
 	}
 	// Tree mode: ingest forwards to the root's children.
-	n.ingest(r.member, &m, true)
+	n.ingest(r.member, m, true)
 }

@@ -8,13 +8,13 @@ import "optsync/internal/wire"
 // sequence number it holds and the reign's cumulative digest checkpoint
 // at that sequence.
 //
-// Everything here runs under the node lock: the root's dispatch ticks
-// and publishes, and the readers (NACK retransmission, digest
-// comparison, heartbeat watermarks) are handlers on the same node. So
-// the slots are plain memory and a lookup validates only that the slot
-// still holds the sequence number asked for. A batch frame's messages
-// are stamped by consecutive ticks inside one collection window, so each
-// frame occupies one contiguous sequence range.
+// Everything here runs under the node lock: the root's dispatch stamps,
+// and the readers (the fan-out, NACK retransmission, digest comparison,
+// heartbeat watermarks) are handlers on the same node. So the slots are
+// plain memory and a lookup validates only that the slot still holds the
+// sequence number asked for. A batch frame's messages are stamped
+// consecutively inside one collection window, so each frame occupies one
+// contiguous sequence range.
 type seqRing struct {
 	last  uint64 // the last sequence number handed out
 	mask  uint64
@@ -44,18 +44,19 @@ func newSeqRing(size int) *seqRing {
 // seq is the current sequence watermark (the last stamped number).
 func (r *seqRing) seq() uint64 { return r.last }
 
-// tick reserves and returns the next sequence number.
-func (r *seqRing) tick() uint64 {
+// stamp hands out the next sequence number and copies m into the slot
+// that retains it, overwriting the one that held the number len(slots)
+// lower, then stamps the copy with that number and epoch there — m itself
+// is not written. This is the one copy the root makes of a frame it
+// sequences: the fan-out, the root's own apply and every retransmission
+// read the slot in place. The caller records the reign's digest
+// checkpoint as of the new number in the slot it gets back.
+func (r *seqRing) stamp(m *wire.Message, epoch uint32) *seqSlot {
 	r.last++
-	return r.last
-}
-
-// publish records a stamped message (m.Seq must come from tick) and the
-// cumulative digest at that sequence into the ring, overwriting the
-// slot that held m.Seq-len(slots).
-func (r *seqRing) publish(m *wire.Message, digest uint64) {
-	s := &r.slots[(m.Seq-1)&r.mask]
-	s.seq, s.msg, s.digest = m.Seq, *m, digest
+	s := &r.slots[(r.last-1)&r.mask]
+	s.seq, s.msg, s.digest = r.last, *m, 0
+	s.msg.Seq, s.msg.Epoch = r.last, epoch
+	return s
 }
 
 // slot returns the slot retaining sequence number q — its message and

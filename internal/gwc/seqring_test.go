@@ -7,8 +7,10 @@ import (
 	"optsync/internal/wire"
 )
 
+// ringMsg is the frame a ring stamps with seq: it carries no sequence
+// number of its own.
 func ringMsg(seq uint64) *wire.Message {
-	return &wire.Message{Type: wire.TSeqUpdate, Seq: seq, Var: 7, Val: int64(seq) * 3}
+	return &wire.Message{Type: wire.TSeqUpdate, Var: 7, Val: int64(seq) * 3}
 }
 
 func TestSeqRingStampAndLookup(t *testing.T) {
@@ -17,11 +19,12 @@ func TestSeqRingStampAndLookup(t *testing.T) {
 		t.Fatalf("fresh ring watermark = %d, want 0", got)
 	}
 	for i := 0; i < 5; i++ {
-		s := r.tick()
-		if s != uint64(i+1) {
-			t.Fatalf("tick %d returned %d", i, s)
+		s := uint64(i + 1)
+		sl := r.stamp(ringMsg(s), 3)
+		if sl.seq != s || sl.msg.Seq != s || sl.msg.Epoch != 3 {
+			t.Fatalf("stamp %d took seq %d, stamped the frame %d/%d", i, sl.seq, sl.msg.Epoch, sl.msg.Seq)
 		}
-		r.publish(ringMsg(s), s*100)
+		sl.digest = s * 100
 	}
 	if got := r.seq(); got != 5 {
 		t.Fatalf("watermark = %d, want 5", got)
@@ -51,12 +54,9 @@ func TestSeqRingRoundsToPowerOfTwo(t *testing.T) {
 
 func TestSeqRingWraparound(t *testing.T) {
 	r := newSeqRing(8) // exactly 8 slots
-	for s := r.tick(); s <= 20; s = r.tick() {
-		r.publish(ringMsg(s), s)
+	for s := uint64(1); s <= 21; s++ {
+		r.stamp(ringMsg(s), 0).digest = s
 	}
-	// Watermark is 21 (the loop's last tick published 20, then ticked 21
-	// without publishing — simulate the in-flight stamp by publishing it).
-	r.publish(ringMsg(21), 21)
 	for s := uint64(1); s <= 13; s++ {
 		if r.slot(s) != nil {
 			t.Fatalf("slot(%d) returned an overwritten entry", s)
@@ -74,9 +74,8 @@ func TestSeqRingWraparound(t *testing.T) {
 // nothing from the deposed sequencer.
 func TestSeqRingFreshReign(t *testing.T) {
 	old := newSeqRing(8)
-	for i := 0; i < 5; i++ {
-		s := old.tick()
-		old.publish(ringMsg(s), s)
+	for s := uint64(1); s <= 5; s++ {
+		old.stamp(ringMsg(s), 0).digest = s
 	}
 	r := new(Node).newRootGroup(GroupConfig{ID: 1, Members: []int{0, 1}, HistorySize: 8}, nil, 0, time.Now())
 	if got := r.ring.seq(); got != 0 {

@@ -1,5 +1,7 @@
 package gwc
 
+import "optsync/internal/wire"
+
 // The optimistic entry (Figure 4 lines 08-14, Figure 5), as the two
 // calls the engine of package core makes: Look, on which it chooses its
 // path, and Speculate, which arms the interrupt and sends the request.
@@ -65,7 +67,8 @@ func (n *Node) Speculate(gid GroupID, l LockID, session uint32, intr Interrupt) 
 		return false, nil
 	}
 	lk.spec, lk.specSession = intr, session
-	_, msg := g.locks.start(l, session, 0, now, false)
-	err = n.sendOwn(gid, l, g, msg)
+	var msg wire.Message
+	g.locks.start(l, session, 0, now, false, &msg)
+	err = n.sendOwn(gid, l, g, &msg)
 	return err == nil, err
 }

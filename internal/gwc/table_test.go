@@ -484,7 +484,8 @@ func TestEverySetterMarksItsRecord(t *testing.T) {
 	// with n.mu dropped).
 	lk = g.locks.at(9)
 	lk.held.put(holder{node: n.id, epoch: 1})
-	to, direct, notice := g.locks.handoff(9, lk, wire.Hint{Node: 2, Token: 1, Set: true}, n.clock.Now())
+	var direct, notice wire.Message
+	to := g.locks.handoff(9, lk, wire.Hint{Node: 2, Token: 1, Set: true}, n.clock.Now(), &direct, &notice)
 	n.mu.Unlock()
 	if err := n.ep.Send(to, direct); err != nil {
 		t.Fatal(err)

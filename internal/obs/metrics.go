@@ -124,7 +124,17 @@ type Metrics struct {
 	hists  [NumHists]Hist
 	gauges [NumGauges]Gauge
 	Trace  Tracer
+	// own reports the transport counts the node keeps itself, not its
+	// endpoint (SetTransport); nil for none.
+	own func() TransportStats
 }
+
+// SetTransport makes every Snapshot carry f's reading as its Transport:
+// the share of the transport counters the node keeps itself (an InProc
+// node counts the pushed frames it ran). f may take the node's lock, so
+// Snapshot must not be called under it. Set once, before the first
+// Snapshot.
+func (m *Metrics) SetTransport(f func() TransportStats) { m.own = f }
 
 // Hist returns the histogram with the given id for direct recording.
 func (m *Metrics) Hist(id HistID) *Hist { return &m.hists[id] }
@@ -145,6 +155,9 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	}
 	for i := range s.Gauges {
 		s.Gauges[i] = GaugeSnapshot{Value: m.gauges[i].Value(), Max: m.gauges[i].Max()}
+	}
+	if m.own != nil {
+		s.Transport = m.own()
 	}
 	return s
 }
@@ -198,7 +211,12 @@ type TransportStats struct {
 	Dials        uint64
 	LinksAdopted uint64
 	// PushedInPlace counts in-process pushes (transport.Push) the sender
-	// applied at the destination itself; PushedQueued those that fell
+	// applied at the destination itself. The destination counts them —
+	// gwc's node, in a plain field under the node lock its consumer
+	// already holds, so a push writes no counter every pusher shares —
+	// and the cluster sums the nodes' counts in (Cluster.Metrics); the
+	// InProc network's own TransportStats leaves it zero. PushedQueued
+	// and PushedDeclined are the network's: those that fell
 	// back to the destination's queue and a wake-up without the consumer
 	// being asked — something was queued ahead, or the destination's
 	// receive loop was mid-batch; PushedDeclined those the consumer was

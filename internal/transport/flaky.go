@@ -285,8 +285,11 @@ type flakyEndpoint struct {
 }
 
 // sendFunc is how a frame leaves for the wrapped endpoint: Endpoint.Send,
-// or Push when the caller pushed.
+// or pushVia when the caller pushed.
 type sendFunc func(ep Endpoint, to int, m wire.Message) error
+
+// pushVia is Push for a frame the fault path already holds by value.
+func pushVia(ep Endpoint, to int, m wire.Message) error { return Push(ep, to, &m) }
 
 // deliver sends one copy of m, rolling the delay dice first so both the
 // original and any duplicate can be independently reordered.
@@ -315,8 +318,8 @@ func (e *flakyEndpoint) Send(to int, m wire.Message) error {
 
 // push forwards the capability: the same faults, and what survives them
 // is pushed.
-func (e *flakyEndpoint) push(to int, m wire.Message) error {
-	return e.send(to, m, Push)
+func (e *flakyEndpoint) push(to int, m *wire.Message) error {
+	return e.send(to, *m, pushVia)
 }
 
 func (e *flakyEndpoint) send(to int, m wire.Message, via sendFunc) error {
@@ -409,10 +412,6 @@ func (e *flakyEndpoint) recvBatch(spare []wire.Message) ([]wire.Message, bool) {
 
 func (e *flakyEndpoint) deliverTo(h func([]wire.Message)) bool {
 	return DeliverTo(e.inner, h)
-}
-
-func (e *flakyEndpoint) consumeInPlace(h func(wire.Message) bool) bool {
-	return ConsumeInPlace(e.inner, h)
 }
 
 func (e *flakyEndpoint) Close() error { return e.inner.Close() }

@@ -104,28 +104,28 @@ func DeliverTo(ep Endpoint, h func(run []wire.Message)) bool {
 	return false
 }
 
-// pusher is the optional capability behind Push and ConsumeInPlace: an
-// endpoint whose sends can run the destination's consumer on the
-// sender's goroutine.
-type pusher interface {
-	push(to int, m wire.Message) error
-	consumeInPlace(h func(m wire.Message) bool) bool
-}
-
 // Push is Send for a frame the sender would rather apply at the
 // destination itself than wake the destination for: if the destination
 // registered a consumer (ConsumeInPlace), has nothing queued and its owner
-// is not holding a batch it received, the consumer is offered m on the
-// caller's goroutine, under whatever the caller holds; in every other case,
-// when the consumer declines, and on every endpoint without the capability,
-// it is Send. Either way everything this sender sent to `to` earlier has
-// been consumed in full before m is, so a link stays FIFO however its
-// frames mix the two calls.
-func Push(ep Endpoint, to int, m wire.Message) error {
-	if p, can := ep.(pusher); can {
-		return p.push(to, m)
+// is not holding a batch it received, the consumer is offered a copy of *m
+// on the caller's goroutine, under whatever the caller holds; in every
+// other case, when the consumer declines, and on every endpoint without
+// the capability, it is Send. Either way everything this sender sent to
+// `to` earlier has been consumed in full before m is, so a link stays FIFO
+// however its frames mix the two calls. m is read, never written or kept:
+// the copy into the consumer's argument (or into the queue) is the hop's
+// one copy. The capability is found by the endpoint's concrete type, not
+// through an interface, so m stays wherever the caller has it — a frame
+// on the caller's stack does not move to the heap for being pushed. Only
+// InProc has it (and Flaky forwards it).
+func Push(ep Endpoint, to int, m *wire.Message) error {
+	switch e := ep.(type) {
+	case *inProcEndpoint:
+		return e.push(to, m)
+	case *flakyEndpoint:
+		return e.push(to, m)
 	}
-	return ep.Send(to, m)
+	return ep.Send(to, *m)
 }
 
 // ConsumeInPlace registers h as the consumer Push may run for frames
@@ -140,12 +140,20 @@ func Push(ep Endpoint, to int, m wire.Message) error {
 // the link order: h is not offered a frame while an earlier one from the
 // same sender is queued or in a batch the owner has not finished (the
 // endpoint takes that to end when the owner comes back to receive).
-// Register once, before traffic. Neither Close nor the owner's receive
-// call waits for an h in progress. Only InProc has the capability (and
-// Flaky forwards it).
+// The endpoint does not count the frames h takes: h returning true is the
+// whole record of it, and the consumer keeps its own count if it wants
+// one. h takes the frame by value on purpose: h is called through a func
+// value, and a pointer passed through one escapes, so a pusher's stack
+// frame would move to the heap; the copy into h's argument is the one
+// copy of a pushed frame. Register once, before traffic. Neither Close nor
+// the owner's receive call waits for an h in progress. Only InProc has the
+// capability (and Flaky forwards it).
 func ConsumeInPlace(ep Endpoint, h func(m wire.Message) bool) bool {
-	if p, can := ep.(pusher); can {
-		return p.consumeInPlace(h)
+	switch e := ep.(type) {
+	case *inProcEndpoint:
+		return e.consumeInPlace(h)
+	case *flakyEndpoint:
+		return ConsumeInPlace(e.inner, h)
 	}
 	return false
 }
@@ -196,13 +204,14 @@ type mailbox[T any] struct {
 	// consumer is registered, nothing is queued, the receiver is not
 	// receiving and the mailbox is open — the one word a push reads
 	// without mb.mu; it is written under mb.mu wherever one of the four
-	// changes (regate). inPlace, queued and declined count how pushes
-	// ended: the consumer took the frame; it was never asked (the gate was
-	// shut); it was asked and said no.
-	consumer                  func(m T) bool
-	receiving                 bool
-	gate                      atomic.Uint32
-	inPlace, queued, declined atomic.Uint64
+	// changes (regate). queued and declined count the pushes that ended
+	// in the queue: it was never asked (the gate was shut); it was asked
+	// and said no. A push the consumer took is the consumer's to count, so
+	// the in-place path writes nothing here.
+	consumer         func(m T) bool
+	receiving        bool
+	gate             atomic.Uint32
+	queued, declined atomic.Uint64
 }
 
 func newMailbox[T any]() *mailbox[T] {
@@ -395,15 +404,17 @@ func (p *InProc) Close() error {
 	return nil
 }
 
-// TransportStats reports how the network's pushes ended: run in place at
-// the destination; queued like a send without the consumer being asked
-// (something was queued ahead, the receiver was mid-batch or no consumer
-// was registered); or offered to the consumer, declined, and then queued.
-// It takes no lock: each count is exact, read one by one.
+// TransportStats reports how many of the network's pushes ended in a
+// queue: queued like a send without the consumer being asked (something
+// was queued ahead, the receiver was mid-batch or no consumer was
+// registered), or offered to the consumer, declined, and then queued. A
+// push the consumer took is counted by the consumer, so PushedInPlace is
+// left zero here (gwc's node counts the frames it ran; the cluster's
+// Metrics sums them in). It takes no lock: each count is exact, read one
+// by one.
 func (p *InProc) TransportStats() obs.TransportStats {
 	var s obs.TransportStats
 	for _, b := range p.boxes {
-		s.PushedInPlace += b.inPlace.Load()
 		s.PushedQueued += b.queued.Load()
 		s.PushedDeclined += b.declined.Load()
 	}
@@ -422,27 +433,27 @@ func (e *inProcEndpoint) Send(to int, m wire.Message) error {
 	return e.net.boxes[to].put(m)
 }
 
-// push hands m to the destination's consumer on the caller's goroutine
-// when the gate is open, and puts it when the gate is shut or the consumer
-// declines; mb.mu is taken only to enqueue. Whatever the caller sent or
-// pushed to `to` earlier was therefore consumed in full before m is: had
-// it still been queued, or in a batch the receiver had not finished, the
-// gate would have been shut when push read it, and had it been pushed in
-// place, its consumer call returned before this one began.
-func (e *inProcEndpoint) push(to int, m wire.Message) error {
+// push hands a copy of *m to the destination's consumer on the caller's
+// goroutine when the gate is open, and puts one when the gate is shut or
+// the consumer declines; mb.mu is taken only to enqueue, and the in-place
+// path writes nothing pushers share. Whatever the caller sent or pushed to
+// `to` earlier was therefore consumed in full before m is: had it still
+// been queued, or in a batch the receiver had not finished, the gate would
+// have been shut when push read it, and had it been pushed in place, its
+// consumer call returned before this one began.
+func (e *inProcEndpoint) push(to int, m *wire.Message) error {
 	if to < 0 || to >= len(e.net.boxes) {
 		return fmt.Errorf("transport: send to %d out of range [0,%d)", to, len(e.net.boxes))
 	}
 	mb := e.net.boxes[to]
 	count := &mb.queued
 	if mb.gate.Load() == 0 {
-		if mb.consumer(m) {
-			mb.inPlace.Add(1)
+		if mb.consumer(*m) {
 			return nil
 		}
 		count = &mb.declined
 	}
-	if err := mb.put(m); err != nil {
+	if err := mb.put(*m); err != nil {
 		return err
 	}
 	count.Add(1)

@@ -10,7 +10,7 @@ import (
 )
 
 // mustEndpoint fetches an endpoint or fails the test.
-func mustEndpoint(t *testing.T, n Network, id int) Endpoint {
+func mustEndpoint(t testing.TB, n Network, id int) Endpoint {
 	t.Helper()
 	ep, err := n.Endpoint(id)
 	if err != nil {

@@ -46,8 +46,9 @@ func WithMetricsAddr(addr string) Option {
 // metric, plus the per-event-type counts and — when the cluster runs a
 // transport that counts (TCP, with or without fault injection) — the
 // transport counters (frames, writev batches, decode errors, link
-// resets, outbox drops; in-process, how many pushes ran in place and how
-// many queued). Histograms and event counts record always; tracing
+// resets, outbox drops; in-process, how many pushes queued, from the
+// network, and how many ran in place, summed over the nodes that ran
+// them). Histograms and event counts record always; tracing
 // (WithTracing) only adds the event ring.
 func (c *Cluster) Metrics() obs.MetricsSnapshot {
 	var s obs.MetricsSnapshot
@@ -55,7 +56,7 @@ func (c *Cluster) Metrics() obs.MetricsSnapshot {
 		s.Merge(n.Metrics().Snapshot())
 	}
 	if ts, ok := c.net.(interface{ TransportStats() obs.TransportStats }); ok {
-		s.Transport = ts.TransportStats()
+		s.Transport.Merge(ts.TransportStats())
 	}
 	return s
 }

@@ -182,6 +182,12 @@ func TestMetricsUnderContendedLoad(t *testing.T) {
 		t.Errorf("recv_backlog = %+v after load, want a high-water mark >= 1", g)
 	}
 
+	// The nodes count the pushes they ran in place, the network those it
+	// queued; Metrics sums the two.
+	if tr := s.Transport; tr.PushedInPlace == 0 || tr.PushedQueued+tr.PushedDeclined == 0 {
+		t.Errorf("transport %+v after load, want pushes both in place and queued", tr)
+	}
+
 	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
