@@ -349,10 +349,11 @@ func TestChaosCorruptionSoak(t *testing.T) {
 // TestChaosLeasedSoak runs a lease-enabled lock workload under 1%
 // transport bit rot plus a rolling partition schedule, and checks that
 // the lease fast path and the chaos machinery compose: local re-entries
-// and peer handoffs keep happening, the CRC trailer still catches every
-// flip, no node is ever convicted of divergence, no operation wedges
-// past the stuck-op watchdog, and the cluster converges with every
-// confirmed increment intact. Partition windows are kept shorter than
+// and revokes keep happening while contended hand-overs go through the
+// root, the CRC trailer still catches every flip, no node is ever
+// convicted of divergence, no operation wedges past the stuck-op
+// watchdog, and the cluster converges with every confirmed increment
+// intact. Partition windows are kept shorter than
 // the failure deadline, so the soak also pins that lease churn plus
 // frame loss alone never manufactures a reign change.
 func TestChaosLeasedSoak(t *testing.T) {
@@ -413,7 +414,7 @@ func TestChaosLeasedSoak(t *testing.T) {
 	// Node 1 bursts: back-to-back sections with no pause, so whenever the
 	// queue drains it gets the lock leased and re-enters locally. Nodes
 	// 2-4 poke with short sleeps: their requests force revokes and put
-	// waiters in the queue, which is what arms the handoff hints.
+	// waiters in the queue, so the root hands the lock over in turn.
 	wg.Add(1)
 	go func(h *Handle) {
 		defer wg.Done()

@@ -73,7 +73,7 @@ func invariantScenarios() []Scenario {
 		SessionFailoverMultiHolder(),
 		DivergenceRepair(),
 		LeaseExpiryVsFailover(),
-		HandoffChainConvoy(),
+		LeaseConvoy(),
 	}
 }
 

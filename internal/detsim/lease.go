@@ -8,19 +8,18 @@ import (
 	"optsync/internal/model"
 )
 
-// Lock-lease and peer-handoff scenarios (gwc's lease.go): the lease
-// lifecycle raced against expiry and a root failover, and the convoy
-// handoff chain under contention. Both run the live stack under the
-// deterministic scheduler, so lease TTLs, revoke demands, and handoff
-// epochs replay bit-identically from the seed.
+// Lock-lease scenarios (gwc's lease.go): the lease lifecycle raced
+// against expiry and a root failover, and a convoy whose grants keep
+// leasing and recalling the lock under contention. Both run the live
+// stack under the deterministic scheduler, so lease TTLs, revoke demands
+// and returns replay bit-identically from the seed.
 
 // holders counts the nodes whose local lock copy says they hold the
 // lock themselves. A leased idle holder legitimately keeps its copy
 // self-granted (that is what makes re-entry local), so the invariant
 // is about the count, not about zero: the root never leases or grants
-// to a second node before the first copy is re-pointed or returned,
-// and a handoff re-points the releaser's copy before the frame goes
-// out — so at quiescence in a fault-free run this never exceeds one.
+// to a second node before the first copy is re-pointed or returned — so
+// at quiescence in a fault-free run this never exceeds one.
 func holders(e *Env) int {
 	n := 0
 	for i := 0; i < e.Nodes(); i++ {
@@ -124,30 +123,24 @@ func LeaseExpiryVsFailover() Scenario {
 			if l := sumStats(e, func(s gwc.Stats) int { return s.LeaseLocal }); l < 1 {
 				return fmt.Errorf("no re-acquire was ever decided locally (ttl=%v)", ttl)
 			}
-			// A root never observes more handoffs than members performed;
-			// the reverse slack is reign-change evaporation (a notice dying
-			// with the deposed root).
-			if hc, h := sumStats(e, func(s gwc.Stats) int { return s.HandoffCommits }),
-				sumStats(e, func(s gwc.Stats) int { return s.Handoffs }); hc > h {
-				return fmt.Errorf("roots committed %d handoffs but members only performed %d", hc, h)
-			}
 			return nil
 		},
 	}
 }
 
-// HandoffChainConvoy: 5 nodes, no faults, three convoy workers beating
-// on one lock with confirmed sections (a positive hold). Grants go out
-// with waiters queued, so releases should transfer peer-to-peer; the
-// root's confirm multicast carries the next hint and the convoy
-// chains. Invariants, checked at every quiescent point and at the
-// drained end: never two self-believed exclusive holders, and the root
-// commits exactly the handoffs the members performed (no reign change
-// here to evaporate one) — plus the counter history must linearize,
-// which a double grant or a lost section would break.
-func HandoffChainConvoy() Scenario {
+// LeaseConvoy: 5 nodes, no faults, three convoy workers beating on one
+// lock with confirmed sections (a positive hold), leases on. A grant with
+// nobody queued behind it leases the lock; the next request makes the
+// root demand it back, and the leaseholder returns it, so the lock keeps
+// changing hands through the root's queue with leases coming and going.
+// Invariants, checked at every quiescent point and at the drained end:
+// never two self-believed exclusive holders, and the counter history
+// must linearize, which a double grant or a lost section would break.
+// The run is not vacuous: the root demanded a lease back and had one
+// returned, and it took back no more leases than it gave.
+func LeaseConvoy() Scenario {
 	return Scenario{
-		Name:  "handoff-chain-convoy",
+		Name:  "lease-convoy",
 		Nodes: 5,
 		Run: func(e *Env) error {
 			if _, err := setup(e, clusterCfg{
@@ -172,22 +165,14 @@ func HandoffChainConvoy() Scenario {
 				}
 				return nil
 			}
-			if err := drive(e, ws, 400000, "convoy increments with chained handoffs", func() bool {
-				return totalAcked(ws) >= 9 && sumStats(e, func(s gwc.Stats) int { return s.HandoffCommits }) >= 2
+			stat := func(f func(gwc.Stats) int) int { return sumStats(e, f) }
+			if err := drive(e, ws, 400000, "convoy increments with a lease recalled", func() bool {
+				return totalAcked(ws) >= 9 && stat(func(s gwc.Stats) int { return s.LeaseReturns }) >= 1
 			}); err != nil {
 				return err
 			}
 			final, err := windDown(e, ws, []int{0, 1, 2, 3, 4})
 			if err != nil {
-				return err
-			}
-			// A handoff notice may still be in flight when the counter
-			// converges (the releaser re-sends it until the root commits),
-			// so drain until the two sides of the ledger meet.
-			if err := drive(e, ws, 50000, "handoff ledger to balance", func() bool {
-				return sumStats(e, func(s gwc.Stats) int { return s.Handoffs }) ==
-					sumStats(e, func(s gwc.Stats) int { return s.HandoffCommits })
-			}); err != nil {
 				return err
 			}
 			if err := checker.Check(final); err != nil {
@@ -196,17 +181,16 @@ func HandoffChainConvoy() Scenario {
 			if checker.Len() == 0 {
 				return fmt.Errorf("no increment was ever acknowledged (vacuous run)")
 			}
-			// With no reign change to evaporate a notice, the root observes
-			// exactly the transfers the members performed.
-			h := sumStats(e, func(s gwc.Stats) int { return s.Handoffs })
-			hc := sumStats(e, func(s gwc.Stats) int { return s.HandoffCommits })
-			if h != hc {
-				return fmt.Errorf("members performed %d handoffs, root committed %d", h, hc)
+			grants := stat(func(s gwc.Stats) int { return s.LeaseGrants })
+			revokes := stat(func(s gwc.Stats) int { return s.LeaseRevokes })
+			returns := stat(func(s gwc.Stats) int { return s.LeaseReturns })
+			if revokes < 1 || returns < 1 {
+				return fmt.Errorf("the root demanded %d leases back and had %d returned; the lease path never ran", revokes, returns)
 			}
-			if h < 2 {
-				return fmt.Errorf("convoy produced only %d handoffs; the chain never formed", h)
+			if returns > grants {
+				return fmt.Errorf("the root took back %d leases but gave only %d", returns, grants)
 			}
-			if f := sumStats(e, func(s gwc.Stats) int { return s.Failovers + s.Elections }); f != 0 {
+			if f := stat(func(s gwc.Stats) int { return s.Failovers + s.Elections }); f != 0 {
 				return fmt.Errorf("fault-free convoy run saw %d failovers/elections", f)
 			}
 			return nil

@@ -181,9 +181,9 @@ type worker struct {
 // writes and the release all hit the wire in one quiescent instant,
 // before the scheduler runs another event. holdPoll: until the next
 // poll. n > 0: a confirmed section — until the root has applied this
-// worker's stamp, then n more polls so the sequenced echoes drain back,
-// the precondition for a direct peer handoff; it reads the root's copy
-// directly, so it is only valid in runs that never crash node 0.
+// worker's stamp, then n more polls so the sequenced echoes drain back;
+// it reads the root's copy directly, so it is only valid in runs that
+// never crash node 0.
 const (
 	holdNone = 0
 	holdPoll = -1
@@ -491,10 +491,9 @@ func windDown(e *Env, ws []*worker, alive []int) (int64, error) {
 			v, _ := e.Node(i).Read(simGroup, simCounter)
 			s := e.Node(i).Stats()
 			state = append(state, fmt.Sprintf(
-				"node %d: ctr=%d failovers=%d elections=%d rejoins=%d fenced=%d leases=%d/%d/%d local=%d handoffs=%d/%d",
+				"node %d: ctr=%d failovers=%d elections=%d rejoins=%d fenced=%d leases=%d/%d/%d local=%d",
 				i, v, s.Failovers, s.Elections, s.Rejoins, s.Fenced,
-				s.LeaseGrants, s.LeaseReturns, s.LeaseRevokes,
-				s.LeaseLocal, s.Handoffs, s.HandoffCommits))
+				s.LeaseGrants, s.LeaseReturns, s.LeaseRevokes, s.LeaseLocal))
 		}
 		for _, w := range ws {
 			state = append(state, fmt.Sprintf("worker %d: state=%d acked=%d aborted=%d", w.node, w.state, w.acked, w.aborted))

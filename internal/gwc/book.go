@@ -14,11 +14,13 @@ import (
 // writes the negated node ID, the grant the positive one, and the lock is
 // one more sequenced variable. The book is that manager as one value,
 // one per reign: it owns the reign's lock records and makes every
-// root-side lock decision. It takes in the lock frames (request — lease
-// renewal included —, release, cancel, lease return, handoff notice), the
-// handoff a guarded write proves, a commit-watermark advance or an
-// unfence (resume), a fence, the maintenance tick's watchdog and revoke
-// re-sends, a rejoiner's purge, and promotion's rebuilt records (load).
+// root-side lock decision: it is the one place that decides who may hand
+// a lock over, and every hand-over is a grant it sequenced (grant, open).
+// It takes in the lock frames (request — lease renewal included —,
+// release, cancel, lease return), a guarded write to judge, a
+// commit-watermark advance or an unfence (resume), a fence, the
+// maintenance tick's watchdog and revoke re-sends, a rejoiner's purge, and
+// promotion's rebuilt records (load).
 //
 // It does no I/O and reads no clock. Each decision leaves through its
 // bookSink in the order it is made — a frame to multicast or send, an
@@ -38,7 +40,6 @@ type bookSink interface {
 	holders(delta int)                  // step the session-holders gauge
 	quorumWaited(since time.Time)       // parked grants announced, parked since since
 	arm(b *backoff, now time.Time)      // schedule a revoke's re-send (seeded jitter)
-	protoErr(format string, args ...any)
 
 	now() time.Time
 	seq() uint64    // the reign's sequence watermark
@@ -53,8 +54,7 @@ type lockBook struct {
 	sink bookSink
 	// hdr heads every frame the book builds: the reign's group and epoch,
 	// sent by this node.
-	hdr     wire.Hdr
-	members []int
+	hdr wire.Hdr
 	// locks holds one record per lock, indexed by ID (table.go). A record
 	// is live once lock() has touched it (used); snapshots and the
 	// maintenance passes skip the rest.
@@ -129,19 +129,13 @@ type lockState struct {
 	// return, a release, or the holder's rejoin.
 	leaseTo int
 	revokeB backoff
-	// hintNode/hintToken name the head queued waiter the newest grant
-	// designated as its holder's direct-handoff target (-1 none). The
-	// waiter stays queued: a committed handoff dequeues it, anything
-	// else leaves the classic churn to serve it.
-	hintNode  int
-	hintToken uint32
 }
 
 // newLockState is a live lock record with nobody in it: no holder, no
-// past winner, no lease out, no handoff target. Node 0 is a member, so
-// the node-valued fields' zero value would name it.
+// past winner, no lease out. Node 0 is a member, so the node-valued
+// fields' zero value would name it.
 func newLockState() lockState {
-	return lockState{used: true, lastWinner: -1, leaseTo: -1, hintNode: -1}
+	return lockState{used: true, lastWinner: -1, leaseTo: -1}
 }
 
 // free reports whether no critical section is open.
@@ -151,16 +145,15 @@ func (ls *lockState) free() bool { return len(ls.held.in) == 0 }
 func (ls *lockState) holds(node int) bool { return ls.held.has(node) }
 
 // holdsAt reports whether node holds the entry announced at epoch — what
-// a release, a lease return or a handoff notice must quote, so that a
-// stale duplicate can never close a later entry.
+// a release or a lease return must quote, so that a stale duplicate can
+// never close a later entry.
 func (ls *lockState) holdsAt(node int, epoch uint32) bool {
 	h := ls.held.find(node)
 	return h != nil && h.epoch == epoch
 }
 
 // sole returns the holder of an open exclusive section, or nil: the one
-// state of the books in which a lock can be leased or handed over peer
-// to peer (lease.go).
+// state of the books in which a lock can be leased (lease.go).
 func (ls *lockState) sole() *holder {
 	if ls.held.session == 0 && len(ls.held.in) == 1 {
 		return &ls.held.in[0]
@@ -186,11 +179,10 @@ func (ls *lockState) take(i int) lockWaiter {
 }
 
 // unqueue withdraws node's request, if it waits.
-func (ls *lockState) unqueue(node int) (lockWaiter, bool) {
+func (ls *lockState) unqueue(node int) {
 	if i := ls.waiting(node); i >= 0 {
-		return ls.take(i), true
+		ls.take(i)
 	}
-	return lockWaiter{}, false
 }
 
 // lock returns l's record, initializing it on first use.
@@ -223,12 +215,7 @@ func (b *lockBook) step(m *wire.Message) {
 	case wire.TLockReq:
 		b.request(l, ls, m)
 	case wire.TLockRel:
-		// A release quoting exactly the epoch the newest handoff hint
-		// reserved is the new holder already leaving a section this book
-		// has not committed yet (the notice is in flight): commit the
-		// transfer first, then re-validate (lease.go).
-		origin, e := int(m.Origin), m.EntryEpoch()
-		if ls.holdsAt(origin, e) || b.inferHandoff(l, ls, origin, e) && ls.holdsAt(origin, e) {
+		if origin := int(m.Origin); ls.holdsAt(origin, m.EntryEpoch()) {
 			b.leaveLock(l, ls, origin)
 		}
 	case wire.TLockCancel:
@@ -240,8 +227,6 @@ func (b *lockBook) step(m *wire.Message) {
 			b.sink.emit(obs.EvLeaseReturn, int64(l), int64(origin))
 			b.leaveLock(l, ls, origin)
 		}
-	case wire.THandoff:
-		b.handoff(l, ls, m)
 	}
 }
 
@@ -278,7 +263,7 @@ func (b *lockBook) request(l LockID, ls *lockState, m *wire.Message) {
 		// now, so the abandoned acquisition is dropped once and holds no
 		// queue slot until its turn.
 		b.sink.emit(obs.EvDeadlineDrop, int64(l), int64(w.node))
-		b.withdraw(ls, w.node)
+		ls.unqueue(w.node)
 		return
 	}
 	if h := ls.held.find(w.node); h != nil {
@@ -305,7 +290,7 @@ func (b *lockBook) request(l LockID, ls *lockState, m *wire.Message) {
 		// if they differ the member has moved on to a new acquisition and
 		// must decline this entry (its decline releases it here and its
 		// retry re-queues the new request).
-		b.announce(l, ls, w.node, wire.Hint{})
+		b.announce(l, ls, w.node)
 		return
 	}
 	if i := ls.waiting(w.node); i >= 0 {
@@ -353,17 +338,7 @@ func (b *lockBook) cancel(l LockID, ls *lockState, origin int) {
 		b.leaveLock(l, ls, origin)
 		return
 	}
-	b.withdraw(ls, origin)
-}
-
-// withdraw takes node's queued request out, if it waits, and the handoff
-// hint that names it. The holder may still transfer to the withdrawn
-// waiter (its hint is already out); the notice path re-validates and the
-// decline machinery returns the lock if the waiter is truly gone.
-func (b *lockBook) withdraw(ls *lockState, node int) {
-	if _, ok := ls.unqueue(node); ok && ls.hintNode == node {
-		ls.hintNode = -1
-	}
+	ls.unqueue(origin)
 }
 
 // enter books node into the open section at the lock's next epoch.
@@ -489,9 +464,6 @@ func (b *lockBook) admit(l LockID, ls *lockState, now *int64) (lockWaiter, bool)
 // which the lock would otherwise sit holderless and a clean speculation
 // committing into it would be suppressed not-holder.
 func (b *lockBook) grant(l LockID, ls *lockState, w lockWaiter) {
-	// A classic grant supersedes whatever handoff target the previous
-	// grant designated; sendGrant re-reserves from the live queue.
-	ls.hintNode = -1
 	if ls.free() {
 		// Opening a new critical section. The entry is foreign — it rolls
 		// other nodes' speculative sections back — unless it re-extends
@@ -519,27 +491,25 @@ func (b *lockBook) grant(l LockID, ls *lockState, w lockWaiter) {
 		b.sink.emit(obs.EvLockParked, int64(l), int64(w.node))
 		return
 	}
-	b.sendGrant(l, ls, w.node, obs.EvLockGrant)
+	b.sendGrant(l, ls, w.node)
 }
 
-// sendGrant announces winner's designated entry, records it as ev — a
-// grant, or a handoff the book committed — and piggybacks the head
-// waiter as the winner's direct-handoff target (lease.go); with nobody
-// queued, it leases the lock to the winner instead.
-func (b *lockBook) sendGrant(l LockID, ls *lockState, winner int, ev obs.EventType) {
-	b.sink.emit(ev, int64(l), int64(winner))
-	b.announce(l, ls, winner, b.reserveHint(ls, winner))
+// sendGrant announces winner's designated entry and counts the grant;
+// with nobody queued behind it, it also leases the lock to the winner
+// (lease.go).
+func (b *lockBook) sendGrant(l LockID, ls *lockState, winner int) {
+	b.sink.emit(obs.EvLockGrant, int64(l), int64(winner))
+	b.announce(l, ls, winner)
 	b.maybeLease(l, ls, winner)
 }
 
 // announce multicasts node's entry as the books hold it: its positive ID
 // in the lock variable, tagged with its entry epoch and echoing the
 // token of the request it answers, so the member can verify the grant
-// answers its current acquisition; the frame carries the open session
-// and hint, the handoff target.
-func (b *lockBook) announce(l LockID, ls *lockState, node int, hint wire.Hint) {
+// answers its current acquisition; the frame carries the open session.
+func (b *lockBook) announce(l LockID, ls *lockState, node int) {
 	h := ls.held.find(node)
-	b.sink.multicast(b.hdr.Entry(uint32(l), ls.held.session, node, h.epoch, h.token, hint))
+	b.sink.multicast(b.hdr.Entry(uint32(l), ls.held.session, node, h.epoch, h.token))
 }
 
 // resume re-drives what waits on the reign rather than on a frame: the
@@ -563,7 +533,7 @@ func (b *lockBook) resume() {
 			ls.pending, ls.deferredAt = nil, time.Time{}
 			for _, h := range pend {
 				if ls.holds(h) {
-					b.sendGrant(l, ls, h, obs.EvLockGrant)
+					b.sendGrant(l, ls, h)
 				}
 			}
 			return
@@ -587,11 +557,7 @@ func (b *lockBook) resume() {
 // is returned.
 func (b *lockBook) judgeWrite(l LockID, origin int, tag uint32) (reason int64, ok bool) {
 	ls := b.lock(l)
-	// Not a holder on the books — unless its tag is exactly the epoch the
-	// newest handoff hint reserved, in which case this write is proof the
-	// peer transfer happened and the notice is still in flight: commit the
-	// handoff first, then judge the write against the updated record.
-	if !ls.holds(origin) && !b.inferHandoff(l, ls, origin, tag) {
+	if !ls.holds(origin) {
 		return obs.ReasonNotHolder, false
 	}
 	if tag < ls.foreignEpoch {
@@ -702,7 +668,7 @@ func (b *lockBook) close() {
 	b.sink.holders(-owed)
 }
 
-// --- Leases and handoff (lease.go has the member side and the design).
+// --- Leases (lease.go has the member side and the design).
 
 // maybeLease leases the lock to the winner it was just granted to, when
 // nobody waits behind it.
@@ -730,82 +696,4 @@ func (b *lockBook) sendLeaseRevoke(l LockID, ls *lockState, now time.Time) {
 	b.sink.emit(obs.EvLeaseRevoke, int64(l), int64(ls.leaseTo))
 	b.sink.arm(&ls.revokeB, now)
 	b.sink.send(ls.leaseTo, b.hdr.LeaseRevoke(uint32(l), h.epoch, h.token))
-}
-
-// reserveHint designates the head queued waiter as the new winner's
-// direct-handoff target and returns it for the grant announcement. The
-// waiter is peeked, not popped: installHandoff dequeues it if the
-// transfer happens, and the classic churn grants it if not.
-func (b *lockBook) reserveHint(ls *lockState, winner int) wire.Hint {
-	ls.hintNode = -1
-	if !b.leasing() || ls.sole() == nil || len(ls.queue) == 0 {
-		return wire.Hint{}
-	}
-	w := ls.queue[0]
-	if w.session != 0 || w.node == b.self() || w.node == winner {
-		return wire.Hint{} // only an exclusive waiter can take an exclusive section over
-	}
-	ls.hintNode = w.node
-	ls.hintToken = w.token
-	return wire.Hint{Node: w.node, Token: w.token, Set: true}
-}
-
-// handoff validates a holder's transfer notice and commits it. The hint
-// is deliberately not required to match: a cancel race can clear it, and
-// the frame's own fields — the holder record, the entry epoch, and the
-// reserved next epoch — carry everything arbitration needs.
-func (b *lockBook) handoff(l LockID, ls *lockState, m *wire.Message) {
-	from, w := int(m.Origin), m.Holder()
-	if w < 0 || w == b.self() || !slices.Contains(b.members, w) || !slices.Contains(b.members, from) {
-		return
-	}
-	if !ls.holdsAt(from, m.EntryEpoch()) {
-		return // already committed (duplicate notice) or stale
-	}
-	if ls.sole() == nil {
-		b.sink.protoErr("gwc: node %d got handoff notice for lock %d outside an exclusive section", b.self(), l)
-		return
-	}
-	if m.Reserved() != ls.epoch+1 {
-		return // reserved an epoch this book would not mint next
-	}
-	b.installHandoff(l, ls, from, w)
-}
-
-// inferHandoff commits a handoff whose notice has not arrived yet,
-// recognised from the new holder's own traffic: frames by the hinted
-// waiter tagged with exactly the epoch the hint reserved can only mean
-// the transfer happened. Returns whether a handoff was committed (the
-// caller re-checks its validation against the updated state).
-func (b *lockBook) inferHandoff(l LockID, ls *lockState, origin int, epoch uint32) bool {
-	h := ls.sole()
-	if !b.leasing() || ls.hintNode != origin || epoch != ls.epoch+1 || h == nil || h.node == origin {
-		return false
-	}
-	b.installHandoff(l, ls, h.node, origin)
-	return true
-}
-
-// installHandoff retires the old holder, installs the new one at the
-// reserved epoch, and announces it — sequenced behind the closing
-// section's data and carrying the next hint, so a convoy chains handoff
-// to handoff.
-func (b *lockBook) installHandoff(l LockID, ls *lockState, from, w int) {
-	// The hint was a peek: the waiter is still queued and must come out,
-	// or the next churn would grant it a second time.
-	tok := uint32(0)
-	if ls.hintNode == w {
-		tok = ls.hintToken
-	}
-	if q, ok := ls.unqueue(w); ok && tok == 0 {
-		tok = q.token
-	}
-	b.leave(ls, from)
-	// A peer transfer is always a foreign entry: the new holder differs
-	// from the old, so other nodes' speculations against the closing
-	// section must roll back.
-	ls.foreignEpoch = ls.epoch
-	b.enter(ls, w, tok)
-	ls.lastWinner = w
-	b.sendGrant(l, ls, w, obs.EvHandoffCommit)
 }

@@ -22,7 +22,6 @@ type bookRec struct {
 	sent   []wire.Message
 	events []obs.Event // Type, A, B
 	gauge  int
-	errs   int
 	// announced is the entry epoch last announced per node, newest the
 	// newest epoch announced at all.
 	announced [scopeNodes]uint32
@@ -57,7 +56,6 @@ func (r *bookRec) emit(typ obs.EventType, a, b int64) {
 func (r *bookRec) holders(delta int)             { r.gauge += delta }
 func (r *bookRec) quorumWaited(time.Time)        {}
 func (r *bookRec) arm(b *backoff, now time.Time) { b.due = now.Add(time.Second) }
-func (r *bookRec) protoErr(string, ...any)       { r.errs++ }
 func (r *bookRec) now() time.Time                { return r.clock }
 func (r *bookRec) seq() uint64                   { return r.sq }
 func (r *bookRec) commit() uint64                { return r.cm }
@@ -121,7 +119,7 @@ type bookWorld struct {
 
 func newBookWorld(quorum bool) *bookWorld {
 	rec := &bookRec{clock: scopeT0, quorum: quorum}
-	book := lockBook{sink: rec, hdr: wire.Hdr{Group: uint32(tGroup)}, members: []int{0, 1, 2}}
+	book := lockBook{sink: rec, hdr: wire.Hdr{Group: uint32(tGroup)}}
 	rec.book = &book
 	return &bookWorld{rec: rec, book: &book}
 }
@@ -130,7 +128,7 @@ func newBookWorld(quorum bool) *bookWorld {
 func (w *bookWorld) clone() *bookWorld {
 	rec := *w.rec
 	rec.frames, rec.events = nil, nil
-	book := lockBook{sink: &rec, hdr: w.book.hdr, members: w.book.members}
+	book := lockBook{sink: &rec, hdr: w.book.hdr}
 	ls := *w.ls()
 	ls.held.in, ls.queue, ls.pending = slices.Clone(ls.held.in), slices.Clone(ls.queue), slices.Clone(ls.pending)
 	*book.locks.at(tLock) = ls
@@ -231,8 +229,8 @@ func (w *bookWorld) check() error {
 		return fmt.Errorf("%d holders in an exclusive section: %v", len(ls.held.in), ls.held.in)
 	case w.rec.gauge != len(ls.held.in):
 		return fmt.Errorf("holders gauge reads %d, the books hold %d", w.rec.gauge, len(ls.held.in))
-	case len(w.rec.sent) > 0 || w.rec.errs > 0:
-		return fmt.Errorf("sent %v with leasing off and the reign unfenced, %d protocol errors", w.rec.sent, w.rec.errs)
+	case len(w.rec.sent) > 0:
+		return fmt.Errorf("sent %v with leasing off and the reign unfenced", w.rec.sent)
 	}
 	for i, q := range ls.queue {
 		if ls.holds(q.node) || ls.waiting(q.node) != i {

@@ -185,8 +185,7 @@ func (n *Node) maybeNotice(g *memberGroup, to int) {
 // flags (wantSnap: the new root's snapshot does the catching up); the
 // spanning tree (rooted at the old root; failover reigns fan out
 // directly); every retry schedule (outstanding operations re-register
-// with the new root at full cadence); every lock's delegation record —
-// lease, handoff hint, handoff notice, parked direct grant — (claims
+// with the new root at full cadence); every lock's lease (a claim
 // against the old reign's lock manager; one pass, dropDelegs); and the
 // digest with any divergence verdict (the snapshot's TSnapDone re-anchors
 // it to the new root's sum). Copy-scoped state — values, lock copies,

@@ -154,14 +154,12 @@ type Stats struct {
 	Divergences  int // state-digest mismatches detected (root: per acked watermark; member: self-check or repair directive)
 	EagerResends int // member: unconfirmed guarded writes re-shipped to the root (up-path loss recovery)
 
-	// Lock leasing and peer handoff (lease.go).
-	LeaseGrants    int // root: leases issued or extended
-	LeaseReturns   int // root: leases returned by their holders
-	LeaseRevokes   int // root: revoke demands sent to leaseholders
-	LeaseLocal     int // member: leased re-acquires decided locally, zero wire messages
-	LeaseRenewals  int // member: lease renewal requests sent
-	Handoffs       int // member: direct holder-to-waiter transfers sent
-	HandoffCommits int // root: direct transfers observed and committed
+	// Lock leasing (lease.go).
+	LeaseGrants   int // root: leases issued or extended
+	LeaseReturns  int // root: leases returned by their holders
+	LeaseRevokes  int // root: revoke demands sent to leaseholders
+	LeaseLocal    int // member: leased re-acquires decided locally, zero wire messages
+	LeaseRenewals int // member: lease renewal requests sent
 }
 
 // Node is one processor's memory-sharing interface: it owns the local
@@ -226,10 +224,9 @@ type Node struct {
 	// (watchdog.go; zero means 4x failAfter, derived at use).
 	wdBudget time.Duration
 
-	// leaseTTL enables lock leasing and peer handoff (lease.go) when
-	// positive: grants to sole contenders come with a lease of this
-	// duration, and grants with queued waiters carry a direct-handoff
-	// hint. Ignored while quorumAcks is on.
+	// leaseTTL enables lock leasing (lease.go) when positive: grants to
+	// sole contenders come with a lease of this duration. Ignored while
+	// quorumAcks is on.
 	leaseTTL time.Duration
 
 	// integrityEvery is the anti-entropy sweep interval: every such
@@ -495,16 +492,14 @@ func (n *Node) Stats() Stats {
 			Release: c(obs.EvFlushRelease),
 			Sync:    c(obs.EvFlushSync),
 		},
-		DigestSweeps:   c(obs.EvDigestSweep),
-		Divergences:    c(obs.EvDivergence),
-		EagerResends:   c(obs.EvEagerResend),
-		LeaseGrants:    c(obs.EvLeaseGrant),
-		LeaseReturns:   c(obs.EvLeaseReturn),
-		LeaseRevokes:   c(obs.EvLeaseRevoke),
-		LeaseLocal:     c(obs.EvLeaseLocal),
-		LeaseRenewals:  c(obs.EvLeaseRenew),
-		Handoffs:       c(obs.EvHandoff),
-		HandoffCommits: c(obs.EvHandoffCommit),
+		DigestSweeps:  c(obs.EvDigestSweep),
+		Divergences:   c(obs.EvDivergence),
+		EagerResends:  c(obs.EvEagerResend),
+		LeaseGrants:   c(obs.EvLeaseGrant),
+		LeaseReturns:  c(obs.EvLeaseReturn),
+		LeaseRevokes:  c(obs.EvLeaseRevoke),
+		LeaseLocal:    c(obs.EvLeaseLocal),
+		LeaseRenewals: c(obs.EvLeaseRenew),
 	}
 }
 
@@ -846,15 +841,6 @@ func (n *Node) route(m *wire.Message) {
 	case m.Type == wire.TBatch:
 		n.handleBatch(m)
 	default:
-		if m.Type == wire.THandoff {
-			// Dual-purpose frame: the direct grant lands at a member, the
-			// asynchronous notice at the root. A deposed ex-root routes it to
-			// its member half, where the grant-value check rejects notices.
-			if r, ok := n.roots[GroupID(m.Group)]; ok {
-				n.rootHandle(r, m)
-				return
-			}
-		}
 		g, ok := n.groups[GroupID(m.Group)]
 		if !ok {
 			n.protoErr("gwc: node %d got %v for unknown group %d", n.id, m.Type, m.Group)
@@ -874,7 +860,7 @@ func (n *Node) route(m *wire.Message) {
 			n.handleSnap(g, m)
 		case wire.TDigestReq:
 			n.handleDigestReq(g, m)
-		case wire.TLeaseGrant, wire.THandoff:
+		case wire.TLeaseGrant:
 			n.lockFrame(g, m)
 		default:
 			n.protoErr("gwc: node %d got unexpected message type %v", n.id, m.Type)
@@ -912,7 +898,7 @@ func (n *Node) send(to int, m wire.Message) {
 // else's wait (lockBook.runsInPlace); everything that asks for an answer,
 // repairs a loss or carries a liveness duty is sent. So the tick's request
 // retries, the entries a member hands back (lockPlane.handBack, under n.mu),
-// cancels, acks, NACKs, sync, snapshot, join, lease and handoff frames and
+// cancels, acks, NACKs, sync, snapshot, join and lease frames and
 // heartbeats are sent, as are the tick's eager re-ships (loss repair) and
 // the batched plane's flush frames (flushWrites runs under n.mu: a push at
 // the node's own root would only be declined). DESIGN.md "InProc: push"

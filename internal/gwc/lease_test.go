@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"optsync/internal/obs"
 	"optsync/internal/transport"
 	"optsync/internal/wire"
 )
@@ -15,15 +14,22 @@ import (
 // countingNet wraps a transport and counts lock-plane frames per sender,
 // so a test can assert a code path put nothing lock-related on the wire.
 // Maintenance probes (resync, acks) keep flowing on their own clock and
-// are deliberately not counted.
+// are deliberately not counted there. It also counts every frame per
+// link, whatever its kind, so a test can assert nothing at all travelled
+// between two nodes.
 type countingNet struct {
 	inner transport.Network
 	sent  []atomic.Int64
+	links []atomic.Int64 // from*Size()+to, every frame
 }
 
 func newCountingNet(inner transport.Network) *countingNet {
-	return &countingNet{inner: inner, sent: make([]atomic.Int64, inner.Size())}
+	n := inner.Size()
+	return &countingNet{inner: inner, sent: make([]atomic.Int64, n), links: make([]atomic.Int64, n*n)}
 }
+
+// link reads the frames sent from one node to another.
+func (c *countingNet) link(from, to int) int64 { return c.links[from*c.Size()+to].Load() }
 
 func (c *countingNet) Size() int    { return c.inner.Size() }
 func (c *countingNet) Close() error { return c.inner.Close() }
@@ -44,7 +50,7 @@ type countingEndpoint struct {
 
 func lockPlaneFrame(t wire.Type) bool {
 	switch t {
-	case wire.TLockReq, wire.TLockRel, wire.TSeqLock, wire.TLeaseGrant, wire.TLeaseRet, wire.THandoff:
+	case wire.TLockReq, wire.TLockRel, wire.TSeqLock, wire.TLeaseGrant, wire.TLeaseRet:
 		return true
 	}
 	return false
@@ -54,6 +60,7 @@ func (e *countingEndpoint) Send(to int, m wire.Message) error {
 	if lockPlaneFrame(m.Type) {
 		e.net.sent[e.id].Add(1)
 	}
+	e.net.links[e.id*e.net.Size()+to].Add(1)
 	return e.Endpoint.Send(to, m)
 }
 
@@ -216,19 +223,27 @@ func TestLeasedReacquireZeroWire(t *testing.T) {
 	}
 }
 
-// TestHandoffDirectTransfer drives a convoy: with a waiter queued at
-// grant time the root piggybacks a handoff hint, and the holder's
-// Release transfers the lock peer-to-peer. The root observes the notice
-// asynchronously and commits it.
-func TestHandoffDirectTransfer(t *testing.T) {
-	c := leaseCluster(t, 4, false, time.Hour)
+// TestConvoyHandsOverThroughTheRoot pins the one way a contended lock
+// changes hands with leases on: the release (or the lease return) goes to
+// the root, and the root's sequenced grant names the next holder. Node 1
+// holds the lock under a lease and nodes 2 and 3 queue behind it; each of
+// the three acquisitions must be a grant the root counted, and no
+// frame of any kind may travel member to member.
+func TestConvoyHandsOverThroughTheRoot(t *testing.T) {
+	inner, err := transport.NewInProc(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := newCountingNet(inner)
+	c := newCluster(t, net, false)
+	for _, nd := range c.nodes {
+		nd.SetLeases(time.Hour)
+	}
 	root := c.nodes[0]
+	grants := root.Stats().LockGrants
 
-	// Node 1 takes the lock (and the lease that comes with an empty
-	// queue); nodes 2 and 3 queue behind it. The root demands the lease
-	// back; node 1's release frees the lock at the root, which grants
-	// node 2 — and with node 3 queued by then, that grant carries a
-	// handoff hint, so node 2's release transfers peer-to-peer.
+	// Node 1 takes the lock, and the lease that comes with an empty queue;
+	// nodes 2 and 3 queue behind it, and the root demands the lease back.
 	if err := c.nodes[1].Acquire(tGroup, tLock); err != nil {
 		t.Fatal(err)
 	}
@@ -236,8 +251,7 @@ func TestHandoffDirectTransfer(t *testing.T) {
 		return func() bool {
 			root.mu.Lock()
 			defer root.mu.Unlock()
-			r := root.roots[tGroup]
-			ls := r.book.locks.peek(tLock)
+			ls := root.roots[tGroup].book.locks.peek(tLock)
 			return ls != nil && len(ls.queue) >= want
 		}
 	}
@@ -265,29 +279,15 @@ func TestHandoffDirectTransfer(t *testing.T) {
 	}
 	wg.Wait()
 
-	handoffs := 0
-	for _, nd := range c.nodes {
-		handoffs += nd.Stats().Handoffs
+	if got := root.Stats().LockGrants - grants; got != 3 {
+		t.Errorf("the root granted %d times for 3 acquisitions, want one grant each", got)
 	}
-	commits := root.Stats().HandoffCommits
-	if handoffs == 0 {
-		t.Fatalf("no direct handoff happened (root stats %+v)", root.Stats())
-	}
-	waitFor(t, c, 5*time.Second, "root to commit every handoff", func() bool {
-		return root.Stats().HandoffCommits >= handoffs
-	})
-	commits = root.Stats().HandoffCommits
-	if commits != handoffs {
-		t.Errorf("members sent %d handoffs, root committed %d", handoffs, commits)
-	}
-	// The root's commit is an event type of its own: the handoff count
-	// sees each transfer once, not once at each end.
-	var events uint64
-	for _, nd := range c.nodes {
-		events += nd.Metrics().Trace.Count(obs.EvHandoff)
-	}
-	if events != uint64(handoffs) {
-		t.Errorf("%d handoff events for %d handoffs", events, handoffs)
+	for from := 1; from < len(c.nodes); from++ {
+		for to := 1; to < len(c.nodes); to++ {
+			if d := net.link(from, to); d != 0 {
+				t.Errorf("node %d sent node %d %d frame(s), want every hand-over through the root", from, to, d)
+			}
+		}
 	}
 }
 
@@ -442,9 +442,8 @@ func TestLeaseRenewalKeepsLockLocal(t *testing.T) {
 // TestLeasedRetryStormBounded is the leasing build of the retry-storm
 // bound: waiters born into a root outage, with the lease machinery live,
 // must still converge on the failover with adaptively-bounded resends —
-// the lease/handoff paths (renewals, revoke demands, notice re-sends,
-// and the retry schedule's reset when a grant epoch moves mid-wait) add no
-// unbounded traffic.
+// the lease paths (renewals, revoke demands, and the retry schedule's
+// reset when a grant epoch moves mid-wait) add no unbounded traffic.
 func TestLeasedRetryStormBounded(t *testing.T) {
 	const (
 		waiters   = 16

@@ -249,7 +249,7 @@ func newMemberGroup(id int, cfg GroupConfig, now time.Time) *memberGroup {
 		lastRoot:    now,
 		suspected:   make(map[int]bool),
 		syncPending: make(map[uint64]*syncWaiter),
-		locks:       lockPlane{self: id, members: cfg.Members},
+		locks:       lockPlane{self: id},
 	}
 	for v, l := range cfg.Guards {
 		mv := g.vars.at(v)
@@ -271,42 +271,21 @@ func (s *memberShell) up(m wire.Message)                  { s.n.send(s.g.rootID,
 func (s *memberShell) emit(typ obs.EventType, a, b int64) { s.n.emit(typ, s.g.cfg.ID, a, b) }
 func (s *memberShell) wake()                              { s.g.lock.notifyAll() }
 func (s *memberShell) arm(b *backoff, now time.Time)      { s.n.arm(b, now, s.n.boBase(), s.n.boCap()) }
-func (s *memberShell) nack()                              { s.n.maybeNack(s.g) }
 func (s *memberShell) suspend()                           { s.g.suspended = true }
 func (s *memberShell) now() time.Time                     { return s.n.clock.Now() }
 func (s *memberShell) hdr() wire.Hdr                      { return s.n.hdr(s.g) }
-func (s *memberShell) applied() uint64                    { return s.g.nextSeq - 1 }
 func (s *memberShell) leasing() bool                      { return s.n.leasing() }
 
-// sectionConfirmed reports whether every guarded write of the closing
-// section has been sequenced (its echo consumed): the precondition for
-// a direct handoff, since the new holder's entry gate is a sequence
-// watermark that must cover the section's data.
-func (s *memberShell) sectionConfirmed(l LockID) bool {
-	for _, v := range s.g.busyVars {
-		mv := &s.g.vars.recs[v]
-		if mv.eagerOut && mv.guarded && mv.guard == l {
-			return false
-		}
-	}
-	return true
-}
-
 // lockFrame is the one reign gate for the lock frames a member receives
-// outside the sequenced stream — a lease grant or revoke demand, a direct
-// handoff grant — before its lock plane takes them in. A frame of another
-// reign is dropped (an older one counted, and a stale handoff's sender
-// told of the reign), and so is one that reaches a member not yet
-// re-based into the reign — a lease targets live state only, and a
-// handed-on grant is re-queued by the request retry. Caller holds n.mu.
+// outside the sequenced stream — a lease grant or revoke demand — before
+// its lock plane takes them in. A frame of another reign is dropped (an
+// older one counted), and so is one that reaches a member not yet
+// re-based into the reign: a lease targets live state only. Caller holds
+// n.mu.
 func (n *Node) lockFrame(g *memberGroup, m *wire.Message) {
-	switch {
-	case n.offReign(g, m, m.Type == wire.THandoff), g.rejoining || g.snapWanted:
-	case m.Type == wire.TLeaseGrant:
+	if !n.offReign(g, m, false) && !g.rejoining && !g.snapWanted {
 		g.locks.leaseFrame(m)
-	case m.Holder() == n.id:
-		g.locks.handoffGrant(m)
-	} // else a root-bound notice strayed here: only the reigning root may arbitrate it
+	}
 }
 
 // offReign reports whether m, a frame a member drops unless it belongs to
@@ -467,11 +446,6 @@ func (n *Node) ingest(g *memberGroup, m *wire.Message, forward bool) {
 	n.applySeq(g, m)
 	g.nextSeq++
 	n.drainPending(g)
-	// The prefix advanced: direct handoff grants parked on a sequence
-	// watermark may be deliverable now.
-	if g.locks.grantParked {
-		g.locks.deliverDue()
-	}
 }
 
 // drainPending applies the buffered messages that now continue the
@@ -988,17 +962,10 @@ func (n *Node) Release(gid GroupID, l LockID) error {
 	// before the release does, so every member still sees the data before
 	// the lock changes hands (the paper's GWC ordering guarantee).
 	n.flushWrites(g, obs.EvFlushRelease)
-	var direct, up wire.Message
-	to := g.locks.release(l, lk, &direct, &up)
+	var up wire.Message
+	g.locks.release(l, lk, &up)
 	root := g.rootID
 	n.mu.Unlock()
-	if direct.Type != 0 {
-		// A peer handoff: the taker's grant first, then the root's notice.
-		if err := n.ep.Send(to, direct); err != nil {
-			return err
-		}
-		return n.ep.Send(root, up)
-	}
 	if up.Type == 0 {
 		return nil // a lease keeps the lock here, or its return is out
 	}

@@ -15,10 +15,9 @@ import (
 // member-side lock decision, as one value per group beside the root's
 // lock book (book.go): it owns the lock records (memberLock), the list of
 // busy locks the tick walks, and what a member holds of a lock beyond its
-// copy (deleg, the lease, handoff hint, handoff notice and parked direct
-// grant; lease.go has the design). It takes in the sequenced lock frames
-// (applyLock), the lease and handoff frames the node's reign gate let
-// through (leaseFrame, handoffGrant), a re-base's installed sections
+// copy (deleg, the lease; lease.go has the design). It takes in the
+// sequenced lock frames (applyLock), the lease frames the node's reign
+// gate let through (leaseFrame), a re-base's installed sections
 // (install) and dropped claims (dropDelegs), a rejoin's reset (forget),
 // an election report's lock half (report), a caller's look, start, wait,
 // cancel and release (look, start, park, cancel, release), and the
@@ -28,7 +27,7 @@ import (
 // memberSink in the order it is made — a frame for the root, an event, a
 // wake-up, a backoff armed — and what it does not own it asks the sink
 // for. A frame its caller sends once it holds nothing — a caller's first
-// request, Release's release or handoff — is returned, not sunk. The
+// request, Release's release, a cancel — is returned, not sunk. The
 // node implements the sink (memberShell, member.go); a test records it
 // and runs planes against a lock book (plane_test.go).
 
@@ -39,34 +38,24 @@ type memberSink interface {
 	emit(typ obs.EventType, a, b int64) // a protocol event of the group
 	wake()                              // poke the callers waiting on a lock change
 	arm(b *backoff, now time.Time)      // schedule a re-send (seeded jitter)
-	nack()                              // ask the root for the stream's gap, rate-limited
 	suspend()                           // an interrupt answered HookSuspend: suspend insharing
 
 	now() time.Time
-	hdr() wire.Hdr                  // the header of a frame in the reign the member follows
-	applied() uint64                // the sequenced prefix applied here
-	leasing() bool                  // the lease and handoff fast paths are on
-	sectionConfirmed(l LockID) bool // every guarded write under l has been sequenced
+	hdr() wire.Hdr // the header of a frame in the reign the member follows
+	leasing() bool // the lease fast path is on
 }
 
 // lockPlane is one member's lock state for one group.
 type lockPlane struct {
 	// The one record per lock, indexed by ID (table.go).
 	table[LockID, memberLock]
-	// self is this node; members the group's, the only nodes a handoff
-	// may name.
-	self    int
-	members []int
-	sink    memberSink
+	self int // this node
+	sink memberSink
 	// busy lists, ascending, the locks that carry state the tick visits:
-	// an acquisition stamp, a parked caller or a delegation record.
-	// Setting such state marks the record (markBusy); clearing it does
-	// nothing, and the tick's first pass (tickLocks) unlists what went
-	// idle. grantParked is set where a direct grant parks and recomputed
-	// by the scan that delivers them (deliverDue), so the per-message
-	// check for deliverable grants is a flag test, not a scan.
-	busy        []LockID
-	grantParked bool
+	// an acquisition stamp, a parked caller or a lease. Setting such state
+	// marks the record (markBusy); clearing it does nothing, and the
+	// tick's first pass (tickLocks) unlists what went idle.
+	busy []LockID
 }
 
 // memberLock is everything a member keeps about one lock.
@@ -126,9 +115,8 @@ type memberLock struct {
 	// busy: listed in the plane's busy list.
 	busy bool
 
-	// deleg is what this node holds of the lock beyond held — a lease, a
-	// handoff hint, a handoff notice owed the root, a parked direct grant —
-	// and nil when it holds none of them.
+	// deleg is the lease the root delegated to this node on the lock, nil
+	// when it holds none.
 	deleg *deleg
 
 	// spec is the interrupt of the section speculating on the lock and
@@ -143,32 +131,18 @@ type memberLock struct {
 	rolled bool
 }
 
-// deleg is everything a member holds of one lock beyond the copy of its
-// open section: what the root delegated to it, what it owes the root,
-// and what a peer handed it ahead of the stream.
+// deleg is a member's lease on one lock: what the root delegated to it
+// beyond the copy of its open section. While it lasts, this node's
+// exclusive entry stays in the copy across releases and re-entry is
+// decided locally. entered: inside the section right now; used:
+// re-entered locally since the last grant or extension; revoked: the
+// root demanded it back, to be returned on the next Release. It renews on
+// renewB.
 type deleg struct {
-	// The lease: while leased, this node's exclusive entry stays in the
-	// copy across releases and re-entry is decided locally. entered: inside
-	// the section right now (never set without leased); used: re-entered
-	// locally since the last grant or extension; revoked: the root
-	// demanded it back, to be returned on the next Release.
-	leased, entered, used, revoked bool
-	expiry                         time.Time
-	ttl                            time.Duration
-	renewB                         backoff
-	// hint is the handoff target the root designated on this node's
-	// newest entry.
-	hint wire.Hint
-	// reserved is the epoch a handoff this node made reserved for
-	// successor (0: none in flight). Its notice re-sends on noticeB until a
-	// lock frame shows the root's epoch at or past it.
-	reserved  uint32
-	successor int
-	noticeB   backoff
-	// grant is a direct grant parked on its sequence watermark, when
-	// parked.
-	parked bool
-	grant  wire.Message
+	entered, used, revoked bool
+	expiry                 time.Time
+	ttl                    time.Duration
+	renewB                 backoff
 }
 
 // sawGrant records a newly observed grant epoch. The lock moved, so an
@@ -195,8 +169,8 @@ func (lk *memberLock) inUse() bool {
 	return lk.want || lk.parked > 0 || lk.deleg != nil && lk.deleg.entered
 }
 
-// endRequest closes the outstanding acquisition's bookkeeping: released,
-// cancelled, or handed on.
+// endRequest closes the outstanding acquisition's bookkeeping: released
+// or cancelled.
 func (lk *memberLock) endRequest() {
 	lk.want, lk.reqSince, lk.reqSession, lk.reqDeadline = false, time.Time{}, 0, 0
 }
@@ -205,27 +179,12 @@ func (lk *memberLock) endRequest() {
 // else in the lock, or nobody: any cached lease is dead. Mid-section the
 // Release in progress returns it; idle it just evaporates.
 func (lk *memberLock) lostClaim() {
-	if d := lk.deleg; d != nil && d.leased {
+	if d := lk.deleg; d != nil {
 		if d.entered {
 			d.revoked = true
 		} else {
-			d.leased = false
+			lk.deleg = nil
 		}
-	}
-}
-
-// caughtUp retires this node's handoff notice once a lock frame shows the
-// root's epoch at or past the transfer: it is committed there.
-func (lk *memberLock) caughtUp(epoch uint32) {
-	if d := lk.deleg; d != nil && d.reserved != 0 && epoch >= d.reserved {
-		d.reserved = 0
-	}
-}
-
-// settle frees the record once nothing is left in it.
-func (lk *memberLock) settle() {
-	if d := lk.deleg; d != nil && !d.leased && !d.hint.Set && d.reserved == 0 && !d.parked {
-		lk.deleg = nil
 	}
 }
 
@@ -233,14 +192,7 @@ func (lk *memberLock) settle() {
 // is not inside.
 func (lk *memberLock) idleLease() bool {
 	d := lk.deleg
-	return d != nil && d.leased && !d.entered
-}
-
-// clearHint forgets the handoff target: the queue it peeked is gone.
-func (lk *memberLock) clearHint() {
-	if d := lk.deleg; d != nil {
-		d.hint = wire.Hint{}
-	}
+	return d != nil && !d.entered
 }
 
 // markBusy lists record id (whose busy flag is *busy) unless it already
@@ -252,16 +204,6 @@ func markBusy[K ~uint32](list *[]K, busy *bool, id K) {
 		i, _ := slices.BinarySearch(*list, id)
 		*list = slices.Insert(*list, i, id)
 	}
-}
-
-// delegOf returns lock l's record, making it — and listing the lock for
-// the tick — when it has none.
-func (p *lockPlane) delegOf(l LockID, lk *memberLock) *deleg {
-	if lk.deleg == nil {
-		lk.deleg = new(deleg)
-		markBusy(&p.busy, &lk.busy, l)
-	}
-	return lk.deleg
 }
 
 // value projects the paper's lock word for lock l from its record: the
@@ -302,35 +244,30 @@ func (p *lockPlane) returnIdleLease(l LockID, lk *memberLock) {
 	if h := lk.held.find(p.self); h != nil {
 		epoch = h.epoch
 	}
-	lk.deleg.leased, lk.deleg.entered = false, false
-	lk.settle()
+	lk.deleg = nil
 	p.leave(lk, epoch)
 	p.sink.up(p.sink.hdr().LeaseRet(uint32(l), epoch))
 	p.sink.wake()
 }
 
-// applyLock installs one sequenced lock frame, the one reader of TSeqLock
-// (and of a direct handoff grant, which reads like the entry it stands
-// in for): an entry (the lock word names a holder), a holder leaving a
+// applyLock installs one sequenced lock frame, the one reader of
+// TSeqLock: an entry (the lock word names a holder), a holder leaving a
 // section that stays open (the word is its request), or the close (Free).
 func (p *lockPlane) applyLock(m *wire.Message) {
 	l := LockID(m.Lock)
 	lk := p.at(l)
-	lk.caughtUp(m.EntryEpoch())
 	if m.Holder() >= 0 {
 		p.applyEntry(l, lk, m)
-	} else {
-		switch {
-		case m.Val == Free:
-			lk.held.in = lk.held.in[:0]
-			lk.clearHint()
-			lk.lostClaim()
-		case lk.held.session == m.Session:
-			lk.held.drop(m.Requester())
-		}
-		p.sink.wake()
+		return
 	}
-	lk.settle()
+	switch {
+	case m.Val == Free:
+		lk.held.in = lk.held.in[:0]
+		lk.lostClaim()
+	case lk.held.session == m.Session:
+		lk.held.drop(m.Requester())
+	}
+	p.sink.wake()
 }
 
 // applyEntry is applyLock's entry half. An entry into a session the open
@@ -384,16 +321,9 @@ func (p *lockPlane) applyEntry(l LockID, lk *memberLock, m *wire.Message) {
 		return
 	}
 	lk.held.put(h)
-	// Capture (or clear) the handoff target the root designated for this
-	// entry. A re-announce without a hint clears a stale one: the queue
-	// the old hint peeked no longer exists.
-	lk.clearHint()
 	if self {
 		// Acquisition complete: stop the watchdog's clock on it.
 		lk.reqSince = time.Time{}
-		if hint := m.Hint(); hint.Set && hint.Node != p.self && p.sink.leasing() {
-			p.delegOf(l, lk).hint = hint
-		}
 	} else {
 		lk.lostClaim()
 	}
@@ -422,7 +352,6 @@ func (p *lockPlane) sawEntry(lk *memberLock, node int, session uint32) {
 // left — and handed back like a declined entry otherwise.
 func (p *lockPlane) install(l LockID, sec *holderSet, epoch uint32) {
 	lk := p.at(l)
-	lk.caughtUp(epoch)
 	had := lk.inside(p.self, sec.session)
 	lk.held.open(sec.session)
 	for _, h := range sec.in {
@@ -433,22 +362,19 @@ func (p *lockPlane) install(l LockID, sec *holderSet, epoch uint32) {
 		lk.held.put(h)
 	}
 	lk.sawGrant(epoch)
-	lk.clearHint()
 	if lk.held.has(p.self) {
 		lk.reqSince = time.Time{}
 	} else {
 		lk.lostClaim()
 	}
-	lk.settle()
 	for _, h := range lk.held.in {
 		p.sawEntry(lk, h.node, lk.held.session)
 	}
 	p.sink.wake()
 }
 
-// dropDelegs forgets every lock's record — lease, hint, parked direct
-// grant and pending notice — because all of them are claims against the
-// old reign's lock manager: rebase's (which also restarts every
+// dropDelegs forgets every lock's lease, because a lease is a claim
+// against the old reign's lock manager: rebase's (which also restarts every
 // request's retry schedule, in the same pass), and an election report's
 // (report). An idle cached lock is, for the new reign, simply free:
 // reporting it held would resurrect a holder that never releases. A
@@ -616,77 +542,31 @@ func (p *lockPlane) cancel(l LockID, lk *memberLock, m *wire.Message) {
 }
 
 // release leaves lock l, which this node is inside, and writes what the
-// caller sends once it holds nothing into the caller's empty frames: *up
-// for the root (left empty when a lease keeps the lock here or the return
-// went out already) and, for a peer handoff, *direct for the taker it
-// returns, which is sent first. The leased path writes neither, so it
-// costs its caller no frame copy. A hinted waiter gets the lock directly;
-// a live lease retains it locally; a
-// revoked or expired lease rides the release back to the root; anything
-// else is the classic release, quoting the entry epoch so the root can
-// discard stale duplicates.
-func (p *lockPlane) release(l LockID, lk *memberLock, direct, up *wire.Message) (to int) {
+// caller sends once it holds nothing into the caller's empty frame *up,
+// for the root. The leased path leaves it empty, so it costs its caller
+// no frame copy: a live lease retains the lock locally, and a revoked or
+// expired one rides the release back to the root as the lease return.
+// Anything else is the classic release, quoting the entry epoch so the
+// root can discard stale duplicates.
+func (p *lockPlane) release(l LockID, lk *memberLock, up *wire.Message) {
 	if d := lk.deleg; d != nil { // the common case pays no clock read
 		now := p.sink.now()
-		if h := d.hint; h.Set {
-			d.hint = wire.Hint{}
-			if p.sink.leasing() && h.Node != p.self && slices.Contains(p.members, h.Node) && p.sink.sectionConfirmed(l) {
-				return p.handoff(l, lk, h, now, direct, up)
-			}
-			// Unconfirmed section data (or a stale hint): fall back to the
-			// root path, which sequences the grant behind the data itself.
+		lk.endRequest()
+		if d.entered && !d.revoked && now.Before(d.expiry) && p.sink.leasing() {
+			// Retain: this node's entry stays in the copy and the next
+			// acquisition is a local decision. Zero wire messages.
+			d.entered = false
+		} else {
+			// Revoked or expired: this release doubles as the lease return.
+			p.returnIdleLease(l, lk)
 		}
-		if d.leased {
-			lk.endRequest()
-			if d.entered && !d.revoked && now.Before(d.expiry) && p.sink.leasing() {
-				// Retain: this node's entry stays in the copy and the next
-				// acquisition is a local decision. Zero wire messages.
-				d.entered = false
-			} else {
-				// Revoked or expired: this release doubles as the lease return.
-				p.returnIdleLease(l, lk)
-			}
-			return 0
-		}
-		lk.settle()
+		return
 	}
 	h := lk.held.find(p.self)
 	*up = p.sink.hdr().LockRel(uint32(l), h.epoch, lk.held.session)
 	p.leave(lk, h.epoch)
 	lk.endRequest()
 	p.sink.wake()
-	return 0
-}
-
-// handoff transfers the lock directly to the hinted waiter: one frame on
-// the critical path, plus an asynchronous notice the root validates. The
-// handoff reserves exactly the grant epoch the root's next grant would
-// mint (our entry epoch + 1), which is what lets the root recognise the
-// transfer in whatever frame reaches it first. It writes the direct grant
-// into *direct and the notice into *notice, and returns the taker.
-func (p *lockPlane) handoff(l LockID, lk *memberLock, h wire.Hint, now time.Time, direct, notice *wire.Message) (to int) {
-	epoch := lk.held.find(p.self).epoch // our entry epoch
-	next := epoch + 1                   // the epoch this transfer reserves
-	p.leave(lk, epoch)
-	lk.held.open(0)
-	lk.held.put(holder{node: h.Node, epoch: next, token: h.Token})
-	lk.sawGrant(next)
-	d := p.delegOf(l, lk)
-	d.leased, d.entered, d.reserved, d.successor = false, false, next, h.Node
-	d.noticeB.reset()
-	p.sink.arm(&d.noticeB, now)
-	lk.endRequest()
-	p.sink.emit(obs.EvHandoff, int64(l), int64(h.Node))
-	// The direct grant carries this node's applied watermark: the closing
-	// section's writes are all sequenced at or below it (the handoff only
-	// fires with every echo confirmed), so the new holder defers entry
-	// until its own stream covers that prefix — the GWC data-before-lock
-	// guarantee, kept without the root on the path.
-	hdr := p.sink.hdr()
-	*direct = hdr.HandoffGrant(uint32(l), h.Node, next, h.Token, p.sink.applied())
-	*notice = hdr.HandoffNotice(uint32(l), h.Node, epoch, next)
-	p.sink.wake()
-	return h.Node
 }
 
 // leaseFrame processes a root's lease frame: a grant/extension when it
@@ -700,7 +580,7 @@ func (p *lockPlane) leaseFrame(m *wire.Message) {
 	mine := h != nil && h.epoch == epoch
 	if ttl == 0 {
 		// Revoke demand for the lease on the entry at epoch.
-		if d := lk.deleg; d == nil || !d.leased || !mine {
+		if d := lk.deleg; d == nil || !mine {
 			// No such lease here. If this node already finished with that
 			// grant, the root's record is stale because the original
 			// return (or release) was lost — repeat it so the demand loop
@@ -721,64 +601,16 @@ func (p *lockPlane) leaseFrame(m *wire.Message) {
 	if !mine {
 		return
 	}
-	d := p.delegOf(l, lk)
-	if !d.leased {
+	d := lk.deleg
+	if d == nil {
 		// Holding the grant value without a lease means this node is
 		// inside the section (between grant and Release).
-		d.leased, d.entered = true, true
+		d = &deleg{entered: true}
+		lk.deleg = d
+		markBusy(&p.busy, &lk.busy, l)
 	}
 	d.expiry, d.ttl, d.used, d.revoked = p.sink.now().Add(ttl), ttl, false, false
 	d.renewB.reset()
-}
-
-// handoffGrant processes a direct grant at the designated waiter. The
-// node's reign gate (Node.lockFrame) has checked that it names this
-// node: a root-bound notice that strays to a member is not its to take.
-func (p *lockPlane) handoffGrant(m *wire.Message) {
-	l := LockID(m.Lock)
-	lk := p.at(l)
-	if p.sink.applied() < m.Seq {
-		// Data-before-lock: the handing-off holder's section writes are
-		// sequenced at or below its watermark. Entering before the
-		// stream covers it would read stale guarded state, so the grant
-		// parks until reassembly catches up (deliverParked).
-		d := p.delegOf(l, lk)
-		d.parked, d.grant = true, *m
-		p.grantParked = true
-		p.sink.nack()
-		return
-	}
-	if d := lk.deleg; d != nil {
-		d.parked = false
-	}
-	p.applyLock(m)
-}
-
-// deliverParked installs the lock's parked direct grant once the stream
-// covers its watermark, and forgets one the sequenced confirm (or a later
-// grant) superseded; it reports whether a grant is still parked. The
-// grant is of the reign the member follows: a re-base drops the record.
-func (p *lockPlane) deliverParked(lk *memberLock) (parked bool) {
-	d := lk.deleg
-	if d == nil || !d.parked || p.sink.applied() < d.grant.Seq {
-		return d != nil && d.parked
-	}
-	d.parked = false
-	if m := d.grant; lk.grantEpoch < m.EntryEpoch() {
-		p.applyLock(&m)
-	} else {
-		lk.settle()
-	}
-	return false
-}
-
-// deliverDue runs deliverParked over every listed lock (only a listed
-// lock has a record) and notes whether a grant is still parked.
-func (p *lockPlane) deliverDue() {
-	p.grantParked = false
-	for _, l := range p.busy {
-		p.grantParked = p.deliverParked(&p.recs[l]) || p.grantParked
-	}
 }
 
 // tickLocks is the maintenance tick's pass over the busy locks before
@@ -833,37 +665,28 @@ func (p *lockPlane) watchLock(l LockID, lk *memberLock, now time.Time, budget ti
 	lk.reqB.reset()
 }
 
-// tickDeleg is the maintenance tick's pass over the busy locks' records,
-// after the probe: a parked direct grant the stream now covers is
-// installed, an idle lease that expired or was revoked goes back, one in
-// use renews past its half life, and an unacknowledged handoff notice
-// re-sends.
+// tickDeleg is the maintenance tick's pass over the busy locks' leases,
+// after the probe: an idle lease that expired or was revoked goes back,
+// and one in use renews past its half life.
 func (p *lockPlane) tickDeleg(now time.Time) {
 	for _, l := range p.busy {
 		lk := &p.recs[l]
-		p.deliverParked(lk)
 		d := lk.deleg
 		if d == nil {
 			continue
 		}
-		if d.leased {
-			h := lk.held.find(p.self)
-			if !d.entered && (d.revoked || !now.Before(d.expiry)) {
-				p.returnIdleLease(l, lk)
-			} else if h != nil && d.used && d.expiry.Sub(now) < d.ttl/2 && d.renewB.ready(now) {
-				p.sink.arm(&d.renewB, now)
-				p.sink.emit(obs.EvLeaseRenew, int64(l), 0)
-				// A renewal is a request frame quoting the leased entry's token
-				// and epoch — ordinary request retries quote none, which is how
-				// the root tells a renewal from a holder re-announcing a lost
-				// grant. It must not touch the want/token machinery: no
-				// acquisition is outstanding.
-				p.sink.up(p.sink.hdr().LeaseRenew(uint32(l), h.token, h.epoch))
-			}
-		}
-		if d.reserved != 0 && d.noticeB.ready(now) {
-			p.sink.arm(&d.noticeB, now)
-			p.sink.up(p.sink.hdr().HandoffNotice(uint32(l), d.successor, d.reserved-1, d.reserved))
+		h := lk.held.find(p.self)
+		if !d.entered && (d.revoked || !now.Before(d.expiry)) {
+			p.returnIdleLease(l, lk)
+		} else if h != nil && d.used && d.expiry.Sub(now) < d.ttl/2 && d.renewB.ready(now) {
+			p.sink.arm(&d.renewB, now)
+			p.sink.emit(obs.EvLeaseRenew, int64(l), 0)
+			// A renewal is a request frame quoting the leased entry's token
+			// and epoch — ordinary request retries quote none, which is how
+			// the root tells a renewal from a holder re-announcing a lost
+			// grant. It must not touch the want/token machinery: no
+			// acquisition is outstanding.
+			p.sink.up(p.sink.hdr().LeaseRenew(uint32(l), h.token, h.epoch))
 		}
 	}
 }

@@ -28,17 +28,16 @@ var long = flag.Bool("long", false, "also run TestLockPlaneSmallScope's larger s
 
 // abortBound is the bounded-abort check's k: once the book has taken in
 // a cancel, it forgets the cancelled acquisition — queued or holding —
-// within k further deliveries from the canceller. A handoff racing the
-// cancel can book the canceller again after the cancel landed, until the
-// release the canceller answers the handed-on entry with lands.
-const abortBound = 1
+// within k further deliveries from the canceller. Every entry is one the
+// book sequenced, so the cancel itself takes the acquisition out: k is 0.
+const abortBound = 0
 
 // planeScope is one scope of the enumeration.
 type planeScope struct {
 	requests []int  // by node, the acquisitions it may start; node i has a plane for each i
 	writes   []int  // by node, the guarded writes it may make
 	sessions uint32 // a request asks for one of sessions 0..sessions-1
-	leasing  bool   // the lease and handoff fast paths
+	leasing  bool   // the lease fast path
 	cancels  bool   // callers may cancel
 	clock    bool   // the clock step, request deadlines, and the ticks after the step
 }
@@ -90,13 +89,10 @@ func (p *planeNode) up(m wire.Message)                { p.w.push(p.id, p.w.root(
 func (p *planeNode) emit(obs.EventType, int64, int64) {}
 func (p *planeNode) wake()                            {}
 func (p *planeNode) arm(b *backoff, now time.Time)    { b.due = now.Add(time.Second) }
-func (p *planeNode) nack()                            {}
 func (p *planeNode) suspend()                         {}
 func (p *planeNode) now() time.Time                   { return p.w.now() }
 func (p *planeNode) hdr() wire.Hdr                    { return wire.Hdr{Group: uint32(tGroup), Src: int32(p.id)} }
-func (p *planeNode) applied() uint64                  { return p.seen }
 func (p *planeNode) leasing() bool                    { return p.w.scope.leasing }
-func (p *planeNode) sectionConfirmed(LockID) bool     { return !p.eager }
 
 func (p *planeNode) lk() *memberLock { return p.plane.at(tLock) }
 
@@ -121,7 +117,6 @@ func (b worldBook) emit(obs.EventType, int64, int64) {}
 func (b worldBook) holders(int)                      {}
 func (b worldBook) quorumWaited(time.Time)           {}
 func (b worldBook) arm(bo *backoff, now time.Time)   { bo.due = now.Add(time.Second) }
-func (b worldBook) protoErr(format string, a ...any) { b.w.fail(fmt.Sprintf(format, a...)) }
 func (b worldBook) now() time.Time                   { return b.w.now() }
 func (b worldBook) seq() uint64                      { return b.w.seq }
 func (b worldBook) commit() uint64                   { return b.w.seq }
@@ -155,18 +150,15 @@ func (w *planeWorld) fail(s string) {
 
 func newPlaneWorld(s planeScope) *planeWorld {
 	w := &planeWorld{scope: s, lastOK: make([]uint64, len(s.requests))}
-	members := make([]int, len(s.requests))
-	for i := range members {
-		members[i] = i
-	}
-	w.book = &lockBook{hdr: wire.Hdr{Group: uint32(tGroup)}, members: members}
+	n := len(s.requests)
+	w.book = &lockBook{hdr: wire.Hdr{Group: uint32(tGroup)}}
 	w.book.sink = worldBook{w}
-	w.links = make([][][]wire.Message, len(members)+1)
+	w.links = make([][][]wire.Message, n+1)
 	for i := range w.links {
-		w.links[i] = make([][]wire.Message, len(members)+1)
+		w.links[i] = make([][]wire.Message, n+1)
 	}
-	for i := range members {
-		p := &planeNode{w: w, id: i, plane: &lockPlane{self: i, members: members}}
+	for i := range n {
+		p := &planeNode{w: w, id: i, plane: &lockPlane{self: i}}
 		p.plane.sink = p
 		w.nodes = append(w.nodes, p)
 	}
@@ -176,7 +168,7 @@ func newPlaneWorld(s planeScope) *planeWorld {
 // clone copies the world as it stands.
 func (w *planeWorld) clone() *planeWorld {
 	c := *w
-	c.book = &lockBook{sink: worldBook{&c}, hdr: w.book.hdr, members: w.book.members}
+	c.book = &lockBook{sink: worldBook{&c}, hdr: w.book.hdr}
 	if ls := w.book.locks.peek(tLock); ls != nil {
 		cp := *ls
 		cp.held.in, cp.queue, cp.pending = slices.Clone(ls.held.in), slices.Clone(ls.queue), slices.Clone(ls.pending)
@@ -315,11 +307,8 @@ func (w *planeWorld) apply(in planeInput) {
 		}
 	case 'r':
 		p := w.nodes[in.node]
-		var direct, up wire.Message
-		to := p.plane.release(tLock, p.lk(), &direct, &up)
-		if direct.Type != 0 {
-			w.push(p.id, to, direct)
-		}
+		var up wire.Message
+		p.plane.release(tLock, p.lk(), &up)
 		if up.Type != 0 {
 			p.up(up)
 		}
@@ -382,11 +371,6 @@ func (w *planeWorld) deliver(from, to int, m *wire.Message) {
 			p.eager = false
 		}
 		p.seen = m.Seq
-		if p.plane.grantParked {
-			p.plane.deliverDue()
-		}
-	case m.Holder() == to:
-		w.nodes[to].plane.handoffGrant(m)
 	}
 }
 
@@ -508,21 +492,19 @@ func (w *planeWorld) key() uint64 {
 		u(uint64(q.node), uint64(q.token), bit(q.deadline != 0), uint64(q.session))
 	}
 	u(uint64(ls.lastWinner+1), uint64(ls.lastSession), uint64(ls.foreignEpoch))
-	u(uint64(ls.leaseTo+1), at(ls.revokeB.due), uint64(ls.hintNode+1), uint64(ls.hintToken))
+	u(uint64(ls.leaseTo+1), at(ls.revokeB.due))
 	for _, p := range w.nodes {
 		u(p.seen, bit(p.eager), uint64(p.eagerVal), uint64(p.reqs), bit(p.deadline), bit(p.cancelled), uint64(p.ahead+1), uint64(p.age))
 		for _, t := range p.truths {
 			u(bit(t))
 		}
-		u(bit(p.plane.grantParked), uint64(len(p.plane.busy)))
+		u(uint64(len(p.plane.busy)))
 		lk := p.lk()
 		held(&lk.held)
 		u(uint64(lk.grantEpoch), uint64(lk.lockDone), bit(lk.want), uint64(lk.reqToken), uint64(lk.reqSession))
 		u(at(lk.reqSince), bit(lk.reqDeadline != 0), at(lk.reqB.due), bit(lk.busy))
 		if d := lk.deleg; d != nil {
-			u(1, bit(d.leased), bit(d.entered), bit(d.used), bit(d.revoked), at(d.expiry), uint64(d.ttl), at(d.renewB.due))
-			u(bit(d.hint.Set), uint64(d.hint.Node), uint64(d.hint.Token), uint64(d.reserved), uint64(d.successor), at(d.noticeB.due))
-			u(bit(d.parked), d.grant.Seq, uint64(d.grant.EntryEpoch()), uint64(d.grant.Token()))
+			u(1, bit(d.entered), bit(d.used), bit(d.revoked), at(d.expiry), uint64(d.ttl), at(d.renewB.due))
 		} else {
 			u(0)
 		}

@@ -102,14 +102,11 @@ func TestEveryRebaseEntranceRevokesTheSame(t *testing.T) {
 			g.syncPending[1] = sw
 			lk := g.locks.at(tLock)
 			lk.held.put(holder{node: n.id, epoch: 4})
-			d := g.locks.delegOf(tLock, lk)
-			d.leased, d.expiry = true, now.Add(time.Hour)
+			d := &deleg{expiry: now.Add(time.Hour)}
+			lk.deleg = d
+			markBusy(&g.locks.busy, &lk.busy, tLock)
 			arm(&d.renewB)
-			d.hint = wire.Hint{Node: 2, Token: 1, Set: true}
-			d.reserved, d.successor = 6, 2
-			arm(&d.noticeB)
 			arm(&lk.reqB)
-			d.parked, d.grant = true, wire.Message{Type: wire.THandoff}
 
 			tc.enter(n, g)
 
@@ -148,16 +145,15 @@ func TestEveryRebaseEntranceRevokesTheSame(t *testing.T) {
 	}
 }
 
-// TestDelegRecordDiesWithTheReign takes locks through each part of the
-// delegation record the way the protocol builds it — a lease granted and
-// kept idle across a release, a handoff hint, a handoff notice owed the
-// root, a direct grant parked on its watermark — and then revokes the
-// reign's claims both ways a member does: a re-base, and the report it
-// builds for an election. Either way no lock keeps a record, the idle
-// cached entry is freed (the report reads the lock free), and the next
-// tick unlists every lock, as nothing is left in flight on them.
+// TestDelegRecordDiesWithTheReign takes a lock through the delegation
+// record the way the protocol builds it — a lease granted and kept idle
+// across a release — and then revokes the reign's claims both ways a
+// member does: a re-base, and the report it builds for an election.
+// Either way no lock keeps a record, the idle cached entry is freed (the
+// report reads the lock free), and the next tick unlists every lock, as
+// nothing is left in flight on them.
 func TestDelegRecordDiesWithTheReign(t *testing.T) {
-	const leased, hinted, handed, parked LockID = 1, 2, 3, 4
+	const leased LockID = 1
 	for _, tc := range []struct {
 		name   string
 		revoke func(n *Node, g *memberGroup) *snapReport
@@ -178,47 +174,26 @@ func TestDelegRecordDiesWithTheReign(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			n, g := loneMember(t)
 			n.SetLeases(time.Hour)
-			hint := wire.Hint{Node: 2, Token: 5, Set: true}
 			n.mu.Lock()
 			defer n.mu.Unlock() // held at every failure below
 			hdr := wire.Hdr{Group: uint32(tGroup), Src: 0, Epoch: g.epoch}
-			enter := func(l LockID, epoch uint32, hint wire.Hint) {
-				lk := g.locks.at(l)
-				lk.want, lk.reqToken = true, 7
-				g.locks.applyLock(ptr(hdr.Entry(uint32(l), 0, n.id, epoch, 7, hint)))
-			}
-			enter(leased, 4, wire.Hint{})
+			lk := g.locks.at(leased)
+			lk.want, lk.reqToken = true, 7
+			g.locks.applyLock(ptr(hdr.Entry(uint32(leased), 0, n.id, 4, 7)))
 			n.lockFrame(g, ptr(hdr.LeaseGrant(uint32(leased), 4, 7, time.Hour)))
-			enter(hinted, 3, hint)
-			// A lease granted mid-section, on an entry that carries a hint:
-			// the release hands the lock on and ends the lease.
-			enter(handed, 2, hint)
-			n.lockFrame(g, ptr(hdr.LeaseGrant(uint32(handed), 2, 7, time.Hour)))
-			n.lockFrame(g, ptr(wire.Hdr{Group: uint32(tGroup), Src: 2, Epoch: g.epoch}.HandoffGrant(uint32(parked), n.id, 9, 1, g.nextSeq+10)))
 			n.mu.Unlock()
-			for _, l := range []LockID{leased, handed} {
-				if err := n.Release(tGroup, l); err != nil {
-					t.Logf("release of lock %d: %v", l, err) // the peers never started
-				}
+			if err := n.Release(tGroup, leased); err != nil {
+				t.Fatal(err)
 			}
 			n.mu.Lock()
-			for l, has := range map[LockID]func(d *deleg) bool{
-				leased: func(d *deleg) bool { return d.leased && !d.entered },
-				hinted: func(d *deleg) bool { return d.hint == hint },
-				handed: func(d *deleg) bool { return d.reserved == 3 && d.successor == 2 },
-				parked: func(d *deleg) bool { return d.parked },
-			} {
-				if d := g.locks.at(l).deleg; d == nil || !has(d) {
-					t.Fatalf("lock %d does not hold its part of the record: %+v", l, d)
-				}
+			if d := g.locks.at(leased).deleg; d == nil || d.entered {
+				t.Fatalf("the lock does not hold an idle lease: %+v", d)
 			}
 			if !g.locks.at(leased).held.has(n.id) {
 				t.Fatal("the idle lease's entry is not cached")
 			}
-			for _, l := range []LockID{leased, handed} {
-				if g.locks.at(l).inUse() {
-					t.Fatalf("lock %d reads in use after its release: a new acquisition would be refused as nested", l)
-				}
+			if g.locks.at(leased).inUse() {
+				t.Fatal("the lock reads in use after its release: a new acquisition would be refused as nested")
 			}
 
 			rep := tc.revoke(n, g)

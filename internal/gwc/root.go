@@ -123,7 +123,7 @@ func (n *Node) newRootGroup(cfg GroupConfig, member *memberGroup, epoch uint32, 
 	for i := range r.lastHeard {
 		r.lastHeard[i] = now
 	}
-	r.book = lockBook{sink: &bookShell{n, r}, hdr: n.rootHdr(r), members: r.cfg.Members}
+	r.book = lockBook{sink: &bookShell{n, r}, hdr: n.rootHdr(r)}
 	return r
 }
 
@@ -135,18 +135,17 @@ type bookShell struct {
 	r *rootGroup
 }
 
-func (s *bookShell) multicast(m wire.Message)            { s.n.multicast(s.r, &m) }
-func (s *bookShell) send(to int, m wire.Message)         { s.n.send(to, m) }
-func (s *bookShell) park(m wire.Message)                 { s.n.fenceQueue(s.r, m) }
-func (s *bookShell) emit(typ obs.EventType, a, b int64)  { s.n.emit(typ, s.r.cfg.ID, a, b) }
-func (s *bookShell) holders(delta int)                   { s.n.metrics.Gauge(obs.GaugeSessHolders).Add(int64(delta)) }
-func (s *bookShell) arm(b *backoff, now time.Time)       { s.n.arm(b, now, s.n.boBase(), s.n.boCap()) }
-func (s *bookShell) protoErr(format string, args ...any) { s.n.protoErr(format, args...) }
-func (s *bookShell) now() time.Time                      { return s.n.clock.Now() }
-func (s *bookShell) seq() uint64                         { return s.r.ring.seq() }
-func (s *bookShell) commit() uint64                      { return s.r.commit }
-func (s *bookShell) fenced() bool                        { return s.r.fenced }
-func (s *bookShell) quorumAcks() bool                    { return s.n.quorumAcks }
+func (s *bookShell) multicast(m wire.Message)           { s.n.multicast(s.r, &m) }
+func (s *bookShell) send(to int, m wire.Message)        { s.n.send(to, m) }
+func (s *bookShell) park(m wire.Message)                { s.n.fenceQueue(s.r, m) }
+func (s *bookShell) emit(typ obs.EventType, a, b int64) { s.n.emit(typ, s.r.cfg.ID, a, b) }
+func (s *bookShell) holders(delta int)                  { s.n.metrics.Gauge(obs.GaugeSessHolders).Add(int64(delta)) }
+func (s *bookShell) arm(b *backoff, now time.Time)      { s.n.arm(b, now, s.n.boBase(), s.n.boCap()) }
+func (s *bookShell) now() time.Time                     { return s.n.clock.Now() }
+func (s *bookShell) seq() uint64                        { return s.r.ring.seq() }
+func (s *bookShell) commit() uint64                     { return s.r.commit }
+func (s *bookShell) fenced() bool                       { return s.r.fenced }
+func (s *bookShell) quorumAcks() bool                   { return s.n.quorumAcks }
 func (s *bookShell) leaseTTL() time.Duration {
 	if !s.n.leasing() {
 		return 0
@@ -182,7 +181,7 @@ func (n *Node) rootHandle(r *rootGroup, m *wire.Message) {
 	if r.fenced {
 		switch m.Type {
 		case wire.TUpdate, wire.TLockReq, wire.TLockRel, wire.TLockCancel, wire.TSyncReq,
-			wire.TLeaseRet, wire.THandoff:
+			wire.TLeaseRet:
 			// A fenced root must not sequence, grant, or promise anything
 			// new; park the traffic until quorum contact returns (or the
 			// reign is deposed, which drops the queue — nothing in it was
@@ -195,7 +194,7 @@ func (n *Node) rootHandle(r *rootGroup, m *wire.Message) {
 	switch m.Type {
 	case wire.TUpdate:
 		n.rootUpdate(r, m)
-	case wire.TLockReq, wire.TLockRel, wire.TLockCancel, wire.TLeaseRet, wire.THandoff:
+	case wire.TLockReq, wire.TLockRel, wire.TLockCancel, wire.TLeaseRet:
 		r.book.step(m)
 	case wire.TNack:
 		// A resync probe doubles as a cumulative ack: everything below the

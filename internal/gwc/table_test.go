@@ -146,7 +146,7 @@ func TestIDsPastTheBoundAreDropped(t *testing.T) {
 	}
 	varTypes := []wire.Type{wire.TUpdate, wire.TSeqUpdate, wire.TSnapVar}
 	lockTypes := []wire.Type{wire.TLockReq, wire.TLockRel, wire.TLockCancel, wire.TSeqLock,
-		wire.TSnapLock, wire.TLeaseGrant, wire.TLeaseRet, wire.THandoff}
+		wire.TSnapLock, wire.TLeaseGrant, wire.TLeaseRet}
 	for ni, n := range c.nodes {
 		before := sizes(n)
 		sent := 0
@@ -179,7 +179,7 @@ func TestIDsPastTheBoundAreDropped(t *testing.T) {
 	}
 	// An epoch in a lock-plane frame's Var is not an ID: it may be huge.
 	c.nodes[0].handle(wire.Message{Type: wire.TLockRel, Group: uint32(tGroup), Src: 1, Origin: 1, Lock: uint32(tLock), Var: math.MaxUint32})
-	if got := c.nodes[0].Stats().IDRangeDrops; got != 66 {
+	if got, want := c.nodes[0].Stats().IDRangeDrops, 3*2*(len(varTypes)+len(lockTypes)); got != want {
 		t.Errorf("a large grant epoch was counted as an ID: IDRangeDrops = %d", got)
 	}
 	// The API refuses such IDs the same way, before anything grows.
@@ -347,7 +347,8 @@ func TestBusyListsFollowWhatIsInFlight(t *testing.T) {
 	if want := []VarID{9}; !slices.Equal(g.busyVars, want) || g.vars.at(4).busy {
 		t.Fatalf("after the sweep busyVars = %v, want %v", g.busyVars, want)
 	}
-	g.locks.delegOf(700, g.locks.at(700))
+	g.locks.at(700).held.put(holder{node: n.id, epoch: 1})
+	g.locks.leaseFrame(ptr(wire.Hdr{Group: uint32(tGroup)}.LeaseGrant(700, 1, 0, time.Hour)))
 	if want := []LockID{2, 700, maxRecords - 1}; !slices.Equal(g.locks.busy, want) {
 		t.Fatalf("re-marked busy = %v, want %v", g.locks.busy, want)
 	}
@@ -358,7 +359,7 @@ func TestBusyListsFollowWhatIsInFlight(t *testing.T) {
 }
 
 // TestBusyListsCoverLeaseTraffic runs a leased convoy (leases, revokes,
-// hints, direct handoffs, guarded stores) and checks on every node, while
+// guarded stores) and checks on every node, while
 // it runs and after it settles, that nothing the tick must drive is
 // missing from the lists — and that a settled group lists nothing.
 func TestBusyListsCoverLeaseTraffic(t *testing.T) {
@@ -383,14 +384,14 @@ func TestBusyListsCoverLeaseTraffic(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				// A section with an unconfirmed store releases through the root;
-				// the others may hand off directly.
+				// Every fourth section makes a guarded store, so the variable
+				// lists carry state too.
 				if k%4 == 0 {
 					if err := n.Write(tGroup, tVar, int64(k)); err != nil {
 						t.Error(err)
 					}
 				}
-				time.Sleep(100 * time.Microsecond) // let a queue (and so a hint) form
+				time.Sleep(100 * time.Microsecond) // let a queue (and so a revoke) form
 				if err := n.Release(tGroup, tLock); err != nil {
 					t.Error(err)
 					return
@@ -407,8 +408,8 @@ func TestBusyListsCoverLeaseTraffic(t *testing.T) {
 			time.Sleep(200 * time.Microsecond)
 		}
 	}
-	if st := c.nodes[0].Stats(); st.LeaseGrants == 0 || st.HandoffCommits == 0 {
-		t.Errorf("the convoy exercised no lease (%d) or no handoff (%d)", st.LeaseGrants, st.HandoffCommits)
+	if st := c.nodes[0].Stats(); st.LeaseGrants == 0 {
+		t.Error("the convoy exercised no lease")
 	}
 	waitFor(t, c, 5*time.Second, "every busy list to drain", func() bool {
 		check()
@@ -433,7 +434,6 @@ func TestBusyListsCoverLeaseTraffic(t *testing.T) {
 func TestEverySetterMarksItsRecord(t *testing.T) {
 	c := leaseCluster(t, 3, true, time.Hour)
 	root, n := c.nodes[0], c.nodes[1]
-	mine := GrantValue(n.id)
 	listed := func(what string, l LockID) {
 		t.Helper()
 		g := n.groups[tGroup]
@@ -454,50 +454,14 @@ func TestEverySetterMarksItsRecord(t *testing.T) {
 	listed("a lock request", 5)
 
 	g := n.groups[tGroup]
-	// A grant carrying a handoff hint.
-	lk := g.locks.at(6)
-	lk.want, lk.reqToken = true, 9
-	g.locks.applyLock(&wire.Message{Type: wire.TSeqLock, Lock: 6, Val: mine, Var: 1, Origin: 9, Deadline: int64(4)<<32 | int64(2+1)})
-	if lk.deleg == nil || !lk.deleg.hint.Set {
-		t.Fatal("the grant's hint was not captured")
-	}
-	listed("a hinted grant", 6)
-
 	// A lease on a lock held mid-section.
-	lk = g.locks.at(7)
+	lk := g.locks.at(7)
 	lk.held.put(holder{node: n.id, epoch: 3})
 	n.lockFrame(g, &wire.Message{Type: wire.TLeaseGrant, Group: uint32(tGroup), Lock: 7, Var: 3, Deadline: int64(time.Hour), Epoch: g.epoch})
-	if lk.deleg == nil || !lk.deleg.leased {
+	if lk.deleg == nil {
 		t.Fatal("the lease was not installed")
 	}
 	listed("a lease grant", 7)
-
-	// A direct grant parked on its watermark.
-	lk = g.locks.at(8)
-	n.lockFrame(g, &wire.Message{Type: wire.THandoff, Group: uint32(tGroup), Lock: 8, Val: mine, Var: 5, Seq: g.nextSeq + 10, Epoch: g.epoch})
-	if lk.deleg == nil || !lk.deleg.parked {
-		t.Fatal("the direct grant was not parked")
-	}
-	listed("a parked handoff", 8)
-
-	// A handoff notice awaiting the root (sent, as Release sends them,
-	// with n.mu dropped).
-	lk = g.locks.at(9)
-	lk.held.put(holder{node: n.id, epoch: 1})
-	var direct, notice wire.Message
-	to := g.locks.handoff(9, lk, wire.Hint{Node: 2, Token: 1, Set: true}, n.clock.Now(), &direct, &notice)
-	n.mu.Unlock()
-	if err := n.ep.Send(to, direct); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.ep.Send(root.id, notice); err != nil {
-		t.Fatal(err)
-	}
-	n.mu.Lock()
-	if d := g.locks.at(9).deleg; d == nil || d.reserved != 2 {
-		t.Fatal("no handoff notice pending")
-	}
-	listed("a handoff notice", 9)
 	n.mu.Unlock()
 
 	// An unconfirmed guarded store: the root is held still, so no echo

@@ -80,14 +80,12 @@ const (
 	EvDigestSweep // root began an anti-entropy digest sweep; A=watermark seq
 	EvDivergence  // a member's state digest diverged from the root's; A=diverged node, B=watermark seq
 
-	// Lock leasing and peer handoff.
-	EvLeaseGrant    // root issued or extended a lock lease; A=lock, B=holder
-	EvLeaseReturn   // a lease came back to the root; A=lock, B=holder
-	EvLeaseRevoke   // root demanded a lease back; A=lock, B=holder
-	EvLeaseRenew    // member asked the root to extend its lease; A=lock
-	EvLeaseLocal    // a leased re-acquire was decided locally, no wire traffic; A=lock
-	EvHandoff       // member: a releasing holder handed the lock directly to a waiter; A=lock, B=new holder
-	EvHandoffCommit // root: a direct transfer was observed and committed; A=lock, B=new holder
+	// Lock leasing.
+	EvLeaseGrant  // root issued or extended a lock lease; A=lock, B=holder
+	EvLeaseReturn // a lease came back to the root; A=lock, B=holder
+	EvLeaseRevoke // root demanded a lease back; A=lock, B=holder
+	EvLeaseRenew  // member asked the root to extend its lease; A=lock
+	EvLeaseLocal  // a leased re-acquire was decided locally, no wire traffic; A=lock
 
 	// Received traffic the node discards as malformed.
 	EvIDRangeDrop // frame naming a lock or variable past the table bound; A=frame type, B=sender
@@ -137,7 +135,6 @@ var evNames = [NumEventTypes]string{
 	EvDigestSweep: "digest-sweep", EvDivergence: "divergence",
 	EvLeaseGrant: "lease-grant", EvLeaseReturn: "lease-return", EvLeaseRevoke: "lease-revoke",
 	EvLeaseRenew: "lease-renew", EvLeaseLocal: "lease-local",
-	EvHandoff: "handoff", EvHandoffCommit: "handoff-commit",
 	EvIDRangeDrop: "id-range-drop", EvProtoErr: "proto-err",
 }
 

@@ -23,7 +23,7 @@ import (
 //	TLockReq     renewal       node    token      entry epoch  lock  —             —         —
 //	TLockRel                   node    —          entry epoch  lock  —             —         session
 //	TLockCancel                node    —          —            lock  —             —         —
-//	TSeqLock     entry         token   seq        entry epoch  lock  GrantValue    hint      session
+//	TSeqLock     entry         token   seq        entry epoch  lock  GrantValue    —         session
 //	TSeqLock     leave         —       seq        entry epoch  lock  RequestValue  —         session
 //	TSeqLock     close         —       seq        lock epoch   lock  Free          —         session
 //	TNack                      —       from       —            —     to            —         —
@@ -43,16 +43,12 @@ import (
 //	TLeaseGrant  grant         token   —          entry epoch  lock  —             TTL       —
 //	TLeaseGrant  revoke        token   —          entry epoch  lock  —             —         —
 //	TLeaseRet                  node    —          entry epoch  lock  —             —         —
-//	THandoff     direct grant  token   watermark  entry epoch  lock  GrantValue    —         —
-//	THandoff     notice        node    reserved   entry epoch  lock  GrantValue    —         —
 //	TBatch                     —       —          —            —     count         —         —        (Batch: the frames)
 //
 // A token numbers one acquisition of a lock at its requester; a ticket
 // numbers one rejoin or sync attempt; an entry epoch is the grant epoch a
 // section's entry was announced with; a tag is the newest grant epoch the
-// writer had seen; a nonce numbers the writer's guarded stores; a
-// reserved epoch is the one a peer handoff claims; a watermark is the
-// sequence number the handing-off holder had applied.
+// writer had seen; a nonce numbers the writer's guarded stores.
 
 // Free is the lock word of a free lock (the paper's -99..99: a unique
 // negative number matching no processor ID).
@@ -79,15 +75,6 @@ type Hdr struct {
 	Group uint32
 	Src   int32
 	Epoch uint32
-}
-
-// Hint names the queued waiter a grant designates as its holder's
-// direct-handoff target, and the token of that waiter's request. Set is
-// false on a grant that designates nobody.
-type Hint struct {
-	Node  int
-	Token uint32
-	Set   bool
 }
 
 // frame stamps h on m: the one place a builder's header is filled.
@@ -143,13 +130,9 @@ func (h Hdr) LeaseRet(lock, epoch uint32) Message {
 }
 
 // Entry announces node's entry into session at epoch, answering its
-// request token; hint is the handoff target the grant designates.
-func (h Hdr) Entry(lock, session uint32, node int, epoch, token uint32, hint Hint) Message {
-	m := h.frame(Message{Type: TSeqLock, Lock: lock, Session: session, Val: GrantValue(node), Var: epoch, Origin: int32(token)})
-	if hint.Set {
-		m.Deadline = int64(hint.Token)<<32 | int64(uint32(hint.Node+1)) // node+1 keeps node 0 apart from no hint
-	}
-	return m
+// request token.
+func (h Hdr) Entry(lock, session uint32, node int, epoch, token uint32) Message {
+	return h.frame(Message{Type: TSeqLock, Lock: lock, Session: session, Val: GrantValue(node), Var: epoch, Origin: int32(token)})
 }
 
 // Leave announces that node, in at epoch, left a section that stays open.
@@ -160,18 +143,6 @@ func (h Hdr) Leave(lock, session uint32, node int, epoch uint32) Message {
 // Close announces the lock free; epoch is its newest.
 func (h Hdr) Close(lock, session, epoch uint32) Message {
 	return h.frame(Message{Type: TSeqLock, Lock: lock, Session: session, Val: Free, Var: epoch})
-}
-
-// HandoffGrant hands lock straight to node at the reserved epoch,
-// answering its request token; node enters once it has applied watermark.
-func (h Hdr) HandoffGrant(lock uint32, node int, epoch, token uint32, watermark uint64) Message {
-	return h.frame(Message{Type: THandoff, Lock: lock, Val: GrantValue(node), Var: epoch, Origin: int32(token), Seq: watermark})
-}
-
-// HandoffNotice tells the root the sender, in at epoch, handed lock to
-// node at the reserved epoch.
-func (h Hdr) HandoffNotice(lock uint32, node int, epoch, reserved uint32) Message {
-	return h.own(Message{Type: THandoff, Lock: lock, Val: GrantValue(node), Var: epoch, Seq: uint64(reserved)})
 }
 
 // LeaseGrant leases the entry at epoch, answering token, for ttl.
@@ -251,8 +222,7 @@ func (h Hdr) Batch(ms []Message) Message { return h.frame(Message{Type: TBatch, 
 // Hdr is m's header.
 func (m *Message) Hdr() Hdr { return Hdr{Group: m.Group, Src: m.Src, Epoch: m.Epoch} }
 
-// Token is the acquisition token of a lock request, entry, direct grant
-// or lease frame.
+// Token is the acquisition token of a lock request, entry or lease frame.
 func (m *Message) Token() uint32 {
 	if m.Type == TLockReq {
 		return uint32(m.Seq)
@@ -276,19 +246,8 @@ func (m *Message) Nonce() uint64 { return uint64(m.Deadline) }
 // CallerDeadline is a lock request's give-up time (Unix nanoseconds, 0 = none).
 func (m *Message) CallerDeadline() int64 { return m.Deadline }
 
-// Hint unpacks an entry's handoff hint: the one reader of what Entry packs.
-func (m *Message) Hint() Hint {
-	if node := int(uint32(m.Deadline)) - 1; node >= 0 {
-		return Hint{Node: node, Token: uint32(m.Deadline >> 32), Set: true}
-	}
-	return Hint{}
-}
-
 // TTL is a lease grant's duration; zero marks a revoke demand.
 func (m *Message) TTL() time.Duration { return time.Duration(m.Deadline) }
-
-// Reserved is the grant epoch a handoff notice claims.
-func (m *Message) Reserved() uint32 { return uint32(m.Seq) }
 
 // Repair reports whether a digest probe is a repair directive.
 func (m *Message) Repair() bool { return m.Var == 1 }
@@ -313,15 +272,14 @@ func (m *Message) ID() uint32 {
 	switch m.Type {
 	case TUpdate, TSeqUpdate, TSnapVar:
 		return m.Var
-	case TLockReq, TLockRel, TLockCancel, TSeqLock, TSnapLock, TLeaseGrant, TLeaseRet, THandoff:
+	case TLockReq, TLockRel, TLockCancel, TSeqLock, TSnapLock, TLeaseGrant, TLeaseRet:
 		return m.Lock
 	}
 	return 0
 }
 
-// ToRoot reports whether the group root handles frames of kind t (THandoff
-// goes to the root when the receiver roots the group, and to the member
-// otherwise; TJoinReq to whoever it reaches).
+// ToRoot reports whether the group root handles frames of kind t (TJoinReq
+// goes to whoever it reaches).
 func (t Type) ToRoot() bool {
 	switch t {
 	case TUpdate, TLockReq, TLockRel, TNack, TLockCancel, TSnapReq, TAck, TSyncReq, TDigestAck, TLeaseRet:

@@ -118,18 +118,10 @@ const (
 	// its normal release path. Var quotes the grant epoch the lease was
 	// issued under, like TLockRel.
 	TLeaseRet
-	// THandoff transfers a lock directly from a releasing holder to the
-	// next queued waiter the root hinted at grant time. Sent twice by the
-	// holder: to the waiter as a direct grant (HandoffGrant) and to the
-	// root as an asynchronous notice (HandoffNotice) so the root can
-	// record the transfer. The root
-	// stays the arbiter: a notice that no longer matches its lock state is
-	// discarded and the holder's release falls back to the normal path.
-	THandoff
 )
 
 // typeMax is the highest valid message type, used by decode validation.
-const typeMax = THandoff
+const typeMax = TLeaseRet
 
 // String implements fmt.Stringer.
 func (t Type) String() string {
@@ -178,8 +170,6 @@ func (t Type) String() string {
 		return "lease-grant"
 	case TLeaseRet:
 		return "lease-ret"
-	case THandoff:
-		return "handoff"
 	default:
 		return fmt.Sprintf("type(%d)", uint8(t))
 	}
@@ -190,7 +180,7 @@ func (t Type) String() string {
 // at the cost of a few bytes — the paper's updates are small anyway).
 //
 // Each field's comment gives its first meaning. Most fields carry other
-// operands on some kinds — a token, an entry epoch, a nonce, a hint, a
+// operands on some kinds — a token, an entry epoch, a nonce, a TTL, a
 // digest — and the table at the top of frames.go says which, kind by
 // kind. Build frames with the Hdr constructors there and read second
 // meanings through the views there, not through the raw fields.
@@ -229,8 +219,8 @@ type Message struct {
 	// means none), so the root can drop a request whose originator has
 	// already given up instead of granting into the void; comparisons
 	// assume roughly synchronized clocks, so it is an optimization, never a
-	// correctness lever. On other kinds it carries a store nonce, a lease
-	// TTL or a packed handoff hint (frames.go).
+	// correctness lever. On other kinds it carries a store nonce or a lease
+	// TTL (frames.go).
 	Deadline int64
 	// Batch holds the inner messages of a TBatch frame (nil otherwise).
 	// Inner messages must share the frame's group and may not themselves

@@ -50,7 +50,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		{Type: TLeaseGrant, Group: 2, Src: 0, Origin: 7, Lock: 1, Var: 6, Deadline: int64(5e9), Epoch: 3},
 		{Type: TLeaseGrant, Group: 2, Src: 0, Origin: 7, Lock: 1, Var: 6, Epoch: 3}, // revoke demand: zero deadline
 		{Type: TLeaseRet, Group: 2, Src: 4, Origin: 4, Lock: 1, Var: 6, Epoch: 3},
-		{Type: THandoff, Group: 2, Src: 4, Origin: 9, Seq: 55, Lock: 1, Var: 7, Val: 3, Epoch: 3},
 	}
 	for _, m := range tests {
 		buf := Encode(nil, m)
@@ -73,7 +72,7 @@ func TestRoundTripProperty(t *testing.T) {
 		TUpdate, TLockReq, TLockRel, TSeqUpdate, TSeqLock, TNack,
 		THeartbeat, TSnapReq, TSnapVar, TSnapLock, TSnapDone, TLockCancel,
 		TAck, TJoinReq, TJoinAck, TSyncReq, TSyncAck, TDigestReq, TDigestAck,
-		TLeaseGrant, TLeaseRet, THandoff,
+		TLeaseGrant, TLeaseRet,
 	}
 	prop := func(g uint32, src, origin int32, seq uint64, v, l uint32, val int64, guarded bool, kind uint8, epoch uint32, deadline int64, session uint32) bool {
 		m := Message{
@@ -229,7 +228,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add(Encode(nil, Message{Type: TDigestAck, Group: 2, Src: 4, Seq: 129, Val: 55, Epoch: 3}))
 	f.Add(Encode(nil, Message{Type: TLeaseGrant, Group: 2, Src: 0, Origin: 7, Lock: 1, Var: 6, Deadline: int64(5e9), Epoch: 3}))
 	f.Add(Encode(nil, Message{Type: TLeaseRet, Group: 2, Src: 4, Origin: 4, Lock: 1, Var: 6, Epoch: 3}))
-	f.Add(Encode(nil, Message{Type: THandoff, Group: 2, Src: 4, Origin: 9, Seq: 55, Lock: 1, Var: 7, Val: 3, Epoch: 3}))
+	// The first type byte past the last kind: a frame that decodes as corrupt.
+	f.Add(Encode(nil, Message{Type: typeMax + 1, Group: 2, Src: 4, Origin: 9, Seq: 55, Lock: 1, Var: 7, Val: 3, Epoch: 3}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
 		if err != nil {
@@ -348,21 +348,20 @@ func FuzzReignFrames(f *testing.F) {
 	})
 }
 
-// FuzzLeaseFrames drives the lease and handoff builders — a lease grant
-// and its revoke demand, a lease return and a renewal, a direct handoff
-// grant and its notice — with fuzzed operands. Beyond the frame checks and
-// every view returning its operand, the layout must be byte-identical to
-// the established lock frames (same offsets, only the type byte and the
-// CRC trailer differ), so these kinds cannot have grown a divergent
-// encoding.
+// FuzzLeaseFrames drives the lease builders — a lease grant and its
+// revoke demand, a lease return and a renewal — with fuzzed operands.
+// Beyond the frame checks and every view returning its operand, the
+// layout must be byte-identical to the established lock frames (same
+// offsets, only the type byte and the CRC trailer differ), so these kinds
+// cannot have grown a divergent encoding.
 func FuzzLeaseFrames(f *testing.F) {
-	f.Add(uint8(0), uint32(2), int32(0), uint32(3), uint32(1), uint32(6), uint32(7), uint16(4), uint64(0), int64(5e9))
-	f.Add(uint8(4), uint32(1), int32(4), uint32(7), uint32(0), uint32(8), uint32(4), uint16(0), uint64(9), int64(0))
-	f.Add(uint8(5), uint32(9), int32(4), uint32(0), uint32(2), uint32(1<<31), uint32(9), uint16(3), uint64(1)<<40, int64(-3))
-	f.Fuzz(func(t *testing.T, kind uint8, group uint32, src int32, epoch, lock, entry, token uint32, node uint16, seq uint64, ttl int64) {
+	f.Add(uint8(0), uint32(2), int32(0), uint32(3), uint32(1), uint32(6), uint32(7), int64(5e9))
+	f.Add(uint8(2), uint32(1), int32(4), uint32(7), uint32(0), uint32(8), uint32(4), int64(0))
+	f.Add(uint8(3), uint32(9), int32(4), uint32(0), uint32(2), uint32(1<<31), uint32(9), int64(-3))
+	f.Fuzz(func(t *testing.T, kind uint8, group uint32, src int32, epoch, lock, entry, token uint32, ttl int64) {
 		h := Hdr{Group: group, Src: src, Epoch: epoch}
 		var m *Message
-		switch kind % 6 {
+		switch kind % 4 {
 		case 0:
 			m = checkFrame(t, h, h.LeaseGrant(lock, entry, token, time.Duration(ttl)))
 			if m.Type != TLeaseGrant || m.TTL() != time.Duration(ttl) || m.Token() != token {
@@ -382,16 +381,6 @@ func FuzzLeaseFrames(f *testing.F) {
 			m = checkFrame(t, h, h.LeaseRenew(lock, token, entry))
 			if m.Type != TLockReq || m.Token() != token || m.Origin != src || m.CallerDeadline() != 0 {
 				t.Fatalf("renewal: %+v", m)
-			}
-		case 4:
-			m = checkFrame(t, h, h.HandoffGrant(lock, int(node), entry, token, seq))
-			if m.Type != THandoff || m.Holder() != int(node) || m.Token() != token || m.Seq != seq {
-				t.Fatalf("direct grant: %+v", m)
-			}
-		case 5:
-			m = checkFrame(t, h, h.HandoffNotice(lock, int(node), entry, token))
-			if m.Type != THandoff || m.Holder() != int(node) || m.Reserved() != token || m.Origin != src {
-				t.Fatalf("handoff notice: %+v", m)
 			}
 		}
 		if m.Lock != lock || m.EntryEpoch() != entry || m.Session != 0 {
@@ -462,16 +451,16 @@ func TestDigestFrameRoundTrip(t *testing.T) {
 }
 
 // FuzzSessionFrames drives the lock-protocol builders that carry a
-// session — a request, a release, an entry (with or without a handoff
-// hint), a leave, a close and a state stream's lock word — and the cancel,
-// with fuzzed operands. The session rides at the end of the fixed layout;
-// every view, the session above all, must return what the frame was built
-// with, and no operand may perturb its neighbours.
+// session — a request, a release, an entry, a leave, a close and a state
+// stream's lock word — and the cancel, with fuzzed operands. The session
+// rides at the end of the fixed layout; every view, the session above
+// all, must return what the frame was built with, and no operand may
+// perturb its neighbours.
 func FuzzSessionFrames(f *testing.F) {
-	f.Add(uint8(0), uint32(2), int32(4), uint32(3), uint32(1), uint32(5), uint32(12), uint32(1), uint16(2), int64(0), false)
-	f.Add(uint8(2), uint32(1), int32(0), uint32(7), uint32(9), uint32(6), uint32(7), uint32(0), uint16(0), int64(1)<<50, true)
-	f.Add(uint8(5), uint32(9), int32(-1), uint32(0), uint32(0), uint32(1<<31), uint32(0), uint32(1<<31), uint16(9), int64(-6), false)
-	f.Fuzz(func(t *testing.T, kind uint8, group uint32, src int32, epoch, lock, entry, token, session uint32, node uint16, x int64, hinted bool) {
+	f.Add(uint8(0), uint32(2), int32(4), uint32(3), uint32(1), uint32(5), uint32(12), uint32(1), uint16(2), int64(0))
+	f.Add(uint8(2), uint32(1), int32(0), uint32(7), uint32(9), uint32(6), uint32(7), uint32(0), uint16(0), int64(1)<<50)
+	f.Add(uint8(5), uint32(9), int32(-1), uint32(0), uint32(0), uint32(1<<31), uint32(0), uint32(1<<31), uint16(9), int64(-6))
+	f.Fuzz(func(t *testing.T, kind uint8, group uint32, src int32, epoch, lock, entry, token, session uint32, node uint16, x int64) {
 		h := Hdr{Group: group, Src: src, Epoch: epoch}
 		var m *Message
 		switch kind % 7 {
@@ -486,17 +475,13 @@ func FuzzSessionFrames(f *testing.F) {
 				t.Fatalf("release: %+v", m)
 			}
 		case 2:
-			hint := Hint{Node: int(uint16(x)), Token: uint32(x >> 16), Set: hinted}
-			m = checkFrame(t, h, h.Entry(lock, session, int(node), entry, token, hint))
-			if !hinted {
-				hint = Hint{}
-			}
-			if m.Type != TSeqLock || m.Holder() != int(node) || m.EntryEpoch() != entry || m.Token() != token || m.Hint() != hint {
-				t.Fatalf("entry: %+v (hint %+v), built with hint %+v", m, m.Hint(), hint)
+			m = checkFrame(t, h, h.Entry(lock, session, int(node), entry, token))
+			if m.Type != TSeqLock || m.Holder() != int(node) || m.EntryEpoch() != entry || m.Token() != token || m.Deadline != 0 {
+				t.Fatalf("entry: %+v", m)
 			}
 		case 3:
 			m = checkFrame(t, h, h.Leave(lock, session, int(node), entry))
-			if m.Type != TSeqLock || m.Requester() != int(node) || m.Holder() != -1 || m.EntryEpoch() != entry || m.Hint().Set {
+			if m.Type != TSeqLock || m.Requester() != int(node) || m.Holder() != -1 || m.EntryEpoch() != entry || m.Deadline != 0 {
 				t.Fatalf("leave: %+v", m)
 			}
 		case 4:
@@ -575,7 +560,6 @@ func TestTypeString(t *testing.T) {
 		{TDigestAck, "digest-ack"},
 		{TLeaseGrant, "lease-grant"},
 		{TLeaseRet, "lease-ret"},
-		{THandoff, "handoff"},
 		{Type(99), "type(99)"},
 	}
 	for _, tt := range tests {

@@ -209,23 +209,21 @@ func WithIntegrity(interval time.Duration) Option {
 	return optionFunc(func(o *options) { o.integrity = interval })
 }
 
-// WithLeases enables lock leasing and peer-to-peer handoff with the
-// given lease TTL. When a lock is granted with nobody queued behind it,
-// the group root leases it to the winner: re-acquiring it there is a
-// purely local decision while the lease holds — zero wire messages,
-// down from the three-message root round trip — with in-use leases
-// renewed on the adaptive-retry schedule and idle ones returned at
-// expiry. When a lock is granted with waiters queued, the grant carries
-// the head waiter's identity and the releasing holder hands the lock to
-// it directly (one frame on the critical path), notifying the root
-// asynchronously; the root stays the arbiter and every conflict falls
-// back to the classic queue. Leases never survive a reign change, a
-// fenced root demands them back, and the root frees a leased lock only
-// on an explicit return, release, or the holder's rejoin — never on
-// expiry alone — so a slow clock cannot mint two exclusive holders.
-// NewCluster refuses it together with WithQuorumAcks: leased re-entries
-// and direct transfers would bypass the durability watermark. Zero (the
-// default) disables leasing.
+// WithLeases enables lock leasing with the given lease TTL. When a lock
+// is granted with nobody queued behind it, the group root leases it to
+// the winner: re-acquiring it there is a purely local decision while the
+// lease holds — zero wire messages, down from the three-message root
+// round trip — with in-use leases renewed on the adaptive-retry schedule
+// and idle ones returned at expiry. A request from another node makes the
+// root demand the lease back; the leaseholder returns it at its next
+// release, and the root grants the waiter as it grants any queued
+// request. Every hand-over of a lock is a grant the root sequenced.
+// Leases never survive a reign change, a fenced root demands them back,
+// and the root frees a leased lock only on an explicit return, release,
+// or the holder's rejoin — never on expiry alone — so a slow clock cannot
+// mint two exclusive holders. NewCluster refuses it together with
+// WithQuorumAcks: leased re-entries would bypass the durability
+// watermark. Zero (the default) disables leasing.
 func WithLeases(ttl time.Duration) Option {
 	return optionFunc(func(o *options) { o.leases = ttl })
 }
@@ -303,7 +301,7 @@ func NewCluster(n int, opts ...Option) (*Cluster, error) {
 		opt.apply(&o)
 	}
 	if o.leases > 0 && o.quorumAcks {
-		return nil, fmt.Errorf("optsync: WithLeases cannot be combined with WithQuorumAcks: leased re-entries and direct handoffs would bypass the quorum-ack watermark")
+		return nil, fmt.Errorf("optsync: WithLeases cannot be combined with WithQuorumAcks: leased re-entries would bypass the quorum-ack watermark")
 	}
 
 	var (
