@@ -166,13 +166,3 @@ func TestGroupAccessors(t *testing.T) {
 		t.Error("Mutex.Group() does not return the declaring group")
 	}
 }
-
-// A small retransmission buffer still configures a working cluster.
-func TestRetransmitBufferAlias(t *testing.T) {
-	c, g, _, _ := newTestCluster(t, 2, WithRetransmitBuffer(64))
-	free := g.Int("free")
-	if err := c.MustHandle(1).Write(free, 1); err != nil {
-		t.Fatal(err)
-	}
-	waitRead(t, c.MustHandle(0), free, 1)
-}

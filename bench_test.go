@@ -460,40 +460,6 @@ func BenchmarkSimKernelEvents(b *testing.B) {
 	k.Run()
 }
 
-// BenchmarkAblationTreeFanout compares direct root fanout against
-// spanning-tree distribution on the live runtime: time for a burst of
-// writes to become visible at the node farthest from the root.
-func BenchmarkAblationTreeFanout(b *testing.B) {
-	for _, mode := range []string{"direct", "tree"} {
-		b.Run(mode, func(b *testing.B) {
-			c, err := NewCluster(16)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer func() { _ = c.Close() }()
-			var gopts []GroupOption
-			if mode == "tree" {
-				gopts = append(gopts, TreeFanout())
-			}
-			g, err := c.NewGroup("bench", 0, gopts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			v := g.Int("v")
-			writer, far := c.MustHandle(0), c.MustHandle(15)
-			b.ResetTimer()
-			for i := 1; i <= b.N; i++ {
-				if err := writer.Write(v, int64(i)); err != nil {
-					b.Fatal(err)
-				}
-				if err := far.WaitGE(v, int64(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkBatchedWrites compares the batched and unbatched update
 // planes on bursts of writes: a writer stores a round number into a
 // burst of variables and a far reader waits for the last one, so each

@@ -22,8 +22,7 @@ import (
 //     before the lock changes hands" is preserved verbatim;
 //   - the root sequences a whole incoming batch under one acquisition of
 //     the node lock, assigns it a contiguous sequence range, and fans out
-//     one TBatch frame per member (or per spanning-tree child) instead
-//     of one frame per message;
+//     one TBatch frame per member instead of one frame per message;
 //   - NACK retransmission and failover state streams ride the same frame
 //     type, so loss recovery and elections pack their bursts too.
 //
@@ -149,8 +148,7 @@ func (n *Node) flushWrites(g *memberGroup, why obs.EventType) {
 // handleBatch dispatches one batch frame. Up-plane batches are sequenced
 // by the root in one pass — one node-lock acquisition, one contiguous
 // sequence range, one outgoing frame per member; down-plane batches are
-// relayed down the spanning tree as a single frame and then ingested
-// message by message; snapshot/report batches feed the failover
+// ingested message by message; snapshot/report batches feed the failover
 // machinery. A frame naming an ID past the table bound anywhere inside
 // is dropped whole. Caller holds n.mu.
 func (n *Node) handleBatch(frame *wire.Message) {
@@ -195,22 +193,8 @@ func (n *Node) handleBatch(frame *wire.Message) {
 			n.protoErr("gwc: node %d got sequenced batch for unknown group %d", n.id, frame.Group)
 			return
 		}
-		// Relay the whole frame down the tree once if it brings anything
-		// new (children drop the duplicates), then ingest with the
-		// per-message relay suppressed.
-		if len(g.children) > 0 {
-			for i := range frame.Batch {
-				m := &frame.Batch[i]
-				if m.Epoch >= g.epoch && m.Seq >= g.nextSeq {
-					if _, dup := g.pending[m.Seq]; !dup {
-						n.forwardDown(g, frame)
-						break
-					}
-				}
-			}
-		}
 		for i := range frame.Batch {
-			n.ingest(g, &frame.Batch[i], false)
+			n.ingest(g, &frame.Batch[i])
 		}
 		n.maybeSendAck(g)
 	case t == wire.TSnapVar || t == wire.TSnapLock || t == wire.TSnapDone:
@@ -229,8 +213,7 @@ func (n *Node) handleBatch(frame *wire.Message) {
 
 // rootEndBatch closes the root's collection window: every message that
 // multicast sequenced while processing the incoming batch leaves in one
-// frame per destination — the group members directly, or the root's
-// spanning-tree children in tree-fanout mode. Caller holds n.mu.
+// frame, fanned out to every member. Caller holds n.mu.
 func (n *Node) rootEndBatch(r *rootGroup) {
 	r.collecting = false
 	q := r.outBatch
@@ -245,15 +228,7 @@ func (n *Node) rootEndBatch(r *rootGroup) {
 		n.emit(obs.EvBatchSent, r.cfg.ID, int64(len(q)), -1)
 		frame = n.rootHdr(r).Batch(q)
 	}
-	if r.cfg.TreeFanout {
-		n.forwardDown(r.member, &frame)
-		return
-	}
-	for _, member := range r.cfg.Members {
-		if member != n.id {
-			n.push(member, &frame)
-		}
-	}
+	n.fanOut(r, &frame)
 }
 
 // sendStream ships a state stream (snapshot or election report, or a

@@ -138,56 +138,6 @@ func TestBatchGuardedEpochsNotCombined(t *testing.T) {
 	}
 }
 
-func TestBatchTreeFanout(t *testing.T) {
-	net, err := transport.NewInProc(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	members := make([]int, 9)
-	for i := range members {
-		members[i] = i
-	}
-	c := &cluster{net: net, nodes: make([]*Node, 9)}
-	for i := range c.nodes {
-		ep, err := net.Endpoint(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.nodes[i] = NewNode(i, ep)
-		// Tracing drives waitFor's wake-ups and timeout dumps; it is
-		// atomics-only, so it cannot mask the races these tests hunt.
-		c.nodes[i].Metrics().Trace.Enable(0)
-		if err := c.nodes[i].Join(GroupConfig{
-			ID:         tGroup,
-			Root:       0,
-			Members:    members,
-			TreeFanout: true,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	t.Cleanup(func() {
-		for _, nd := range c.nodes {
-			_ = nd.Close()
-		}
-		_ = net.Close()
-	})
-	c.enableBatching(time.Hour, 3)
-	w := c.nodes[5]
-	for i := 0; i < 3; i++ {
-		if err := w.Write(tGroup, VarID(30+i), int64(i+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Every member — including leaves that only hear via relayed batch
-	// frames — must converge.
-	for _, nd := range c.nodes {
-		for i := 0; i < 3; i++ {
-			waitValue(t, nd, VarID(30+i), int64(i+1))
-		}
-	}
-}
-
 // TestBatchLossRecovery drops sequenced traffic (whole batch frames
 // included) and checks NACK-driven retransmission repairs the stream.
 func TestBatchLossRecovery(t *testing.T) {

@@ -182,15 +182,13 @@ func (n *Node) maybeNotice(g *memberGroup, to int) {
 // this list: the reign's identity and proof of life; the sequenced
 // stream's position, reassembly buffer and ack watermark (numbering
 // restarts at 1); snapshot and election buffers and the rejoin/election
-// flags (wantSnap: the new root's snapshot does the catching up); the
-// spanning tree (rooted at the old root; failover reigns fan out
-// directly); every retry schedule (outstanding operations re-register
-// with the new root at full cadence); every lock's lease (a claim
-// against the old reign's lock manager; one pass, dropDelegs); and the
-// digest with any divergence verdict (the snapshot's TSnapDone re-anchors
-// it to the new root's sum). Copy-scoped state — values, lock copies,
-// tokens — is forgetState's, and only a rejoin drops it. Caller holds
-// n.mu.
+// flags (wantSnap: the new root's snapshot does the catching up); every
+// retry schedule (outstanding operations re-register with the new root at
+// full cadence); every lock's lease (a claim against the old reign's lock
+// manager; one pass, dropDelegs); and the digest with any divergence
+// verdict (the snapshot's TSnapDone re-anchors it to the new root's sum).
+// Copy-scoped state — values, lock copies, tokens — is forgetState's, and
+// only a rejoin drops it. Caller holds n.mu.
 func (n *Node) rebase(g *memberGroup, epoch uint32, root int, wantSnap bool) {
 	g.epoch, g.rootID = epoch, root
 	g.lastRoot = n.clock.Now()
@@ -201,7 +199,6 @@ func (n *Node) rebase(g *memberGroup, epoch uint32, root int, wantSnap bool) {
 	g.nextSeq = 1
 	g.pending = make(map[uint64]wire.Message)
 	g.acked = 0
-	g.children = nil
 	g.joinB.reset()
 	g.snapB.reset()
 	g.probeB.reset()
@@ -370,7 +367,6 @@ func (n *Node) promote(gid GroupID, g *memberGroup) {
 
 	cfg := g.cfg
 	cfg.Root = n.id
-	cfg.TreeFanout = false
 	r := n.newRootGroup(cfg, g, epoch, n.clock.Now())
 	for v, val := range auth {
 		rv := r.vars.at(v)

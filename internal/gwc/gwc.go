@@ -83,13 +83,6 @@ type GroupConfig struct {
 	// HistorySize bounds the root's retransmission buffer (default 4096
 	// sequenced messages).
 	HistorySize int
-	// TreeFanout distributes sequenced messages along the BFS spanning
-	// tree of the group's torus embedding (Sesame's tree multicast): the
-	// root sends to its tree children only and every member forwards
-	// fresh messages to its own children. Retransmissions still travel
-	// directly from the root to the NACKing member. Requires members
-	// 0..N-1.
-	TreeFanout bool
 }
 
 // indexOf is node id's position in the member list, or -1.
@@ -110,7 +103,6 @@ func (c *GroupConfig) memberOf(id int) bool { return c.indexOf(id) >= 0 }
 // field by field.
 type Stats struct {
 	Suppressed         int // root: speculative writes discarded
-	Forwarded          int // member: sequenced messages relayed down the tree
 	Duplicates         int // member: re-delivered sequenced messages dropped
 	Gaps               int // member: sequence gaps detected
 	Nacks              int // member: retransmit requests sent
@@ -386,13 +378,6 @@ func (n *Node) Join(cfg GroupConfig) error {
 			return idErr(cfg.ID, "guarded variable or guarding lock", id)
 		}
 	}
-	if cfg.TreeFanout {
-		for i, m := range cfg.Members {
-			if m != i {
-				return fmt.Errorf("gwc: tree fanout requires members 0..N-1, got %v", cfg.Members)
-			}
-		}
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
@@ -457,7 +442,6 @@ func (n *Node) Stats() Stats {
 	c := func(t obs.EventType) int { return int(n.metrics.Trace.Count(t)) }
 	return Stats{
 		Suppressed:         c(obs.EvSuppressed),
-		Forwarded:          c(obs.EvForwarded),
 		Duplicates:         c(obs.EvDuplicate),
 		Gaps:               c(obs.EvGap),
 		Nacks:              c(obs.EvNack),
@@ -852,7 +836,7 @@ func (n *Node) route(m *wire.Message) {
 		case wire.TSyncAck:
 			n.handleSyncAck(g, m)
 		case wire.TSeqUpdate, wire.TSeqLock:
-			n.ingest(g, m, true)
+			n.ingest(g, m)
 			n.maybeSendAck(g)
 		case wire.THeartbeat:
 			n.handleHeartbeat(g, m)

@@ -383,7 +383,7 @@ func TestOwnEchoRestoredAfterSnapshotRebase(t *testing.T) {
 		t.Fatalf("after re-base: mem = %d, want 3", got)
 	}
 	// The echo must repair the copy.
-	n.ingest(g, echo(7), false)
+	n.ingest(g, echo(7))
 	if got := mv.val; got != 7 {
 		t.Errorf("after own echo: mem = %d, want 7 (restored)", got)
 	}
@@ -393,7 +393,7 @@ func TestOwnEchoRestoredAfterSnapshotRebase(t *testing.T) {
 
 	// A second arrival of the same echo is a plain duplicate again.
 	before := n.Stats().EchoRestored
-	n.ingest(g, echo(7), false)
+	n.ingest(g, echo(7))
 	if n.Stats().EchoRestored != before {
 		t.Errorf("re-delivered echo restored again; EchoRestored = %d", n.Stats().EchoRestored)
 	}
@@ -403,7 +403,7 @@ func TestOwnEchoRestoredAfterSnapshotRebase(t *testing.T) {
 	store(9)
 	n.applyVarValue(g, tVar, 3)
 	dropped := n.Stats().EchoDropped
-	n.ingest(g, echo(5), false) // echo of a superseded store
+	n.ingest(g, echo(5)) // echo of a superseded store
 	if got := mv.val; got != 3 {
 		t.Errorf("superseded echo applied: mem = %d, want 3", got)
 	}
@@ -411,7 +411,7 @@ func TestOwnEchoRestoredAfterSnapshotRebase(t *testing.T) {
 		t.Errorf("EchoDropped = %d, want %d", n.Stats().EchoDropped, dropped+1)
 	}
 	// The newest store's echo still repairs.
-	n.ingest(g, echo(9), false)
+	n.ingest(g, echo(9))
 	if got := mv.val; got != 9 {
 		t.Errorf("newest echo after superseded one: mem = %d, want 9", got)
 	}
@@ -980,68 +980,11 @@ func TestStatsString(t *testing.T) {
 	}
 }
 
-// newTreeCluster is newCluster over a tree-fanout group.
-func newTreeCluster(t *testing.T, n int, guarded bool) *cluster {
-	t.Helper()
-	net, err := transport.NewInProc(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	members := make([]int, n)
-	for i := range members {
-		members[i] = i
-	}
-	guards := map[VarID]LockID{}
-	if guarded {
-		guards[tVar] = tLock
-	}
-	c := &cluster{net: net, nodes: make([]*Node, n)}
-	for i := 0; i < n; i++ {
-		ep, err := net.Endpoint(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.nodes[i] = NewNode(i, ep)
-		// Tracing drives waitFor's wake-ups and timeout dumps; it is
-		// atomics-only, so it cannot mask the races these tests hunt.
-		c.nodes[i].Metrics().Trace.Enable(0)
-		if err := c.nodes[i].Join(GroupConfig{
-			ID: tGroup, Root: 0, Members: members, Guards: guards, TreeFanout: true,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	t.Cleanup(func() {
-		for _, nd := range c.nodes {
-			_ = nd.Close()
-		}
-		_ = net.Close()
-	})
-	return c
-}
-
-func TestTreeFanoutPropagation(t *testing.T) {
-	c := newTreeCluster(t, 9, false)
-	for i := 1; i <= 20; i++ {
-		if err := c.nodes[3].Write(tGroup, tVar, int64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, n := range c.nodes {
-		waitValue(t, n, tVar, 20)
-	}
-	// Interior tree nodes must actually have relayed traffic.
-	forwarded := 0
-	for _, n := range c.nodes {
-		forwarded += n.Stats().Forwarded
-	}
-	if forwarded == 0 {
-		t.Error("no messages were forwarded down the tree")
-	}
-}
-
-func TestTreeFanoutMutualExclusion(t *testing.T) {
-	c := newTreeCluster(t, 9, true)
+// TestMutualExclusionNineNodes races every member of a nine-node group
+// through the same lock, so the root's fan-out carries each grant and
+// each guarded write to eight members.
+func TestMutualExclusionNineNodes(t *testing.T) {
+	c := newInProcCluster(t, 9, true)
 	const reps = 5
 	var wg sync.WaitGroup
 	for id := 0; id < 9; id++ {
@@ -1073,7 +1016,10 @@ func TestTreeFanoutMutualExclusion(t *testing.T) {
 	}
 }
 
-func TestTreeFanoutRecoversFromLoss(t *testing.T) {
+// TestNineMembersRecoverFromDownLoss drops a fifth of the root's
+// sequenced traffic to a nine-node group; every member must recover the
+// writes it missed through NACKs to the root.
+func TestNineMembersRecoverFromDownLoss(t *testing.T) {
 	inner, err := transport.NewInProc(9)
 	if err != nil {
 		t.Fatal(err)
@@ -1084,53 +1030,14 @@ func TestTreeFanoutRecoversFromLoss(t *testing.T) {
 		DownOnly: true,
 		Spare:    []wire.Type{wire.TNack},
 	})
-	members := make([]int, 9)
-	for i := range members {
-		members[i] = i
-	}
-	c := &cluster{net: flaky, nodes: make([]*Node, 9)}
-	for i := 0; i < 9; i++ {
-		ep, err := flaky.Endpoint(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.nodes[i] = NewNode(i, ep)
-		// Tracing drives waitFor's wake-ups and timeout dumps; it is
-		// atomics-only, so it cannot mask the races these tests hunt.
-		c.nodes[i].Metrics().Trace.Enable(0)
-		if err := c.nodes[i].Join(GroupConfig{
-			ID: tGroup, Root: 0, Members: members, TreeFanout: true,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	t.Cleanup(func() {
-		for _, nd := range c.nodes {
-			_ = nd.Close()
-		}
-		_ = flaky.Close()
-	})
+	c := newCluster(t, flaky, false)
 	const writes = 100
 	for i := 1; i <= writes; i++ {
 		if err := c.nodes[1].Write(tGroup, tVar, int64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// A drop at an interior tree node loses the message for its whole
-	// subtree; every descendant must recover via direct NACKs.
 	for _, n := range c.nodes {
 		waitValue(t, n, tVar, writes)
-	}
-}
-
-func TestTreeFanoutRequiresContiguousMembers(t *testing.T) {
-	net, _ := transport.NewInProc(3)
-	defer func() { _ = net.Close() }()
-	ep, _ := net.Endpoint(0)
-	n := NewNode(0, ep)
-	defer func() { _ = n.Close() }()
-	err := n.Join(GroupConfig{ID: 1, Root: 0, Members: []int{0, 2}, TreeFanout: true})
-	if err == nil {
-		t.Error("tree fanout with non-contiguous members succeeded")
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"optsync/internal/integrity"
 	"optsync/internal/obs"
-	"optsync/internal/topo"
 	"optsync/internal/transport"
 	"optsync/internal/vclock"
 	"optsync/internal/wire"
@@ -190,10 +189,6 @@ type memberGroup struct {
 	// hookSeq mints the tokens hooks are registered under.
 	hookSeq uint64
 
-	// children are this node's spanning-tree children when the group
-	// uses tree fanout.
-	children []int
-
 	// Write-coalescing queue (batch.go): outgoing updates awaiting a
 	// size/delay/release-boundary flush.
 	batchQ     []wire.Message
@@ -224,24 +219,8 @@ type memberGroup struct {
 	locks lockPlane
 }
 
-// treeChildren is node id's children in the founding reign's spanning
-// tree, nil when the group fans out directly. The config was validated at
-// Join time; the tree over the torus embedding is deterministic, so every
-// member derives the same one.
-func treeChildren(cfg *GroupConfig, id int) []int {
-	if !cfg.TreeFanout {
-		return nil
-	}
-	tree, err := topo.SpanningTree(topo.MustNew(len(cfg.Members)), cfg.Root)
-	if err != nil {
-		panic(fmt.Sprintf("gwc: spanning tree: %v", err))
-	}
-	return tree.Children[id]
-}
-
 func newMemberGroup(id int, cfg GroupConfig, now time.Time) *memberGroup {
 	g := &memberGroup{
-		children:    treeChildren(&cfg, id),
 		cfg:         cfg,
 		nextSeq:     1,
 		pending:     make(map[uint64]wire.Message),
@@ -368,26 +347,11 @@ func (n *Node) varOf(gid GroupID, v VarID) (*memberGroup, *memberVar, error) {
 	return g, g.vars.at(v), nil
 }
 
-// forwardDown relays a fresh sequenced message to this node's tree
-// children. Caller holds n.mu.
-func (n *Node) forwardDown(g *memberGroup, m *wire.Message) {
-	for _, child := range g.children {
-		n.emit(obs.EvForwarded, g.cfg.ID, int64(child), 0)
-		n.push(child, m)
-	}
-}
-
 // ingest performs sequence reassembly for a sequenced message, then
-// applies in-order messages. Fresh messages are relayed down the spanning
-// tree before local processing when the group uses tree fanout and
-// forward is set; duplicates (including retransmissions of messages the
-// subtree already has) are not re-forwarded — descendants that are still
-// missing them NACK the root directly. Batch frames are forwarded whole
-// (handleBatch), so their inner messages ingest with forward=false
-// instead of being re-sent one by one. m is read in place (it usually
-// points into the drained receive batch) and copied only where it must
-// outlive the call. Caller holds n.mu.
-func (n *Node) ingest(g *memberGroup, m *wire.Message, forward bool) {
+// applies in-order messages. m is read in place (it usually points into
+// the drained receive batch) and copied only where it must outlive the
+// call. Caller holds n.mu.
+func (n *Node) ingest(g *memberGroup, m *wire.Message) {
 	if m.Epoch != g.epoch {
 		if m.Epoch < g.epoch {
 			// A deposed root (or a retransmission from its reign) is still
@@ -415,33 +379,26 @@ func (n *Node) ingest(g *memberGroup, m *wire.Message, forward bool) {
 	case m.Seq < g.nextSeq:
 		n.emit(obs.EvDuplicate, g.cfg.ID, int64(m.Seq), 0)
 		return
-	case g.snapWanted:
-		// Not re-based into this reign yet: the stream and the snapshot
-		// are unordered on the wire, and applying live traffic against
-		// pre-snapshot state breaks the stream's ordering guarantee — a
-		// failover lock grant could start a critical section that reads
-		// pre-merge data. Park everything; snapApply discards what the
-		// snapshot's cut covers and replays the rest in order.
-		if _, dup := g.pending[m.Seq]; !dup {
+	case g.snapWanted || m.Seq > g.nextSeq:
+		// Park what is new. Not re-based into this reign yet (snapWanted):
+		// the stream and the snapshot are unordered on the wire, and
+		// applying live traffic against pre-snapshot state breaks the
+		// stream's ordering guarantee — a failover lock grant could start a
+		// critical section that reads pre-merge data. So park everything;
+		// snapApply discards what the snapshot's cut covers and replays the
+		// rest in order. Otherwise this is a gap: park and NACK the range.
+		_, dup := g.pending[m.Seq]
+		if !dup {
 			g.pending[m.Seq] = *m
-			if forward {
-				n.forwardDown(g, m)
-			}
 		}
-		return
-	case m.Seq > g.nextSeq:
-		if _, dup := g.pending[m.Seq]; !dup {
-			g.pending[m.Seq] = *m
+		if g.snapWanted {
+			return
+		}
+		if !dup {
 			n.emit(obs.EvGap, g.cfg.ID, int64(m.Seq), int64(g.nextSeq))
-			if forward {
-				n.forwardDown(g, m)
-			}
 		}
 		n.maybeNack(g)
 		return
-	}
-	if forward {
-		n.forwardDown(g, m)
 	}
 	n.applySeq(g, m)
 	g.nextSeq++

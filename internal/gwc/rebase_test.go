@@ -91,7 +91,6 @@ func TestEveryRebaseEntranceRevokesTheSame(t *testing.T) {
 			g.snapWanted, g.snapBuf = true, newSnapReport(7)
 			g.reports = map[int]*snapReport{2: newSnapReport(1)}
 			g.electing, g.electEpoch, g.electBegan = true, 1, now
-			g.children = []int{2}
 			g.digest.Fold(1, 1, 1)
 			g.diverged = true
 			arm(&g.joinB)
@@ -119,8 +118,8 @@ func TestEveryRebaseEntranceRevokesTheSame(t *testing.T) {
 			if g.nextSeq != 1 || len(g.pending) != 0 || g.acked != 0 || g.probeSeq != 1 {
 				t.Errorf("stream not restarted: nextSeq=%d pending=%d acked=%d probeSeq=%d", g.nextSeq, len(g.pending), g.acked, g.probeSeq)
 			}
-			if g.snapBuf != nil || g.reports != nil || g.children != nil {
-				t.Errorf("buffers of the old reign survive: snapBuf=%v reports=%v children=%v", g.snapBuf, g.reports, g.children)
+			if g.snapBuf != nil || g.reports != nil {
+				t.Errorf("buffers of the old reign survive: snapBuf=%v reports=%v", g.snapBuf, g.reports)
 			}
 			if g.digest.Sum() != 0 || g.diverged {
 				t.Errorf("digest %#x diverged=%v, want a fresh digest and no verdict", g.digest.Sum(), g.diverged)

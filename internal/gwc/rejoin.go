@@ -144,11 +144,6 @@ func (n *Node) handleJoinAck(g *memberGroup, m *wire.Message) {
 		return // duplicate answer, or adoption already superseded the rejoin
 	}
 	n.rebase(g, m.Epoch, int(m.Src), true)
-	if g.rootID == g.cfg.Root {
-		// Still the founding reign: resume this node's relay duties in the
-		// spanning tree. Failover reigns use direct fanout.
-		g.children = treeChildren(&g.cfg, n.id)
-	}
 	n.emit(obs.EvRejoined, g.cfg.ID, int64(n.id), int64(g.epoch))
 }
 

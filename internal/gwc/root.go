@@ -280,16 +280,14 @@ func (n *Node) rootNack(r *rootGroup, m *wire.Message) {
 
 // multicast sequences a down-message: it copies m into the ring slot of
 // the next sequence number, stamped there (seqRing.stamp), and fans out
-// that slot — to every member directly, or to the root's tree children
-// when the group uses tree fanout (members relay onward in ingest). The
-// root applies locally through the same path, reading the same slot, so
-// its own member state stays in order. m is read once and not kept. The
-// slot is the frame from here on, and nothing overwrites it while this
-// runs: only a multicast on this root writes the ring, under this node's
-// n.mu, which the fan-out holds — a member it runs in place that pushes
-// back at this root is declined by the try-lock — and the root's own
-// apply sends to this root, never runs it. Every handler reads a routed
-// frame and writes none of it.
+// that slot to every member (fanOut). The root applies locally through
+// the same path, reading the same slot, so its own member state stays in
+// order. m is read once and not kept. The slot is the frame from here on,
+// and nothing overwrites it while this runs: only a multicast on this
+// root writes the ring, under this node's n.mu, which the fan-out holds —
+// a member it runs in place that pushes back at this root is declined by
+// the try-lock — and the root's own apply sends to this root, never runs
+// it. Every handler reads a routed frame and writes none of it.
 func (n *Node) multicast(r *rootGroup, m *wire.Message) {
 	s := r.ring.stamp(m, r.epoch)
 	m = &s.msg
@@ -305,10 +303,9 @@ func (n *Node) multicast(r *rootGroup, m *wire.Message) {
 	s.digest = r.digest.Sum()
 	if r.collecting {
 		// Batch collection window: park the stamped message for the single
-		// fan-out frame and advance the root's own member state now (tree
-		// relay suppressed — rootEndBatch forwards the whole frame).
+		// fan-out frame and advance the root's own member state now.
 		r.outBatch = append(r.outBatch, *m)
-		n.ingest(r.member, m, false)
+		n.ingest(r.member, m)
 		if len(r.outBatch) >= wire.MaxBatch {
 			// Keep frames within the codec bound; reopen the window for the
 			// rest of the incoming batch.
@@ -317,14 +314,16 @@ func (n *Node) multicast(r *rootGroup, m *wire.Message) {
 		}
 		return
 	}
-	if !r.cfg.TreeFanout {
-		for _, member := range r.cfg.Members {
-			if member == n.id {
-				continue
-			}
+	n.fanOut(r, m)
+	n.ingest(r.member, m)
+}
+
+// fanOut sends a sequenced frame from the root to every other member,
+// each directly. Caller holds n.mu.
+func (n *Node) fanOut(r *rootGroup, m *wire.Message) {
+	for _, member := range r.cfg.Members {
+		if member != n.id {
 			n.push(member, m)
 		}
 	}
-	// Tree mode: ingest forwards to the root's children.
-	n.ingest(r.member, m, true)
 }

@@ -28,7 +28,6 @@ const (
 	EvStaleEpoch   // frame from a deposed reign rejected; A=frame type, B=epoch
 	EvSnapApplied  // failover/rejoin snapshot re-based the member; A=seq, B=epoch
 	EvRejoined     // rejoin handshake completed; A=rejoining node, B=epoch
-	EvForwarded    // sequenced frame relayed to a spanning-tree child; A=child
 	EvDuplicate    // re-delivered sequenced message dropped; A=seq
 	EvGap          // sequence gap detected, message held back; A=seq, B=next expected
 	EvNack         // retransmit request sent to the root; A=from seq, B=to seq
@@ -118,7 +117,7 @@ var evNames = [NumEventTypes]string{
 	EvSpecAbort: "spec-abort", EvRegular: "regular-acquire", EvLeased: "leased",
 	EvEchoDropped: "echo-dropped", EvEchoRestored: "echo-restored",
 	EvStaleEpoch: "stale-epoch", EvSnapApplied: "snap-applied", EvRejoined: "rejoined",
-	EvForwarded: "forwarded", EvDuplicate: "duplicate", EvGap: "gap", EvNack: "nack",
+	EvDuplicate: "duplicate", EvGap: "gap", EvNack: "nack",
 	EvEagerResend: "eager-resend",
 	EvCoalesced:   "coalesced", EvFlushSize: "flush-size", EvFlushDelay: "flush-delay",
 	EvFlushRelease: "flush-release", EvFlushSync: "flush-sync", EvFlushClose: "flush-close",

@@ -21,8 +21,15 @@ func TestMembersValidation(t *testing.T) {
 	if _, err := c.NewGroup("g3", 0, Members(1, 2)); err == nil {
 		t.Error("group whose root is not a member accepted")
 	}
-	if _, err := c.NewGroup("g4", 0, Members(0, 1), TreeFanout()); err == nil {
-		t.Error("tree fanout on a subset group accepted")
+	g4, err := c.NewGroup("g4", 0, Members(0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.NewGroup("g4", 0, Members(0, 2, 3)); err == nil {
+		t.Error("existing group returned for a different member set")
+	}
+	if again, err := c.NewGroup("g4", 0, Members(1, 0)); err != nil || again != g4 {
+		t.Errorf("same member set in another order: got %p, %v; want the existing group", again, err)
 	}
 	g, err := c.NewGroup("g5", 1, Members(1, 3))
 	if err != nil {

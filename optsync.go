@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -87,8 +88,6 @@ var (
 type options struct {
 	tcpAddrs   []string
 	faults     *transport.FaultPlan
-	history    core.Config
-	histSize   int
 	chaos      bool
 	retryIn    time.Duration
 	failAfter  time.Duration
@@ -128,22 +127,6 @@ func WithLossyNetwork(dropRate float64, seed int64) Option {
 	return optionFunc(func(o *options) {
 		o.faults = &transport.FaultPlan{DropRate: dropRate, Seed: seed, DownOnly: true}
 	})
-}
-
-// WithHistory tunes the optimistic path's usage-frequency filter
-// (defaults: decay 0.95, threshold 0.30).
-func WithHistory(decay, threshold float64) Option {
-	return optionFunc(func(o *options) {
-		o.history = core.Config{HistoryDecay: decay, HistoryThreshold: threshold}
-	})
-}
-
-// WithRetransmitBuffer sets the root's retransmission buffer size in
-// sequenced messages (default 4096). This buffer serves NACK-driven loss
-// recovery; it is unrelated to the optimistic usage-history filter that
-// WithHistory tunes.
-func WithRetransmitBuffer(n int) Option {
-	return optionFunc(func(o *options) { o.histSize = n })
 }
 
 // WithBatching enables the batched update plane (default off): each node
@@ -278,7 +261,6 @@ type Cluster struct {
 	flaky    *transport.Flaky // non-nil with WithChaos or WithLossyNetwork
 	nodes    []*gwc.Node
 	engines  []*core.Engine
-	histSz   int
 	maxStale time.Duration
 
 	metricsLn  net.Listener // non-nil with WithMetricsAddr
@@ -296,7 +278,6 @@ func NewCluster(n int, opts ...Option) (*Cluster, error) {
 		return nil, fmt.Errorf("optsync: cluster needs at least 1 node, got %d", n)
 	}
 	var o options
-	o.history = core.DefaultConfig()
 	for _, opt := range opts {
 		opt.apply(&o)
 	}
@@ -334,7 +315,6 @@ func NewCluster(n int, opts ...Option) (*Cluster, error) {
 		flaky:     flaky,
 		nodes:     make([]*gwc.Node, n),
 		engines:   make([]*core.Engine, n),
-		histSz:    o.histSize,
 		maxStale:  o.maxStale,
 		groups:    make(map[string]*Group),
 		nextGroup: 1,
@@ -351,7 +331,7 @@ func NewCluster(n int, opts ...Option) (*Cluster, error) {
 		c.nodes[i].SetQuorumAcks(o.quorumAcks)
 		c.nodes[i].SetIntegrity(o.integrity)
 		c.nodes[i].SetLeases(o.leases)
-		c.engines[i] = core.NewEngine(c.nodes[i], o.history)
+		c.engines[i] = core.NewEngine(c.nodes[i], core.DefaultConfig())
 	}
 	if o.traced {
 		for _, nd := range c.nodes {
@@ -455,21 +435,12 @@ type GroupOption interface {
 }
 
 type groupOptions struct {
-	treeFanout bool
-	members    []int
+	members []int
 }
 
 type groupOptionFunc func(*groupOptions)
 
 func (f groupOptionFunc) applyGroup(o *groupOptions) { f(o) }
-
-// TreeFanout distributes the group's sequenced traffic along the BFS
-// spanning tree of its torus embedding — Sesame's tree multicast — with
-// members relaying to their subtrees instead of the root sending to every
-// member directly. It requires the group to span all nodes.
-func TreeFanout() GroupOption {
-	return groupOptionFunc(func(o *groupOptions) { o.treeFanout = true })
-}
 
 // Members restricts the group to a subset of nodes. Small groups are the
 // heart of the paper's scaling argument: "Processor groups overcome the
@@ -482,11 +453,13 @@ func Members(ids ...int) GroupOption {
 	return groupOptionFunc(func(o *groupOptions) { o.members = append([]int(nil), ids...) })
 }
 
-// NewGroup creates (or returns, if the name exists with the same root) a
-// sharing group spanning all nodes, rooted at the given node. The root
-// sequences the group's writes and manages its locks, so related
-// variables and locks should share a group ("Compiler tools can
-// aggregate related variables and locks into the same sharing group").
+// NewGroup creates a sharing group rooted at the given node, spanning all
+// nodes unless Members restricts it. If the name exists, NewGroup returns
+// that group when the root and the member set (in any order) match, and
+// an error otherwise. The root sequences the group's writes and manages
+// its locks, so related variables and locks should share a group
+// ("Compiler tools can aggregate related variables and locks into the
+// same sharing group").
 func (c *Cluster) NewGroup(name string, root int, opts ...GroupOption) (*Group, error) {
 	if root < 0 || root >= len(c.nodes) {
 		return nil, fmt.Errorf("optsync: group root %d out of range [0,%d): %w", root, len(c.nodes), ErrNotMember)
@@ -495,12 +468,6 @@ func (c *Cluster) NewGroup(name string, root int, opts ...GroupOption) (*Group, 
 	defer c.mu.Unlock()
 	if c.closed {
 		return nil, fmt.Errorf("optsync: cluster is closed: %w", ErrClosed)
-	}
-	if g, ok := c.groups[name]; ok {
-		if g.root != root {
-			return nil, fmt.Errorf("optsync: group %q already exists with root %d", name, g.root)
-		}
-		return g, nil
 	}
 	var gopts groupOptions
 	for _, opt := range opts {
@@ -530,19 +497,24 @@ func (c *Cluster) NewGroup(name string, root int, opts ...GroupOption) (*Group, 
 		if !rootIn {
 			return nil, fmt.Errorf("optsync: group root %d is not among the members %v", root, members)
 		}
-		if gopts.treeFanout {
-			return nil, errors.New("optsync: TreeFanout requires the group to span all nodes")
+	}
+	if g, ok := c.groups[name]; ok {
+		if g.root != root {
+			return nil, fmt.Errorf("optsync: group %q already exists with root %d", name, g.root)
 		}
+		// Both lists are free of duplicates, so this compares the sets.
+		if len(g.members) != len(members) || slices.ContainsFunc(members, func(m int) bool { return !slices.Contains(g.members, m) }) {
+			return nil, fmt.Errorf("optsync: group %q already exists with members %v", name, g.members)
+		}
+		return g, nil
 	}
 	id := c.nextGroup
 	c.nextGroup++
 	for _, m := range members {
 		if err := c.nodes[m].Join(gwc.GroupConfig{
-			ID:          id,
-			Root:        root,
-			Members:     members,
-			HistorySize: c.histSz,
-			TreeFanout:  gopts.treeFanout,
+			ID:      id,
+			Root:    root,
+			Members: members,
 		}); err != nil {
 			return nil, fmt.Errorf("optsync: join group %q: %w", name, err)
 		}

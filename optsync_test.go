@@ -562,42 +562,6 @@ func TestCounterSumProperty(t *testing.T) {
 	}
 }
 
-func TestTreeFanoutGroup(t *testing.T) {
-	c, err := NewCluster(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = c.Close() }()
-	g, err := c.NewGroup("tree", 0, TreeFanout())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := g.Mutex("lock")
-	v := g.Int("counter", m)
-	var wg sync.WaitGroup
-	for i := 0; i < 9; i++ {
-		h := c.MustHandle(i)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			err := h.OptimisticDo(m, func(tx *Tx) error {
-				cur, err := tx.Read(v)
-				if err != nil {
-					return err
-				}
-				return tx.Write(v, cur+1)
-			})
-			if err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	for i := 0; i < 9; i++ {
-		waitRead(t, c.MustHandle(i), v, 9)
-	}
-}
-
 func TestCloseDuringBlockedSection(t *testing.T) {
 	c, err := NewCluster(3)
 	if err != nil {
