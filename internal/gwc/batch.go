@@ -172,10 +172,16 @@ func (n *Node) handleBatch(frame *wire.Message) {
 		if !ok {
 			if g, member := n.groups[gid]; member {
 				// Routine during failover, as on the single-message path:
-				// point stale senders at the current root.
-				if frame.Epoch < g.epoch {
+				// point stale senders at the current root, and keep an
+				// election report's up-path.
+				switch {
+				case frame.Epoch < g.epoch:
 					n.emit(obs.EvStaleEpoch, gid, int64(frame.Type), int64(frame.Epoch))
 					n.maybeNotice(g, int(frame.Src))
+				case frame.Epoch > g.epoch:
+					for i := range frame.Batch {
+						n.reportPiece(g, &frame.Batch[i])
+					}
 				}
 				return
 			}
@@ -198,13 +204,10 @@ func (n *Node) handleBatch(frame *wire.Message) {
 		}
 		n.maybeSendAck(g)
 	case t == wire.TSnapVar || t == wire.TSnapLock || t == wire.TSnapDone:
-		g, ok := n.groups[gid]
-		if !ok {
-			n.protoErr("gwc: node %d got snapshot batch for unknown group %d", n.id, frame.Group)
-			return
-		}
+		// A state stream: an election report's up-path frames ride in it,
+		// and each frame goes where it would go alone.
 		for i := range frame.Batch {
-			n.handleSnap(g, &frame.Batch[i])
+			n.route(&frame.Batch[i])
 		}
 	default:
 		n.protoErr("gwc: node %d got batch of unexpected type %v", n.id, t)

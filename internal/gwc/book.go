@@ -62,14 +62,12 @@ type lockBook struct {
 }
 
 // lockWaiter is one queued lock request: the requesting node and the
-// acquisition token its request carried (see memberGroup.reqToken).
-// Requests re-queued from failover reports carry token 0, which never
-// matches a live acquisition; the member declines such a grant and its
-// request retry re-queues with the real token. deadline (Unix nanos, 0
-// = none) is the caller's give-up time from the wire: granting past it
-// only bounces, so admit discards expired entries at dequeue.
-// session is the group-mutual-exclusion session the request wants to
-// enter (0 = exclusive).
+// acquisition token its request carried (see memberLock.reqToken) — a
+// request a promotion replays from an election report carries the live
+// one too. deadline (Unix nanos, 0 = none) is the caller's give-up time
+// from the wire: granting past it only bounces, so admit discards expired
+// entries at dequeue. session is the group-mutual-exclusion session the
+// request wants to enter (0 = exclusive).
 type lockWaiter struct {
 	node     int
 	token    uint32
@@ -641,8 +639,8 @@ func (b *lockBook) purge(node int) {
 }
 
 // load installs promotion's rebuilt records (rebuildLocks) in the new
-// reign's book. Their holders enter the gauge so their eventual leaves
-// balance it.
+// reign's book, before the reports' up-path is replayed into it. Their
+// holders enter the gauge so their eventual leaves balance it.
 func (b *lockBook) load(locks map[LockID]*lockState) {
 	for l, ls := range locks {
 		*b.locks.at(l) = *ls
@@ -654,7 +652,7 @@ func (b *lockBook) load(locks map[LockID]*lockState) {
 // addressed by h.
 func (b *lockBook) snap(msgs []wire.Message, h wire.Hdr, seq uint64) []wire.Message {
 	b.each(func(l LockID, ls *lockState) {
-		msgs = snapLock(msgs, h, seq, l, &ls.held, ls.epoch, Free, 0)
+		msgs = snapLock(msgs, h, seq, l, &ls.held, ls.epoch)
 	})
 	return msgs
 }

@@ -1,6 +1,8 @@
 package gwc
 
 import (
+	"cmp"
+	"maps"
 	"slices"
 	"time"
 
@@ -18,24 +20,31 @@ import (
 // election for epoch+1. Elections are deterministic: the surviving member
 // with the lowest ID is the candidate, everyone else streams it a report
 // of their local state (applied sequence number, variable copies, lock
-// copies), and once electWait has passed *and* reports from a majority of
-// the configured membership are in hand (its own state counts as one),
-// the candidate promotes itself, rebuilding the authoritative state from
-// the most advanced reports:
+// copies) and of what it has in flight to the root, and once electWait has
+// passed *and* reports from a majority of the configured membership are in
+// hand (its own state counts as one), the candidate promotes itself. It
+// does not infer what died with the old root; it replays it, as the new
+// primary of a Viewstamped Replication view change does (restore):
 //
-//   - variables come from the reports with the highest applied sequence
-//     number; a lone dissenting value among them is an eager local write
-//     whose up-message died with the old root and is adopted;
-//   - a lock's holders are those the reports that saw its newest epoch
-//     show inside, each believed only if its own report still shows it
-//     there (one that reports otherwise has left, and only the release
-//     died with the root; a suspected one that did not report is freed,
-//     which is safe because its stale-epoch traffic can no longer enter
-//     the group; a live one that merely failed to report is kept —
-//     safety over liveness);
-//   - queues are rebuilt from the reporters that say they wait, in node
-//     order; anyone missed re-queues via the request retry (the
-//     maintenance tick re-sends it).
+//   - the base state is each variable's copy in the most advanced report
+//     that carries it, and each lock as the reports that saw its newest
+//     epoch show it, less a holder that did not report and is suspected
+//     (it died with the old root, and its stale-epoch traffic can no
+//     longer enter the group; a live one that merely failed to report is
+//     kept — safety over liveness);
+//   - then each reporter's up-path — its unconfirmed guarded stores, the
+//     release of the entry it last finished, its outstanding request with
+//     its live token — runs, in (node, send order), through the judges a
+//     late frame meets at a root: a holder's store is sequenced as the
+//     reign's first write, before its release frees the lock, and a
+//     waiter queues once, with the token its grant will answer.
+//
+// A reporter's own unconfirmed store never enters the base: it enters
+// through the judge or not at all. Whoever did not report re-ships its
+// stores when it adopts the new reign, ahead of any entry its snapshot
+// makes it hand back (adoptEpoch), and retries its requests from its tick.
+// The snapshot, which follows the stores on the link, retires each one the
+// new root has answered (settle).
 //
 // The new root restarts sequence numbering at 1 for its epoch and members
 // re-base through a snapshot (TSnapVar/TSnapLock/TSnapDone) requested on
@@ -50,48 +59,44 @@ import (
 // trade.
 
 // lockSnap is one lock's piece of a state stream, as read back: the open
-// section as the sender saw it, the newest epoch it knew for the lock,
-// and whether the sender itself waits to enter (and which session).
+// section as the sender saw it and the newest epoch it knew for the lock.
 type lockSnap struct {
-	epoch   uint32
-	held    holderSet
-	waits   bool
-	session uint32
+	epoch uint32
+	held  holderSet
 }
 
 // snapLock appends lock l's piece of a state stream taken at seq (an
 // election report or a catch-up snapshot; h addresses it): one frame per
-// holder of the open section, carrying its entry epoch, then the sender's
-// own word on the lock — word is its request marker if it waits to enter
-// session, or Free — carrying the newest epoch it knows for it.
-func snapLock(msgs []wire.Message, h wire.Hdr, seq uint64, l LockID, held *holderSet, epoch uint32, word int64, session uint32) []wire.Message {
+// holder of the open section, carrying its entry epoch and the token its
+// entry answered, then a Free frame carrying the newest epoch the sender
+// knows for the lock.
+func snapLock(msgs []wire.Message, h wire.Hdr, seq uint64, l LockID, held *holderSet, epoch uint32) []wire.Message {
 	for _, e := range held.in {
-		msgs = append(msgs, h.SnapLock(seq, uint32(l), held.session, e.epoch, GrantValue(e.node)))
+		msgs = append(msgs, h.SnapLock(seq, uint32(l), held.session, e.epoch, GrantValue(e.node), e.token))
 	}
-	return append(msgs, h.SnapLock(seq, uint32(l), session, epoch, word))
+	return append(msgs, h.SnapLock(seq, uint32(l), 0, epoch, Free, 0))
 }
 
 // absorb folds one TSnapLock frame into the lock's piece: snapLock's
 // reader.
 func (s *lockSnap) absorb(m *wire.Message) {
 	s.epoch = max(s.epoch, m.EntryEpoch())
-	switch {
-	case m.Holder() >= 0:
+	if m.Holder() >= 0 {
 		if m.Session != s.held.session {
 			s.held.open(m.Session)
 		}
-		s.held.put(holder{node: m.Holder(), epoch: m.EntryEpoch()})
-	case m.Val != Free:
-		s.waits, s.session = true, m.Session
+		s.held.put(holder{node: m.Holder(), epoch: m.EntryEpoch(), token: m.Token()})
 	}
 }
 
 // snapReport accumulates one sender's state stream: an election report
-// from a peer, or a catch-up snapshot from the root.
+// from a peer, or a catch-up snapshot from the root. up is what a report
+// carries of the reporter's up-path, in its send order.
 type snapReport struct {
 	seq   uint64
 	vars  map[VarID]int64
 	locks map[LockID]lockSnap
+	up    []wire.Message
 	done  bool
 }
 
@@ -107,8 +112,13 @@ func newSnapReport(seq uint64) *snapReport {
 // reader of TSnapVar/TSnapLock/TSnapDone, whoever sent them — the root's
 // catch-up snapshot, a peer's election report, or the candidate's own
 // report (promote), so its copy is judged by the code a peer's is. Every
-// frame quotes the stream position the sender had applied.
+// such frame quotes the stream position the sender had applied; an
+// up-path frame in a report is kept as it is, for the replay.
 func (rep *snapReport) absorb(m *wire.Message) {
+	if m.Type.ToRoot() {
+		rep.up = append(rep.up, *m)
+		return
+	}
 	rep.seq = m.Seq
 	switch m.Type {
 	case wire.TSnapVar:
@@ -186,7 +196,9 @@ func (n *Node) maybeNotice(g *memberGroup, to int) {
 // retry schedule (outstanding operations re-register with the new root at
 // full cadence); every lock's lease (a claim against the old reign's lock
 // manager; one pass, dropDelegs); and the digest with any divergence
-// verdict (the snapshot's TSnapDone re-anchors it to the new root's sum).
+// verdict (the snapshot's TSnapDone re-anchors it to the new root's sum);
+// and the reign every unconfirmed store's frame is addressed to, so a
+// re-ship of it reaches the new root.
 // Copy-scoped state — values, lock copies, tokens — is forgetState's, and
 // only a rejoin drops it. Caller holds n.mu.
 func (n *Node) rebase(g *memberGroup, epoch uint32, root int, wantSnap bool) {
@@ -209,6 +221,9 @@ func (n *Node) rebase(g *memberGroup, epoch uint32, root int, wantSnap bool) {
 	g.locks.dropDelegs(true)
 	g.digest.Reset()
 	g.diverged = false
+	for _, v := range g.busyVars {
+		g.vars.recs[v].eagerMsg.Epoch = epoch
+	}
 }
 
 // demote stands this node down as the group's root, if it is one, and
@@ -248,6 +263,14 @@ func (n *Node) adoptEpoch(g *memberGroup, epoch uint32, root int) {
 		if member < root && member != n.id {
 			g.suspected[member] = true
 		}
+	}
+	// The stores this member has out go to the new root ahead of any entry
+	// its snapshot makes it hand back, as they went ahead of its releases:
+	// a holder the reign kept without a report from it has its section's
+	// write judged while the book still holds it.
+	for _, up := range g.eagerStores(nil, g.epoch, false) {
+		n.emit(obs.EvEagerResend, g.cfg.ID, int64(up.Var), 0)
+		n.send(root, up)
 	}
 	n.send(root, n.hdr(g).SnapReq()) // the rebase made epoch g.epoch
 }
@@ -306,7 +329,7 @@ func (n *Node) detectFailure(gid GroupID, g *memberGroup, now time.Time) {
 	default:
 		// Re-sent every tick while the election runs, so a lost report
 		// only delays, never prevents, reconstruction.
-		n.sendStream(cand, n.reportFrames(g))
+		n.sendStream(cand, g.reportFrames())
 	}
 }
 
@@ -329,66 +352,78 @@ func (n *Node) reportQuorum(g *memberGroup) bool {
 
 // reportFrames is this member's election report for the running
 // election, as the frames a peer sends the candidate and the candidate
-// reads of itself (promote). Caller holds n.mu.
-func (n *Node) reportFrames(g *memberGroup) []wire.Message {
-	hdr, seq := wire.Hdr{Group: uint32(g.cfg.ID), Src: int32(n.id), Epoch: g.electEpoch}, g.nextSeq-1
+// reads of itself (promote): its copies, then its up-path in send order —
+// the unconfirmed stores of sections it is in or has left, each lock's
+// piece with its release and its request (lockPlane.report), and last the
+// stores of speculations still waiting for their grant, which were sent
+// after their request. A variable with a store out is reported by the
+// store alone.
+func (g *memberGroup) reportFrames() []wire.Message {
+	hdr, seq := wire.Hdr{Group: uint32(g.cfg.ID), Src: int32(g.locks.self), Epoch: g.electEpoch}, g.nextSeq-1
 	msgs := make([]wire.Message, 0, len(g.vars.recs)+len(g.locks.recs)+1)
 	for i := range g.vars.recs {
-		if mv := &g.vars.recs[i]; mv.written {
+		if mv := &g.vars.recs[i]; mv.written && !mv.eagerOut {
 			msgs = append(msgs, hdr.SnapVar(seq, uint32(i), mv.val))
 		}
 	}
-	return append(g.locks.report(msgs, hdr, seq), hdr.SnapDone(seq, 0))
+	msgs = g.eagerStores(msgs, hdr.Epoch, false)
+	msgs = g.locks.report(msgs, hdr, seq)
+	return append(g.eagerStores(msgs, hdr.Epoch, true), hdr.SnapDone(seq, 0))
 }
 
-// promote makes this node the group's root for the election epoch,
-// reconstructing the authoritative state from its own copy and the peer
-// reports collected during the grace period. Caller holds n.mu.
+// eagerStores appends the frame of every unconfirmed store made by a
+// speculation still waiting for its grant (speculating), or of every
+// other, re-addressed to epoch.
+func (g *memberGroup) eagerStores(msgs []wire.Message, epoch uint32, speculating bool) []wire.Message {
+	for _, v := range g.busyVars {
+		mv := &g.vars.recs[v]
+		if lk := g.locks.at(mv.guard); mv.eagerOut && (lk.spec != nil && lk.waits(g.locks.self)) == speculating {
+			m := mv.eagerMsg
+			m.Epoch = epoch
+			msgs = append(msgs, m)
+		}
+	}
+	return msgs
+}
+
+// promote makes this node the group's root for the election epoch: the
+// reign starts from its own report and the peer reports collected during
+// the grace period (restore), and the member side re-bases onto it
+// through the reign's own snapshot, as every other member does. Caller
+// holds n.mu.
 func (n *Node) promote(gid GroupID, g *memberGroup) {
-	// The candidate's own state enters the merge as the report it would
-	// have sent a peer, read by the code that reads a peer's. Building it
-	// starts the reign with a clean lease slate: our own idle cached locks
-	// free themselves before the merge reads their values.
+	// The candidate's own state enters as the report it would have sent a
+	// peer, read by the code that reads a peer's. Building it starts the
+	// reign with a clean lease slate: our own idle cached locks free
+	// themselves before the report reads them.
 	epoch := g.electEpoch
 	own := newSnapReport(g.nextSeq - 1)
-	for _, m := range n.reportFrames(g) {
+	for _, m := range g.reportFrames() {
 		own.absorb(&m)
 	}
 	reps := map[int]*snapReport{n.id: own}
 	if g.reportEpoch == epoch {
 		for src, rep := range g.reports {
-			if rep.done && src != n.id {
+			if src != n.id {
 				reps[src] = rep
 			}
 		}
 	}
-	auth := mergeVars(reps)
-	locks := rebuildLocks(reps, g.suspected)
-
 	cfg := g.cfg
 	cfg.Root = n.id
 	r := n.newRootGroup(cfg, g, epoch, n.clock.Now())
-	for v, val := range auth {
-		rv := r.vars.at(v)
-		rv.auth, rv.written = val, true
-	}
-	r.book.load(locks)
 	n.roots[gid] = r
+	r.restore(reps, g.suspected)
 	// Failover duration: from the first suspicion of the old root to the
 	// moment the new reign's authoritative state exists.
 	n.metrics.Hist(obs.HistFailover).Record(n.clock.Now().Sub(g.electBegan))
 	n.emit(obs.EvPromoted, gid, int64(n.id), int64(epoch))
 
-	// Re-base the member side onto the new reign; the merged state becomes
-	// the local copy. The reign's digest starts empty on both sides (the
-	// merged base state is not folded), so the member copy restarts in
-	// agreement with the fresh rootGroup digest.
-	n.rebase(g, epoch, n.id, false)
-	for _, v := range sortedKeys(auth) {
-		n.applyVarValue(g, v, auth[v])
-	}
-	for _, l := range sortedKeys(locks) {
-		g.locks.install(l, &locks[l].held, locks[l].epoch)
+	// What the replay sequenced reached this member before it followed the
+	// reign, so it was not applied here; the snapshot carries it.
+	n.rebase(g, epoch, n.id, true)
+	for _, m := range r.snap() {
+		n.snapApply(g, &m)
 	}
 	// Free locks with survivors queued move on immediately; everyone
 	// else learns the holder from the grant multicast or the snapshot.
@@ -396,77 +431,57 @@ func (n *Node) promote(gid GroupID, g *memberGroup) {
 	n.heartbeat(r)
 }
 
-// mergeVars reconstructs the variable store from the reports with the
-// highest applied sequence number. Those reports saw the same sequenced
-// prefix, so their copies differ only by eager local writes that never
-// reached the old root; a lone dissenting value is such a write and is
-// adopted. Remaining conflicts resolve to the lowest reporter.
-func mergeVars(reps map[int]*snapReport) map[VarID]int64 {
-	var best uint64
-	for _, rep := range reps {
-		if rep.seq > best {
-			best = rep.seq
-		}
-	}
-	type vote struct {
-		val int64
-		src int
-	}
-	votes := make(map[VarID][]vote)
-	for src, rep := range reps {
-		if rep.seq != best {
-			continue
-		}
-		for v, val := range rep.vars {
-			votes[v] = append(votes[v], vote{val, src})
-		}
-	}
-	out := make(map[VarID]int64, len(votes))
-	for v, vs := range votes {
-		counts := make(map[int64]int)
-		for _, vt := range vs {
-			counts[vt.val]++
-		}
-		if len(counts) == 2 && len(vs) > 2 {
-			for _, vt := range vs {
-				if counts[vt.val] == 1 {
-					out[v] = vt.val // the lone eager write
-				}
-			}
-			if _, ok := out[v]; ok {
-				continue
-			}
-		}
-		// Unanimous — or ambiguous, where the lowest reporter wins so
-		// every would-be root reconstructs identically.
-		bestSrc := -1
-		for _, vt := range vs {
-			if bestSrc == -1 || vt.src < bestSrc {
-				bestSrc = vt.src
-				out[v] = vt.val
+// restore starts reign r from its election reports. The base is each
+// variable's copy in the report with the highest applied sequence number
+// that carries it, the lowest reporter among equals, and the locks
+// rebuildLocks makes of the reports. Then each reporter's up-path, in
+// (node, send order), meets the judges it would have met arriving late at
+// the old root: a store rootUpdate's (admit), a request or a release the
+// book's. So a holder's store is sequenced before its release frees the
+// lock, and its nonce is seen: the re-ship of it the tick makes later
+// drops as a duplicate. Only finished reports make the base, but a report
+// still arriving counts for the up-path it has delivered: the rest of it
+// reaches the new root as live traffic, behind that prefix, as it was sent.
+func (r *rootGroup) restore(reps map[int]*snapReport, suspected map[int]bool) {
+	whole := maps.Clone(reps)
+	maps.DeleteFunc(whole, func(_ int, rep *snapReport) bool { return !rep.done })
+	base := sortedKeys(whole)
+	slices.SortStableFunc(base, func(a, b int) int { return cmp.Compare(reps[b].seq, reps[a].seq) })
+	for _, src := range base {
+		for v, val := range reps[src].vars {
+			if rv := r.vars.at(v); !rv.written {
+				rv.auth, rv.written = val, true
 			}
 		}
 	}
-	return out
+	r.book.load(rebuildLocks(whole, suspected))
+	for _, src := range sortedKeys(reps) {
+		for i := range reps[src].up {
+			m := &reps[src].up[i]
+			if m.Type != wire.TUpdate {
+				r.book.step(m)
+			} else if r.admit(m) {
+				r.book.sink.multicast(r.book.hdr.SeqUpdate(m.Origin, m.Var, m.Val, m.Guarded))
+			}
+		}
+	}
 }
 
-// rebuildLocks reconstructs the lock manager's state from member
+// rebuildLocks makes the lock book's records of a new reign from member
 // reports (see the package comment above for the rules).
 func rebuildLocks(reps map[int]*snapReport, suspected map[int]bool) map[LockID]*lockState {
-	ids := make(map[LockID]bool)
+	out := make(map[LockID]*lockState)
 	for _, rep := range reps {
-		for l := range rep.locks {
-			ids[l] = true
+		for l, s := range rep.locks {
+			if out[l] == nil {
+				st := newLockState()
+				out[l] = &st
+			}
+			out[l].epoch = max(out[l].epoch, s.epoch)
 		}
 	}
 	srcs := sortedKeys(reps)
-	out := make(map[LockID]*lockState, len(ids))
-	for l := range ids {
-		st := newLockState()
-		ls := &st
-		for _, rep := range reps {
-			ls.epoch = max(ls.epoch, rep.locks[l].epoch)
-		}
+	for l, ls := range out {
 		// Who was last seen inside? Only the reports that saw the lock's
 		// newest epoch count; older ones saw already-finished sections. They
 		// all saw the entry that epoch announced, so they name one session.
@@ -487,20 +502,14 @@ func rebuildLocks(reps map[int]*snapReport, suspected map[int]bool) map[LockID]*
 				}
 			}
 		}
-		// Each claimed holder's own report is the final word on whether it
-		// is still inside: one that shows otherwise has left, and only the
-		// release died with the root. A holder that did not report is freed
-		// if it is suspected — it died with the old root, and its
-		// stale-epoch traffic can no longer enter the group — and kept if it
-		// is not: safety (no double grant) over liveness; its retries or its
-		// release resolve the lock.
+		// A holder that reported stays: if it has left, its report carries
+		// the release, and the replay frees the lock. One that did not
+		// report is freed if it is suspected — it died with the old root,
+		// and its stale-epoch traffic can no longer enter the group — and
+		// kept if it is not: safety (no double grant) over liveness.
 		ls.held.in = slices.DeleteFunc(ls.held.in, func(h holder) bool {
-			own, ok := reps[h.node]
-			if !ok {
-				return suspected[h.node]
-			}
-			s := own.locks[l]
-			return s.held.session != ls.held.session || !s.held.has(h.node)
+			_, reported := reps[h.node]
+			return !reported && suspected[h.node]
 		})
 		if !ls.free() {
 			ls.lastSession = ls.held.session
@@ -515,18 +524,6 @@ func rebuildLocks(reps map[int]*snapReport, suspected map[int]bool) map[LockID]*
 			// tag+1) without ever widening it.
 			ls.foreignEpoch = ls.epoch - 1
 		}
-		// Reporters that say they wait re-queue in ID order (the old order
-		// died with the old root); anyone missed re-queues via the tick's
-		// request retry. The acquisition tokens died with the old root, so
-		// re-queued entries carry token 0: the grant is declined and the
-		// member's retry re-registers the request with its live token (one
-		// extra round trip, never a wrong consumption).
-		for _, src := range srcs {
-			if s := reps[src].locks[l]; s.waits && !ls.holds(src) {
-				ls.queue = append(ls.queue, lockWaiter{node: src, session: s.session})
-			}
-		}
-		out[l] = ls
 	}
 	return out
 }
@@ -543,9 +540,12 @@ func (n *Node) handleSnap(g *memberGroup, m *wire.Message) {
 		n.snapApply(g, m)
 	case m.Epoch > g.epoch:
 		n.reportPiece(g, m)
-	default:
+	case m.Epoch < g.epoch:
 		n.emit(obs.EvStaleEpoch, g.cfg.ID, int64(m.Type), int64(m.Epoch))
 	}
+	// A frame of this reign from a peer is the rest of a report the
+	// promotion cut short: its up-path went to the root (route), and the
+	// state it carries is the snapshot's now.
 }
 
 // snapApply buffers a snapshot stream from the root and applies it
@@ -573,6 +573,7 @@ func (n *Node) snapApply(g *memberGroup, m *wire.Message) {
 			s := snap.locks[l]
 			g.locks.install(l, &s.held, s.epoch)
 		}
+		g.settle(snap)
 		g.nextSeq = m.Seq + 1
 		// Re-anchor the integrity digest to the root's sum at the
 		// snapshot watermark (carried on TSnapDone). The replayed
@@ -594,16 +595,32 @@ func (n *Node) snapApply(g *memberGroup, m *wire.Message) {
 	}
 }
 
+// settle retires the unconfirmed stores a snapshot answers. This member
+// asked for it after sending them, on the same link, so the root has
+// judged each one by then: it sequenced the store, and the snapshot
+// covers it, or it refused it. A store of a section this member is still
+// in whose value the snapshot does not show (an unwritten variable reads
+// as zero) may have been lost on the way, and a speculation's still waits
+// for its grant: those stay out for the tick to re-ship. Left out, a
+// store whose echo the snapshot covered would hide this member's copy
+// from its next election report (reportFrames) long after a later holder
+// overwrote it. Caller holds n.mu.
+func (g *memberGroup) settle(snap *snapReport) {
+	for _, v := range g.busyVars {
+		mv := &g.vars.recs[v]
+		lk := g.locks.at(mv.guard)
+		mv.eagerOut = mv.eagerOut && (lk.spec != nil && lk.waits(g.locks.self) || lk.held.has(g.locks.self) && snap.vars[v] != mv.eagerMsg.Val)
+	}
+}
+
 // reportPiece buffers one piece of a peer's election report while this
 // node is (or is about to learn it is) the candidate. Caller holds n.mu.
 func (n *Node) reportPiece(g *memberGroup, m *wire.Message) {
-	if m.Epoch > g.reportEpoch {
-		g.reportEpoch = m.Epoch
-		g.reports = make(map[int]*snapReport)
-	} else if m.Epoch < g.reportEpoch {
+	if m.Epoch < g.reportEpoch {
 		return
 	}
-	if g.reports == nil {
+	if m.Epoch > g.reportEpoch || g.reports == nil {
+		g.reportEpoch = m.Epoch
 		g.reports = make(map[int]*snapReport)
 	}
 	src := int(m.Src)
@@ -629,12 +646,17 @@ func (n *Node) applyVarValue(g *memberGroup, v VarID, val int64) {
 	n.applyData(g, &m)
 }
 
-// rootSnapSend streams the authoritative state to one member, tagged
-// with the root's current sequence number so the receiver can order it
-// against live traffic. The stream is built under n.mu, so it is a
-// consistent cut. Caller holds n.mu.
-func (n *Node) rootSnapSend(r *rootGroup, to int) {
-	hdr, seq := n.rootHdr(r), r.ring.seq()
+// rootSnapSend streams the authoritative state to one member.
+func (n *Node) rootSnapSend(r *rootGroup, to int) { n.sendStream(to, r.snap()) }
+
+// snap is the reign's state stream, tagged with its current sequence
+// number so the receiver can order it against live traffic. It is built
+// under n.mu, so it is a consistent cut; the root's digest at the
+// snapshot watermark rides on the final frame, so the receiver re-anchors
+// its own digest to it (snapApply) and the next anti-entropy sweep
+// compares cleanly.
+func (r *rootGroup) snap() []wire.Message {
+	hdr, seq := r.book.hdr, r.ring.seq()
 	msgs := make([]wire.Message, 0, len(r.vars.recs)+len(r.book.locks.recs)+1)
 	for i := range r.vars.recs {
 		if rv := &r.vars.recs[i]; rv.written {
@@ -642,8 +664,5 @@ func (n *Node) rootSnapSend(r *rootGroup, to int) {
 		}
 	}
 	msgs = r.book.snap(msgs, hdr, seq)
-	// The root's digest at the snapshot watermark rides on the final
-	// frame, so the receiver re-anchors its own digest to it (snapApply)
-	// and the next anti-entropy sweep compares cleanly.
-	n.sendStream(to, append(msgs, hdr.SnapDone(seq, r.digest.Sum())))
+	return append(msgs, hdr.SnapDone(seq, r.digest.Sum()))
 }

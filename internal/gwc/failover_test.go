@@ -341,3 +341,126 @@ func TestStaleEpochRejectionsAreEvents(t *testing.T) {
 		}
 	}
 }
+
+// TestFailoverReplaysTheHoldersSection: node 2 enters, stores x = 6 and
+// releases, and both frames die on the link to the root, which then
+// crashes with node 3 queued for the lock. The election's majority is
+// {1, 2, 3}, with node 2 a frame behind the others — a shape in which a
+// vote over the reported copies loses the store. The new reign replays
+// what node 2 sent instead: the store is sequenced once, before the
+// release hands the lock to node 3, which reads 6. The new reign's
+// snapshot then answers node 2's store, so node 2 stops re-shipping it,
+// and a late copy of it drops at the new root as a duplicate rather than
+// landing after node 3's write.
+func TestFailoverReplaysTheHoldersSection(t *testing.T) {
+	const other VarID = 20 // unguarded: the frame node 2 misses
+	c, fl, tap := newTapCluster(t, 5)
+	n1, n2, n3 := c.nodes[1], c.nodes[2], c.nodes[3]
+	if err := n1.Acquire(tGroup, tLock); err != nil {
+		t.Fatal(err)
+	}
+	if err := n1.Write(tGroup, tVar, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := n1.Release(tGroup, tLock); err != nil {
+		t.Fatal(err)
+	}
+	for _, nd := range c.nodes {
+		waitValue(t, nd, tVar, 5)
+	}
+	if err := n2.Acquire(tGroup, tLock); err != nil {
+		t.Fatal(err)
+	}
+	done := acquireAsync(n3, tLock)
+	waitFor(t, c, 5*time.Second, "node 3 queued at the root", func() bool {
+		c.nodes[0].mu.Lock()
+		defer c.nodes[0].mu.Unlock()
+		return c.nodes[0].roots[tGroup].book.lock(tLock).waiting(3) >= 0
+	})
+	tap.filter(func(from, to int, m *wire.Message) bool {
+		switch {
+		case to == 2 && m.Type == wire.TSeqUpdate && VarID(m.Var) == other:
+			return true // node 2 stays a frame behind
+		case from == 2 && to == 0:
+			return m.Type == wire.TUpdate || m.Type == wire.TLockRel // the section dies with the root
+		case from == 4 && to == 1:
+			// Node 4's report never arrives: the majority is {1, 2, 3}.
+			return m.Type == wire.TSnapVar || m.Type == wire.TSnapLock || m.Type == wire.TSnapDone
+		}
+		return false
+	})
+	if err := c.nodes[4].Write(tGroup, other, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 1, 3, 4} {
+		waitValue(t, c.nodes[i], other, 1)
+	}
+	if err := n2.Write(tGroup, tVar, 6); err != nil {
+		t.Fatal(err)
+	}
+	if err := n2.Release(tGroup, tLock); err != nil {
+		t.Fatal(err)
+	}
+	fl.Crash(0)
+	waitFor(t, c, 5*time.Second, "node 1 to promote itself", func() bool {
+		return n1.Stats().Failovers == 1
+	})
+	waitAcquired(t, done, "node 3's Acquire across the failover")
+	if x, _ := n3.Read(tGroup, tVar); x != 6 {
+		t.Fatalf("node 3 entered the new reign reading x = %d, want node 2's 6", x)
+	}
+	if err := n3.Write(tGroup, tVar, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := n3.Release(tGroup, tLock); err != nil {
+		t.Fatal(err)
+	}
+	// Node 2 re-shipped its store when it adopted the reign, ahead of the
+	// snapshot it asked for, so the snapshot answers the store and node 2
+	// stops re-shipping it (settle). A copy the link delivers late, after
+	// node 3's 7, drops at the root as the duplicate the replay's nonce
+	// makes it: no judge sees it, so nothing is suppressed. Node 2's
+	// request follows on the same link, so once node 2 is in, the new root
+	// has taken the late copy in.
+	waitAdopted(t, c, n2, 1)
+	waitFor(t, c, 5*time.Second, "node 2 to apply the new reign's snapshot", func() bool {
+		n2.mu.Lock()
+		defer n2.mu.Unlock()
+		return !n2.groups[tGroup].snapWanted
+	})
+	n2.mu.Lock()
+	mv := n2.groups[tGroup].vars.at(tVar)
+	late, out := mv.eagerMsg, mv.eagerOut
+	n2.mu.Unlock()
+	if out {
+		t.Errorf("node 2's store is still out after the snapshot that answered it")
+	}
+	suppressed := n1.Stats().Suppressed
+	late.Epoch = 1
+	if err := n2.ep.Send(1, late); err != nil {
+		t.Fatal(err)
+	}
+	if err := n2.Acquire(tGroup, tLock); err != nil {
+		t.Fatal(err)
+	}
+	if x, _ := n2.Read(tGroup, tVar); x != 7 {
+		t.Errorf("node 2 reads x = %d after node 3 wrote 7: its late store landed again", x)
+	}
+	if got := n1.Stats().Suppressed; got != suppressed {
+		t.Errorf("the new root judged node 2's late store (Suppressed %d -> %d): the replay did not record its nonce", suppressed, got)
+	}
+	if err := n2.Release(tGroup, tLock); err != nil {
+		t.Fatal(err)
+	}
+	n1.mu.Lock()
+	defer n1.mu.Unlock()
+	r, sixes := n1.roots[tGroup], 0
+	for s := uint64(1); s <= r.ring.seq(); s++ {
+		if m := &r.ring.slot(s).msg; m.Type == wire.TSeqUpdate && VarID(m.Var) == tVar && m.Val == 6 {
+			sixes++
+		}
+	}
+	if sixes != 1 {
+		t.Errorf("the new reign sequenced x = 6 %d times, want once", sixes)
+	}
+}

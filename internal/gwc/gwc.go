@@ -754,12 +754,14 @@ func (n *Node) tick() {
 		// hop is the protocol's one unacknowledged send, so a lost (or
 		// checksum-discarded) carrier frame would otherwise lose the write
 		// silently. Skipped while detached from the reign: a rejoin resets
-		// the eager store, a pending snapshot supersedes it, and an
-		// election's merge carries lone eager writes into the new reign
-		// itself. The epoch is refreshed so a reign change does not doom
-		// the frame to the stale-epoch filter; the grant-epoch tag (Seq)
-		// is kept, so the root's speculation gate judges the re-send
-		// exactly as it would have judged the original.
+		// the eager store, a pending snapshot retires what the root
+		// answered (settle), and an election's report carries the frame to
+		// the candidate, whose replay sees its nonce, so a re-ship of it
+		// drops there as a duplicate. A re-base re-addresses the frame to the reign it
+		// starts (rebase), so a reign change does not doom it to the
+		// stale-epoch filter; the grant-epoch tag (Seq) is kept, so the
+		// root's speculation gate judges the re-send exactly as it would
+		// have judged the original.
 		if !g.rejoining && !g.snapWanted && !g.electing {
 			// The lock plane's second pass over its busy locks (tickDeleg)
 			// runs first: a lease return or renewal should beat this
@@ -771,10 +773,8 @@ func (n *Node) tick() {
 					continue
 				}
 				n.arm(&mv.eagerB, now, n.boBase(), n.boCap())
-				m := mv.eagerMsg
-				m.Epoch = g.epoch
 				n.emit(obs.EvEagerResend, gid, int64(v), 0)
-				n.send(g.rootID, m)
+				n.send(g.rootID, mv.eagerMsg)
 			}
 		}
 		// Re-send due sync barriers; the root dedupes by token.
@@ -813,7 +813,11 @@ func (n *Node) route(m *wire.Message) {
 				// Routine during failover: a peer still (or again)
 				// believes this node is root. Point stale senders at the
 				// current root; otherwise drop and let retries converge.
-				n.offReign(g, m, true)
+				// A frame of a reign to come is a peer's election report
+				// carrying its up-path (reportFrames).
+				if n.offReign(g, m, true) && m.Epoch > g.epoch {
+					n.reportPiece(g, m)
+				}
 				return
 			}
 			n.protoErr("gwc: node %d got %v for group %d but is not its root", n.id, m.Type, m.Group)

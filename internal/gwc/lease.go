@@ -27,7 +27,8 @@ import "time"
 // grant the root sequenced.
 //
 // Leases die with their reign: members drop the record on any re-base
-// (dropDelegs), idle cached locks reporting as free, and the root's
+// (dropDelegs), an election report carries an idle cached entry's
+// release (lockPlane.report), and the root's
 // records go down with the deposed rootGroup. The root never frees a
 // leased lock on expiry alone — only a return, a release, or the rejoin
 // of a crashed leaseholder does — so an expired clock can never create

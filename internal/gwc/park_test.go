@@ -191,17 +191,24 @@ func TestParkedAcquireSurvivesRejoin(t *testing.T) {
 }
 
 // TestParkedAcquireSurvivesFailover: the root dies under a parked waiter
-// on the node that succeeds it. The promotion re-queues the waiter
-// token-less, so the first grant of the new reign is declined, and only
-// a retry — from the tick, on the node that now roots the group —
-// re-registers the live token.
+// on the node that succeeds it. The promotion replays the waiter's request
+// from its own report, live token and all, so the first grant of the new
+// reign answers it and is consumed: node 1 hands nothing back — it sends
+// no release for the lock — before its parked caller returns.
 func TestParkedAcquireSurvivesFailover(t *testing.T) {
 	eachKind(t, func(t *testing.T, k lockKind) {
-		c, fl, _ := newTapCluster(t, 4)
+		c, fl, tap := newTapCluster(t, 4)
 		holder, n := c.nodes[2], c.nodes[1]
 		if err := holder.EnterSession(tGroup, tLock, k.rival); err != nil {
 			t.Fatal(err)
 		}
+		var declined atomic.Int32
+		tap.filter(func(from, to int, m *wire.Message) bool {
+			if from == 1 && m.Type == wire.TLockRel && LockID(m.Lock) == tLock {
+				declined.Add(1)
+			}
+			return false
+		})
 		done := enterAsync(n, tLock, k.session)
 		waitFor(t, c, 5*time.Second, "node 1 queued at the root", func() bool {
 			c.nodes[0].mu.Lock()
@@ -217,6 +224,9 @@ func TestParkedAcquireSurvivesFailover(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitAcquired(t, done, "Acquire parked across a failover onto its own node")
+		if d := declined.Load(); d != 0 {
+			t.Errorf("node 1 sent %d releases of the lock before its parked caller returned: the new reign's grant was declined", d)
+		}
 		if err := n.Release(tGroup, tLock); err != nil {
 			t.Fatal(err)
 		}

@@ -162,6 +162,10 @@ func (lk *memberLock) inside(self int, session uint32) bool {
 	return lk.held.session == session && lk.held.has(self)
 }
 
+// waits reports whether node self has an acquisition of the lock
+// outstanding and is not inside it.
+func (lk *memberLock) waits(self int) bool { return lk.want && !lk.held.has(self) }
+
 // inUse reports whether this node is inside the lock or acquiring it:
 // an acquisition outstanding or held (want stays set until the release),
 // a caller parked for one, or a leased re-entry.
@@ -216,7 +220,7 @@ func (p *lockPlane) value(l LockID) int64 {
 	case lk == nil:
 	case len(lk.held.in) > 0 && lk.held.session == 0:
 		return GrantValue(lk.held.in[0].node)
-	case lk.want && !lk.held.has(p.self):
+	case lk.waits(p.self):
 		return RequestValue(p.self)
 	}
 	return Free
@@ -312,10 +316,10 @@ func (p *lockPlane) applyEntry(l LockID, lk *memberLock, m *wire.Message) {
 	lk.sawGrant(epoch)
 	if self && !had && (!lk.want || h.token != lk.reqToken) {
 		// Unwanted, or minted for a different acquisition than the one
-		// outstanding (a cancel in flight, or a token-less failover
-		// re-queue): hand it straight back. When a live request is
-		// outstanding the periodic retry re-registers with the root, so a
-		// declined entry costs one round trip, never liveness.
+		// outstanding (a cancel in flight): hand it straight back. When a
+		// live request is outstanding the periodic retry re-registers with
+		// the root, so a declined entry costs one round trip, never
+		// liveness.
 		p.handBack(l, lk, h.epoch, s)
 		p.sink.wake()
 		return
@@ -344,18 +348,18 @@ func (p *lockPlane) sawEntry(lk *memberLock, node int, session uint32) {
 	}
 }
 
-// install re-bases a lock's copy from a failover snapshot or a promotion:
-// the reconstructed section sec (the lock's newest epoch beside it)
-// replaces the local one wholesale. A reconstructed self-entry is kept
-// only if the copy already showed this node inside that session — the
-// entry tokens died with the old root, so belief is the only validation
-// left — and handed back like a declined entry otherwise.
+// install re-bases a lock's copy from a reign's snapshot: the section sec
+// (the lock's newest epoch beside it) replaces the local one wholesale. A
+// self-entry in it is taken as applyEntry takes one — kept if the copy
+// already showed this node inside that session or if it answers the
+// outstanding request (its token matches), handed back like a declined
+// entry otherwise or if this node already finished with it.
 func (p *lockPlane) install(l LockID, sec *holderSet, epoch uint32) {
 	lk := p.at(l)
 	had := lk.inside(p.self, sec.session)
 	lk.held.open(sec.session)
 	for _, h := range sec.in {
-		if h.node == p.self && (!had || h.epoch <= lk.lockDone) {
+		if h.node == p.self && (h.epoch <= lk.lockDone || !had && (!lk.want || h.token != lk.reqToken)) {
 			p.handBack(l, lk, h.epoch, sec.session)
 			continue
 		}
@@ -420,22 +424,37 @@ func (p *lockPlane) forget() {
 	}
 }
 
-// report appends the lock half of this member's election report, each
-// lock as a stream piece addressed by hdr and taken at seq. Reporting
-// state to a would-be reign forfeits every lease first (idempotent): an
-// idle cached lock reports as free, so the rebuilt manager cannot
-// resurrect a holder that would never release.
+// report appends the lock half of this member's election report, taken
+// at seq and addressed by hdr: each lock's piece of the stream, then what
+// this node has in flight to the root on it — the release of the newest
+// entry it finished with, which the old root may never have taken in (the
+// new book frees only an entry it still holds), and its outstanding
+// request, with its live token. Reporting to a would-be reign forfeits
+// every lease first (idempotent): an idle cached lock reports as free and
+// its entry as released, so the new book cannot keep a holder that would
+// never release.
 func (p *lockPlane) report(msgs []wire.Message, hdr wire.Hdr, seq uint64) []wire.Message {
 	p.dropDelegs(false)
 	for i := range p.recs {
-		lk := &p.recs[i]
-		word, session := Free, uint32(0)
-		if lk.want && !lk.held.has(p.self) {
-			word, session = RequestValue(p.self), lk.reqSession
-		} else if len(lk.held.in) == 0 && lk.grantEpoch == 0 {
-			continue // never seen in use: nothing to report
+		lk, l := &p.recs[i], uint32(i)
+		if len(lk.held.in) > 0 || lk.grantEpoch > 0 {
+			msgs = snapLock(msgs, hdr, seq, LockID(i), &lk.held, lk.grantEpoch)
 		}
-		msgs = snapLock(msgs, hdr, seq, LockID(i), &lk.held, lk.grantEpoch, word, session)
+		if lk.held.has(p.self) {
+			continue
+		}
+		if lk.lockDone > 0 {
+			if lk.lockDone >= lk.grantEpoch {
+				// No later entry seen: the old root may still book this node
+				// inside, and this node may be the only reporter that saw the
+				// entry, so the piece shows it there until the release.
+				msgs = append(msgs, hdr.SnapLock(seq, l, lk.held.session, lk.lockDone, GrantValue(p.self), 0))
+			}
+			msgs = append(msgs, hdr.LockRel(l, lk.lockDone, lk.held.session))
+		}
+		if lk.want {
+			msgs = append(msgs, hdr.LockReq(l, lk.reqToken, lk.reqSession, lk.reqDeadline))
+		}
 	}
 	return msgs
 }
@@ -621,9 +640,7 @@ func (p *lockPlane) leaseFrame(m *wire.Message) {
 // WaitEnteredContext — through request, which mints a fresh request when
 // a rejoin or a failover re-base wiped the old one. The root ignores
 // duplicates. It runs on the node that roots the group too: a waiter
-// there sends its request to itself, and a reign that began under it
-// (promotion re-queues survivors token-less, and the grant is declined)
-// knows its token only from the retry.
+// there sends its request to itself, and a self-send can be lost as well.
 func (p *lockPlane) tickLocks(now time.Time, watch bool, budget time.Duration) {
 	p.busy = slices.DeleteFunc(p.busy, func(l LockID) bool {
 		lk := &p.recs[l]

@@ -106,6 +106,10 @@ func TestEveryRebaseEntranceRevokesTheSame(t *testing.T) {
 			markBusy(&g.locks.busy, &lk.busy, tLock)
 			arm(&d.renewB)
 			arm(&lk.reqB)
+			mv := g.vars.at(tVar)
+			mv.written, mv.eagerOut = true, true
+			mv.eagerMsg = n.hdr(g).GuardedUpdate(uint32(tVar), 1, 4, 1)
+			markBusy(&g.busyVars, &mv.busy, tVar)
 
 			tc.enter(n, g)
 
@@ -115,8 +119,14 @@ func TestEveryRebaseEntranceRevokesTheSame(t *testing.T) {
 			if g.snapWanted != tc.snap || g.rejoining != tc.rejoining || g.electing {
 				t.Errorf("snapWanted=%v rejoining=%v electing=%v, want %v %v false", g.snapWanted, g.rejoining, g.electing, tc.snap, tc.rejoining)
 			}
-			if g.nextSeq != 1 || len(g.pending) != 0 || g.acked != 0 || g.probeSeq != 1 {
-				t.Errorf("stream not restarted: nextSeq=%d pending=%d acked=%d probeSeq=%d", g.nextSeq, len(g.pending), g.acked, g.probeSeq)
+			// A promoted root's own member stands where the reign's replay
+			// left the stream: the snapshot it re-based through covers it.
+			next := uint64(1)
+			if r := n.roots[tGroup]; r != nil {
+				next = r.ring.seq() + 1
+			}
+			if g.nextSeq != next || len(g.pending) != 0 || g.acked != 0 || g.probeSeq != 1 {
+				t.Errorf("stream not restarted: nextSeq=%d (want %d) pending=%d acked=%d probeSeq=%d", g.nextSeq, next, len(g.pending), g.acked, g.probeSeq)
 			}
 			if g.snapBuf != nil || g.reports != nil {
 				t.Errorf("buffers of the old reign survive: snapBuf=%v reports=%v", g.snapBuf, g.reports)
@@ -132,6 +142,9 @@ func TestEveryRebaseEntranceRevokesTheSame(t *testing.T) {
 				if lk.reqB != (backoff{}) {
 					t.Errorf("lock %d request schedule not reset: %+v", i, lk.reqB)
 				}
+			}
+			if e := g.vars.at(tVar).eagerMsg.Epoch; e != tc.epoch {
+				t.Errorf("the unconfirmed store's frame is addressed to epoch %d, want the reign's %d", e, tc.epoch)
 			}
 			joinAttempts := 0
 			if tc.rejoining {
@@ -149,8 +162,8 @@ func TestEveryRebaseEntranceRevokesTheSame(t *testing.T) {
 // across a release — and then revokes the reign's claims both ways a
 // member does: a re-base, and the report it builds for an election.
 // Either way no lock keeps a record, the idle cached entry is freed (the
-// report reads the lock free), and the next tick unlists every lock, as
-// nothing is left in flight on them.
+// report carries its release, which frees it in the new book), and the
+// next tick unlists every lock, as nothing is left in flight on them.
 func TestDelegRecordDiesWithTheReign(t *testing.T) {
 	const leased LockID = 1
 	for _, tc := range []struct {
@@ -164,7 +177,7 @@ func TestDelegRecordDiesWithTheReign(t *testing.T) {
 		{name: "election-report", revoke: func(n *Node, g *memberGroup) *snapReport {
 			g.electEpoch = 1
 			rep := newSnapReport(0)
-			for _, m := range n.reportFrames(g) {
+			for _, m := range g.reportFrames() {
 				rep.absorb(&m)
 			}
 			return rep
@@ -205,8 +218,8 @@ func TestDelegRecordDiesWithTheReign(t *testing.T) {
 			if lk := g.locks.at(leased); lk.held.has(n.id) || lk.lockDone < 4 {
 				t.Errorf("idle cached entry kept: holders %v, lockDone %d", lk.held.in, lk.lockDone)
 			}
-			if rep != nil && len(rep.locks[leased].held.in) != 0 {
-				t.Errorf("the report has the idle leased lock held: %+v", rep.locks[leased])
+			if rel := (wire.Hdr{Group: uint32(tGroup), Src: int32(n.id), Epoch: 1}).LockRel(uint32(leased), 4, 0); rep != nil && !slices.ContainsFunc(rep.up, func(m wire.Message) bool { return wire.Equal(m, rel) }) {
+				t.Errorf("the report carries no release of the idle cached entry: %+v", rep.up)
 			}
 			if len(g.locks.busy) == 0 {
 				t.Fatal("no lock listed before the tick")
@@ -225,10 +238,11 @@ func ptr(m wire.Message) *wire.Message { return &m }
 
 // TestOwnReportReadsAsAPeers pins the candidate's view of itself: the
 // report a member with an exclusive hold, an open session with two
-// holders and a queued session request builds for an election, read back
-// by the one stream reader, is field for field the state written out
-// here — so promote's own copy cannot silently change with the stream
-// format.
+// holders, a queued session request and an unconfirmed store builds for
+// an election, read back by the one stream reader, is field for field the
+// state written out here — the request and the store as the frames the
+// member sent — so promote's own copy cannot silently change with the
+// stream format.
 func TestOwnReportReadsAsAPeers(t *testing.T) {
 	n, g := loneMember(t)
 	n.mu.Lock()
@@ -238,6 +252,12 @@ func TestOwnReportReadsAsAPeers(t *testing.T) {
 	mv := g.vars.at(tVar)
 	mv.val, mv.written = 77, true
 	g.vars.at(tVarB) // never written: not reported
+	// A store out is reported by its frame alone.
+	const stored VarID = 12
+	sv := g.vars.at(stored)
+	sv.val, sv.written, sv.eagerOut = 5, true, true
+	sv.eagerMsg = wire.Hdr{Group: uint32(tGroup), Src: int32(n.id)}.GuardedUpdate(uint32(stored), 5, 5, 3)
+	markBusy(&g.busyVars, &sv.busy, stored)
 	lk := g.locks.at(held)
 	lk.held.put(holder{node: n.id, epoch: 5})
 	lk.grantEpoch = 5
@@ -245,10 +265,10 @@ func TestOwnReportReadsAsAPeers(t *testing.T) {
 	lk.grantEpoch = 4
 	lk.held = holderSet{session: 7, in: []holder{{node: 1, epoch: 3}, {node: 2, epoch: 4}}}
 	lk = g.locks.at(wanted)
-	lk.want, lk.reqSession = true, 9
+	lk.want, lk.reqToken, lk.reqSession = true, 2, 9
 
 	got := newSnapReport(0)
-	for _, m := range n.reportFrames(g) {
+	for _, m := range g.reportFrames() {
 		if m.Epoch != 1 || int(m.Src) != n.id || GroupID(m.Group) != tGroup {
 			t.Errorf("frame %+v not addressed as node %d's report for election 1", m, n.id)
 		}
@@ -261,9 +281,10 @@ func TestOwnReportReadsAsAPeers(t *testing.T) {
 		locks: map[LockID]lockSnap{
 			held:   {epoch: 5, held: holderSet{in: []holder{{node: n.id, epoch: 5}}}},
 			shared: {epoch: 4, held: holderSet{session: 7, in: []holder{{node: 1, epoch: 3}, {node: 2, epoch: 4}}}},
-			wanted: {waits: true, session: 9},
 		},
 	}
+	hdr := wire.Hdr{Group: uint32(tGroup), Src: int32(n.id), Epoch: 1}
+	want.up = []wire.Message{hdr.GuardedUpdate(uint32(stored), 5, 5, 3), hdr.LockReq(uint32(wanted), 2, 9, 0)}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("own report reads\n  %+v\nwant\n  %+v", got, want)
 	}
@@ -275,7 +296,8 @@ func TestOwnReportReadsAsAPeers(t *testing.T) {
 // overwrote the request marker and the next retry wrote it back) —
 // through both state streams by the production path: node 1's election
 // report, read back and rebuilt into its books by its promotion, and the
-// snapshot node 2 then fetches from it.
+// snapshot node 2 then fetches from it. The waiter queues with its live
+// token: its report carries the request it sent.
 func TestStreamRoundTripsEveryLockState(t *testing.T) {
 	net, err := transport.NewInProc(3)
 	if err != nil {
@@ -310,7 +332,7 @@ func TestStreamRoundTripsEveryLockState(t *testing.T) {
 		free:   {epoch: 3},
 		excl:   {epoch: 5, held: holderSet{in: []holder{{node: 2, epoch: 5}}}},
 		shared: {epoch: 4, held: two},
-		waited: {epoch: 6, held: holderSet{in: []holder{{node: 2, epoch: 6}}}, queue: []lockWaiter{{node: 1}}},
+		waited: {epoch: 6, held: holderSet{in: []holder{{node: 2, epoch: 6}}}, queue: []lockWaiter{{node: 1, token: 1}}},
 	} {
 		ls := r.book.lock(l)
 		if ls.epoch != want.epoch || ls.held.session != want.held.session ||

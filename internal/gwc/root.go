@@ -217,11 +217,21 @@ func (n *Node) rootHandle(r *rootGroup, m *wire.Message) {
 	}
 }
 
-// rootUpdate sequences a shared write, discarding speculative writes to
-// guarded variables from nodes that do not hold the lock — the root "is
-// both the lock owner and the sequencing arbiter for all data changes
-// within the group", so improper changes never enter the group.
+// rootUpdate sequences a shared write the reign admits.
 func (n *Node) rootUpdate(r *rootGroup, m *wire.Message) {
+	if r.admit(m) {
+		down := n.rootHdr(r).SeqUpdate(m.Origin, m.Var, m.Val, m.Guarded)
+		n.multicast(r, &down)
+	}
+}
+
+// admit judges a write on its way into the reign — fresh from its writer,
+// or replayed from an election report (restore) — and takes an admitted
+// one as the variable's authoritative value. It discards speculative
+// writes to guarded variables from nodes that do not hold the lock — the
+// root "is both the lock owner and the sequencing arbiter for all data
+// changes within the group", so improper changes never enter the group.
+func (r *rootGroup) admit(m *wire.Message) bool {
 	rv := r.vars.at(VarID(m.Var))
 	if m.Guarded {
 		// Idempotence against the origin's loss-recovery re-sends: a
@@ -236,23 +246,21 @@ func (n *Node) rootUpdate(r *rootGroup, m *wire.Message) {
 				rv.seen = make([]uint64, len(r.cfg.Members))
 			}
 			if nonce <= rv.seen[i] {
-				return
+				return false
 			}
 			rv.seen[i] = nonce
 		}
-		mv := r.member.vars.peek(VarID(m.Var))
-		if mv == nil || !mv.guarded {
-			n.emit(obs.EvSuppressed, r.cfg.ID, int64(m.Var), obs.ReasonNotHolder)
-			return
+		reason, ok := obs.ReasonNotHolder, false
+		if mv := r.member.vars.peek(VarID(m.Var)); mv != nil && mv.guarded {
+			reason, ok = r.book.judgeWrite(mv.guard, int(m.Origin), m.Tag())
 		}
-		if reason, ok := r.book.judgeWrite(mv.guard, int(m.Origin), m.Tag()); !ok {
-			n.emit(obs.EvSuppressed, r.cfg.ID, int64(m.Var), reason)
-			return
+		if !ok {
+			r.book.sink.emit(obs.EvSuppressed, int64(m.Var), reason)
+			return false
 		}
 	}
 	rv.auth, rv.written = m.Val, true
-	down := n.rootHdr(r).SeqUpdate(m.Origin, m.Var, m.Val, m.Guarded)
-	n.multicast(r, &down)
+	return true
 }
 
 // rootNack retransmits the sequenced range [m.Seq, m.Val] to the

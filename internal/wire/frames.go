@@ -31,7 +31,7 @@ import (
 //	THeartbeat                 —       seq        —            —     root          —         —
 //	TSnapReq                   —       —          —            —     —             —         —
 //	TSnapVar                   —       seq        variable     —     value         —         —
-//	TSnapLock                  —       seq        entry epoch  lock  lock word     —         session
+//	TSnapLock                  token   seq        entry epoch  lock  lock word     —         session
 //	TSnapDone                  —       seq        —            —     digest        —         —
 //	TJoinReq                   —       ticket     —            —     —             —         —
 //	TJoinAck                   —       seq        —            —     root          —         —
@@ -176,9 +176,10 @@ func (h Hdr) SnapVar(seq uint64, v uint32, val int64) Message {
 	return h.frame(Message{Type: TSnapVar, Seq: seq, Var: v, Val: val})
 }
 
-// SnapLock is one lock word of lock's piece of a state stream taken at seq.
-func (h Hdr) SnapLock(seq uint64, lock, session, epoch uint32, word int64) Message {
-	return h.frame(Message{Type: TSnapLock, Seq: seq, Lock: lock, Session: session, Var: epoch, Val: word})
+// SnapLock is one lock word of lock's piece of a state stream taken at seq;
+// a holder's word carries the token its entry answered.
+func (h Hdr) SnapLock(seq uint64, lock, session, epoch uint32, word int64, token uint32) Message {
+	return h.frame(Message{Type: TSnapLock, Seq: seq, Lock: lock, Session: session, Var: epoch, Val: word, Origin: int32(token)})
 }
 
 // SnapDone ends a state stream taken at seq, where the sender's digest was digest.
@@ -222,7 +223,8 @@ func (h Hdr) Batch(ms []Message) Message { return h.frame(Message{Type: TBatch, 
 // Hdr is m's header.
 func (m *Message) Hdr() Hdr { return Hdr{Group: m.Group, Src: m.Src, Epoch: m.Epoch} }
 
-// Token is the acquisition token of a lock request, entry or lease frame.
+// Token is the acquisition token of a lock request, entry, snapshot entry
+// or lease frame.
 func (m *Message) Token() uint32 {
 	if m.Type == TLockReq {
 		return uint32(m.Seq)

@@ -490,8 +490,8 @@ func FuzzSessionFrames(f *testing.F) {
 				t.Fatalf("close: %+v", m)
 			}
 		case 5:
-			m = checkFrame(t, h, h.SnapLock(uint64(x), lock, session, entry, GrantValue(int(node))))
-			if m.Type != TSnapLock || m.Seq != uint64(x) || m.Holder() != int(node) || m.EntryEpoch() != entry {
+			m = checkFrame(t, h, h.SnapLock(uint64(x), lock, session, entry, GrantValue(int(node)), token))
+			if m.Type != TSnapLock || m.Seq != uint64(x) || m.Holder() != int(node) || m.EntryEpoch() != entry || m.Token() != token {
 				t.Fatalf("state stream lock word: %+v", m)
 			}
 		case 6:
