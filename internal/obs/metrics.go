@@ -193,6 +193,12 @@ type TransportStats struct {
 	// one pooled chunk; the name dates from when it was a writev of a
 	// chunk list), a drain larger than a chunk one per chunk.
 	Writevs uint64
+	// SocketReads counts read syscalls issued on links, those that find
+	// the socket empty included, so SocketReads/FramesRecv is what the
+	// receive path pays per frame. A link's reader reads until a read
+	// comes up short and then waits for the socket's next readiness edge,
+	// so a burst that fits one read costs one.
+	SocketReads uint64
 	// FramesRecv counts wire frames decoded off inbound connections.
 	FramesRecv uint64
 	// DecodeErrors counts inbound frames the codec rejected (checksum,
@@ -237,6 +243,7 @@ func (t *TransportStats) Merge(o TransportStats) {
 	t.FramesSent += o.FramesSent
 	t.BytesSent += o.BytesSent
 	t.Writevs += o.Writevs
+	t.SocketReads += o.SocketReads
 	t.FramesRecv += o.FramesRecv
 	t.DecodeErrors += o.DecodeErrors
 	t.ConnResets += o.ConnResets

@@ -276,7 +276,7 @@ func eachIntake(t *testing.T, f func(t *testing.T, mode string)) {
 func TestTCPOneSegmentOneBatch(t *testing.T) {
 	eachIntake(t, func(t *testing.T, mode string) {
 		n, in, conn := rawLink(t, mode)
-		const N = 32 // 32 frames fit one read of the default bufio buffer
+		const N = 32 // 32 frames fit one read of the reader's 4 KiB buffer
 		var seg []byte
 		for i := 0; i < N; i++ {
 			seg = wire.Encode(seg, wire.Message{Type: wire.TUpdate, Group: 1, Val: int64(i)})
@@ -301,12 +301,15 @@ func TestTCPOneSegmentOneBatch(t *testing.T) {
 
 // TestTCPSplitBatchDoesNotHoldBackSingles: frames decoded ahead of a
 // batch frame whose body has not fully arrived are delivered before the
-// reader blocks for the rest — for a batch that fits the reader's buffer
-// and for one that does not (and goes through wire.ReadFrom).
+// reader waits for the rest — for a batch that fits the reader's buffer
+// and for one that does not (and gets a buffer of its own). After the
+// long one the reader is back to 4 KiB reads: a run of singles longer
+// than that takes more than one read, and no handler call carries more
+// frames than one such read holds.
 func TestTCPSplitBatchDoesNotHoldBackSingles(t *testing.T) {
 	eachIntake(t, func(t *testing.T, mode string) {
 		for _, inner := range []int{8, 200} {
-			_, in, conn := rawLink(t, mode)
+			n, in, conn := rawLink(t, mode)
 			// Val is the inner count, as the decoder reports it.
 			batch := wire.Message{Type: wire.TBatch, Group: 1, Val: int64(inner), Batch: make([]wire.Message, inner)}
 			for i := range batch.Batch {
@@ -331,8 +334,148 @@ func TestTCPSplitBatchDoesNotHoldBackSingles(t *testing.T) {
 			if !wire.Equal(msgs[0], batch) {
 				t.Fatalf("inner=%d: batch frame arrived damaged", inner)
 			}
+
+			const singles2 = 100
+			seg = seg[:0]
+			for i := 0; i < singles2; i++ {
+				seg = wire.Encode(seg, wire.Message{Type: wire.TUpdate, Group: 1, Val: int64(i)})
+			}
+			reads := n.TransportStats().SocketReads
+			if _, err := conn.Write(seg); err != nil {
+				t.Fatal(err)
+			}
+			_, sizes := in.take(t, singles2)
+			if got, want := n.TransportStats().SocketReads-reads, uint64(len(seg)/recvSize+1); got < want {
+				t.Errorf("inner=%d: %d bytes of singles took %d reads, want at least %d", inner, len(seg), got, want)
+			}
+			if mode == "handler" && slices.Max(sizes) > recvSize/wire.EncodedSize {
+				t.Errorf("inner=%d: singles arrived in runs %v, more than one %d-byte read holds", inner, sizes, recvSize)
+			}
 		}
 	})
+}
+
+// TestTCPReaderWaitsForTheEdge: a run of frames that arrives while the
+// link is quiet costs one read. The reader does not ask the socket again
+// after a short read; it waits for the next readiness edge.
+func TestTCPReaderWaitsForTheEdge(t *testing.T) {
+	eachIntake(t, func(t *testing.T, mode string) {
+		n, in, conn := rawLink(t, mode)
+		const K = 20
+		reads := n.TransportStats().SocketReads
+		for k := 0; k < K; k++ {
+			time.Sleep(2 * time.Millisecond) // the reader is waiting again
+			var seg []byte
+			for i := 0; i < 4; i++ {
+				seg = wire.Encode(seg, wire.Message{Type: wire.TUpdate, Group: 1, Val: int64(i)})
+			}
+			if _, err := conn.Write(seg); err != nil {
+				t.Fatal(err)
+			}
+			in.take(t, 4)
+		}
+		if got := n.TransportStats().SocketReads - reads; got > K+2 {
+			t.Errorf("%d runs, each one segment written to a quiet link, took %d reads, want at most %d", K, got, K+2)
+		}
+	})
+}
+
+// TestTCPFrameInTheGapIsDelivered pins the edge rule. While the handler
+// delivers frame i it writes frame i+1 to the link and sleeps, so the
+// runtime's poller has taken the frame's readiness edge before the
+// reader waits: the frame lands after the reader's last read and before
+// its wait. The reader must find it: it waits inside the one
+// RawConn.Read call that read frame i, where the edge is kept. A reader
+// that waited in a fresh call would lose the edge to that call's reset
+// and stall the chain.
+func TestTCPFrameInTheGapIsDelivered(t *testing.T) {
+	const N = 100
+	n := newTCPMesh(t, 2)
+	conn := quietLink(t, n)
+	var next atomic.Int64
+	done := make(chan struct{})
+	DeliverTo(n.eps[1], func(run []wire.Message) {
+		for _, m := range run {
+			if m.Val != next.Load() {
+				t.Errorf("frame %d arrived, want %d", m.Val, next.Load())
+			}
+			next.Add(1)
+			if m.Val == N-1 {
+				close(done)
+			} else if _, err := conn.Write(frame(int(m.Val) + 1)); err != nil {
+				t.Error(err)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
+	if _, err := conn.Write(frame(0)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatalf("%d of %d chained frames arrived in 1s: a frame that landed before the wait was not read", next.Load(), N)
+	}
+}
+
+// TestTCPReaderSeesACloseBehindItsLastBytes: while the handler
+// delivers frame 1, the remote writes frame 2 and shuts its side, and the
+// handler sleeps so that the runtime's poller takes both edges at once.
+// The reader's next read gets frame 2 and the close behind it raises no
+// edge of its own. The reader must still end and close the connection:
+// within recvRecheck, when its next RawConn.Read call reads before it
+// waits.
+func TestTCPReaderSeesACloseBehindItsLastBytes(t *testing.T) {
+	n := newTCPMesh(t, 2)
+	conn := quietLink(t, n)
+	var got atomic.Int64
+	DeliverTo(n.eps[1], func(run []wire.Message) {
+		for _, m := range run {
+			got.Add(1)
+			if m.Val != 1 {
+				continue
+			}
+			if _, err := conn.Write(frame(2)); err != nil {
+				t.Error(err)
+			}
+			_ = conn.(*net.TCPConn).CloseWrite()
+			time.Sleep(5 * time.Millisecond)
+		}
+	})
+	if _, err := conn.Write(frame(1)); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(recvRecheck + 2*time.Second))
+	var ne net.Error
+	if _, err := io.Copy(io.Discard, conn); errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("the reader never saw the remote close behind its last frame")
+	}
+	if got.Load() != 2 {
+		t.Errorf("%d of 2 frames delivered", got.Load())
+	}
+}
+
+// quietLink dials node 1 of n as node 0, sends the hello and gives node
+// 1's reader time to find the link empty and wait on it.
+func quietLink(t *testing.T, n *TCPNet) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", n.eps[1].ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	var hello [helloSize]byte
+	putHello(&hello, 0)
+	if _, err := conn.Write(hello[:]); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	return conn
+}
+
+// frame is the wire form of a group-1 update carrying v.
+func frame(v int) []byte {
+	return wire.Encode(nil, wire.Message{Type: wire.TUpdate, Group: 1, Val: int64(v)})
 }
 
 // TestTCPCorruptFrameMidRun puts a damaged frame in the middle of a run

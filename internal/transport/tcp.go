@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,8 +8,10 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"optsync/internal/obs"
@@ -105,6 +106,7 @@ type tcpStats struct {
 	framesSent   atomic.Uint64
 	bytesSent    atomic.Uint64
 	writevs      atomic.Uint64
+	socketReads  atomic.Uint64
 	framesRecv   atomic.Uint64
 	decodeErrors atomic.Uint64
 	connResets   atomic.Uint64
@@ -118,6 +120,7 @@ func (s *tcpStats) snapshot() obs.TransportStats {
 		FramesSent:   s.framesSent.Load(),
 		BytesSent:    s.bytesSent.Load(),
 		Writevs:      s.writevs.Load(),
+		SocketReads:  s.socketReads.Load(),
 		FramesRecv:   s.framesRecv.Load(),
 		DecodeErrors: s.decodeErrors.Load(),
 		ConnResets:   s.connResets.Load(),
@@ -188,9 +191,11 @@ type tcpEndpoint struct {
 	// never cleared, so Send finds its peer with one atomic load.
 	peers []atomic.Pointer[tcpPeer]
 
+	// closed is set under mu, which orders it against inbound; frame
+	// readers also read it without mu, to stop once Close has begun.
 	mu      sync.Mutex
 	inbound []net.Conn
-	closed  bool
+	closed  atomic.Bool
 	wg      sync.WaitGroup
 }
 
@@ -220,7 +225,7 @@ func (ep *tcpEndpoint) acceptLoop() {
 			return // listener closed
 		}
 		ep.mu.Lock()
-		if ep.closed {
+		if ep.closed.Load() {
 			ep.mu.Unlock()
 			_ = conn.Close()
 			return
@@ -234,113 +239,139 @@ func (ep *tcpEndpoint) acceptLoop() {
 
 // readLoop drives one inbound connection: validate the hello, offer the
 // connection to the peer's writer as the shared duplex link, then decode
-// frames until the connection dies — or until a decode error proves the
-// stream framing can no longer be trusted, in which case the reader
-// resets the link proactively (ConnResets) so the remote redials at
-// once instead of black-holing frames into a dead socket. Frame-local
-// corruption (wire.ErrCorruptFrame) only skips the one frame: the
-// framing is still synchronized, later frames on the connection are
-// fine, and the GWC layer recovers the skipped frame via NACK/retry.
+// frames until the connection dies (frameLoop).
 func (ep *tcpEndpoint) readLoop(conn net.Conn) {
-	defer ep.wg.Done()
-	defer func() { _ = conn.Close() }()
-	r := bufio.NewReader(conn)
 	var hello [helloSize]byte
-	if _, err := io.ReadFull(r, hello[:]); err != nil {
-		return
-	}
+	_, err := io.ReadFull(conn, hello[:])
 	from, ok := parseHello(&hello)
-	if !ok {
-		return // a stranger, not a cluster peer
+	if err != nil || !ok {
+		_ = conn.Close() // gone, or a stranger, not a cluster peer
+		ep.wg.Done()
+		return
 	}
 	if from >= 0 && from < len(ep.addrs) && from != ep.id {
 		ep.adopt(from, conn)
 	}
-	ep.frameLoop(r, conn)
+	ep.frameLoop(conn)
 }
+
+// recvSize is the frame reader's buffer: bufio's default size, which a
+// handler that stops taking frames relies on to push back on the sender
+// (a larger one measured setup_s +19%, DESIGN.md "Vectored receive").
+const recvSize = 4 << 10
+
+// recvRecheck bounds how long a frame reader stays in one RawConn.Read
+// call. A remote close whose readiness edge the poller took together with
+// the last bytes a read returned raises no edge of its own, so a reader
+// that never left the call would wait on the half-closed socket until
+// this end wrote on it or closed; a fresh call reads before it waits and
+// finds the close.
+const recvRecheck = time.Second
 
 // frameLoop decodes frames off a connection — inbound or dialed (a
 // dialed connection carries the peer's traffic back once the remote
-// adopts it) — until it dies or the framing desynchronizes. It decodes
-// every whole frame the last socket read left in r, straight out of r's
-// buffer, and delivers the run in one call (frameReader.deliver); a run
-// is always delivered before a read that could block, so no frame waits
-// for bytes that have not arrived and a lone frame is delivered as
-// promptly as it ever was.
-func (ep *tcpEndpoint) frameLoop(r *bufio.Reader, conn net.Conn) {
-	fr := frameReader{ep: ep, r: r}
+// adopts it) — until it dies, the endpoint closes, or the framing
+// desynchronizes. The loop runs inside RawConn.Read: its callback
+// (frameReader.drain) reads the socket until a read comes up short and
+// then returns false, so the runtime parks the reader until the socket's
+// next readiness edge instead of asking the drained socket again. The
+// reader stays in that one call, leaving it only at a recvRecheck
+// deadline: every call starts by resetting the poller's readiness state,
+// so a reader that left and re-entered the call after a short read would
+// drop the edge of a frame that landed in between, and a quiet link would
+// stall on it. Within the call that edge is kept and the wait returns at
+// once. A fresh call after a deadline reads before it waits, so it drops
+// nothing. The reader owns conn and one count of ep.wg: it closes the
+// one and releases the other on its way out.
+func (ep *tcpEndpoint) frameLoop(conn net.Conn) {
+	defer ep.wg.Done()
+	defer func() { _ = conn.Close() }()
+	rc, _ := conn.(syscall.Conn).SyscallConn() // fails only for a nil conn
+	fr := frameReader{ep: ep, buf: make([]byte, recvSize)}
 	for {
-		m, err := fr.next()
-		switch {
-		case err == nil:
-			fr.run = append(fr.run, m)
-		case errors.Is(err, wire.ErrCorruptFrame):
-			// Frame-local: exactly the damaged frame was consumed.
-			ep.stats.decodeErrors.Add(1)
-		default:
-			if !isConnError(err) {
-				// Desync-class decode failure on a live connection:
-				// count it and reset the link (the deferred close in our
-				// caller); the remote's next write fails immediately and
-				// it redials.
-				ep.stats.decodeErrors.Add(1)
-				ep.stats.connResets.Add(1)
-			}
-			// What decoded cleanly ahead of the failure still counts.
-			_ = fr.deliver()
-			return
+		_ = conn.SetReadDeadline(time.Now().Add(recvRecheck)) // fails only once conn is closed, as Read then does
+		if err := rc.Read(fr.drain); !errors.Is(err, os.ErrDeadlineExceeded) {
+			break
 		}
 	}
+	// What decoded cleanly ahead of a failure still counts.
+	_ = fr.deliver()
 }
 
-// frameReader is frameLoop's state: the stream, and the frames decoded
-// from it that have not been delivered yet.
+// frameReader is frameLoop's state: its buffer, of which buf[r:w] has
+// been read and not yet decoded, and the frames decoded from it that
+// have not been delivered yet.
 type frameReader struct {
-	ep  *tcpEndpoint
-	r   *bufio.Reader
-	run []wire.Message
+	ep   *tcpEndpoint
+	buf  []byte // recvSize long, or as long as the one batch frame it holds
+	r, w int
+	run  []wire.Message
 }
 
-// next decodes the next frame of the stream. Whenever the bytes it needs
-// are not all buffered — the one case in which it can block — it first
-// delivers the run. An error wrapping wire.ErrCorruptFrame has consumed
-// exactly the damaged frame; any other ends the connection.
-func (fr *frameReader) next() (wire.Message, error) {
-	hdr, err := fr.peek(wire.EncodedSize)
-	if err != nil {
-		return wire.Message{}, err
-	}
-	need, err := wire.FrameLen(hdr)
-	if err != nil {
-		return wire.Message{}, err
-	}
-	if need <= fr.r.Size() {
-		frame, err := fr.peek(need)
-		if err != nil {
-			return wire.Message{}, err
+// drain is the body of frameLoop's RawConn.Read call. It reads until the
+// socket comes up short, decoding and delivering what each read completes
+// before the next, and reports whether the connection is done (false:
+// wait for readiness and call again). A read that fills the buffer says
+// nothing about what is left, so only a short one ends a pass; a run is
+// always delivered before the wait, so no frame waits for bytes that have
+// not arrived.
+func (fr *frameReader) drain(fd uintptr) bool {
+	for full := true; full; {
+		n, err := sockRead(fd, fr.buf[fr.w:])
+		fr.ep.stats.socketReads.Add(1)
+		if err != nil || n == 0 {
+			// EAGAIN: drained, wait. Else a remote close or a broken socket.
+			return err != syscall.EAGAIN
 		}
-		// Decode aliases nothing in frame, so its bytes can go at once.
-		m, err := wire.Decode(frame)
-		_, _ = fr.r.Discard(need) // cannot fail: need bytes are buffered
-		return m, err
+		full = fr.w+n == len(fr.buf)
+		fr.w += n
+		if !fr.decode() || fr.deliver() != nil || fr.ep.closed.Load() {
+			return true
+		}
 	}
-	// A batch frame longer than r's buffer cannot be peeked whole; nothing
-	// of it has been consumed yet, so wire.ReadFrom takes it from the top.
-	if err := fr.deliver(); err != nil {
-		return wire.Message{}, err
-	}
-	return wire.ReadFrom(fr.r)
+	return false
 }
 
-// peek returns the stream's next n bytes (n <= r.Size()) without
-// consuming them, delivering the run first if they are not all buffered.
-func (fr *frameReader) peek(n int) ([]byte, error) {
-	if fr.r.Buffered() < n {
-		if err := fr.deliver(); err != nil {
-			return nil, err
+// decode moves every whole frame in buf[r:w] to the run, then moves the
+// partial frame behind them to the front of the buffer the next read
+// fills: recvSize long, unless it is a batch frame longer than that,
+// which gets a buffer of exactly its length until it is whole. Frame-local
+// corruption (wire.ErrCorruptFrame) skips the one frame: the framing is
+// still synchronized and the GWC layer recovers the frame via NACK or
+// retry. Any other decode failure means the frame boundaries can no
+// longer be trusted; decode counts it as a reset and reports false, and
+// the link is closed so the remote redials at once instead of
+// black-holing frames into a dead socket.
+func (fr *frameReader) decode() bool {
+	need := 0
+	for fr.w-fr.r >= wire.EncodedSize {
+		n, err := wire.FrameLen(fr.buf[fr.r:fr.w])
+		if err == nil && fr.w-fr.r < n {
+			need = n
+			break
+		}
+		var m wire.Message
+		if err == nil {
+			m, err = wire.Decode(fr.buf[fr.r : fr.r+n])
+			fr.r += n
+		}
+		if err == nil {
+			fr.run = append(fr.run, m)
+			continue
+		}
+		fr.ep.stats.decodeErrors.Add(1)
+		if !errors.Is(err, wire.ErrCorruptFrame) {
+			fr.ep.stats.connResets.Add(1)
+			return false
 		}
 	}
-	return fr.r.Peek(n)
+	next := fr.buf
+	if size := max(need, recvSize); len(next) != size {
+		next = make([]byte, size)
+	}
+	fr.w = copy(next, fr.buf[fr.r:fr.w])
+	fr.buf, fr.r = next, 0
+	return true
 }
 
 // deliver hands the run over in one operation — to the registered
@@ -365,15 +396,6 @@ func (fr *frameReader) deliver() error {
 	return err
 }
 
-// isConnError reports whether err is connection death (remote close,
-// torn frame on a dying socket, local shutdown — of the socket or of the
-// inbox the frames go to) rather than a decode failure on a live stream.
-func isConnError(err error) bool {
-	var ne net.Error
-	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
-		errors.Is(err, net.ErrClosed) || errors.Is(err, ErrClosed) || errors.As(err, &ne)
-}
-
 // adopt offers an identified inbound connection to the peer's writer as
 // the outgoing link, creating the peer if the first contact was inbound.
 func (ep *tcpEndpoint) adopt(from int, conn net.Conn) {
@@ -395,7 +417,7 @@ func (ep *tcpEndpoint) peer(to int) (*tcpPeer, error) {
 	}
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	if ep.closed {
+	if ep.closed.Load() {
 		return nil, ErrClosed
 	}
 	p := ep.peers[to].Load()
@@ -474,11 +496,11 @@ func (ep *tcpEndpoint) deliverTo(h func([]wire.Message)) bool {
 // anything the handler takes.
 func (ep *tcpEndpoint) Close() error {
 	ep.mu.Lock()
-	if ep.closed {
+	if ep.closed.Load() {
 		ep.mu.Unlock()
 		return nil
 	}
-	ep.closed = true
+	ep.closed.Store(true)
 	var peers []*tcpPeer
 	for i := range ep.peers {
 		if p := ep.peers[i].Load(); p != nil {
@@ -722,11 +744,7 @@ func (p *tcpPeer) dial() (net.Conn, error) {
 		// safe against Close's Wait because the writer goroutine calling
 		// dial is itself wg-tracked, holding the counter above zero.)
 		p.ep.wg.Add(1)
-		go func() {
-			defer p.ep.wg.Done()
-			defer func() { _ = conn.Close() }()
-			p.ep.frameLoop(bufio.NewReader(conn), conn)
-		}()
+		go p.ep.frameLoop(conn)
 		return conn, nil
 	}
 	backoff := dialBackoffBase << p.fails
@@ -747,7 +765,7 @@ func (p *tcpPeer) dial() (net.Conn, error) {
 // so Close closes it.
 func (ep *tcpEndpoint) readSpare(conn net.Conn) {
 	ep.mu.Lock()
-	if ep.closed {
+	if ep.closed.Load() {
 		ep.mu.Unlock()
 		_ = conn.Close()
 		return
@@ -755,11 +773,7 @@ func (ep *tcpEndpoint) readSpare(conn net.Conn) {
 	ep.inbound = append(ep.inbound, conn)
 	ep.wg.Add(1)
 	ep.mu.Unlock()
-	go func() {
-		defer ep.wg.Done()
-		defer func() { _ = conn.Close() }()
-		ep.frameLoop(bufio.NewReader(conn), conn)
-	}()
+	go ep.frameLoop(conn)
 }
 
 func (p *tcpPeer) close() {

@@ -198,20 +198,22 @@ func TestCorruptFrameClassification(t *testing.T) {
 		t.Errorf("short batch misclassified as frame-local: %v", err)
 	}
 
-	// The stream reader agrees with the flat decoder on both classes.
-	if _, err := ReadFrom(bytes.NewReader(hdrBad)); err == nil || errors.Is(err, ErrCorruptFrame) {
-		t.Errorf("ReadFrom: header corruption misclassified: %v", err)
+	// A stream reader (FrameLen, then Decode) agrees with the flat
+	// decoder on both classes.
+	if _, _, err := nextFrame(hdrBad); err == nil || errors.Is(err, ErrCorruptFrame) {
+		t.Errorf("stream read: header corruption misclassified: %v", err)
 	}
 	inner := append([]byte(nil), batch...)
 	inner[EncodedSize+5] ^= 0x40
 	tail := Encode(nil, Message{Type: THeartbeat, Group: 7, Epoch: 2})
-	stream := bytes.NewReader(append(append([]byte(nil), inner...), tail...))
-	if _, err := ReadFrom(stream); !errors.Is(err, ErrCorruptFrame) {
-		t.Errorf("ReadFrom: inner corruption not classified frame-local: %v", err)
+	stream := append(append([]byte(nil), inner...), tail...)
+	_, stream, err := nextFrame(stream)
+	if !errors.Is(err, ErrCorruptFrame) {
+		t.Errorf("stream read: inner corruption not classified frame-local: %v", err)
 	}
 	// After skipping the corrupt frame the stream is still synchronized:
 	// the next read yields the trailing heartbeat.
-	if m, err := ReadFrom(stream); err != nil || m.Type != THeartbeat {
+	if m, _, err := nextFrame(stream); err != nil || m.Type != THeartbeat {
 		t.Errorf("stream desynchronized after frame-local skip: %+v, err %v", m, err)
 	}
 }

@@ -8,9 +8,9 @@
 //
 // A TBatch frame packs several messages of one group into a single
 // length-prefixed payload, so a burst of coalesced writes (or a root's
-// sequenced fan-out of one) costs one frame instead of N. Encode buffers
-// are recycled through a sync.Pool, keeping the hot send path free of
-// per-message allocations.
+// sequenced fan-out of one) costs one frame instead of N. Encode appends
+// to the caller's buffer and a stream reader delimits frames with
+// FrameLen, so neither direction allocates per scalar frame.
 package wire
 
 import (
@@ -18,8 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"sync"
 )
 
 // ErrCorruptFrame marks decode failures confined to one fully-delimited
@@ -416,24 +414,6 @@ func Equal(a, b Message) bool {
 	return true
 }
 
-// bufPool recycles encode/decode buffers: the hot paths (TCP peer
-// writers, frame readers) borrow a buffer per frame instead of
-// allocating one.
-var bufPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// WriteTo writes the message to w in wire form, using a pooled buffer.
-func WriteTo(w io.Writer, m Message) error {
-	bp := bufPool.Get().(*[]byte)
-	buf := Encode((*bp)[:0], m)
-	_, err := w.Write(buf)
-	*bp = buf[:0]
-	bufPool.Put(bp)
-	if err != nil {
-		return fmt.Errorf("wire: write: %w", err)
-	}
-	return nil
-}
-
 // FrameLen reports the full wire length of the frame that starts with
 // hdr, its first EncodedSize bytes: EncodedSize for a scalar frame, or a
 // batch header's extent once its checksum and count have been verified.
@@ -461,42 +441,4 @@ func FrameLen(hdr []byte) (int, error) {
 		return 0, fmt.Errorf("wire: batch of %d messages outside [1,%d]", count, MaxBatch)
 	}
 	return int(count+1) * EncodedSize, nil
-}
-
-// ReadFrom reads one message (or one whole batch frame) from r in wire
-// form. Decode failures that wrap ErrCorruptFrame consumed the frame's
-// exact wire length — the caller may skip the frame and keep reading;
-// any other decode error means the stream may be desynchronized and the
-// connection should be reset.
-func ReadFrom(r io.Reader) (Message, error) {
-	var hdr [EncodedSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Message{}, err
-	}
-	need, err := FrameLen(hdr[:])
-	if err != nil {
-		return Message{}, err
-	}
-	if need == EncodedSize {
-		return Decode(hdr[:])
-	}
-	bp := bufPool.Get().(*[]byte)
-	buf := *bp
-	if cap(buf) < need {
-		buf = make([]byte, need)
-	} else {
-		buf = buf[:need]
-	}
-	copy(buf, hdr[:])
-	_, err = io.ReadFull(r, buf[EncodedSize:])
-	var m Message
-	if err == nil {
-		// Decode fills the frame's message array straight from the read
-		// buffer (no per-element staging copies) and aliases nothing, so
-		// the buffer can be recycled as soon as it returns.
-		m, err = Decode(buf)
-	}
-	*bp = buf[:0]
-	bufPool.Put(bp)
-	return m, err
 }

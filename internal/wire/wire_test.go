@@ -142,23 +142,17 @@ func TestBatchRoundTrip(t *testing.T) {
 		t.Errorf("round trip changed batch:\n got %+v\nwant %+v", got, m)
 	}
 
-	// And through the stream codec.
-	var stream bytes.Buffer
-	if err := WriteTo(&stream, m); err != nil {
-		t.Fatal(err)
-	}
+	// And cut off a stream, frame by frame.
 	tail := Message{Type: THeartbeat, Group: 7, Src: 0, Epoch: 2}
-	if err := WriteTo(&stream, tail); err != nil {
-		t.Fatal(err)
-	}
-	got, err = ReadFrom(&stream)
+	stream := Encode(Encode(nil, m), tail)
+	got, stream, err = nextFrame(stream)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !Equal(got, m) {
 		t.Errorf("stream round trip changed batch:\n got %+v\nwant %+v", got, m)
 	}
-	got, err = ReadFrom(&stream)
+	got, _, err = nextFrame(stream)
 	if err != nil || !Equal(got, tail) {
 		t.Errorf("message after batch: got %+v, err %v", got, err)
 	}
@@ -197,15 +191,15 @@ func TestBatchDecodeErrors(t *testing.T) {
 		t.Error("Decode of cross-group batch succeeded, want error")
 	}
 
-	// A truncated stream read must error, not hang or panic.
-	if _, err := ReadFrom(bytes.NewReader(full[:len(full)-5])); err == nil {
-		t.Error("ReadFrom of truncated batch succeeded, want error")
+	// A stream cut inside a batch must error, not hang or panic.
+	if _, _, err := nextFrame(full[:len(full)-5]); err == nil {
+		t.Error("stream read of truncated batch succeeded, want error")
 	}
 	// An oversized length prefix must be rejected before any allocation.
 	huge := append([]byte(nil), full[:EncodedSize]...)
 	binary.BigEndian.PutUint64(huge[30:], 1<<50)
-	if _, err := ReadFrom(bytes.NewReader(huge)); err == nil {
-		t.Error("ReadFrom of oversized batch header succeeded, want error")
+	if _, err := FrameLen(huge); err == nil {
+		t.Error("FrameLen of oversized batch header succeeded, want error")
 	}
 }
 
@@ -242,10 +236,10 @@ func FuzzDecode(f *testing.F) {
 		if !Equal(got, m) {
 			t.Fatalf("re-encode changed message:\n got %+v\nwant %+v", got, m)
 		}
-		// The stream reader must agree with the flat decoder.
-		sm, err := ReadFrom(bytes.NewReader(data))
+		// A stream reader must agree with the flat decoder.
+		sm, _, err := nextFrame(data)
 		if err != nil || !Equal(sm, m) {
-			t.Fatalf("ReadFrom disagrees with Decode: %+v (err %v) vs %+v", sm, err, m)
+			t.Fatalf("stream read disagrees with Decode: %+v (err %v) vs %+v", sm, err, m)
 		}
 	})
 }
@@ -270,11 +264,7 @@ func checkFrame(t *testing.T, h Hdr, m Message) *Message {
 	if !Equal(got, m) {
 		t.Fatalf("round trip changed frame:\n got %+v\nwant %+v", got, m)
 	}
-	var stream bytes.Buffer
-	if err := WriteTo(&stream, m); err != nil {
-		t.Fatal(err)
-	}
-	if sm, err := ReadFrom(&stream); err != nil || !Equal(sm, m) {
+	if sm, _, err := nextFrame(buf); err != nil || !Equal(sm, m) {
 		t.Fatalf("stream round trip: %+v (err %v), want %+v", sm, err, m)
 	}
 	bad := append([]byte(nil), buf...)
@@ -432,18 +422,18 @@ func TestDigestFrameRoundTrip(t *testing.T) {
 		{Type: TDigestReq, Group: 3, Src: 0, Seq: 12, Val: -1, Var: 1, Epoch: 9},
 		{Type: TDigestAck, Group: 3, Src: 2, Seq: 11, Val: int64(-2401053092342382579), Epoch: 9}, // 0xdeadbeefcafef00d reinterpreted
 	}
-	var stream bytes.Buffer
+	var stream []byte
 	for _, m := range msgs {
 		got, err := Decode(Encode(nil, m))
 		if err != nil || !Equal(got, m) {
 			t.Fatalf("flat round trip: got %+v (err %v), want %+v", got, err, m)
 		}
-		if err := WriteTo(&stream, m); err != nil {
-			t.Fatal(err)
-		}
+		stream = Encode(stream, m)
 	}
 	for _, want := range msgs {
-		got, err := ReadFrom(&stream)
+		var got Message
+		var err error
+		got, stream, err = nextFrame(stream)
 		if err != nil || !Equal(got, want) {
 			t.Fatalf("stream round trip: got %+v (err %v), want %+v", got, err, want)
 		}
@@ -507,20 +497,42 @@ func FuzzSessionFrames(f *testing.F) {
 	})
 }
 
+// nextFrame cuts the first frame off a byte stream as a stream reader
+// does — FrameLen delimits it, Decode reads exactly that many bytes — and
+// returns it with the rest of the stream: io.EOF if the stream is empty,
+// io.ErrUnexpectedEOF if it ends inside the frame.
+func nextFrame(stream []byte) (Message, []byte, error) {
+	if len(stream) == 0 {
+		return Message{}, nil, io.EOF
+	}
+	if len(stream) < EncodedSize {
+		return Message{}, stream, io.ErrUnexpectedEOF
+	}
+	n, err := FrameLen(stream)
+	if err != nil {
+		return Message{}, stream, err
+	}
+	if len(stream) < n {
+		return Message{}, stream, io.ErrUnexpectedEOF
+	}
+	m, err := Decode(stream[:n])
+	return m, stream[n:], err
+}
+
 func TestStreamReadWrite(t *testing.T) {
-	var buf bytes.Buffer
+	var buf []byte
 	msgs := []Message{
 		{Type: TUpdate, Group: 1, Src: 1, Origin: 1, Var: 2, Val: 3},
 		{Type: TSeqLock, Group: 1, Src: 0, Seq: 9, Lock: 0, Val: 5},
 		{Type: TNack, Group: 1, Src: 4, Seq: 10, Val: 20},
 	}
 	for _, m := range msgs {
-		if err := WriteTo(&buf, m); err != nil {
-			t.Fatal(err)
-		}
+		buf = Encode(buf, m)
 	}
 	for i, want := range msgs {
-		got, err := ReadFrom(&buf)
+		var got Message
+		var err error
+		got, buf, err = nextFrame(buf)
 		if err != nil {
 			t.Fatalf("message %d: %v", i, err)
 		}
@@ -528,7 +540,7 @@ func TestStreamReadWrite(t *testing.T) {
 			t.Errorf("message %d: got %+v, want %+v", i, got, want)
 		}
 	}
-	if _, err := ReadFrom(&buf); err != io.EOF {
+	if _, _, err := nextFrame(buf); err != io.EOF {
 		t.Errorf("read past end: err = %v, want io.EOF", err)
 	}
 }

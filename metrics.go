@@ -184,6 +184,7 @@ func writeMetrics(w io.Writer, s obs.MetricsSnapshot, nodes int) {
 		if t.Writevs > 0 {
 			fmt.Fprintf(w, "  frames_per_writev %.2f\n", float64(t.FramesSent)/float64(t.Writevs))
 		}
+		fmt.Fprintf(w, "  socket_reads     %d\n", t.SocketReads)
 		fmt.Fprintf(w, "  frames_recv      %d\n", t.FramesRecv)
 		fmt.Fprintf(w, "  decode_errors    %d\n", t.DecodeErrors)
 		fmt.Fprintf(w, "  conn_resets      %d\n", t.ConnResets)
